@@ -33,8 +33,8 @@ from repro.observability import (
     cache_counts,
     detect_regressions,
     dispatch_counts,
-    get_profiler,
     get_registry,
+    get_tracer,
     load_history,
     record_dispatch,
     shm_counts,
@@ -263,7 +263,7 @@ def emit_table(
     added as ``emit_s``.
 
     Every call also appends one ``repro.perf/v1`` record (timings,
-    cache/dispatch counters, profiler memory summary) to the
+    cache/dispatch counters, tracer memory summary) to the
     append-only ``<destination>/history.jsonl`` ledger and runs the
     regression gate against the experiment's prior records there
     (``REPRO_PERF_GATE``: warn by default, fail under CI, off to
@@ -319,7 +319,7 @@ def emit_table(
         timings=all_timings,
         cache=cache_counts(),
         dispatch=dispatch_counts(),
-        memory=get_profiler().memory_summary(),
+        memory=get_tracer().memory_summary(),
         shm=shm_counts(),
     )
     prior = load_history(history_path, experiment=experiment)

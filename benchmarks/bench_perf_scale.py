@@ -12,7 +12,7 @@ The n = 10^6 tier promised by ROADMAP item 2, in three acts:
    (sampled all-pairs distance sums, eccentricities, landmark labels,
    full-graph components, and the memmap-spilling distance table)
    under :data:`MEMORY_BUDGET`.  Each kernel runs inside a
-   tracemalloc-backed ``profile_span``; the measured peak must stay
+   span with tracer memory capture on; the measured peak must stay
    under :data:`CEILING_MIB`, and the per-span peaks flow into the
    ``repro.perf/v1`` ledger where the ``REPRO_PERF_GATE`` regression
    gate treats a ceiling blowout like a slowdown.
@@ -33,6 +33,7 @@ same harness at toy scale inside tier-1.
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -48,9 +49,8 @@ from _util import OUT_DIR, TOP_DIR, TableResult, emit_table, run_sweep
 from repro.graphs import shm
 from repro.graphs.csr import FrozenGraph, shard_sources
 from repro.graphs.generators import degree_ordered_graph, degree_ordered_reference
-from repro.observability import dispatch_counts, get_profiler, shm_counts
-from repro.observability import profiling
-from repro.observability.profiling import profile_span
+from repro.observability import dispatch_counts, get_tracer, shm_counts
+from repro.observability.tracing import memory_capture
 
 EXPERIMENT = "perf-scale"
 
@@ -77,9 +77,10 @@ SAMPLE_SOURCES = 512
 LANDMARKS = 1024
 TABLE_SOURCES = 512
 
-#: Sweep-tier shape: tasks per run and worker count.
+#: Sweep-tier shape: tasks per run, worker count, timed runs per way.
 SWEEP_TASKS = 4
 SWEEP_JOBS = 2
+SWEEP_REPEATS = 3
 
 
 def _probe(fg: FrozenGraph, item: int) -> int:
@@ -173,10 +174,10 @@ def _verify(n: int, budget: int, rows: List[Tuple[object, ...]]) -> FrozenGraph:
 # scale tier
 # ----------------------------------------------------------------------
 def _peak_mib(span_name: str) -> float:
-    """Max tracemalloc peak (MiB) over the named profiler spans."""
+    """Max tracemalloc peak (MiB) over the named tracer spans."""
     peaks = [
         record["peak_kib"]
-        for record in get_profiler().spans(span_name)
+        for record in get_tracer().spans(span_name)
         if "peak_kib" in record
     ]
     return max(peaks) / 1024.0 if peaks else 0.0
@@ -198,7 +199,7 @@ def _run_scale_kernel(
         tracemalloc.reset_peak()  # isolate this kernel's high-water mark
     spill_before = shm_counts()["spill_bytes"]
     start = time.perf_counter()
-    with profile_span(span, kernel=name, n=fg.n):
+    with get_tracer().span(span, kernel=name, n=fg.n):
         fn()
     wall = time.perf_counter() - start
     spilled = shm_counts()["spill_bytes"] - spill_before
@@ -248,8 +249,7 @@ def _scale(
     )
     scratch = tempfile.mktemp(prefix="repro-scale-", suffix=".npy")
 
-    profiling.enable(memory=True)
-    try:
+    with memory_capture():
         _run_scale_kernel(
             "distance-sums",
             lambda: fg.all_pairs_distance_sums(sources=sample, memory_budget=budget),
@@ -311,8 +311,6 @@ def _scale(
         finally:
             if os.path.exists(scratch):
                 os.remove(scratch)
-    finally:
-        profiling.disable()
     return fg
 
 
@@ -326,27 +324,41 @@ def _sweep_compare(
     rows: List[Tuple[object, ...]],
     timings: Dict[str, float],
 ) -> None:
-    """Fan the same sweep out both ways; shm must win, zero rebuilds."""
+    """Fan the same sweep out both ways; shm must win, zero rebuilds.
+
+    Each way is timed median-of-:data:`SWEEP_REPEATS`, the two
+    interleaved, after one untimed warm-up round.  The first pool runs
+    in a process pay one-time costs, chiefly the ``resource_tracker``
+    process that the first shared segment starts, and without the
+    warm-up those land on whichever sweep happens to run first.
+    """
     items = list(range(tasks))
     expected = [_probe(fg, item) for item in items]
 
-    start = time.perf_counter()
-    pickled = run_sweep(items, partial(_probe_with_graph, fg), jobs=jobs)
-    pickle_wall = time.perf_counter() - start
-    if pickled != expected:
-        raise AssertionError("pickle-baseline sweep returned wrong results")
-
     snapshot = fg.to_shared()
     try:
+        sweeps = {
+            "pickle": lambda: run_sweep(
+                items, partial(_probe_with_graph, fg), jobs=jobs
+            ),
+            "shm": lambda: run_sweep(
+                items, _probe_shared, jobs=jobs, shared=snapshot.handle
+            ),
+        }
+        walls: Dict[str, List[float]] = {name: [] for name in sweeps}
         before = dispatch_counts()
-        start = time.perf_counter()
-        attached = run_sweep(items, _probe_shared, jobs=jobs, shared=snapshot.handle)
-        shm_wall = time.perf_counter() - start
+        for round_ in range(1 + SWEEP_REPEATS):  # round 0 is the warm-up
+            for name, sweep in sweeps.items():
+                start = time.perf_counter()
+                if sweep() != expected:
+                    raise AssertionError(f"{name} sweep returned wrong results")
+                if round_:
+                    walls[name].append(time.perf_counter() - start)
         after = dispatch_counts()
     finally:
         snapshot.close()
-    if attached != expected:
-        raise AssertionError("shared-memory sweep returned wrong results")
+    pickle_wall = statistics.median(walls["pickle"])
+    shm_wall = statistics.median(walls["shm"])
 
     attaches = after.get("benchmarks.run_sweep", {}).get(
         "shm-attach", 0
@@ -354,9 +366,10 @@ def _sweep_compare(
     rebuilds = after.get("graphs.freeze", {}).get("build", 0) - before.get(
         "graphs.freeze", {}
     ).get("build", 0)
-    if attaches != tasks:
+    if attaches != tasks * (1 + SWEEP_REPEATS):
         raise AssertionError(
-            f"expected {tasks} shm-attach dispatches, saw {attaches}"
+            f"expected {tasks * (1 + SWEEP_REPEATS)} shm-attach dispatches, "
+            f"saw {attaches}"
         )
     if rebuilds != 0:
         raise AssertionError(

@@ -335,7 +335,8 @@ def smoke_scale() -> Dict[str, Any]:
     from repro.graphs import shm
     from repro.graphs.csr import FrozenGraph
     from repro.graphs.generators import degree_ordered_graph
-    from repro.observability import profiling, shm_counts
+    from repro.observability import shm_counts
+    from repro.observability.tracing import memory_capture
 
     budget = 1_000_000
     ceiling_mib = 256.0
@@ -343,8 +344,7 @@ def smoke_scale() -> Dict[str, Any]:
     timings: Dict[str, float] = {}
     bench_perf_scale._verify(400, budget, rows)
     fg = degree_ordered_graph(1200, rng=np.random.default_rng(3))
-    profiling.enable(memory=True)
-    try:
+    with memory_capture():
         sample = np.arange(0, fg.n, 5, dtype=np.int64)
         bench_perf_scale._run_scale_kernel(
             "distance-sums",
@@ -373,8 +373,6 @@ def smoke_scale() -> Dict[str, Any]:
         finally:
             if os.path.exists(scratch):
                 os.remove(scratch)
-    finally:
-        profiling.disable()
     with fg.to_shared() as snapshot:
         twin = FrozenGraph.from_shared(snapshot.handle)
         if not np.array_equal(twin.indices, fg.indices):

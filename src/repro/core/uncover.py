@@ -29,14 +29,14 @@ from repro.graphs.interval import is_chordal, is_interval_graph
 from repro.graphs.metrics import degree_sequence, fit_power_law
 from repro.graphs.traversal import is_connected
 from repro.graphs.unit_disk import POSITION_ATTR
-from repro.observability.instrument import timed
+from repro.observability.tracing import traced
 from repro.temporal.evolving import EvolvingGraph
 
 Node = Hashable
 AnyNetwork = Union[Graph, EvolvingGraph]
 
 
-@timed("repro.core.trim")
+@traced("repro.core.trim")
 def trim(
     network: AnyNetwork,
     method: str = "auto",
@@ -136,7 +136,7 @@ def trim(
     raise ValueError(f"unknown trimming method {method!r}")
 
 
-@timed("repro.core.layer")
+@traced("repro.core.layer")
 def layer(
     network: Graph,
     method: str = "nsf",
@@ -195,7 +195,7 @@ def layer(
     raise ValueError(f"unknown layering method {method!r}")
 
 
-@timed("repro.core.remap")
+@traced("repro.core.remap")
 def remap(
     network: Graph,
     method: str = "hyperbolic",

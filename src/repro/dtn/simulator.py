@@ -34,7 +34,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.faults.plan import FaultPlan, FaultSession
 from repro.observability import tracing
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.profiling import profile_span
 from repro.observability.telemetry import record_dispatch
 from repro.temporal.evolving import EvolvingGraph
 from repro.temporal.frozen import FROZEN_MIN_CONTACTS
@@ -259,9 +258,7 @@ class DTNSimulation:
         """
         with self.tracer.span(
             "dtn.run", router=self.router.name, messages=len(self.messages)
-        ) as span, profile_span(
-            "repro.dtn.run", router=self.router.name
-        ):
+        ) as span:
             fast = self._use_fast_path()
             record_dispatch("dtn.run", fast=fast)
             contacts = self._run_fast() if fast else self._run_general()

@@ -34,8 +34,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.errors import AlgorithmError, ConvergenceError, NodeNotFoundError
-from repro.observability.instrument import timed
-from repro.observability.profiling import profile_span, profiled
+from repro.observability.tracing import get_tracer, traced
 from repro.observability.telemetry import (
     record_cache_event,
     record_dispatch,
@@ -530,7 +529,7 @@ class FrozenGraph:
 
         The one streaming loop under the sum/eccentricity/closeness
         family: shards are planned by :func:`shard_sources`, each shard
-        is profiled (``repro.graphs.csr.shard`` spans carry the memory
+        is traced (``repro.graphs.csr.shard`` spans carry the memory
         peaks into the ledger) and counted into the shard telemetry, and
         per-shard results are folded by the caller as they arrive — the
         full O(sources x n) intermediate never exists.
@@ -539,7 +538,7 @@ class FrozenGraph:
         plan = self._sweep_plan(srcs.shape[0], memory_budget)
         offset = 0
         for shard in plan.batches(srcs):
-            with profile_span(
+            with get_tracer().span(
                 "repro.graphs.csr.shard", kernel=kernel, sources=int(shard.shape[0])
             ):
                 sums, reached, ecc = self._bitset_sweep(shard)
@@ -547,7 +546,7 @@ class FrozenGraph:
             yield slice(offset, offset + shard.shape[0]), sums, reached, ecc
             offset += shard.shape[0]
 
-    @profiled("repro.graphs.csr.eccentricities")
+    @traced("repro.graphs.csr.eccentricities")
     def eccentricities(
         self,
         sources: Optional[Union[Sequence[int], np.ndarray]] = None,
@@ -572,7 +571,7 @@ class FrozenGraph:
             ecc[out] = shard_ecc
         return ecc
 
-    @profiled("repro.graphs.csr.all_pairs_distance_sums")
+    @traced("repro.graphs.csr.all_pairs_distance_sums")
     def all_pairs_distance_sums(
         self,
         sources: Optional[Union[Sequence[int], np.ndarray]] = None,
@@ -671,7 +670,7 @@ class FrozenGraph:
         plan = self._sweep_plan(srcs.shape[0], memory_budget, levels=True)
         offset = 0
         for shard in plan.batches(srcs):
-            with profile_span(
+            with get_tracer().span(
                 "repro.graphs.csr.shard",
                 kernel="all_pairs_distance_table",
                 sources=int(shard.shape[0]),
@@ -755,7 +754,7 @@ class FrozenGraph:
     # ------------------------------------------------------------------
     # centralities and clustering
     # ------------------------------------------------------------------
-    @profiled("repro.graphs.csr.closeness_centrality")
+    @traced("repro.graphs.csr.closeness_centrality")
     def closeness_centrality(
         self, memory_budget: Optional[int] = None
     ) -> Dict[Node, float]:
@@ -879,7 +878,7 @@ class FrozenGraph:
             for i, node in enumerate(self.node_list)
         }
 
-    @profiled("repro.graphs.csr.betweenness_centrality")
+    @traced("repro.graphs.csr.betweenness_centrality")
     def betweenness_centrality(self, normalized: bool = True) -> Dict[Node, float]:
         """Brandes' exact betweenness over interned indices.
 
@@ -1030,7 +1029,7 @@ class FrozenGraph:
         """
         return [np.flatnonzero(chosen) for chosen in self.peel_round_masks()]
 
-    @timed("repro.graphs.csr.nsf_levels")
+    @traced("repro.graphs.csr.nsf_levels")
     def nsf_levels(self) -> Dict[Node, int]:
         """NSF level labeling (Fig. 7(b)), batched round by round."""
         nodes = self.node_list
@@ -1203,7 +1202,7 @@ class FrozenGraph:
             level = np.full(n, _UNREACHABLE, dtype=np.int64)
             lab_rank = np.full(n, _INT64_MAX, dtype=np.int64)
             for shard in plan.batches(srcs):
-                with profile_span(
+                with get_tracer().span(
                     "repro.graphs.csr.shard",
                     kernel="multi_source_labels",
                     sources=int(shard.shape[0]),

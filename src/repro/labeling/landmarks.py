@@ -31,8 +31,7 @@ import numpy as np
 from repro.errors import AlgorithmError, NodeNotFoundError
 from repro.graphs.csr import FROZEN_MIN_NODES
 from repro.observability.telemetry import record_dispatch
-from repro.observability.instrument import timed
-from repro.observability.profiling import profiled
+from repro.observability.tracing import traced
 
 Node = Hashable
 HopLabel = Tuple[int, Node]
@@ -47,8 +46,7 @@ def select_landmarks(graph, count: int) -> List[Node]:
     return ordered[: min(count, graph.num_nodes)]
 
 
-@timed("repro.labeling.distance_gateway_labels")
-@profiled("repro.labeling.distance_gateway_labels")
+@traced("repro.labeling.distance_gateway_labels")
 def distance_gateway_labels(
     graph, landmarks: Iterable[Node], memory_budget: Optional[int] = None
 ) -> Dict[Node, HopLabel]:
@@ -110,8 +108,7 @@ def distance_gateway_labels_reference(
     return best
 
 
-@timed("repro.labeling.weighted_distance_gateway_labels")
-@profiled("repro.labeling.weighted_distance_gateway_labels")
+@traced("repro.labeling.weighted_distance_gateway_labels")
 def weighted_distance_gateway_labels(
     graph,
     landmarks: Iterable[Node],

@@ -28,14 +28,12 @@ from repro.errors import ConvergenceError
 from repro.graphs.csr import FROZEN_MIN_NODES
 from repro.observability.telemetry import record_dispatch
 from repro.graphs.graph import DiGraph
-from repro.observability.instrument import timed
-from repro.observability.profiling import profiled
+from repro.observability.tracing import traced
 
 Node = Hashable
 
 
-@timed("repro.labeling.pagerank")
-@profiled("repro.labeling.pagerank")
+@traced("repro.labeling.pagerank")
 def pagerank(
     graph: DiGraph,
     damping: float = 0.85,
@@ -97,8 +95,7 @@ def pagerank_reference(
     raise ConvergenceError("pagerank", max_iterations)
 
 
-@timed("repro.labeling.hits")
-@profiled("repro.labeling.hits")
+@traced("repro.labeling.hits")
 def hits(
     graph: DiGraph,
     tolerance: float = 1e-10,

@@ -7,15 +7,15 @@ here rather than per-module ad-hoc counters:
 * :mod:`repro.observability.metrics` — :class:`MetricsRegistry` of
   counters / gauges / histograms with labeled series and percentile
   summaries.  Metric names follow ``repro.<module>.<name>``.
-* :mod:`repro.observability.tracing` — lightweight nested spans
-  (``trace.span("engine.round", ...)``) with a near-zero-overhead
-  no-op mode while disabled (the default).
+* :mod:`repro.observability.tracing` — the one span type: nested
+  spans (``trace.span("engine.round", ...)`` or the ``@traced(name)``
+  decorator on kernel entry points) recording wall time, attributes,
+  parent links and — after ``trace.enable(memory=True)`` — tracemalloc
+  peaks, with a near-zero-overhead no-op mode while disabled (the
+  default).
 * :mod:`repro.observability.export` — JSONL event logs, Prometheus
   text exposition, and the :class:`BenchReport` writer behind every
   ``benchmarks/out/<experiment>.json`` / ``BENCH_<experiment>.json``.
-* :mod:`repro.observability.profiling` — opt-in ``profile_span`` /
-  ``@profiled`` wall-time + tracemalloc accounting on the hot kernel
-  entry points (no-op while disabled, like tracing).
 * :mod:`repro.observability.telemetry` — the frozen-cache
   (hit/miss/refreeze) and fast-path-vs-reference dispatch counters.
 * :mod:`repro.observability.regression` — the ``repro.perf/v1``
@@ -32,10 +32,7 @@ Import the tracing module as ``trace`` for the idiomatic spelling::
         ...
 """
 
-from repro.observability import profiling
 from repro.observability import tracing as trace
-from repro.observability.instrument import timed
-from repro.observability.profiling import get_profiler, profile_span, profiled
 from repro.observability.regression import (
     PERF_SCHEMA,
     PerfRegressionError,
@@ -78,7 +75,7 @@ from repro.observability.metrics import (
     get_registry,
     set_registry,
 )
-from repro.observability.tracing import Tracer, get_tracer
+from repro.observability.tracing import Tracer, get_tracer, traced
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -99,14 +96,10 @@ __all__ = [
     "dispatch_counts",
     "gate_mode",
     "gate_threshold",
-    "get_profiler",
     "get_registry",
     "get_tracer",
     "load_history",
     "parse_prometheus",
-    "profile_span",
-    "profiled",
-    "profiling",
     "read_jsonl",
     "record_cache_event",
     "record_dispatch",
@@ -115,10 +108,10 @@ __all__ = [
     "record_spill",
     "set_registry",
     "shm_counts",
-    "timed",
     "to_jsonl",
     "to_prometheus",
     "trace",
+    "traced",
     "validate_bench_report",
     "validate_perf_record",
     "write_atomic",

@@ -3,7 +3,7 @@
 Every :func:`repro.benchmarks` ``emit_table`` call appends one record
 to an append-only JSONL ledger (``benchmarks/out/history.jsonl`` for
 real runs): the experiment name, its per-case timings, the cache and
-dispatch counters observed during the run, and any profiler memory
+dispatch counters observed during the run, and any tracer memory
 summary.  The ledger is the raw material for two consumers:
 
 * :func:`detect_regressions` — compares the current run's ``*_median_s``
@@ -65,7 +65,7 @@ def build_perf_record(
 ) -> Dict[str, Any]:
     """One ``repro.perf/v1`` ledger record for an experiment run.
 
-    ``memory`` is the profiler's per-span summary
+    ``memory`` is the tracer's per-span summary
     (``{span: {"peak_kib": ..., "alloc_kib": ...}}``) — its peaks are
     gated like timings (see :func:`detect_regressions`).  ``shm`` is
     the scale-out counter view from
@@ -204,7 +204,7 @@ def detect_regressions(
 
     * ``*_median_s`` timing keys — the stable per-case statistics
       ``run_sweep`` emits (``unit="s"``);
-    * profiler memory peaks — each ``memory[span]["peak_kib"]`` is
+    * tracer memory peaks — each ``memory[span]["peak_kib"]`` is
       gated as ``memory:<span>.peak_kib`` (``unit="KiB"``), so a
       memory-ceiling blowout fails CI exactly like a slowdown.
 

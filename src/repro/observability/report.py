@@ -17,7 +17,7 @@ dashboard — markdown by default, JSON with ``--json``:
 * **top-N slowest spans** — the slowest ``*_median_s`` cases across
   all feed timing maps;
 * **memory ceilings** — the largest per-span tracemalloc peaks the
-  profiler recorded into the ledger;
+  tracer recorded into the ledger;
 * **scale-out** — shared-memory lifecycle counts, per-kernel shard
   counts and per-shard peaks, spill bytes, and the ceiling-vs-actual
   margins from the committed ``BENCH_perf-scale.json`` rows;
@@ -39,7 +39,7 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.observability.regression import (
     DEFAULT_BASELINE_K,
@@ -229,6 +229,32 @@ def trajectory_summary(
     return out
 
 
+def _table_rows(
+    feed: Any, columns: Sequence[str], casts: Sequence[Callable[[Any], Any]]
+) -> List[Tuple[Any, ...]]:
+    """The ``columns`` of a committed feed's table, one tuple per row.
+
+    Each cell goes through the matching entry of ``casts``.  Rows too
+    short for the columns, or with a cell that fails to cast, are
+    dropped; a missing feed or column yields no rows.
+    """
+    if not isinstance(feed, Mapping):
+        return []
+    header = feed.get("header") or []
+    if not all(column in header for column in columns):
+        return []
+    cols = [header.index(column) for column in columns]
+    out: List[Tuple[Any, ...]] = []
+    for row in feed.get("rows") or []:
+        if len(row) <= max(cols):
+            continue
+        try:
+            out.append(tuple(cast(row[col]) for cast, col in zip(casts, cols)))
+        except (TypeError, ValueError):
+            continue
+    return out
+
+
 def scale_summary(
     feeds: Mapping[str, Mapping[str, Any]],
     ledger: Sequence[Mapping[str, Any]],
@@ -237,7 +263,7 @@ def scale_summary(
 
     Shared-memory attach/publish/reuse counts, per-kernel shard counts,
     and spill bytes come from the ``shm`` field every ledger record now
-    carries; per-shard peak memory comes from the profiler spans named
+    carries; per-shard peak memory comes from the tracer spans named
     ``*.shard``; the ceiling-vs-actual margins come from the committed
     ``BENCH_perf-scale.json`` rows (tightest margin first).
     """
@@ -272,33 +298,23 @@ def scale_summary(
         for span, stats in memory_summary(ledger).items()
         if span.endswith(".shard")
     }
-    ceilings: List[Dict[str, Any]] = []
-    scale_feed = feeds.get("perf-scale")
-    if isinstance(scale_feed, Mapping):
-        header = scale_feed.get("header") or []
-        rows = scale_feed.get("rows") or []
-        wanted = ("tier", "case", "peak MiB", "ceiling MiB")
-        if all(column in header for column in wanted):
-            tier_col, case_col, peak_col, ceiling_col = (
-                header.index(column) for column in wanted
+    ceilings = sorted(
+        (
+            {
+                "case": case,
+                "peak_mib": peak,
+                "ceiling_mib": ceiling,
+                "margin_mib": ceiling - peak,
+            }
+            for tier, case, peak, ceiling in _table_rows(
+                feeds.get("perf-scale"),
+                ("tier", "case", "peak MiB", "ceiling MiB"),
+                (str, str, float, float),
             )
-            for row in rows:
-                if len(row) <= max(peak_col, ceiling_col) or row[tier_col] != "scale":
-                    continue
-                try:
-                    peak = float(row[peak_col])
-                    ceiling = float(row[ceiling_col])
-                except (TypeError, ValueError):
-                    continue
-                ceilings.append(
-                    {
-                        "case": str(row[case_col]),
-                        "peak_mib": peak,
-                        "ceiling_mib": ceiling,
-                        "margin_mib": ceiling - peak,
-                    }
-                )
-            ceilings.sort(key=lambda entry: entry["margin_mib"])
+            if tier == "scale"
+        ),
+        key=lambda entry: entry["margin_mib"],
+    )
     return {
         "shm_events": events,
         "shm_bytes": shm_bytes,
@@ -319,29 +335,14 @@ def serving_summary(feeds: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]:
     riding on the same feed, aggregated across all feeds that carry
     them.
     """
-    streams: List[Dict[str, Any]] = []
-    serving_feed = feeds.get("serving")
-    if isinstance(serving_feed, Mapping):
-        header = serving_feed.get("header") or []
-        rows = serving_feed.get("rows") or []
-        wanted = ("n", "queries", "baseline q/s", "serving q/s", "speedup")
-        if all(column in header for column in wanted):
-            cols = [header.index(column) for column in wanted]
-            for row in rows:
-                if len(row) <= max(cols):
-                    continue
-                try:
-                    streams.append(
-                        {
-                            "n": int(row[cols[0]]),
-                            "queries": int(row[cols[1]]),
-                            "baseline_qps": float(row[cols[2]]),
-                            "serving_qps": float(row[cols[3]]),
-                            "speedup": float(row[cols[4]]),
-                        }
-                    )
-                except (TypeError, ValueError):
-                    continue
+    streams = [
+        dict(zip(("n", "queries", "baseline_qps", "serving_qps", "speedup"), row))
+        for row in _table_rows(
+            feeds.get("serving"),
+            ("n", "queries", "baseline q/s", "serving q/s", "speedup"),
+            (int, int, float, float, float),
+        )
+    ]
     patch: Dict[str, Dict[str, int]] = {}
     queries: Dict[str, Dict[str, int]] = {}
     repairs: Dict[str, Dict[str, int]] = {}
@@ -419,29 +420,14 @@ def write_path_summary(feeds: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]
     come from the ``repro.serving.batch.*`` metrics riding on any
     feed, aggregated across all of them.
     """
-    streams: List[Dict[str, Any]] = []
-    write_feed = feeds.get("serving-write")
-    if isinstance(write_feed, Mapping):
-        header = write_feed.get("header") or []
-        rows = write_feed.get("rows") or []
-        wanted = ("n", "mutations", "per-edge muts/s", "batched muts/s", "speedup")
-        if all(column in header for column in wanted):
-            cols = [header.index(column) for column in wanted]
-            for row in rows:
-                if len(row) <= max(cols):
-                    continue
-                try:
-                    streams.append(
-                        {
-                            "n": int(row[cols[0]]),
-                            "mutations": int(row[cols[1]]),
-                            "per_edge_mps": float(row[cols[2]]),
-                            "batched_mps": float(row[cols[3]]),
-                            "speedup": float(row[cols[4]]),
-                        }
-                    )
-                except (TypeError, ValueError):
-                    continue
+    streams = [
+        dict(zip(("n", "mutations", "per_edge_mps", "batched_mps", "speedup"), row))
+        for row in _table_rows(
+            feeds.get("serving-write"),
+            ("n", "mutations", "per-edge muts/s", "batched muts/s", "speedup"),
+            (int, int, float, float, float),
+        )
+    ]
     mutations: Dict[str, Dict[str, int]] = {}
     writes = 0
     coalesced = 0
@@ -484,7 +470,7 @@ def write_path_summary(feeds: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]
 
 
 def memory_summary(ledger: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, float]]:
-    """Largest per-span profiler peaks recorded into the ledger."""
+    """Largest per-span tracer peaks recorded into the ledger."""
     out: Dict[str, Dict[str, float]] = {}
     for record in ledger:
         memory = record.get("memory")
@@ -608,7 +594,7 @@ def render_markdown(dashboard: Mapping[str, Any]) -> str:
     lines.append("")
 
     memory = dashboard.get("memory", {})
-    lines.append("## Memory ceilings (profiler peaks from the ledger)")
+    lines.append("## Memory ceilings (tracer peaks from the ledger)")
     lines.append("")
     if memory:
         lines.append("| span | peak | net alloc |")
@@ -618,8 +604,8 @@ def render_markdown(dashboard: Mapping[str, Any]) -> str:
                 f"| {span} | {stats['peak_kib']:.0f} KiB | {stats['alloc_kib']:.0f} KiB |"
             )
     else:
-        lines.append("(no memory profiles in the ledger — run a benchmark with "
-                     "`profiling.enable(memory=True)`)")
+        lines.append("(no memory peaks in the ledger — run a benchmark with "
+                     "`trace.enable(memory=True)`)")
     lines.append("")
 
     scale = dashboard.get("scale", {})

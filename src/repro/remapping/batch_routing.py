@@ -35,12 +35,10 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph, shard_sources
-from repro.observability.profiling import profile_span
+from repro.observability.tracing import get_tracer, traced
 from repro.observability.telemetry import record_dispatch, record_shard
 from repro.graphs.unit_disk import positions_of
 from repro.labeling.kleinberg_routing import greedy_grid_route
-from repro.observability.instrument import timed
-from repro.observability.profiling import profiled
 from repro.remapping.feature_space import FeatureSpace, greedy_profile_route
 from repro.remapping.geo_routing import greedy_route
 from repro.remapping.hyperbolic import HyperbolicEmbedding, greedy_route_hyperbolic
@@ -310,7 +308,7 @@ def _optimal_for_pairs(
     for base in range(0, int(distinct.size), plan.batch):
         chunk = distinct[base : base + plan.batch]
         k = chunk.size
-        with profile_span(
+        with get_tracer().span(
             "repro.remapping.shard", kernel="_optimal_for_pairs", targets=int(k)
         ):
             record_shard("_optimal_for_pairs")
@@ -356,8 +354,7 @@ def _result_from_routes(
 # ----------------------------------------------------------------------
 # geographic routing (Fig. 5a)
 # ----------------------------------------------------------------------
-@timed("repro.remapping.evaluate_geo_routing")
-@profiled("repro.remapping.evaluate_geo_routing")
+@traced("repro.remapping.evaluate_geo_routing")
 def evaluate_geo_routing(
     graph,
     pairs: Sequence[Pair],
@@ -407,8 +404,7 @@ def evaluate_geo_routing_reference(
 # ----------------------------------------------------------------------
 # hyperbolic routing (Fig. 5b)
 # ----------------------------------------------------------------------
-@timed("repro.remapping.evaluate_hyperbolic_routing")
-@profiled("repro.remapping.evaluate_hyperbolic_routing")
+@traced("repro.remapping.evaluate_hyperbolic_routing")
 def evaluate_hyperbolic_routing(
     graph,
     embedding: HyperbolicEmbedding,
@@ -460,8 +456,7 @@ def evaluate_hyperbolic_routing_reference(
 # ----------------------------------------------------------------------
 # Kleinberg grid routing (Sec. I)
 # ----------------------------------------------------------------------
-@timed("repro.remapping.evaluate_kleinberg_routing")
-@profiled("repro.remapping.evaluate_kleinberg_routing")
+@traced("repro.remapping.evaluate_kleinberg_routing")
 def evaluate_kleinberg_routing(
     graph,
     pairs: Sequence[Pair],
@@ -508,8 +503,7 @@ def evaluate_kleinberg_routing_reference(
 # ----------------------------------------------------------------------
 # F-space hypercube routing (Sec. III-C)
 # ----------------------------------------------------------------------
-@timed("repro.remapping.evaluate_fspace_routing")
-@profiled("repro.remapping.evaluate_fspace_routing")
+@traced("repro.remapping.evaluate_fspace_routing")
 def evaluate_fspace_routing(
     space: FeatureSpace,
     pairs: Sequence[Pair],

@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence,
 
 from repro.errors import AlgorithmError, NodeNotFoundError
 from repro.graphs.hypercube import GeneralizedHypercube, hamming_distance
-from repro.observability.instrument import timed
+from repro.observability.tracing import traced
 from repro.temporal.evolving import EvolvingGraph
 
 Node = Hashable
@@ -151,7 +151,7 @@ class DeliveryResult:
     copies: int
 
 
-@timed("repro.remapping.simulate_delivery")
+@traced("repro.remapping.simulate_delivery")
 def simulate_delivery(
     eg: EvolvingGraph,
     space: FeatureSpace,

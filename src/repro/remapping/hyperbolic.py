@@ -42,7 +42,7 @@ from repro.errors import AlgorithmError, NodeNotFoundError
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_tree
 from repro.remapping.geo_routing import RouteResult
-from repro.observability.instrument import timed
+from repro.observability.tracing import traced
 
 Node = Hashable
 
@@ -281,7 +281,7 @@ def _greedy_property_holds(graph: Graph, embedding: HyperbolicEmbedding) -> bool
     return True
 
 
-@timed("repro.remapping.embed_tree")
+@traced("repro.remapping.embed_tree")
 def embed_tree(
     graph: Graph,
     root: Optional[Node] = None,

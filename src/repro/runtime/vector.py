@@ -66,7 +66,6 @@ from repro.faults.plan import FaultPlan, FaultSession
 from repro.graphs.csr import FrozenGraph
 from repro.observability import tracing
 from repro.observability.metrics import MetricsRegistry, get_registry
-from repro.observability.profiling import profile_span
 from repro.observability.telemetry import record_dispatch
 from repro.runtime.engine import RunStats
 
@@ -470,10 +469,11 @@ class VectorEngine:
     def run(self, max_rounds: int = 10_000) -> RunStats:
         """Run until every row halts and no delivery is in flight."""
         record_dispatch("runtime.engine", path="vector")
-        with profile_span(
-            f"runtime.vector.{self.kernel.name}", nodes=self.n
-        ), self.tracer.span(
-            "engine.run", nodes=self.n, max_rounds=max_rounds
+        with self.tracer.span(
+            "engine.run",
+            kernel=self.kernel.name,
+            nodes=self.n,
+            max_rounds=max_rounds,
         ) as span:
             self.initialize()
             for _ in range(max_rounds):

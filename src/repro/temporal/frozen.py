@@ -32,7 +32,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import NodeNotFoundError
-from repro.observability.profiling import profiled
+from repro.observability.tracing import traced
 
 Node = Hashable
 Hop = Tuple[Node, Node, int]
@@ -272,7 +272,7 @@ class FrozenContacts:
     # ------------------------------------------------------------------
     # single-source earliest arrival
     # ------------------------------------------------------------------
-    @profiled("repro.temporal.frozen.earliest_arrival_times")
+    @traced("repro.temporal.frozen.earliest_arrival_times")
     def earliest_arrival_times(self, source_idx: int, start: int = 0) -> np.ndarray:
         """Earliest arrival per node index; -1 for unreachable.
 
@@ -340,7 +340,7 @@ class FrozenContacts:
     # ------------------------------------------------------------------
     # exact foremost tree (reference tie-breaks reproduced)
     # ------------------------------------------------------------------
-    @profiled("repro.temporal.frozen.foremost_tree_arrays")
+    @traced("repro.temporal.frozen.foremost_tree_arrays")
     def foremost_tree_arrays(
         self, source_idx: int, start: int = 0
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -421,7 +421,7 @@ class FrozenContacts:
     # ------------------------------------------------------------------
     # reverse scan: latest departure
     # ------------------------------------------------------------------
-    @profiled("repro.temporal.frozen.latest_departure_times")
+    @traced("repro.temporal.frozen.latest_departure_times")
     def latest_departure_times(
         self, target_idx: int, deadline: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -464,7 +464,7 @@ class FrozenContacts:
     # ------------------------------------------------------------------
     # batched multi-source flooding (dynamic diameter and friends)
     # ------------------------------------------------------------------
-    @profiled("repro.temporal.frozen.flooding_stats")
+    @traced("repro.temporal.frozen.flooding_stats")
     def flooding_stats(
         self, start: int = 0, sources: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:

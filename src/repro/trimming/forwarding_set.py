@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from repro.errors import AlgorithmError, NodeNotFoundError
-from repro.observability.instrument import timed
+from repro.observability.tracing import traced
 
 Node = Hashable
 Pair = FrozenSet[Node]
@@ -63,7 +63,7 @@ class ForwardingPolicy:
         return contact in self.forwarding_sets.get(holder, frozenset())
 
 
-@timed("repro.trimming.optimal_forwarding_sets")
+@traced("repro.trimming.optimal_forwarding_sets")
 def optimal_forwarding_sets(
     rates: Mapping[Pair, float], destination: Node
 ) -> ForwardingPolicy:
@@ -302,7 +302,7 @@ class CopyVaryingPolicy:
         return self.acceptance.get(holders, frozenset())
 
 
-@timed("repro.trimming.optimal_copy_varying_sets")
+@traced("repro.trimming.optimal_copy_varying_sets")
 def optimal_copy_varying_sets(
     rates: Mapping[Pair, float],
     destination: Node,

@@ -17,7 +17,7 @@ from repro.graphs.csr import FROZEN_MIN_NODES
 from repro.observability.telemetry import record_dispatch
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import dijkstra
-from repro.observability.instrument import timed
+from repro.observability.tracing import traced
 
 Node = Hashable
 
@@ -31,7 +31,7 @@ def _is_unit_weighted(graph: Graph, weight: str, default_weight: float) -> bool:
     )
 
 
-@timed("repro.trimming.greedy_spanner")
+@traced("repro.trimming.greedy_spanner")
 def greedy_spanner(
     graph: Graph,
     t: float,

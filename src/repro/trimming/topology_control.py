@@ -25,7 +25,7 @@ from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.unit_disk import POSITION_ATTR, euclidean, positions_of
-from repro.observability.instrument import timed
+from repro.observability.tracing import traced
 
 Node = Hashable
 Point = Tuple[float, float]
@@ -37,7 +37,7 @@ def _positions(graph: Graph, positions: Optional[Mapping[Node, Point]]) -> Mappi
     return positions_of(graph)
 
 
-@timed("repro.trimming.gabriel_graph")
+@traced("repro.trimming.gabriel_graph")
 def gabriel_graph(
     graph: Graph, positions: Optional[Mapping[Node, Point]] = None
 ) -> Graph:
@@ -64,7 +64,7 @@ def gabriel_graph(
     return trimmed
 
 
-@timed("repro.trimming.rng")
+@traced("repro.trimming.rng")
 def relative_neighborhood_graph(
     graph: Graph, positions: Optional[Mapping[Node, Point]] = None
 ) -> Graph:
@@ -90,7 +90,7 @@ def relative_neighborhood_graph(
     return trimmed
 
 
-@timed("repro.trimming.xtc")
+@traced("repro.trimming.xtc")
 def xtc(
     graph: Graph,
     rank: Optional[Callable[[Node, Node], float]] = None,

@@ -203,13 +203,16 @@ def test_committed_perf_runtime_feed_is_valid_and_meets_targets():
 
 
 def test_perf_scale_toy_run_validates_schema_and_tiers(tmp_path):
+    # 64 tasks ship ~15 MB of pickled graph in the baseline sweep, so the
+    # shm-beats-pickle floor inside ``run`` is decided by that transfer
+    # and not by fork-pool start-up noise (a 3-task sweep is a coin toss).
     result = bench_perf_scale.run(
         scale_n=3000,
         verify_n=500,
         memory_budget=4 * 1024 * 1024,
         ceiling_mib=512.0,
         jobs=2,
-        tasks=3,
+        tasks=64,
         out_dir=str(tmp_path),
         top_dir=str(tmp_path),
     )

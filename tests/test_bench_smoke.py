@@ -16,7 +16,7 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 import smoke  # noqa: E402  (benchmarks/smoke.py)
-from repro.observability import BENCH_SCHEMA, validate_bench_report  # noqa: E402
+from repro.observability import BENCH_SCHEMA, get_tracer, validate_bench_report  # noqa: E402
 
 
 def test_smoke_runs_every_figure_and_validates(tmp_path):
@@ -49,3 +49,19 @@ def test_smoke_runs_every_figure_and_validates(tmp_path):
 def test_smoke_artifacts_are_atomic_no_leftover_temp_files(tmp_path):
     smoke.run_all(out_dir=str(tmp_path), top_dir=str(tmp_path))
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def test_scale_runner_keeps_an_enabled_tracer_on():
+    """The scale runner's memory capture must hand the tracer back in
+    the state it found it: still on for the runners that sort after
+    ``scale``, with memory capture off again."""
+    tracer = get_tracer()
+    was_enabled = tracer.enabled
+    tracer.enable()
+    try:
+        smoke.SMOKE_RUNNERS["scale"]()
+        assert tracer.enabled
+        assert not tracer.memory
+    finally:
+        tracer.disable()
+        tracer.enabled = was_enabled

@@ -2,7 +2,8 @@
 
 Covers the contracts the rest of the library now leans on: get-or-create
 registry semantics (one name, one kind), exact histogram percentiles,
-span nesting and attributes, the disabled-mode overhead bound, JSONL and
+span nesting and attributes, tracemalloc peaks across nested spans, the
+``@traced`` decorator, the disabled-mode overhead bound, JSONL and
 Prometheus round-trips, and the engine/DTN integration (legacy stats
 views must agree with the registry snapshot exactly).
 """
@@ -11,6 +12,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -27,7 +29,9 @@ from repro.observability import (
     validate_bench_report,
     write_jsonl,
 )
-from repro.observability.instrument import timed
+from repro.observability import tracing
+from repro.observability.metrics import set_registry
+from repro.observability.tracing import traced
 from repro.runtime.engine import Network, NodeAlgorithm, RunStats
 from repro.temporal.evolving import EvolvingGraph
 
@@ -131,20 +135,54 @@ class TestHistogram:
         assert hist.mean == 4.0
 
 
+@pytest.fixture
+def fresh_registry():
+    """Swap in an empty global metrics registry for the test."""
+    registry = MetricsRegistry("test-tracing")
+    previous = set_registry(registry)
+    yield registry
+    set_registry(previous)
+
+
+@pytest.fixture
+def global_tracer():
+    """The process-global tracer, disabled and emptied afterwards."""
+    tracer = tracing.get_tracer()
+    yield tracer
+    tracer.disable()
+    tracer.clear()
+
+
+@pytest.fixture
+def memory_tracer():
+    """A private tracer with memory capture on."""
+    tracer = Tracer()
+    tracer.enable(memory=True)
+    yield tracer
+    tracer.disable()
+
+
+_MIB = 1024 * 1024
+
+
 class TestTracing:
-    def test_span_nesting_parent_child(self):
+    def test_span_nesting_parent_child(self, fresh_registry):
         tracer = Tracer(enabled=True)
-        with tracer.span("outer", a=1):
+        with tracer.span("outer", a=1) as span:
+            span.set_attribute("extra", "yes")
             with tracer.span("inner"):
                 pass
         inner, outer = tracer.records  # inner closes first
+        assert inner["type"] == outer["type"] == "span"
         assert inner["name"] == "inner" and outer["name"] == "outer"
         assert inner["parent_id"] == outer["span_id"]
+        assert outer["parent_id"] is None
         assert inner["depth"] == 1 and outer["depth"] == 0
-        assert outer["attrs"] == {"a": 1}
+        assert outer["attrs"] == {"a": 1, "extra": "yes"}
         assert inner["duration_s"] >= 0.0
+        assert "peak_kib" not in outer  # memory capture is off
 
-    def test_set_attribute_and_exception_marking(self):
+    def test_set_attribute_and_exception_marking(self, fresh_registry):
         tracer = Tracer(enabled=True)
         with pytest.raises(RuntimeError):
             with tracer.span("work") as span:
@@ -163,12 +201,18 @@ class TestTracing:
         assert event["parent_id"] == span["span_id"]
         assert event["attrs"] == {"x": 1}
 
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("invisible") as span:
-            span.set_attribute("ignored", True)
+    @pytest.mark.parametrize("which", ["private", "global"])
+    def test_disabled_tracer_records_nothing(self, which, fresh_registry):
+        tracer = Tracer() if which == "private" else tracing.get_tracer()
+        assert not tracer.enabled  # both are off by default
+        span = tracer.span("invisible", n=5)
+        assert span is tracing._NOOP_SPAN  # shared: no per-call allocation
+        with span as live:
+            live.set_attribute("ignored", True)
         tracer.event("also-invisible")
-        assert tracer.records == []
+        assert tracer.spans("invisible") == []
+        assert tracer.events("also-invisible") == []
+        assert fresh_registry.snapshot() == {}
 
     def test_noop_overhead_smoke(self):
         # The disabled span must be cheap enough to sit on the engine's
@@ -181,16 +225,184 @@ class TestTracing:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"no-op span too slow: {elapsed:.3f}s per 100k"
 
-    def test_timed_decorator_records_duration(self):
-        from repro.observability.metrics import get_registry
+    def test_span_observes_duration_histogram(self, fresh_registry):
+        tracer = Tracer(enabled=True)
+        with tracer.span("work"):
+            pass
+        snapshot = fresh_registry.snapshot()
+        assert snapshot["work.duration_s"]["count"] == 1
+        assert "work.peak_kib" not in snapshot
 
-        @timed("repro.test.timed_fn")
+    def test_clear_drops_records(self, fresh_registry):
+        tracer = Tracer(enabled=True)
+        with tracer.span("once"):
+            tracer.event("ping")
+        tracer.clear()
+        assert tracer.records == []
+
+    def test_memory_span_reports_peak_and_alloc(self, memory_tracer, fresh_registry):
+        with memory_tracer.span("alloc"):
+            blob = bytearray(512 * 1024)
+            del blob
+        (record,) = memory_tracer.records
+        # 512 KiB was live inside the span, above the entry watermark ...
+        assert record["peak_kib"] > 256
+        # ... and freed again, so net allocation is far below the peak.
+        assert record["alloc_kib"] < record["peak_kib"]
+        assert fresh_registry.snapshot()["alloc.peak_kib"]["count"] == 1
+
+    @pytest.mark.parametrize("where", ["flat", "inside_child", "before_child"])
+    def test_parent_peak_covers_its_whole_extent(
+        self, where, memory_tracer, fresh_registry
+    ):
+        """A 4 MiB transient shows in the parent's peak wherever it
+        happened: with no child, inside a child, or before a child
+        opened (the child's entry must not reset it away)."""
+        with memory_tracer.span("parent"):
+            if where != "inside_child":
+                blob = bytearray(4 * _MIB)
+                del blob
+            if where != "flat":
+                with memory_tracer.span("child"):
+                    if where == "inside_child":
+                        blob = bytearray(4 * _MIB)
+                        del blob
+        by_name = {r["name"]: r for r in memory_tracer.records}
+        assert by_name["parent"]["peak_kib"] > 3 * 1024
+        if where == "inside_child":
+            assert by_name["child"]["peak_kib"] > 3 * 1024
+            assert by_name["parent"]["peak_kib"] >= by_name["child"]["peak_kib"]
+        if where == "before_child":
+            assert by_name["child"]["peak_kib"] < 1024
+
+    def test_disable_stops_tracemalloc_it_started(self):
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already on outside the tracer")
+        tracer = Tracer()
+        tracer.enable(memory=True)
+        assert tracemalloc.is_tracing()
+        tracer.disable()
+        assert not tracemalloc.is_tracing()
+        assert not tracer.enabled and not tracer.memory
+
+    @pytest.mark.parametrize("was_enabled", [False, True])
+    def test_memory_capture_restores_prior_state(self, was_enabled, global_tracer):
+        if was_enabled:
+            global_tracer.enable()
+        with tracing.memory_capture() as tracer:
+            assert tracer is global_tracer
+            assert tracer.enabled and tracer.memory
+        assert global_tracer.enabled is was_enabled
+        assert not global_tracer.memory
+
+    def test_summary_aggregates_per_name_slowest_first(self, fresh_registry):
+        tracer = Tracer(enabled=True)
+        with tracer.span("slow"):
+            time.sleep(0.002)
+        for _ in range(2):
+            with tracer.span("quick"):
+                tracer.event("ping")  # events are not spans
+        summary = tracer.summary()
+        assert [entry["name"] for entry in summary] == ["slow", "quick"]
+        by_name = {e["name"]: e for e in summary}
+        assert by_name["quick"]["count"] == 2
+        assert by_name["slow"]["total_s"] >= by_name["slow"]["max_s"] > 0
+        assert tracer.summary(top=1) == summary[:1]
+
+    def test_memory_summary_empty_without_memory_capture(self, fresh_registry):
+        tracer = Tracer(enabled=True)
+        with tracer.span("work"):
+            blob = bytearray(64 * 1024)
+            del blob
+        assert tracer.memory_summary() == {}
+        assert "max_peak_kib" not in tracer.summary()[0]
+
+    def test_memory_summary_keeps_maxima(self, memory_tracer, fresh_registry):
+        for size in (128, 512):
+            with memory_tracer.span("sized"):
+                blob = bytearray(size * 1024)
+                del blob
+        summary = memory_tracer.memory_summary()
+        assert summary["sized"]["peak_kib"] > 256  # the larger pass wins
+        assert memory_tracer.summary()[0]["max_peak_kib"] > 256
+
+    def test_disabled_traced_call_records_nothing(self, global_tracer, fresh_registry):
+        calls = []
+
+        @traced("repro.test.quiet")
         def workload(x):
+            calls.append(x)
             return x * 2
 
+        assert workload(3) == 6
+        assert calls == [3]
+        assert global_tracer.spans("repro.test.quiet") == []
+        assert fresh_registry.snapshot() == {}
+
+    def test_disabled_traced_overhead_smoke(self, global_tracer):
+        # Same budget as the no-op span: a disabled wrapper sits on
+        # routed kernel entry points, 100k calls well under a second.
+        @traced("repro.test.hot")
+        def workload():
+            return None
+
+        start = time.perf_counter()
+        for _ in range(100_000):
+            workload()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"disabled @traced too slow: {elapsed:.3f}s per 100k"
+
+    def test_timed_decorator_records_duration(self, global_tracer, fresh_registry):
+        @traced("repro.test.timed_fn")
+        def workload(x):
+            """docstring survives"""
+            return x * 2
+
+        global_tracer.enable()
         assert workload(21) == 42
-        hist = get_registry().get("repro.test.timed_fn.duration_s")
-        assert hist is not None and hist.count >= 1
+        assert len(global_tracer.spans("repro.test.timed_fn")) == 1
+        hist = fresh_registry.get("repro.test.timed_fn.duration_s")
+        assert hist is not None and hist.count == 1
+
+    def test_traced_preserves_function_metadata(self):
+        @traced("repro.test.meta")
+        def workload(x):
+            """docstring survives"""
+            return x
+
+        assert workload.__name__ == "workload"
+        assert workload.__doc__ == "docstring survives"
+        assert workload.__wrapped__(7) == 7
+
+    def test_traced_marks_exception_and_propagates(
+        self, global_tracer, fresh_registry
+    ):
+        @traced("repro.test.fails")
+        def workload():
+            raise ValueError("bad input")
+
+        global_tracer.enable()
+        with pytest.raises(ValueError, match="bad input"):
+            workload()
+        (record,) = global_tracer.spans("repro.test.fails")
+        assert record["attrs"]["error"] == "ValueError"
+        assert fresh_registry.get("repro.test.fails.duration_s").count == 1
+
+    def test_traced_observes_peak_under_memory_capture(
+        self, global_tracer, fresh_registry
+    ):
+        @traced("repro.test.alloc")
+        def workload():
+            blob = bytearray(512 * 1024)
+            del blob
+
+        with tracing.memory_capture():
+            workload()
+        (record,) = global_tracer.spans("repro.test.alloc")
+        assert record["peak_kib"] > 256
+        snapshot = fresh_registry.snapshot()
+        assert snapshot["repro.test.alloc.duration_s"]["count"] == 1
+        assert snapshot["repro.test.alloc.peak_kib"]["count"] == 1
 
 
 class TestExporters:
