@@ -255,11 +255,11 @@ def verify_against_references(
 
     Replays the stream once through the batched posture while mutating
     a mirror dict graph, asserting at every query block: exact equality
-    for distances (vs ``bfs_distances``), NSF levels (vs the peel
-    reference), landmark labels (vs ``distance_gateway_labels``), and
-    the MIS set (vs ``compute_mis`` under the same repr-rank
-    priorities); PageRank within tolerance of the cold-start kernel.
-    Returns the number of assertions checked.
+    for distances (vs ``bfs_distances``), and every index of
+    ``repro.serving.state.INDEXES`` against its full-rebuild oracle —
+    NSF levels, landmark labels, MIS and CDS exactly, PageRank within
+    tolerance of the cold-start kernel.  Returns the number of
+    assertions checked.
 
     The reference kernels refreeze the mirror dict graph once per
     mutated generation, so the whole pass runs against a scratch
@@ -267,12 +267,9 @@ def verify_against_references(
     truth's refreeze storm never leaks into the timed phases' feed.
     """
     from repro.graphs.traversal import bfs_distances
-    from repro.labeling.landmarks import distance_gateway_labels
-    from repro.labeling.mis import compute_mis
-    from repro.labeling.pagerank import pagerank
-    from repro.layering.nsf import nsf_levels
     from repro.observability.metrics import MetricsRegistry, set_registry
     from repro.serving import GraphService
+    from repro.serving.state import INDEXES
 
     scratch = registry if registry is not None else MetricsRegistry("verify")
     previous = set_registry(scratch)
@@ -299,26 +296,12 @@ def verify_against_references(
                         f"distance({source}, {target}) diverges from reference"
                     )
                 checked += 1
-            if service.nsf_levels_map() != nsf_levels(mirror):
-                raise AssertionError("NSF levels diverge from reference")
-            checked += 1
-            if service.gateway_labels_map() != distance_gateway_labels(
-                mirror, landmarks
-            ):
-                raise AssertionError("landmark labels diverge from reference")
-            checked += 1
-            ref_scores, _ = pagerank(mirror)
-            live = service.pagerank_map()
-            if set(live) != set(ref_scores) or not np.allclose(
-                [live[node] for node in sorted(live, key=repr)],
-                [ref_scores[node] for node in sorted(live, key=repr)],
-                atol=1e-8,
-            ):
-                raise AssertionError("PageRank diverges beyond tolerance")
-            checked += 1
-            if service.mis_set() != compute_mis(mirror)[0]:
-                raise AssertionError("MIS set diverges from reference")
-            checked += 1
+            for name, spec in INDEXES.items():
+                if not spec.agrees(
+                    spec.view(service), spec.oracle(mirror, landmarks)
+                ):
+                    raise AssertionError(f"{name} index diverges from reference")
+                checked += 1
         return checked
     finally:
         set_registry(previous)

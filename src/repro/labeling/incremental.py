@@ -1,9 +1,10 @@
 """Incremental index repair for the serving plane's labeling indexes.
 
-Three indexes live here, all behind the same contract — build from a
+Four indexes live here, all behind the same contract — build from a
 snapshot, then ``update(fg_new, touched)`` repairs against the next
 snapshot given the touched edge pairs, bit-exact (or
-tolerance-equal, for PageRank) with a cold rebuild:
+tolerance-equal, for PageRank) with a cold rebuild, and ``n`` is the
+node count of the snapshot last built or repaired for:
 
 * :class:`IncrementalLandmarkLabels` — Ramalingam–Reps two-phase
   (distance, gateway) label repair (details below);
@@ -12,7 +13,9 @@ tolerance-equal, for PageRank) with a cold rebuild:
   changed probability mass rather than the graph size;
 * :class:`IncrementalMIS` — three-color round replay over
   :meth:`~repro.graphs.csr.FrozenGraph.mis_round_masks` with early
-  exit onto the previous run's recorded trajectory.
+  exit onto the previous run's recorded trajectory;
+* :class:`IncrementalCDS` — Wu–Dai marking and Rule-k trimming
+  replayed on the touched pairs' bounded-radius regions.
 
 Incremental landmark (distance, gateway) label repair.
 
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +89,7 @@ class IncrementalLandmarkLabels:
         self._lm_indices = np.array(
             [fg.index[lm] for lm in lms], dtype=np.int64
         )
-        self._n = fg.n
+        self.n = fg.n
         self._dist = np.full(fg.n, _INF, dtype=np.int64)
         self._rank = np.full(fg.n, _INF, dtype=np.int64)
         self._full(fg)
@@ -106,18 +109,12 @@ class IncrementalLandmarkLabels:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    def label_of(self, i: int) -> Tuple[int, Node]:
-        """(distance, gateway landmark) of node index ``i``; None-free.
-
-        Raises ``KeyError`` for unreachable nodes — callers use
-        :meth:`is_reachable` or :meth:`labels_map`.
-        """
+    def label_of(self, i: int) -> Optional[Tuple[int, Node]]:
+        """(distance, gateway landmark) of node index ``i``; None if
+        no landmark reaches it."""
         if self._dist[i] == _INF:
-            raise KeyError(i)
+            return None
         return int(self._dist[i]), self.landmarks[int(self._rank[i])]
-
-    def is_reachable(self, i: int) -> bool:
-        return bool(self._dist[i] != _INF)
 
     def labels_map(self, fg: FrozenGraph) -> Dict[Node, Tuple[int, Node]]:
         """Node-facing view, comparable with the reference labels."""
@@ -131,11 +128,11 @@ class IncrementalLandmarkLabels:
     # repair
     # ------------------------------------------------------------------
     def _grow(self, n: int) -> None:
-        if n > self._n:
-            pad = np.full(n - self._n, _INF, dtype=np.int64)
+        if n > self.n:
+            pad = np.full(n - self.n, _INF, dtype=np.int64)
             self._dist = np.concatenate([self._dist, pad])
             self._rank = np.concatenate([self._rank, pad])
-            self._n = n
+            self.n = n
 
     def update(
         self,
@@ -157,7 +154,7 @@ class IncrementalLandmarkLabels:
             return "noop"
         dist = self._dist
         rank = self._rank
-        is_lm = np.zeros(self._n, dtype=bool)
+        is_lm = np.zeros(self.n, dtype=bool)
         is_lm[self._lm_indices] = True
         nbrs = fg_new.neighbor_indices
 
@@ -258,7 +255,7 @@ class IncrementalPageRank:
     ) -> None:
         self.damping = float(damping)
         self.tolerance = float(tolerance)
-        self._n = fg.n
+        self.n = fg.n
         self.scores, self.iterations = fg.pagerank_scores(
             damping=self.damping, tolerance=self.tolerance
         )
@@ -270,14 +267,14 @@ class IncrementalPageRank:
     ) -> str:
         """Re-converge the scores for ``fg_new``; returns the mode."""
         pairs = list(touched)
-        if fg_new.n == self._n and not pairs:
+        if fg_new.n == self.n and not pairs:
             record_repair("pagerank", "noop")
             return "noop"
         warm = self.scores
-        if fg_new.n > self._n:
-            pad = np.full(fg_new.n - self._n, 1.0 / fg_new.n, dtype=np.float64)
+        if fg_new.n > self.n:
+            pad = np.full(fg_new.n - self.n, 1.0 / fg_new.n, dtype=np.float64)
             warm = np.concatenate([warm, pad])
-            self._n = fg_new.n
+            self.n = fg_new.n
         self.scores, self.iterations = fg_new.pagerank_scores(
             damping=self.damping, tolerance=self.tolerance, initial=warm
         )
@@ -305,7 +302,7 @@ class IncrementalMIS:
         self._build(fg)
 
     def _build(self, fg: FrozenGraph) -> None:
-        self._n = fg.n
+        self.n = fg.n
         self._prio = frozen_id_priorities(fg)
         black = np.zeros(fg.n, dtype=bool)
         settled = np.zeros(fg.n, dtype=np.int64)
@@ -321,10 +318,6 @@ class IncrementalMIS:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    @property
-    def priorities(self) -> np.ndarray:
-        return self._prio
-
     def member_mask(self) -> np.ndarray:
         return self._black
 
@@ -342,14 +335,14 @@ class IncrementalMIS:
     ) -> str:
         """Repair the membership for ``fg_new``; returns the mode."""
         pairs = [(int(u), int(v)) for u, v in touched]
-        if fg_new.n != self._n:
+        if fg_new.n != self.n:
             self._build(fg_new)
             record_repair("mis", "full")
             return "full"
         if not pairs:
             record_repair("mis", "noop")
             return "noop"
-        n = self._n
+        n = self.n
         prio = self._prio
         pu = np.asarray([p[0] for p in pairs], dtype=np.int64)
         pv = np.asarray([p[1] for p in pairs], dtype=np.int64)
@@ -405,7 +398,7 @@ class IncrementalCDS:
         self._build(fg)
 
     def _build(self, fg: FrozenGraph) -> None:
-        self._n = fg.n
+        self.n = fg.n
         self._prio = self._priorities(fg)
         self._marked = fg.marking_mask().copy()
         member = np.zeros(fg.n, dtype=bool)
@@ -473,13 +466,6 @@ class IncrementalCDS:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    @property
-    def priorities(self) -> np.ndarray:
-        return self._prio
-
-    def marked_mask(self) -> np.ndarray:
-        return self._marked
-
     def member_mask(self) -> np.ndarray:
         return self._member
 
@@ -501,7 +487,7 @@ class IncrementalCDS:
     ) -> str:
         """Repair the CDS for ``fg_new``; returns the mode."""
         pairs = [(int(u), int(v)) for u, v in touched]
-        if fg_new.n != self._n:
+        if fg_new.n != self.n:
             self._build(fg_new)
             record_repair("cds", "full")
             return "full"

@@ -41,7 +41,7 @@ class IncrementalNSF:
     """
 
     def __init__(self, fg: FrozenGraph) -> None:
-        self._n = fg.n
+        self.n = fg.n
         self._levels = self._full(fg)
 
     @staticmethod
@@ -51,18 +51,13 @@ class IncrementalNSF:
             levels[chosen] = round_index
         return levels
 
-    @property
-    def levels(self) -> np.ndarray:
-        """1-based peel level per node index (read-only by convention)."""
-        return self._levels
-
     def level_of(self, i: int) -> int:
         return int(self._levels[i])
 
     def levels_map(self, fg: FrozenGraph) -> Dict[Node, int]:
         """Node-facing view, comparable with ``nsf_levels_reference``."""
         nodes = fg.node_list
-        return {nodes[i]: int(self._levels[i]) for i in range(self._n)}
+        return {nodes[i]: int(self._levels[i]) for i in range(self.n)}
 
     def update(
         self,
@@ -77,8 +72,8 @@ class IncrementalNSF:
         the old ``n``) triggers a full recompute.
         """
         pairs = [(int(u), int(v)) for u, v in touched]
-        if fg_new.n != self._n:
-            self._n = fg_new.n
+        if fg_new.n != self.n:
+            self.n = fg_new.n
             self._levels = self._full(fg_new)
             record_repair("nsf", "full")
             return "full"

@@ -31,8 +31,8 @@ Counter families on the global metrics registry:
     ``repro.serving.patch{event=insert|delete|cancel|merge|rebase}``
     counts patch-buffer mutations and lazy CSR merges
     (:mod:`repro.graphs.delta`);
-    ``repro.serving.repairs{index=nsf|labels,mode=...}`` counts
-    incremental index repairs vs full rebuilds;
+    ``repro.serving.repairs{index=nsf|labels|pagerank|mis|cds,mode=...}``
+    counts incremental index repairs vs full rebuilds;
     ``repro.serving.queries{kind=...}`` / ``repro.serving.batches`` /
     ``repro.serving.sweeps`` / ``repro.serving.retries`` count gateway
     traffic (coalesce ratio = queries / sweeps), with
@@ -143,7 +143,8 @@ def record_patch_event(event: str, count: int = 1) -> None:
 def record_repair(index: str, mode: str) -> None:
     """Count one incremental-index repair, labeled with how it resolved.
 
-    ``index`` names the maintained structure (``nsf`` / ``labels``);
+    ``index`` names the maintained structure (a
+    :data:`repro.serving.state.INDEXES` name);
     ``mode`` is ``replay`` / ``relax`` for a true incremental repair,
     ``full`` for a fall-back rebuild, ``noop`` when nothing was dirty.
     """

@@ -2,14 +2,15 @@
 
 The serving plane keeps the paper's hot structures — the CSR snapshot,
 the NSF peel layering (Sec. III-B), the landmark (distance, gateway)
-labels (Sec. IV), the PageRank scores, and the MIS (Sec. IV) —
-*current* under an interleaved stream of edge mutations and point
-queries, instead of refreezing per mutation generation:
+labels (Sec. IV), the PageRank scores, and the MIS and Wu–Dai CDS
+backbones (Sec. IV) — *current* under an interleaved stream of edge
+mutations and point queries, instead of refreezing per mutation
+generation:
 
 * :class:`~repro.serving.state.GraphService` — the synchronous core:
-  a :class:`~repro.graphs.delta.PatchedGraph` patch buffer plus
-  lazily-repaired incremental indexes, with a vectorized
-  :meth:`~repro.serving.state.GraphService.apply_batch` write path;
+  a :class:`~repro.graphs.delta.PatchedGraph` patch buffer plus the
+  lazily-repaired indexes of :data:`~repro.serving.state.INDEXES`,
+  with a vectorized ``apply_batch`` write path;
 * :class:`~repro.serving.gateway.ServingGateway` — the ``asyncio``
   front-end: a bounded queue coalescing point queries into batched
   kernel sweeps and mutations into netted write barriers (sequence

@@ -125,7 +125,9 @@ class _Request:
 class ServingGateway:
     """Bounded-queue async front-end over a :class:`GraphService`.
 
-    Use as an async context manager::
+    Every name in :attr:`GraphService.POINT_QUERIES` is a coroutine
+    method here, with the service method's arguments and answer.  Use
+    as an async context manager::
 
         async with ServingGateway(service) as gw:
             d = await gw.distance("a", "b")
@@ -330,26 +332,6 @@ class ServingGateway:
         error = RuntimeError("gateway dispatcher is not running")
         error.__cause__ = self._crashed
         return error
-
-    async def distance(self, u: Node, v: Node) -> Optional[int]:
-        """Hop distance between ``u`` and ``v``; None if disconnected."""
-        return await self._submit("distance", u, v)
-
-    async def nsf_level(self, node: Node) -> int:
-        """The node's NSF peel level (incrementally repaired)."""
-        return await self._submit("nsf_level", node)
-
-    async def gateway_label(self, node: Node) -> Optional[Tuple[int, Node]]:
-        """(distance, gateway landmark) label; None if unreachable."""
-        return await self._submit("gateway_label", node)
-
-    async def pagerank_score(self, node: Node) -> float:
-        """The node's PageRank score (incrementally re-converged)."""
-        return await self._submit("pagerank_score", node)
-
-    async def mis_member(self, node: Node) -> bool:
-        """Whether ``node`` is an MIS clusterhead (round-replay repaired)."""
-        return await self._submit("mis_member", node)
 
     # ------------------------------------------------------------------
     # dispatcher
@@ -729,15 +711,8 @@ class ServingGateway:
                 record_serving_sweep()
             level = int(cached[1][target])
             return None if level < 0 else level
-        if request.kind == "nsf_level":
-            return service.nsf_level(*request.args)
-        if request.kind == "gateway_label":
-            return service.gateway_label(*request.args)
-        if request.kind == "pagerank_score":
-            return service.pagerank_score(*request.args)
-        if request.kind == "mis_member":
-            return service.mis_member(*request.args)
-        raise ValueError(f"unknown query kind {request.kind!r}")
+        # Looked up per call, so a wrapped service method is honoured.
+        return getattr(service, request.kind)(*request.args)
 
     def __repr__(self) -> str:
         return (
@@ -746,3 +721,20 @@ class ServingGateway:
             f"batches={self.batches_flushed}, "
             f"answered={self.queries_answered})"
         )
+
+
+def _point_query(kind: str):
+    """The gateway coroutine answering one service point query."""
+
+    async def query(self: ServingGateway, *args: Any) -> Any:
+        return await self._submit(kind, *args)
+
+    query.__name__ = kind
+    query.__qualname__ = f"ServingGateway.{kind}"
+    query.__doc__ = getattr(GraphService, kind).__doc__
+    return query
+
+
+for _kind in GraphService.POINT_QUERIES:
+    setattr(ServingGateway, _kind, _point_query(_kind))
+del _kind

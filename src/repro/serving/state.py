@@ -3,45 +3,36 @@
 :class:`GraphService` is the synchronous core the async gateway wraps.
 It owns a :class:`~repro.graphs.delta.PatchedGraph` — the CSR base plus
 the pending edge patches, rebased above ``threshold`` pending entries —
-and five incremental indexes kept consistent with it:
-
-* an :class:`~repro.layering.incremental.IncrementalNSF` — the peel
-  level labeling, repaired by round replay;
-* an :class:`~repro.labeling.incremental.IncrementalLandmarkLabels` —
-  the (distance, gateway) landmark labels, repaired by two-phase
-  invalidate/relax;
-* an :class:`~repro.labeling.incremental.IncrementalPageRank` — scores
-  re-converged by warm-started power iteration;
-* an :class:`~repro.labeling.incremental.IncrementalMIS` — three-color
-  clusterhead membership, repaired by round replay;
-* an :class:`~repro.labeling.incremental.IncrementalCDS` — the Wu–Dai
-  marked/trimmed backbone, repaired by touched-region rule replay.
+and the incremental indexes of the :data:`INDEXES` table, kept
+consistent with it: NSF peel levels, landmark (distance, gateway)
+labels, PageRank, the MIS and the Wu–Dai CDS, each repaired as its
+class documents.
 
 Mutations are applied eagerly (O(degree) into the patch buffer; whole
 batches in one vectorized :meth:`PatchedGraph.apply_batch` pass) while
 index repair is *lazy*: touched edge pairs accumulate in one dirty set
 per index and each index repairs on its first query after a mutation —
-so a pure distance/PageRank workload never pays for label repair.  The
-NSF levels and landmark labels share one dirty set (they are built and
-repaired together; the serving workloads always touch both).  Distance
-queries never force a merge at all — they run the patch-aware
-multi-source BFS (:meth:`PatchedGraph.bfs_levels`) directly against
-the overlay, with a version-keyed single-entry cache so repeated
-same-source queries between mutations reuse one sweep.
+so a pure distance/PageRank workload never pays for label repair.  A
+build or repair that raises discards its index (a half-applied repair
+is not trusted), and the next query rebuilds it from the current
+snapshot.  Distance queries never force a merge at all — they run the
+patch-aware multi-source BFS (:meth:`PatchedGraph.bfs_levels`)
+directly against the overlay, with a version-keyed single-entry cache
+so repeated same-source queries between mutations reuse one sweep.
 
 Nothing in the steady state goes through the dict-graph refreeze path:
 the constructor freezes the seed topology once via the plain
 :class:`~repro.graphs.csr.FrozenGraph` constructor (no cache events),
-and every later snapshot is a vectorized patch merge.  The
-differential harness (``tests/test_incremental_differential.py``)
-holds a mirror dict graph and asserts bit-exactness of the CSR arrays,
-NSF levels, landmark labels, MIS, and CDS (PageRank within tolerance)
-against the full-rebuild references at every step.
+and every later snapshot is a vectorized patch merge.  Each table entry
+also names its full-rebuild oracle; the differential harness
+(``tests/test_incremental_differential.py``) holds a mirror dict graph
+and asserts every index's bulk view against its oracle at every step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,16 +42,93 @@ from repro.graphs.delta import (
     PatchBatchResult,
     PatchedGraph,
 )
+from repro.labeling.cds import wu_dai_cds
 from repro.labeling.incremental import (
     IncrementalCDS,
     IncrementalLandmarkLabels,
     IncrementalMIS,
     IncrementalPageRank,
 )
-from repro.labeling.landmarks import select_landmarks
+from repro.labeling.landmarks import (
+    distance_gateway_labels_reference,
+    select_landmarks,
+)
+from repro.labeling.mis import compute_mis
 from repro.layering.incremental import IncrementalNSF
+from repro.layering.nsf import nsf_levels_reference
 
 Node = Hashable
+
+
+@dataclass(frozen=True)
+class IndexSpec:
+    """One incremental index: how to build, view and check it.
+
+    ``build(fg, landmarks)`` returns an object with the duck-typed
+    index contract: ``update(fg, pairs)`` repairs it for a new snapshot
+    given the touched index pairs, and ``n`` is the node count it was
+    last built or repaired for.  ``query`` names the index's
+    :class:`GraphService` point query, ``view(service)`` its
+    node-facing bulk view, and ``oracle(graph, landmarks)`` the
+    full-rebuild reference that view must equal on the same dict
+    graph: exactly, or for a node → score map within ``atol`` per node.
+    """
+
+    build: Callable[[FrozenGraph, Sequence[Node]], Any]
+    query: str
+    view: Callable[["GraphService"], Any]
+    oracle: Callable[[Any, Sequence[Node]], Any]
+    atol: Optional[float] = None
+
+    def agrees(self, live: Any, reference: Any) -> bool:
+        """Whether a bulk view equals its oracle's answer."""
+        if self.atol is None:
+            return live == reference
+        return live.keys() == reference.keys() and all(
+            abs(live[node] - reference[node]) <= self.atol for node in live
+        )
+
+
+def _pagerank_reference(graph, landmarks: Sequence[Node]) -> Dict[Node, float]:
+    """Cold-start PageRank over a fresh snapshot, keyed by node."""
+    fg = FrozenGraph(graph)
+    return dict(zip(fg.node_list, fg.pagerank_scores()[0].tolist()))
+
+
+#: The incremental indexes behind :class:`GraphService`, by name.
+INDEXES: Dict[str, IndexSpec] = {
+    "nsf": IndexSpec(
+        build=lambda fg, landmarks: IncrementalNSF(fg),
+        query="nsf_level",
+        view=lambda service: service.nsf_levels_map(),
+        oracle=lambda graph, landmarks: nsf_levels_reference(graph),
+    ),
+    "labels": IndexSpec(
+        build=IncrementalLandmarkLabels,
+        query="gateway_label",
+        view=lambda service: service.gateway_labels_map(),
+        oracle=distance_gateway_labels_reference,
+    ),
+    "pagerank": IndexSpec(
+        build=lambda fg, landmarks: IncrementalPageRank(fg),
+        query="pagerank_score",
+        view=lambda service: service.pagerank_map(),
+        oracle=_pagerank_reference,
+        atol=1e-8,
+    ),
+    "mis": IndexSpec(
+        build=lambda fg, landmarks: IncrementalMIS(fg),
+        query="mis_member",
+        view=lambda service: service.mis_set(),
+        oracle=lambda graph, landmarks: compute_mis(graph)[0],
+    ),
+    "cds": IndexSpec(
+        build=lambda fg, landmarks: IncrementalCDS(fg),
+        query="cds_member",
+        view=lambda service: (service.cds_marked_set(), service.cds_set()),
+        oracle=lambda graph, landmarks: wu_dai_cds(graph),
+    ),
+}
 
 
 class GraphService:
@@ -76,6 +144,12 @@ class GraphService:
     True
     """
 
+    #: The single-answer queries; the gateway serves each under the
+    #: same name.
+    POINT_QUERIES: Tuple[str, ...] = ("distance",) + tuple(
+        spec.query for spec in INDEXES.values()
+    )
+
     def __init__(
         self,
         graph,
@@ -90,20 +164,12 @@ class GraphService:
         self._patched = PatchedGraph(base, threshold=threshold)
         #: Canonical index pairs mutated since each index's last repair.
         #: Node indices are append-only, so pairs recorded at mutation
-        #: time stay valid in every later snapshot.  "core" covers the
-        #: coupled NSF + landmark-label pair; PageRank, MIS, and CDS
-        #: repair independently so querying one never repairs the others.
+        #: time stay valid in every later snapshot.
         self._dirty: Dict[str, Set[Tuple[int, int]]] = {
-            "core": set(),
-            "pagerank": set(),
-            "mis": set(),
-            "cds": set(),
+            name: set() for name in INDEXES
         }
-        self._nsf: Optional[IncrementalNSF] = None
-        self._labels: Optional[IncrementalLandmarkLabels] = None
-        self._pagerank: Optional[IncrementalPageRank] = None
-        self._mis: Optional[IncrementalMIS] = None
-        self._cds: Optional[IncrementalCDS] = None
+        #: The built indexes, by :data:`INDEXES` name.
+        self._indexes: Dict[str, Any] = {}
         #: Single-entry BFS sweep cache: (version, n, source index, levels).
         self._dist_cache: Optional[Tuple[int, int, int, np.ndarray]] = None
 
@@ -175,61 +241,29 @@ class GraphService:
     # ------------------------------------------------------------------
     # lazy index repair
     # ------------------------------------------------------------------
-    def _repair(self) -> FrozenGraph:
-        """Bring the NSF + landmark-label pair up to the current snapshot.
+    def _index(self, name: str) -> Tuple[Any, FrozenGraph]:
+        """The named index, current with the snapshot, and the snapshot.
 
-        The size check alongside the dirty set covers the corner where
-        a failed strict batch interned nodes without touching any edge
-        (every ``update`` treats node growth as a repair trigger).
+        Builds the index on first use; repairs it when its dirty set is
+        non-empty or the node count moved (a failed strict batch can
+        intern nodes without touching any edge).  If the build or the
+        repair raises, the index is discarded before the error
+        propagates, so the next query rebuilds it from scratch.
         """
         fg = self._patched.snapshot()
-        dirty = self._dirty["core"]
-        if self._nsf is None:
-            self._nsf = IncrementalNSF(fg)
-            self._labels = IncrementalLandmarkLabels(fg, self.landmarks)
-            dirty.clear()
-        elif dirty or fg.n != self._nsf._n:
-            pairs = sorted(dirty)
-            self._nsf.update(fg, pairs)
-            self._labels.update(fg, pairs)
-            dirty.clear()
-        return fg
-
-    def _repair_pagerank(self) -> FrozenGraph:
-        """Bring the PageRank scores up to the current snapshot."""
-        fg = self._patched.snapshot()
-        dirty = self._dirty["pagerank"]
-        if self._pagerank is None:
-            self._pagerank = IncrementalPageRank(fg)
-            dirty.clear()
-        elif dirty or fg.n != self._pagerank._n:
-            self._pagerank.update(fg, sorted(dirty))
-            dirty.clear()
-        return fg
-
-    def _repair_mis(self) -> FrozenGraph:
-        """Bring the MIS membership up to the current snapshot."""
-        fg = self._patched.snapshot()
-        dirty = self._dirty["mis"]
-        if self._mis is None:
-            self._mis = IncrementalMIS(fg)
-            dirty.clear()
-        elif dirty or fg.n != self._mis._n:
-            self._mis.update(fg, sorted(dirty))
-            dirty.clear()
-        return fg
-
-    def _repair_cds(self) -> FrozenGraph:
-        """Bring the CDS membership up to the current snapshot."""
-        fg = self._patched.snapshot()
-        dirty = self._dirty["cds"]
-        if self._cds is None:
-            self._cds = IncrementalCDS(fg)
-            dirty.clear()
-        elif dirty or fg.n != self._cds._n:
-            self._cds.update(fg, sorted(dirty))
-            dirty.clear()
-        return fg
+        dirty = self._dirty[name]
+        index = self._indexes.get(name)
+        try:
+            if index is None:
+                index = INDEXES[name].build(fg, self.landmarks)
+                self._indexes[name] = index
+            elif dirty or fg.n != index.n:
+                index.update(fg, sorted(dirty))
+        except BaseException:
+            self._indexes.pop(name, None)
+            raise
+        dirty.clear()
+        return index, fg
 
     # ------------------------------------------------------------------
     # point queries
@@ -261,92 +295,63 @@ class GraphService:
 
     def nsf_level(self, node: Node) -> int:
         """The node's NSF peel level (1-based), repaired incrementally."""
-        self._repair()
-        return self._nsf.level_of(self._patched.index_of(node))
+        nsf, fg = self._index("nsf")
+        return nsf.level_of(fg.index_of(node))
 
     def gateway_label(self, node: Node) -> Optional[Tuple[int, Node]]:
         """(distance, gateway landmark) label; None if unreachable."""
-        fg = self._repair()
-        i = fg.index_of(node)
-        if not self._labels.is_reachable(i):
-            return None
-        return self._labels.label_of(i)
+        labels, fg = self._index("labels")
+        return labels.label_of(fg.index_of(node))
 
-    # ------------------------------------------------------------------
-    # bulk views (differential-harness surface)
-    # ------------------------------------------------------------------
-    def nsf_levels_map(self) -> Dict[Node, int]:
-        """All NSF levels by node, comparable with the batch reference."""
-        fg = self._repair()
-        return self._nsf.levels_map(fg)
-
-    def gateway_labels_map(self) -> Dict[Node, Tuple[int, Node]]:
-        """All landmark labels by node, comparable with the reference."""
-        fg = self._repair()
-        return self._labels.labels_map(fg)
-
-    # ------------------------------------------------------------------
-    # PageRank / MIS queries (incremental, independently repaired)
-    # ------------------------------------------------------------------
     def pagerank_score(self, node: Node) -> float:
         """The node's PageRank score, re-converged incrementally."""
-        fg = self._repair_pagerank()
-        return float(self._pagerank.scores[fg.index_of(node)])
-
-    def pagerank_vector(self) -> np.ndarray:
-        """Index-aligned PageRank scores (read-only by convention)."""
-        self._repair_pagerank()
-        return self._pagerank.scores
-
-    def pagerank_map(self) -> Dict[Node, float]:
-        """Node-facing PageRank view, comparable with the batch kernel."""
-        fg = self._repair_pagerank()
-        scores = self._pagerank.scores
-        nodes = fg.node_list
-        return {nodes[i]: float(scores[i]) for i in range(fg.n)}
-
-    def mis_priorities(self) -> np.ndarray:
-        """The repr-rank priorities the maintained MIS was built with."""
-        self._repair_mis()
-        return self._mis.priorities
+        pagerank, fg = self._index("pagerank")
+        return float(pagerank.scores[fg.index_of(node)])
 
     def mis_member(self, node: Node) -> bool:
         """Whether ``node`` is a clusterhead in the maintained MIS."""
-        fg = self._repair_mis()
-        return bool(self._mis.member_mask()[fg.index_of(node)])
+        mis, fg = self._index("mis")
+        return bool(mis.member_mask()[fg.index_of(node)])
 
-    def mis_mask(self) -> np.ndarray:
-        """Index-aligned MIS membership mask (read-only by convention)."""
-        self._repair_mis()
-        return self._mis.member_mask()
+    def cds_member(self, node: Node) -> bool:
+        """Whether ``node`` is on the maintained Wu–Dai backbone."""
+        cds, fg = self._index("cds")
+        return bool(cds.member_mask()[fg.index_of(node)])
+
+    # ------------------------------------------------------------------
+    # bulk views (each index's :data:`INDEXES` view)
+    # ------------------------------------------------------------------
+    def nsf_levels_map(self) -> Dict[Node, int]:
+        """All NSF levels by node, comparable with the batch reference."""
+        nsf, fg = self._index("nsf")
+        return nsf.levels_map(fg)
+
+    def gateway_labels_map(self) -> Dict[Node, Tuple[int, Node]]:
+        """All landmark labels by node, comparable with the reference."""
+        labels, fg = self._index("labels")
+        return labels.labels_map(fg)
+
+    def pagerank_map(self) -> Dict[Node, float]:
+        """Node-facing PageRank view, comparable with the batch kernel."""
+        pagerank, fg = self._index("pagerank")
+        scores = pagerank.scores
+        nodes = fg.node_list
+        return {nodes[i]: float(scores[i]) for i in range(fg.n)}
 
     def mis_set(self) -> Set[Node]:
         """The maintained MIS as a node set, comparable with the batch kernel."""
-        fg = self._repair_mis()
-        return self._mis.members(fg)
-
-    # ------------------------------------------------------------------
-    # CDS queries (incremental, independently repaired)
-    # ------------------------------------------------------------------
-    def cds_member(self, node: Node) -> bool:
-        """Whether ``node`` is on the maintained Wu–Dai backbone."""
-        fg = self._repair_cds()
-        return bool(self._cds.member_mask()[fg.index_of(node)])
-
-    def cds_mask(self) -> np.ndarray:
-        """Index-aligned CDS membership mask (read-only by convention)."""
-        self._repair_cds()
-        return self._cds.member_mask()
+        mis, fg = self._index("mis")
+        return mis.members(fg)
 
     def cds_set(self) -> Set[Node]:
         """The maintained trimmed CDS, comparable with ``wu_dai_cds``."""
-        fg = self._repair_cds()
-        return self._cds.members(fg)
+        cds, fg = self._index("cds")
+        return cds.members(fg)
 
     def cds_marked_set(self) -> Set[Node]:
         """The pre-trimming marked (black) set of the maintained CDS."""
-        fg = self._repair_cds()
-        return self._cds.marked(fg)
+        cds, fg = self._index("cds")
+        return cds.marked(fg)
 
     def __repr__(self) -> str:
         return (

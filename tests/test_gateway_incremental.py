@@ -166,6 +166,7 @@ class TestIncrementalReachability:
 # ----------------------------------------------------------------------
 
 import asyncio
+import inspect
 
 from repro.faults.injectors import MessageFaults
 from repro.faults.plan import FaultPlan
@@ -173,6 +174,7 @@ from repro.graphs.traversal import bfs_distances
 from repro.observability.metrics import MetricsRegistry, set_registry
 from repro.observability.telemetry import serving_counts
 from repro.serving import GraphService, ServingGateway
+from repro.serving.state import INDEXES
 
 
 @pytest.fixture
@@ -230,27 +232,32 @@ class TestServingGatewayBasics:
         assert asyncio.run(main()) == [9, 1, 9]
 
     def test_index_queries_through_gateway(self):
-        graph = serving_graph(seed=3)
+        """The gateway serves every ``GraphService.POINT_QUERIES`` name
+        (``cds_member`` included) and answers as the direct service call
+        does after a queued insert to a fresh node; the service's
+        indexes then match their oracles."""
         service = GraphService(serving_graph(seed=3), landmark_count=3)
+        nodes = ["fresh"] + service.node_list[:4]
+        calls = []
+        for kind in GraphService.POINT_QUERIES:
+            arity = len(inspect.signature(getattr(service, kind)).parameters)
+            calls += [(kind, (node, nodes[1])[:arity]) for node in nodes]
 
         async def main():
             async with ServingGateway(service) as gateway:
                 gateway.insert_edge("fresh", 0)
-                level = await gateway.nsf_level("fresh")
-                label = await gateway.gateway_label("fresh")
-            return level, label
+                return [
+                    await getattr(gateway, kind)(*args) for kind, args in calls
+                ]
 
-        level, label = asyncio.run(main())
+        answers = asyncio.run(main())
+        assert answers == [getattr(service, kind)(*args) for kind, args in calls]
+        graph = serving_graph(seed=3)
         graph.add_edge("fresh", 0)
-        from repro.labeling.landmarks import (
-            distance_gateway_labels_reference,
-        )
-        from repro.layering.nsf import nsf_levels_reference
-
-        assert level == nsf_levels_reference(graph)["fresh"]
-        assert label == distance_gateway_labels_reference(
-            graph, service.landmarks
-        )["fresh"]
+        for spec in INDEXES.values():
+            assert spec.agrees(
+                spec.view(service), spec.oracle(graph, service.landmarks)
+            )
 
     def test_stop_answers_everything_in_flight(self):
         service = GraphService(serving_graph(seed=1), landmark_count=2)

@@ -7,13 +7,12 @@ full-rebuild references at every step:
 
 * the merged CSR snapshot vs a fresh ``FrozenGraph`` of the mirror
   (node order, ``indptr``, ``indices``);
-* the incrementally repaired NSF levels vs ``nsf_levels_reference``;
-* the repaired landmark labels vs ``distance_gateway_labels_reference``;
-* the round-replay-repaired MIS vs ``compute_mis`` (bit-exact), the
-  rule-replay-repaired CDS vs ``wu_dai_cds`` (bit-exact, both the
-  marked and the trimmed set), and the warm-started PageRank vs the
-  cold-start ``pagerank_scores`` kernel (within fixed-point
-  tolerance);
+* every index of the ``INDEXES`` table vs its full-rebuild oracle:
+  the repaired NSF levels vs ``nsf_levels_reference``, the landmark
+  labels vs ``distance_gateway_labels_reference``, the MIS vs
+  ``compute_mis``, the CDS vs ``wu_dai_cds`` (marked and trimmed set),
+  all bit-exact, and the warm-started PageRank vs the cold-start
+  ``pagerank_scores`` kernel (within fixed-point tolerance);
 * the patch-aware BFS vs the same BFS on the merged snapshot.
 
 Traces run both per-edge (``insert_edge`` / ``delete_edge``) and in
@@ -38,16 +37,12 @@ from repro.graphs.csr import FrozenGraph
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
-from repro.labeling.landmarks import (
-    distance_gateway_labels_reference,
-    select_landmarks,
-)
-from repro.labeling.cds import wu_dai_cds
-from repro.labeling.mis import compute_mis
+from repro.labeling.landmarks import select_landmarks
 from repro.layering.nsf import nsf_levels_reference
 from repro.observability.metrics import MetricsRegistry, set_registry
 from repro.observability.telemetry import cache_counts, serving_counts
 from repro.serving import GraphService
+from repro.serving.state import INDEXES
 
 SEEDS = [0, 1, 2, 3, 4]
 THRESHOLDS = [0, 4, 1_000_000]
@@ -77,28 +72,19 @@ def build_graph(edges):
 def assert_state_bit_exact(service, mirror, landmarks, context):
     """The structural invariants, asserted after every step.
 
-    CSR arrays, NSF levels, landmark labels, the MIS, and the CDS
-    (marked and trimmed sets) are bit-exact against the full-rebuild
-    references; the warm-started PageRank is equal within fixed-point
-    tolerance of the cold-start kernel.
+    The CSR arrays are bit-exact against a fresh freeze of the mirror,
+    and every index's bulk view agrees with its full-rebuild oracle
+    (exactly, or within tolerance for PageRank).
     """
     reference = FrozenGraph(mirror)
     snapshot = service.snapshot()
     assert snapshot.node_list == reference.node_list, context
     assert np.array_equal(snapshot.indptr, reference.indptr), context
     assert np.array_equal(snapshot.indices, reference.indices), context
-    assert service.nsf_levels_map() == nsf_levels_reference(mirror), context
-    assert service.gateway_labels_map() == distance_gateway_labels_reference(
-        mirror, landmarks
-    ), context
-    ref_scores, _ = reference.pagerank_scores()
-    assert np.allclose(
-        service.pagerank_vector(), ref_scores, atol=1e-8
-    ), context
-    assert service.mis_set() == compute_mis(mirror)[0], context
-    marked_ref, cds_ref = wu_dai_cds(mirror)
-    assert service.cds_marked_set() == marked_ref, context
-    assert service.cds_set() == cds_ref, context
+    for name, spec in INDEXES.items():
+        assert spec.agrees(
+            spec.view(service), spec.oracle(mirror, landmarks)
+        ), (name, context)
 
 
 def drive_trace(service, mirror, rng, steps, new_node_prob=0.06):
@@ -308,6 +294,78 @@ class TestFreshNodeCancel:
         assert service.nsf_level("x") == nsf_levels_reference(mirror)["x"]
         assert service.gateway_label("x") is None  # isolated: unreachable
         assert service.distance("a", "x") is None
+
+
+class InjectedFault(RuntimeError):
+    """The failure injected into an index repair."""
+
+
+class FailingSnapshot:
+    """Snapshot proxy whose ``fail_at``-th method call raises."""
+
+    def __init__(self, snapshot, fail_at):
+        self._wrapped = snapshot
+        self._fail_at = fail_at
+        self._calls = 0
+
+    def __getattr__(self, name):
+        value = getattr(self._wrapped, name)
+        if not callable(value):
+            return value
+
+        def call(*args, **kwargs):
+            self._calls += 1
+            if self._calls == self._fail_at:
+                raise InjectedFault(name)
+            return value(*args, **kwargs)
+
+        return call
+
+
+CYCLE = [(i, (i + 1) % 20) for i in range(20)]
+
+
+class TestFailedRepair:
+    @pytest.mark.parametrize("name", list(INDEXES))
+    def test_failed_repair_rebuilds_on_next_query(self, name):
+        """A repair that raises part-way must not leave a half-repaired
+        index behind: the error reaches the caller and the next query
+        answers from the current snapshot.  On a 20-cycle with landmark
+        0, one batch deletes (0, 1) and grows node 20 onto node 10; the
+        repair that follows fails at each of its snapshot method calls
+        in turn.
+
+        Regressions: a failed label repair left the invalidated nodes
+        unreachable for good (phase 1 had already cleared them), and a
+        failed PageRank repair on node growth left the node count
+        bumped over the old score vector, so every later query raised.
+        """
+        spec = INDEXES[name]
+        mirror = build_graph(CYCLE)
+        mirror.remove_edge(0, 1)
+        mirror.add_edge(10, 20)
+        expected = spec.oracle(mirror, [0])
+        fail_at = 1
+        while True:
+            service = GraphService(build_graph(CYCLE), landmarks=[0])
+            spec.view(service)
+            service.apply_batch(inserts=[(10, 20)], deletes=[(0, 1)])
+            index = service._indexes[name]
+            update = index.update
+
+            def update_once(fg, pairs):
+                del index.update  # later repairs run unpatched
+                return update(FailingSnapshot(fg, fail_at), pairs)
+
+            index.update = update_once
+            try:
+                spec.view(service)
+            except InjectedFault:
+                assert spec.agrees(spec.view(service), expected), fail_at
+                fail_at += 1
+            else:
+                break  # the repair makes fewer calls than fail_at
+        assert fail_at > 1
 
 
 class TestThresholdSemantics:
