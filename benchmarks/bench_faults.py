@@ -9,7 +9,8 @@ the engine runs) and reports, per rate:
   the delivery-ratio-vs-drop-rate curve;
 * distributed full link reversal on a connected random graph: rounds
   to quiescence, total link reversals, and messages on the wire
-  (including retransmissions).
+  (delivered copies plus the attempts lost in transit, so every
+  retransmission counts).
 
 The headline structural result: the *reversal count* column is flat —
 full reversal's work is schedule-independent, so chaos costs rounds
@@ -121,8 +122,9 @@ def _reversal_run(graph, destination, heights, plan):
     reversals = sum(
         network.state_of(node).get("reversals", 0) for node in graph.nodes()
     )
-    retries = network.faults.summary().get("retry", 0)
-    return stats.rounds, reversals, stats.messages_sent, retries
+    summary = network.faults.summary()
+    wire = stats.messages_sent + summary.get("drop", 0)
+    return stats.rounds, reversals, wire, summary.get("retry", 0)
 
 
 HEADER = [

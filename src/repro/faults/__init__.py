@@ -12,8 +12,12 @@ turns those conditions into a replayable experiment:
   :class:`FaultLedger`;
 * the engines (:class:`repro.runtime.engine.Network`,
   :class:`repro.runtime.async_engine.AsyncNetwork`,
+  :class:`repro.runtime.vector.VectorEngine`,
   :class:`repro.dtn.simulator.DTNSimulation`) accept ``fault_plan=``
-  and route every delivery through the session's hooks.
+  and route every delivery through the session's hooks — engine
+  messages (and gateway requests) through the one batched
+  :meth:`FaultSession.message_fates` / :meth:`FaultSession.retry_due`
+  pair.
 
 Replay contract: same seed + same plan + same workload ⇒ byte-identical
 ``session.ledger`` (assert with ``ledger.digest()``).  Every injected
@@ -30,12 +34,10 @@ from repro.faults.injectors import (
     RetryPolicy,
 )
 from repro.faults.ledger import FaultEvent, FaultLedger
-from repro.faults.plan import DELIVER, Fate, FaultPlan, FaultSession
+from repro.faults.plan import FaultPlan, FaultSession
 
 __all__ = [
-    "DELIVER",
     "CrashEvent",
-    "Fate",
     "FaultEvent",
     "FaultLedger",
     "FaultPlan",

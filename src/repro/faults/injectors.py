@@ -67,11 +67,14 @@ class RetryPolicy:
 class MessageFaults:
     """Per-message fault probabilities.
 
-    Engines: each in-flight message is independently dropped with
+    Engines: each delivery attempt is independently dropped with
     probability ``drop``, duplicated (one extra delivery) with
     probability ``duplicate``, and delayed by uniform
     1..``max_delay`` extra rounds with probability ``delay``; each
-    multi-message inbox is shuffled with probability ``reorder``.
+    multi-message inbox is shuffled with probability ``reorder``.  A
+    drop wins over the other draws, and a delayed attempt carries no
+    duplicate: it is deferred as one message and draws a fresh fate
+    when it comes due.
 
     DTN: ``drop``/``duplicate`` apply per transfer attempt (including
     final-hop delivery), ``delay``/``max_delay`` apply per *contact*

@@ -27,7 +27,6 @@ from typing import (
     Hashable,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -49,21 +48,6 @@ from repro.observability.metrics import MetricsRegistry
 
 Node = Hashable
 Injector = Any  # one of the dataclasses in repro.faults.injectors
-
-
-class Fate(NamedTuple):
-    """The session's verdict for one in-flight message."""
-
-    drop: bool
-    duplicates: int
-    delay: int
-
-    @property
-    def deliver_now(self) -> bool:
-        return not self.drop and self.delay == 0
-
-
-DELIVER = Fate(drop=False, duplicates=0, delay=0)
 
 
 class FaultPlan:
@@ -156,32 +140,98 @@ class FaultSession:
         return self.ledger.counts()
 
     # -- message-level hooks (engines) ----------------------------------
-    def message_fate(self, time: int, sender: Node, receiver: Node) -> Fate:
-        """Decide drop/duplicate/delay for one in-flight message."""
-        if not self._message_faults:
-            return DELIVER
-        drop = False
-        duplicates = 0
-        delay = 0
-        for fault in self._message_faults:
-            if fault.drop and self.rng.random() < fault.drop:
-                drop = True
-            if fault.duplicate and self.rng.random() < fault.duplicate:
-                duplicates += 1
-            if fault.delay and self.rng.random() < fault.delay:
-                delay += int(self.rng.integers(1, fault.max_delay + 1))
-        if drop:
-            self.record("drop", time, sender=sender, receiver=receiver)
-            return Fate(drop=True, duplicates=0, delay=0)
-        if duplicates:
+    def message_fates(
+        self,
+        time: int,
+        senders: Sequence[Any],
+        receivers: Sequence[Any],
+        nodes: Optional[Sequence[Node]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fates of k delivery attempts, in the caller's order.
+
+        Returns ``(drop, copies, delay)`` arrays with one rule for every
+        attempt: a dropped attempt has no copies; a delayed attempt
+        (``delay > 0``) is deferred as one message with no duplicate and
+        draws a fresh fate when it comes due; any other attempt is
+        delivered as ``copies`` = 1 + duplicates.  Draws are injector-
+        major — per injector ``drop(k)``, ``duplicate(k)``, the delay
+        mask, then the delay lengths of its hits — and nothing is drawn
+        when k = 0 or the plan has no :class:`MessageFaults`.
+        ``drop``/``delay``/``duplicate`` are recorded in message order.
+        With ``nodes``, senders and receivers are indices into it, and
+        labels are looked up only for recorded events.
+        """
+        k = len(senders)
+        drop = np.zeros(k, dtype=bool)
+        extra = np.zeros(k, dtype=np.int64)
+        delay = np.zeros(k, dtype=np.int64)
+        if k and self._message_faults:
+            rng = self.rng
+            for fault in self._message_faults:
+                if fault.drop:
+                    drop |= rng.random(k) < fault.drop
+                if fault.duplicate:
+                    extra += rng.random(k) < fault.duplicate
+                if fault.delay:
+                    mask = rng.random(k) < fault.delay
+                    hits = int(np.count_nonzero(mask))
+                    if hits:
+                        delay[mask] += rng.integers(1, fault.max_delay + 1, size=hits)
+            delay[drop] = 0
+        held = drop | (delay > 0)
+        extra[held] = 0
+        for i in np.flatnonzero(held | (extra > 0)).tolist():
+            sender, receiver = senders[i], receivers[i]
+            if nodes is not None:
+                sender, receiver = nodes[sender], nodes[receiver]
+            if drop[i]:
+                self.record("drop", time, sender=sender, receiver=receiver)
+            elif delay[i]:
+                self.record(
+                    "delay", time, sender=sender, receiver=receiver,
+                    rounds=int(delay[i]),
+                )
+            else:
+                self.record(
+                    "duplicate", time, sender=sender, receiver=receiver,
+                    copies=int(extra[i]),
+                )
+        return drop, np.where(held, 0, 1 + extra), delay
+
+    def retry_due(
+        self,
+        time: int,
+        senders: Sequence[Any],
+        receivers: Sequence[Any],
+        attempts: Sequence[int],
+        nodes: Optional[Sequence[Node]] = None,
+    ) -> np.ndarray:
+        """Apply the plan's :class:`RetryPolicy` to k lost attempts.
+
+        ``attempts[i]`` is how many retransmissions message i has had.
+        Returns each message's retransmission due time, or -1 once it is
+        lost for good (retries exhausted, or the plan has no policy).
+        ``retry``/``retry_exhausted`` are recorded in message order;
+        ``nodes`` works as in :meth:`message_fates`.
+        """
+        due = np.full(len(attempts), -1, dtype=np.int64)
+        policy = self.plan.retry
+        if policy is None:
+            return due
+        for i, attempt in enumerate(np.asarray(attempts, dtype=np.int64).tolist()):
+            sender, receiver = senders[i], receivers[i]
+            if nodes is not None:
+                sender, receiver = nodes[sender], nodes[receiver]
+            if attempt >= policy.max_retries:
+                self.record(
+                    "retry_exhausted", time, sender=sender, receiver=receiver
+                )
+                continue
+            due[i] = time + policy.delay(attempt)
             self.record(
-                "duplicate", time, sender=sender, receiver=receiver, copies=duplicates
+                "retry", time, sender=sender, receiver=receiver, attempt=attempt + 1
             )
-        if delay:
-            self.record(
-                "delay", time, sender=sender, receiver=receiver, rounds=delay
-            )
-        return Fate(drop=False, duplicates=duplicates, delay=delay)
+        return due
 
     def reorder_permutation(
         self, time: int, receiver: Node, size: int

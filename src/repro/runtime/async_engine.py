@@ -33,7 +33,13 @@ from repro.faults.plan import FaultPlan, FaultSession
 from repro.graphs.graph import Graph
 from repro.observability import tracing
 from repro.observability.metrics import MetricsRegistry
-from repro.runtime.engine import Message, NodeAlgorithm, NodeContext, RunStats
+from repro.runtime.engine import (
+    Message,
+    NodeAlgorithm,
+    NodeContext,
+    RunStats,
+    route_faults,
+)
 
 Node = Hashable
 
@@ -59,9 +65,9 @@ class AsyncNetwork:
         self._algorithms: Dict[Node, NodeAlgorithm] = {}
         self._state: Dict[Node, Dict[str, Any]] = {}
         self._halted: Dict[Node, bool] = {}
-        # (deliver_at_tick, seq, message, retry attempt)
-        self._in_flight: List[Tuple[int, int, Message, int]] = []
-        self._flight_seq = 0
+        # (deliver_at_tick, message, retry attempt, fate drawn), in
+        # enqueue order.
+        self._in_flight: List[Tuple[int, Message, int, bool]] = []
         self._tick = 0
         self.metrics = registry if registry is not None else MetricsRegistry("async-network")
         self.tracer = tracer if tracer is not None else tracing.get_tracer()
@@ -71,7 +77,6 @@ class AsyncNetwork:
         self.faults: Optional[FaultSession] = (
             fault_plan.start(registry=self.metrics) if fault_plan is not None else None
         )
-        self._retry = fault_plan.retry if fault_plan is not None else None
         self._crashed: set = set()
         for node in self.graph.nodes():
             self._algorithms[node] = algorithm_factory(node)
@@ -90,46 +95,30 @@ class AsyncNetwork:
         return self._tick
 
     # ------------------------------------------------------------------
-    def _enqueue(self, deliver_at: int, message: Message, attempt: int = 0) -> None:
-        self._in_flight.append((deliver_at, self._flight_seq, message, attempt))
-        self._flight_seq += 1
+    def _enqueue(
+        self, deliver_at: int, message: Message, attempt: int = 0, fated: bool = True
+    ) -> None:
+        self._in_flight.append((deliver_at, message, attempt, fated))
 
     def _dispatch(self, outbox: List[Message]) -> None:
-        for message in outbox:
-            delay = int(self._rng.integers(1, self.max_delay + 1))
-            if self.faults is not None:
-                fate = self.faults.message_fate(
-                    self._tick, message.sender, message.receiver
-                )
-                if fate.drop:
-                    self._maybe_retry(message, 0)
-                    continue
-                delay += fate.delay
-                for _ in range(fate.duplicates):
-                    self._enqueue(
-                        self._tick + int(self._rng.integers(1, self.max_delay + 1)),
-                        message,
-                    )
-                    self.stats.messages_sent += 1
-            self._enqueue(self._tick + delay, message)
-            self.stats.messages_sent += 1
-
-    def _maybe_retry(self, message: Message, attempt: int) -> None:
-        """Retransmit a dropped message after capped exponential backoff."""
-        policy = self._retry
-        if policy is None:
+        """Put one activation's sends in flight.  Under a fault plan they
+        draw their fates here; a retried or delayed send is enqueued
+        unfated and draws a fresh fate when it comes due."""
+        if self.faults is None:
+            for message in outbox:
+                self._enqueue(self._tick + self._transport_delay(), message)
             return
-        if attempt >= policy.max_retries:
-            self.faults.record(
-                "retry_exhausted", self._tick,
-                sender=message.sender, receiver=message.receiver,
-            )
-            return
-        self._enqueue(self._tick + policy.delay(attempt), message, attempt + 1)
-        self.faults.record(
-            "retry", self._tick,
-            sender=message.sender, receiver=message.receiver, attempt=attempt + 1,
+        deliveries, deferrals = route_faults(
+            self.faults, self._tick, [(m, 0, True) for m in outbox]
         )
+        for message, copies in deliveries:
+            for _ in range(copies):
+                self._enqueue(self._tick + self._transport_delay(), message)
+        for due, message, attempt in deferrals:
+            self._enqueue(due, message, attempt, fated=False)
+
+    def _transport_delay(self) -> int:
+        return int(self._rng.integers(1, self.max_delay + 1))
 
     def _run_node(self, node: Node, inbox: List[Message], phase: str) -> None:
         outbox: List[Message] = []
@@ -166,18 +155,28 @@ class AsyncNetwork:
         self.metrics.gauge("repro.runtime.in_flight").set(len(self._in_flight))
         if self.faults is not None:
             self._apply_fault_events()
-        due: Dict[Node, List[Message]] = {}
-        remaining: List[Tuple[int, int, Message, int]] = []
-        for deliver_at, seq, message, attempt in self._in_flight:
+        arrived: List[Tuple[Message, int, bool]] = []
+        remaining: List[Tuple[int, Message, int, bool]] = []
+        for entry in self._in_flight:
+            deliver_at, message, attempt, fated = entry
             if message.receiver not in self._state:
                 continue
             if deliver_at > self._tick:
-                remaining.append((deliver_at, seq, message, attempt))
-                continue
-            if self.faults is not None and not self._admit(message, attempt):
-                continue
-            due.setdefault(message.receiver, []).append(message)
+                remaining.append(entry)
+            else:
+                arrived.append((message, attempt, not fated))
         self._in_flight = remaining
+        if self.faults is None:
+            deliveries = [(message, 1) for message, _, _ in arrived]
+        else:
+            deliveries, deferrals = route_faults(
+                self.faults, self._tick, arrived, self._crashed
+            )
+            for at, message, attempt in deferrals:
+                self._enqueue(at, message, attempt, fated=False)
+        due: Dict[Node, List[Message]] = {}
+        for message, copies in deliveries:
+            due.setdefault(message.receiver, []).extend([message] * copies)
         recipients = sorted(due, key=repr)
         self._rng.shuffle(recipients)
         # Also activate non-halted nodes with empty inboxes, so
@@ -193,36 +192,9 @@ class AsyncNetwork:
             self._run_node(node, due[node], "step")
         for node in idle:
             self._run_node(node, [], "step")
-        self.stats.messages_per_round.append(sum(len(v) for v in due.values()))
-
-    def _admit(self, message: Message, attempt: int) -> bool:
-        """Delivery-time fault checks for one due message: crashed
-        receiver, down link, and a fresh drop draw for retransmissions
-        (first transmissions drew their fate at dispatch)."""
-        faults = self.faults
-        if message.receiver in self._crashed:
-            faults.record(
-                "crash_drop", self._tick,
-                sender=message.sender, receiver=message.receiver,
-            )
-            self._maybe_retry(message, attempt)
-            return False
-        if faults.link_is_down(message.sender, message.receiver):
-            faults.record(
-                "link_drop", self._tick,
-                sender=message.sender, receiver=message.receiver,
-            )
-            self._maybe_retry(message, attempt)
-            return False
-        if attempt > 0:
-            fate = faults.message_fate(self._tick, message.sender, message.receiver)
-            if fate.drop:
-                self._maybe_retry(message, attempt)
-                return False
-            if fate.delay:
-                self._enqueue(self._tick + fate.delay, message, attempt)
-                return False
-        return True
+        delivered = sum(len(inbox) for inbox in due.values())
+        self.stats.messages_sent += delivered
+        self.stats.messages_per_round.append(delivered)
 
     def _apply_fault_events(self) -> None:
         """Fire crash/restart/churn events scheduled for this tick."""

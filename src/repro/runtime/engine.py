@@ -35,9 +35,12 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from repro.errors import ConvergenceError, NodeNotFoundError
 from repro.faults.plan import FaultPlan, FaultSession
@@ -143,6 +146,67 @@ class NodeAlgorithm:
 
     def on_topology_change(self, ctx: NodeContext) -> None:
         """Called when an incident edge or neighbor changes; default wakes."""
+
+
+def route_faults(
+    faults: FaultSession,
+    time: int,
+    stream: Sequence[Tuple[Message, int, bool]],
+    crashed: Optional[Set[Node]] = None,
+) -> Tuple[List[Tuple[Message, int]], List[Tuple[int, Message, int]]]:
+    """Route one batch of delivery attempts through a fault session.
+
+    ``stream`` holds ``(message, attempt, needs_fate)`` in the caller's
+    deterministic order, ``attempt`` counting retransmissions so far.
+    With ``crashed``, an attempt into a crashed receiver or across a
+    down link is lost first (``crash_drop``/``link_drop``).  The rest
+    that need a fate share one :meth:`FaultSession.message_fates` call,
+    and every lost attempt one :meth:`FaultSession.retry_due` call.
+    Returns ``(deliveries, deferrals)``, both in stream order:
+    ``(message, copies)`` to hand over now, and ``(due, message,
+    attempt)`` to retransmit or redeliver later.
+    """
+    k = len(stream)
+    lost = np.zeros(k, dtype=bool)
+    if crashed is not None:
+        for i, (message, _, _) in enumerate(stream):
+            if message.receiver in crashed:
+                kind = "crash_drop"
+            elif faults.link_is_down(message.sender, message.receiver):
+                kind = "link_drop"
+            else:
+                continue
+            faults.record(kind, time, sender=message.sender, receiver=message.receiver)
+            lost[i] = True
+    needs_fate = np.fromiter((entry[2] for entry in stream), dtype=bool, count=k)
+    fated = np.flatnonzero(~lost & needs_fate)
+    drop, fated_copies, fated_delay = faults.message_fates(
+        time,
+        [stream[i][0].sender for i in fated],
+        [stream[i][0].receiver for i in fated],
+    )
+    copies = np.where(lost, 0, 1)
+    copies[fated] = fated_copies
+    lost[fated] = drop
+    due = np.full(k, -1, dtype=np.int64)
+    due[fated] = np.where(fated_delay > 0, time + fated_delay, -1)
+    retried = np.flatnonzero(lost)
+    due[retried] = faults.retry_due(
+        time,
+        [stream[i][0].sender for i in retried],
+        [stream[i][0].receiver for i in retried],
+        [stream[i][1] for i in retried],
+    )
+    deliveries: List[Tuple[Message, int]] = []
+    deferrals: List[Tuple[int, Message, int]] = []
+    for (message, attempt, _), n, at, retry in zip(
+        stream, copies.tolist(), due.tolist(), lost.tolist()
+    ):
+        if n:
+            deliveries.append((message, n))
+        elif at >= 0:
+            deferrals.append((at, message, attempt + retry))
+    return deliveries, deferrals
 
 
 class RunStats:
@@ -260,11 +324,10 @@ class Network:
         self.faults: Optional[FaultSession] = (
             fault_plan.start(registry=self.metrics) if fault_plan is not None else None
         )
-        self._retry = fault_plan.retry if fault_plan is not None else None
         self._crashed: Set[Node] = set()
-        # Messages awaiting redelivery: (due_round, seq, message, attempt).
-        self._transit: List[Tuple[int, int, Message, int]] = []
-        self._transit_seq = 0
+        # Messages awaiting redelivery, in deferral order:
+        # (due_round, message, attempt).
+        self._transit: List[Tuple[int, Message, int]] = []
         for node in self.graph.nodes():
             self._install(node)
 
@@ -367,70 +430,27 @@ class Network:
         """Route fresh sends plus due retried/delayed messages through
         the fault session; returns (delivered, payload bytes)."""
         faults = self.faults
-        stream: List[Tuple[Message, int]] = [(m, 0) for m in messages]
+        stream: List[Tuple[Message, int, bool]] = [(m, 0, True) for m in messages]
         if self._transit:
             due = [entry for entry in self._transit if entry[0] <= self._round]
             self._transit = [entry for entry in self._transit if entry[0] > self._round]
-            for _, _, message, attempt in sorted(due, key=lambda entry: entry[1]):
-                stream.append((message, attempt))
+            stream.extend((message, attempt, True) for _, message, attempt in due)
+        stream = [entry for entry in stream if entry[0].receiver in self._inboxes]
+        deliveries, deferrals = route_faults(faults, self._round, stream, self._crashed)
+        self._transit.extend(deferrals)
         count = 0
         size = 0
-        for message, attempt in stream:
-            if message.receiver not in self._inboxes:
-                continue
-            if message.receiver in self._crashed:
-                faults.record(
-                    "crash_drop", self._round,
-                    sender=message.sender, receiver=message.receiver,
-                )
-                self._maybe_retry(message, attempt)
-                continue
-            if faults.link_is_down(message.sender, message.receiver):
-                faults.record(
-                    "link_drop", self._round,
-                    sender=message.sender, receiver=message.receiver,
-                )
-                self._maybe_retry(message, attempt)
-                continue
-            fate = faults.message_fate(self._round, message.sender, message.receiver)
-            if fate.drop:
-                self._maybe_retry(message, attempt)
-                continue
-            if fate.delay:
-                self._defer(self._round + fate.delay, message, attempt)
-                continue
-            for _ in range(1 + fate.duplicates):
-                self._inboxes[message.receiver].append(message)
-                count += 1
-                if measure:
-                    size += _payload_size(message.payload)
+        for message, copies in deliveries:
+            self._inboxes[message.receiver].extend([message] * copies)
+            count += copies
+            if measure:
+                size += copies * _payload_size(message.payload)
         for node in sorted(self._inboxes, key=repr):
             inbox = self._inboxes[node]
             permutation = faults.reorder_permutation(self._round, node, len(inbox))
             if permutation is not None:
                 inbox[:] = [inbox[i] for i in permutation]
         return count, size
-
-    def _defer(self, due_round: int, message: Message, attempt: int) -> None:
-        self._transit.append((due_round, self._transit_seq, message, attempt))
-        self._transit_seq += 1
-
-    def _maybe_retry(self, message: Message, attempt: int) -> None:
-        """Transport-level retransmission with capped exponential backoff."""
-        policy = self._retry
-        if policy is None:
-            return
-        if attempt >= policy.max_retries:
-            self.faults.record(
-                "retry_exhausted", self._round,
-                sender=message.sender, receiver=message.receiver,
-            )
-            return
-        self._defer(self._round + policy.delay(attempt), message, attempt + 1)
-        self.faults.record(
-            "retry", self._round,
-            sender=message.sender, receiver=message.receiver, attempt=attempt + 1,
-        )
 
     def initialize(self) -> None:
         """Run every node's :meth:`NodeAlgorithm.init` (round 0)."""

@@ -34,24 +34,22 @@ accounting rules it reproduces:
   delivering zero messages, so the trailing ``0`` in
   ``messages_per_round`` appears in both engines.
 
-Fault semantics: the engine consumes the same seeded
-:class:`~repro.faults.FaultPlan` stream, drawing per-edge fate masks
-in one vectorized batch per round — per-injector drop/duplicate/delay
-draws in the same order as
-:meth:`~repro.faults.plan.FaultSession.message_fate`, so each message
-sees the same marginal probabilities; the *interleaving* of draws
-differs from the scalar engine, so chaos runs assert convergence to
-the fault-free fixpoint rather than ledger-exact replay.  Reordering
-is accepted but is a semantic no-op here: every kernel merge is
-commutative and idempotent (that is what makes the protocols monotone
-under chaos), so inbox permutations cannot change any outcome and the
-engine does not draw them.  Crash/churn injectors need per-node
-lifecycle bookkeeping the array plane does not model — plans carrying
-them are rejected at construction with a pointer at the scalar
-``Network``.  Dropped messages follow the plan's
-:class:`~repro.faults.RetryPolicy` with the same capped exponential
-backoff, and delayed/retried messages carry their originally gathered
-payload values (stale values are harmless against monotone merges).
+Fault semantics: the engine routes its messages through the same
+:class:`~repro.faults.plan.FaultSession` calls as the scalar engine —
+one :meth:`~repro.faults.plan.FaultSession.message_fates` and one
+:meth:`~repro.faults.plan.FaultSession.retry_due` per round — over the
+same stream order: fresh slots sorted by the (sender, receiver) repr
+ranks the scalar outbox follows, then due transit in deferral order.
+Under reordering it draws each multi-message inbox's permutation in
+receiver repr order and discards it, since every kernel merge is
+commutative and idempotent.  So a chaos run is ledger-exact: the same
+plan gives the scalar run's ``RunStats``, final state and
+``ledger.digest()``.  Duplicates are counted, not materialised, and
+delayed/retried messages carry their originally gathered payload
+values (stale values are harmless against monotone merges).
+Crash/churn injectors need per-node lifecycle bookkeeping the array
+plane does not model — plans carrying them are rejected at
+construction with a pointer at the scalar ``Network``.
 """
 
 from __future__ import annotations
@@ -182,8 +180,6 @@ class VectorEngine:
         self._pending: Tuple[np.ndarray, Tuple[np.ndarray, ...]] = (_EMPTY, ())
         self._woken = np.zeros(self.n, dtype=bool)
         self.faults: Optional[FaultSession] = None
-        self._message_faults: List[MessageFaults] = []
-        self._retry_policy = None
         if fault_plan is not None:
             for injector in fault_plan.injectors:
                 if not isinstance(injector, MessageFaults):
@@ -193,15 +189,16 @@ class VectorEngine:
                         f"scalar Network"
                     )
             self.faults = fault_plan.start(registry=self.metrics)
-            self._message_faults = list(fault_plan.injectors)
-            self._retry_policy = fault_plan.retry
-        # Messages awaiting redelivery: (due_round, seq, slots, values,
-        # attempts) — slot-level entries carrying their original
-        # payload values.
+            self._reorders = any(f.reorder for f in fault_plan.injectors)
+            # Repr rank of each row: the scalar engine's stream order,
+            # which the fault draws must follow to replay exactly.
+            self._rank = fg._repr_ranks()
+        # Messages awaiting redelivery, in deferral order: (due_round,
+        # slots, values, attempts) — slot-level entries carrying their
+        # original payload values.
         self._transit: List[
-            Tuple[int, int, np.ndarray, Tuple[np.ndarray, ...], np.ndarray]
+            Tuple[int, np.ndarray, Tuple[np.ndarray, ...], np.ndarray]
         ] = []
-        self._transit_seq = 0
 
     # ------------------------------------------------------------------
     # CSR segment helpers (used by kernels)
@@ -265,100 +262,56 @@ class VectorEngine:
         self._pending = (delivered_slots, delivered_values)
         return count
 
-    def _fate_masks(
-        self, k: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched per-message fate draws, one per-injector pass in the
-        same order as :meth:`FaultSession.message_fate`."""
-        rng = self.faults.rng
-        drop = np.zeros(k, dtype=bool)
-        dup = np.zeros(k, dtype=np.int64)
-        delay = np.zeros(k, dtype=np.int64)
-        for fault in self._message_faults:
-            if fault.drop:
-                drop |= rng.random(k) < fault.drop
-            if fault.duplicate:
-                dup += rng.random(k) < fault.duplicate
-            if fault.delay:
-                mask = rng.random(k) < fault.delay
-                hits = int(mask.sum())
-                if hits:
-                    delay[mask] += rng.integers(
-                        1, fault.max_delay + 1, size=hits
-                    )
-        # A dropped message's other draws are moot (scalar returns the
-        # drop fate alone).
-        dup[drop] = 0
-        delay[drop] = 0
-        return drop, dup, delay
-
     def _deliver_with_faults(
         self, slots: np.ndarray, values: Tuple[np.ndarray, ...]
     ) -> Tuple[int, np.ndarray, Tuple[np.ndarray, ...]]:
+        """The scalar engine's fault routing over slot arrays: fresh
+        slots in (sender, receiver) repr order, then due transit in
+        deferral order, through one fate call and one retry call."""
         faults = self.faults
+        order = np.lexsort((self._rank[self.src[slots]], self._rank[self.indices[slots]]))
+        slots = slots[order]
+        values = tuple(v[order] for v in values)
         attempts = np.zeros(slots.size, dtype=np.int64)
         if self._transit:
             due = [e for e in self._transit if e[0] <= self._round]
             self._transit = [e for e in self._transit if e[0] > self._round]
             if due:
-                due.sort(key=lambda e: e[1])
-                slots = np.concatenate([slots] + [e[2] for e in due])
+                slots = np.concatenate([slots] + [e[1] for e in due])
                 values = tuple(
-                    np.concatenate([values[c]] + [e[3][c] for e in due])
+                    np.concatenate([values[c]] + [e[2][c] for e in due])
                     for c in range(len(values))
                 )
-                attempts = np.concatenate([attempts] + [e[4] for e in due])
-        k = slots.size
-        if k == 0:
-            return 0, _EMPTY, values
-        if self._message_faults:
-            drop, dup, delay = self._fate_masks(k)
-        else:
-            drop = np.zeros(k, dtype=bool)
-            dup = np.zeros(k, dtype=np.int64)
-            delay = np.zeros(k, dtype=np.int64)
+                attempts = np.concatenate([attempts] + [e[3] for e in due])
         nodes = self.fg.node_list
-        for i in np.flatnonzero(drop):
-            faults.record(
-                "drop", self._round,
-                sender=nodes[self.indices[slots[i]]],
-                receiver=nodes[self.src[slots[i]]],
-            )
+        senders, receivers = self.indices[slots], self.src[slots]
+        drop, copies, delay = faults.message_fates(
+            self._round, senders, receivers, nodes
+        )
+        due_rounds = np.where(delay > 0, self._round + delay, -1)
         dropped = np.flatnonzero(drop)
-        if dropped.size:
-            self._retry_dropped(
-                slots[dropped],
-                tuple(v[dropped] for v in values),
-                attempts[dropped],
-            )
-        deferred = ~drop & (delay > 0)
-        for i in np.flatnonzero(deferred):
-            faults.record(
-                "delay", self._round,
-                sender=nodes[self.indices[slots[i]]],
-                receiver=nodes[self.src[slots[i]]],
-                rounds=int(delay[i]),
-            )
-        if deferred.any():
-            self._defer_groups(
-                self._round + delay[deferred],
-                slots[deferred],
-                tuple(v[deferred] for v in values),
-                attempts[deferred],
-            )
-        keep = ~drop & (delay == 0)
-        for i in np.flatnonzero(keep & (dup > 0)):
-            faults.record(
-                "duplicate", self._round,
-                sender=nodes[self.indices[slots[i]]],
-                receiver=nodes[self.src[slots[i]]],
-                copies=int(dup[i]),
-            )
+        due_rounds[dropped] = faults.retry_due(
+            self._round, senders[dropped], receivers[dropped], attempts[dropped], nodes
+        )
+        deferred = due_rounds >= 0
+        self._defer_groups(
+            due_rounds[deferred],
+            slots[deferred],
+            tuple(v[deferred] for v in values),
+            attempts[deferred] + drop[deferred],
+        )
+        keep = copies > 0
+        if self._reorders:
+            # Merges commute, so the permutations are drawn (to keep the
+            # scalar engine's stream) and discarded.
+            sizes = np.bincount(receivers[keep], weights=copies[keep], minlength=self.n)
+            rows = np.flatnonzero(sizes >= 2)
+            for row in rows[np.argsort(self._rank[rows])].tolist():
+                faults.reorder_permutation(self._round, nodes[row], int(sizes[row]))
         # Duplicates count toward delivery totals but are not
         # materialised: every kernel merge is idempotent, so the extra
         # copies cannot change state (the monotonicity argument).
-        count = int(keep.sum() + dup[keep].sum())
-        return count, slots[keep], tuple(v[keep] for v in values)
+        return int(copies.sum()), slots[keep], tuple(v[keep] for v in values)
 
     def _defer_groups(
         self,
@@ -370,53 +323,8 @@ class VectorEngine:
         for due in np.unique(due_rounds):
             mask = due_rounds == due
             self._transit.append(
-                (
-                    int(due),
-                    self._transit_seq,
-                    slots[mask],
-                    tuple(v[mask] for v in values),
-                    attempts[mask],
-                )
+                (int(due), slots[mask], tuple(v[mask] for v in values), attempts[mask])
             )
-            self._transit_seq += 1
-
-    def _retry_dropped(
-        self,
-        slots: np.ndarray,
-        values: Tuple[np.ndarray, ...],
-        attempts: np.ndarray,
-    ) -> None:
-        """Vectorized transport retransmission with the scalar path's
-        capped exponential backoff."""
-        policy = self._retry_policy
-        faults = self.faults
-        nodes = self.fg.node_list
-        if policy is None:
-            return
-        exhausted = attempts >= policy.max_retries
-        for i in np.flatnonzero(exhausted):
-            faults.record(
-                "retry_exhausted", self._round,
-                sender=nodes[self.indices[slots[i]]],
-                receiver=nodes[self.src[slots[i]]],
-            )
-        keep = ~exhausted
-        if not keep.any():
-            return
-        slots = slots[keep]
-        values = tuple(v[keep] for v in values)
-        attempts = attempts[keep]
-        delays = np.minimum(
-            policy.base_delay * np.power(2, attempts), policy.max_delay
-        )
-        for i in range(slots.size):
-            faults.record(
-                "retry", self._round,
-                sender=nodes[self.indices[slots[i]]],
-                receiver=nodes[self.src[slots[i]]],
-                attempt=int(attempts[i]) + 1,
-            )
-        self._defer_groups(self._round + delays, slots, values, attempts + 1)
 
     # ------------------------------------------------------------------
     # execution
@@ -463,7 +371,7 @@ class VectorEngine:
             span.set_attribute("active_nodes", int(active.size))
             span.set_attribute("messages", delivered)
         self.metrics.gauge("repro.runtime.in_flight").set(
-            sum(entry[2].size for entry in self._transit)
+            sum(entry[1].size for entry in self._transit)
         )
 
     def run(self, max_rounds: int = 10_000) -> RunStats:

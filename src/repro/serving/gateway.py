@@ -40,8 +40,10 @@ request, whichever deque it waits in, so ordering semantics are
 unchanged.  Untagged mutations share one default writer lane.
 
 Chaos testing hooks into :mod:`repro.faults`: give the gateway a
-:class:`~repro.faults.plan.FaultPlan` and each flush consults the
-deterministic fault session.  A ``reorder`` fate permutes the batch, a
+:class:`~repro.faults.plan.FaultPlan` and each flush draws the whole
+batch's fates from the deterministic fault session in one
+:meth:`~repro.faults.plan.FaultSession.message_fates` call.  A
+``reorder`` fate permutes the batch, a
 ``delay`` fate yields the event loop before answering, and a ``drop``
 fate models a mid-batch crash — the dropped request and everything
 after it in the batch are re-queued (counted in
@@ -69,7 +71,7 @@ from typing import Any, Deque, Dict, FrozenSet, Hashable, List, Optional, Set, T
 import numpy as np
 
 from repro.errors import EdgeNotFoundError
-from repro.faults.plan import DELIVER, FaultPlan, FaultSession
+from repro.faults.plan import FaultPlan, FaultSession
 from repro.observability.telemetry import (
     record_adaptive_deadline,
     record_batch_writers,
@@ -654,20 +656,19 @@ class ServingGateway:
             if perm is not None:
                 batch = [batch[i] for i in perm]
         levels: Dict[Node, Tuple[int, np.ndarray]] = {}
+        drop = np.zeros(len(batch), dtype=bool)
+        delay = np.zeros(len(batch), dtype=np.int64)
+        if chaos:
+            drop, _, delay = self._session.message_fates(
+                self.batches_flushed,
+                ["gateway"] * len(batch),
+                [f"q{request.seq}" for request in batch],
+            )
         crashed = False
-        for request in batch:
+        for request, lost, wait in zip(batch, drop.tolist(), delay.tolist()):
+            # A drop is the crash point: everything after it is lost too.
+            crashed = crashed or lost
             if crashed:
-                # Everything after the crash point is lost with it.
-                self._retry.append(request)
-                record_serving_retry()
-                continue
-            fate = DELIVER
-            if chaos:
-                fate = self._session.message_fate(
-                    self.batches_flushed, "gateway", f"q{request.seq}"
-                )
-            if fate.drop:
-                crashed = True
                 self._retry.append(request)
                 record_serving_retry()
                 continue
@@ -677,7 +678,7 @@ class ServingGateway:
                 if not request.future.done():
                     request.future.set_exception(error)
                 continue
-            for _ in range(fate.delay):
+            for _ in range(wait):
                 await asyncio.sleep(0)
             if not request.future.done():
                 request.future.set_result(result)

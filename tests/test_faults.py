@@ -33,13 +33,14 @@ from repro.faults import (
 from repro.graphs.generators import path_graph
 from repro.labeling.safety import compute_safety_levels
 from repro.labeling.safety_distributed import distributed_safety_levels
-from repro.layering.link_reversal import paper_fig4_graph
+from repro.layering.link_reversal import initial_heights, paper_fig4_graph
 from repro.layering.link_reversal_distributed import (
     LinkReversalAlgorithm,
     distributed_full_reversal,
 )
 from repro.runtime.async_engine import AsyncNetwork
-from repro.runtime.engine import Network
+from repro.runtime.engine import Network, NodeAlgorithm
+from repro.runtime.vector import FullReversalKernel, VectorEngine
 from tests.test_runtime import Flood, Spinner
 
 CHAOS = MessageFaults(drop=0.1, duplicate=0.05, reorder=0.2)
@@ -214,4 +215,156 @@ class TestConvergenceUnderFaults:
         network = Network(path_graph(2), lambda node: Flood(0), fault_plan=plan)
         network.run()
         assert network.states("informed")[1] is False
-        assert network.faults.summary()["retry_exhausted"] >= 1
+        # One message: one retry, then one exhaustion record.
+        assert network.faults.summary() == {
+            "drop": 2, "retry": 1, "retry_exhausted": 1,
+        }
+
+
+class Recording(NodeAlgorithm):
+    """Wraps an algorithm and keeps every message it is handed."""
+
+    def __init__(self, inner, inboxes):
+        self.inner = inner
+        self.inboxes = inboxes
+
+    def init(self, ctx):
+        self.inner.init(ctx)
+
+    def step(self, ctx):
+        self.inboxes.extend(ctx.inbox)
+        self.inner.step(ctx)
+
+
+class TestMessageFates:
+    """The one message-fate path: ``FaultSession.message_fates`` draws
+    for every engine, and ``retry_due`` applies the retry policy."""
+
+    @pytest.mark.parametrize(
+        "injectors,k",
+        [([CHAOS], 0), ([], 5), ([NodeCrashFaults(rate=0.5)], 5)],
+    )
+    def test_no_draw_without_messages_or_message_faults(self, injectors, k):
+        session = FaultPlan(1, injectors).start()
+        before = session.rng.bit_generator.state
+        drop, copies, delay = session.message_fates(0, range(k), range(k))
+        assert session.rng.bit_generator.state == before
+        assert len(session.ledger) == 0
+        assert not drop.any() and not delay.any()
+        assert copies.tolist() == [1] * k
+
+    def test_fate_rates_over_many_draws(self):
+        k = 100_000
+        fault = MessageFaults(drop=0.2, duplicate=0.3, delay=0.25, max_delay=3)
+        session = FaultPlan(5, [fault]).start()
+        drop, copies, delay = session.message_fates(
+            0, np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64),
+            nodes=["a", "b"],
+        )
+        delayed = delay > 0
+        # One rule: a drop wins, then a delay (which carries no
+        # duplicate), and only a prompt delivery can be duplicated.
+        assert abs(drop.mean() - 0.2) < 0.01
+        assert abs(delayed.mean() - 0.8 * 0.25) < 0.01
+        assert abs((copies == 2).mean() - 0.8 * 0.75 * 0.3) < 0.01
+        assert set(delay[delayed].tolist()) == {1, 2, 3}
+        assert session.summary() == {
+            "drop": int(drop.sum()),
+            "delay": int(delayed.sum()),
+            "duplicate": int((copies == 2).sum()),
+        }
+
+    def test_one_event_per_attempt_in_message_order(self):
+        # Every attempt draws a duplicate, so each records exactly one
+        # event — and a dropped or delayed one must not record it.
+        session = FaultPlan(
+            3,
+            [MessageFaults(drop=0.4, duplicate=1.0), MessageFaults(delay=0.5)],
+        ).start()
+        k = 1000
+        drop, copies, delay = session.message_fates(
+            0, list(range(k)), [f"r{i}" for i in range(k)]
+        )
+        events = session.ledger.events
+        assert [dict(e.detail)["sender"] for e in events] == list(range(k))
+        for i, event in enumerate(events):
+            assert dict(event.detail)["receiver"] == f"r{i}"
+            if drop[i]:
+                assert (event.kind, copies[i], delay[i]) == ("drop", 0, 0)
+            elif delay[i]:
+                assert (event.kind, copies[i]) == ("delay", 0)
+            else:
+                assert (event.kind, copies[i]) == ("duplicate", 2)
+
+    def test_retry_due_backs_off_then_exhausts_once(self):
+        plan = FaultPlan(0, retry=RetryPolicy(max_retries=2, max_delay=8))
+        session = plan.start()
+        due = session.retry_due(10, ["a", "b", "c"], ["x", "y", "z"], [0, 1, 2])
+        assert due.tolist() == [11, 12, -1]
+        assert session.ledger.lines() == [
+            "0 t=10 retry attempt=1 receiver='x' sender='a'",
+            "1 t=10 retry attempt=2 receiver='y' sender='b'",
+            "2 t=10 retry_exhausted receiver='z' sender='c'",
+        ]
+        no_policy = FaultPlan(0).start()
+        assert no_policy.retry_due(10, ["a"], ["x"], [0]).tolist() == [-1]
+        assert len(no_policy.ledger) == 0
+
+    @pytest.mark.parametrize("engine", ["Network", "AsyncNetwork", "VectorEngine"])
+    def test_recorded_duplicates_are_delivered(self, engine):
+        """The copies summed over ``duplicate`` events equal the extra
+        copies the engine actually delivered (no ghost duplicates)."""
+        graph = path_graph(6)
+        heights = initial_heights(graph, 5)
+        plan = FaultPlan(
+            3, [MessageFaults(duplicate=1.0, delay=0.5)], retry=RetryPolicy(4)
+        )
+        seen = []
+        if engine == "Network":
+            network = Network(
+                graph,
+                lambda node: Recording(
+                    LinkReversalAlgorithm(node == 5, heights[node]), seen
+                ),
+                fault_plan=plan,
+            )
+        elif engine == "AsyncNetwork":
+            network = AsyncNetwork(
+                path_graph(10),
+                lambda node: Recording(Flood(0), seen),
+                rng=np.random.default_rng(0),
+                max_delay=2,
+                fault_plan=FaultPlan(
+                    7,
+                    [MessageFaults(drop=0.5, duplicate=1.0)],
+                    retry=RetryPolicy(8),
+                ),
+            )
+        else:
+            fg = graph.frozen()
+            kernel = FullReversalKernel(
+                fg.index_of(5),
+                np.array([heights[node][0] for node in fg.node_list]),
+                np.array([heights[node][1] for node in fg.node_list]),
+            )
+            network = VectorEngine(fg, kernel, fault_plan=plan)
+            step = kernel.step
+
+            def recording_step(round_number, active, slots, values):
+                seen.extend(slots.tolist())
+                return step(round_number, active, slots, values)
+
+            kernel.step = recording_step
+        network.run()
+        if engine == "VectorEngine":
+            # Duplicates are counted, not materialised, on the array plane.
+            extra = network.stats.messages_sent - len(seen)
+        else:
+            extra = len(seen) - len({id(message) for message in seen})
+        recorded = sum(
+            dict(event.detail)["copies"]
+            for event in network.faults.ledger.events
+            if event.kind == "duplicate"
+        )
+        assert recorded > 0
+        assert recorded == extra

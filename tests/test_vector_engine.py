@@ -5,17 +5,17 @@ family, every topology, and every seed, a fault-free vector run matches
 the scalar :class:`~repro.runtime.engine.Network` **bit-exactly** —
 final state, round count, total messages, and per-round message counts
 (``RunStats`` equality) — and a chaos run under the same seeded
-:class:`~repro.faults.FaultPlan` still converges to the fault-free
-fixpoint (the `tests/test_faults.py` claims, re-certified on the
-vector engine).  Topologies deliberately straddle the
-``FROZEN_MIN_NODES`` dispatch gate so both the reference and fast
-sides of every consumer kernel get exercised.
+:class:`~repro.faults.FaultPlan` replays the scalar run exactly: equal
+``RunStats``, equal final state and the same fault-ledger digest, at
+the fault-free fixpoint whenever no retry was exhausted.  Topologies
+deliberately straddle the ``FROZEN_MIN_NODES`` dispatch gate so both
+the reference and fast sides of every consumer kernel get exercised.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, ConvergenceError
 from repro.faults import (
     CrashEvent,
     FaultPlan,
@@ -276,79 +276,166 @@ class TestMISParity:
         assert s_rounds == v_rounds
 
 
+def reversal_case(protocol, topology, seed):
+    """Scalar algorithm, vector kernel and state readers for one link-
+    reversal cell, on graphs whose repr order differs from index order
+    (int labels past 9) or is tuple-valued (the hypercube)."""
+    graph = {
+        "path-large": lambda: path_graph(40),
+        "random-large": lambda: random_connected_graph(
+            48, 0.08, rng=np.random.default_rng(seed)
+        ),
+        "hypercube": lambda: binary_hypercube(4),
+    }[topology]()
+    destination = sorted(graph.nodes(), key=repr)[-1]
+    heights = stale_heights(graph, destination, seed)
+    fg = graph.frozen()
+    target = fg.index_of(destination)
+    if protocol == "full-reversal":
+        column = lambda k: np.array([heights[node][k] for node in fg.node_list])
+        return (
+            graph,
+            lambda node: LinkReversalAlgorithm(node == destination, heights[node]),
+            fg,
+            lambda: FullReversalKernel(target, column(0), column(-1)),
+            lambda network, node: (
+                tuple(network.state_of(node)["height"]),
+                network.state_of(node)["reversals"],
+            ),
+            lambda kernel, i: (
+                (int(kernel.level[i]), int(kernel.tie[i])),
+                int(kernel.reversals[i]),
+            ),
+        )
+    heights = lift_partial_heights(heights)
+    column = lambda k: np.array([heights[node][k] for node in fg.node_list])
+    return (
+        graph,
+        lambda node: PartialReversalAlgorithm(node == destination, heights[node]),
+        fg,
+        lambda: PartialReversalKernel(target, column(0), column(1), column(2)),
+        lambda network, node: (
+            tuple(network.state_of(node)["height"]),
+            network.state_of(node)["reversals"],
+        ),
+        lambda kernel, i: (
+            (int(kernel.a[i]), int(kernel.b[i]), int(kernel.ids[i])),
+            int(kernel.reversals[i]),
+        ),
+    )
+
+
+def safety_case(seed):
+    """The safety-level cell: the 4-cube with a seeded faulty set."""
+    dimension = 4
+    addresses = list(binary_addresses(dimension))
+    rng = np.random.default_rng(seed)
+    faulty = {addresses[int(i)] for i in rng.choice(len(addresses), 3, replace=False)}
+    fg = hypercube_frozen(dimension)
+    return (
+        binary_hypercube(dimension),
+        lambda node: SafetyLevelAlgorithm(dimension, node in faulty),
+        fg,
+        lambda: SafetyLevelKernel(
+            dimension, np.array([node in faulty for node in fg.node_list])
+        ),
+        lambda network, node: network.state_of(node)["level"],
+        lambda kernel, i: int(kernel.level[i]),
+    )
+
+
+CHAOS_PLANS = {
+    "chaos": lambda seed: FaultPlan(seed, [CHAOS], retry=RETRY),
+    "drop-delay-dup": lambda seed: FaultPlan(
+        seed, [MessageFaults(drop=0.2, duplicate=0.1, delay=0.2)], retry=RETRY
+    ),
+    "exhaustion": lambda seed: FaultPlan(
+        seed,
+        [MessageFaults(drop=0.3, duplicate=0.1, delay=0.1)],
+        retry=RetryPolicy(max_retries=1),
+    ),
+}
+CHAOS_CELLS = [
+    (protocol, topology)
+    for protocol in ("full-reversal", "partial-reversal")
+    for topology in ("path-large", "random-large", "hypercube")
+] + [("safety-levels", "hypercube")]
+
+
+def run_to_quiescence(engine, max_rounds=500):
+    """(stats, converged): an exhausted retry can strand a protocol
+    waiting forever, and then both engines must strand identically."""
+    try:
+        engine.run(max_rounds=max_rounds)
+    except ConvergenceError:
+        return engine.stats, False
+    return engine.stats, True
+
+
 class TestChaosOnVectorEngine:
-    """The tests/test_faults.py convergence claims, on the vector plane."""
+    """Scalar and vector chaos runs replay the same fault ledger."""
 
-    def test_link_reversal_reaches_fault_free_fixpoint(self):
-        graph, destination, heights = paper_fig4_graph()
-        _, clean_heights, clean_reversals, _ = vector_full_reversal(
-            graph, destination, heights
-        )
-        for seed in range(8):
-            orientation, faulty_heights, faulty_reversals, _ = (
-                vector_full_reversal(
-                    graph,
-                    destination,
-                    heights,
-                    fault_plan=FaultPlan(seed, [CHAOS], retry=RETRY),
-                )
-            )
-            assert faulty_heights == clean_heights
-            assert faulty_reversals == clean_reversals
-            assert orientation.is_destination_oriented(destination)
+    @pytest.mark.parametrize("plan", sorted(CHAOS_PLANS))
+    @pytest.mark.parametrize("protocol,topology", CHAOS_CELLS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ledger_exact_replay_across_engines(self, protocol, topology, plan, seed):
+        if protocol == "safety-levels":
+            case = safety_case(seed)
+        else:
+            case = reversal_case(protocol, topology, seed)
+        graph, algorithm, fg, kernel, scalar_state, vector_state = case
 
-    def test_partial_reversal_reaches_fault_free_fixpoint(self):
-        graph, destination, heights = paper_fig4_graph()
-        _, clean_heights, clean_reversals, _ = vector_partial_reversal(
-            graph, destination, heights
-        )
-        for seed in range(8):
-            orientation, faulty_heights, faulty_reversals, _ = (
-                vector_partial_reversal(
-                    graph,
-                    destination,
-                    heights,
-                    fault_plan=FaultPlan(seed, [CHAOS], retry=RETRY),
-                )
-            )
-            assert faulty_heights == clean_heights
-            assert faulty_reversals == clean_reversals
-            assert orientation.is_destination_oriented(destination)
+        def states(fault_plan):
+            network = Network(graph, algorithm, fault_plan=fault_plan)
+            scalar = run_to_quiescence(network)
+            engine = VectorEngine(fg, kernel(), fault_plan=fault_plan)
+            vector = run_to_quiescence(engine)
+            assert scalar == vector
+            s_state = {node: scalar_state(network, node) for node in graph.nodes()}
+            v_state = {
+                node: vector_state(engine.kernel, i)
+                for i, node in enumerate(fg.node_list)
+            }
+            assert s_state == v_state
+            return network.faults, engine, s_state, scalar[1]
 
-    def test_safety_labeling_matches_centralized_oracle(self):
-        from repro.labeling.safety import paper_fig9_faults
-
-        dimension, faulty = paper_fig9_faults()
-        oracle = compute_safety_levels(dimension, faulty)
-        for seed in range(8):
-            levels, _ = vector_safety_levels(
-                dimension,
-                faulty,
-                fault_plan=FaultPlan(seed, [CHAOS], retry=RETRY),
-            )
-            assert levels == oracle.levels
-
-    def test_same_plan_seed_feeds_both_engines(self):
-        """One FaultPlan value drives either engine (same seed stream
-        origin), and the vector session records the same event kinds."""
-        graph, destination, heights = paper_fig4_graph()
-        plan = FaultPlan(42, [MessageFaults(drop=0.2, delay=0.2)], retry=RETRY)
-        distributed_full_reversal(graph, destination, heights, fault_plan=plan)
-        fg = graph.frozen()
-        nodes = fg.node_list
-        kernel = FullReversalKernel(
-            fg.index_of(destination),
-            np.array([heights[node][0] for node in nodes]),
-            np.array([heights[node][-1] for node in nodes]),
-        )
-        engine = VectorEngine(fg, kernel, fault_plan=plan)
-        engine.run(max_rounds=100_000)
+        _, _, fixpoint, _ = states(None)
+        s_faults, engine, faulty_state, converged = states(CHAOS_PLANS[plan](seed))
+        assert s_faults.ledger.digest() == engine.faults.ledger.digest()
         summary = engine.faults.summary()
-        assert summary.get("drop", 0) > 0
-        assert summary.get("delay", 0) > 0
         snapshot = engine.metrics.snapshot()
         for kind, count in summary.items():
             assert snapshot[f"repro.faults.{kind}"] == count
+        assert summary.get("drop", 0) > 0
+        exhausted = summary.get("retry_exhausted", 0)
+        if plan == "exhaustion":
+            assert exhausted
+        else:
+            assert not exhausted
+            assert converged
+            assert faulty_state == fixpoint
+
+    def test_entry_points_pass_the_plan_through(self):
+        """The vector wrappers under chaos equal the scalar wrappers
+        under the same plan, which reach the fault-free fixpoint."""
+        from repro.labeling.safety import paper_fig9_faults
+
+        plan = FaultPlan(42, [CHAOS], retry=RETRY)
+        graph, destination, heights = paper_fig4_graph()
+        for scalar, vector in (
+            (distributed_full_reversal, vector_full_reversal),
+            (distributed_partial_reversal, vector_partial_reversal),
+        ):
+            clean = scalar(graph, destination, heights)[1:3]
+            s_result = scalar(graph, destination, heights, fault_plan=plan)
+            v_result = vector(graph, destination, heights, fault_plan=plan)
+            assert v_result[1:] == s_result[1:]
+            assert v_result[1:3] == clean
+            assert v_result[0].is_destination_oriented(destination)
+        dimension, faulty = paper_fig9_faults()
+        levels = vector_safety_levels(dimension, faulty, fault_plan=plan)
+        assert levels == distributed_safety_levels(dimension, faulty, fault_plan=plan)
+        assert levels[0] == compute_safety_levels(dimension, faulty).levels
 
     def test_crash_and_churn_plans_are_rejected(self):
         fg = path_graph(8).frozen()
