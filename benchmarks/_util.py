@@ -36,8 +36,6 @@ from repro.observability import (
     get_registry,
     get_tracer,
     load_history,
-    record_dispatch,
-    shm_counts,
     write_atomic,
 )
 from repro.observability import append_history as _append_history
@@ -79,7 +77,6 @@ def run_sweep(
     items: Iterable[_Item],
     fn: Callable[[_Item], _Result],
     jobs: Optional[int] = None,
-    shared: Optional[Any] = None,
 ) -> List[_Result]:
     """Map ``fn`` over independent sweep points, optionally in parallel.
 
@@ -89,16 +86,6 @@ def run_sweep(
     preserves submission order, so the returned rows are in the same
     deterministic order either way.  ``fn`` must be a module-level
     callable (picklable) for the parallel path.
-
-    ``shared`` is the scale-out hook: pass a
-    :class:`repro.graphs.shm.SharedHandle` (e.g.
-    ``fg.to_shared().handle``) and ``fn`` is called as
-    ``fn(item, attached)`` where ``attached`` is the reconstructed
-    snapshot — zero-copy views over the published segment.  Workers
-    attach once per process (the per-process cache turns later tasks
-    into ``reuse`` events) instead of unpickling a full graph per task,
-    and each attach is counted as
-    ``repro.dispatch.calls{kernel=benchmarks.run_sweep,path=shm-attach}``.
 
     Parallel runs share the machine's cores, so use ``jobs > 1`` for
     throughput sweeps (e.g. per-TTL DTN simulations), not for
@@ -112,14 +99,7 @@ def run_sweep(
     """
     item_list = list(items)
     if not jobs or jobs <= 1 or len(item_list) <= 1:
-        if shared is None:
-            return [fn(item) for item in item_list]
-        results = []
-        for item in item_list:
-            attached = shared.attach()
-            record_dispatch("benchmarks.run_sweep", path="shm-attach")
-            results.append(fn(item, attached))
-        return results
+        return [fn(item) for item in item_list]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from functools import partial
@@ -127,9 +107,7 @@ def run_sweep(
     context = multiprocessing.get_context("fork")
     workers = min(jobs, len(item_list))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        outcomes = list(
-            pool.map(partial(_run_sweep_worker, fn, shared), item_list)
-        )
+        outcomes = list(pool.map(partial(_run_sweep_worker, fn), item_list))
     registry = get_registry()
     results: List[_Result] = []
     for result, state in outcomes:
@@ -138,9 +116,7 @@ def run_sweep(
     return results
 
 
-def _run_sweep_worker(
-    fn: Callable[..., _Result], shared: Optional[Any], item: _Item
-):
+def _run_sweep_worker(fn: Callable[[_Item], _Result], item: _Item):
     """Run one sweep point against a fresh global registry and return
     ``(result, registry state)``.
 
@@ -148,21 +124,11 @@ def _run_sweep_worker(
     an empty registry first means the shipped state holds only what
     *this* point recorded, so the parent-side merge never double-counts
     pre-fork series.
-
-    With a ``shared`` handle the worker attaches the published snapshot
-    (cached per process — the segment is mapped once, every later task
-    is a telemetry ``reuse``) and passes it to ``fn`` as a second
-    argument; the graph itself never rides inside the task pickle.
     """
     worker_registry = MetricsRegistry("sweep-worker")
     previous = set_registry(worker_registry)
     try:
-        if shared is None:
-            result = fn(item)
-        else:
-            attached = shared.attach()
-            record_dispatch("benchmarks.run_sweep", path="shm-attach")
-            result = fn(item, attached)
+        result = fn(item)
     finally:
         set_registry(previous)
     return result, worker_registry.dump_state()
@@ -320,7 +286,6 @@ def emit_table(
         cache=cache_counts(),
         dispatch=dispatch_counts(),
         memory=get_tracer().memory_summary(),
-        shm=shm_counts(),
     )
     prior = load_history(history_path, experiment=experiment)
     _append_history(history_path, record)

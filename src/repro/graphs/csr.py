@@ -39,7 +39,6 @@ from repro.observability.telemetry import (
     record_cache_event,
     record_dispatch,
     record_shard,
-    record_spill,
 )
 
 Node = Hashable
@@ -56,15 +55,13 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: uint64 frontier words).
 _BITSET_BATCH = 256
 
-#: Distance cap for the int16 out-of-core level blocks (any BFS depth
-#: beyond this would overflow the spill dtype).
-_LEVEL_MAX = np.iinfo(np.int16).max - 1
-
 
 @dataclass(frozen=True)
 class ShardPlan:
     """A bounded-memory streaming plan for one source-sharded sweep.
 
+    Planned by :func:`shard_sources` for the bit-parallel sum,
+    eccentricity, closeness and label kernels and for batched routing.
     ``batch`` sources advance together per shard; ``est_shard_bytes``
     is the planner's estimate of one shard's transient working set
     (frontier/visited/next bit planes, the flat edge gather, and the
@@ -94,15 +91,13 @@ def shard_sources(
     edges: int = 0,
     max_batch: int = _BITSET_BATCH,
     align: int = 64,
-    levels: bool = False,
 ) -> ShardPlan:
     """Plan source shards whose sweep working set fits ``memory_budget``.
 
     The bit-parallel kernels materialize, per shard of ``b`` sources
     over a graph with ``n`` nodes and ``edges`` CSR entries, roughly
     ``ceil(b / 64) * 8 * (4n + edges)`` bytes of uint64 bit planes and
-    edge gathers plus ``n * b`` bytes of per-level unpack (``4x`` that
-    when a full level block is kept, ``levels=True``).  The planner
+    edge gathers plus ``n * b`` bytes of per-level unpack.  The planner
     returns the largest batch (a multiple of ``align``, at most
     ``max_batch``) whose estimate fits the budget; with no budget the
     historical :data:`_BITSET_BATCH` default stands.
@@ -114,7 +109,7 @@ def shard_sources(
 
     def estimate(b: int) -> int:
         words = (b + 63) // 64
-        return words * 8 * (4 * n + edges) + n * b * (4 if levels else 1)
+        return words * 8 * (4 * n + edges) + n * b
 
     batch = max(align, (max_batch // align) * align)
     feasible = True
@@ -212,20 +207,20 @@ class FrozenGraph:
         generation: int = -1,
         copy: bool = True,
         validate: bool = True,
-        dispatch_path: Optional[str] = "arrays",
+        dispatch_path: str = "arrays",
     ) -> "FrozenGraph":
         """Build a snapshot directly from CSR arrays — no dict graph.
 
-        The scale-out constructor: million-node generators and
-        shared-memory attachment both produce CSR columns natively, and
-        routing them through a dict-of-sets :class:`Graph` would cost
-        O(n + m) Python objects.  ``node_list=None`` means the identity
-        labeling ``0..n-1`` (materialized lazily).  ``copy=False``
-        adopts the arrays as-is (they must be int64 and, for the
-        kernels' tie-break guarantees, row-sorted); ``validate``
-        checks the CSR invariants and row sortedness.  ``dispatch_path``
-        labels the ``graphs.freeze`` dispatch count (``None`` skips it —
-        used by callers that record their own label, e.g. shm attach).
+        For producers that build CSR columns natively (the degree-ordered
+        generator, the hypercube builder, the patch merge), where routing
+        through a dict-of-sets :class:`Graph` would cost O(n + m) Python
+        objects.  ``node_list=None`` means the identity labeling
+        ``0..n-1`` (materialized lazily).  ``copy=False`` adopts the
+        arrays as-is (they must be int64 and, for ``edge_slot`` and the
+        kernels' tie-break guarantees, row-sorted); ``validate`` checks
+        the CSR invariants and that every row is strictly increasing
+        (sorted, no repeated neighbour).  ``dispatch_path`` labels the
+        ``graphs.freeze`` dispatch count.
         """
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
@@ -244,6 +239,9 @@ class FrozenGraph:
                 int(indices.min()) < 0 or int(indices.max()) >= n
             ):
                 raise ValueError("indices must be valid node positions")
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+            if np.any(np.diff(rows * n + indices) <= 0):
+                raise ValueError("each row of indices must be strictly increasing")
         fg = cls.__new__(cls)
         fg.directed = bool(directed)
         fg._nodes = list(node_list) if node_list is not None else None
@@ -260,37 +258,8 @@ class FrozenGraph:
         fg._edge_src = None
         fg._repr_rank = None
         fg._segments = None
-        if dispatch_path is not None:
-            record_dispatch("graphs.freeze", path=dispatch_path)
+        record_dispatch("graphs.freeze", path=dispatch_path)
         return fg
-
-    # ------------------------------------------------------------------
-    # shared-memory publication (repro.graphs.shm)
-    # ------------------------------------------------------------------
-    def to_shared(self, backend: Optional[str] = None):
-        """Publish this snapshot's arrays into shared memory.
-
-        Returns a :class:`repro.graphs.shm.SharedSnapshot` owner whose
-        ``handle`` is a compact picklable ticket: workers call
-        :meth:`from_shared` (or ``handle.attach()``) to reconstruct a
-        read-only zero-copy view of the same CSR pages.  The owner must
-        ``close()`` (or exit its ``with`` block) to unlink the segment.
-        """
-        from repro.graphs import shm
-
-        return shm.share_graph(self, backend=backend)
-
-    @classmethod
-    def from_shared(cls, handle) -> "FrozenGraph":
-        """Attach a snapshot published by :meth:`to_shared` (zero copy).
-
-        The returned snapshot's arrays are read-only views over the
-        shared segment; per-process attachments are cached, so repeated
-        calls with the same handle return the same object.
-        """
-        from repro.graphs import shm
-
-        return shm.attach_cached(handle)
 
     # ------------------------------------------------------------------
     # basics
@@ -500,7 +469,6 @@ class FrozenGraph:
         self,
         n_sources: int,
         memory_budget: Optional[int],
-        levels: bool = False,
     ) -> ShardPlan:
         """The shard plan for a bitset sweep over this snapshot."""
         return shard_sources(
@@ -508,7 +476,6 @@ class FrozenGraph:
             memory_budget=memory_budget,
             n=self.n,
             edges=int(self.indices.shape[0]),
-            levels=levels,
         )
 
     def _source_array(
@@ -596,94 +563,6 @@ class FrozenGraph:
         ):
             sums[out] = shard_sums
         return sums
-
-    def _bitset_level_block(self, sources: np.ndarray) -> np.ndarray:
-        """Full per-source BFS level block for one shard, shape (n, batch).
-
-        Same frontier mechanics as :meth:`_bitset_sweep`, but the fresh
-        bits of every depth are unpacked into an int16 level matrix —
-        the unit the out-of-core distance table spills shard by shard.
-        Unreachable entries stay -1.
-        """
-        batch = sources.shape[0]
-        words = (batch + 63) // 64
-        n = self.n
-        cols = np.arange(batch, dtype=np.int64)
-        frontier = np.zeros((n, words), dtype=np.uint64)
-        bits = np.left_shift(np.uint64(1), (cols % 64).astype(np.uint64))
-        np.bitwise_or.at(frontier, (sources, cols // 64), bits)
-        visited = frontier.copy()
-        levels = np.full((n, batch), _UNREACHABLE, dtype=np.int16)
-        levels[sources, cols] = 0
-        rows, starts = self._row_segments()
-        indices = self.indices
-        depth = 0
-        while True:
-            nxt = np.zeros((n, words), dtype=np.uint64)
-            if rows.size:
-                nxt[rows] = np.bitwise_or.reduceat(
-                    frontier[indices], starts, axis=0
-                )
-            np.bitwise_and(nxt, ~visited, out=nxt)
-            if not nxt.any():
-                break
-            depth += 1
-            if depth > _LEVEL_MAX:  # pragma: no cover - needs a 32k-hop path
-                raise AlgorithmError(
-                    "BFS depth overflows the int16 level block"
-                )
-            visited |= nxt
-            fresh = np.unpackbits(
-                nxt.view(np.uint8), axis=1, bitorder="little"
-            )[:, :batch].view(bool)
-            levels[fresh] = depth
-            frontier = nxt
-        return levels
-
-    def all_pairs_distance_table(
-        self,
-        sources: Optional[Union[Sequence[int], np.ndarray]] = None,
-        memory_budget: Optional[int] = None,
-        path: Optional[str] = None,
-    ) -> np.ndarray:
-        """Per-source BFS level rows — the true out-of-core path.
-
-        Returns a ``(len(sources), n)`` int16 matrix of hop levels
-        (-1 unreachable).  With ``path`` the matrix is a NumPy memmap
-        over a scratch file and each shard's block is written (and
-        counted into ``repro.shard.spill_bytes``) as soon as it is
-        folded, so peak resident memory stays at one shard's working
-        set regardless of how many sources are tabulated.
-        """
-        srcs = self._source_array(sources)
-        shape = (int(srcs.shape[0]), self.n)
-        if path is not None:
-            table = np.lib.format.open_memmap(
-                path, mode="w+", dtype=np.int16, shape=shape
-            )
-        else:
-            table = np.empty(shape, dtype=np.int16)
-        if self.directed:
-            for j, i in enumerate(srcs):
-                table[j] = self.bfs_levels(int(i)).astype(np.int16)
-            return table
-        plan = self._sweep_plan(srcs.shape[0], memory_budget, levels=True)
-        offset = 0
-        for shard in plan.batches(srcs):
-            with get_tracer().span(
-                "repro.graphs.csr.shard",
-                kernel="all_pairs_distance_table",
-                sources=int(shard.shape[0]),
-            ):
-                block = self._bitset_level_block(shard).T
-                table[offset : offset + shard.shape[0]] = block
-            record_shard("all_pairs_distance_table")
-            if path is not None:
-                record_spill(int(block.nbytes))
-            offset += shard.shape[0]
-        if path is not None:
-            table.flush()
-        return table
 
     # ------------------------------------------------------------------
     # connectivity

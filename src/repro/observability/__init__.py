@@ -52,9 +52,6 @@ from repro.observability.telemetry import (
     record_cache_event,
     record_dispatch,
     record_shard,
-    record_shm_event,
-    record_spill,
-    shm_counts,
 )
 from repro.observability.export import (
     BENCH_SCHEMA,
@@ -104,10 +101,7 @@ __all__ = [
     "record_cache_event",
     "record_dispatch",
     "record_shard",
-    "record_shm_event",
-    "record_spill",
     "set_registry",
-    "shm_counts",
     "to_jsonl",
     "to_prometheus",
     "trace",

@@ -4,7 +4,9 @@ Every :func:`repro.benchmarks` ``emit_table`` call appends one record
 to an append-only JSONL ledger (``benchmarks/out/history.jsonl`` for
 real runs): the experiment name, its per-case timings, the cache and
 dispatch counters observed during the run, and any tracer memory
-summary.  The ledger is the raw material for two consumers:
+summary.  Older records may carry fields no longer written (such as
+``shm``); readers ignore them.  The ledger is the raw material for two
+consumers:
 
 * :func:`detect_regressions` — compares the current run's ``*_median_s``
   timings against a **median-of-last-k** baseline built from the prior
@@ -61,15 +63,12 @@ def build_perf_record(
     cache: Optional[Mapping[str, Any]] = None,
     dispatch: Optional[Mapping[str, Any]] = None,
     memory: Optional[Mapping[str, Any]] = None,
-    shm: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One ``repro.perf/v1`` ledger record for an experiment run.
 
     ``memory`` is the tracer's per-span summary
     (``{span: {"peak_kib": ..., "alloc_kib": ...}}``) — its peaks are
-    gated like timings (see :func:`detect_regressions`).  ``shm`` is
-    the scale-out counter view from
-    :func:`repro.observability.telemetry.shm_counts`.
+    gated like timings (see :func:`detect_regressions`).
     """
     return {
         "schema": PERF_SCHEMA,
@@ -79,7 +78,6 @@ def build_perf_record(
         "cache": {k: dict(v) for k, v in (cache or {}).items()},
         "dispatch": {k: dict(v) for k, v in (dispatch or {}).items()},
         "memory": {k: dict(v) for k, v in (memory or {}).items()},
-        "shm": dict(shm or {}),
     }
 
 
@@ -99,7 +97,7 @@ def validate_perf_record(record: Mapping[str, Any]) -> List[str]:
         for key, value in timings.items():
             if not isinstance(value, (int, float)):
                 problems.append(f"timings[{key!r}] must be a number")
-    for field in ("cache", "dispatch", "memory", "shm"):
+    for field in ("cache", "dispatch", "memory"):
         if not isinstance(record.get(field, {}), Mapping):
             problems.append(f"{field} must be an object")
     return problems
@@ -203,7 +201,7 @@ def detect_regressions(
     baseline and each needing at least one prior observation:
 
     * ``*_median_s`` timing keys — the stable per-case statistics
-      ``run_sweep`` emits (``unit="s"``);
+      the benchmarks emit (``unit="s"``);
     * tracer memory peaks — each ``memory[span]["peak_kib"]`` is
       gated as ``memory:<span>.peak_kib`` (``unit="KiB"``), so a
       memory-ceiling blowout fails CI exactly like a slowdown.

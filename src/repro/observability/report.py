@@ -18,9 +18,9 @@ dashboard — markdown by default, JSON with ``--json``:
   all feed timing maps;
 * **memory ceilings** — the largest per-span tracemalloc peaks the
   tracer recorded into the ledger;
-* **scale-out** — shared-memory lifecycle counts, per-kernel shard
-  counts and per-shard peaks, spill bytes, and the ceiling-vs-actual
-  margins from the committed ``BENCH_perf-scale.json`` rows;
+* **scale-out** — per-shard memory peaks from the ledger and the
+  ceiling-vs-actual margins from the committed ``BENCH_perf-scale.json``
+  rows;
 * **incremental serving** — mixed-stream throughput (baseline vs
   serving queries/sec) from the committed ``BENCH_serving.json`` feed
   plus the aggregated ``repro.serving.*`` patch/repair/gateway
@@ -259,40 +259,12 @@ def scale_summary(
     feeds: Mapping[str, Mapping[str, Any]],
     ledger: Sequence[Mapping[str, Any]],
 ) -> Dict[str, Any]:
-    """The scale-out panel: shm lifecycle, shards, spill, ceilings.
+    """The scale-out panel: per-shard peaks and memory ceilings.
 
-    Shared-memory attach/publish/reuse counts, per-kernel shard counts,
-    and spill bytes come from the ``shm`` field every ledger record now
-    carries; per-shard peak memory comes from the tracer spans named
-    ``*.shard``; the ceiling-vs-actual margins come from the committed
+    Per-shard peak memory comes from the tracer spans named ``*.shard``
+    in the ledger; the ceiling-vs-actual margins come from the committed
     ``BENCH_perf-scale.json`` rows (tightest margin first).
     """
-    events: Dict[str, Dict[str, int]] = {}
-    shm_bytes: Dict[str, int] = {}
-    shards: Dict[str, int] = {}
-    spill = 0
-    for record in ledger:
-        shm = record.get("shm")
-        if not isinstance(shm, Mapping):
-            continue
-        kinds = shm.get("events")
-        if isinstance(kinds, Mapping):
-            for kind, kind_events in kinds.items():
-                if not isinstance(kind_events, Mapping):
-                    continue
-                bucket = events.setdefault(str(kind), {})
-                for event, count in kind_events.items():
-                    bucket[str(event)] = bucket.get(str(event), 0) + int(count)
-        published = shm.get("bytes")
-        if isinstance(published, Mapping):
-            for kind, nbytes in published.items():
-                shm_bytes[str(kind)] = shm_bytes.get(str(kind), 0) + int(nbytes)
-        per_kernel = shm.get("shards")
-        if isinstance(per_kernel, Mapping):
-            for kernel, count in per_kernel.items():
-                shards[str(kernel)] = shards.get(str(kernel), 0) + int(count)
-        if isinstance(shm.get("spill_bytes"), (int, float)):
-            spill += int(shm["spill_bytes"])
     shard_peaks = {
         span: stats
         for span, stats in memory_summary(ledger).items()
@@ -316,10 +288,6 @@ def scale_summary(
         key=lambda entry: entry["margin_mib"],
     )
     return {
-        "shm_events": events,
-        "shm_bytes": shm_bytes,
-        "shards": shards,
-        "spill_bytes": spill,
         "shard_peaks": shard_peaks,
         "ceilings": ceilings,
     }
@@ -609,31 +577,8 @@ def render_markdown(dashboard: Mapping[str, Any]) -> str:
     lines.append("")
 
     scale = dashboard.get("scale", {})
-    lines.append("## Scale-out (shared memory, shards, spill)")
+    lines.append("## Scale-out (shard peaks, memory ceilings)")
     lines.append("")
-    shm_events = scale.get("shm_events", {})
-    if shm_events:
-        lines.append("| kind | publish | attach | reuse | detach | unlink | bytes |")
-        lines.append("|---|---|---|---|---|---|---|")
-        for kind in sorted(shm_events):
-            stats = shm_events[kind]
-            nbytes = scale.get("shm_bytes", {}).get(kind, 0)
-            lines.append(
-                f"| {kind} | {stats.get('publish', 0)} | {stats.get('attach', 0)} "
-                f"| {stats.get('reuse', 0)} | {stats.get('detach', 0)} "
-                f"| {stats.get('unlink', 0)} | {nbytes} |"
-            )
-    else:
-        lines.append("(no shared-memory telemetry in the ledger yet)")
-    lines.append("")
-    shards = scale.get("shards", {})
-    if shards:
-        shard_text = ", ".join(
-            f"{kernel} ×{count}" for kernel, count in sorted(shards.items())
-        )
-        spill = scale.get("spill_bytes", 0)
-        lines.append(f"Shards streamed: {shard_text}; spill bytes: {spill}.")
-        lines.append("")
     shard_peaks = scale.get("shard_peaks", {})
     if shard_peaks:
         lines.append("| shard span | peak | net alloc |")
@@ -653,6 +598,9 @@ def render_markdown(dashboard: Mapping[str, Any]) -> str:
                 f"| {entry['case']} | {entry['peak_mib']:.1f} "
                 f"| {entry['ceiling_mib']:.1f} | {entry['margin_mib']:.1f} |"
             )
+        lines.append("")
+    if not shard_peaks and not ceilings:
+        lines.append("(no shard peaks or perf-scale rows yet)")
         lines.append("")
 
     serving = dashboard.get("serving", {})

@@ -1,4 +1,4 @@
-"""Cache, dispatch, and scale-out telemetry for the frozen fast paths.
+"""Cache, dispatch, and shard telemetry for the frozen fast paths.
 
 Counter families on the global metrics registry:
 
@@ -12,19 +12,13 @@ Counter families on the global metrics registry:
 ``repro.dispatch.calls{kernel=...,path=fast|reference|...}``
     Emitted at every ``FROZEN_MIN_*`` gate: one count per public call,
     labeled with which implementation actually ran.  Beyond the two
-    gate paths, the scale-out plane labels snapshot constructions
-    (``kernel=graphs.freeze`` with ``path=build|arrays|shm-attach``)
-    and shared-memory sweep tasks (``path=shm-attach``), so "did the
-    workers rebuild the graph?" is answerable from a snapshot.
+    gate paths, snapshot constructions are labeled
+    ``kernel=graphs.freeze`` with ``path=build|arrays|patch-merge``,
+    so "how often was the graph rebuilt?" is answerable from a
+    snapshot.
 
-``repro.shm.events{kind=...,event=publish|attach|reuse|detach|unlink}``
-    Shared-memory segment lifecycle (:mod:`repro.graphs.shm`), labeled
-    with the payload kind (``graph`` / ``contacts``) — plus
-    ``repro.shm.bytes{kind=...}`` accumulating published bytes.
-
-``repro.shard.sweeps{kernel=...}`` / ``repro.shard.spill_bytes``
-    One count per streamed source shard a kernel processed, and the
-    bytes spilled to memmapped scratch by the out-of-core path.
+``repro.shard.sweeps{kernel=...}``
+    One count per streamed source shard a kernel processed.
 
 ``repro.serving.*``
     The incremental serving plane (:mod:`repro.serving`):
@@ -69,10 +63,7 @@ from repro.observability.metrics import MetricsRegistry, get_registry
 
 CACHE_METRIC = "repro.cache.frozen"
 DISPATCH_METRIC = "repro.dispatch.calls"
-SHM_METRIC = "repro.shm.events"
-SHM_BYTES_METRIC = "repro.shm.bytes"
 SHARD_METRIC = "repro.shard.sweeps"
-SPILL_METRIC = "repro.shard.spill_bytes"
 SERVING_PATCH_METRIC = "repro.serving.patch"
 SERVING_REPAIR_METRIC = "repro.serving.repairs"
 SERVING_QUERY_METRIC = "repro.serving.queries"
@@ -102,8 +93,8 @@ def record_dispatch(kernel: str, fast: bool = True, path: str = None) -> None:
     """Count one kernel call routed to the fast or reference path.
 
     ``path`` overrides the fast/reference label for routes outside the
-    two-way gates — e.g. ``"shm-attach"`` for shared-memory sweep
-    tasks, ``"build"`` / ``"arrays"`` for snapshot constructions.
+    two-way gates — e.g. ``"build"`` / ``"arrays"`` for snapshot
+    constructions.
     """
     if path is None:
         path = "fast" if fast else "reference"
@@ -112,27 +103,9 @@ def record_dispatch(kernel: str, fast: bool = True, path: str = None) -> None:
     ).inc()
 
 
-def record_shm_event(kind: str, event: str, nbytes: int = 0) -> None:
-    """Count one shared-memory lifecycle event for a payload ``kind``.
-
-    ``nbytes`` (used by *publish*) also accumulates into the
-    ``repro.shm.bytes`` counter so the report can show how much data
-    lives in segments.
-    """
-    registry = get_registry()
-    registry.counter(SHM_METRIC, {"kind": kind, "event": event}).inc()
-    if nbytes:
-        registry.counter(SHM_BYTES_METRIC, {"kind": kind}).inc(int(nbytes))
-
-
 def record_shard(kernel: str, count: int = 1) -> None:
     """Count ``count`` streamed source shards processed by ``kernel``."""
     get_registry().counter(SHARD_METRIC, {"kernel": kernel}).inc(int(count))
-
-
-def record_spill(nbytes: int) -> None:
-    """Accumulate bytes spilled to memmapped scratch (out-of-core path)."""
-    get_registry().counter(SPILL_METRIC).inc(int(nbytes))
 
 
 def record_patch_event(event: str, count: int = 1) -> None:
@@ -239,33 +212,6 @@ def dispatch_counts(registry: MetricsRegistry = None) -> Dict[str, Dict[str, int
         kernel = labels.get("kernel", "?")
         out.setdefault(kernel, {})[labels.get("path", "?")] = int(value)
     return out
-
-
-def shm_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
-    """Scale-out counters in one nested view.
-
-    ``{"events": {kind: {event: count}}, "bytes": {kind: total},
-    "shards": {kernel: count}, "spill_bytes": total}`` — the shape the
-    perf ledger records and the report's scale panel consume.
-    """
-    registry = registry if registry is not None else get_registry()
-    events: Dict[str, Dict[str, int]] = {}
-    for labels, value in _labeled_counts(SHM_METRIC, registry):
-        kind = labels.get("kind", "?")
-        events.setdefault(kind, {})[labels.get("event", "?")] = int(value)
-    published: Dict[str, int] = {}
-    for labels, value in _labeled_counts(SHM_BYTES_METRIC, registry):
-        published[labels.get("kind", "?")] = int(value)
-    shards: Dict[str, int] = {}
-    for labels, value in _labeled_counts(SHARD_METRIC, registry):
-        shards[labels.get("kernel", "?")] = int(value)
-    spill = int(registry.snapshot().get(SPILL_METRIC, 0))
-    return {
-        "events": events,
-        "bytes": published,
-        "shards": shards,
-        "spill_bytes": spill,
-    }
 
 
 def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:

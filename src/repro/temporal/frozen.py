@@ -160,28 +160,6 @@ class FrozenContacts:
         self._weighted_list: Optional[List[Tuple[int, Node, Node, float]]] = None
 
     # ------------------------------------------------------------------
-    # shared-memory plane
-    # ------------------------------------------------------------------
-    def to_shared(self, backend: Optional[str] = None):
-        """Publish this snapshot's arrays into a shared-memory segment.
-
-        Returns a :class:`repro.graphs.shm.SharedSnapshot` whose
-        picklable ``handle`` reconstructs a zero-copy read-only twin
-        via :meth:`from_shared` in any process.  The caller owns the
-        snapshot and must ``close()`` it to unlink the segment.
-        """
-        from repro.graphs import shm
-
-        return shm.share_contacts(self, backend=backend)
-
-    @classmethod
-    def from_shared(cls, handle) -> "FrozenContacts":
-        """Attach a snapshot published by :meth:`to_shared` (cached)."""
-        from repro.graphs import shm
-
-        return shm.attach_cached(handle)
-
-    # ------------------------------------------------------------------
     # basics
     # ------------------------------------------------------------------
     def index_of(self, node: Node) -> int:

@@ -9,6 +9,8 @@ path).  Plus the snapshot-caching contract: one snapshot per topology
 generation, invalidated by structural mutation only.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,102 @@ def test_isolated_nodes_and_disconnection():
     assert fg.connected_components() == connected_components_reference(graph)
     sums = fg.all_pairs_distance_sums()
     assert int(sums[fg.index_of(39)]) == 0
+
+
+@pytest.mark.parametrize(
+    "indptr, indices",
+    [
+        pytest.param([0, 3, 5, 7, 8], [3, 2, 1, 0, 2, 0, 1, 0], id="unsorted-row"),
+        pytest.param([0, 2, 4], [1, 1, 0, 0], id="repeated-neighbour"),
+    ],
+)
+def test_from_arrays_rejects_rows_that_are_not_strictly_increasing(indptr, indices):
+    # edge_slot bisects each row, and degrees count row entries, so a
+    # row out of order or with a repeat silently breaks both.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FrozenGraph.from_arrays(indptr, indices)
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, message",
+    [
+        pytest.param([], [], "1-D array", id="empty-indptr"),
+        pytest.param([[0, 1], [1, 2]], [1, 0], "1-D array", id="2d-indptr"),
+        pytest.param([1, 2, 3], [1, 0], "span", id="indptr-not-from-zero"),
+        pytest.param([0, 1, 1], [1, 0], "span", id="indptr-short-of-indices"),
+        pytest.param([0, 2, 1, 2], [1, 2], "non-decreasing", id="indptr-decreasing"),
+        pytest.param([0, 1, 2], [-1, 0], "valid node", id="negative-index"),
+        pytest.param([0, 1, 2], [2, 0], "valid node", id="index-out-of-range"),
+    ],
+)
+def test_from_arrays_rejects_broken_csr_invariants(indptr, indices, message):
+    with pytest.raises(ValueError, match=message):
+        FrozenGraph.from_arrays(indptr, indices)
+
+
+@pytest.mark.parametrize(
+    "indptr, indices",
+    [
+        # the check is per row: a drop across a row boundary is legal
+        pytest.param([0, 1, 2], [1, 0], id="descending-across-rows"),
+        pytest.param([0, 0, 2, 2, 4, 4], [1, 3, 1, 3], id="empty-rows"),
+        pytest.param([0, 0, 0], [], id="no-edges"),
+    ],
+)
+def test_from_arrays_accepts_strictly_increasing_rows(indptr, indices):
+    fg = FrozenGraph.from_arrays(indptr, indices, directed=True)
+    assert fg.n == len(indptr) - 1
+    assert fg.num_edges == len(indices)
+    assert fg.degrees.tolist() == np.diff(indptr).tolist()
+    for i in range(fg.n):
+        for slot in range(indptr[i], indptr[i + 1]):
+            assert fg.edge_slot(i, indices[slot]) == slot
+
+
+def test_from_arrays_checks_node_list_length():
+    with pytest.raises(ValueError, match="node_list has 3 entries"):
+        FrozenGraph.from_arrays([0, 1, 2], [1, 0], node_list=["a", "b", "c"])
+
+
+def test_from_arrays_adopts_arrays_without_copy_or_validation():
+    indptr = np.array([0, 2, 4], dtype=np.int64)
+    indices = np.array([1, 1, 0, 0], dtype=np.int64)
+    # validate=False is the trusted-producer path: nothing is checked
+    fg = FrozenGraph.from_arrays(indptr, indices, copy=False, validate=False)
+    assert fg.indptr is indptr
+    assert fg.indices is indices
+
+
+def test_from_arrays_counts_its_dispatch_path():
+    from repro.observability.metrics import MetricsRegistry, set_registry
+    from repro.observability.telemetry import dispatch_counts
+
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        FrozenGraph.from_arrays([0, 1, 2], [1, 0])
+        FrozenGraph.from_arrays([0, 1, 2], [1, 0], dispatch_path="merge")
+    finally:
+        set_registry(previous)
+    assert dispatch_counts(registry)["graphs.freeze"] == {"arrays": 1, "merge": 1}
+
+
+def test_snapshot_pickle_round_trip_keeps_labels_and_kernels():
+    graph = Graph()
+    sites = [f"site-{i}" for i in range(FROZEN_MIN_NODES)]
+    for a, b in zip(sites, sites[1:]):
+        graph.add_edge(a, b)
+    graph.add_edge(sites[0], sites[-1])
+    fg = graph.frozen()
+    restored = pickle.loads(pickle.dumps(fg))
+    assert np.array_equal(restored.indptr, fg.indptr)
+    assert np.array_equal(restored.indices, fg.indices)
+    assert restored.node_list == fg.node_list
+    assert restored.index == fg.index
+    assert restored.bfs_distances(sites[3]) == fg.bfs_distances(sites[3])
+    assert np.array_equal(
+        restored.all_pairs_distance_sums(), fg.all_pairs_distance_sums()
+    )
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ cases (no contacts, one contact, disconnected nodes, many contacts in
 one time unit, mutation invalidation).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,23 @@ def test_frozen_cache_invalidation_on_mutation():
     assert eg.all_contacts() == before_contacts
     assert jour.earliest_arrival(eg, 0) == \
         jour.earliest_arrival_reference(eg, 0)
+
+
+def test_frozen_pickle_round_trip_is_bit_identical():
+    eg = EvolvingGraph(horizon=6, nodes=[f"u{i}" for i in range(8)])
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        u, v = rng.choice(8, size=2, replace=False)
+        eg.add_contact(f"u{u}", f"u{v}", int(rng.integers(0, 6)))
+    fc = eg.frozen()
+    restored = pickle.loads(pickle.dumps(fc))
+    for name, value in vars(fc).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(restored, name), value), name
+    assert restored.node_list == fc.node_list
+    assert restored.num_contacts == fc.num_contacts
+    assert restored.earliest_arrival("u0") == fc.earliest_arrival("u0")
+    assert restored.latest_departure("u1", 6) == fc.latest_departure("u1", 6)
 
 
 def test_contacts_from_cache_tracks_mutations():

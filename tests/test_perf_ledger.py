@@ -192,29 +192,6 @@ class TestDetector:
         assert detect_regressions(history, current, threshold=1.5) == []
 
 
-class TestShmField:
-    def test_record_carries_shm_counters(self):
-        record = build_perf_record(
-            "perf-scale",
-            timings={"sweep_shm_s": 0.01},
-            shm={
-                "events": {"graph": {"publish": 1, "attach": 4}},
-                "bytes": {"graph": 123456},
-                "shards": {"all_pairs_distance_sums": 8},
-                "spill_bytes": 1 << 20,
-            },
-        )
-        assert validate_perf_record(record) == []
-        assert record["shm"]["shards"]["all_pairs_distance_sums"] == 8
-        # JSON round trip keeps it intact
-        assert json.loads(json.dumps(record))["shm"] == record["shm"]
-
-    def test_shm_defaults_to_empty(self):
-        record = build_perf_record("exp", timings={"a_median_s": 0.1})
-        assert record["shm"] == {}
-        assert validate_perf_record(record) == []
-
-
 class TestGate:
     def test_mode_defaults_to_warn(self, monkeypatch):
         monkeypatch.delenv(GATE_ENV, raising=False)

@@ -8,7 +8,11 @@ and a live pass over this repo's committed BENCH feeds.
 import json
 import os
 
-from repro.observability.regression import append_history, build_perf_record
+from repro.observability.regression import (
+    append_history,
+    build_perf_record,
+    validate_perf_record,
+)
 from repro.observability.report import (
     REPORT_SCHEMA,
     build_dashboard,
@@ -75,6 +79,22 @@ def write_fixture_top_dir(tmp_path):
     return str(tmp_path)
 
 
+def perf_scale_feed():
+    """A ``BENCH_perf-scale.json`` feed: one verify row, two scale rows."""
+    return fake_feed(
+        "perf-scale",
+        ["tier", "n", "m", "case", "wall s", "peak MiB", "ceiling MiB",
+         "shards"],
+        [
+            ["verify", 500, 2000, "bit-exact x4", "-", "-", "-", "-"],
+            ["scale", 10**6, 4 * 10**6, "distance-sums",
+             12.5, 900.0, 1536.0, 4],
+            ["scale", 10**6, 4 * 10**6, "landmark-labels",
+             10.0, 1200.0, 1536.0, 4],
+        ],
+    )
+
+
 class TestSections:
     def test_scan_skips_corrupt_feeds(self, tmp_path):
         top = write_fixture_top_dir(tmp_path)
@@ -127,52 +147,29 @@ class TestSections:
         summary = memory_summary(ledger)
         assert summary["repro.dtn.run"]["peak_kib"] == 128.0  # largest run
 
-    def test_scale_summary_merges_shm_shards_and_ceilings(self):
-        feeds = {
-            "perf-scale": fake_feed(
-                "perf-scale",
-                ["tier", "n", "m", "case", "wall s", "peak MiB",
-                 "ceiling MiB", "shards", "spill bytes"],
-                [
-                    ["verify", 500, 2000, "bit-exact x5", "-", "-", "-", "-", "-"],
-                    ["scale", 10**6, 4 * 10**6, "distance-sums",
-                     12.5, 900.0, 1536.0, 4, 0],
-                    ["scale", 10**6, 4 * 10**6, "distance-table",
-                     30.0, 1200.0, 1536.0, 4, 10**9],
-                ],
-            )
-        }
+    def test_scale_summary_shard_peaks_and_ceilings(self):
+        feeds = {"perf-scale": perf_scale_feed()}
         ledger = [
             build_perf_record(
                 "perf-scale",
                 timings={"distance_sums_median_s": 12.5},
                 memory={"repro.graphs.csr.shard": {"peak_kib": 512.0,
                                                    "alloc_kib": 8.0}},
-                shm={
-                    "events": {"graph": {"publish": 1, "attach": 2, "reuse": 3}},
-                    "bytes": {"graph": 40_000_000},
-                    "shards": {"all_pairs_distance_sums": 4},
-                    "spill_bytes": 10**9,
-                },
             ),
             build_perf_record(
                 "perf-scale",
                 timings={"x_median_s": 1.0},
-                shm={"events": {"graph": {"attach": 1}},
-                     "shards": {"all_pairs_distance_sums": 2}},
+                memory={"repro.graphs.csr.shard": {"peak_kib": 256.0,
+                                                   "alloc_kib": 4.0}},
             ),
         ]
         summary = scale_summary(feeds, ledger)
-        assert summary["shm_events"]["graph"] == {
-            "publish": 1, "attach": 3, "reuse": 3,
-        }
-        assert summary["shm_bytes"]["graph"] == 40_000_000
-        assert summary["shards"]["all_pairs_distance_sums"] == 6
-        assert summary["spill_bytes"] == 10**9
+        assert set(summary) == {"shard_peaks", "ceilings"}
+        # the largest per-shard peak across the ledger wins
         assert summary["shard_peaks"]["repro.graphs.csr.shard"]["peak_kib"] == 512.0
         # tightest ceiling margin first; verify rows never contribute
         assert [entry["case"] for entry in summary["ceilings"]] == [
-            "distance-table", "distance-sums",
+            "landmark-labels", "distance-sums",
         ]
         assert summary["ceilings"][0]["margin_mib"] == 336.0
 
@@ -282,14 +279,7 @@ class TestSections:
 
     def test_scale_summary_empty_inputs(self):
         summary = scale_summary({}, [])
-        assert summary == {
-            "shm_events": {},
-            "shm_bytes": {},
-            "shards": {},
-            "spill_bytes": 0,
-            "shard_peaks": {},
-            "ceilings": [],
-        }
+        assert summary == {"shard_peaks": {}, "ceilings": []}
 
 
 class TestDashboard:
@@ -317,6 +307,46 @@ class TestDashboard:
         assert "| perf-demo | 100 | 12.0x | bfs |" in markdown
         assert "2.00x" in markdown  # the drift is visible
         assert "64.3%" in markdown  # 9/14 hit rate
+
+    def test_legacy_shm_ledger_records_still_render(self, tmp_path):
+        """Ledger records written while the shared-memory plane existed
+        carry an ``shm`` object; they must still validate and render,
+        and the dashboard must show no shared-memory section."""
+        (tmp_path / "BENCH_perf-scale.json").write_text(
+            json.dumps(perf_scale_feed())
+        )
+        legacy = build_perf_record(
+            "perf-scale",
+            timings={"distance-sums_median_s": 18.0, "sweep_shm_s": 0.04},
+            memory={"repro.graphs.csr.shard": {"peak_kib": 512.0,
+                                               "alloc_kib": 8.0}},
+        )
+        legacy["shm"] = {
+            "events": {"graph": {"publish": 1, "attach": 2, "unlink": 1}},
+            "bytes": {"graph": 71_834_192},
+            "shards": {"all_pairs_distance_sums": 23},
+            "spill_bytes": 1_024_640_000,
+        }
+        current = build_perf_record(
+            "perf-scale", timings={"distance-sums_median_s": 17.0}
+        )
+        assert "shm" not in current
+        ledger = tmp_path / "benchmarks" / "out" / "history.jsonl"
+        for record in (legacy, current):
+            assert validate_perf_record(record) == []
+            append_history(str(ledger), record)
+        dashboard = build_dashboard(str(tmp_path))
+        assert dashboard["ledger_records"] == 2
+        assert set(dashboard["scale"]) == {"shard_peaks", "ceilings"}
+        assert [entry["case"] for entry in dashboard["scale"]["ceilings"]] == [
+            "landmark-labels", "distance-sums",
+        ]
+        markdown = render_markdown(dashboard)
+        assert "shared memory" not in markdown.lower()
+        assert "spill" not in markdown.lower()
+        assert "| publish | attach |" not in markdown
+        assert "| landmark-labels | 1200.0 | 1536.0 | 336.0 |" in markdown
+        assert "| distance-sums | 900.0 | 1536.0 | 636.0 |" in markdown
 
     def test_empty_top_dir_renders_placeholders(self, tmp_path):
         markdown = render_markdown(build_dashboard(str(tmp_path)))

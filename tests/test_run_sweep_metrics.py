@@ -9,7 +9,9 @@ identical however the sweep is fanned out.
 
 import os
 import sys
+from functools import partial
 
+import numpy as np
 import pytest
 
 BENCH_DIR = os.path.join(
@@ -19,11 +21,13 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 from _util import run_sweep  # noqa: E402
+from repro.graphs.generators import degree_ordered_graph  # noqa: E402
 from repro.observability.metrics import (  # noqa: E402
     MetricsRegistry,
     get_registry,
     set_registry,
 )
+from repro.observability.telemetry import dispatch_counts  # noqa: E402
 
 
 @pytest.fixture
@@ -70,3 +74,31 @@ def test_parallel_sweep_does_not_double_count_prefork_series(registry):
     registry.counter("repro.test.prefork").inc(5)
     run_sweep([1, 2], sweep_point, jobs=2)
     assert registry.snapshot()["repro.test.prefork"] == 5
+
+
+def graph_point(fg, item):
+    """Picklable sweep body over a snapshot bound with ``partial``."""
+    return int(fg.indptr[item + 1] - fg.indptr[item]) + item * 1000
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="fork context only")
+def test_parallel_graph_sweep_matches_serial(registry):
+    fg = degree_ordered_graph(300, rng=np.random.default_rng(23))
+    items = [0, 5, 10, 15]
+    serial = run_sweep(items, partial(graph_point, fg))
+    assert serial == [graph_point(fg, item) for item in items]
+    assert run_sweep(items, partial(graph_point, fg), jobs=2) == serial
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="fork context only")
+def test_parallel_graph_sweep_workers_do_not_rebuild_the_graph(registry):
+    fg = degree_ordered_graph(400, rng=np.random.default_rng(22))
+    before = dispatch_counts(registry).get("graphs.freeze", {})
+    run_sweep(list(range(6)), partial(graph_point, fg), jobs=2)
+    # the snapshot reaches the workers whole; none of them re-freezes it
+    assert dispatch_counts(registry).get("graphs.freeze", {}) == before
+
+
+def test_single_item_sweep_stays_in_process(registry):
+    pid = os.getpid()
+    assert run_sweep([7], lambda item: (item, os.getpid()), jobs=4) == [(7, pid)]

@@ -1,14 +1,12 @@
 """Source-sharded streaming kernels and the shard planner.
 
 The all-pairs family (distance sums, closeness, eccentricities,
-landmark labels, the memmap distance table) must produce bit-identical
+landmark labels, batched routing) must produce bit-identical
 results whether it runs in one sweep or streamed shard-by-shard under
 a tiny memory budget — the fold over shards is exact, not
 approximate.  The planner itself has simple algebraic properties the
 kernels rely on (coverage, monotonicity, the infeasible flag).
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -22,8 +20,13 @@ from repro.graphs.generators import (
 from repro.graphs.metrics import closeness_centrality_reference
 from repro.labeling.landmarks import distance_gateway_labels
 from repro.observability.metrics import MetricsRegistry, set_registry
-from repro.observability.telemetry import shm_counts
+from repro.observability.telemetry import SHARD_METRIC
 from repro.remapping.batch_routing import _optimal_for_pairs
+
+
+def _shards(registry, kernel):
+    """Streamed shards ``kernel`` counted into ``repro.shard.sweeps``."""
+    return registry.snapshot().get(f"{SHARD_METRIC}{{kernel={kernel}}}", 0)
 
 
 @pytest.fixture
@@ -116,21 +119,6 @@ class TestShardedKernelsBitExact:
         streamed = distance_gateway_labels(g, landmarks, memory_budget=TINY_BUDGET)
         assert base == streamed
 
-    def test_memmap_distance_table_matches_bfs(self, tmp_path):
-        fg = _frozen(350, seed=15)
-        sources = np.arange(0, 350, 5, dtype=np.int64)
-        scratch = str(tmp_path / "table.npy")
-        table = fg.all_pairs_distance_table(
-            sources, memory_budget=TINY_BUDGET, path=scratch
-        )
-        assert table.shape == (sources.shape[0], fg.n)
-        expected = np.stack(
-            [fg.bfs_levels(int(s)) for s in sources], axis=0
-        ).astype(np.int16)
-        assert np.array_equal(np.asarray(table), expected)
-        del table
-        assert os.path.exists(scratch)
-
     def test_optimal_for_pairs_budget_equivalence(self):
         fg = _frozen(260, seed=16)
         rng = np.random.default_rng(17)
@@ -147,22 +135,13 @@ class TestShardedKernelsBitExact:
 
 
 class TestShardTelemetry:
-    def test_shard_and_spill_counters(self, registry, tmp_path):
+    def test_shard_counters(self, registry):
         fg = _frozen(300, seed=18)
         fg.all_pairs_distance_sums(memory_budget=TINY_BUDGET)
-        counts = shm_counts(registry)
-        shards = counts["shards"]
-        assert sum(shards.values()) >= 2  # the tiny budget forced shards
-        sources = np.arange(0, 300, 3, dtype=np.int64)
-        fg.all_pairs_distance_table(
-            sources, memory_budget=TINY_BUDGET, path=str(tmp_path / "t.npy")
-        )
-        counts = shm_counts(registry)
-        # every written shard block is accounted as spilled bytes
-        assert counts["spill_bytes"] == sources.shape[0] * fg.n * 2
+        # the tiny budget forced shards
+        assert _shards(registry, "all_pairs_distance_sums") >= 2
 
     def test_unbudgeted_run_is_one_shard(self, registry):
         fg = _frozen(200, seed=19)
         fg.all_pairs_distance_sums()
-        shards = shm_counts(registry)["shards"]
-        assert shards.get("all_pairs_distance_sums", 0) == 1
+        assert _shards(registry, "all_pairs_distance_sums") == 1
