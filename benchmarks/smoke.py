@@ -29,6 +29,7 @@ import numpy as np
 
 from _util import OUT_DIR, TOP_DIR, TableResult, emit_table
 from repro.observability import get_tracer, validate_bench_report
+from repro.observability.metrics import MetricsRegistry, set_registry
 
 SMOKE_RUNNERS: Dict[str, Callable[[], Dict[str, Any]]] = {}
 
@@ -494,7 +495,8 @@ def smoke_faults() -> Dict[str, Any]:
 def run_all(
     out_dir: Optional[str] = None, top_dir: Optional[str] = None
 ) -> Dict[str, TableResult]:
-    """Run every smoke instance with tracing on; validate emitted JSON.
+    """Run every smoke instance with tracing on, each under its own
+    metrics registry; validate emitted JSON.
 
     ``out_dir`` defaults to ``benchmarks/out``; ``top_dir`` (where the
     ``BENCH_*.json`` feed lands) is skipped when None.  Raises
@@ -507,16 +509,22 @@ def run_all(
     try:
         for name, runner in sorted(SMOKE_RUNNERS.items()):
             spans_before = len(tracer.records)
-            spec = runner()
-            result = emit_table(
-                f"smoke-{name}",
-                spec["title"],
-                spec["header"],
-                spec["rows"],
-                notes=spec.get("notes", ""),
-                out_dir=out_dir,
-                top_dir=top_dir,
-            )
+            # A fresh registry per runner: each feed's metrics snapshot
+            # holds only what its own runner recorded.
+            previous = set_registry(MetricsRegistry(f"smoke-{name}"))
+            try:
+                spec = runner()
+                result = emit_table(
+                    f"smoke-{name}",
+                    spec["title"],
+                    spec["header"],
+                    spec["rows"],
+                    notes=spec.get("notes", ""),
+                    out_dir=out_dir,
+                    top_dir=top_dir,
+                )
+            finally:
+                set_registry(previous)
             with open(result.json_path) as handle:
                 document = json.load(handle)
             problems = validate_bench_report(document)

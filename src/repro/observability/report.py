@@ -24,7 +24,10 @@ dashboard — markdown by default, JSON with ``--json``:
 * **incremental serving** — mixed-stream throughput (baseline vs
   serving queries/sec) from the committed ``BENCH_serving.json`` feed
   plus the aggregated ``repro.serving.*`` patch/repair/gateway
-  counters.
+  counters;
+* **write path** — per-edge vs batched mutations/sec from the
+  committed ``BENCH_serving-write.json`` feed plus the aggregated
+  ``repro.serving.batch.*`` barrier counters and batch-size histogram.
 
 The dashboard is itself a schema'd document (``repro.report/v1``) so
 downstream tooling can diff two dashboards the same way the bench
@@ -380,13 +383,13 @@ def _merge_histogram(
 
 def write_path_summary(feeds: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]:
     """The write-path panel: batched-mutation throughput plus the
-    coalescing and adaptive-deadline telemetry.
+    coalescing telemetry.
 
     Stream rows (per-edge vs batched mutations/sec and the speedup)
     come from the committed ``BENCH_serving-write.json`` table; the
-    barrier counters and the batch-size / flush-deadline histograms
-    come from the ``repro.serving.batch.*`` metrics riding on any
-    feed, aggregated across all of them.
+    barrier counters and the batch-size histogram come from the
+    ``repro.serving.batch.*`` metrics riding on any feed, aggregated
+    across all of them.
     """
     streams = [
         dict(zip(("n", "mutations", "per_edge_mps", "batched_mps", "speedup"), row))
@@ -400,7 +403,6 @@ def write_path_summary(feeds: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]
     writes = 0
     coalesced = 0
     batch_sizes: Dict[str, Any] = {}
-    deadlines: Dict[str, Any] = {}
     for document in feeds.values():
         metrics = document.get("metrics")
         if not isinstance(metrics, Mapping):
@@ -417,13 +419,9 @@ def write_path_summary(feeds: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]
                     writes += int(value)
                 else:
                     coalesced += int(value)
-        for metric, into in (
-            ("repro.serving.batch.write_size", batch_sizes),
-            ("repro.serving.batch.deadline_s", deadlines),
-        ):
-            snapshot = metrics.get(metric)
-            if isinstance(snapshot, Mapping):
-                _merge_histogram(into, snapshot)
+        snapshot = metrics.get("repro.serving.batch.write_size")
+        if isinstance(snapshot, Mapping):
+            _merge_histogram(batch_sizes, snapshot)
     return {
         "streams": streams,
         "mutations": {
@@ -433,7 +431,6 @@ def write_path_summary(feeds: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]
         "coalesced": coalesced,
         "coalesced_per_barrier": coalesced / writes if writes else 0.0,
         "batch_size": batch_sizes,
-        "deadline_s": deadlines,
     }
 
 
@@ -673,16 +670,6 @@ def render_markdown(dashboard: Mapping[str, Any]) -> str:
                 f"p90 {sizes.get('p90', 0.0):.0f}, "
                 f"max {sizes.get('max', 0.0):.0f} "
                 f"over {sizes['count']} barriers."
-            )
-            lines.append("")
-        deadline = write_path.get("deadline_s", {})
-        if deadline.get("count"):
-            lines.append(
-                f"Adaptive flush deadline: mean "
-                f"{deadline['mean'] * 1e6:.0f} µs, "
-                f"p90 {deadline.get('p90', 0.0) * 1e6:.0f} µs, "
-                f"max {deadline.get('max', 0.0) * 1e6:.0f} µs "
-                f"over {deadline['count']} flush decisions."
             )
             lines.append("")
     elif not write_streams:

@@ -39,12 +39,10 @@ Counter families on the global metrics registry:
     (one count per coalesced ``apply_batch`` application, histogram of
     edge ops per application), ``repro.serving.batch.coalesced``
     (ops netted away by coalescing — the write-side coalesce ratio is
-    ops / writes), ``repro.serving.batch.deadline_s`` (histogram of
-    the adaptive flush deadlines the dispatcher chose), and
-    ``repro.serving.batch.writers`` (histogram of distinct writers per
-    write barrier — the fairness signal).  Bulk patch
-    applications are dispatch-labeled ``kernel=graphs.apply_batch,
-    path=patch-batch``.
+    ops / writes), and ``repro.serving.batch.writers`` (histogram of
+    distinct writers per write barrier — the fairness signal).  Bulk
+    patch applications are dispatch-labeled
+    ``kernel=graphs.apply_batch, path=patch-batch``.
 
 All helpers are one registry lookup plus an integer add, and they are
 called at entry-point / per-shard granularity (never per node / per
@@ -76,7 +74,6 @@ SERVING_MUTATION_METRIC = "repro.serving.mutations"
 SERVING_WRITE_BATCH_METRIC = "repro.serving.batch.writes"
 SERVING_WRITE_SIZE_METRIC = "repro.serving.batch.write_size"
 SERVING_COALESCED_METRIC = "repro.serving.batch.coalesced"
-SERVING_DEADLINE_METRIC = "repro.serving.batch.deadline_s"
 SERVING_WRITERS_METRIC = "repro.serving.batch.writers"
 
 _LABELED = re.compile(r"^(?P<name>[^{]+)\{(?P<labels>.*)\}$")
@@ -169,11 +166,6 @@ def record_write_batch(ops: int, applied: int) -> None:
     netted = int(ops) - int(applied)
     if netted > 0:
         registry.counter(SERVING_COALESCED_METRIC).inc(netted)
-
-
-def record_adaptive_deadline(seconds: float) -> None:
-    """Record the flush deadline the dispatcher chose for one batch."""
-    get_registry().histogram(SERVING_DEADLINE_METRIC).observe(float(seconds))
 
 
 def record_batch_writers(count: int) -> None:

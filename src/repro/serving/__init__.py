@@ -15,12 +15,15 @@ generation:
   front-end: a bounded queue coalescing point queries into batched
   kernel sweeps and mutations into netted write barriers (sequence
   order preserved, so read-your-writes survives fire-and-forget
-  writes), with deterministic chaos hooks from :mod:`repro.faults`
-  and an adaptive flush deadline driven by the mutation arrival rate.
+  writes), flushed on a full batch, a fixed ``max_delay`` deadline or
+  an idle event loop, with deterministic chaos hooks from
+  :mod:`repro.faults`.
 
 Proven correct by the differential mutate/query harness
 (``tests/test_incremental_differential.py``) against the full-rebuild
-references, and benchmarked by ``benchmarks/bench_serving.py`` and
+references and by the gateway state machine
+(``tests/test_gateway_model.py``) against a sequential oracle, and
+benchmarked by ``benchmarks/bench_serving.py`` and
 ``benchmarks/bench_serving_write.py``.
 """
 

@@ -2,30 +2,29 @@
 
 :class:`ServingGateway` puts an ``asyncio`` facade in front of a
 :class:`~repro.serving.state.GraphService`.  Point queries are awaited
-futures that land in a bounded queue; a single dispatcher task flushes
-the queue whenever it holds ``max_batch`` requests *or* the oldest
-request has waited ``max_delay`` seconds, whichever comes first.  A
-flush is where the batching pays off: every distance query sharing a
-source rides one patch-aware BFS sweep, and every index query in the
-batch shares one incremental repair.
+futures that land in a queue of :data:`QUEUE_SIZE` slots; a single
+dispatcher task flushes whenever it holds ``max_batch`` requests, the
+oldest request has waited ``max_delay`` seconds, or the event loop
+went idle for two turns with nothing new to add, whichever comes
+first.  A flush is where the batching pays off: every distance query
+sharing a source rides one patch-aware BFS sweep, and every index
+query in the batch shares one incremental repair.
 
 Mutations are queued too — the **write fast path**.  ``insert_edge`` /
 ``delete_edge`` / ``apply_batch`` take their sequence number and enter
 a per-writer mutation deque synchronously at call time (they return
 the awaitable future rather than being coroutines, so fire-and-forget
 callers keep their ordering; the optional ``writer`` tag names the
-deque), then ride the same flush triggers as queries plus an
-*adaptive deadline*: an EWMA of observed inter-arrival gaps predicts
-how long filling the batch would take, and the dispatcher only waits
-when that prediction fits inside ``max_delay`` (dynamic batching, the
-model-serving shape).  Each flush begins with a **sequence barrier**:
-every unapplied mutation in the batch — and any still-queued mutation
-sequenced before the newest batched request — is coalesced, replayed
-in sequence order to net out per-edge effects, and applied as one
-vectorized :meth:`GraphService.apply_batch`.  Only then are answers
-computed, so a query submitted after a mutation never observes the
-pre-mutation topology (it may observe a *newer* one, exactly like the
-old synchronous write path).  Application is exactly-once: the barrier
+deque), then ride the same flush triggers as queries.  Each flush
+begins with a **sequence barrier**: every unapplied mutation in the
+batch — and any still-queued mutation sequenced before the newest
+batched request — is coalesced, replayed in sequence order to net out
+per-edge effects, and applied as one vectorized
+:meth:`GraphService.apply_batch` (a lone net edge operation takes the
+scalar service call instead).  Only then are answers computed, so a
+query submitted after a mutation never observes the pre-mutation
+topology (it may observe a *newer* one, exactly like the old
+synchronous write path).  Application is exactly-once: the barrier
 stores each mutation's outcome on its request, so a ``drop`` fate only
 delays the acknowledgment, never re-applies the mutation.
 
@@ -49,16 +48,18 @@ fate models a mid-batch crash — the dropped request and everything
 after it in the batch are re-queued (counted in
 ``repro.serving.retries``) instead of answered, and get fresh fates on
 the next flush.  ``stop()`` performs a teardown flush with injection
-disabled, so no query is ever lost.
+disabled, so no query is ever lost.  If the dispatcher itself dies,
+every outstanding future resolves anyway: mutations the barrier
+already applied get their stored outcome, everything else the crash
+error.
 
 Emitted metrics (see :mod:`repro.observability.telemetry`):
 ``repro.serving.batches`` / ``batch_size`` / ``queue_depth`` per
 flush, ``repro.serving.sweeps`` per coalesced BFS,
 ``repro.serving.queries{kind}`` / ``mutations{kind}`` per accepted
 request, and per write barrier ``repro.serving.batch.writes`` /
-``write_size`` / ``coalesced`` plus the ``batch.deadline_s`` histogram
-of adaptive deadlines and the ``batch.writers`` histogram of distinct
-writers per write barrier.
+``write_size`` / ``coalesced`` plus the ``batch.writers`` histogram of
+distinct writers per write barrier.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ import numpy as np
 from repro.errors import EdgeNotFoundError
 from repro.faults.plan import FaultPlan, FaultSession
 from repro.observability.telemetry import (
-    record_adaptive_deadline,
     record_batch_writers,
     record_serving_batch,
     record_serving_mutation,
@@ -98,9 +98,8 @@ DEFAULT_MAX_BATCH = 32
 #: ... or when the oldest has waited this long (seconds).
 DEFAULT_MAX_DELAY = 0.005
 
-#: EWMA smoothing for the observed inter-arrival gap (the adaptive
-#: deadline's input): new_gap weight 0.2, history weight 0.8.
-_GAP_ALPHA = 0.2
+#: Request-queue capacity; a query submit waits while it is full.
+QUEUE_SIZE = 1024
 
 #: Request kinds that mutate topology (handled by the write barrier).
 _MUTATION_KINDS = frozenset({"insert_edge", "delete_edge", "apply_batch"})
@@ -140,7 +139,6 @@ class ServingGateway:
         service: GraphService,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_delay: float = DEFAULT_MAX_DELAY,
-        queue_size: int = 1024,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if max_batch < 1:
@@ -151,7 +149,7 @@ class ServingGateway:
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
         self._queue: "asyncio.Queue[Optional[_Request]]" = asyncio.Queue(
-            maxsize=queue_size
+            maxsize=QUEUE_SIZE
         )
         self._retry: Deque[_Request] = deque()
         #: Pending mutations by writer lane, appended synchronously at
@@ -166,9 +164,6 @@ class ServingGateway:
         self._crashed: Optional[BaseException] = None
         self._draining = False
         self._seq = 0
-        #: Adaptive-deadline state: EWMA of inter-arrival gaps (s).
-        self._gap_ewma: Optional[float] = None
-        self._last_arrival: Optional[float] = None
         self.batches_flushed = 0
         self.queries_answered = 0
         self.mutations_applied = 0
@@ -214,18 +209,6 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # mutations — queued, applied by the flush-time sequence barrier
     # ------------------------------------------------------------------
-    def _note_arrival(self) -> None:
-        """Feed the adaptive deadline's inter-arrival EWMA."""
-        now = asyncio.get_running_loop().time()
-        last = self._last_arrival
-        self._last_arrival = now
-        if last is not None:
-            gap = now - last
-            if self._gap_ewma is None:
-                self._gap_ewma = gap
-            else:
-                self._gap_ewma += _GAP_ALPHA * (gap - self._gap_ewma)
-
     def _wake(self) -> None:
         """Nudge a dispatcher parked on an empty queue (best effort).
 
@@ -244,7 +227,6 @@ class ServingGateway:
             raise RuntimeError("gateway not started")
         if self._crashed is not None or self._task.done():
             raise self._crash_error()
-        self._note_arrival()
         self._seq += 1
         future: "asyncio.Future" = asyncio.get_running_loop().create_future()
         queue = self._mutations.get(writer)
@@ -319,14 +301,13 @@ class ServingGateway:
         if self._crashed is not None or self._task.done():
             raise self._crash_error()
         record_serving_query(kind)
-        self._note_arrival()
         self._seq += 1
         future: "asyncio.Future" = asyncio.get_running_loop().create_future()
         await self._queue.put(_Request(self._seq, kind, args, future=future))
-        # The put can block on a full queue; if the dispatcher died in
-        # the meantime nobody will ever drain this request — fail fast
-        # unless the abort sweep already resolved the future.
-        if self._crashed is not None and not future.done():
+        # The put can block on a full queue; if the dispatcher died or
+        # finished its teardown drain in the meantime nobody will ever
+        # drain this request — fail fast unless it was already resolved.
+        if (self._task is None or self._task.done()) and not future.done():
             raise self._crash_error()
         return await future
 
@@ -338,25 +319,6 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # dispatcher
     # ------------------------------------------------------------------
-    def _flush_delay(self, have: int) -> float:
-        """The adaptive deadline for a flush holding ``have`` requests.
-
-        The inter-arrival EWMA predicts how long filling the batch
-        would take; waiting is only worth it when that prediction fits
-        inside ``max_delay``, otherwise flush immediately (arrivals are
-        too slow for more coalescing to pay for the latency).  Unknown
-        arrival rate falls back to the static ``max_delay``.  The
-        idle-rounds early flush still applies either way, so the
-        deadline can only move *earlier* than the static policy.
-        """
-        if self._gap_ewma is None:
-            delay = self.max_delay
-        else:
-            expected_fill = self._gap_ewma * max(self.max_batch - have, 0)
-            delay = expected_fill if expected_fill <= self.max_delay else 0.0
-        record_adaptive_deadline(delay)
-        return delay
-
     def _fill_from_mutations(self, batch: List[_Request]) -> bool:
         """Drain writer lanes round-robin, one request per lane per turn.
 
@@ -402,7 +364,7 @@ class ServingGateway:
                 if stopping:
                     break
                 loop = asyncio.get_running_loop()
-                deadline = loop.time() + self._flush_delay(len(batch))
+                deadline = loop.time() + self.max_delay
                 idle_rounds = 0
                 while len(batch) < self.max_batch:
                     if self._fill_from_mutations(batch):
@@ -436,21 +398,12 @@ class ServingGateway:
                     await self._execute(batch)
             # Teardown flush: answer every still-queued request with
             # fault injection off, so a stopped gateway never strands
-            # a caller.
+            # a caller.  The whole drain stays in ``batch`` so a crash
+            # in any chunk resolves the chunks after it too.
             self._draining = True
-            leftovers = list(self._retry)
-            self._retry.clear()
-            leftovers.extend(self._pending_mutations())
-            self._mutations.clear()
-            self._writer_order.clear()
-            while not self._queue.empty():
-                item = self._queue.get_nowait()
-                if item is not None and item is not _WAKE:
-                    leftovers.append(item)
-            leftovers.sort(key=lambda request: request.seq)
-            for start in range(0, len(leftovers), self.max_batch):
-                batch = leftovers[start : start + self.max_batch]
-                await self._execute(batch)
+            batch = sorted(self._drain(), key=lambda request: request.seq)
+            for start in range(0, len(batch), self.max_batch):
+                await self._execute(batch[start : start + self.max_batch])
         except BaseException as error:
             # Anything escaping a flush (telemetry, fault-session
             # bookkeeping, cancellation) kills the dispatcher; fail
@@ -458,31 +411,41 @@ class ServingGateway:
             self._abort(batch, error)
             raise
 
+    def _drain(self) -> List[_Request]:
+        """Take every request still held: retries, parked mutations and
+        queued items.  Emptying the queue also unblocks any producer
+        stuck in a put against a full queue."""
+        held = list(self._retry)
+        self._retry.clear()
+        held.extend(self._pending_mutations())
+        self._mutations.clear()
+        self._writer_order.clear()
+        while not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item is not None and item is not _WAKE:
+                held.append(item)
+        return held
+
     def _abort(self, batch: List[_Request], error: BaseException) -> None:
         """Dispatcher teardown on failure: strand no caller.
 
         Marks the gateway crashed (later submissions fail fast) and
-        fails the in-flight batch plus everything still queued or
-        awaiting retry.  Draining the queue also unblocks any producer
-        stuck in a put against a full queue.
+        resolves the in-flight batch plus everything still held.  A
+        mutation the sequence barrier already applied is in the
+        service, so it gets its stored outcome; only unapplied
+        requests get the crash error.
         """
         self._crashed = error
-        stranded = list(batch)
-        stranded.extend(self._retry)
-        self._retry.clear()
-        stranded.extend(self._pending_mutations())
-        self._mutations.clear()
-        self._writer_order.clear()
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not None and item is not _WAKE:
-                stranded.append(item)
-        for request in stranded:
-            if request.future is not None and not request.future.done():
-                request.future.set_exception(self._crash_error())
+        for request in batch + self._drain():
+            future = request.future
+            if future is None or future.done():
+                continue
+            if not request.applied:
+                future.set_exception(self._crash_error())
+            elif request.error is not None:
+                future.set_exception(request.error)
+            else:
+                future.set_result(request.result)
 
     def _apply_mutations(self, batch: List[_Request]) -> None:
         """The sequence barrier: coalesce and apply pending mutations.
@@ -610,7 +573,6 @@ class ServingGateway:
                     }
             except Exception as error:  # noqa: BLE001 — delivered to caller
                 request.error = error
-            request.applied = True
 
         net_inserts: List[Tuple[Node, Node]] = []
         net_deletes: List[Tuple[Node, Node]] = []
@@ -637,6 +599,10 @@ class ServingGateway:
                 service.delete_edge(*net_deletes[0])
         elif applied:
             service.apply_batch(net_inserts, net_deletes, strict=True)
+        # Marked only once the service holds the group's effects, so a
+        # crash abort never reports an uncommitted write as applied.
+        for request in group:
+            request.applied = True
         record_write_batch(ops, applied)
         record_batch_writers(len({request.writer for request in group}))
         self.mutations_applied += sum(

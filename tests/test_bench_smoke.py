@@ -51,6 +51,22 @@ def test_smoke_artifacts_are_atomic_no_leftover_temp_files(tmp_path):
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
+def test_each_runner_records_into_its_own_registry(tmp_path):
+    """The report runner records no labeling, remapping or frozen-cache
+    series, so none may leak into its feed from the runners before it."""
+    results = smoke.run_all(out_dir=str(tmp_path), top_dir=str(tmp_path))
+    with open(results["report"].json_path) as handle:
+        metrics = json.load(handle)["metrics"]
+    leaked = [
+        name
+        for name in metrics
+        if name.startswith(
+            ("repro.labeling.", "repro.remapping.", "repro.cache.frozen")
+        )
+    ]
+    assert leaked == []
+
+
 def test_scale_runner_keeps_an_enabled_tracer_on():
     """The scale runner's memory capture must hand the tracer back in
     the state it found it: still on for the runners that sort after

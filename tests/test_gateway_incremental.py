@@ -404,6 +404,68 @@ class TestServingGatewayResilience:
             isinstance(a, RuntimeError) for a in answers
         )
 
+    def test_crash_acknowledges_already_applied_writes(self, monkeypatch):
+        """The sequence barrier of the first flush applies the parked
+        (0, 3) insert but leaves it queued for a later acknowledgment;
+        when the second flush's hook crashes, that write is already in
+        the service, so its future must carry its stored outcome, not
+        the crash error (regression: a retried delete then hit
+        EdgeNotFoundError)."""
+        service = GraphService(
+            Graph([(i, i + 1) for i in range(5)]), landmark_count=1
+        )
+        calls = []
+
+        def crash_on_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("flush hook crashed")
+
+        monkeypatch.setattr(
+            "repro.serving.gateway.record_serving_batch", crash_on_second
+        )
+
+        async def main():
+            gateway = ServingGateway(service, max_batch=2, max_delay=0)
+            gateway.start()
+            futures = [
+                gateway.insert_edge(0, 2, writer="w1"),
+                gateway.insert_edge(0, 3, writer="w1"),
+                gateway.insert_edge(0, 4, writer="w2"),
+            ]
+            with pytest.raises(RuntimeError, match="flush hook crashed"):
+                await gateway.stop()
+            return [
+                future.exception() or future.result() for future in futures
+            ]
+
+        first, parked, second = asyncio.run(main())
+        assert first is True and second is True
+        assert parked is True
+        assert service.has_edge(0, 3)
+
+    def test_query_blocked_behind_stop_fails_fast(self, monkeypatch):
+        """A query whose put waits on a full queue behind the stop
+        sentinel lands after the teardown drain; with no dispatcher
+        left to answer it, it must fail fast instead of hanging."""
+        monkeypatch.setattr("repro.serving.gateway.QUEUE_SIZE", 1)
+        service = GraphService(serving_graph(seed=5), landmark_count=2)
+
+        async def main():
+            gateway = ServingGateway(service, max_batch=4, max_delay=5.0)
+            gateway.start()
+            first = asyncio.ensure_future(gateway.distance(0, 1))
+            stopping = asyncio.ensure_future(gateway.stop())
+            late = asyncio.ensure_future(gateway.distance(0, 2))
+            await stopping
+            await asyncio.wait({first, late}, timeout=1.0)
+            return first, late
+
+        first, late = asyncio.run(main())
+        assert first.done() and first.result() is not None
+        assert late.done(), "query stranded after stop()"
+        assert isinstance(late.exception(), RuntimeError)
+
     def test_mid_batch_mutation_invalidates_sweep_cache(self):
         """A same-source distance answered after a mid-batch mutation
         must recompute the sweep: a current index into the stale
@@ -508,44 +570,6 @@ class TestBatchedWritesUnderChaos:
         distance, good_result = asyncio.run(main())
         assert distance == 1  # the good batch landed
         assert good_result == {"ops": 1, "changed": 1}
-
-
-class TestAdaptiveDeadline:
-    def test_flush_delay_policy(self, registry):
-        """Unknown arrival rate falls back to the static deadline; a
-        fast EWMA waits only the predicted fill time; a slow one
-        flushes immediately (coalescing would not pay for the wait)."""
-        service = GraphService(serving_graph(), landmark_count=1)
-        gateway = ServingGateway(service, max_batch=8, max_delay=0.005)
-        assert gateway._flush_delay(4) == 0.005
-        gateway._gap_ewma = 0.0001
-        assert gateway._flush_delay(4) == pytest.approx(0.0004)
-        assert gateway._flush_delay(8) == 0.0  # batch already full
-        gateway._gap_ewma = 0.01  # slower than the deadline allows
-        assert gateway._flush_delay(4) == 0.0
-        deadlines = serving_counts(registry)
-        assert deadlines is not None
-
-    def test_arrival_ewma_converges(self):
-        """Submissions at a steady cadence drive the EWMA toward the
-        true gap, and the first gap seeds it exactly."""
-        service = GraphService(serving_graph(), landmark_count=1)
-
-        async def main():
-            gateway = ServingGateway(service, max_batch=64, max_delay=5.0)
-            gateway.start()
-            gateway.insert_edge("a0", 0)
-            first = gateway._gap_ewma
-            for i in range(1, 12):
-                await asyncio.sleep(0.001)
-                gateway.insert_edge(f"a{i}", 0)
-            ewma = gateway._gap_ewma
-            await gateway.stop()
-            return first, ewma
-
-        first, ewma = asyncio.run(main())
-        assert first is None  # one arrival has no gap yet
-        assert ewma is not None and 0 < ewma < 0.1
 
 
 class TestWriterFairness:

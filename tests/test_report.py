@@ -227,10 +227,6 @@ class TestSections:
                     "count": 1024, "sum": 4096.0, "mean": 4.0,
                     "min": 1.0, "max": 64.0, "p50": 2.0, "p90": 8.0,
                 },
-                "repro.serving.batch.deadline_s": {
-                    "count": 1100, "sum": 0.11, "mean": 0.0001,
-                    "min": 0.0, "max": 0.0002, "p50": 0.0001, "p90": 0.00015,
-                },
             },
         )
         # A second feed carrying only counters merges into the totals.
@@ -262,7 +258,6 @@ class TestSections:
         assert sizes["sum"] == 4172.0
         assert sizes["max"] == 64.0 and sizes["min"] == 1.0
         assert sizes["p90"] == 8.0
-        assert summary["deadline_s"]["count"] == 1100
 
     def test_write_path_summary_empty_inputs(self):
         summary = write_path_summary({})
@@ -374,8 +369,8 @@ class TestDashboard:
         assert serving["streams"], "BENCH_serving.json must carry stream rows"
         assert serving["coalesce_ratio"] > 1.0
         # ... and the committed serving-write feed populates the
-        # write-path panel: stream rows, coalescing totals, and both
-        # the batch-size and adaptive-deadline histograms.
+        # write-path panel: stream rows, coalescing totals, and the
+        # batch-size histogram.
         write_path = dashboard["write_path"]
         assert write_path["streams"], (
             "BENCH_serving-write.json must carry stream rows"
@@ -384,7 +379,6 @@ class TestDashboard:
         assert write_path["writes"] > 0
         assert write_path["coalesced"] > 0
         assert write_path["batch_size"]["count"] > 0
-        assert write_path["deadline_s"]["count"] > 0
         markdown = render_markdown(dashboard)  # renders without raising
         assert "## Write path (batched mutation coalescing)" in markdown
 
