@@ -15,15 +15,22 @@ All writes are atomic (temp file + rename), so an interrupted run never
 leaves truncated artifacts.  :func:`emit_table` returns a
 :class:`TableResult` carrying the *structured* rows, not just the
 formatted string — downstream checks should consume ``result.rows``.
+
+The six ratio benches time each fast path against its reference oracle
+as a :class:`Case` through :func:`measure`, gated by :func:`check_floors`.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.observability import (
     BENCH_SCHEMA,
@@ -125,13 +132,21 @@ def _run_sweep_worker(fn: Callable[[_Item], _Result], item: _Item):
     *this* point recorded, so the parent-side merge never double-counts
     pre-fork series.
     """
-    worker_registry = MetricsRegistry("sweep-worker")
-    previous = set_registry(worker_registry)
-    try:
+    with scratch_registry("sweep-worker") as worker_registry:
         result = fn(item)
+    return result, worker_registry.dump_state()
+
+
+@contextmanager
+def scratch_registry(name: str) -> Iterator[MetricsRegistry]:
+    """Swap in a fresh global registry for the body, yield it, and
+    restore the previous one on exit."""
+    registry = MetricsRegistry(name)
+    previous = set_registry(registry)
+    try:
+        yield registry
     finally:
         set_registry(previous)
-    return result, worker_registry.dump_state()
 
 
 @dataclass(frozen=True)
@@ -159,29 +174,140 @@ class RepeatTiming:
 
 
 def time_repeated(
-    fn: Callable[[], Any], repeats: int = 3, warmup: int = 1
+    fn: Callable[..., Any],
+    repeats: int = 3,
+    warmup: int = 1,
+    setup: Optional[Callable[[], Any]] = None,
 ) -> Tuple[Any, RepeatTiming]:
     """Run ``fn`` ``warmup`` + ``repeats`` times; median-of-k wall time.
 
-    Returns the last run's result (so callers can assert on the output
-    they just paid to measure) alongside the :class:`RepeatTiming`.
+    With ``setup``, every run calls ``fn(setup())`` and only ``fn`` is
+    timed.  Returns the last run's result (so callers can assert on the
+    output they just paid to measure) alongside the :class:`RepeatTiming`.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    for _ in range(warmup):
-        fn()
     samples: List[float] = []
     result: Any = None
-    for _ in range(repeats):
+    for i in range(warmup + repeats):
+        args = () if setup is None else (setup(),)
         start = time.perf_counter()
-        result = fn()
-        samples.append(time.perf_counter() - start)
+        result = fn(*args)
+        if i >= warmup:
+            samples.append(time.perf_counter() - start)
     return result, RepeatTiming(
         median_s=statistics.median(samples),
         min_s=min(samples),
         max_s=max(samples),
         repeats=repeats,
     )
+
+
+@dataclass(frozen=True)
+class Case:
+    """A fast path, its reference oracle, and the size ``n`` it is
+    measured (and floored) at.  Each side is called as ``side()``, or
+    ``side(setup())`` with an untimed ``setup``; ``equal(reference_out,
+    fast_out)`` says whether they agree and may raise ``AssertionError``
+    with detail."""
+
+    name: str
+    n: int
+    reference: Callable[..., Any]
+    fast: Callable[..., Any]
+    equal: Callable[[Any, Any], Any] = operator.eq
+    setup: Optional[Callable[[], Any]] = None
+
+
+@dataclass(frozen=True)
+class Measured:
+    """Both sides' timings and scratch registries for one :class:`Case`."""
+
+    case: Case
+    reference: RepeatTiming
+    fast: RepeatTiming
+    reference_registry: MetricsRegistry
+    fast_registry: MetricsRegistry
+
+    @property
+    def speedup(self) -> float:
+        fast = self.fast.median_s
+        return self.reference.median_s / fast if fast > 0 else float("inf")
+
+    def cells(self) -> Tuple[float, float, float]:
+        """The (reference median, fast median, speedup) table cells."""
+        reference, fast = self.reference.median_s, self.fast.median_s
+        return round(reference, 4), round(fast, 4), round(self.speedup, 2)
+
+    def timings(self, keys: Tuple[str, str]) -> Dict[str, float]:
+        """Timing keys from ``(reference, fast)`` templates over
+        ``{case}`` and ``{n}``."""
+        reference, fast = (k.format(case=self.case.name, n=self.case.n) for k in keys)
+        return {**self.reference.as_timings(reference), **self.fast.as_timings(fast)}
+
+
+def measure(case: Case, repeats: int, reference_repeats: Optional[int] = None) -> Measured:
+    """Time both sides of ``case``, then assert they agree.
+
+    The reference runs ``reference_repeats`` (default ``repeats``)
+    times with no warm-up, the fast side one warm-up plus ``repeats``;
+    ``case.equal`` checks the last timed outputs and a mismatch raises
+    ``AssertionError`` naming the case and its size.  Each side records
+    into its own scratch registry; only the fast side's is merged into
+    the live one.
+    """
+    with scratch_registry(f"{case.name}-reference") as reference_registry:
+        reference_out, reference_timing = time_repeated(
+            case.reference, reference_repeats or repeats, 0, case.setup
+        )
+    with scratch_registry(f"{case.name}-fast") as fast_registry:
+        fast_out, fast_timing = time_repeated(case.fast, repeats, 1, case.setup)
+    where = f"{case.name} at n={case.n}"
+    try:
+        agree = case.equal(reference_out, fast_out)
+    except AssertionError as error:
+        raise AssertionError(f"{where}: {error}") from None
+    if not agree:
+        raise AssertionError(f"{where}: fast output diverges from the reference")
+    get_registry().merge(fast_registry)
+    return Measured(case, reference_timing, fast_timing, reference_registry, fast_registry)
+
+
+def speedups(
+    header: Sequence[str], rows: Iterable[Sequence[Any]]
+) -> List[Tuple[str, int, float]]:
+    """``(case, n, speedup)`` per row of a ratio table: the case is the
+    ``kernel`` cell (the serving tables measure one case, ``stream``),
+    the size is ``requested n`` where present, else ``n``."""
+    columns = list(header)
+    n_col = columns.index("requested n" if "requested n" in columns else "n")
+    case_col = columns.index("kernel") if "kernel" in columns else None
+    speedup_col = columns.index("speedup")
+    return [
+        (row[case_col] if case_col is not None else "stream", row[n_col], row[speedup_col])
+        for row in rows
+    ]
+
+
+def check_floors(
+    results: Iterable[Tuple[str, int, float]], floors: Mapping[str, float]
+) -> None:
+    """Assert each floored case meets its floor at its own largest n;
+    ``results`` are ``(case, n, speedup)``, and a floored case with no
+    result fails."""
+    largest: Dict[str, Tuple[int, float]] = {}
+    for name, n, speedup in results:
+        if name not in largest or n > largest[name][0]:
+            largest[name] = (n, speedup)
+    missing = sorted(set(floors) - set(largest))
+    if missing:
+        raise AssertionError(f"floored cases missing from the results: {missing}")
+    for name, floor in floors.items():
+        n, speedup = largest[name]
+        if speedup < floor:
+            raise AssertionError(
+                f"{name} at n={n}: speedup {speedup:.2f}x below the {floor:g}x target"
+            )
 
 
 @dataclass

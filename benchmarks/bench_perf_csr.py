@@ -8,10 +8,10 @@ Times each whole-graph kernel on Gnutella-like largest-SCC workloads
   :data:`~repro.graphs.csr.FROZEN_MIN_NODES`), and
 * the frozen CSR snapshot (:class:`~repro.graphs.csr.FrozenGraph`).
 
-Every measured pair is also checked for *exact* output equality — a
-speedup that changes answers is a bug, not an optimization.  The full
-run asserts the PR's acceptance target: >= 5x median speedup on the
-NSF peel and the all-pairs BFS at the largest size.
+Each kernel is a :class:`_util.Case` whose timed outputs must be
+*exactly* equal — a speedup that changes answers is a bug, not an
+optimization.  The full run checks :data:`FLOORS`: >= 5x median speedup
+on the NSF peel and the all-pairs BFS at the largest size.
 
     PYTHONPATH=src python benchmarks/bench_perf_csr.py
 
@@ -25,25 +25,38 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
-from _util import OUT_DIR, TOP_DIR, TableResult, emit_table, time_repeated
+from _util import OUT_DIR, TOP_DIR, Case, TableResult, check_floors, emit_table, measure, speedups
 
 EXPERIMENT = "perf-csr"
 
-#: The acceptance-criterion kernels and floor (>= 5x at the largest size).
-TARGET_SPEEDUP = 5.0
-TARGET_KERNELS = ("all-pairs-bfs", "nsf-levels")
+#: Acceptance floors at the largest size (remaining kernels are
+#: measured and reported without a floor).
+FLOORS = {"all-pairs-bfs": 5.0, "nsf-levels": 5.0}
+
+#: (reference, CSR) timing-key templates.
+KEYS = ("{case}_n{n}_ref", "{case}_n{n}_csr")
+
+#: Requested sizes of the full run.
+DEFAULT_SIZES: Tuple[int, ...] = (600, 2000, 5000)
+
+HEADER = ["requested n", "n", "m", "kernel", "ref median s", "csr median s", "speedup"]
 
 
-def _kernel_pairs(
-    graph, fg
-) -> List[Tuple[str, Callable[[], object], Callable[[], object]]]:
-    """(name, reference runner, CSR runner) for every measured kernel."""
+def workload(size: int):
+    """The Gnutella-like largest SCC measured at ``size``."""
+    from repro.datasets.gnutella import gnutella_largest_scc
+
+    return gnutella_largest_scc(size, np.random.default_rng(size))
+
+
+def cases(size: int, graph) -> List[Case]:
+    """One :class:`Case` per measured kernel over ``graph`` and its CSR."""
     from repro.graphs.metrics import (
         average_clustering_reference,
         closeness_centrality_reference,
@@ -53,6 +66,8 @@ def _kernel_pairs(
         connected_components_reference,
     )
     from repro.layering.nsf import nsf_levels_reference
+
+    fg = graph.frozen()
 
     def ref_all_pairs():
         return {
@@ -65,100 +80,60 @@ def _kernel_pairs(
         return {node: int(sums[i]) for i, node in enumerate(fg.node_list)}
 
     return [
-        ("all-pairs-bfs", ref_all_pairs, csr_all_pairs),
-        ("nsf-levels", lambda: nsf_levels_reference(graph), fg.nsf_levels),
-        (
-            "closeness",
-            lambda: closeness_centrality_reference(graph),
-            fg.closeness_centrality,
-        ),
-        (
-            "components",
-            lambda: connected_components_reference(graph),
-            fg.connected_components,
-        ),
-        (
-            "avg-clustering",
-            lambda: average_clustering_reference(graph),
-            fg.average_clustering,
-        ),
+        Case("all-pairs-bfs", size, ref_all_pairs, csr_all_pairs),
+        Case("nsf-levels", size, lambda: nsf_levels_reference(graph), fg.nsf_levels),
+        Case("closeness", size, lambda: closeness_centrality_reference(graph),
+             fg.closeness_centrality),
+        Case("components", size, lambda: connected_components_reference(graph),
+             fg.connected_components),
+        Case("avg-clustering", size, lambda: average_clustering_reference(graph),
+             fg.average_clustering),
     ]
 
 
 def run(
-    sizes: Sequence[int] = (600, 2000, 5000),
+    sizes: Sequence[int] = DEFAULT_SIZES,
     repeats: int = 3,
     out_dir: Optional[str] = None,
     top_dir: Optional[str] = TOP_DIR,
-    require_speedup: Optional[float] = None,
+    floors: Optional[Mapping[str, float]] = None,
 ) -> TableResult:
     """Benchmark every kernel at every size; assert exact equivalence.
 
-    ``require_speedup`` (the full run passes :data:`TARGET_SPEEDUP`)
-    additionally asserts the floor on :data:`TARGET_KERNELS` at the
-    largest size.  Raises ``AssertionError`` on any CSR/reference
-    output mismatch regardless.
+    ``floors`` (the full run passes :data:`FLOORS`) additionally
+    asserts each floor at the largest size, and that the frozen
+    components kernel never loses to the reference at any size.
+    Raises ``AssertionError`` on any CSR/reference output mismatch
+    regardless.
     """
-    from repro.datasets.gnutella import gnutella_largest_scc
-
     rows: List[Tuple[object, ...]] = []
     timings = {}
-    largest = max(sizes)
     for size in sizes:
-        rng = np.random.default_rng(size)
-        graph = gnutella_largest_scc(size, rng)
+        graph = workload(size)
         start = time.perf_counter()
-        fg = graph.frozen()
+        graph.frozen()
         timings[f"freeze_n{size}_s"] = time.perf_counter() - start
-        for name, ref_fn, csr_fn in _kernel_pairs(graph, fg):
-            ref_result, ref_timing = time_repeated(ref_fn, repeats=repeats, warmup=0)
-            csr_result, csr_timing = time_repeated(csr_fn, repeats=repeats, warmup=1)
-            if ref_result != csr_result:
-                raise AssertionError(
-                    f"{name}: CSR output diverges from the reference at "
-                    f"n={graph.num_nodes}"
-                )
-            speedup = (
-                ref_timing.median_s / csr_timing.median_s
-                if csr_timing.median_s > 0
-                else float("inf")
-            )
-            timings.update(ref_timing.as_timings(f"{name}_n{size}_ref"))
-            timings.update(csr_timing.as_timings(f"{name}_n{size}_csr"))
+        for case in cases(size, graph):
+            measured = measure(case, repeats)
+            timings.update(measured.timings(KEYS))
             rows.append(
-                (
-                    size,
-                    graph.num_nodes,
-                    graph.num_edges,
-                    name,
-                    round(ref_timing.median_s, 4),
-                    round(csr_timing.median_s, 4),
-                    round(speedup, 2),
-                )
+                (size, graph.num_nodes, graph.num_edges, case.name, *measured.cells())
             )
-            if (
-                require_speedup
-                and size == largest
-                and name in TARGET_KERNELS
-                and speedup < require_speedup
-            ):
-                raise AssertionError(
-                    f"{name} at n={graph.num_nodes}: speedup {speedup:.2f}x "
-                    f"below the {require_speedup:g}x target"
-                )
             # The frozen path must never lose to the reference — at ANY
             # size (the n=552 components regression fixed by the
             # vectorized min-label propagation stays fixed).
-            if require_speedup and name == "components" and speedup < 1.0:
+            if floors and case.name == "components" and measured.speedup < 1.0:
                 raise AssertionError(
                     f"components at n={graph.num_nodes}: frozen path "
-                    f"slower than the reference ({speedup:.2f}x < 1x)"
+                    f"slower than the reference ({measured.speedup:.2f}x < 1x)"
                 )
+    if floors:
+        check_floors(speedups(HEADER, rows), floors)
     return emit_table(
         EXPERIMENT,
         "dict-of-sets reference vs frozen CSR kernels (median of "
         f"{repeats}, exact output equality asserted)",
-        ["requested n", "n", "m", "kernel", "ref median s", "csr median s", "speedup"],
+        HEADER,
         rows,
         notes=(
             "Workload: gnutella_largest_scc(n, rng).  Every row's CSR output "
@@ -173,7 +148,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(
-        out_dir=OUT_DIR, top_dir=TOP_DIR, require_speedup=TARGET_SPEEDUP
-    )
+    result = run(out_dir=OUT_DIR, top_dir=TOP_DIR, floors=FLOORS)
     print(f"\nperf-csr: emitted {result.bench_path}")

@@ -12,12 +12,11 @@ workloads at increasing scale, on both substrates:
   evaluator scoring thousands of source–destination pairs per call
   (geo, hyperbolic, Kleinberg grid, and F-space hypercube).
 
-Every measured pair is checked for equality — exact for sets, labels
-and routes, tolerance-bounded for the float-normalized power iterations
-— before its timing is recorded.  The full run asserts the PR's
-acceptance targets at the largest size (n=5000): >= 10x on PageRank and
-the multi-source distance labels, >= 5x on every batched routing
-evaluator.
+Each kernel is a :class:`_util.Case` whose timed outputs must agree —
+exactly for sets, labels and routes, within tolerance for the
+float-normalized power iterations.  The full run checks :data:`FLOORS`
+at the largest size (n=5000): >= 10x on PageRank and the multi-source
+distance labels, >= 5x on every batched routing evaluator.
 
     PYTHONPATH=src python benchmarks/bench_perf_labeling.py [--jobs N]
 
@@ -33,19 +32,22 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
-from _util import OUT_DIR, TOP_DIR, TableResult, bench_jobs, emit_table, run_sweep, time_repeated
+from _util import (
+    OUT_DIR, TOP_DIR, Case, TableResult, bench_jobs, check_floors, emit_table, measure,
+    run_sweep, speedups,
+)
 
 EXPERIMENT = "perf-labeling"
 
 #: Acceptance floors per kernel at the largest size (remaining kernels
 #: are measured and reported without a floor).
-TARGET_SPEEDUPS: Dict[str, float] = {
+FLOORS: Dict[str, float] = {
     "pagerank": 10.0,
     "distance-labels": 10.0,
     "route-geo": 5.0,
@@ -53,6 +55,11 @@ TARGET_SPEEDUPS: Dict[str, float] = {
     "route-kleinberg": 5.0,
     "route-fspace": 5.0,
 }
+
+#: (reference, frozen) timing-key templates.
+KEYS = ("{case}_n{n}_ref", "{case}_n{n}_frozen")
+
+HEADER = ["n", "kernel", "ref median s", "frozen median s", "speedup"]
 
 #: (n, grid side, routing pairs, landmarks) per measured size.
 DEFAULT_SIZES: Tuple[Tuple[int, int, int, int], ...] = (
@@ -109,7 +116,7 @@ def _largest_component(graph):
     return sub
 
 
-def build_workloads(n: int, side: int, n_pairs: int, n_landmarks: int):
+def workload(size: Tuple[int, int, int, int]):
     """All benchmark fixtures for one size, keyed by kernel family."""
     from repro.datasets.gnutella import gnutella_largest_scc, gnutella_like_snapshot
     from repro.graphs.generators import kleinberg_grid
@@ -118,6 +125,7 @@ def build_workloads(n: int, side: int, n_pairs: int, n_landmarks: int):
     from repro.remapping.geo_routing import grid_with_holes
     from repro.remapping.hyperbolic import embed_tree
 
+    n, side, n_pairs, n_landmarks = size
     directed = gnutella_like_snapshot(n, np.random.default_rng(n + 1))
     undirected = gnutella_largest_scc(n, np.random.default_rng(n))
     weight_rng = np.random.default_rng(n + 2)
@@ -171,23 +179,11 @@ def build_workloads(n: int, side: int, n_pairs: int, n_landmarks: int):
     }
 
 
-def _check_exact(name: str):
-    def check(ref, fast):
-        if ref != fast:
-            raise AssertionError(f"{name}: frozen output diverges from the reference")
-
-    return check
+def _same_routes(ref, fast) -> bool:
+    return ref.rows() == fast.rows()
 
 
-def _check_routes(name: str):
-    def check(ref, fast):
-        if ref.rows() != fast.rows():
-            raise AssertionError(f"{name}: batched routes diverge from the reference")
-
-    return check
-
-
-def _check_scores(name: str, n_score_maps: int):
+def _scores_close(n_score_maps: int):
     """Tolerance-bounded equality for float-normalized power iterations
     (numpy sums in a different order than the dict fold): scores within
     1e-9, iteration counts within one round."""
@@ -197,22 +193,21 @@ def _check_scores(name: str, n_score_maps: int):
             for node, value in ref[i].items():
                 if abs(value - fast[i][node]) > 1e-9:
                     raise AssertionError(
-                        f"{name}: score for {node!r} diverges "
+                        f"score for {node!r} diverges "
                         f"({value} vs {fast[i][node]})"
                     )
         if abs(ref[n_score_maps] - fast[n_score_maps]) > 1:
             raise AssertionError(
-                f"{name}: iteration counts diverge "
+                "iteration counts diverge "
                 f"({ref[n_score_maps]} vs {fast[n_score_maps]})"
             )
+        return True
 
     return check
 
 
-def _kernel_pairs(
-    w: Dict[str, object]
-) -> List[Tuple[str, Callable[[], object], Callable[[], object], Callable]]:
-    """(name, reference runner, frozen runner, equality check) per kernel."""
+def cases(size: Tuple[int, int, int, int], w: Dict[str, object]) -> List[Case]:
+    """One :class:`Case` per measured kernel over the fixtures ``w``."""
     from repro.labeling.cds import marking_process, marking_process_reference
     from repro.labeling.ds import neighbor_designated_ds, neighbor_designated_ds_reference
     from repro.labeling.landmarks import (
@@ -236,53 +231,49 @@ def _kernel_pairs(
 
     directed, undirected = w["directed"], w["undirected"]
     landmarks, wlandmarks = w["landmarks"], w["weighted_landmarks"]
+    n = size[0]
     return [
-        ("pagerank",
-         lambda: pagerank_reference(directed),
-         lambda: pagerank(directed),
-         _check_scores("pagerank", 1)),
-        ("hits",
-         lambda: hits_reference(directed),
-         lambda: hits(directed),
-         _check_scores("hits", 2)),
-        ("distance-labels",
-         lambda: distance_gateway_labels_reference(undirected, landmarks),
-         lambda: distance_gateway_labels(undirected, landmarks),
-         _check_exact("distance-labels")),
-        ("weighted-labels",
-         lambda: weighted_distance_gateway_labels_reference(undirected, wlandmarks),
-         lambda: weighted_distance_gateway_labels(undirected, wlandmarks),
-         _check_exact("weighted-labels")),
-        ("mis",
-         lambda: compute_mis_reference(undirected),
-         lambda: compute_mis(undirected),
-         _check_exact("mis")),
-        ("neighbor-ds",
-         lambda: neighbor_designated_ds_reference(undirected),
-         lambda: neighbor_designated_ds(undirected),
-         _check_exact("neighbor-ds")),
-        ("marking",
-         lambda: marking_process_reference(undirected),
-         lambda: marking_process(undirected),
-         _check_exact("marking")),
-        ("route-geo",
-         lambda: evaluate_geo_routing_reference(w["geo"], w["geo_pairs"]),
-         lambda: evaluate_geo_routing(w["geo"], w["geo_pairs"]),
-         _check_routes("route-geo")),
-        ("route-hyperbolic",
-         lambda: evaluate_hyperbolic_routing_reference(
-             w["hyper"], w["embedding"], w["hyper_pairs"]),
-         lambda: evaluate_hyperbolic_routing(
-             w["hyper"], w["embedding"], w["hyper_pairs"]),
-         _check_routes("route-hyperbolic")),
-        ("route-kleinberg",
-         lambda: evaluate_kleinberg_routing_reference(w["grid"], w["grid_pairs"]),
-         lambda: evaluate_kleinberg_routing(w["grid"], w["grid_pairs"]),
-         _check_routes("route-kleinberg")),
-        ("route-fspace",
-         lambda: evaluate_fspace_routing_reference(w["space"], w["fspace_pairs"]),
-         lambda: evaluate_fspace_routing(w["space"], w["fspace_pairs"]),
-         _check_routes("route-fspace")),
+        Case("pagerank", n,
+             lambda: pagerank_reference(directed),
+             lambda: pagerank(directed),
+             _scores_close(1)),
+        Case("hits", n,
+             lambda: hits_reference(directed),
+             lambda: hits(directed),
+             _scores_close(2)),
+        Case("distance-labels", n,
+             lambda: distance_gateway_labels_reference(undirected, landmarks),
+             lambda: distance_gateway_labels(undirected, landmarks)),
+        Case("weighted-labels", n,
+             lambda: weighted_distance_gateway_labels_reference(undirected, wlandmarks),
+             lambda: weighted_distance_gateway_labels(undirected, wlandmarks)),
+        Case("mis", n,
+             lambda: compute_mis_reference(undirected),
+             lambda: compute_mis(undirected)),
+        Case("neighbor-ds", n,
+             lambda: neighbor_designated_ds_reference(undirected),
+             lambda: neighbor_designated_ds(undirected)),
+        Case("marking", n,
+             lambda: marking_process_reference(undirected),
+             lambda: marking_process(undirected)),
+        Case("route-geo", n,
+             lambda: evaluate_geo_routing_reference(w["geo"], w["geo_pairs"]),
+             lambda: evaluate_geo_routing(w["geo"], w["geo_pairs"]),
+             _same_routes),
+        Case("route-hyperbolic", n,
+             lambda: evaluate_hyperbolic_routing_reference(
+                 w["hyper"], w["embedding"], w["hyper_pairs"]),
+             lambda: evaluate_hyperbolic_routing(
+                 w["hyper"], w["embedding"], w["hyper_pairs"]),
+             _same_routes),
+        Case("route-kleinberg", n,
+             lambda: evaluate_kleinberg_routing_reference(w["grid"], w["grid_pairs"]),
+             lambda: evaluate_kleinberg_routing(w["grid"], w["grid_pairs"]),
+             _same_routes),
+        Case("route-fspace", n,
+             lambda: evaluate_fspace_routing_reference(w["space"], w["fspace_pairs"]),
+             lambda: evaluate_fspace_routing(w["space"], w["fspace_pairs"]),
+             _same_routes),
     ]
 
 
@@ -298,8 +289,9 @@ def _measure_size(
     the reference evaluators also use the frozen BFS for their stretch
     denominators.  References at large sizes are timed once.
     """
-    (n, side, n_pairs, n_landmarks), repeats = task
-    w = build_workloads(n, side, n_pairs, n_landmarks)
+    size, repeats = task
+    n = size[0]
+    w = workload(size)
 
     rows: List[Tuple[object, ...]] = []
     timings: Dict[str, float] = {}
@@ -309,27 +301,10 @@ def _measure_size(
     w["space"].strong_link_graph().frozen()
     timings[f"freeze_n{n}_s"] = time.perf_counter() - start
 
-    ref_repeats = 1 if n >= 1000 else repeats
-    for name, ref_fn, fast_fn, check in _kernel_pairs(w):
-        ref_result, ref_timing = time_repeated(ref_fn, repeats=ref_repeats, warmup=0)
-        fast_result, fast_timing = time_repeated(fast_fn, repeats=repeats, warmup=1)
-        check(ref_result, fast_result)
-        speedup = (
-            ref_timing.median_s / fast_timing.median_s
-            if fast_timing.median_s > 0
-            else float("inf")
-        )
-        timings.update(ref_timing.as_timings(f"{name}_n{n}_ref"))
-        timings.update(fast_timing.as_timings(f"{name}_n{n}_frozen"))
-        rows.append(
-            (
-                n,
-                name,
-                round(ref_timing.median_s, 4),
-                round(fast_timing.median_s, 4),
-                round(speedup, 2),
-            )
-        )
+    for case in cases(size, w):
+        measured = measure(case, repeats, 1 if n >= 1000 else repeats)
+        timings.update(measured.timings(KEYS))
+        rows.append((n, case.name, *measured.cells()))
     return rows, timings
 
 
@@ -338,41 +313,28 @@ def run(
     repeats: int = 3,
     out_dir: Optional[str] = None,
     top_dir: Optional[str] = TOP_DIR,
-    require_speedups: Optional[Mapping[str, float]] = None,
+    floors: Optional[Mapping[str, float]] = None,
     jobs: Optional[int] = None,
 ) -> TableResult:
     """Benchmark every labeling/routing kernel at every size.
 
-    ``require_speedups`` (the full run passes :data:`TARGET_SPEEDUPS`)
-    asserts per-kernel floors at the largest size.  Raises
-    ``AssertionError`` on any frozen/reference output mismatch
-    regardless.  ``jobs > 1`` distributes sizes over worker processes
-    (row order stays deterministic) — use only for iteration, not for
-    committed timing feeds.
+    ``floors`` (the full run passes :data:`FLOORS`) asserts per-kernel
+    floors at the largest size.  Raises ``AssertionError`` on any
+    frozen/reference output mismatch regardless.  ``jobs > 1``
+    distributes sizes over worker processes (row order stays
+    deterministic) — use only for iteration, not for committed timing
+    feeds.
     """
-    measured = run_sweep(
-        [(size, repeats) for size in sizes], _measure_size, jobs=jobs
-    )
-    rows: List[Tuple[object, ...]] = []
-    timings: Dict[str, float] = {}
-    for size_rows, size_timings in measured:
-        rows.extend(size_rows)
-        timings.update(size_timings)
-
-    largest = max(size[0] for size in sizes)
-    if require_speedups:
-        for n, name, _, _, speedup in rows:
-            floor = require_speedups.get(name)
-            if n == largest and floor is not None and speedup < floor:
-                raise AssertionError(
-                    f"{name} at n={n}: speedup {speedup:.2f}x below the "
-                    f"{floor:g}x target"
-                )
+    measured = run_sweep([(size, repeats) for size in sizes], _measure_size, jobs=jobs)
+    rows = [row for size_rows, _ in measured for row in size_rows]
+    timings = {k: v for _, size_timings in measured for k, v in size_timings.items()}
+    if floors:
+        check_floors(speedups(HEADER, rows), floors)
     return emit_table(
         EXPERIMENT,
         "pure-Python reference vs frozen labeling & routing kernels "
         "(equality asserted per kernel before timing)",
-        ["n", "kernel", "ref median s", "frozen median s", "speedup"],
+        HEADER,
         rows,
         notes=(
             "Workloads: Gnutella-like snapshots (PageRank/HITS, labels, "
@@ -402,7 +364,7 @@ if __name__ == "__main__":
     result = run(
         out_dir=OUT_DIR,
         top_dir=TOP_DIR,
-        require_speedups=TARGET_SPEEDUPS,
+        floors=FLOORS,
         jobs=bench_jobs(sys.argv[1:]),
     )
     print(f"\nperf-labeling: emitted {result.bench_path}")

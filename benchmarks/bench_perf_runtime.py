@@ -12,13 +12,12 @@ Times the bulk-synchronous round protocols on both execution planes:
 
 Three protocol families are measured: full link reversal repairing a
 batch of stale sinks on a sparse random graph, safety-level labeling of
-a faulty hypercube, and round-based MIS election.  Before any timing,
-each pair is run once and checked for **bit-exact parity**: identical
-final state, identical round count, and identical total/per-round
-message accounting (``RunStats`` equality) — the timing loop only runs
-after the equivalence assertion passes.  The full run asserts the PR's
-acceptance floors at the largest tier: >= 10x on link reversal and on
-safety levels.
+a faulty hypercube, and round-based MIS election.  Each protocol is a
+:class:`_util.Case`; :func:`_util.measure` checks its timed outputs for
+**bit-exact parity** (final state, round count, total/per-round message
+accounting: ``RunStats`` equality) before returning any timing.  The
+full run checks :data:`FLOORS`, each protocol at its own largest n:
+>= 10x on link reversal and on safety levels.
 
     PYTHONPATH=src python benchmarks/bench_perf_runtime.py [--jobs N]
 
@@ -34,30 +33,30 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
 from _util import (
-    OUT_DIR,
-    TOP_DIR,
-    TableResult,
-    bench_jobs,
-    emit_table,
-    run_sweep,
-    time_repeated,
+    OUT_DIR, TOP_DIR, Case, TableResult, bench_jobs, check_floors, emit_table, measure,
+    run_sweep, speedups,
 )
 
 EXPERIMENT = "perf-runtime"
 
-#: Acceptance floors per kernel at the largest tier (the MIS row is
+#: Acceptance floors per kernel at its own largest n (the MIS row is
 #: measured and reported without a floor).
-TARGET_SPEEDUPS: Dict[str, float] = {
+FLOORS: Dict[str, float] = {
     "link-reversal": 10.0,
     "safety-levels": 10.0,
 }
+
+#: (scalar reference, vector) timing-key templates.
+KEYS = ("{case}_n{n}_ref", "{case}_n{n}_vector")
+
+HEADER = ["n", "kernel", "ref median s", "vector median s", "speedup"]
 
 #: (random-graph n, hypercube dimension) per measured tier.
 DEFAULT_SIZES: Tuple[Tuple[int, int], ...] = (
@@ -105,10 +104,10 @@ def safety_workload(dimension: int):
     return frozenset(nodes[int(i)] for i in picks)
 
 
-def _assert_stats_equal(name: str, scalar, vector) -> None:
+def _assert_stats_equal(scalar, vector) -> None:
     if scalar != vector:
         raise AssertionError(
-            f"{name}: engine accounting diverges — scalar rounds="
+            "engine accounting diverges — scalar rounds="
             f"{scalar.rounds} messages={scalar.messages_sent} vs vector "
             f"rounds={vector.rounds} messages={vector.messages_sent}"
         )
@@ -148,7 +147,7 @@ def _reversal_runners(graph, fg, destination, stale):
     def check(scalar_out, vector_out):
         network, scalar_stats = scalar_out
         kernel, vector_stats = vector_out
-        _assert_stats_equal("link-reversal", scalar_stats, vector_stats)
+        _assert_stats_equal(scalar_stats, vector_stats)
         scalar_heights = {
             node: tuple(network.state_of(node)["height"]) for node in nodes
         }
@@ -157,7 +156,7 @@ def _reversal_runners(graph, fg, destination, stale):
             for i in range(fg.n)
         }
         if scalar_heights != vector_heights:
-            raise AssertionError("link-reversal: final heights diverge")
+            raise AssertionError("final heights diverge")
         scalar_rev = {
             node: network.state_of(node).get("reversals", 0) for node in nodes
         }
@@ -165,7 +164,8 @@ def _reversal_runners(graph, fg, destination, stale):
             nodes[i]: int(kernel.reversals[i]) for i in range(fg.n)
         }
         if scalar_rev != vector_rev:
-            raise AssertionError("link-reversal: reversal counts diverge")
+            raise AssertionError("reversal counts diverge")
+        return True
 
     return scalar_run, vector_run, check
 
@@ -197,13 +197,14 @@ def _safety_runners(cube, fg, dimension, faults):
     def check(scalar_out, vector_out):
         network, scalar_stats = scalar_out
         kernel, vector_stats = vector_out
-        _assert_stats_equal("safety-levels", scalar_stats, vector_stats)
+        _assert_stats_equal(scalar_stats, vector_stats)
         scalar_levels = network.states("level")
         vector_levels = {
             nodes[i]: int(kernel.level[i]) for i in range(fg.n)
         }
         if scalar_levels != vector_levels:
-            raise AssertionError("safety-levels: final levels diverge")
+            raise AssertionError("final levels diverge")
+        return True
 
     return scalar_run, vector_run, check
 
@@ -232,15 +233,40 @@ def _mis_runners(graph, fg):
     def check(scalar_out, vector_out):
         network, scalar_stats = scalar_out
         kernel, vector_stats = vector_out
-        _assert_stats_equal("mis", scalar_stats, vector_stats)
+        _assert_stats_equal(scalar_stats, vector_stats)
         colors = {0: "white", 1: "black", 2: "gray"}
         vector_colors = {
             nodes[i]: colors[int(kernel.color[i])] for i in range(fg.n)
         }
         if network.states("color") != vector_colors:
-            raise AssertionError("mis: final colors diverge")
+            raise AssertionError("final colors diverge")
+        return True
 
     return scalar_run, vector_run, check
+
+
+def workload(size: Tuple[int, int]):
+    """Every prebuilt graph and CSR snapshot measured at tier ``size``."""
+    from repro.graphs.hypercube import binary_hypercube
+    from repro.runtime.vector import hypercube_frozen
+
+    n, dimension = size
+    graph, destination, stale = reversal_workload(n)
+    cube = (binary_hypercube(dimension), hypercube_frozen(dimension))
+    return graph, graph.frozen(), destination, stale, safety_workload(dimension), cube
+
+
+def cases(size: Tuple[int, int], w) -> List[Case]:
+    """One :class:`Case` per protocol; the safety-level case is sized
+    by its cube (2**dimension nodes), the others by ``n``."""
+    n, dimension = size
+    graph, fg, destination, stale, faults, (cube, cube_fg) = w
+    return [
+        Case("link-reversal", n, *_reversal_runners(graph, fg, destination, stale)),
+        Case("safety-levels", 1 << dimension,
+             *_safety_runners(cube, cube_fg, dimension, faults)),
+        Case("mis", n, *_mis_runners(graph, fg)),
+    ]
 
 
 def _measure_size(
@@ -254,49 +280,18 @@ def _measure_size(
     own engine per pass, so a timing covers one full build-and-run on
     one plane.  Scalar references at large tiers are timed once.
     """
-    from repro.graphs.hypercube import binary_hypercube
-    from repro.runtime.vector import hypercube_frozen
-
-    (n, dimension), repeats = task
+    size, repeats = task
     rows: List[Tuple[object, ...]] = []
     timings: Dict[str, float] = {}
 
     start = time.perf_counter()
-    graph, destination, stale = reversal_workload(n)
-    fg = graph.frozen()
-    faults = safety_workload(dimension)
-    cube = binary_hypercube(dimension)
-    cube_fg = hypercube_frozen(dimension)
-    timings[f"freeze_n{n}_s"] = time.perf_counter() - start
+    w = workload(size)
+    timings[f"freeze_n{size[0]}_s"] = time.perf_counter() - start
 
-    cube_n = 1 << dimension
-    protocols: List[Tuple[str, int, Tuple[Callable, Callable, Callable]]] = [
-        ("link-reversal", n, _reversal_runners(graph, fg, destination, stale)),
-        ("safety-levels", cube_n, _safety_runners(cube, cube_fg, dimension, faults)),
-        ("mis", n, _mis_runners(graph, fg)),
-    ]
-    for name, size_n, (scalar_run, vector_run, check) in protocols:
-        # Parity first: never time a kernel whose output differs.
-        check(scalar_run(), vector_run())
-        ref_repeats = 1 if size_n >= 1000 else repeats
-        _, ref_timing = time_repeated(scalar_run, repeats=ref_repeats, warmup=0)
-        _, vec_timing = time_repeated(vector_run, repeats=repeats, warmup=1)
-        speedup = (
-            ref_timing.median_s / vec_timing.median_s
-            if vec_timing.median_s > 0
-            else float("inf")
-        )
-        timings.update(ref_timing.as_timings(f"{name}_n{size_n}_ref"))
-        timings.update(vec_timing.as_timings(f"{name}_n{size_n}_vector"))
-        rows.append(
-            (
-                size_n,
-                name,
-                round(ref_timing.median_s, 4),
-                round(vec_timing.median_s, 4),
-                round(speedup, 2),
-            )
-        )
+    for case in cases(size, w):
+        measured = measure(case, repeats, 1 if case.n >= 1000 else repeats)
+        timings.update(measured.timings(KEYS))
+        rows.append((case.n, case.name, *measured.cells()))
     return rows, timings
 
 
@@ -305,54 +300,28 @@ def run(
     repeats: int = 3,
     out_dir: Optional[str] = None,
     top_dir: Optional[str] = TOP_DIR,
-    require_speedups: Optional[Mapping[str, float]] = None,
+    floors: Optional[Mapping[str, float]] = None,
     jobs: Optional[int] = None,
 ) -> TableResult:
     """Benchmark every round protocol on both planes at every tier.
 
-    ``require_speedups`` (the full run passes :data:`TARGET_SPEEDUPS`)
-    asserts per-protocol floors at the largest tier.  Raises
+    ``floors`` (the full run passes :data:`FLOORS`) asserts
+    per-protocol floors, each at its own largest n.  Raises
     ``AssertionError`` on any scalar/vector state, round, or message
     divergence regardless.  ``jobs > 1`` distributes tiers over worker
     processes (row order stays deterministic) — use only for
     iteration, not for committed timing feeds.
     """
-    measured = run_sweep(
-        [(size, repeats) for size in sizes], _measure_size, jobs=jobs
-    )
-    rows: List[Tuple[object, ...]] = []
-    timings: Dict[str, float] = {}
-    for size_rows, size_timings in measured:
-        rows.extend(size_rows)
-        timings.update(size_timings)
-
-    if require_speedups:
-        largest = max(sizes, key=lambda size: size[0])
-        gated_ns = {
-            "link-reversal": largest[0],
-            "safety-levels": 1 << largest[1],
-            "mis": largest[0],
-        }
-        seen = set()
-        for size_n, name, _, _, speedup in rows:
-            floor = require_speedups.get(name)
-            if floor is not None and size_n == gated_ns.get(name):
-                if speedup < floor:
-                    raise AssertionError(
-                        f"{name} at n={size_n}: speedup {speedup:.2f}x below "
-                        f"the {floor:g}x target"
-                    )
-                seen.add(name)
-        missing = set(require_speedups) - seen
-        if missing:
-            raise AssertionError(
-                f"floored kernels missing from the largest tier: {missing}"
-            )
+    measured = run_sweep([(size, repeats) for size in sizes], _measure_size, jobs=jobs)
+    rows = [row for size_rows, _ in measured for row in size_rows]
+    timings = {k: v for _, size_timings in measured for k, v in size_timings.items()}
+    if floors:
+        check_floors(speedups(HEADER, rows), floors)
     return emit_table(
         EXPERIMENT,
         "scalar round engine vs vectorized array kernels "
         "(state/round/message parity asserted per protocol before timing)",
-        ["n", "kernel", "ref median s", "vector median s", "speedup"],
+        HEADER,
         rows,
         notes=(
             "Workloads: full link reversal repairing ~n/100 stale sinks "
@@ -362,9 +331,9 @@ def run(
             "election with repr-rank priorities.  Each row times one "
             "full engine build-and-run per plane over a prebuilt "
             "graph/CSR (freeze_n*_s records the one-off snapshot "
-            "builds).  Parity is asserted before timing: final state, "
-            "round count, and total + per-round message counts are "
-            "bit-identical across planes (RunStats equality).  Scalar "
+            "builds).  Parity is asserted on the timed outputs: final "
+            "state, round count, and total + per-round message counts "
+            "are bit-identical across planes (RunStats equality).  Scalar "
             "references at n >= 1000 are timed once."
         ),
         timings=timings,
@@ -377,7 +346,7 @@ if __name__ == "__main__":
     result = run(
         out_dir=OUT_DIR,
         top_dir=TOP_DIR,
-        require_speedups=TARGET_SPEEDUPS,
+        floors=FLOORS,
         jobs=bench_jobs(sys.argv[1:]),
     )
     print(f"\nperf-runtime: emitted {result.bench_path}")

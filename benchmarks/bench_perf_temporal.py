@@ -9,11 +9,11 @@ synthetic contact workloads at increasing scale, on both substrates:
 * the frozen contact index (:class:`~repro.temporal.frozen.FrozenContacts`)
   plus the DTN simulator's bitset infection front.
 
-Every measured pair is checked for *exact* output equality — parent
-hops, delivery statistics and all — before its timing is recorded.
-The full run asserts the PR's acceptance target: >= 10x median speedup
-on the multi-source dynamic diameter and the DTN epidemic sweep at the
-largest size (n=2000, horizon=5000).
+Each kernel is a :class:`_util.Case` whose timed outputs must be
+*exactly* equal — parent hops, delivery statistics and all.  The full
+run checks :data:`FLOORS`: >= 10x median speedup on the multi-source
+dynamic diameter and the DTN epidemic sweep at the largest size
+(n=2000, horizon=5000).
 
     PYTHONPATH=src python benchmarks/bench_perf_temporal.py [--jobs N]
 
@@ -29,19 +29,28 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
-from _util import OUT_DIR, TOP_DIR, TableResult, bench_jobs, emit_table, run_sweep, time_repeated
+from _util import (
+    OUT_DIR, TOP_DIR, Case, TableResult, bench_jobs, check_floors, emit_table, measure,
+    run_sweep, speedups,
+)
 
 EXPERIMENT = "perf-temporal"
 
-#: The acceptance-criterion kernels and floor (>= 10x at the largest size).
-TARGET_SPEEDUP = 10.0
-TARGET_KERNELS = ("dynamic-diameter", "dtn-epidemic")
+#: Acceptance floors at the largest size (remaining kernels are
+#: measured and reported without a floor).
+FLOORS = {"dynamic-diameter": 10.0, "dtn-epidemic": 10.0}
+
+#: (reference, frozen) timing-key templates.
+KEYS = ("{case}_n{n}_ref", "{case}_n{n}_frozen")
+
+HEADER = ["n", "horizon", "contacts", "kernel", "ref median s",
+          "frozen median s", "speedup"]
 
 #: (n, horizon, contacts, messages) per measured size.  Densities are
 #: chosen so every flood completes well inside the horizon (the
@@ -80,10 +89,26 @@ def message_specs(n: int, count: int, seed: int):
     ]
 
 
-def _kernel_pairs(
-    eg, specs
-) -> List[Tuple[str, Callable[[], object], Callable[[], object]]]:
-    """(name, reference runner, frozen runner) for every measured kernel."""
+def workload(size: Tuple[int, int, int, int]):
+    """``(evolving graph, message specs)`` measured at ``size``."""
+    n, horizon, contacts, messages = size
+    return (
+        temporal_workload(n, horizon, contacts, seed=n),
+        message_specs(n, messages, seed=n),
+    )
+
+
+def _no_vacuous_diameter(ref, fast) -> bool:
+    if ref is None:
+        raise AssertionError(
+            "the workload never completes its floods — densify it (the "
+            "None case short-circuits the reference and measures nothing)"
+        )
+    return ref == fast
+
+
+def cases(size: Tuple[int, int, int, int], w) -> List[Case]:
+    """One :class:`Case` per measured kernel over the workload ``w``."""
     from repro.dtn.routers import DirectDelivery, EpidemicRouter
     from repro.dtn.simulator import DTNSimulation
     from repro.temporal.connectivity import (
@@ -101,6 +126,8 @@ def _kernel_pairs(
 
     from repro.observability import tracing
 
+    eg, specs = w
+
     def sim_runner(router_cls, fast: bool) -> Callable[[], object]:
         def run_sim():
             # A private disabled tracer: the measured pair must stay
@@ -115,19 +142,20 @@ def _kernel_pairs(
 
         return run_sim
 
+    n = size[0]
     return [
-        ("earliest-arrival", lambda: earliest_arrival_reference(eg, 0),
-         lambda: earliest_arrival(eg, 0)),
-        ("foremost-tree", lambda: foremost_tree_reference(eg, 0),
-         lambda: foremost_tree(eg, 0)),
-        ("latest-departure", lambda: latest_departure_reference(eg, 0),
-         lambda: latest_departure(eg, 0)),
-        ("dynamic-diameter", lambda: dynamic_diameter_reference(eg),
-         lambda: dynamic_diameter(eg)),
-        ("dtn-epidemic", sim_runner(EpidemicRouter, False),
-         sim_runner(EpidemicRouter, True)),
-        ("dtn-direct", sim_runner(DirectDelivery, False),
-         sim_runner(DirectDelivery, True)),
+        Case("earliest-arrival", n, lambda: earliest_arrival_reference(eg, 0),
+             lambda: earliest_arrival(eg, 0)),
+        Case("foremost-tree", n, lambda: foremost_tree_reference(eg, 0),
+             lambda: foremost_tree(eg, 0)),
+        Case("latest-departure", n, lambda: latest_departure_reference(eg, 0),
+             lambda: latest_departure(eg, 0)),
+        Case("dynamic-diameter", n, lambda: dynamic_diameter_reference(eg),
+             lambda: dynamic_diameter(eg), _no_vacuous_diameter),
+        Case("dtn-epidemic", n, sim_runner(EpidemicRouter, False),
+             sim_runner(EpidemicRouter, True)),
+        Case("dtn-direct", n, sim_runner(DirectDelivery, False),
+             sim_runner(DirectDelivery, True)),
     ]
 
 
@@ -142,52 +170,20 @@ def _measure_size(
     one full per-source scan each); the frozen side always uses the
     requested repeat count with one warmup (which also pays the freeze).
     """
-    (n, horizon, contacts, messages), repeats = task
-    eg = temporal_workload(n, horizon, contacts, seed=n)
-    specs = message_specs(n, messages, seed=n)
+    size, repeats = task
+    n, horizon = size[0], size[1]
+    w = workload(size)
+    eg = w[0]
 
     rows: List[Tuple[object, ...]] = []
     timings: Dict[str, float] = {}
     start = time.perf_counter()
     eg.frozen()
     timings[f"freeze_n{n}_s"] = time.perf_counter() - start
-    ref_repeats = 1 if n >= 1000 else repeats
-    for name, ref_fn, frozen_fn in _kernel_pairs(eg, specs):
-        ref_result, ref_timing = time_repeated(
-            ref_fn, repeats=ref_repeats, warmup=0
-        )
-        frozen_result, frozen_timing = time_repeated(
-            frozen_fn, repeats=repeats, warmup=1
-        )
-        if ref_result != frozen_result:
-            raise AssertionError(
-                f"{name}: frozen output diverges from the reference at "
-                f"n={n}, horizon={horizon}"
-            )
-        if name == "dynamic-diameter" and ref_result is None:
-            raise AssertionError(
-                f"dynamic-diameter workload at n={n} never completes its "
-                "floods — densify the workload (the None case short-"
-                "circuits the reference and measures nothing)"
-            )
-        speedup = (
-            ref_timing.median_s / frozen_timing.median_s
-            if frozen_timing.median_s > 0
-            else float("inf")
-        )
-        timings.update(ref_timing.as_timings(f"{name}_n{n}_ref"))
-        timings.update(frozen_timing.as_timings(f"{name}_n{n}_frozen"))
-        rows.append(
-            (
-                n,
-                horizon,
-                eg.num_contacts,
-                name,
-                round(ref_timing.median_s, 4),
-                round(frozen_timing.median_s, 4),
-                round(speedup, 2),
-            )
-        )
+    for case in cases(size, w):
+        measured = measure(case, repeats, 1 if n >= 1000 else repeats)
+        timings.update(measured.timings(KEYS))
+        rows.append((n, horizon, eg.num_contacts, case.name, *measured.cells()))
     return rows, timings
 
 
@@ -196,41 +192,28 @@ def run(
     repeats: int = 3,
     out_dir: Optional[str] = None,
     top_dir: Optional[str] = TOP_DIR,
-    require_speedup: Optional[float] = None,
+    floors: Optional[Mapping[str, float]] = None,
     jobs: Optional[int] = None,
 ) -> TableResult:
     """Benchmark every temporal kernel at every size.
 
-    ``require_speedup`` (the full run passes :data:`TARGET_SPEEDUP`)
-    additionally asserts the floor on :data:`TARGET_KERNELS` at the
-    largest size.  Raises ``AssertionError`` on any frozen/reference
-    output mismatch regardless.  ``jobs > 1`` distributes sizes over
-    worker processes (row order stays deterministic) — use only for
-    iteration, not for committed timing feeds.
+    ``floors`` (the full run passes :data:`FLOORS`) additionally
+    asserts each floor at the largest size.  Raises ``AssertionError``
+    on any frozen/reference output mismatch regardless.  ``jobs > 1``
+    distributes sizes over worker processes (row order stays
+    deterministic) — use only for iteration, not for committed timing
+    feeds.
     """
-    measured = run_sweep(
-        [(size, repeats) for size in sizes], _measure_size, jobs=jobs
-    )
-    rows: List[Tuple[object, ...]] = []
-    timings: Dict[str, float] = {}
-    for size_rows, size_timings in measured:
-        rows.extend(size_rows)
-        timings.update(size_timings)
-
-    largest = max(size[0] for size in sizes)
-    if require_speedup:
-        for n, _, _, name, _, _, speedup in rows:
-            if n == largest and name in TARGET_KERNELS and speedup < require_speedup:
-                raise AssertionError(
-                    f"{name} at n={n}: speedup {speedup:.2f}x below the "
-                    f"{require_speedup:g}x target"
-                )
+    measured = run_sweep([(size, repeats) for size in sizes], _measure_size, jobs=jobs)
+    rows = [row for size_rows, _ in measured for row in size_rows]
+    timings = {k: v for _, size_timings in measured for k, v in size_timings.items()}
+    if floors:
+        check_floors(speedups(HEADER, rows), floors)
     return emit_table(
         EXPERIMENT,
         "dict-of-sets reference vs frozen temporal kernels (exact output "
         "equality asserted, parents and DTN stats included)",
-        ["n", "horizon", "contacts", "kernel", "ref median s",
-         "frozen median s", "speedup"],
+        HEADER,
         rows,
         notes=(
             "Workload: uniform random weighted contacts, dense enough "
@@ -252,7 +235,7 @@ if __name__ == "__main__":
     result = run(
         out_dir=OUT_DIR,
         top_dir=TOP_DIR,
-        require_speedup=TARGET_SPEEDUP,
+        floors=FLOORS,
         jobs=bench_jobs(sys.argv[1:]),
     )
     print(f"\nperf-temporal: emitted {result.bench_path}")

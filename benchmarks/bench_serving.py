@@ -12,12 +12,12 @@ Drives the same interleaved stream of edge mutations and point queries
   buffer mutations, lazily merged snapshots, incrementally repaired
   indexes, and distance queries coalesced onto shared BFS sweeps.
 
-Every answer is asserted equal between the stacks before any timing is
-reported, and the steady-state economics are asserted structurally:
-the serving run must record **zero** ``repro.cache.frozen`` events
-(all snapshots come from the vectorized patch-merge path).  The full
-run additionally asserts the acceptance floor: >= 5x mixed-stream
-queries/sec over the baseline.
+The stream is one :class:`_util.Case`: every answer is asserted equal
+between the stacks before any timing is reported, and each stack
+records into its own scratch registry.  The serving side's must hold
+**zero** ``repro.cache.frozen`` refreezes (all snapshots come from the
+vectorized patch-merge path).  The full run checks :data:`FLOORS`:
+>= 5x mixed-stream queries/sec over the baseline.
 
     PYTHONPATH=src python benchmarks/bench_serving.py
 
@@ -31,19 +31,28 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
-from _util import OUT_DIR, TOP_DIR, TableResult, emit_table, time_repeated
+from _util import OUT_DIR, TOP_DIR, Case, TableResult, check_floors, emit_table, measure, speedups
 
 EXPERIMENT = "serving"
 
 #: Acceptance floor for the full run: mixed-stream queries/sec must be
 #: at least this multiple of the refreeze-per-generation baseline.
-TARGET_SPEEDUP = 5.0
+FLOORS = {"stream": 5.0}
+
+#: (baseline, serving) timing-key templates.
+KEYS = ("baseline_{case}_n{n}", "serving_{case}_n{n}")
+
+#: Sizes of the full run.
+DEFAULT_SIZES: Tuple[int, ...] = (500, 2000)
+
+HEADER = ["n", "m", "blocks", "queries", "baseline median s", "serving median s",
+          "baseline q/s", "serving q/s", "speedup"]
 
 #: Distance queries issued (and coalesced) per mutation sub-block.
 FANOUT = 6
@@ -98,7 +107,7 @@ def make_graph(edges):
     return graph
 
 
-def run_baseline(edges, script, landmarks, registry=None) -> List[object]:
+def run_baseline(edges, script, landmarks) -> List[object]:
     """Refreeze-per-generation: the repo's public query surface as-is.
 
     Every point query goes through the pre-serving APIs
@@ -106,39 +115,26 @@ def run_baseline(edges, script, landmarks, registry=None) -> List[object]:
     each of which calls ``graph.frozen()`` internally — so the first
     query after each mutation pays a full refreeze, and with no
     coalescing layer every distance query re-runs its own BFS.
-
-    The body runs against its own scratch ``MetricsRegistry`` (pass
-    ``registry`` to inspect it), so the baseline's refreeze storm never
-    leaks into the serving phase's metrics — the zero-steady-state-
-    refreeze invariant in the emitted feed is measured, not clobbered.
     """
     from repro.graphs.traversal import bfs_distances
     from repro.labeling.landmarks import distance_gateway_labels
     from repro.layering.nsf import nsf_levels
-    from repro.observability.metrics import MetricsRegistry, set_registry
 
-    scratch = registry if registry is not None else MetricsRegistry("baseline")
-    previous = set_registry(scratch)
-    try:
-        graph = make_graph(edges)
-        answers: List[object] = []
-        for block in script:
-            u, v = block["toggle"]
-            if graph.has_edge(u, v):
-                graph.remove_edge(u, v)
-            else:
-                graph.add_edge(u, v)
-            answers.append(nsf_levels(graph)[block["probe"]])
-            answers.append(
-                distance_gateway_labels(graph, landmarks).get(block["probe"])
-            )
-            for target in block["targets"]:
-                answers.append(
-                    bfs_distances(graph, block["source"]).get(target)
-                )
-        return answers
-    finally:
-        set_registry(previous)
+    graph = make_graph(edges)
+    answers: List[object] = []
+    for block in script:
+        u, v = block["toggle"]
+        if graph.has_edge(u, v):
+            graph.remove_edge(u, v)
+        else:
+            graph.add_edge(u, v)
+        answers.append(nsf_levels(graph)[block["probe"]])
+        answers.append(
+            distance_gateway_labels(graph, landmarks).get(block["probe"])
+        )
+        for target in block["targets"]:
+            answers.append(bfs_distances(graph, block["source"]).get(target))
+    return answers
 
 
 def run_serving(edges, script, landmarks, threshold) -> List[object]:
@@ -181,113 +177,103 @@ def run_serving(edges, script, landmarks, threshold) -> List[object]:
     return asyncio.run(main())
 
 
+def workload(size: int, epochs: int = 6, mutations: int = 4):
+    """``(edges, script, landmarks)`` of the mixed stream at ``size``."""
+    from repro.labeling.landmarks import select_landmarks
+
+    extra = 4.0 / size  # ~2n extra edge endpoints -> m ~ 3n
+    edges, script = build_workload(size, extra, epochs, mutations, size)
+    return edges, script, select_landmarks(make_graph(edges), 4)
+
+
+def cases(size: int, w, threshold: int = 64) -> List[Case]:
+    """The one measured case: the mixed stream through both stacks."""
+    edges, script, landmarks = w
+    return [
+        Case(
+            "stream",
+            size,
+            lambda: run_baseline(edges, script, landmarks),
+            lambda: run_serving(edges, script, landmarks, threshold),
+        )
+    ]
+
+
+def refreezes(registry) -> int:
+    """Frozen-cache refreezes recorded in ``registry``."""
+    from repro.observability.telemetry import cache_counts
+
+    return sum(
+        counts.get("refreeze", 0) for counts in cache_counts(registry).values()
+    )
+
+
+def _measure_size(
+    size: int, epochs: int, mutations: int, repeats: int, threshold: int
+) -> Tuple[Tuple[object, ...], Dict[str, float], int]:
+    """Measure the stream at one size: ``(row, timings, baseline
+    refreezes)``.  Answer equality is asserted inside the measurement;
+    the baseline must record refreezes and the serving side none."""
+    w = workload(size, epochs, mutations)
+    edges, script, _ = w
+    queries = len(script) * (FANOUT + 2)
+    (case,) = cases(size, w, threshold)
+    measured = measure(case, repeats)
+    baseline_refreezes = refreezes(measured.reference_registry)
+    serving_refreezes = refreezes(measured.fast_registry)
+    if baseline_refreezes == 0 or serving_refreezes != 0:
+        raise AssertionError(
+            f"frozen-cache refreezes at n={size}: baseline {baseline_refreezes} "
+            "(0 means its scratch registry lost them, so the serving zero "
+            f"proves nothing), serving {serving_refreezes} (must be 0)"
+        )
+    ref_s, fast_s, speedup = measured.cells()
+    row = (
+        size, make_graph(edges).num_edges, len(script), queries, ref_s, fast_s,
+        round(queries / measured.reference.median_s, 1),
+        round(queries / measured.fast.median_s, 1),
+        speedup,
+    )
+    return row, measured.timings(KEYS), baseline_refreezes
+
+
 def run(
-    sizes: Sequence[int] = (500, 2000),
+    sizes: Sequence[int] = DEFAULT_SIZES,
     epochs: int = 6,
     mutations: int = 4,
     repeats: int = 3,
     threshold: int = 64,
     out_dir: Optional[str] = None,
     top_dir: Optional[str] = TOP_DIR,
-    require_speedup: Optional[float] = None,
+    floors: Optional[Mapping[str, float]] = None,
 ) -> TableResult:
     """Benchmark the mixed stream at every size.
 
     Asserts answer equality between the stacks and zero refreezes
-    during the serving runs regardless of ``require_speedup``; the
-    full run passes :data:`TARGET_SPEEDUP` to enforce the >= 5x
-    queries/sec floor at the largest size.
+    during the serving runs regardless of ``floors``; the full run
+    passes :data:`FLOORS` to enforce the >= 5x queries/sec floor at the
+    largest size.
     """
-    from repro.labeling.landmarks import select_landmarks
-    from repro.observability.metrics import MetricsRegistry
-    from repro.observability.telemetry import cache_counts, serving_counts
+    from repro.observability.telemetry import serving_counts
 
     rows: List[Tuple[object, ...]] = []
     timings: Dict[str, float] = {}
-    largest = max(sizes)
     baseline_refreezes = 0
     for size in sizes:
-        extra = 4.0 / size  # ~2n extra edge endpoints -> m ~ 3n
-        edges, script = build_workload(size, extra, epochs, mutations, size)
-        graph = make_graph(edges)
-        landmarks = select_landmarks(graph, 4)
-        queries = len(script) * (FANOUT + 2)
-
-        baseline_registry = MetricsRegistry("baseline")
-        base_answers, base_timing = time_repeated(
-            lambda: run_baseline(edges, script, landmarks, baseline_registry),
-            repeats=repeats,
-            warmup=0,
+        row, size_timings, size_refreezes = _measure_size(
+            size, epochs, mutations, repeats, threshold
         )
-        baseline_refreezes += sum(
-            counts.get("refreeze", 0)
-            for counts in cache_counts(baseline_registry).values()
-        )
-        refreezes_before = sum(
-            counts.get("refreeze", 0) for counts in cache_counts().values()
-        )
-        serve_answers, serve_timing = time_repeated(
-            lambda: run_serving(edges, script, landmarks, threshold),
-            repeats=repeats,
-            warmup=0,
-        )
-        refreezes_during = (
-            sum(
-                counts.get("refreeze", 0)
-                for counts in cache_counts().values()
-            )
-            - refreezes_before
-        )
-        if serve_answers != base_answers:
-            raise AssertionError(
-                f"serving answers diverge from the baseline at n={size}"
-            )
-        if refreezes_during != 0:
-            raise AssertionError(
-                f"serving run recorded {refreezes_during} frozen-cache "
-                f"refreezes at n={size}; steady state must record zero"
-            )
-        speedup = (
-            base_timing.median_s / serve_timing.median_s
-            if serve_timing.median_s > 0
-            else float("inf")
-        )
-        timings.update(base_timing.as_timings(f"baseline_stream_n{size}"))
-        timings.update(serve_timing.as_timings(f"serving_stream_n{size}"))
-        rows.append(
-            (
-                size,
-                make_graph(edges).num_edges,
-                len(script),
-                queries,
-                round(base_timing.median_s, 4),
-                round(serve_timing.median_s, 4),
-                round(queries / base_timing.median_s, 1),
-                round(queries / serve_timing.median_s, 1),
-                round(speedup, 2),
-            )
-        )
-        if require_speedup and size == largest and speedup < require_speedup:
-            raise AssertionError(
-                f"mixed stream at n={size}: speedup {speedup:.2f}x below "
-                f"the {require_speedup:g}x target"
-            )
+        rows.append(row)
+        timings.update(size_timings)
+        baseline_refreezes += size_refreezes
+    if floors:
+        check_floors(speedups(HEADER, rows), floors)
     counts = serving_counts()
     return emit_table(
         EXPERIMENT,
         "mixed mutate/query stream: refreeze-per-generation vs incremental "
         f"serving (median of {repeats}, answer equality asserted)",
-        [
-            "n",
-            "m",
-            "blocks",
-            "queries",
-            "baseline median s",
-            "serving median s",
-            "baseline q/s",
-            "serving q/s",
-            "speedup",
-        ],
+        HEADER,
         rows,
         notes=(
             "Each block toggles one churn edge then issues "
@@ -309,7 +295,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(
-        out_dir=OUT_DIR, top_dir=TOP_DIR, require_speedup=TARGET_SPEEDUP
-    )
+    result = run(out_dir=OUT_DIR, top_dir=TOP_DIR, floors=FLOORS)
     print(f"\nserving: emitted {result.bench_path}")

@@ -21,10 +21,12 @@ Before any timing, an untimed verification pass replays the stream
 against a mirror dict graph and asserts every answer against the
 repo's reference kernels: exact equality for distances, NSF levels,
 landmark labels, and the MIS set, and tolerance equality for PageRank.
-The timed phase then asserts stream-answer equality between the two
-postures, **zero** ``repro.cache.frozen`` events during either serving
-run, and (in the full run) the acceptance floor: >= 3x mutations/sec
-for the batched posture at the largest size.
+The timed phase is one :class:`_util.Case`: each posture runs on a
+freshly warmed service (its untimed setup) under its own scratch
+registry, which must hold **zero** ``repro.cache.frozen`` refreezes,
+and the postures' answers are asserted equal.  The full run checks
+:data:`FLOORS`: >= 3x mutations/sec for the batched posture at the
+largest size.
 
     PYTHONPATH=src python benchmarks/bench_serving_write.py
 
@@ -38,23 +40,32 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
-import statistics
-import time
-
-from _util import OUT_DIR, TOP_DIR, RepeatTiming, TableResult, emit_table
-from bench_serving import make_graph
+from _util import (
+    OUT_DIR, TOP_DIR, Case, TableResult, check_floors, emit_table, measure,
+    scratch_registry, speedups,
+)
+from bench_serving import make_graph, refreezes
 
 EXPERIMENT = "serving-write"
 
 #: Acceptance floor for the full run: batched mutations/sec must be at
 #: least this multiple of the per-edge serving posture.
-TARGET_WRITE_SPEEDUP = 3.0
+FLOORS = {"stream": 3.0}
+
+#: (per-edge, batched) timing-key templates.
+KEYS = ("per_edge_{case}_n{n}", "batched_{case}_n{n}")
+
+#: Sizes of the full run.
+DEFAULT_SIZES: Tuple[int, ...] = (500, 2000)
+
+HEADER = ["n", "m", "mutations", "queries", "per-edge median s", "batched median s",
+          "per-edge muts/s", "batched muts/s", "speedup"]
 
 #: Distance queries issued per query block (one block per epoch).
 FANOUT = 4
@@ -139,8 +150,9 @@ def _warm_service(edges, script, landmarks, threshold):
     The cold index builds (one NSF peel, label BFS, PageRank cold
     start, MIS run) happen on the first query in either posture, cost
     the same in both, and are a one-time setup in a long-lived serving
-    process — so the timed region measures the steady-state stream,
-    not the constructor.
+    process — so it is each posture's untimed :class:`_util.Case`
+    setup, and the timed region measures the steady-state stream, not
+    the constructor.
     """
     from repro.serving import GraphService
 
@@ -166,7 +178,7 @@ async def _query_epoch(gateway, epoch, answers: List[object]) -> None:
     )
 
 
-def run_per_edge(edges, script, landmarks, threshold):
+def run_per_edge(service, script) -> List[object]:
     """The PR 8 posture: awaited per-edge gateway mutations.
 
     Every operation is its own
@@ -175,12 +187,9 @@ def run_per_edge(edges, script, landmarks, threshold):
     awaited before the next is issued — the pre-coalescing client
     contract, where each write pays its own dispatch round-trip, its
     own single-op barrier, and its own O(degree) patch flip plus
-    dirty-pair round-trip.  Returns ``(answers, stream_seconds)``;
-    only the stream is timed.
+    dirty-pair round-trip.
     """
     from repro.serving import ServingGateway
-
-    service = _warm_service(edges, script, landmarks, threshold)
 
     async def main() -> List[object]:
         answers: List[object] = []
@@ -197,19 +206,12 @@ def run_per_edge(edges, script, landmarks, threshold):
                 await _query_epoch(gateway, epoch, answers)
         return answers
 
-    start = time.perf_counter()
-    answers = asyncio.run(main())
-    return answers, time.perf_counter() - start
+    return asyncio.run(main())
 
 
-def run_batched(edges, script, landmarks, threshold):
-    """The write fast path: one ``apply_batch`` request per burst.
-
-    Returns ``(answers, stream_seconds)``; only the stream is timed.
-    """
+def run_batched(service, script) -> List[object]:
+    """The write fast path: one ``apply_batch`` request per burst."""
     from repro.serving import ServingGateway
-
-    service = _warm_service(edges, script, landmarks, threshold)
 
     async def main() -> List[object]:
         answers: List[object] = []
@@ -228,29 +230,10 @@ def run_batched(edges, script, landmarks, threshold):
                 await asyncio.gather(*writes)
         return answers
 
-    start = time.perf_counter()
-    answers = asyncio.run(main())
-    return answers, time.perf_counter() - start
+    return asyncio.run(main())
 
 
-def _stream_timing(fn, repeats: int) -> Tuple[List[object], RepeatTiming]:
-    """Median-of-``repeats`` over the runner's *stream* seconds."""
-    samples: List[float] = []
-    answers: List[object] = []
-    for _ in range(repeats):
-        answers, seconds = fn()
-        samples.append(seconds)
-    return answers, RepeatTiming(
-        median_s=statistics.median(samples),
-        min_s=min(samples),
-        max_s=max(samples),
-        repeats=repeats,
-    )
-
-
-def verify_against_references(
-    edges, script, landmarks, threshold, registry=None
-) -> int:
+def verify_against_references(edges, script, landmarks, threshold) -> int:
     """Untimed ground-truth pass: serving answers vs reference kernels.
 
     Replays the stream once through the batched posture while mutating
@@ -263,17 +246,14 @@ def verify_against_references(
 
     The reference kernels refreeze the mirror dict graph once per
     mutated generation, so the whole pass runs against a scratch
-    ``MetricsRegistry`` (pass ``registry`` to inspect it) — the ground
-    truth's refreeze storm never leaks into the timed phases' feed.
+    ``MetricsRegistry`` — the ground truth's refreeze storm never leaks
+    into the timed phases' feed.
     """
     from repro.graphs.traversal import bfs_distances
-    from repro.observability.metrics import MetricsRegistry, set_registry
     from repro.serving import GraphService
     from repro.serving.state import INDEXES
 
-    scratch = registry if registry is not None else MetricsRegistry("verify")
-    previous = set_registry(scratch)
-    try:
+    with scratch_registry("verify"):
         mirror = make_graph(edges)
         service = GraphService(
             make_graph(edges), landmarks=landmarks, threshold=threshold
@@ -303,123 +283,102 @@ def verify_against_references(
                     raise AssertionError(f"{name} index diverges from reference")
                 checked += 1
         return checked
-    finally:
-        set_registry(previous)
+
+
+def workload(size: int, epochs: int = 4, bursts: int = 16):
+    """``(edges, script, landmarks)`` of the write stream at ``size``."""
+    from repro.labeling.landmarks import select_landmarks
+
+    extra = 4.0 / size  # ~2n extra edge endpoints -> m ~ 3n
+    edges, script = build_write_workload(size, extra, epochs, bursts, size)
+    return edges, script, select_landmarks(make_graph(edges), 4)
+
+
+def cases(size: int, w, threshold: int = 64) -> List[Case]:
+    """The one measured case: the write stream in both postures, each
+    run on a freshly warmed service."""
+    edges, script, landmarks = w
+    return [
+        Case(
+            "stream",
+            size,
+            lambda service: run_per_edge(service, script),
+            lambda service: run_batched(service, script),
+            setup=lambda: _warm_service(edges, script, landmarks, threshold),
+        )
+    ]
+
+
+def _measure_size(
+    size: int, epochs: int, bursts: int, repeats: int, threshold: int
+) -> Tuple[Tuple[object, ...], Dict[str, float], int, Dict[str, object]]:
+    """Verify, then measure the stream at one size: ``(row, timings,
+    reference checks, batched-side serving counts)``.  Posture answer
+    equality is asserted inside the measurement, and neither posture
+    may record a refreeze."""
+    from repro.observability.telemetry import serving_counts
+
+    w = workload(size, epochs, bursts)
+    edges, script, landmarks = w
+    checked = verify_against_references(edges, script, landmarks, threshold)
+    (case,) = cases(size, w, threshold)
+    measured = measure(case, repeats)
+    for registry in (measured.reference_registry, measured.fast_registry):
+        if refreezes(registry) != 0:
+            raise AssertionError(
+                f"serving phase recorded {refreezes(registry)} frozen-cache "
+                f"refreezes at n={size}; steady state must record zero"
+            )
+    ops = epochs * bursts * BURST
+    ref_s, fast_s, speedup = measured.cells()
+    row = (
+        size, make_graph(edges).num_edges, ops, epochs * (FANOUT + 4), ref_s, fast_s,
+        round(ops / measured.reference.median_s, 1),
+        round(ops / measured.fast.median_s, 1),
+        speedup,
+    )
+    counts = serving_counts(measured.fast_registry)
+    return row, measured.timings(KEYS), checked, counts
 
 
 def run(
-    sizes: Sequence[int] = (500, 2000),
+    sizes: Sequence[int] = DEFAULT_SIZES,
     epochs: int = 4,
     bursts: int = 16,
     repeats: int = 3,
     threshold: int = 64,
     out_dir: Optional[str] = None,
     top_dir: Optional[str] = TOP_DIR,
-    require_speedup: Optional[float] = None,
+    floors: Optional[Mapping[str, float]] = None,
 ) -> TableResult:
     """Benchmark the mutation-heavy stream at every size.
 
     Verifies against the reference kernels and asserts answer equality
     between the postures plus zero refreezes during the timed serving
-    runs regardless of ``require_speedup``; the full run passes
-    :data:`TARGET_WRITE_SPEEDUP` to enforce the >= 3x mutations/sec
-    floor at the largest size.
+    runs regardless of ``floors``; the full run passes :data:`FLOORS`
+    to enforce the >= 3x mutations/sec floor at the largest size.
     """
-    from repro.labeling.landmarks import select_landmarks
-    from repro.observability.telemetry import cache_counts, serving_counts
-
-    def refreeze_count() -> int:
-        return sum(
-            counts.get("refreeze", 0) for counts in cache_counts().values()
-        )
-
     rows: List[Tuple[object, ...]] = []
     timings: Dict[str, float] = {}
-    largest = max(sizes)
     checked_total = 0
     batched_writes = 0
     batched_coalesced = 0
     for size in sizes:
-        extra = 4.0 / size  # ~2n extra edge endpoints -> m ~ 3n
-        edges, script = build_write_workload(size, extra, epochs, bursts, size)
-        graph = make_graph(edges)
-        landmarks = select_landmarks(graph, 4)
-        ops = epochs * bursts * BURST
-        queries = epochs * (FANOUT + 4)
-
-        # Ground truth before any timing (refreezes here belong to the
-        # reference kernels, so they are excluded from the timed delta).
-        checked_total += verify_against_references(
-            edges, script, landmarks, threshold
+        row, size_timings, checked, counts = _measure_size(
+            size, epochs, bursts, repeats, threshold
         )
-
-        refreezes_before = refreeze_count()
-        edge_answers, edge_timing = _stream_timing(
-            lambda: run_per_edge(edges, script, landmarks, threshold),
-            repeats=repeats,
-        )
-        writes_before = serving_counts()
-        batch_answers, batch_timing = _stream_timing(
-            lambda: run_batched(edges, script, landmarks, threshold),
-            repeats=repeats,
-        )
-        writes_after = serving_counts()
-        batched_writes += (
-            writes_after["write_batches"] - writes_before["write_batches"]
-        )
-        batched_coalesced += (
-            writes_after["write_coalesced"] - writes_before["write_coalesced"]
-        )
-        refreezes_during = refreeze_count() - refreezes_before
-        if batch_answers != edge_answers:
-            raise AssertionError(
-                f"batched answers diverge from per-edge at n={size}"
-            )
-        if refreezes_during != 0:
-            raise AssertionError(
-                f"serving phase recorded {refreezes_during} frozen-cache "
-                f"refreezes at n={size}; steady state must record zero"
-            )
-        speedup = (
-            edge_timing.median_s / batch_timing.median_s
-            if batch_timing.median_s > 0
-            else float("inf")
-        )
-        timings.update(edge_timing.as_timings(f"per_edge_stream_n{size}"))
-        timings.update(batch_timing.as_timings(f"batched_stream_n{size}"))
-        rows.append(
-            (
-                size,
-                graph.num_edges,
-                ops,
-                queries,
-                round(edge_timing.median_s, 4),
-                round(batch_timing.median_s, 4),
-                round(ops / edge_timing.median_s, 1),
-                round(ops / batch_timing.median_s, 1),
-                round(speedup, 2),
-            )
-        )
-        if require_speedup and size == largest and speedup < require_speedup:
-            raise AssertionError(
-                f"write stream at n={size}: speedup {speedup:.2f}x below "
-                f"the {require_speedup:g}x target"
-            )
+        rows.append(row)
+        timings.update(size_timings)
+        checked_total += checked
+        batched_writes += counts["write_batches"]
+        batched_coalesced += counts["write_coalesced"]
+    if floors:
+        check_floors(speedups(HEADER, rows), floors)
     return emit_table(
         EXPERIMENT,
         "mutation-heavy stream: per-edge serving posture vs gateway-batched "
         f"apply_batch (median of {repeats}, reference equality asserted)",
-        [
-            "n",
-            "m",
-            "mutations",
-            "queries",
-            "per-edge median s",
-            "batched median s",
-            "per-edge muts/s",
-            "batched muts/s",
-            "speedup",
-        ],
+        HEADER,
         rows,
         notes=(
             f"Each epoch issues {bursts} bursts of {BURST} edge mutations "
@@ -441,7 +400,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(
-        out_dir=OUT_DIR, top_dir=TOP_DIR, require_speedup=TARGET_WRITE_SPEEDUP
-    )
+    result = run(out_dir=OUT_DIR, top_dir=TOP_DIR, floors=FLOORS)
     print(f"\nserving-write: emitted {result.bench_path}")

@@ -27,9 +27,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
-from _util import OUT_DIR, TOP_DIR, TableResult, emit_table
+from _util import OUT_DIR, TOP_DIR, TableResult, emit_table, scratch_registry
 from repro.observability import get_tracer, validate_bench_report
-from repro.observability.metrics import MetricsRegistry, set_registry
 
 SMOKE_RUNNERS: Dict[str, Callable[[], Dict[str, Any]]] = {}
 
@@ -271,10 +270,7 @@ def smoke_perf_temporal() -> Dict[str, Any]:
     rows, _ = bench_perf_temporal._measure_size(((30, 40, 400, 6), 1))
     return {
         "title": "frozen temporal kernels vs reference (smoke)",
-        "header": [
-            "n", "horizon", "contacts", "kernel",
-            "ref median s", "frozen median s", "speedup",
-        ],
+        "header": bench_perf_temporal.HEADER,
         "rows": rows,
         "notes": (
             "Toy instance of benchmarks/bench_perf_temporal.py; exact "
@@ -288,12 +284,10 @@ def smoke_perf_temporal() -> Dict[str, Any]:
 def smoke_perf_labeling() -> Dict[str, Any]:
     import bench_perf_labeling
 
-    rows, _ = bench_perf_labeling._measure_size(
-        (bench_perf_labeling.TOY_SIZE, 1)
-    )
+    rows, _ = bench_perf_labeling._measure_size((bench_perf_labeling.TOY_SIZE, 1))
     return {
         "title": "frozen labeling & routing kernels vs reference (smoke)",
-        "header": ["n", "kernel", "ref median s", "frozen median s", "speedup"],
+        "header": bench_perf_labeling.HEADER,
         "rows": rows,
         "notes": (
             "Toy instance of benchmarks/bench_perf_labeling.py; exact "
@@ -308,12 +302,10 @@ def smoke_perf_labeling() -> Dict[str, Any]:
 def smoke_perf_runtime() -> Dict[str, Any]:
     import bench_perf_runtime
 
-    rows, _ = bench_perf_runtime._measure_size(
-        (bench_perf_runtime.TOY_SIZE, 1)
-    )
+    rows, _ = bench_perf_runtime._measure_size((bench_perf_runtime.TOY_SIZE, 1))
     return {
         "title": "vector runtime plane vs scalar engine (smoke)",
-        "header": ["n", "kernel", "ref median s", "vector median s", "speedup"],
+        "header": bench_perf_runtime.HEADER,
         "rows": rows,
         "notes": (
             "Toy instance of benchmarks/bench_perf_runtime.py; bit-exact "
@@ -365,50 +357,18 @@ def smoke_scale() -> Dict[str, Any]:
 
 @smoke("serving")
 def smoke_serving() -> Dict[str, Any]:
-    """Toy instance of the incremental serving tier: the same mixed
-    mutate/query stream as benchmarks/bench_serving.py through both
-    stacks, answer equality and zero steady-state refreezes asserted —
-    so a divergent patch merge or a refreeze leak fails tier-1."""
+    """Toy instance of benchmarks/bench_serving.py: answer equality and
+    zero steady-state refreezes are asserted inside the measurement, so
+    a divergent patch merge or a refreeze leak fails tier-1."""
     import bench_serving
-    from repro.labeling.landmarks import select_landmarks
-    from repro.observability.metrics import MetricsRegistry
-    from repro.observability.telemetry import cache_counts
 
-    n = 60
-    edges, script = bench_serving.build_workload(n, 4.0 / n, 2, 2, n)
-    landmarks = select_landmarks(bench_serving.make_graph(edges), 3)
-    baseline_registry = MetricsRegistry("baseline")
-    base_answers = bench_serving.run_baseline(
-        edges, script, landmarks, baseline_registry
+    row, _, _ = bench_serving._measure_size(
+        60, epochs=2, mutations=2, repeats=1, threshold=8
     )
-    baseline_refreezes = sum(
-        counts.get("refreeze", 0)
-        for counts in cache_counts(baseline_registry).values()
-    )
-    if baseline_refreezes == 0:
-        raise AssertionError(
-            "smoke serving: baseline recorded no refreezes in its scratch "
-            "registry — the phase separation lost the baseline's metrics"
-        )
-    refreezes_before = sum(
-        counts.get("refreeze", 0) for counts in cache_counts().values()
-    )
-    serve_answers = bench_serving.run_serving(edges, script, landmarks, 8)
-    refreezes_during = (
-        sum(counts.get("refreeze", 0) for counts in cache_counts().values())
-        - refreezes_before
-    )
-    if serve_answers != base_answers:
-        raise AssertionError("smoke serving: answers diverge from baseline")
-    if refreezes_during != 0:
-        raise AssertionError(
-            f"smoke serving: {refreezes_during} refreezes in steady state"
-        )
-    queries = len(script) * (bench_serving.FANOUT + 2)
     return {
         "title": "incremental serving vs refreeze-per-generation (smoke)",
-        "header": ["n", "blocks", "queries", "answers equal", "refreezes"],
-        "rows": [(n, len(script), queries, True, refreezes_during)],
+        "header": bench_serving.HEADER,
+        "rows": [row],
         "notes": (
             "Toy instance of benchmarks/bench_serving.py; answer "
             "equality between the stacks and zero repro.cache.frozen "
@@ -420,58 +380,25 @@ def smoke_serving() -> Dict[str, Any]:
 
 @smoke("serving-write")
 def smoke_serving_write() -> Dict[str, Any]:
-    """Toy instance of the write-path tier: the same mutation-heavy
-    stream as benchmarks/bench_serving_write.py through both postures —
-    reference verification, per-edge vs batched answer equality, and
-    zero steady-state refreezes asserted — so a divergent batch
-    application or a lost write fails tier-1."""
+    """Toy instance of benchmarks/bench_serving_write.py: reference
+    verification, per-edge vs batched answer equality, and zero
+    steady-state refreezes asserted — so a divergent batch application
+    or a lost write fails tier-1."""
     import bench_serving_write
-    from repro.labeling.landmarks import select_landmarks
-    from repro.observability.telemetry import cache_counts
 
-    n = 80
-    epochs, bursts = 2, 2
-    edges, script = bench_serving_write.build_write_workload(
-        n, 4.0 / n, epochs, bursts, n
+    row, _, checked, _ = bench_serving_write._measure_size(
+        80, epochs=2, bursts=2, repeats=1, threshold=8
     )
-    landmarks = select_landmarks(bench_serving_write.make_graph(edges), 3)
-    checked = bench_serving_write.verify_against_references(
-        edges, script, landmarks, 8
-    )
-    refreezes_before = sum(
-        counts.get("refreeze", 0) for counts in cache_counts().values()
-    )
-    edge_answers, _ = bench_serving_write.run_per_edge(
-        edges, script, landmarks, 8
-    )
-    batch_answers, _ = bench_serving_write.run_batched(
-        edges, script, landmarks, 8
-    )
-    refreezes_during = (
-        sum(counts.get("refreeze", 0) for counts in cache_counts().values())
-        - refreezes_before
-    )
-    if batch_answers != edge_answers:
-        raise AssertionError(
-            "smoke serving-write: batched answers diverge from per-edge"
-        )
-    if refreezes_during != 0:
-        raise AssertionError(
-            f"smoke serving-write: {refreezes_during} refreezes in "
-            "steady state"
-        )
-    ops = epochs * bursts * bench_serving_write.BURST
     return {
         "title": "gateway-batched write path vs per-edge posture (smoke)",
-        "header": [
-            "n", "mutations", "reference checks", "answers equal", "refreezes",
-        ],
-        "rows": [(n, ops, checked, True, refreezes_during)],
+        "header": bench_serving_write.HEADER,
+        "rows": [row],
         "notes": (
-            "Toy instance of benchmarks/bench_serving_write.py; every "
-            "query-block answer verified against the reference kernels, "
-            "posture answer equality and zero repro.cache.frozen events "
-            "asserted, no speedup floor at this scale."
+            "Toy instance of benchmarks/bench_serving_write.py; "
+            f"{checked} query-block answers verified against the "
+            "reference kernels, posture answer equality and zero "
+            "repro.cache.frozen events asserted, no speedup floor at "
+            "this scale."
         ),
     }
 
@@ -511,8 +438,7 @@ def run_all(
             spans_before = len(tracer.records)
             # A fresh registry per runner: each feed's metrics snapshot
             # holds only what its own runner recorded.
-            previous = set_registry(MetricsRegistry(f"smoke-{name}"))
-            try:
+            with scratch_registry(f"smoke-{name}"):
                 spec = runner()
                 result = emit_table(
                     f"smoke-{name}",
@@ -523,8 +449,6 @@ def run_all(
                     out_dir=out_dir,
                     top_dir=top_dir,
                 )
-            finally:
-                set_registry(previous)
             with open(result.json_path) as handle:
                 document = json.load(handle)
             problems = validate_bench_report(document)

@@ -48,10 +48,11 @@ fate models a mid-batch crash — the dropped request and everything
 after it in the batch are re-queued (counted in
 ``repro.serving.retries``) instead of answered, and get fresh fates on
 the next flush.  ``stop()`` performs a teardown flush with injection
-disabled, so no query is ever lost.  If the dispatcher itself dies,
-every outstanding future resolves anyway: mutations the barrier
-already applied get their stored outcome, everything else the crash
-error.
+disabled, so no query is ever lost; requests submitted once that flush
+has begun are refused with the not-running error.  If the dispatcher
+itself dies, every outstanding future resolves anyway: mutations the
+barrier already applied get their stored outcome, everything else the
+crash error.
 
 Emitted metrics (see :mod:`repro.observability.telemetry`):
 ``repro.serving.batches`` / ``batch_size`` / ``queue_depth`` per
@@ -163,6 +164,8 @@ class ServingGateway:
         self._task: Optional["asyncio.Task"] = None
         self._crashed: Optional[BaseException] = None
         self._draining = False
+        #: Producers currently inside a queue put (see :meth:`_put`).
+        self._putting = 0
         self._seq = 0
         self.batches_flushed = 0
         self.queries_answered = 0
@@ -193,7 +196,7 @@ class ServingGateway:
             return
         task = self._task
         if not task.done():
-            await self._queue.put(None)
+            await self._put(None)
         try:
             await task
         finally:
@@ -225,7 +228,7 @@ class ServingGateway:
     ) -> "asyncio.Future":
         if self._task is None:
             raise RuntimeError("gateway not started")
-        if self._crashed is not None or self._task.done():
+        if self._refusing():
             raise self._crash_error()
         self._seq += 1
         future: "asyncio.Future" = asyncio.get_running_loop().create_future()
@@ -298,18 +301,41 @@ class ServingGateway:
     async def _submit(self, kind: str, *args: Any) -> Any:
         if self._task is None:
             raise RuntimeError("gateway not started")
-        if self._crashed is not None or self._task.done():
+        if self._refusing():
             raise self._crash_error()
         record_serving_query(kind)
         self._seq += 1
         future: "asyncio.Future" = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Request(self._seq, kind, args, future=future))
+        await self._put(_Request(self._seq, kind, args, future=future))
         # The put can block on a full queue; if the dispatcher died or
-        # finished its teardown drain in the meantime nobody will ever
-        # drain this request — fail fast unless it was already resolved.
-        if (self._task is None or self._task.done()) and not future.done():
+        # began its teardown drain in the meantime, refuse the request
+        # (the drain skips it) unless it was already resolved.
+        if self._refusing() and not future.done():
+            future.cancel()
             raise self._crash_error()
         return await future
+
+    async def _put(self, item: Optional[_Request]) -> None:
+        """Enqueue ``item``, counted in :attr:`_putting` while inside the
+        put.  A put into a queue with room never yields, so at any
+        suspension point the count is the producers blocked on a full
+        queue (or woken but not yet resumed)."""
+        self._putting += 1
+        try:
+            await self._queue.put(item)
+        finally:
+            self._putting -= 1
+
+    def _refusing(self) -> bool:
+        """Requests fail fast once the dispatcher crashed, finished, or
+        began its teardown drain: the drain only has to outlast the
+        producers already waiting, so ``stop()`` always returns."""
+        return (
+            self._task is None
+            or self._crashed is not None
+            or self._draining
+            or self._task.done()
+        )
 
     def _crash_error(self) -> RuntimeError:
         error = RuntimeError("gateway dispatcher is not running")
@@ -399,22 +425,36 @@ class ServingGateway:
             # Teardown flush: answer every still-queued request with
             # fault injection off, so a stopped gateway never strands
             # a caller.  The whole drain stays in ``batch`` so a crash
-            # in any chunk resolves the chunks after it too.
+            # in any chunk resolves the chunks after it too.  Each pass
+            # wakes one producer blocked on the full queue per item it
+            # takes (it is refused once its put lands), so passes repeat
+            # until none is left blocked; the last pass ends the task
+            # without yielding, so nothing is left in the queue.
             self._draining = True
-            batch = sorted(self._drain(), key=lambda request: request.seq)
-            for start in range(0, len(batch), self.max_batch):
-                await self._execute(batch[start : start + self.max_batch])
+            while True:
+                batch = sorted(self._drain(), key=lambda request: request.seq)
+                for start in range(0, len(batch), self.max_batch):
+                    await self._execute(batch[start : start + self.max_batch])
+                if not self._putting:
+                    break
+                await asyncio.sleep(0)
         except BaseException as error:
             # Anything escaping a flush (telemetry, fault-session
             # bookkeeping, cancellation) kills the dispatcher; fail
-            # every outstanding future first so no awaiter hangs.
+            # every outstanding future first so no awaiter hangs, and
+            # keep draining until no producer is left blocked on the
+            # full queue (each one woken is refused once its put lands).
             self._abort(batch, error)
+            while self._putting:
+                await asyncio.sleep(0)
+                self._abort([], error)
             raise
 
     def _drain(self) -> List[_Request]:
         """Take every request still held: retries, parked mutations and
-        queued items.  Emptying the queue also unblocks any producer
-        stuck in a put against a full queue."""
+        queued items, minus queued requests already refused.  Emptying
+        the queue also wakes producers stuck in a put against a full
+        queue."""
         held = list(self._retry)
         self._retry.clear()
         held.extend(self._pending_mutations())
@@ -422,7 +462,7 @@ class ServingGateway:
         self._writer_order.clear()
         while not self._queue.empty():
             item = self._queue.get_nowait()
-            if item is not None and item is not _WAKE:
+            if item is not None and item is not _WAKE and not item.future.done():
                 held.append(item)
         return held
 

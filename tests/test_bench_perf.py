@@ -1,5 +1,7 @@
-"""Tier-1 wiring for the perf benchmarks (bench_perf_csr /
-bench_perf_temporal / bench_perf_labeling).
+"""Tier-1 wiring for the six ratio benchmarks (bench_perf_csr /
+bench_perf_temporal / bench_perf_labeling / bench_perf_runtime /
+bench_serving / bench_serving_write) and the ``_util`` helpers they
+share (:class:`Case`, :func:`measure`, :func:`check_floors`).
 
 Runs the same harnesses as the committed ``BENCH_perf-*.json`` feeds at
 toy scale against a temp directory: validates the emitted documents
@@ -9,8 +11,8 @@ assertion that every fast-path output equals its pure-Python reference
 (the run raises otherwise).  No speedup floor at toy scale — that is
 the full run's job — only schema and equivalence.
 
-The trajectory tests at the bottom re-time the fast-path kernels at
-the smallest committed size and compare against the committed feed
+The trajectory test at the bottom re-times every bench's fast sides at
+its smallest committed size and compares against the committed feed
 through the configurable perf gate
 (:mod:`repro.observability.regression`): warn by default (timings on
 shared dev boxes are too noisy to hard-gate), fail when the ``CI`` env
@@ -22,6 +24,8 @@ var is set or ``REPRO_PERF_GATE=fail``, silent with
 import json
 import os
 import sys
+
+import pytest
 
 BENCH_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
@@ -36,7 +40,14 @@ import bench_perf_scale  # noqa: E402
 import bench_perf_temporal  # noqa: E402
 import bench_serving  # noqa: E402
 import bench_serving_write  # noqa: E402
-from _util import time_repeated  # noqa: E402
+from _util import (  # noqa: E402
+    Case,
+    check_floors,
+    measure,
+    scratch_registry,
+    speedups,
+    time_repeated,
+)
 from repro.observability import BENCH_SCHEMA, validate_bench_report  # noqa: E402
 from repro.observability import regression  # noqa: E402
 
@@ -45,6 +56,116 @@ TOP = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Default slowdown factor for the trajectory gate (see
 #: ``REPRO_PERF_GATE_THRESHOLD`` to override).
 TRAJECTORY_SLOWDOWN = 3.0
+
+#: Every bench measured as :class:`Case` pairs and gated by ``FLOORS``.
+RATIO_BENCHES = [
+    bench_perf_csr,
+    bench_perf_temporal,
+    bench_perf_labeling,
+    bench_perf_runtime,
+    bench_serving,
+    bench_serving_write,
+]
+
+
+def _bench_id(bench):
+    return bench.EXPERIMENT
+
+
+def _committed(bench):
+    path = os.path.join(TOP, f"BENCH_{bench.EXPERIMENT}.json")
+    return json.loads(open(path).read())
+
+
+# ----------------------------------------------------------------------
+# _util.Case / measure / check_floors
+# ----------------------------------------------------------------------
+def test_measure_raises_on_divergence_before_returning_timings():
+    calls = []
+
+    def fast():
+        calls.append("fast")
+        return 2
+
+    with pytest.raises(AssertionError, match=r"toy at n=7"):
+        measure(Case("toy", 7, lambda: 1, fast), repeats=2)
+    # Warm-up plus both timed runs happened; nothing was returned.
+    assert calls == ["fast"] * 3
+
+
+def test_measure_prefixes_equal_errors_with_case_and_size():
+    def equal(ref, fast):
+        raise AssertionError("scores diverge")
+
+    with pytest.raises(AssertionError, match=r"^toy at n=3: scores diverge$"):
+        measure(Case("toy", 3, lambda: 1, lambda: 1, equal), repeats=1)
+
+
+def test_measure_isolates_the_reference_registry():
+    from repro.observability.metrics import get_registry
+
+    def reference():
+        get_registry().counter("test.case.reference").inc()
+        return 1
+
+    def fast():
+        get_registry().counter("test.case.fast").inc()
+        return 1
+
+    with scratch_registry("live") as live:
+        measured = measure(Case("toy", 1, reference, fast), repeats=2)
+    names = {metric.name for metric in live.metrics()}
+    assert "test.case.fast" in names
+    assert "test.case.reference" not in names
+    assert live.counter("test.case.fast").value == 3  # warm-up + 2 timed
+    assert measured.reference_registry.counter("test.case.reference").value == 2
+    assert measured.reference.repeats == 2 and measured.fast.repeats == 2
+
+
+def test_measure_runs_setup_untimed_per_call():
+    made = []
+
+    def setup():
+        made.append(len(made))
+        return len(made)
+
+    measured = measure(
+        Case("toy", 1, lambda x: x > 0, lambda x: x > 0, setup=setup),
+        repeats=2,
+        reference_repeats=1,
+    )
+    assert len(made) == 1 + 1 + 2  # reference once, fast warm-up + 2
+    assert set(measured.timings(("{case}_n{n}_ref", "{case}_n{n}_fast"))) == {
+        f"toy_n1_{side}_{stat}"
+        for side in ("ref", "fast")
+        for stat in ("median_s", "min_s", "max_s", "repeats")
+    }
+
+
+def test_check_floors_gates_each_case_at_its_own_largest_n():
+    floors = {"link-reversal": 10.0, "safety-levels": 10.0}
+    # The runtime shape: the cube case's largest n (8192) is not the
+    # random graph's (20000), and a slow small tier does not count.
+    results = [
+        ("link-reversal", 2000, 3.0),
+        ("safety-levels", 1024, 2.0),
+        ("link-reversal", 20000, 12.0),
+        ("safety-levels", 8192, 11.0),
+    ]
+    check_floors(results, floors)
+    with pytest.raises(AssertionError, match=r"safety-levels at n=8192"):
+        check_floors(results[:3] + [("safety-levels", 8192, 9.9)], floors)
+    with pytest.raises(AssertionError, match=r"missing.*safety-levels"):
+        check_floors([("link-reversal", 20000, 12.0)], floors)
+
+
+def test_speedups_read_case_size_and_speedup_columns():
+    assert speedups(
+        ["requested n", "n", "m", "kernel", "speedup"], [(600, 552, 9, "mis", 4.0)]
+    ) == [("mis", 600, 4.0)]
+    assert speedups(["n", "m", "speedup"], [(500, 1500, 6.0)]) == [
+        ("stream", 500, 6.0)
+    ]
 
 
 def test_perf_csr_toy_run_validates_schema_and_equivalence(tmp_path):
@@ -57,25 +178,11 @@ def test_perf_csr_toy_run_validates_schema_and_equivalence(tmp_path):
     assert validate_bench_report(document) == []
     assert open(result.bench_path).read() == open(result.json_path).read()
     kernels = {row[3] for row in result.rows}
-    assert set(bench_perf_csr.TARGET_KERNELS) <= kernels
+    assert set(bench_perf_csr.FLOORS) <= kernels
     # Median-of-k spread keys land in the timings map.
     assert any(key.endswith("_median_s") for key in document["timings"])
     assert any(key.endswith("_min_s") for key in document["timings"])
     assert any(key.startswith("freeze_") for key in document["timings"])
-
-
-def test_committed_perf_csr_feed_is_valid_and_meets_target():
-    path = os.path.join(TOP, "BENCH_perf-csr.json")
-    document = json.loads(open(path).read())
-    assert validate_bench_report(document) == []
-    header = document["header"]
-    kernel_col = header.index("kernel")
-    speedup_col = header.index("speedup")
-    n_col = header.index("requested n")
-    largest = max(row[n_col] for row in document["rows"])
-    for row in document["rows"]:
-        if row[n_col] == largest and row[kernel_col] in bench_perf_csr.TARGET_KERNELS:
-            assert row[speedup_col] >= bench_perf_csr.TARGET_SPEEDUP
 
 
 def test_perf_temporal_toy_run_validates_schema_and_equivalence(tmp_path):
@@ -91,26 +198,9 @@ def test_perf_temporal_toy_run_validates_schema_and_equivalence(tmp_path):
     assert validate_bench_report(document) == []
     assert open(result.bench_path).read() == open(result.json_path).read()
     kernels = {row[3] for row in result.rows}
-    assert set(bench_perf_temporal.TARGET_KERNELS) <= kernels
+    assert set(bench_perf_temporal.FLOORS) <= kernels
     assert any(key.endswith("_frozen_median_s") for key in document["timings"])
     assert any(key.startswith("freeze_") for key in document["timings"])
-
-
-def test_committed_perf_temporal_feed_is_valid_and_meets_target():
-    path = os.path.join(TOP, "BENCH_perf-temporal.json")
-    document = json.loads(open(path).read())
-    assert validate_bench_report(document) == []
-    header = document["header"]
-    kernel_col = header.index("kernel")
-    speedup_col = header.index("speedup")
-    n_col = header.index("n")
-    largest = max(row[n_col] for row in document["rows"])
-    for row in document["rows"]:
-        if (
-            row[n_col] == largest
-            and row[kernel_col] in bench_perf_temporal.TARGET_KERNELS
-        ):
-            assert row[speedup_col] >= bench_perf_temporal.TARGET_SPEEDUP
 
 
 def test_perf_labeling_toy_run_validates_schema_and_equivalence(tmp_path):
@@ -126,28 +216,9 @@ def test_perf_labeling_toy_run_validates_schema_and_equivalence(tmp_path):
     assert validate_bench_report(document) == []
     assert open(result.bench_path).read() == open(result.json_path).read()
     kernels = {row[1] for row in result.rows}
-    assert set(bench_perf_labeling.TARGET_SPEEDUPS) <= kernels
+    assert set(bench_perf_labeling.FLOORS) <= kernels
     assert any(key.endswith("_frozen_median_s") for key in document["timings"])
     assert any(key.startswith("freeze_") for key in document["timings"])
-
-
-def test_committed_perf_labeling_feed_is_valid_and_meets_targets():
-    path = os.path.join(TOP, "BENCH_perf-labeling.json")
-    document = json.loads(open(path).read())
-    assert validate_bench_report(document) == []
-    header = document["header"]
-    kernel_col = header.index("kernel")
-    speedup_col = header.index("speedup")
-    n_col = header.index("n")
-    largest = max(row[n_col] for row in document["rows"])
-    floors = bench_perf_labeling.TARGET_SPEEDUPS
-    seen = set()
-    for row in document["rows"]:
-        floor = floors.get(row[kernel_col])
-        if row[n_col] == largest and floor is not None:
-            assert row[speedup_col] >= floor, row
-            seen.add(row[kernel_col])
-    assert seen == set(floors)  # every gated kernel appears at the top size
 
 
 def test_perf_runtime_toy_run_validates_schema_and_equivalence(tmp_path):
@@ -167,39 +238,19 @@ def test_perf_runtime_toy_run_validates_schema_and_equivalence(tmp_path):
     assert validate_bench_report(document) == []
     assert open(result.bench_path).read() == open(result.json_path).read()
     kernels = {row[1] for row in result.rows}
-    assert set(bench_perf_runtime.TARGET_SPEEDUPS) <= kernels
+    assert set(bench_perf_runtime.FLOORS) <= kernels
     assert "mis" in kernels
     assert any(key.endswith("_vector_median_s") for key in document["timings"])
     assert any(key.endswith("_ref_median_s") for key in document["timings"])
     assert any(key.startswith("freeze_") for key in document["timings"])
 
 
-def test_committed_perf_runtime_feed_is_valid_and_meets_targets():
-    path = os.path.join(TOP, "BENCH_perf-runtime.json")
-    document = json.loads(open(path).read())
+@pytest.mark.parametrize("bench", RATIO_BENCHES, ids=_bench_id)
+def test_committed_feed_is_valid_and_meets_floors(bench):
+    document = _committed(bench)
     assert validate_bench_report(document) == []
-    header = document["header"]
-    kernel_col = header.index("kernel")
-    speedup_col = header.index("speedup")
-    n_col = header.index("n")
-    # The tiers pair a random-graph n with a cube dimension, so each
-    # kernel is gated at its own largest n (the cube's is a power of 2).
-    floors = bench_perf_runtime.TARGET_SPEEDUPS
-    largest = {
-        kernel: max(
-            row[n_col]
-            for row in document["rows"]
-            if row[kernel_col] == kernel
-        )
-        for kernel in floors
-    }
-    seen = set()
-    for row in document["rows"]:
-        floor = floors.get(row[kernel_col])
-        if floor is not None and row[n_col] == largest[row[kernel_col]]:
-            assert row[speedup_col] >= floor, row
-            seen.add(row[kernel_col])
-    assert seen == set(floors)  # every gated kernel appears at its top size
+    assert document["header"] == bench.HEADER
+    check_floors(speedups(document["header"], document["rows"]), bench.FLOORS)
 
 
 def test_perf_scale_toy_run_validates_schema_and_tiers(tmp_path):
@@ -274,22 +325,6 @@ def test_serving_toy_run_validates_schema_and_equivalence(tmp_path):
     assert "coalesce ratio" in document["notes"]
 
 
-def test_committed_serving_feed_is_valid_and_meets_target():
-    path = os.path.join(TOP, "BENCH_serving.json")
-    document = json.loads(open(path).read())
-    assert validate_bench_report(document) == []
-    header = document["header"]
-    speedup_col = header.index("speedup")
-    n_col = header.index("n")
-    largest = max(row[n_col] for row in document["rows"])
-    for row in document["rows"]:
-        if row[n_col] == largest:
-            assert row[speedup_col] >= bench_serving.TARGET_SPEEDUP, row
-    # Zero refreezes during the serving runs is asserted by the harness
-    # before emission; the note records the structural economics.
-    assert "zero repro.cache.frozen events" in document["notes"]
-
-
 def test_serving_write_toy_run_validates_schema_and_equivalence(tmp_path):
     """Tiny instance of the mutation-heavy write stream: reference
     verification, per-edge vs batched answer equality, and zero
@@ -297,10 +332,7 @@ def test_serving_write_toy_run_validates_schema_and_equivalence(tmp_path):
     floor at toy scale).  Runs under a fresh global registry so the
     no-refreeze-series assertion on the emitted feed is about *this*
     harness, not whatever earlier tests recorded in-process."""
-    from repro.observability.metrics import MetricsRegistry, set_registry
-
-    previous = set_registry(MetricsRegistry("test-serving-write"))
-    try:
+    with scratch_registry("test-serving-write"):
         result = bench_serving_write.run(
             sizes=(80,),
             epochs=2,
@@ -310,8 +342,6 @@ def test_serving_write_toy_run_validates_schema_and_equivalence(tmp_path):
             out_dir=str(tmp_path),
             top_dir=str(tmp_path),
         )
-    finally:
-        set_registry(previous)
     assert result.experiment == "serving-write"
     document = json.loads(open(result.json_path).read())
     assert document["schema"] == BENCH_SCHEMA
@@ -334,22 +364,6 @@ def test_serving_write_toy_run_validates_schema_and_equivalence(tmp_path):
     )
 
 
-def test_committed_serving_write_feed_is_valid_and_meets_target():
-    path = os.path.join(TOP, "BENCH_serving-write.json")
-    document = json.loads(open(path).read())
-    assert validate_bench_report(document) == []
-    header = document["header"]
-    speedup_col = header.index("speedup")
-    n_col = header.index("n")
-    largest = max(row[n_col] for row in document["rows"])
-    for row in document["rows"]:
-        if row[n_col] == largest:
-            assert (
-                row[speedup_col] >= bench_serving_write.TARGET_WRITE_SPEEDUP
-            ), row
-    assert "Zero repro.cache.frozen events" in document["notes"]
-
-
 def test_committed_serving_feed_has_no_refreeze_leak():
     """The satellite-1 pin: the committed serving feed must not carry
     the baseline's refreeze storm in its metrics snapshot — the
@@ -363,20 +377,15 @@ def test_committed_serving_feed_has_no_refreeze_leak():
             if "cache.frozen" in key or "refreeze" in str(value)
         ]
         assert refreeze_series == [], (feed, refreeze_series)
-    notes = json.loads(
-        open(os.path.join(TOP, "BENCH_serving.json")).read()
-    )["notes"]
+    notes = _committed(bench_serving)["notes"]
     assert "scratch registry" in notes
+    assert "zero repro.cache.frozen events" in notes
+    assert "Zero repro.cache.frozen events" in _committed(bench_serving_write)["notes"]
 
 
 # ----------------------------------------------------------------------
 # perf-trajectory guard (configurable gate; warn by default, fail in CI)
 # ----------------------------------------------------------------------
-def _committed_timings(feed_name):
-    path = os.path.join(TOP, feed_name)
-    return json.loads(open(path).read())["timings"]
-
-
 def _flag_regression(kernel, committed_s, current_s):
     threshold = regression.gate_threshold(default=TRAJECTORY_SLOWDOWN)
     if committed_s > 0 and current_s > threshold * committed_s:
@@ -393,120 +402,19 @@ def _flag_regression(kernel, committed_s, current_s):
         )
 
 
-def test_perf_trajectory_csr_warn_only():
-    """Re-time the CSR kernels at the smallest committed size; warn on >3x."""
-    import numpy as np
-
-    from repro.datasets.gnutella import gnutella_largest_scc
-
-    timings = _committed_timings("BENCH_perf-csr.json")
-    size = 600  # smallest committed size in bench_perf_csr's full run
-    graph = gnutella_largest_scc(size, np.random.default_rng(size))
-    fg = graph.frozen()
-    for name, _ref_fn, csr_fn in bench_perf_csr._kernel_pairs(graph, fg):
-        key = f"{name}_n{size}_csr_median_s"
-        if key not in timings:
-            continue
-        _, timing = time_repeated(csr_fn, repeats=1, warmup=1)
-        _flag_regression(f"{name} (csr, n={size})", timings[key], timing.median_s)
-
-
-def test_perf_trajectory_temporal_warn_only():
-    """Re-time the frozen temporal kernels at the smallest committed size."""
-    n, horizon, contacts, messages = bench_perf_temporal.DEFAULT_SIZES[0]
-    timings = _committed_timings("BENCH_perf-temporal.json")
-    eg = bench_perf_temporal.temporal_workload(n, horizon, contacts, seed=n)
-    specs = bench_perf_temporal.message_specs(n, messages, seed=n)
-    for name, _ref_fn, frozen_fn in bench_perf_temporal._kernel_pairs(eg, specs):
-        key = f"{name}_n{n}_frozen_median_s"
-        if key not in timings:
-            continue
-        _, timing = time_repeated(frozen_fn, repeats=1, warmup=1)
-        _flag_regression(f"{name} (frozen, n={n})", timings[key], timing.median_s)
-
-
-def test_perf_trajectory_labeling_warn_only():
-    """Re-time the frozen labeling/routing kernels at the smallest
-    committed size; warn (never fail) on a >3x slowdown."""
-    n, side, n_pairs, n_landmarks = bench_perf_labeling.DEFAULT_SIZES[0]
-    timings = _committed_timings("BENCH_perf-labeling.json")
-    workloads = bench_perf_labeling.build_workloads(n, side, n_pairs, n_landmarks)
-    for name, _ref_fn, frozen_fn, _check in bench_perf_labeling._kernel_pairs(
-        workloads
-    ):
-        key = f"{name}_n{n}_frozen_median_s"
-        if key not in timings:
-            continue
-        _, timing = time_repeated(frozen_fn, repeats=1, warmup=1)
-        _flag_regression(f"{name} (frozen, n={n})", timings[key], timing.median_s)
-
-
-def test_perf_trajectory_runtime_warn_only():
-    """Re-time the vector-plane kernels at the smallest committed tier;
+@pytest.mark.parametrize("bench", RATIO_BENCHES, ids=_bench_id)
+def test_perf_trajectory_warn_only(bench):
+    """Re-time the bench's fast sides at its smallest committed size;
     warn (never fail) on a >3x slowdown vs the committed median."""
-    from repro.graphs.hypercube import binary_hypercube
-    from repro.runtime.vector import hypercube_frozen
-
-    n, dimension = bench_perf_runtime.DEFAULT_SIZES[0]
-    timings = _committed_timings("BENCH_perf-runtime.json")
-    graph, destination, stale = bench_perf_runtime.reversal_workload(n)
-    fg = graph.frozen()
-    faults = bench_perf_runtime.safety_workload(dimension)
-    cube = binary_hypercube(dimension)
-    cube_fg = hypercube_frozen(dimension)
-    runners = [
-        ("link-reversal", n,
-         bench_perf_runtime._reversal_runners(graph, fg, destination, stale)),
-        ("safety-levels", 1 << dimension,
-         bench_perf_runtime._safety_runners(cube, cube_fg, dimension, faults)),
-        ("mis", n, bench_perf_runtime._mis_runners(graph, fg)),
-    ]
-    for name, size_n, (_scalar_run, vector_run, _check) in runners:
-        key = f"{name}_n{size_n}_vector_median_s"
+    timings = _committed(bench)["timings"]
+    size = bench.DEFAULT_SIZES[0]
+    for case in bench.cases(size, bench.workload(size)):
+        key = bench.KEYS[1].format(case=case.name, n=case.n) + "_median_s"
         if key not in timings:
             continue
-        _, timing = time_repeated(vector_run, repeats=1, warmup=1)
+        _, timing = time_repeated(case.fast, repeats=1, warmup=1, setup=case.setup)
         _flag_regression(
-            f"{name} (vector, n={size_n})", timings[key], timing.median_s
+            f"{case.name} ({bench.EXPERIMENT}, n={case.n})",
+            timings[key],
+            timing.median_s,
         )
-
-
-def test_perf_trajectory_serving_warn_only():
-    """Re-run the serving stack's mixed stream at the smallest committed
-    size; warn (never fail) on a >3x slowdown vs the committed median."""
-    from repro.labeling.landmarks import select_landmarks
-
-    timings = _committed_timings("BENCH_serving.json")
-    n = 500  # smallest committed size in bench_serving's full run
-    key = f"serving_stream_n{n}_median_s"
-    if key not in timings:
-        return
-    edges, script = bench_serving.build_workload(n, 4.0 / n, 6, 4, n)
-    landmarks = select_landmarks(bench_serving.make_graph(edges), 4)
-    _, timing = time_repeated(
-        lambda: bench_serving.run_serving(edges, script, landmarks, 64),
-        repeats=1,
-        warmup=1,
-    )
-    _flag_regression(f"serving stream (n={n})", timings[key], timing.median_s)
-
-
-def test_perf_trajectory_serving_write_warn_only():
-    """Re-run the batched write stream at the smallest committed size;
-    warn (never fail) on a >3x slowdown vs the committed median."""
-    from repro.labeling.landmarks import select_landmarks
-
-    timings = _committed_timings("BENCH_serving-write.json")
-    n = 500  # smallest committed size in bench_serving_write's full run
-    key = f"batched_stream_n{n}_median_s"
-    if key not in timings:
-        return
-    edges, script = bench_serving_write.build_write_workload(
-        n, 4.0 / n, 4, 16, n
-    )
-    landmarks = select_landmarks(bench_serving_write.make_graph(edges), 4)
-    bench_serving_write.run_batched(edges, script, landmarks, 64)  # warmup
-    _, seconds = bench_serving_write.run_batched(
-        edges, script, landmarks, 64
-    )
-    _flag_regression(f"batched write stream (n={n})", timings[key], seconds)

@@ -466,6 +466,107 @@ class TestServingGatewayResilience:
         assert late.done(), "query stranded after stop()"
         assert isinstance(late.exception(), RuntimeError)
 
+    def test_queries_blocked_beyond_the_queue_size_resolve(self, monkeypatch):
+        """The teardown drain wakes one blocked put per item it takes;
+        with more queries blocked on the full queue than it holds,
+        stop() must still release every one instead of stranding the
+        rest."""
+        monkeypatch.setattr("repro.serving.gateway.QUEUE_SIZE", 1)
+        service = GraphService(serving_graph(seed=5), landmark_count=2)
+
+        async def main():
+            gateway = ServingGateway(service, max_batch=4, max_delay=5.0)
+            gateway.start()
+            stopping = asyncio.ensure_future(gateway.stop())
+            queries = [
+                asyncio.ensure_future(gateway.distance(0, t)) for t in range(1, 7)
+            ]
+            await stopping
+            await asyncio.wait(queries, timeout=1.0)
+            return [query.done() for query in queries], [
+                query.exception() for query in queries if query.done()
+            ]
+
+        done, errors = asyncio.run(main())
+        assert all(done), f"{done.count(False)} queries stranded after stop()"
+        assert all(
+            error is None or "not running" in str(error) for error in errors
+        )
+
+    def test_crash_releases_queries_blocked_beyond_the_queue_size(
+        self, monkeypatch
+    ):
+        """A dispatcher crash drains the queue once, waking one blocked
+        put per item; the queries still blocked behind those must be
+        refused too, not left waiting on a queue nobody reads."""
+        monkeypatch.setattr("repro.serving.gateway.QUEUE_SIZE", 1)
+
+        def crash(*args):
+            raise RuntimeError("flush hook crashed")
+
+        monkeypatch.setattr("repro.serving.gateway.record_serving_batch", crash)
+        service = GraphService(serving_graph(seed=5), landmark_count=2)
+
+        async def main():
+            gateway = ServingGateway(service, max_batch=1, max_delay=0.0)
+            gateway.start()
+            queries = [
+                asyncio.ensure_future(gateway.distance(0, t)) for t in range(1, 7)
+            ]
+            await asyncio.wait(queries, timeout=1.0)
+            with pytest.raises(RuntimeError, match="flush hook crashed"):
+                await gateway.stop()
+            return queries
+
+        queries = asyncio.run(asyncio.wait_for(main(), timeout=5.0))
+        stranded = [query for query in queries if not query.done()]
+        assert not stranded, f"{len(stranded)} queries stranded by the crash"
+        assert all("not running" in str(q.exception()) for q in queries)
+
+    def test_restart_while_stop_releases_producers(self, monkeypatch):
+        """While stop()'s teardown is still releasing producers blocked
+        on the full queue, start() must refuse and a new query must be
+        refused rather than queued where the teardown would discard it;
+        once stop() returns, the gateway restarts and answers."""
+        monkeypatch.setattr("repro.serving.gateway.QUEUE_SIZE", 1)
+        service = GraphService(serving_graph(seed=5), landmark_count=2)
+
+        async def main():
+            gateway = ServingGateway(service, max_batch=4, max_delay=5.0)
+            gateway.start()
+            stopping = asyncio.ensure_future(gateway.stop())
+            blocked = [
+                asyncio.ensure_future(gateway.distance(0, t)) for t in range(1, 7)
+            ]
+            refused_starts, late = 0, []
+            while True:
+                await asyncio.sleep(0)
+                if stopping.done():
+                    break
+                try:
+                    gateway.start()
+                except RuntimeError:
+                    refused_starts += 1
+                late.append(asyncio.ensure_future(gateway.distance(0, 1)))
+            await asyncio.wait(blocked + late, timeout=1.0)
+            gateway.start()
+            after = await asyncio.wait_for(gateway.distance(0, 1), timeout=1.0)
+            await asyncio.wait_for(gateway.stop(), timeout=1.0)
+            return blocked + late, refused_starts, late, after
+
+        submitted, refused_starts, late, after = asyncio.run(
+            asyncio.wait_for(main(), timeout=5.0)
+        )
+        assert refused_starts > 0 and late, "stop() finished in one turn"
+        assert refused_starts == len(late)
+        assert all(query.done() for query in submitted), "query stranded"
+        refusals = ("gateway dispatcher is not running", "gateway not started")
+        for query in submitted:
+            error = query.exception()
+            assert error is None or str(error) in refusals, error
+        assert all(query.exception() is not None for query in late)
+        assert after == service.distance(0, 1)
+
     def test_mid_batch_mutation_invalidates_sweep_cache(self):
         """A same-source distance answered after a mid-batch mutation
         must recompute the sweep: a current index into the stale

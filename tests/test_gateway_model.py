@@ -2,9 +2,10 @@
 
 A Hypothesis state machine drives random interleavings of
 fire-and-forget writes on several writer lanes, awaited and unawaited
-distance queries, event-loop turns, ``stop()``/``start()`` cycles and
-one-shot crashes of the flush hook, under one fault plan per run (none,
-drop, reorder, delay, or all three).  The oracle is a set of edges over
+distance queries, event-loop turns, ``stop()``/``start()`` cycles with
+writes and queries submitted in the loop turn ``stop()`` starts and the
+next, and one-shot crashes of the flush hook, under one fault plan per
+run (none, drop, reorder, delay, or all three).  The oracle is a set of edges over
 eight nodes that replays the submitted mutations in submit order.
 
 Invariants:
@@ -12,7 +13,12 @@ Invariants:
 * **read-your-writes** — a distance answer equals the oracle's distance
   after the first ``j`` mutations, for some ``j`` between the mutation
   count when the query was submitted and when its answer arrived;
-* **every future resolves** — after each ``stop()``, crash or not;
+* **every future resolves** — after each ``stop()``, crash or not; a
+  query already in the queue when ``stop()`` begins is answered unless
+  its epoch crashed, while a query whose put was still blocked on the
+  full queue then, or one submitted while ``stop()`` runs, and a write
+  submitted while it runs, is either answered like any other or
+  refused with the gateway's not-running error;
 * **the queue bound** — the request queue never holds more than
   :data:`~repro.serving.gateway.QUEUE_SIZE` items (set small here);
 * **committed state** — the service's edge set equals the oracle's
@@ -55,6 +61,12 @@ WRITE = st.one_of(
         st.just("apply_batch"),
         st.tuples(st.lists(PAIR, max_size=3), st.lists(PAIR, max_size=3)),
     ),
+)
+#: One request submitted while ``stop()`` runs: a write, or a query
+#: and whether the caller awaits it.
+SUBMIT = st.one_of(
+    st.tuples(st.just("write"), st.tuples(WRITE, WRITER)),
+    st.tuples(st.just("query"), st.tuples(PAIR, st.booleans())),
 )
 QUEUE_SIZE = 3
 #: Loop turns a resolved query's task needs to finish after ``stop()``.
@@ -151,6 +163,14 @@ def is_crash_error(error):
     return isinstance(error, RuntimeError) and "not running" in str(error)
 
 
+def is_refusal(error):
+    """The gateway's error for a request reaching a stopped (or
+    stopping) dispatcher."""
+    return is_crash_error(error) or (
+        isinstance(error, RuntimeError) and "not started" in str(error)
+    )
+
+
 class GatewayMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -165,6 +185,10 @@ class GatewayMachine(RuleBasedStateMachine):
         self.mutations = []
         #: (task, (source, target), epoch) per query not yet checked.
         self.queries = []
+        #: Query tasks that may fail with the not-running error.
+        self.refusable = set()
+        #: Query tasks whose request put into the queue has returned.
+        self.enqueued = set()
 
     def run(self, awaitable):
         return self.loop.run_until_complete(awaitable)
@@ -184,6 +208,13 @@ class GatewayMachine(RuleBasedStateMachine):
             max_delay=max_delay,
             faults=PLANS[plan],
         )
+        put = self.gateway._put
+
+        async def tracked_put(item):
+            await put(item)
+            self.enqueued.add(asyncio.current_task())
+
+        self.gateway._put = tracked_put
         self.run(self._start())
 
     # -- writes --------------------------------------------------------
@@ -246,9 +277,44 @@ class GatewayMachine(RuleBasedStateMachine):
 
         self.run(go())
 
-    @rule()
-    def restart(self):
-        self.stop_and_check()
+    @rule(now=st.lists(SUBMIT, max_size=3), next_turn=st.lists(SUBMIT, max_size=3))
+    def restart(self, now, next_turn):
+        """Start ``stop()`` as a task, submit in the same loop turn and
+        the next, check everything resolved, then start again."""
+        awaited = []
+
+        def offer(submits):
+            for what, item in submits:
+                if what == "query":
+                    pair, wait = item
+                    task = self.loop.create_task(self.query(*pair))
+                    self.queries.append((task, pair, self.epoch))
+                    self.refusable.add(task)
+                    if wait:
+                        awaited.append(task)
+                    continue
+                (kind, args), writer = item
+                try:
+                    future = getattr(self.gateway, kind)(*args, writer=writer)
+                except RuntimeError as error:
+                    assert is_refusal(error), error
+                    continue
+                self.mutations.append((kind, args, future, self.epoch))
+
+        async def go():
+            stopper = self.loop.create_task(self.stop())
+            offer(now)
+            await asyncio.sleep(0)
+            offer(next_turn)
+            if awaited:
+                await asyncio.wait(awaited, timeout=2.0)
+                assert all(task.done() for task in awaited), (
+                    "a query awaited during stop() never resolved"
+                )
+            await self.settle(stopper)
+
+        self.run(asyncio.wait_for(go(), timeout=5.0))
+        self.check_stopped()
         self.epoch += 1
         self.run(self._start())
 
@@ -258,16 +324,32 @@ class GatewayMachine(RuleBasedStateMachine):
             assert self.gateway._queue.maxsize == QUEUE_SIZE
             assert self.gateway._queue.qsize() <= QUEUE_SIZE
 
-    def stop_and_check(self):
-        async def stop():
-            try:
-                await self.gateway.stop()
-            except FlushCrash:
-                self.crashed_epochs.add(self.epoch)
-            for _ in range(SETTLE_TURNS):
-                await asyncio.sleep(0)
+    async def settle(self, stopping):
+        """Await a ``stop()``, noting a crash, then let answered query
+        tasks finish."""
+        try:
+            await stopping
+        except FlushCrash:
+            self.crashed_epochs.add(self.epoch)
+        for _ in range(SETTLE_TURNS):
+            await asyncio.sleep(0)
 
-        self.run(asyncio.wait_for(stop(), timeout=5.0))
+    async def stop(self):
+        """The gateway's ``stop()``.  A query whose put is still blocked
+        on the full queue when it begins may be refused; one already
+        queued must be answered."""
+        self.refusable.update(
+            task
+            for task, _, _ in self.queries
+            if not task.done() and task not in self.enqueued
+        )
+        await self.gateway.stop()
+
+    def stop_and_check(self):
+        self.run(asyncio.wait_for(self.settle(self.stop()), timeout=5.0))
+        self.check_stopped()
+
+    def check_stopped(self):
         assert all(future.done() for _, _, future, _ in self.mutations), (
             "a mutation future was stranded by stop()"
         )
@@ -278,7 +360,10 @@ class GatewayMachine(RuleBasedStateMachine):
         for task, (source, target), epoch in self.queries:
             error = task.exception()
             if error is not None:
-                assert is_crash_error(error) and epoch in self.crashed_epochs
+                if task in self.refusable:
+                    assert is_refusal(error), error
+                else:
+                    assert is_crash_error(error) and epoch in self.crashed_epochs
                 continue
             submitted, answer, answered = task.result()
             seen = {
@@ -290,6 +375,8 @@ class GatewayMachine(RuleBasedStateMachine):
                 f"gives {seen} after mutations {submitted}..{answered}"
             )
         self.queries = []
+        self.refusable.clear()
+        self.enqueued.clear()
 
     def check_committed_state(self):
         """Replay the committed mutations; return the oracle edge set
@@ -334,13 +421,37 @@ def registry():
     set_registry(previous)
 
 
-def test_gateway_matches_sequential_oracle(monkeypatch, registry):
+@pytest.fixture
+def model_gateway(monkeypatch, registry):
+    """The small queue and the crashable flush hook the machine needs."""
     monkeypatch.setattr(gateway_module, "QUEUE_SIZE", QUEUE_SIZE)
     monkeypatch.setattr(
         gateway_module,
         "record_serving_batch",
         CrashingFlushHook(gateway_module.record_serving_batch),
     )
+
+
+@pytest.mark.parametrize(
+    "max_batch,max_delay,queued", [(4, 0.0, 4), (4, 0.002, 1), (4, 0.002, 2)]
+)
+def test_queries_queued_before_stop_are_answered(
+    model_gateway, max_batch, max_delay, queued
+):
+    """A pinned sequence the random search rarely draws: unawaited
+    queries already queued when ``stop()`` begins share the dispatcher's
+    batch with the stop sentinel, and must be answered, not refused."""
+    machine = GatewayMachine()
+    try:
+        machine.start_gateway("none", max_batch, max_delay)
+        for target in range(1, queued + 1):
+            machine.distance((0, target), False)
+        machine.restart([], [])
+    finally:
+        machine.teardown()
+
+
+def test_gateway_matches_sequential_oracle(model_gateway):
     run_state_machine_as_test(
         GatewayMachine,
         settings=settings(
