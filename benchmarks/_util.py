@@ -149,6 +149,19 @@ def scratch_registry(name: str) -> Iterator[MetricsRegistry]:
         set_registry(previous)
 
 
+@contextmanager
+def scratch_spans() -> Iterator[List[Dict[str, Any]]]:
+    """Give the global tracer a fresh span record list for the body,
+    yield it, and restore the previous list on exit."""
+    tracer = get_tracer()
+    previous = tracer.records
+    tracer.records = []
+    try:
+        yield tracer.records
+    finally:
+        tracer.records = previous
+
+
 @dataclass(frozen=True)
 class RepeatTiming:
     """Median-of-k wall-clock timing for one measured callable.

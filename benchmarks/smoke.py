@@ -27,7 +27,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
-from _util import OUT_DIR, TOP_DIR, TableResult, emit_table, scratch_registry
+from _util import (
+    OUT_DIR, TOP_DIR, TableResult, emit_table, scratch_registry, scratch_spans,
+)
 from repro.observability import get_tracer, validate_bench_report
 
 SMOKE_RUNNERS: Dict[str, Callable[[], Dict[str, Any]]] = {}
@@ -235,10 +237,11 @@ def smoke_dtn() -> Dict[str, Any]:
 
 @smoke("report")
 def smoke_report() -> Dict[str, Any]:
-    from repro.observability.report import build_dashboard, render_markdown
+    from repro.observability.report import (
+        build_dashboard, render_markdown, scan_bench_feeds, speedup_summary,
+    )
 
-    dashboard = build_dashboard(TOP_DIR)
-    markdown = render_markdown(dashboard)
+    markdown = render_markdown(build_dashboard(TOP_DIR))
     if not markdown.startswith("# "):
         raise AssertionError("report: markdown dashboard missing title")
     rows = [
@@ -247,7 +250,7 @@ def smoke_report() -> Dict[str, Any]:
             summary["floor_kernel"],
             round(summary["floor"], 2),
         )
-        for summary in dashboard["speedups"]
+        for summary in speedup_summary(scan_bench_feeds(TOP_DIR))
     ]
     if not rows:
         raise AssertionError("report: no speedup feeds found in top dir")
@@ -423,7 +426,7 @@ def run_all(
     out_dir: Optional[str] = None, top_dir: Optional[str] = None
 ) -> Dict[str, TableResult]:
     """Run every smoke instance with tracing on, each under its own
-    metrics registry; validate emitted JSON.
+    metrics registry and span list; validate emitted JSON.
 
     ``out_dir`` defaults to ``benchmarks/out``; ``top_dir`` (where the
     ``BENCH_*.json`` feed lands) is skipped when None.  Raises
@@ -435,10 +438,10 @@ def run_all(
     results: Dict[str, TableResult] = {}
     try:
         for name, runner in sorted(SMOKE_RUNNERS.items()):
-            spans_before = len(tracer.records)
-            # A fresh registry per runner: each feed's metrics snapshot
-            # holds only what its own runner recorded.
-            with scratch_registry(f"smoke-{name}"):
+            # A fresh registry and span list per runner: each feed's
+            # metrics snapshot and ledger record hold only what its own
+            # runner recorded.
+            with scratch_registry(f"smoke-{name}"), scratch_spans() as spans:
                 spec = runner()
                 result = emit_table(
                     f"smoke-{name}",
@@ -460,9 +463,8 @@ def run_all(
                 raise AssertionError(f"smoke-{name}: emitted no rows")
             if top_dir is not None and not os.path.exists(result.bench_path):
                 raise AssertionError(f"smoke-{name}: missing {result.bench_path}")
-            if len(tracer.records) == spans_before and name in (
-                "fig4", "dtn"
-            ):  # instrumented paths must have traced something
+            if not spans and name in ("fig4", "dtn"):
+                # instrumented paths must have traced something
                 raise AssertionError(f"smoke-{name}: no trace records emitted")
             results[name] = result
     finally:

@@ -22,7 +22,8 @@ here rather than per-module ad-hoc counters:
   append-only ledger plus the median-of-last-k regression gate
   (``REPRO_PERF_GATE`` / ``REPRO_PERF_GATE_THRESHOLD``).
 * :mod:`repro.observability.report` — ``python -m
-  repro.observability.report``, the consolidated perf dashboard.
+  repro.observability.report``, the consolidated perf dashboard: four
+  cross-feed sections, then one generic panel per feed.
 
 Import the tracing module as ``trace`` for the idiomatic spelling::
 

@@ -213,8 +213,8 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
     "queries": {kind: count}, "batches": n, "sweeps": n, "retries": n,
     "coalesce_ratio": queries/sweeps, "mutations": {kind: count},
     "write_batches": n, "write_coalesced": n, "write_coalesce_ratio":
-    mutations/write_batches}`` — the shape the serving benchmarks
-    record and the report's serving panels consume.
+    mutations/write_batches}`` — the shape the serving benchmarks and
+    ``benchmarks/e2e/layers.py`` read.
     """
     registry = registry if registry is not None else get_registry()
     patch: Dict[str, int] = {}

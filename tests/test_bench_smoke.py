@@ -16,7 +16,12 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 import smoke  # noqa: E402  (benchmarks/smoke.py)
-from repro.observability import BENCH_SCHEMA, get_tracer, validate_bench_report  # noqa: E402
+from repro.observability import (  # noqa: E402
+    BENCH_SCHEMA,
+    get_tracer,
+    load_history,
+    validate_bench_report,
+)
 
 
 def test_smoke_runs_every_figure_and_validates(tmp_path):
@@ -51,9 +56,29 @@ def test_smoke_artifacts_are_atomic_no_leftover_temp_files(tmp_path):
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
-def test_each_runner_records_into_its_own_registry(tmp_path):
+def test_each_runner_records_into_its_own_registry(tmp_path, monkeypatch):
     """The report runner records no labeling, remapping or frozen-cache
-    series, so none may leak into its feed from the runners before it."""
+    series, so none may leak into its feed from the runners before it;
+    and every ledger record carries only memory spans its own runner
+    recorded."""
+    tracer = get_tracer()
+    own_spans = {}
+
+    def recording(name, runner):
+        def wrapper():
+            start = len(tracer.records)
+            spec = runner()
+            own_spans[name] = {
+                record["name"]
+                for record in tracer.records[start:]
+                if "peak_kib" in record
+            }
+            return spec
+
+        return wrapper
+
+    for name, runner in list(smoke.SMOKE_RUNNERS.items()):
+        monkeypatch.setitem(smoke.SMOKE_RUNNERS, name, recording(name, runner))
     results = smoke.run_all(out_dir=str(tmp_path), top_dir=str(tmp_path))
     with open(results["report"].json_path) as handle:
         metrics = json.load(handle)["metrics"]
@@ -65,6 +90,16 @@ def test_each_runner_records_into_its_own_registry(tmp_path):
         )
     ]
     assert leaked == []
+
+    ledger = load_history(results["report"].history_path)
+    assert [record["experiment"] for record in ledger] == [
+        f"smoke-{name}" for name in sorted(smoke.SMOKE_RUNNERS)
+    ]
+    assert own_spans["scale"]  # the scale runner traces memory
+    for record in ledger:
+        name = record["experiment"][len("smoke-"):]
+        foreign = set(record.get("memory") or {}) - own_spans[name]
+        assert foreign == set(), record["experiment"]
 
 
 def test_scale_runner_keeps_an_enabled_tracer_on():

@@ -1,8 +1,9 @@
 """The consolidated perf dashboard (repro.observability.report).
 
-Section builders over synthetic feeds/ledgers, the assembled
-``repro.report/v1`` document, markdown rendering, the CLI entry point,
-and a live pass over this repo's committed BENCH feeds.
+Section builders over synthetic feeds/ledgers, the generic feed
+panel, the assembled ``repro.report/v2`` document, markdown rendering,
+the CLI entry point, and a live pass over this repo's committed BENCH
+feeds.
 """
 
 import json
@@ -13,18 +14,16 @@ from repro.observability.regression import (
     build_perf_record,
     validate_perf_record,
 )
+from repro.observability import report
+from repro.observability.regression import load_history
 from repro.observability.report import (
     REPORT_SCHEMA,
     build_dashboard,
-    cache_summary,
     main,
     memory_summary,
     render_markdown,
-    scale_summary,
     scan_bench_feeds,
-    serving_summary,
     slowest_spans,
-    write_path_summary,
     speedup_summary,
     trajectory_summary,
 )
@@ -110,29 +109,16 @@ class TestSections:
         assert entry["kernels"] == {"bfs": 12.0, "cc": 30.0}
         assert entry["floor"] == 12.0 and entry["floor_kernel"] == "bfs"
 
-    def test_cache_summary_merges_feeds_and_ledger(self, tmp_path):
-        top = write_fixture_top_dir(tmp_path)
-        feeds = scan_bench_feeds(top)
-        ledger_path = os.path.join(top, "benchmarks", "out", "history.jsonl")
-        from repro.observability.regression import load_history
-
-        summary = cache_summary(feeds, load_history(ledger_path))
-        # feed: 6 hits + 2 misses; ledger: 3 runs x (1 hit + 1 miss)
-        assert summary["Graph"]["hit"] == 9
-        assert summary["Graph"]["miss"] == 5
-        assert summary["Graph"]["hit_rate"] == 9 / 14
-
-    def test_slowest_spans_ranked_and_truncated(self, tmp_path):
+    def test_slowest_spans_ranked_and_truncated(self, tmp_path, monkeypatch):
         feeds = scan_bench_feeds(write_fixture_top_dir(tmp_path))
-        spans = slowest_spans(feeds, top=1)
+        monkeypatch.setattr(report, "SLOWEST_CASES", 1)
+        spans = slowest_spans(feeds)
         assert spans == [
             {"experiment": "perf-demo", "case": "bfs_n100_median_s", "median_s": 0.5}
         ]
 
     def test_trajectory_reports_the_2x_drift(self, tmp_path):
         top = write_fixture_top_dir(tmp_path)
-        from repro.observability.regression import load_history
-
         ledger = load_history(os.path.join(top, "benchmarks", "out", "history.jsonl"))
         (entry,) = trajectory_summary(ledger)
         assert entry["experiment"] == "perf-demo" and entry["runs"] == 3
@@ -141,20 +127,24 @@ class TestSections:
 
     def test_memory_summary_keeps_maxima(self, tmp_path):
         top = write_fixture_top_dir(tmp_path)
-        from repro.observability.regression import load_history
-
         ledger = load_history(os.path.join(top, "benchmarks", "out", "history.jsonl"))
         summary = memory_summary(ledger)
-        assert summary["repro.dtn.run"]["peak_kib"] == 128.0  # largest run
+        assert summary["repro.dtn.run"]["peak_kib"] == 128.0  # the latest run
 
-    def test_scale_summary_shard_peaks_and_ceilings(self):
-        feeds = {"perf-scale": perf_scale_feed()}
-        ledger = [
+    def test_memory_summary_shows_only_the_latest_record(self, tmp_path):
+        """A span the older record of an experiment carries and its
+        latest record lacks leaves the memory section; a span two
+        experiments share shows the larger of their latest peaks."""
+        records = [
             build_perf_record(
                 "perf-scale",
-                timings={"distance_sums_median_s": 12.5},
-                memory={"repro.graphs.csr.shard": {"peak_kib": 512.0,
-                                                   "alloc_kib": 8.0}},
+                timings={"x_median_s": 1.0},
+                memory={
+                    "repro.bench.scale.distance-table": {"peak_kib": 9000.0,
+                                                         "alloc_kib": 9.0},
+                    "repro.graphs.csr.shard": {"peak_kib": 512.0,
+                                               "alloc_kib": 8.0},
+                },
             ),
             build_perf_record(
                 "perf-scale",
@@ -162,119 +152,168 @@ class TestSections:
                 memory={"repro.graphs.csr.shard": {"peak_kib": 256.0,
                                                    "alloc_kib": 4.0}},
             ),
+            build_perf_record(
+                "smoke-scale",
+                timings={"x_median_s": 1.0},
+                memory={"repro.graphs.csr.shard": {"peak_kib": 300.0,
+                                                   "alloc_kib": 2.0}},
+            ),
         ]
-        summary = scale_summary(feeds, ledger)
-        assert set(summary) == {"shard_peaks", "ceilings"}
-        # the largest per-shard peak across the ledger wins
-        assert summary["shard_peaks"]["repro.graphs.csr.shard"]["peak_kib"] == 512.0
-        # tightest ceiling margin first; verify rows never contribute
-        assert [entry["case"] for entry in summary["ceilings"]] == [
-            "landmark-labels", "distance-sums",
-        ]
-        assert summary["ceilings"][0]["margin_mib"] == 336.0
+        assert memory_summary(records) == {
+            "repro.graphs.csr.shard": {"peak_kib": 300.0, "alloc_kib": 4.0}
+        }
+        ledger = tmp_path / "benchmarks" / "out" / "history.jsonl"
+        for record in records:
+            append_history(str(ledger), record)
+        markdown = render_markdown(build_dashboard(str(tmp_path)))
+        assert "| repro.graphs.csr.shard | 300 KiB | 4 KiB |" in markdown
+        assert "distance-table" not in markdown
 
-    def test_serving_summary_streams_and_counters(self):
-        feed = fake_feed(
-            "serving",
-            [
-                "n", "m", "blocks", "queries",
-                "baseline median s", "serving median s",
-                "baseline q/s", "serving q/s", "speedup",
-            ],
-            [
-                [500, 1500, 24, 192, 0.12, 0.026, 1600.0, 7300.0, 4.6],
-                [2000, 6000, 24, 192, 0.39, 0.065, 492.0, 2939.0, 5.98],
-            ],
-            metrics={
-                "repro.serving.queries{kind=distance}": 864,
-                "repro.serving.queries{kind=nsf_level}": 144,
-                "repro.serving.patch{event=merge}": 138,
-                "repro.serving.repairs{index=nsf,mode=replay}": 100,
-                "repro.serving.batches": 200,
-                "repro.serving.sweeps": 144,
-                "repro.serving.retries": 3,
-            },
+    def test_memory_summary_empty_inputs(self, tmp_path):
+        """No ledger, or a latest record without memory peaks, gives no
+        rows, and the memory section shows its placeholder."""
+        assert memory_summary([]) == {}
+        traced = build_perf_record(
+            "perf-demo", timings={"x_median_s": 1.0},
+            memory={"repro.dtn.run": {"peak_kib": 64.0, "alloc_kib": 1.0}},
         )
-        summary = serving_summary({"serving": feed})
-        assert [entry["n"] for entry in summary["streams"]] == [500, 2000]
-        assert summary["streams"][1]["speedup"] == 5.98
-        assert summary["queries"] == {"distance": 864, "nsf_level": 144}
-        assert summary["patch"] == {"merge": 138}
-        assert summary["repairs"] == {"nsf": {"replay": 100}}
-        assert summary["batches"] == 200
-        assert summary["sweeps"] == 144
-        assert summary["retries"] == 3
-        assert summary["coalesce_ratio"] == (864 + 144) / 144
+        untraced = build_perf_record("perf-demo", timings={"x_median_s": 1.0})
+        assert memory_summary([traced, untraced]) == {}
+        ledger = tmp_path / "benchmarks" / "out" / "history.jsonl"
+        for record in (traced, untraced):
+            append_history(str(ledger), record)
+        markdown = render_markdown(build_dashboard(str(tmp_path)))
+        assert "(no memory peaks in the ledger" in markdown
+        assert "repro.dtn.run" not in markdown
 
-    def test_write_path_summary_streams_and_histograms(self):
+
+def markdown_row(cells):
+    return "| " + " | ".join(str(cell) for cell in cells) + " |"
+
+
+class TestFeedPanel:
+    def test_unknown_feed_renders_rows_and_keys(self, tmp_path):
+        """A feed whose columns and metric family no code in the report
+        names still gets its full panel."""
+        import inspect
+
         feed = fake_feed(
-            "serving-write",
-            [
-                "n", "m", "mutations", "queries",
-                "per-edge median s", "batched median s",
-                "per-edge muts/s", "batched muts/s", "speedup",
-            ],
-            [
-                [500, 1500, 4096, 32, 0.29, 0.042, 14099.0, 97918.9, 6.95],
-                [2000, 6000, 4096, 32, 0.95, 0.176, 4311.0, 23272.0, 5.4],
-            ],
+            "acme-widgets",
+            ["zone", "widgets", "ratio"],
+            [["north", 7, 0.25], ["south", 11, 1.5]],
             metrics={
-                "repro.serving.mutations{kind=insert}": 2100,
-                "repro.serving.mutations{kind=delete}": 1996,
-                "repro.serving.batch.writes": 1024,
-                "repro.serving.batch.coalesced": 512,
-                "repro.serving.batch.write_size": {
-                    "count": 1024, "sum": 4096.0, "mean": 4.0,
-                    "min": 1.0, "max": 64.0, "p50": 2.0, "p90": 8.0,
+                "acme.widgets.made{colour=red,zone=north}": 7,
+                "acme.widgets.latency_s": {
+                    "count": 3, "sum": 0.6, "mean": 0.2, "min": 0.1,
+                    "max": 0.3, "p50": 0.2, "p90": 0.3, "p99": 0.3,
                 },
             },
         )
-        # A second feed carrying only counters merges into the totals.
-        other = fake_feed(
-            "serving",
-            ["n"],
-            [[1]],
-            metrics={
-                "repro.serving.batch.writes": 76,
-                "repro.serving.batch.coalesced": 24,
-                "repro.serving.batch.write_size": {
-                    "count": 76, "sum": 76.0, "mean": 1.0,
-                    "min": 1.0, "max": 1.0, "p50": 1.0, "p90": 1.0,
-                },
-            },
+        feed["title"] = "widget output"
+        (tmp_path / "BENCH_acme-widgets.json").write_text(json.dumps(feed))
+        assert "acme" not in inspect.getsource(report)
+        dashboard = build_dashboard(str(tmp_path))
+        titles = [section["title"] for section in dashboard["sections"]]
+        assert titles[-3:] == [
+            "acme-widgets: widget output",
+            "acme-widgets metrics",
+            "acme-widgets histograms",
+        ]
+        lines = render_markdown(dashboard).splitlines()
+        for line in (
+            "## acme-widgets: widget output",
+            "| zone | widgets | ratio |",
+            "| north | 7 | 0.25 |",
+            "| south | 11 | 1.5 |",
+            "| metric | value |",
+            "| acme.widgets.made{colour=red,zone=north} | 7 |",
+            "| histogram | count | mean | p50 | p90 | p99 | max |",
+            "| acme.widgets.latency_s | 3 | 0.2 | 0.2 | 0.3 | 0.3 | 0.3 |",
+        ):
+            assert line in lines
+
+    def test_feed_without_metrics_or_rows_renders_its_table_only(self):
+        """No metrics (or a malformed ``metrics`` field) means no metric
+        or histogram section; an empty table shows its placeholder."""
+        bare = fake_feed("bare", ["a", "b"], [[1, 2]])
+        assert [s["title"] for s in report.feed_panel("bare", bare)] == [
+            "bare: bare"
+        ]
+        malformed = fake_feed("odd", ["a"], [[1]])
+        malformed["metrics"] = ["not", "a", "mapping"]
+        assert len(report.feed_panel("odd", malformed)) == 1
+        empty = fake_feed("empty", ["a"], [])
+        del empty["header"]
+        (table,) = report.feed_panel("empty", empty)
+        assert table["header"] == [] and table["rows"] == []
+        markdown = render_markdown({"sections": [table]})
+        assert "## empty: empty\n\n(no rows)" in markdown
+
+    def test_histogram_fields_missing_from_a_summary_render_as_dash(self):
+        feed = fake_feed(
+            "sparse", ["a"], [[1]],
+            metrics={"sparse.latency_s": {"count": 2, "mean": 0.5, "max": 0.9}},
         )
-        summary = write_path_summary({"serving-write": feed, "serving": other})
-        assert [entry["n"] for entry in summary["streams"]] == [500, 2000]
-        assert summary["streams"][1]["speedup"] == 5.4
-        assert summary["streams"][0]["batched_mps"] == 97918.9
-        assert summary["mutations"] == {"insert": 2100, "delete": 1996}
-        assert summary["writes"] == 1100
-        assert summary["coalesced"] == 536
-        assert summary["coalesced_per_barrier"] == 536 / 1100
-        # histogram merge: exact count/sum/extrema, percentiles from the
-        # larger snapshot
-        sizes = summary["batch_size"]
-        assert sizes["count"] == 1100
-        assert sizes["sum"] == 4172.0
-        assert sizes["max"] == 64.0 and sizes["min"] == 1.0
-        assert sizes["p90"] == 8.0
+        panel = report.feed_panel("sparse", feed)
+        assert [s["title"] for s in panel] == [
+            "sparse: sparse", "sparse histograms",
+        ]
+        assert panel[1]["header"] == [
+            "histogram", "count", "mean", "p50", "p90", "p99", "max",
+        ]
+        assert panel[1]["rows"] == [
+            ["sparse.latency_s", 2, 0.5, "-", "-", "-", 0.9]
+        ]
 
-    def test_write_path_summary_empty_inputs(self):
-        summary = write_path_summary({})
-        assert summary["streams"] == []
-        assert summary["writes"] == 0
-        assert summary["coalesced_per_barrier"] == 0.0
-        assert summary["batch_size"] == {}
+    def test_same_metric_key_in_two_feeds_is_not_summed(self, tmp_path):
+        """Each feed shows its own value of a shared key; no cross-feed
+        total appears anywhere on the dashboard."""
+        key = "repro.cache.frozen{event=hit,owner=Graph}"
+        for experiment, hits in (("feed-a", 6), ("feed-b", 9)):
+            feed = fake_feed(experiment, ["x"], [[1]], metrics={key: hits})
+            (tmp_path / f"BENCH_{experiment}.json").write_text(json.dumps(feed))
+        dashboard = build_dashboard(str(tmp_path))
+        by_title = {s["title"]: s for s in dashboard["sections"]}
+        assert by_title["feed-a metrics"]["rows"] == [[key, 6]]
+        assert by_title["feed-b metrics"]["rows"] == [[key, 9]]
+        markdown = render_markdown(dashboard)
+        assert f"| {key} | 15 |" not in markdown
+        assert markdown.count(f"| {key} | ") == 2
 
-    def test_serving_summary_empty_inputs(self):
-        summary = serving_summary({})
-        assert summary["streams"] == []
-        assert summary["batches"] == 0
-        assert summary["coalesce_ratio"] == 0.0
+    def test_panels_sorted_by_experiment_metrics_in_feed_order(self, tmp_path):
+        metrics = {"z.last": 1, "a.first": 2, "m.middle": 3}
+        for experiment in ("zeta", "alpha"):
+            feed = fake_feed(experiment, ["x"], [[1]], metrics=metrics)
+            (tmp_path / f"BENCH_{experiment}.json").write_text(json.dumps(feed))
+        dashboard = build_dashboard(str(tmp_path))
+        panel_titles = [
+            s["title"] for s in dashboard["sections"]
+            if s["title"].startswith(("alpha", "zeta"))
+        ]
+        assert panel_titles == [
+            "alpha: alpha", "alpha metrics", "zeta: zeta", "zeta metrics",
+        ]
+        by_title = {s["title"]: s for s in dashboard["sections"]}
+        assert [row[0] for row in by_title["zeta metrics"]["rows"]] == [
+            "z.last", "a.first", "m.middle",
+        ]
 
-    def test_scale_summary_empty_inputs(self):
-        summary = scale_summary({}, [])
-        assert summary == {"shard_peaks": {}, "ceilings": []}
+    def test_committed_feeds_each_render_a_complete_panel(self):
+        """Every committed feed has a panel; every table row appears
+        verbatim as a markdown row, and every metric key as a row."""
+        feeds = scan_bench_feeds(TOP)
+        assert feeds  # the repo ships feeds
+        lines = render_markdown(build_dashboard(TOP)).splitlines()
+        line_set = set(lines)
+        for experiment, feed in feeds.items():
+            assert f"## {experiment}: {feed['title']}" in line_set, experiment
+            assert markdown_row(feed["header"]) in line_set, experiment
+            for row in feed["rows"]:
+                assert markdown_row(row) in line_set, (experiment, row)
+            for key in feed.get("metrics") or {}:
+                assert any(line.startswith(f"| {key} | ") for line in lines), (
+                    experiment, key,
+                )
 
 
 class TestDashboard:
@@ -283,7 +322,13 @@ class TestDashboard:
         assert dashboard["schema"] == REPORT_SCHEMA
         assert dashboard["feeds"] == ["fig-demo", "perf-demo"]
         assert dashboard["ledger_records"] == 3
-        assert dashboard["speedups"][0]["floor"] == 12.0
+        speedups = dashboard["sections"][0]
+        assert speedups["header"][:3] == ["experiment", "size", "floor"]
+        assert speedups["rows"] == [
+            ["perf-demo", 100, "12.0x", "bfs", "bfs 12.0x, cc 30.0x"]
+        ]
+        for section in dashboard["sections"]:
+            assert set(section) == {"title", "header", "rows", "empty"}
         json.dumps(dashboard)  # JSON-serializable end to end
 
     def test_render_markdown_sections(self, tmp_path):
@@ -293,15 +338,16 @@ class TestDashboard:
         for section in (
             "## Speedup floors",
             "## Trajectory",
-            "## Frozen-cache hit rates",
             "slowest cases",
             "## Memory ceilings",
-            "## Incremental serving",
+            "## fig-demo: fig-demo",
+            "## perf-demo: perf-demo",
+            "## perf-demo metrics",
         ):
             assert section in markdown
         assert "| perf-demo | 100 | 12.0x | bfs |" in markdown
         assert "2.00x" in markdown  # the drift is visible
-        assert "64.3%" in markdown  # 9/14 hit rate
+        assert "| repro.cache.frozen{event=hit,owner=Graph} | 6 |" in markdown
 
     def test_legacy_shm_ledger_records_still_render(self, tmp_path):
         """Ledger records written while the shared-memory plane existed
@@ -332,16 +378,18 @@ class TestDashboard:
             append_history(str(ledger), record)
         dashboard = build_dashboard(str(tmp_path))
         assert dashboard["ledger_records"] == 2
-        assert set(dashboard["scale"]) == {"shard_peaks", "ceilings"}
-        assert [entry["case"] for entry in dashboard["scale"]["ceilings"]] == [
-            "landmark-labels", "distance-sums",
-        ]
         markdown = render_markdown(dashboard)
         assert "shared memory" not in markdown.lower()
         assert "spill" not in markdown.lower()
         assert "| publish | attach |" not in markdown
-        assert "| landmark-labels | 1200.0 | 1536.0 | 336.0 |" in markdown
-        assert "| distance-sums | 900.0 | 1536.0 | 636.0 |" in markdown
+        # the perf-scale rows render in that feed's panel
+        assert "## perf-scale: perf-scale" in markdown
+        for row in perf_scale_feed()["rows"]:
+            assert markdown_row(row) in markdown
+        assert (
+            "| scale | 1000000 | 4000000 | landmark-labels | 10.0 | 1200.0 "
+            "| 1536.0 | 4 |"
+        ) in markdown
 
     def test_empty_top_dir_renders_placeholders(self, tmp_path):
         markdown = render_markdown(build_dashboard(str(tmp_path)))
@@ -359,28 +407,13 @@ class TestDashboard:
         }
         assert committed  # the repo ships feeds
         assert committed <= set(dashboard["feeds"])
-        perf_sections = {e["experiment"] for e in dashboard["speedups"]}
+        perf_sections = {
+            e["experiment"] for e in speedup_summary(scan_bench_feeds(TOP))
+        }
         assert {
             "perf-csr", "perf-temporal", "perf-labeling", "perf-runtime",
         } <= perf_sections
-        # The committed serving feed populates the serving panel: the
-        # stream table and the coalescing counters it rode in with.
-        serving = dashboard["serving"]
-        assert serving["streams"], "BENCH_serving.json must carry stream rows"
-        assert serving["coalesce_ratio"] > 1.0
-        # ... and the committed serving-write feed populates the
-        # write-path panel: stream rows, coalescing totals, and the
-        # batch-size histogram.
-        write_path = dashboard["write_path"]
-        assert write_path["streams"], (
-            "BENCH_serving-write.json must carry stream rows"
-        )
-        assert all(entry["speedup"] >= 3.0 for entry in write_path["streams"])
-        assert write_path["writes"] > 0
-        assert write_path["coalesced"] > 0
-        assert write_path["batch_size"]["count"] > 0
-        markdown = render_markdown(dashboard)  # renders without raising
-        assert "## Write path (batched mutation coalescing)" in markdown
+        render_markdown(dashboard)  # renders without raising
 
 
 class TestCli:
@@ -397,7 +430,7 @@ class TestCli:
         assert document["schema"] == REPORT_SCHEMA
         assert document["ledger_records"] == 3
 
-    def test_cli_explicit_history_and_top(self, tmp_path):
+    def test_cli_explicit_history(self, tmp_path):
         top = write_fixture_top_dir(tmp_path)
         other_ledger = str(tmp_path / "elsewhere.jsonl")
         append_history(
@@ -412,14 +445,14 @@ class TestCli:
                     "--history", other_ledger,
                     "--json",
                     "--out", out_path,
-                    "--top", "1",
                 ]
             )
             == 0
         )
         document = json.loads(open(out_path).read())
         assert document["ledger_records"] == 1
-        assert len(document["slowest"]) == 1
+        trajectory = document["sections"][1]
+        assert trajectory["rows"] == [["alt", 1, "n/a", "—"]]
 
     def test_module_entry_point(self, tmp_path):
         import subprocess
