@@ -7,15 +7,15 @@ level, landmark label, PageRank score, MIS membership) — runs through
 two postures of the same serving stack:
 
 * **per-edge** — the PR 8 posture: every mutation is its own awaited
-  gateway request (the pre-coalescing client contract), paying a
+  gateway request (the pre-batching client contract), paying a
   dispatch round-trip, a single-op write barrier, and an O(degree)
   patch flip plus dirty-pair bookkeeping round-trip per edge;
 * **batched** — the write fast path: each burst rides one
   :meth:`~repro.serving.gateway.ServingGateway.apply_batch` request,
-  coalesced at the gateway's sequence barrier into a single vectorized
-  :meth:`~repro.graphs.delta.PatchedGraph.apply_batch` application
-  (one dedup pass, one bulk slot lookup, one ``np.add.at`` degree
-  update, one version bump).
+  which the gateway's sequence barrier applies as one vectorized
+  :meth:`~repro.graphs.delta.PatchedGraph.apply_batch` call (one
+  dedup pass, one bulk slot lookup, one ``np.add.at`` degree update,
+  one version bump per burst).
 
 Before any timing, an untimed verification pass replays the stream
 against a mirror dict graph and asserts every answer against the
@@ -184,7 +184,7 @@ def run_per_edge(service, script) -> List[object]:
     Every operation is its own
     :meth:`~repro.serving.gateway.ServingGateway.insert_edge` /
     :meth:`~repro.serving.gateway.ServingGateway.delete_edge` request,
-    awaited before the next is issued — the pre-coalescing client
+    awaited before the next is issued — the pre-batching client
     contract, where each write pays its own dispatch round-trip, its
     own single-op barrier, and its own O(degree) patch flip plus
     dirty-pair round-trip.
@@ -362,7 +362,6 @@ def run(
     timings: Dict[str, float] = {}
     checked_total = 0
     batched_writes = 0
-    batched_coalesced = 0
     for size in sizes:
         row, size_timings, checked, counts = _measure_size(
             size, epochs, bursts, repeats, threshold
@@ -371,7 +370,6 @@ def run(
         timings.update(size_timings)
         checked_total += checked
         batched_writes += counts["write_batches"]
-        batched_coalesced += counts["write_coalesced"]
     if floors:
         check_floors(speedups(HEADER, rows), floors)
     return emit_table(
@@ -388,10 +386,7 @@ def run(
             "reference kernels before timing (PageRank within 1e-8, all "
             "else exact).  Zero repro.cache.frozen events during the timed "
             f"serving runs; the batched phases flushed {batched_writes} "
-            f"write barriers whose coalescing netted away "
-            f"{batched_coalesced} carried mutations "
-            f"({batched_coalesced / max(batched_writes, 1):.1f} per "
-            "barrier)."
+            "write barriers."
         ),
         timings=timings,
         out_dir=out_dir,

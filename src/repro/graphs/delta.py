@@ -44,7 +44,7 @@ Directed snapshots are not supported: the serving indexes built on top
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -66,18 +66,6 @@ DEFAULT_PATCH_THRESHOLD = 64
 class PatchBatchResult:
     """Outcome of one :meth:`PatchedGraph.apply_batch` application.
 
-    ``insert_outcomes`` / ``delete_outcomes`` report, per input operation
-    in submission order, how the batch resolved it:
-
-    * inserts: ``"insert"`` (new pending add), ``"restore"`` (cancelled a
-      pending delete), ``"noop"`` (edge already present, or a duplicate
-      of an earlier insert in the same batch), ``"self-loop"`` (lenient
-      mode only — rejected without interning);
-    * deletes: ``"delete"`` (new pending delete of a base edge),
-      ``"cancel"`` (cancelled a pending insert, possibly one from this
-      very batch), ``"missing"`` (lenient mode only — edge absent at its
-      turn, matching the per-edge :class:`~repro.errors.EdgeNotFoundError`).
-
     ``touched`` holds the canonical (i, j) index pairs whose topology was
     acted on (including self-cancelled pairs, whose net effect is nil but
     whose endpoints were interned); ``changed`` counts the
@@ -85,10 +73,8 @@ class PatchBatchResult:
     the same sequence would have produced.
     """
 
-    insert_outcomes: List[str] = field(default_factory=list)
-    delete_outcomes: List[str] = field(default_factory=list)
-    touched: List[Tuple[int, int]] = field(default_factory=list)
-    changed: int = 0
+    touched: List[Tuple[int, int]]
+    changed: int
 
 
 class PatchedGraph:
@@ -302,7 +288,6 @@ class PatchedGraph:
         self,
         inserts: Sequence[Tuple[Node, Node]] = (),
         deletes: Sequence[Tuple[Node, Node]] = (),
-        strict: bool = True,
     ) -> PatchBatchResult:
         """Apply a batch of edge mutations in one vectorized pass.
 
@@ -317,105 +302,20 @@ class PatchedGraph:
         bump for the whole batch (the merged-snapshot cache therefore
         invalidates once, not per edge).
 
-        With ``strict=True`` the batch is atomic for edge state: a
-        self-loop (``ValueError``) or an absent delete
-        (:class:`~repro.errors.EdgeNotFoundError`) raises before any
-        patch mutates — only node interning may have happened.  With
-        ``strict=False`` (the gateway's coalescing mode) invalid
-        operations are reported per-op in the result instead of raising,
-        so one caller's bad delete cannot poison a coalesced batch.
+        The batch is atomic: a self-loop (``ValueError``) or an absent
+        delete (:class:`~repro.errors.EdgeNotFoundError`) raises before
+        any patch mutates, and the nodes the batch interned are
+        released again, so a rejected batch leaves no trace.
         """
-        inserts = list(inserts)
-        deletes = list(deletes)
-        result = PatchBatchResult(
-            insert_outcomes=["noop"] * len(inserts),
-            delete_outcomes=["missing"] * len(deletes),
-        )
-
-        # Pass 1 — canonicalize + dedup inserts (interning endpoints).
-        ins_keys: List[Tuple[int, int]] = []
-        ins_pos: Dict[Tuple[int, int], int] = {}
-        for pos, (u, v) in enumerate(inserts):
-            if u == v:
-                if strict:
-                    raise ValueError(
-                        f"self-loop on {u!r} not allowed in a simple graph"
-                    )
-                result.insert_outcomes[pos] = "self-loop"
-                continue
-            iu = self._intern(u)
-            iv = self._intern(v)
-            key = (iu, iv) if iu < iv else (iv, iu)
-            if key not in ins_pos:
-                ins_pos[key] = pos
-                ins_keys.append(key)
-
-        # Categorize inserts (reads only): pending-delete restores,
-        # already-present no-ops, genuinely new adds.
-        restores: List[Tuple[int, int]] = []
-        maybe_new: List[Tuple[int, int]] = []
-        for key in ins_keys:
-            if key in self._dels:
-                restores.append(key)
-                result.insert_outcomes[ins_pos[key]] = "restore"
-            elif key not in self._adds:
-                maybe_new.append(key)
-        adds: List[Tuple[int, int]] = []
-        if maybe_new:
-            arr = np.asarray(maybe_new, dtype=np.int64)
-            slots = self._base_slots_bulk(arr[:, 0], arr[:, 1])
-            for key, slot in zip(maybe_new, slots):
-                if slot < 0:
-                    adds.append(key)
-                    result.insert_outcomes[ins_pos[key]] = "insert"
-        add_set = set(adds)
-        restore_set = set(restores)
-
-        # Pass 2 — canonicalize + dedup deletes against post-insert
-        # state (still reads only, so strict mode stays atomic).
-        seen_del: Set[Tuple[int, int]] = set()
-        cancels_new: List[Tuple[int, int]] = []  # cancel this batch's add
-        cancels_old: List[Tuple[int, int]] = []  # cancel a pending add
-        rekills: List[Tuple[int, int]] = []  # delete a just-restored edge
-        maybe_base: List[Tuple[Tuple[int, int], int, Tuple[Node, Node]]] = []
-        for pos, (u, v) in enumerate(deletes):
-            iu = self._index.get(u)
-            iv = self._index.get(v)
-            if iu is None or iv is None or iu == iv:
-                if strict:
-                    raise EdgeNotFoundError(u, v)
-                continue  # stays "missing"
-            key = (iu, iv) if iu < iv else (iv, iu)
-            if key in seen_del:
-                # The first occurrence consumed the edge.
-                if strict:
-                    raise EdgeNotFoundError(u, v)
-                continue
-            seen_del.add(key)
-            if key in add_set:
-                cancels_new.append(key)
-                result.delete_outcomes[pos] = "cancel"
-            elif key in self._adds:
-                cancels_old.append(key)
-                result.delete_outcomes[pos] = "cancel"
-            elif key in restore_set:
-                rekills.append(key)
-                result.delete_outcomes[pos] = "delete"
-            elif key in self._dels:
-                if strict:
-                    raise EdgeNotFoundError(u, v)
-            else:
-                maybe_base.append((key, pos, (u, v)))
-        new_dels: List[Tuple[int, int]] = []
-        if maybe_base:
-            arr = np.asarray([entry[0] for entry in maybe_base], dtype=np.int64)
-            slots = self._base_slots_bulk(arr[:, 0], arr[:, 1])
-            for (key, pos, uv), slot in zip(maybe_base, slots):
-                if slot >= 0:
-                    new_dels.append(key)
-                    result.delete_outcomes[pos] = "delete"
-                elif strict:
-                    raise EdgeNotFoundError(*uv)
+        mark = len(self._nodes)
+        try:
+            plan = self._plan_batch(inserts, deletes)
+        except BaseException:
+            for node in self._nodes[mark:]:
+                del self._index[node]
+            del self._nodes[mark:]
+            raise
+        restores, adds, rekills, cancels_new, cancels_old, new_dels = plan
 
         # Commit — net per-key effects.  A restore-then-delete (rekill)
         # never leaves ``_dels``; an add-then-cancel (self-cancellation)
@@ -470,10 +370,11 @@ class PatchedGraph:
         touched.update(adds)
         touched.update(new_dels)
         touched.update(cancels_old)
-        result.touched = sorted(touched)
-        result.changed = sum(
-            o in ("insert", "restore") for o in result.insert_outcomes
-        ) + sum(o in ("delete", "cancel") for o in result.delete_outcomes)
+        result = PatchBatchResult(
+            touched=sorted(touched),
+            changed=len(restores) + len(adds) + len(rekills)
+            + len(cancels_new) + len(cancels_old) + len(new_dels),
+        )
 
         # Event parity with the per-edge path: restores and cancels both
         # record "cancel"; a rekill records the "delete" its per-edge
@@ -489,6 +390,81 @@ class PatchedGraph:
         if result.changed:
             self.version += 1
         return result
+
+    def _plan_batch(
+        self,
+        inserts: Sequence[Tuple[Node, Node]],
+        deletes: Sequence[Tuple[Node, Node]],
+    ) -> Tuple[List[Tuple[int, int]], ...]:
+        """Resolve a batch against the current patch state, reads only.
+
+        Interns the insert endpoints and raises on the first invalid
+        operation; otherwise returns the canonical pairs by arm:
+        ``(restores, adds, rekills, cancels_new, cancels_old,
+        new_dels)``.
+        """
+        # Inserts — canonicalize + dedup (interning endpoints), then
+        # split into pending-delete restores, already-present no-ops
+        # and genuinely new adds.
+        ins_keys: Dict[Tuple[int, int], None] = {}
+        for u, v in inserts:
+            if u == v:
+                raise ValueError(
+                    f"self-loop on {u!r} not allowed in a simple graph"
+                )
+            iu = self._intern(u)
+            iv = self._intern(v)
+            ins_keys[(iu, iv) if iu < iv else (iv, iu)] = None
+        restores: List[Tuple[int, int]] = []
+        maybe_new: List[Tuple[int, int]] = []
+        for key in ins_keys:
+            if key in self._dels:
+                restores.append(key)
+            elif key not in self._adds:
+                maybe_new.append(key)
+        adds: List[Tuple[int, int]] = []
+        if maybe_new:
+            arr = np.asarray(maybe_new, dtype=np.int64)
+            slots = self._base_slots_bulk(arr[:, 0], arr[:, 1])
+            adds = [key for key, slot in zip(maybe_new, slots) if slot < 0]
+        add_set = set(adds)
+        restore_set = set(restores)
+
+        # Deletes — validated against the post-insert state.
+        seen_del: Set[Tuple[int, int]] = set()
+        cancels_new: List[Tuple[int, int]] = []  # cancel this batch's add
+        cancels_old: List[Tuple[int, int]] = []  # cancel a pending add
+        rekills: List[Tuple[int, int]] = []  # delete a just-restored edge
+        maybe_base: List[Tuple[Tuple[int, int], Tuple[Node, Node]]] = []
+        for u, v in deletes:
+            iu = self._index.get(u)
+            iv = self._index.get(v)
+            if iu is None or iv is None or iu == iv:
+                raise EdgeNotFoundError(u, v)
+            key = (iu, iv) if iu < iv else (iv, iu)
+            if key in seen_del:
+                # The first occurrence consumed the edge.
+                raise EdgeNotFoundError(u, v)
+            seen_del.add(key)
+            if key in add_set:
+                cancels_new.append(key)
+            elif key in self._adds:
+                cancels_old.append(key)
+            elif key in restore_set:
+                rekills.append(key)
+            elif key in self._dels:
+                raise EdgeNotFoundError(u, v)
+            else:
+                maybe_base.append((key, (u, v)))
+        new_dels: List[Tuple[int, int]] = []
+        if maybe_base:
+            arr = np.asarray([key for key, _ in maybe_base], dtype=np.int64)
+            slots = self._base_slots_bulk(arr[:, 0], arr[:, 1])
+            for (key, uv), slot in zip(maybe_base, slots):
+                if slot < 0:
+                    raise EdgeNotFoundError(*uv)
+                new_dels.append(key)
+        return restores, adds, rekills, cancels_new, cancels_old, new_dels
 
     # ------------------------------------------------------------------
     # merged point reads

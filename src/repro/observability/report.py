@@ -271,6 +271,11 @@ def cross_feed_sections(
     ]
 
 
+def _significant(value: Any) -> Any:
+    """A float rounded to 4 significant digits; anything else as is."""
+    return float(f"{value:.4g}") if isinstance(value, float) else value
+
+
 def feed_panel(experiment: str, document: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """The generic panel of one feed: its table verbatim, then its
     scalar metrics and its histogram summaries under their snapshot
@@ -282,7 +287,7 @@ def feed_panel(experiment: str, document: Mapping[str, Any]) -> List[Dict[str, A
         if not isinstance(value, Mapping)
     ]
     histograms = [
-        [key, *(value.get(field, "-") for field in _HISTOGRAM_FIELDS)]
+        [key, *(_significant(value.get(f, "-")) for f in _HISTOGRAM_FIELDS)]
         for key, value in metrics.items()
         if isinstance(value, Mapping)
     ]

@@ -36,11 +36,10 @@ Counter families on the global metrics registry:
     The write path adds ``repro.serving.mutations{kind=insert|delete}``
     (mutations accepted by the gateway),
     ``repro.serving.batch.writes`` / ``repro.serving.batch.write_size``
-    (one count per coalesced ``apply_batch`` application, histogram of
-    edge ops per application), ``repro.serving.batch.coalesced``
-    (ops netted away by coalescing — the write-side coalesce ratio is
-    ops / writes), and ``repro.serving.batch.writers`` (histogram of
-    distinct writers per write barrier — the fairness signal).  Bulk
+    (one count per write barrier, histogram of edge ops per barrier —
+    the write-side coalesce ratio is ops / writes), and
+    ``repro.serving.batch.writers`` (histogram of distinct writers per
+    write barrier — the fairness signal).  Bulk
     patch applications are dispatch-labeled
     ``kernel=graphs.apply_batch, path=patch-batch``.
 
@@ -73,7 +72,6 @@ SERVING_RETRY_METRIC = "repro.serving.retries"
 SERVING_MUTATION_METRIC = "repro.serving.mutations"
 SERVING_WRITE_BATCH_METRIC = "repro.serving.batch.writes"
 SERVING_WRITE_SIZE_METRIC = "repro.serving.batch.write_size"
-SERVING_COALESCED_METRIC = "repro.serving.batch.coalesced"
 SERVING_WRITERS_METRIC = "repro.serving.batch.writers"
 
 _LABELED = re.compile(r"^(?P<name>[^{]+)\{(?P<labels>.*)\}$")
@@ -153,19 +151,11 @@ def record_serving_mutation(kind: str, count: int = 1) -> None:
     )
 
 
-def record_write_batch(ops: int, applied: int) -> None:
-    """Record one coalesced write application at the sequence barrier.
-
-    ``ops`` is how many edge operations the barrier group carried;
-    ``applied`` is how many net edge patches survived coalescing — the
-    difference accumulates into ``repro.serving.batch.coalesced``.
-    """
+def record_write_batch(ops: int) -> None:
+    """Record one write barrier carrying ``ops`` edge operations."""
     registry = get_registry()
     registry.counter(SERVING_WRITE_BATCH_METRIC).inc()
     registry.histogram(SERVING_WRITE_SIZE_METRIC).observe(float(ops))
-    netted = int(ops) - int(applied)
-    if netted > 0:
-        registry.counter(SERVING_COALESCED_METRIC).inc(netted)
 
 
 def record_batch_writers(count: int) -> None:
@@ -212,9 +202,12 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
     ``{"patch": {event: count}, "repairs": {index: {mode: count}},
     "queries": {kind: count}, "batches": n, "sweeps": n, "retries": n,
     "coalesce_ratio": queries/sweeps, "mutations": {kind: count},
-    "write_batches": n, "write_coalesced": n, "write_coalesce_ratio":
+    "write_batches": n, "write_coalesced": 0, "write_coalesce_ratio":
     mutations/write_batches}`` — the shape the serving benchmarks and
-    ``benchmarks/e2e/layers.py`` read.
+    ``benchmarks/e2e/layers.py`` read.  ``write_coalesced`` always
+    reads 0: the sequence barrier applies every mutation through its own
+    service call and nets nothing away, and the key stays only because
+    the end-to-end benchmark's layer table reads it.
     """
     registry = registry if registry is not None else get_registry()
     patch: Dict[str, int] = {}
@@ -235,7 +228,6 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
     sweeps = int(snapshot.get(SERVING_SWEEP_METRIC, 0))
     retries = int(snapshot.get(SERVING_RETRY_METRIC, 0))
     write_batches = int(snapshot.get(SERVING_WRITE_BATCH_METRIC, 0))
-    write_coalesced = int(snapshot.get(SERVING_COALESCED_METRIC, 0))
     total_queries = sum(queries.values())
     total_mutations = sum(mutations.values())
     return {
@@ -248,7 +240,7 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
         "coalesce_ratio": (total_queries / sweeps) if sweeps else 0.0,
         "mutations": mutations,
         "write_batches": write_batches,
-        "write_coalesced": write_coalesced,
+        "write_coalesced": 0,
         "write_coalesce_ratio": (
             (total_mutations / write_batches) if write_batches else 0.0
         ),

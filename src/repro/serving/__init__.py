@@ -13,9 +13,9 @@ generation:
   with a vectorized ``apply_batch`` write path;
 * :class:`~repro.serving.gateway.ServingGateway` — the ``asyncio``
   front-end: a bounded queue coalescing point queries into batched
-  kernel sweeps and mutations into netted write barriers (sequence
-  order preserved, so read-your-writes survives fire-and-forget
-  writes), flushed on a full batch, a fixed ``max_delay`` deadline or
+  kernel sweeps and applying mutations at a sequence barrier (one
+  service call each, in sequence order, so read-your-writes survives
+  fire-and-forget writes), flushed on a full batch, a fixed ``max_delay`` deadline or
   an idle event loop, with deterministic chaos hooks from
   :mod:`repro.faults`.
 

@@ -18,15 +18,17 @@ callers keep their ordering; the optional ``writer`` tag names the
 deque), then ride the same flush triggers as queries.  Each flush
 begins with a **sequence barrier**: every unapplied mutation in the
 batch — and any still-queued mutation sequenced before the newest
-batched request — is coalesced, replayed in sequence order to net out
-per-edge effects, and applied as one vectorized
-:meth:`GraphService.apply_batch` (a lone net edge operation takes the
-scalar service call instead).  Only then are answers computed, so a
-query submitted after a mutation never observes the pre-mutation
-topology (it may observe a *newer* one, exactly like the old
-synchronous write path).  Application is exactly-once: the barrier
-stores each mutation's outcome on its request, so a ``drop`` fate only
-delays the acknowledgment, never re-applies the mutation.
+batched request — is applied in sequence order, each through its own
+service call: the scalar O(degree) ``insert_edge`` / ``delete_edge``,
+or one atomic vectorized :meth:`GraphService.apply_batch` per
+``apply_batch`` request.  The service is the only judge of validity,
+so a gateway write fails exactly when the same direct call would.
+Only then are answers computed, so a query submitted after a mutation
+never observes the pre-mutation topology (it may observe a *newer*
+one, exactly like the old synchronous write path).  Application is
+exactly-once: the barrier stores each mutation's outcome on its
+request, so a ``drop`` fate only delays the acknowledgment, never
+re-applies the mutation.
 
 Multi-writer fairness: the dispatcher drains the mutation deques
 **round-robin, one request per writer per turn**, so a hot writer
@@ -58,9 +60,9 @@ Emitted metrics (see :mod:`repro.observability.telemetry`):
 ``repro.serving.batches`` / ``batch_size`` / ``queue_depth`` per
 flush, ``repro.serving.sweeps`` per coalesced BFS,
 ``repro.serving.queries{kind}`` / ``mutations{kind}`` per accepted
-request, and per write barrier ``repro.serving.batch.writes`` /
-``write_size`` / ``coalesced`` plus the ``batch.writers`` histogram of
-distinct writers per write barrier.
+request, and per write barrier ``repro.serving.batch.writes`` and the
+``write_size`` (edge operations) and ``batch.writers`` (distinct
+writers) histograms.
 """
 
 from __future__ import annotations
@@ -68,11 +70,10 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import EdgeNotFoundError
 from repro.faults.plan import FaultPlan, FaultSession
 from repro.observability.telemetry import (
     record_batch_writers,
@@ -281,11 +282,10 @@ class ServingGateway:
     ) -> "asyncio.Future":
         """Queue a whole mutation batch as one sequenced request.
 
-        The request is atomic: it validates like the strict service
-        ``apply_batch`` (against the sequence-ordered state at its
-        barrier) and either all its operations take effect or the
-        future carries the validation error and none do.  Resolves to
-        ``{"ops": ..., "changed": ...}``.
+        The request is one service :meth:`GraphService.apply_batch`
+        call at its barrier, so it is atomic: either all its operations
+        take effect or the future carries the validation error and none
+        do.  Resolves to ``{"ops": ..., "changed": ...}``.
         """
         inserts = [tuple(pair) for pair in inserts]
         deletes = [tuple(pair) for pair in deletes]
@@ -488,20 +488,17 @@ class ServingGateway:
                 future.set_result(request.result)
 
     def _apply_mutations(self, batch: List[_Request]) -> None:
-        """The sequence barrier: coalesce and apply pending mutations.
+        """The sequence barrier: apply pending mutations in sequence order.
 
         Covers every unapplied mutation in the batch plus any mutation
         still in the deque that is sequenced before the newest batched
         request (a query must never be answered while an older write is
         parked; such extras stay queued so their futures resolve on a
-        later flush, with the outcome stored here).  The group replays
-        in sequence order against a simulated presence map to compute
-        per-request outcomes — duplicate inserts are no-ops, absent
-        deletes fail that request alone — then the *net* edge effects
-        land in one vectorized :meth:`GraphService.apply_batch`.  An
-        edge toggled back to absent still ships as insert+delete (the
-        batch self-cancellation interns its endpoints); one toggled
-        back to present needs no operation at all.
+        later flush, with the outcome stored here).  Each request is its
+        own :class:`GraphService` call — the scalar O(degree)
+        ``insert_edge`` / ``delete_edge``, or one atomic vectorized
+        ``apply_batch`` — so the service alone decides what is valid,
+        and a request it rejects leaves it untouched.
         """
         group = [
             request
@@ -520,134 +517,31 @@ class ServingGateway:
             return
         group.sort(key=lambda request: request.seq)
         service = self.service
-        has_edge = service.has_edge
-        # Canonical per-pair key: an ordered tuple when the endpoints
-        # compare (the hot path — one comparison, no allocation beyond
-        # the tuple), a frozenset for heterogeneous node types.  The
-        # same pair always maps to the same key either way.
-        original: Dict[Hashable, bool] = {}
-        state: Dict[Hashable, bool] = {}
-        changed_keys: Set[Hashable] = set()
-        order: List[Tuple[Hashable, Node, Node]] = []
-
-        def canon(u: Node, v: Node) -> Hashable:
-            try:
-                return (u, v) if u <= v else (v, u)
-            except TypeError:
-                return frozenset((u, v))
-
-        def lookup(key: Hashable, u: Node, v: Node) -> bool:
-            current = state.get(key)
-            if current is None:
-                current = has_edge(u, v)
-                original[key] = current
-                state[key] = current
-                order.append((key, u, v))
-            return current
-
         ops = 0
         for request in group:
             try:
-                if request.kind == "insert_edge":
-                    u, v = request.args
-                    ops += 1
-                    if u == v:
-                        raise ValueError(
-                            f"self-loop on {u!r} not allowed in a simple graph"
-                        )
-                    key = canon(u, v)
-                    if lookup(key, u, v):
-                        request.result = False
-                    else:
-                        state[key] = True
-                        changed_keys.add(key)
-                        request.result = True
-                elif request.kind == "delete_edge":
-                    u, v = request.args
-                    ops += 1
-                    if u == v:
-                        raise EdgeNotFoundError(u, v)
-                    key = canon(u, v)
-                    if not lookup(key, u, v):
-                        raise EdgeNotFoundError(u, v)
-                    state[key] = False
-                    changed_keys.add(key)
-                    request.result = None
-                else:  # apply_batch: atomic per request
+                if request.kind == "apply_batch":
                     inserts, deletes = request.args
                     ops += len(inserts) + len(deletes)
-                    staged: Dict[Hashable, bool] = {}
-                    changed = 0
-                    # Every touched key is registered in the group's
-                    # presence map before any staging, so the commit
-                    # below can net its effect.
-                    for u, v in inserts:
-                        if u == v:
-                            raise ValueError(
-                                f"self-loop on {u!r} not allowed in a simple graph"
-                            )
-                        key = canon(u, v)
-                        current = staged.get(key)
-                        if current is None:
-                            current = lookup(key, u, v)
-                        if not current:
-                            staged[key] = True
-                            changed += 1
-                    for u, v in deletes:
-                        if u == v:
-                            raise EdgeNotFoundError(u, v)
-                        key = canon(u, v)
-                        current = staged.get(key)
-                        if current is None:
-                            current = lookup(key, u, v)
-                        if not current:
-                            raise EdgeNotFoundError(u, v)
-                        staged[key] = False
-                        changed += 1
-                    for key, value in staged.items():
-                        state[key] = value
-                        changed_keys.add(key)
+                    result = service.apply_batch(inserts, deletes)
                     request.result = {
                         "ops": len(inserts) + len(deletes),
-                        "changed": changed,
+                        "changed": result.changed,
                     }
+                else:
+                    ops += 1
+                    request.result = getattr(service, request.kind)(
+                        *request.args
+                    )
             except Exception as error:  # noqa: BLE001 — delivered to caller
                 request.error = error
-
-        net_inserts: List[Tuple[Node, Node]] = []
-        net_deletes: List[Tuple[Node, Node]] = []
-        for key, u, v in order:
-            was, now = original[key], state[key]
-            if not was and now:
-                net_inserts.append((u, v))
-            elif was and not now:
-                net_deletes.append((u, v))
-            elif not was and key in changed_keys:
-                # Toggled back to absent: self-cancel in the batch so
-                # the endpoints still intern (read-your-writes on node
-                # existence for later queries).
-                net_inserts.append((u, v))
-                net_deletes.append((u, v))
-        applied = len(net_inserts) + len(net_deletes)
-        if applied == 1:
-            # A lone net mutation (an awaited per-edge write, say) takes
-            # the scalar O(degree) path — the vectorized batch machinery
-            # only pays for itself from a few ops up.
-            if net_inserts:
-                service.insert_edge(*net_inserts[0])
             else:
-                service.delete_edge(*net_deletes[0])
-        elif applied:
-            service.apply_batch(net_inserts, net_deletes, strict=True)
-        # Marked only once the service holds the group's effects, so a
-        # crash abort never reports an uncommitted write as applied.
-        for request in group:
+                self.mutations_applied += 1
+            # Marked as soon as its own call is over, so a crash abort
+            # never reports a committed write as failed.
             request.applied = True
-        record_write_batch(ops, applied)
+        record_write_batch(ops)
         record_batch_writers(len({request.writer for request in group}))
-        self.mutations_applied += sum(
-            1 for request in group if request.error is None
-        )
 
     async def _execute(self, batch: List[_Request]) -> None:
         """Answer one batch: write barrier, coalesced sweeps, fates."""

@@ -66,8 +66,7 @@ class IndexSpec:
 
     ``build(fg, landmarks)`` returns an object with the duck-typed
     index contract: ``update(fg, pairs)`` repairs it for a new snapshot
-    given the touched index pairs, and ``n`` is the node count it was
-    last built or repaired for.  ``query`` names the index's
+    given the touched index pairs.  ``query`` names the index's
     :class:`GraphService` point query, ``view(service)`` its
     node-facing bulk view, and ``oracle(graph, landmarks)`` the
     full-rebuild reference that view must equal on the same dict
@@ -219,17 +218,16 @@ class GraphService:
         self,
         inserts: Sequence[Tuple[Node, Node]] = (),
         deletes: Sequence[Tuple[Node, Node]] = (),
-        strict: bool = True,
     ) -> PatchBatchResult:
         """Apply a mutation batch in one vectorized pass (the write path).
 
         Semantics of :meth:`PatchedGraph.apply_batch` (inserts first,
-        then deletes; ``strict=False`` reports invalid ops per-op
-        instead of raising); the batch's touched pairs feed every
+        then deletes; atomic — an invalid operation raises and leaves
+        the service as it was); the batch's touched pairs feed every
         index's dirty set in one bulk union instead of a per-edge
         bookkeeping round-trip.
         """
-        result = self._patched.apply_batch(inserts, deletes, strict=strict)
+        result = self._patched.apply_batch(inserts, deletes)
         if result.touched:
             for dirty in self._dirty.values():
                 dirty.update(result.touched)
@@ -245,8 +243,8 @@ class GraphService:
         """The named index, current with the snapshot, and the snapshot.
 
         Builds the index on first use; repairs it when its dirty set is
-        non-empty or the node count moved (a failed strict batch can
-        intern nodes without touching any edge).  If the build or the
+        non-empty (every mutation that interns a node also touches an
+        edge at it, and a rejected one interns none).  If the build or the
         repair raises, the index is discarded before the error
         propagates, so the next query rebuilds it from scratch.
         """
@@ -257,7 +255,7 @@ class GraphService:
             if index is None:
                 index = INDEXES[name].build(fg, self.landmarks)
                 self._indexes[name] = index
-            elif dirty or fg.n != index.n:
+            elif dirty:
                 index.update(fg, sorted(dirty))
         except BaseException:
             self._indexes.pop(name, None)

@@ -5,14 +5,18 @@ fire-and-forget writes on several writer lanes, awaited and unawaited
 distance queries, event-loop turns, ``stop()``/``start()`` cycles with
 writes and queries submitted in the loop turn ``stop()`` starts and the
 next, and one-shot crashes of the flush hook, under one fault plan per
-run (none, drop, reorder, delay, or all three).  The oracle is a set of edges over
-eight nodes that replays the submitted mutations in submit order.
+run (none, drop, reorder, delay, or all three).  The oracle replays the
+submitted mutations in submit order over an edge set and a node set:
+eight seed nodes on a path, plus two nodes absent from the seed graph
+that exist only once a committed insert names them.
 
 Invariants:
 
 * **read-your-writes** — a distance answer equals the oracle's distance
   after the first ``j`` mutations, for some ``j`` between the mutation
-  count when the query was submitted and when its answer arrived;
+  count when the query was submitted and when its answer arrived, and a
+  query naming a node the oracle had not interned at any such ``j``
+  raises :class:`~repro.errors.NodeNotFoundError`;
 * **every future resolves** — after each ``stop()``, crash or not; a
   query already in the queue when ``stop()`` begins is answered unless
   its epoch crashed, while a query whose put was still blocked on the
@@ -21,10 +25,10 @@ Invariants:
   refused with the gateway's not-running error;
 * **the queue bound** — the request queue never holds more than
   :data:`~repro.serving.gateway.QUEUE_SIZE` items (set small here);
-* **committed state** — the service's edge set equals the oracle's
-  replay of exactly the mutations whose futures did not fail with the
-  crash error, and every other mutation future carries the outcome the
-  oracle computes for it.
+* **committed state** — the service's edge set and node set equal the
+  oracle's replay of exactly the mutations whose futures did not fail
+  with the crash error (a rejected write interns no node), and every
+  other mutation future carries the outcome the oracle computes for it.
 """
 
 import asyncio
@@ -41,7 +45,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.errors import EdgeNotFoundError
+from repro.errors import EdgeNotFoundError, NodeNotFoundError
 from repro.faults.injectors import MessageFaults
 from repro.faults.plan import FaultPlan
 from repro.graphs.graph import Graph
@@ -51,7 +55,9 @@ from repro.serving import gateway as gateway_module
 
 NODES = tuple(range(8))
 INITIAL_EDGES = tuple((i, i + 1) for i in range(len(NODES) - 1))
-PAIR = st.sampled_from(tuple(permutations(NODES, 2)))
+#: Nodes absent from the seed graph: a committed insert interns them.
+FRESH = (8, 9)
+PAIR = st.sampled_from(tuple(permutations(NODES + FRESH, 2)))
 WRITER = st.sampled_from((None, "a", "b"))
 #: One mutation as ``(kind, args)``: single-edge writes, often invalid
 #: deletes and duplicate inserts, or an atomic batch.
@@ -111,11 +117,13 @@ def canon(u, v):
     return (u, v) if u < v else (v, u)
 
 
-def apply_mutation(edges, kind, args):
-    """Apply one gateway mutation to the oracle edge set in place and
-    return its outcome (an exception instance for a failed request)."""
+def apply_mutation(edges, nodes, kind, args):
+    """Apply one gateway mutation to the oracle edge and node sets in
+    place and return its outcome (an exception instance for a failed
+    request, which changes neither set)."""
     if kind == "insert_edge":
         key = canon(*args)
+        nodes.update(key)
         if key in edges:
             return False
         edges.add(key)
@@ -140,11 +148,18 @@ def apply_mutation(edges, kind, args):
         changed += 1
     edges.clear()
     edges.update(staged)
+    for pair in inserts:
+        nodes.update(pair)
     return {"ops": len(inserts) + len(deletes), "changed": changed}
 
 
-def oracle_distance(edges, source, target):
-    adjacency = {node: set() for node in NODES}
+def oracle_distance(state, source, target):
+    """Hop distance in an oracle ``(edges, nodes)`` state, or
+    :class:`NodeNotFoundError` (the class) if a node is not interned."""
+    edges, nodes = state
+    if source not in nodes or target not in nodes:
+        return NodeNotFoundError
+    adjacency = {node: set() for node in nodes}
     for u, v in edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
@@ -247,9 +262,9 @@ class GatewayMachine(RuleBasedStateMachine):
 
     @rule(index=st.integers(min_value=0), writer=WRITER)
     def delete_present_edge(self, index, writer):
-        edges = set(INITIAL_EDGES)
+        edges, nodes = set(INITIAL_EDGES), set(NODES)
         for kind, args, _, _ in self.mutations:
-            apply_mutation(edges, kind, args)
+            apply_mutation(edges, nodes, kind, args)
         edges = sorted(edges)
         if edges:
             self.submit([(("delete_edge", edges[index % len(edges)]), writer)])
@@ -257,7 +272,10 @@ class GatewayMachine(RuleBasedStateMachine):
     # -- reads ---------------------------------------------------------
     async def query(self, source, target):
         submitted = len(self.mutations)
-        answer = await self.gateway.distance(source, target)
+        try:
+            answer = await self.gateway.distance(source, target)
+        except NodeNotFoundError:
+            answer = NodeNotFoundError
         return submitted, answer, len(self.mutations)
 
     @rule(pair=PAIR, awaited=st.booleans())
@@ -379,28 +397,32 @@ class GatewayMachine(RuleBasedStateMachine):
         self.enqueued.clear()
 
     def check_committed_state(self):
-        """Replay the committed mutations; return the oracle edge set
-        after each prefix of the submitted ones."""
-        edges = set(INITIAL_EDGES)
-        states = [frozenset(edges)]
+        """Replay the committed mutations; return the oracle
+        ``(edges, nodes)`` state after each prefix of the submitted
+        ones."""
+        edges, nodes = set(INITIAL_EDGES), set(NODES)
+        states = [(frozenset(edges), frozenset(nodes))]
         for kind, args, future, epoch in self.mutations:
             error = future.exception()
             if is_crash_error(error):
                 assert epoch in self.crashed_epochs
             else:
-                expected = apply_mutation(edges, kind, args)
+                expected = apply_mutation(edges, nodes, kind, args)
                 if isinstance(expected, Exception):
                     assert type(error) is type(expected), (kind, args, error)
                 else:
                     assert error is None, (kind, args, error)
                     assert future.result() == expected, (kind, args)
-            states.append(frozenset(edges))
+            states.append((frozenset(edges), frozenset(nodes)))
         served = {
             (u, v)
-            for u, v in combinations(NODES, 2)
+            for u, v in combinations(NODES + FRESH, 2)
             if self.service.has_edge(u, v)
         }
         assert served == edges, "service state differs from committed replay"
+        assert set(self.service.node_list) == nodes, (
+            "service node set differs from committed replay"
+        )
         return states
 
     def teardown(self):

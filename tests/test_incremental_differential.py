@@ -32,7 +32,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.errors import EdgeNotFoundError
+from repro.errors import EdgeNotFoundError, NodeNotFoundError
 from repro.graphs.csr import FrozenGraph
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
@@ -197,7 +197,10 @@ def drive_batch_trace(service, mirror, rng, steps, batch=6):
     edges, plus an occasional insert+delete of the same pair inside one
     batch (net-nil, but the endpoints intern).  Batches are built
     against a simulated presence set so every operation is valid at its
-    turn under the inserts-then-deletes batch semantics.
+    turn under the inserts-then-deletes batch semantics.  Now and then
+    a poisoned copy of the step's batch goes first — a brand-new node
+    plus an absent delete — and must be rejected without a trace, so
+    the step after it is checked against a mirror that never saw it.
     """
     fresh = 0
     for step in range(steps):
@@ -237,9 +240,18 @@ def drive_batch_trace(service, mirror, rng, steps, batch=6):
                 inserts.append((u, v))
                 deletes.append((u, v))
                 staged.add(key)
+        if rng.random() < 0.2:
+            fresh += 1
+            with pytest.raises(EdgeNotFoundError):
+                service.apply_batch(
+                    inserts + [(f"batch{fresh}", rng.choice(nodes))],
+                    deletes + [(f"batch{fresh}", "never-interned")],
+                )
+        version = service.version
         result = service.apply_batch(inserts, deletes)
-        assert len(result.insert_outcomes) == len(inserts)
-        assert len(result.delete_outcomes) == len(deletes)
+        # Every operation is valid and state-changing at its turn.
+        assert result.changed == len(inserts) + len(deletes)
+        assert service.version == version + (1 if result.changed else 0)
         for u, v in inserts:
             mirror.add_edge(u, v)
         for u, v in deletes:
@@ -412,6 +424,48 @@ class TestSteadyStateEconomics:
         assert counts["patch"].get("merge", 0) > 0
         assert counts["repairs"].get("nsf", {}).get("replay", 0) > 0
         assert counts["repairs"].get("labels", {}).get("relax", 0) > 0
+
+
+class TestRejectedBatch:
+    @pytest.mark.parametrize(
+        "inserts,deletes,error",
+        [
+            ([("new", "a")], [("a", "c")], EdgeNotFoundError),
+            ([("new", "a"), ("new", "new")], [], ValueError),
+        ],
+        ids=["bad-delete", "self-loop-after-new-node"],
+    )
+    def test_rejected_batch_leaves_service_unchanged(
+        self, inserts, deletes, error
+    ):
+        """A batch the service rejects changes nothing, node table
+        included: no node interned, no version bump, no pending patch,
+        the same snapshot arrays, and every index still agrees with its
+        oracle.
+
+        Regression: the batch interned its insert endpoints before
+        validating its deletes, so a rejected batch left ``"new"`` in
+        ``node_list`` — an isolated node no committed write created."""
+        edges = [("a", "b"), ("b", "c")]
+        mirror = build_graph(edges)
+        service = GraphService(build_graph(edges), landmarks=["a"])
+        assert_state_bit_exact(service, mirror, ["a"], "before")
+        nodes = list(service.node_list)
+        version = service.version
+        pending = service.patched.pending
+        snapshot = service.snapshot()
+        with pytest.raises(error):
+            service.apply_batch(inserts, deletes)
+        assert service.node_list == nodes
+        assert service.version == version
+        assert service.patched.pending == pending
+        after = service.snapshot()
+        assert after.node_list == snapshot.node_list
+        assert np.array_equal(after.indptr, snapshot.indptr)
+        assert np.array_equal(after.indices, snapshot.indices)
+        assert_state_bit_exact(service, mirror, ["a"], "after")
+        with pytest.raises(NodeNotFoundError):
+            service.distance("a", "new")
 
 
 class TestValidationParity:

@@ -475,9 +475,11 @@ def test_apply_batch_equals_per_edge(data, threshold):
         per_edge.delete_edge(u, v)
         mirror.remove_edge(u, v)
     result = batched.apply_batch(inserts, deletes)
-    assert result.insert_outcomes == ["insert"] * len(inserts)
-    assert result.delete_outcomes == ["delete"] * len(deletes)
+    # On a patch-free graph every insert is a new pending add and every
+    # delete a new pending delete of a base edge, under one version bump.
     assert result.changed == len(inserts) + len(deletes)
+    assert batched.pending == len(inserts) + len(deletes)
+    assert batched.version == (1 if result.changed else 0)
     assert_same_patch_state(per_edge, batched, (threshold, "round 1"))
     # A second batch on top of live patch state (pending inserts and
     # deletes from round 1 unless a rebase cleared them) exercises the
@@ -505,12 +507,10 @@ def test_apply_batch_self_cancellation(data):
     result = pg.apply_batch([(fresh, 0)], [(fresh, 0)])
     # The delete cancels the batch's own insert: net-nil edge state,
     # but the new endpoint stays interned (deletes keep nodes).
-    assert result.insert_outcomes == ["insert"]
-    assert result.delete_outcomes == ["cancel"]
     assert result.changed == 2
-    assert len(result.touched) == 1
+    assert result.touched == [(pg.index_of(0), pg.index_of(fresh))]
     assert pg.pending == pending
-    assert pg.version > version  # state changed transiently
+    assert pg.version == version + 1  # state changed transiently
     assert not pg.has_edge(fresh, 0)
     assert fresh in pg.node_list
     assert pg.snapshot().n == mirror.num_nodes + 1
@@ -541,3 +541,57 @@ def test_apply_batch_strict_atomic_on_bad_delete(data):
     # of the bad delete must not have landed.
     assert pg.pending == pending
     assert not pg.has_edge(*good)
+
+
+@given(
+    patch_scripts(max_ops=6),
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=3),
+    st.sampled_from(["self-loop", "absent delete", "double delete"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_service_rejected_batch_leaves_no_trace(data, anchors, fault):
+    """A :class:`GraphService` batch that raises after interning new
+    nodes leaves ``node_list``, ``version``, ``pending`` and the
+    snapshot arrays as they were."""
+    import pytest
+
+    from repro.errors import EdgeNotFoundError
+    from repro.serving import GraphService
+
+    n, edges, ops = data
+    mirror = build_graph(n, edges)
+    service = GraphService(
+        build_graph(n, edges), landmarks=[0], threshold=1_000_000
+    )
+    for u, v in ops:
+        if mirror.has_edge(u, v):
+            service.delete_edge(u, v)
+            mirror.remove_edge(u, v)
+        else:
+            service.insert_edge(u, v)
+            mirror.add_edge(u, v)
+    inserts = [(f"fresh{k}", a % n) for k, a in enumerate(anchors)]
+    deletes = []
+    if fault == "self-loop":
+        inserts.append(("fresh0", "fresh0"))
+        error = ValueError
+    elif fault == "absent delete":
+        deletes = [("fresh0", "never-interned")]
+        error = EdgeNotFoundError
+    else:  # the first delete cancels the batch's own insert
+        deletes = [inserts[0], inserts[0]]
+        error = EdgeNotFoundError
+    nodes = list(service.node_list)
+    version = service.version
+    pending = service.patched.pending
+    before = service.snapshot()
+    with pytest.raises(error):
+        service.apply_batch(inserts, deletes)
+    assert service.node_list == nodes
+    assert service.version == version
+    assert service.patched.pending == pending
+    after = service.snapshot()
+    assert after.node_list == before.node_list
+    assert np.array_equal(after.indptr, before.indptr)
+    assert np.array_equal(after.indices, before.indices)
+    assert not service.patched.has_node("fresh0")

@@ -265,6 +265,25 @@ class TestFeedPanel:
             ["sparse.latency_s", 2, 0.5, "-", "-", "-", 0.9]
         ]
 
+    def test_histogram_floats_render_to_four_significant_digits(self):
+        feed = fake_feed(
+            "wide", ["a"], [[1]],
+            metrics={
+                "wide.batch_size": {
+                    "count": 12, "mean": 1.8333333333333333, "p50": 1.0,
+                    "p90": 3.0, "p99": 12345.678, "max": 0.011762069000269548,
+                },
+            },
+        )
+        (_, histograms) = report.feed_panel("wide", feed)
+        assert histograms["rows"] == [
+            ["wide.batch_size", 12, 1.833, 1.0, 3.0, 12350.0, 0.01176]
+        ]
+        lines = render_markdown({"sections": [histograms]}).splitlines()
+        assert (
+            "| wide.batch_size | 12 | 1.833 | 1.0 | 3.0 | 12350.0 | 0.01176 |"
+        ) in lines
+
     def test_same_metric_key_in_two_feeds_is_not_summed(self, tmp_path):
         """Each feed shows its own value of a shared key; no cross-feed
         total appears anywhere on the dashboard."""
