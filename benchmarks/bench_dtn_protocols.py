@@ -20,6 +20,7 @@ from repro.dtn.routers import (
     FeatureGreedyRouter,
     ForwardingSetRouter,
     ProphetRouter,
+    ProphetRouterReference,
     SprayAndWait,
 )
 from repro.dtn.simulator import DTNSimulation, MessageSpec, run_protocol_comparison
@@ -60,6 +61,9 @@ def test_dtn_protocol_table(once):
             for i in range(20)
         ]
         results = run_protocol_comparison(eg, routers, specs)
+        # The row-keyed PRoPHET must reproduce its pair-keyed oracle.
+        oracle = run_protocol_comparison(eg, [ProphetRouterReference()], specs)
+        assert results["prophet"] == oracle["prophet"]
         rows = []
         for name, stats in results.items():
             rows.append(

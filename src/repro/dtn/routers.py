@@ -10,7 +10,8 @@ Six routers spanning the paper's design space:
   each replication (bounded-copy multi-copy routing);
 * :class:`ProphetRouter` — PRoPHET-style delivery predictabilities
   learned from encounter history (age, update, transitivity), forward
-  when the peer's predictability is higher;
+  when the peer's predictability is higher
+  (:class:`ProphetRouterReference` is its pair-keyed oracle);
 * :class:`ForwardingSetRouter` — the paper's dynamic-trimming router
   ([12]): hand over exactly when the peer is in the precomputed optimal
   forwarding set (single copy);
@@ -91,6 +92,9 @@ class ProphetRouter(Router):
     time, and propagates transitively.  A holder hands the message to a
     peer whose predictability for the destination is higher by at least
     ``margin``.
+
+    State is keyed by row, ``_rows[u][v] = (P(u, v), time last aged)``,
+    so a contact with ``b`` scans only ``b``'s known destinations.
     """
 
     name = "prophet"
@@ -104,10 +108,75 @@ class ProphetRouter(Router):
     ) -> None:
         if not 0 < p_encounter <= 1:
             raise ValueError(f"p_encounter must be in (0, 1], got {p_encounter}")
+        if not 0 <= beta <= 1:
+            raise ValueError(f"beta must be in [0, 1], got {beta}")
+        if not 0 < gamma <= 1:
+            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+        if not margin >= 0:
+            raise ValueError(f"margin must be >= 0, got {margin}")
         self.p_encounter = p_encounter
         self.beta = beta
         self.gamma = gamma
         self.margin = margin
+        self._rows: Dict[Node, Dict[Node, Tuple[float, int]]] = {}
+
+    def _aged(self, row: Dict[Node, Tuple[float, int]], v: Node, time: int) -> float:
+        """P(u, v) from u's row, aged to ``time`` and written back."""
+        entry = row.get(v)
+        if entry is None:
+            return 0.0
+        value, last_aged = entry
+        if value == 0.0:
+            return 0.0
+        elapsed = time - last_aged
+        if elapsed > 0:
+            value *= self.gamma ** elapsed
+            row[v] = (value, time)
+        return value
+
+    def predictability(self, u: Node, v: Node, time: int) -> float:
+        row = self._rows.get(u)
+        return 0.0 if row is None else self._aged(row, v, time)
+
+    def on_contact(self, u: Node, v: Node, time: int) -> None:
+        rows = self._rows
+        for a, b in ((u, v), (v, u)):
+            row = rows.setdefault(a, {})
+            aged = self._aged(row, b, time)
+            row[b] = (aged + (1.0 - aged) * self.p_encounter, time)
+        # Transitivity: meeting v teaches u about v's acquaintances.
+        # Only row a is written while row b is read, and P(a, b) was
+        # just set at ``time``, so it needs no aging inside the loop.
+        for a, b in ((u, v), (v, u)):
+            row_a = rows[a]
+            p_ab = row_a[b][0]
+            for target, (p_bt, _) in list(rows[b].items()):
+                if target == a or target == b:
+                    continue
+                via = p_ab * p_bt * self.beta
+                if via > self._aged(row_a, target, time):
+                    row_a[target] = (via, time)
+
+    def decide(self, message: MessageState, holder: Node, peer: Node, time: int) -> Decision:
+        destination = message.spec.destination
+        if (
+            self.predictability(peer, destination, time)
+            > self.predictability(holder, destination, time) + self.margin
+        ):
+            return Decision.REPLICATE
+        return Decision.CARRY
+
+
+class ProphetRouterReference(ProphetRouter):
+    """Pair-keyed PRoPHET, the oracle :class:`ProphetRouter` must match.
+
+    Every contact scans all stored pairs twice.  The row-keyed router
+    performs the same float operations in the same order, so the two
+    agree bit for bit.
+    """
+
+    def __init__(self, *args: float, **kwargs: float) -> None:
+        super().__init__(*args, **kwargs)
         self._p: Dict[Tuple[Node, Node], float] = {}
         self._last_aged: Dict[Tuple[Node, Node], int] = {}
 
@@ -138,15 +207,6 @@ class ProphetRouter(Router):
                 if via > self.predictability(a, target, time):
                     self._p[(a, target)] = via
                     self._last_aged[(a, target)] = time
-
-    def decide(self, message: MessageState, holder: Node, peer: Node, time: int) -> Decision:
-        destination = message.spec.destination
-        if (
-            self.predictability(peer, destination, time)
-            > self.predictability(holder, destination, time) + self.margin
-        ):
-            return Decision.REPLICATE
-        return Decision.CARRY
 
 
 class ForwardingSetRouter(Router):

@@ -24,6 +24,7 @@ var is set or ``REPRO_PERF_GATE=fail``, silent with
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,7 +75,7 @@ def _bench_id(bench):
 
 def _committed(bench):
     path = os.path.join(TOP, f"BENCH_{bench.EXPERIMENT}.json")
-    return json.loads(open(path).read())
+    return json.loads(Path(path).read_text())
 
 
 # ----------------------------------------------------------------------
@@ -173,10 +174,10 @@ def test_perf_csr_toy_run_validates_schema_and_equivalence(tmp_path):
         sizes=(150,), repeats=1, out_dir=str(tmp_path), top_dir=str(tmp_path)
     )
     assert result.experiment == "perf-csr"
-    document = json.loads(open(result.json_path).read())
+    document = json.loads(Path(result.json_path).read_text())
     assert document["schema"] == BENCH_SCHEMA
     assert validate_bench_report(document) == []
-    assert open(result.bench_path).read() == open(result.json_path).read()
+    assert Path(result.bench_path).read_text() == Path(result.json_path).read_text()
     kernels = {row[3] for row in result.rows}
     assert set(bench_perf_csr.FLOORS) <= kernels
     # Median-of-k spread keys land in the timings map.
@@ -193,10 +194,10 @@ def test_perf_temporal_toy_run_validates_schema_and_equivalence(tmp_path):
         top_dir=str(tmp_path),
     )
     assert result.experiment == "perf-temporal"
-    document = json.loads(open(result.json_path).read())
+    document = json.loads(Path(result.json_path).read_text())
     assert document["schema"] == BENCH_SCHEMA
     assert validate_bench_report(document) == []
-    assert open(result.bench_path).read() == open(result.json_path).read()
+    assert Path(result.bench_path).read_text() == Path(result.json_path).read_text()
     kernels = {row[3] for row in result.rows}
     assert set(bench_perf_temporal.FLOORS) <= kernels
     assert any(key.endswith("_frozen_median_s") for key in document["timings"])
@@ -211,10 +212,10 @@ def test_perf_labeling_toy_run_validates_schema_and_equivalence(tmp_path):
         top_dir=str(tmp_path),
     )
     assert result.experiment == "perf-labeling"
-    document = json.loads(open(result.json_path).read())
+    document = json.loads(Path(result.json_path).read_text())
     assert document["schema"] == BENCH_SCHEMA
     assert validate_bench_report(document) == []
-    assert open(result.bench_path).read() == open(result.json_path).read()
+    assert Path(result.bench_path).read_text() == Path(result.json_path).read_text()
     kernels = {row[1] for row in result.rows}
     assert set(bench_perf_labeling.FLOORS) <= kernels
     assert any(key.endswith("_frozen_median_s") for key in document["timings"])
@@ -233,10 +234,10 @@ def test_perf_runtime_toy_run_validates_schema_and_equivalence(tmp_path):
         top_dir=str(tmp_path),
     )
     assert result.experiment == "perf-runtime"
-    document = json.loads(open(result.json_path).read())
+    document = json.loads(Path(result.json_path).read_text())
     assert document["schema"] == BENCH_SCHEMA
     assert validate_bench_report(document) == []
-    assert open(result.bench_path).read() == open(result.json_path).read()
+    assert Path(result.bench_path).read_text() == Path(result.json_path).read_text()
     kernels = {row[1] for row in result.rows}
     assert set(bench_perf_runtime.FLOORS) <= kernels
     assert "mis" in kernels
@@ -263,10 +264,10 @@ def test_perf_scale_toy_run_validates_schema_and_tiers(tmp_path):
         top_dir=str(tmp_path),
     )
     assert result.experiment == "perf-scale"
-    document = json.loads(open(result.json_path).read())
+    document = json.loads(Path(result.json_path).read_text())
     assert document["schema"] == BENCH_SCHEMA
     assert validate_bench_report(document) == []
-    assert open(result.bench_path).read() == open(result.json_path).read()
+    assert Path(result.bench_path).read_text() == Path(result.json_path).read_text()
     tiers = {row[0] for row in result.rows}
     assert {"verify", "scale"} <= tiers
     # every scale row stayed under the asserted ceiling
@@ -280,7 +281,7 @@ def test_perf_scale_toy_run_validates_schema_and_tiers(tmp_path):
 
 def test_committed_perf_scale_feed_has_million_node_rows():
     path = os.path.join(TOP, "BENCH_perf-scale.json")
-    document = json.loads(open(path).read())
+    document = json.loads(Path(path).read_text())
     assert validate_bench_report(document) == []
     header = document["header"]
     n_col = header.index("n")
@@ -309,10 +310,10 @@ def test_serving_toy_run_validates_schema_and_equivalence(tmp_path):
         top_dir=str(tmp_path),
     )
     assert result.experiment == "serving"
-    document = json.loads(open(result.json_path).read())
+    document = json.loads(Path(result.json_path).read_text())
     assert document["schema"] == BENCH_SCHEMA
     assert validate_bench_report(document) == []
-    assert open(result.bench_path).read() == open(result.json_path).read()
+    assert Path(result.bench_path).read_text() == Path(result.json_path).read_text()
     assert any(
         key.startswith("serving_stream_") and key.endswith("_median_s")
         for key in document["timings"]
@@ -343,10 +344,10 @@ def test_serving_write_toy_run_validates_schema_and_equivalence(tmp_path):
             top_dir=str(tmp_path),
         )
     assert result.experiment == "serving-write"
-    document = json.loads(open(result.json_path).read())
+    document = json.loads(Path(result.json_path).read_text())
     assert document["schema"] == BENCH_SCHEMA
     assert validate_bench_report(document) == []
-    assert open(result.bench_path).read() == open(result.json_path).read()
+    assert Path(result.bench_path).read_text() == Path(result.json_path).read_text()
     assert any(
         key.startswith("batched_stream_") and key.endswith("_median_s")
         for key in document["timings"]
@@ -370,7 +371,7 @@ def test_committed_serving_feed_has_no_refreeze_leak():
     refreeze-per-generation phase runs in a scratch registry, and the
     notes record where those events went."""
     for feed in ("BENCH_serving.json", "BENCH_serving-write.json"):
-        document = json.loads(open(os.path.join(TOP, feed)).read())
+        document = json.loads(Path(os.path.join(TOP, feed)).read_text())
         refreeze_series = [
             key
             for key, value in document.get("metrics", {}).items()

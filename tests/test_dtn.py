@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.human_contacts import rate_model_trace
 from repro.dtn.routers import (
@@ -12,6 +14,7 @@ from repro.dtn.routers import (
     FeatureGreedyRouter,
     ForwardingSetRouter,
     ProphetRouter,
+    ProphetRouterReference,
     SprayAndWait,
 )
 from repro.dtn.simulator import (
@@ -20,6 +23,7 @@ from repro.dtn.simulator import (
     MessageSpec,
     run_protocol_comparison,
 )
+from repro.faults import CrashEvent, FaultPlan, MessageFaults, NodeCrashFaults
 from repro.remapping.feature_space import FeatureSpace
 from repro.temporal.evolving import EvolvingGraph
 from repro.trimming.forwarding_set import optimal_forwarding_sets
@@ -188,8 +192,82 @@ class TestProphet:
         assert stats.delivery_ratio > 0.5
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ProphetRouter(p_encounter=0.0)
+        for kwargs in (
+            {"p_encounter": 0.0},
+            {"gamma": 0.0},
+            {"gamma": 1.5},
+            {"beta": -2.0},
+            {"beta": 1.5},
+            {"margin": -0.1},
+            {"margin": math.nan},
+        ):
+            with pytest.raises(ValueError):
+                ProphetRouter(**kwargs)
+
+
+@st.composite
+def prophet_runs(draw):
+    """Contacts over <= 6 nodes (repeats, non-monotone times) and parameters."""
+    n = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda pair: pair[0] != pair[1]
+    )
+    contacts = draw(st.lists(st.tuples(pairs, st.integers(0, 40)), max_size=30))
+    params = {
+        "p_encounter": draw(st.floats(0.0, 1.0, exclude_min=True)),
+        "beta": draw(st.floats(0.0, 1.0)),
+        "gamma": draw(st.floats(0.0, 1.0, exclude_min=True)),
+    }
+    return n, contacts, params
+
+
+class TestProphetMatchesReference:
+    @given(prophet_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_predictabilities_identical_after_every_contact(self, run):
+        n, contacts, params = run
+        fast = ProphetRouter(**params)
+        reference = ProphetRouterReference(**params)
+        for (u, v), time in contacts:
+            fast.on_contact(u, v, time)
+            reference.on_contact(u, v, time)
+            # Reads age the state, so both routers are queried in one order.
+            for a in range(n):
+                for b in range(n):
+                    assert fast.predictability(a, b, time) == reference.predictability(
+                        a, b, time
+                    )
+
+    @pytest.mark.parametrize("setting", ["clean", "buffer", "faults"])
+    def test_simulation_stats_identical(self, setting):
+        crash = CrashEvent(node=3, at=40, restart_at=70, lose_state=True)
+        kwargs = {
+            "clean": {},
+            "buffer": {"buffer_size": 2},
+            "faults": {
+                "fault_plan": FaultPlan(
+                    7,
+                    [
+                        MessageFaults(drop=0.2, delay=0.2, max_delay=3),
+                        NodeCrashFaults(schedule=(crash,)),
+                    ],
+                )
+            },
+        }[setting]
+        eg, _, _ = social_scenario()
+        outcomes = []
+        for router in (ProphetRouter(), ProphetRouterReference()):
+            sim = DTNSimulation(eg, router, **kwargs)
+            for i in range(12):
+                sim.add_message(MessageSpec(f"m{i}", i, 29, created=10 * (i % 3), ttl=60))
+            outcomes.append(sim.run())
+        if setting == "faults":
+            summary = sim.faults.summary()
+            assert summary["contact_delay"] >= 1
+            assert summary["contact_crashed"] >= 1
+        fast, reference = outcomes
+        assert fast.delivered > 0
+        assert fast == reference
 
 
 class TestPaperRouters:
