@@ -28,8 +28,20 @@ e^{τ·depth/2}, and subtracting shared path prefixes loses precision.
 We therefore never form global transforms: the relative transform
 between two nodes is accumulated by walking the tree path between
 them (entries grow only with the *path* length) with projective
-renormalisation at every step, and distances between all nodes and a
-fixed target are computed by one BFS over the tree from that target.
+renormalisation at every step.
+
+Distances from every node to one target come from a depth walk.  Every
+node off the target's ancestor chain is reached from its parent, so
+after a scalar walk up the chain, :meth:`HyperbolicEmbedding.distance_table`
+fills the tree one depth at a time with ``_mul``'s elementwise formula
+over numpy arrays: the same IEEE products, sums and quotients in the
+same operand order as the per-node reference.  Only the transcendental
+calls (the renormalisation ``log``, and the ``log``/``exp``/``acosh``
+of the distance) stay scalar ``math`` calls, because numpy's SIMD
+``log`` and ``exp`` differ from ``math``'s in the last bit on a small
+share of inputs.  The table is therefore bit-identical to
+:meth:`~HyperbolicEmbedding.distance_table_reference`, and certification
+decides exactly as the per-node loop did.
 """
 
 from __future__ import annotations
@@ -37,6 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import AlgorithmError, NodeNotFoundError
 from repro.graphs.graph import Graph
@@ -108,7 +122,10 @@ def _distance_from_matrix(m: Matrix) -> float:
     """
     a, b, c, d, ld = m
     frobenius_sq = a * a + b * b + c * c + d * d
-    log_cosh = math.log(frobenius_sq / 2.0) - ld
+    return _distance_from_log_cosh(math.log(frobenius_sq / 2.0) - ld)
+
+
+def _distance_from_log_cosh(log_cosh: float) -> float:
     if log_cosh < 0.0:
         # Numerical wobble below cosh = 1 means distance 0.
         return 0.0
@@ -132,6 +149,14 @@ class HyperbolicEmbedding:
     tau: float
     _children: Dict[Node, List[Node]] = field(default_factory=dict)
     _depth: Dict[Node, int] = field(default_factory=dict)
+    # The depth walk of distance_table: nodes in breadth-first order from
+    # the root, each depth >= 1 one contiguous [start, stop) bucket, with
+    # parent positions and the stacked _step_up rows (5 x n).
+    _order: List[Node] = field(init=False, repr=False, compare=False)
+    _index: Dict[Node, int] = field(init=False, repr=False, compare=False)
+    _buckets: List[Tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _parent_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _up: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self._children:
@@ -141,14 +166,25 @@ class HyperbolicEmbedding:
                     self._children[parent].append(node)
             for node in self._children:
                 self._children[node].sort(key=repr)
+        order = [self.root]
+        depth = {self.root: 0}
+        for node in order:  # grows while it is walked: a BFS queue
+            for child in self._children[node]:
+                depth[child] = depth[node] + 1
+                order.append(child)
         if not self._depth:
-            self._depth = {self.root: 0}
-            stack = [self.root]
-            while stack:
-                node = stack.pop()
-                for child in self._children[node]:
-                    self._depth[child] = self._depth[node] + 1
-                    stack.append(child)
+            self._depth = depth
+        self._order = order
+        self._index = {node: i for i, node in enumerate(order)}
+        levels = [depth[node] for node in order]
+        starts = [i for i in range(1, len(order)) if levels[i] != levels[i - 1]]
+        self._buckets = list(zip(starts, starts[1:] + [len(order)]))
+        self._parent_index = np.array(
+            [0] + [self._index[self.tree_parent[node]] for node in order[1:]]
+        )
+        self._up = np.array(
+            [_IDENTITY] + [self._step_up(node) for node in order[1:]], dtype=np.float64
+        ).T.copy()
 
     # ------------------------------------------------------------------
     # relative transforms
@@ -199,11 +235,53 @@ class HyperbolicEmbedding:
         return _distance_from_matrix(self.relative_transform(u, v))
 
     def distance_table(self, target: Node) -> Dict[Node, float]:
-        """d(x, target) for every node x, via one BFS over the tree.
+        """d(x, target) for every node x, via one walk down the depths.
+
+        The target's ancestors are reached from below, each by one
+        ``_step_down`` product up the chain.  Every other node is
+        reached from its parent, by its own ``_step_up``, so once the
+        chain is known each depth is one vectorized ``_mul`` over the
+        bucket — top-down, with the chain's node of that depth written
+        back over its slot before the next depth reads it.  Bit-identical
+        to :meth:`distance_table_reference` (see the module's Numerics).
+        """
+        if target not in self._depth:
+            raise NodeNotFoundError(target)
+        chain: List[Tuple[int, Matrix]] = [(self._index[target], _IDENTITY)]
+        node = target
+        while (parent := self.tree_parent[node]) is not None:
+            m = _mul(self._step_down(node), chain[-1][1])
+            chain.append((self._index[parent], m))
+            node = parent
+        chain.reverse()  # chain[k] is the ancestor at depth k
+        t = np.empty_like(self._up)
+        t[:, 0] = chain[0][1]
+        for level, (start, stop) in enumerate(self._buckets, start=1):
+            a, b, c, d, ld_m = self._up[:, start:stop]
+            e, f, g, h, ld_n = t[:, self._parent_index[start:stop]]
+            out = np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+            scale = np.abs(out).max(axis=0)
+            if not scale.all():
+                raise AlgorithmError("degenerate Möbius transform")
+            log_scale = np.array(list(map(math.log, scale.tolist())))
+            t[:4, start:stop] = out / scale
+            t[4, start:stop] = ld_m + ld_n - 2.0 * log_scale
+            if level < len(chain):
+                slot, m = chain[level]
+                t[:, slot] = m
+        a, b, c, d, ld = t
+        half_frobenius_sq = (a * a + b * b + c * c + d * d) / 2.0
+        log_cosh = np.array(list(map(math.log, half_frobenius_sq.tolist()))) - ld
+        values = list(map(_distance_from_log_cosh, log_cosh.tolist()))
+        values[self._index[target]] = 0.0
+        return dict(zip(self._order, values))
+
+    def distance_table_reference(self, target: Node) -> Dict[Node, float]:
+        """Per-node BFS over the tree from ``target``: ground truth.
 
         The relative transform of a node is its tree-neighbor-towards-
         target's transform composed with one edge step, so the whole
-        table costs O(n) matrix products.
+        table costs O(n) scalar matrix products.
         """
         if target not in self._depth:
             raise NodeNotFoundError(target)
@@ -263,21 +341,29 @@ def _assign_angles(
 
 
 def _greedy_property_holds(graph: Graph, embedding: HyperbolicEmbedding) -> bool:
-    """Every node needs a tree neighbor strictly closer to every target."""
-    nodes = sorted(graph.nodes(), key=repr)
-    tree_neighbors: Dict[Node, List[Node]] = {node: [] for node in nodes}
-    for node, parent in embedding.tree_parent.items():
-        if parent is not None:
-            tree_neighbors[node].append(parent)
-            tree_neighbors[parent].append(node)
-    for target in nodes:
+    """Every node needs a tree neighbor strictly closer to every target.
+
+    Per target, one compare over the whole table: each node's distance
+    against the minimum over its tree neighbors (a CSR in the
+    embedding's breadth-first order).
+    """
+    order = embedding._order
+    n = len(order)
+    if n < 2:
+        return True
+    neighbors: List[List[int]] = [[] for _ in range(n)]
+    for child, parent in enumerate(embedding._parent_index[1:].tolist(), start=1):
+        neighbors[child].append(parent)
+        neighbors[parent].append(child)
+    starts = np.cumsum([0] + [len(row) for row in neighbors[:-1]])
+    flat = np.array([nb for row in neighbors for nb in row])
+    for target in sorted(graph.nodes(), key=repr):
         table = embedding.distance_table(target)
-        for node in nodes:
-            if node == target:
-                continue
-            own = table[node]
-            if not any(table[nb] < own - 1e-9 for nb in tree_neighbors[node]):
-                return False
+        row = np.fromiter(map(table.__getitem__, order), np.float64, n)
+        closer = np.minimum.reduceat(row[flat], starts) < row - 1e-9
+        closer[embedding._index[target]] = True
+        if not closer.all():
+            return False
     return True
 
 
@@ -293,8 +379,13 @@ def embed_tree(
 
     When ``certify`` is set (default), the greedy property is verified
     exhaustively and τ is doubled until it holds, so the returned
-    embedding carries a per-instance delivery guarantee.
+    embedding carries a per-instance delivery guarantee.  ``tau``, when
+    given, must be finite and positive, and ``max_doublings`` at least 1.
     """
+    if tau is not None and not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if max_doublings < 1:
+        raise ValueError(f"max_doublings must be at least 1, got {max_doublings!r}")
     if graph.num_nodes == 0:
         raise ValueError("cannot embed an empty graph")
     if root is None:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datasets.gnutella import gnutella_largest_scc
 from repro.errors import AlgorithmError, NodeNotFoundError
+from repro.graphs.graph import Graph
 from repro.graphs.generators import path_graph, random_tree, star_graph
 from repro.graphs.traversal import connected_components
 from repro.graphs.unit_disk import unit_disk_graph
@@ -19,7 +23,9 @@ from repro.remapping.geo_routing import (
     greedy_route,
     grid_with_holes,
 )
+from repro.remapping import hyperbolic
 from repro.remapping.hyperbolic import (
+    _greedy_property_holds,
     embed_tree,
     greedy_route_hyperbolic,
     hyperbolic_distance,
@@ -147,8 +153,6 @@ class TestHyperbolicRemap:
             assert table[node] == pytest.approx(embedding.distance(node, 7), rel=1e-6)
 
     def test_disconnected_graph_rejected(self):
-        from repro.graphs.graph import Graph
-
         g = Graph()
         g.add_edge(0, 1)
         g.add_node(2)
@@ -156,10 +160,142 @@ class TestHyperbolicRemap:
             embed_tree(g)
 
     def test_empty_graph_rejected(self):
-        from repro.graphs.graph import Graph
-
         with pytest.raises(ValueError):
             embed_tree(Graph())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(certify=False, max_doublings=0),
+            dict(tau=0.0),
+            dict(tau=float("nan")),
+            dict(tau=-2.0),
+            dict(tau=float("inf")),
+        ],
+        ids=["no-doublings", "tau-zero", "tau-nan", "tau-negative", "tau-inf"],
+    )
+    def test_invalid_arguments_rejected_up_front(self, kwargs):
+        with pytest.raises(ValueError):
+            embed_tree(path_graph(5), **kwargs)
+
+
+# ----------------------------------------------------------------------
+# distance_table: the depth walk against the per-node reference
+# ----------------------------------------------------------------------
+
+# τ = 1e-9 drives log-cosh below 0 by rounding wobble, τ = 1 keeps it
+# in [0, 30), and τ = 30 pushes a 40-hop path far past 30.
+BRANCH_TAUS = (1e-9, 1.0, 30.0)
+
+
+def single_node():
+    g = Graph()
+    g.add_node("only")
+    return g
+
+
+def assert_tables_exact(graph, tau):
+    embedding = embed_tree(graph, tau=tau, certify=False)
+    for target in graph.nodes():
+        assert embedding.distance_table(target) == embedding.distance_table_reference(
+            target
+        )
+
+
+@st.composite
+def connected_graphs(draw, max_nodes=24):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    g = Graph()
+    g.add_node(0)
+    for node in range(1, n):
+        g.add_edge(node, draw(st.integers(min_value=0, max_value=node - 1)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if u != v:
+            g.add_edge(u, v)
+    return g
+
+
+def greedy_property_oracle(graph, embedding):
+    """The per-node certification loop that _greedy_property_holds replaced."""
+    nodes = sorted(graph.nodes(), key=repr)
+    tree_neighbors = {node: [] for node in nodes}
+    for node, parent in embedding.tree_parent.items():
+        if parent is not None:
+            tree_neighbors[node].append(parent)
+            tree_neighbors[parent].append(node)
+    for target in nodes:
+        table = embedding.distance_table(target)
+        for node in nodes:
+            if node == target:
+                continue
+            own = table[node]
+            if not any(table[nb] < own - 1e-9 for nb in tree_neighbors[node]):
+                return False
+    return True
+
+
+class TestDistanceTableKernel:
+    @pytest.mark.parametrize("tau", BRANCH_TAUS)
+    @pytest.mark.parametrize(
+        "make_graph",
+        [lambda: path_graph(40), lambda: star_graph(30), single_node],
+        ids=["path-40", "star-30", "single-node"],
+    )
+    def test_bit_identical_to_reference(self, make_graph, tau):
+        assert_tables_exact(make_graph(), tau)
+
+    def test_every_distance_branch_fires(self, monkeypatch):
+        seen = []
+        branch = hyperbolic._distance_from_log_cosh
+
+        def recording(log_cosh):
+            seen.append(log_cosh)
+            return branch(log_cosh)
+
+        monkeypatch.setattr(hyperbolic, "_distance_from_log_cosh", recording)
+        for tau in BRANCH_TAUS:
+            assert_tables_exact(path_graph(40), tau)
+        assert min(seen) < 0.0
+        assert any(0.0 <= x < 30.0 for x in seen)
+        assert max(seen) >= 30.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(), st.sampled_from(BRANCH_TAUS + (0.7, 4.0)))
+    def test_bit_identical_on_random_graphs(self, graph, tau):
+        assert_tables_exact(graph, tau)
+
+    def test_bit_identical_on_gnutella(self):
+        # About 90k entries: enough for numpy's log to differ from math's
+        # in the last bit somewhere, were the kernel to use it.
+        assert_tables_exact(gnutella_largest_scc(320, np.random.default_rng(101)), None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(), st.sampled_from(BRANCH_TAUS + (0.7, 4.0)))
+    def test_certification_matches_per_node_loop_on_random_graphs(self, graph, tau):
+        embedding = embed_tree(graph, tau=tau, certify=False)
+        assert _greedy_property_holds(graph, embedding) == greedy_property_oracle(
+            graph, embedding
+        )
+
+    def test_unknown_target_rejected(self):
+        embedding = embed_tree(path_graph(4))
+        with pytest.raises(NodeNotFoundError):
+            embedding.distance_table(99)
+        with pytest.raises(NodeNotFoundError):
+            embedding.distance_table_reference(99)
+
+    def test_certification_matches_per_node_loop(self):
+        outcomes = set()
+        for seed in range(101, 106):
+            graph = gnutella_largest_scc(320, np.random.default_rng(seed))
+            for tau in (None, 0.5, 1.0, 2.0, 3.0, 40.0):
+                embedding = embed_tree(graph, tau=tau, certify=False)
+                holds = _greedy_property_holds(graph, embedding)
+                assert holds == greedy_property_oracle(graph, embedding), (seed, tau)
+                outcomes.add(holds)
+        assert outcomes == {True, False}
 
 
 def synthetic_eg_and_space(rng, n=24, radices=(2, 2, 3)):
