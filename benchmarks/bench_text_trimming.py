@@ -23,6 +23,8 @@ from repro.trimming.static_rules import (
     betweenness_priority,
     degree_priority,
     id_priority,
+    node_trimmable,
+    node_trimmable_reference,
     trim_nodes,
 )
 from repro.trimming.spanners import greedy_spanner
@@ -47,11 +49,20 @@ def random_eg(seed, n=12, horizon=10, p=0.25):
     return eg
 
 
+def assert_node_rule_matches_reference(eg, priorities):
+    """The shared journey search agrees with the per-quadruple oracle."""
+    for node in eg.nodes():
+        assert node_trimmable(eg, node, priorities) == node_trimmable_reference(
+            eg, node, priorities
+        ), node
+
+
 def test_text1_guarantees_hold(once):
     def experiment():
         rows = []
         for seed in range(5):
             eg = random_eg(seed)
+            assert_node_rule_matches_reference(eg, id_priority(eg))
             trimmed, removed = trim_nodes(eg)
             ok_completion = preserves_completion_times(eg, trimmed)
             ok_connectivity = preserves_time_i_connectivity(eg, trimmed, 0)
@@ -86,6 +97,7 @@ def test_text1_priority_ablation(once):
                 ("degree", degree_priority),
                 ("betweenness", betweenness_priority),
             ):
+                assert_node_rule_matches_reference(eg, priority_fn(eg))
                 _, removed = trim_nodes(eg.copy(), priority_fn(eg))
                 removed_by[name] = len(removed)
             rows.append(

@@ -94,6 +94,14 @@ def _translation(tau: float) -> Matrix:
     return (half, 0.0, 0.0, 1.0 / half, 0.0)
 
 
+def _translation_finite(tau: float) -> bool:
+    """Is exp(tau / 2), the entry of :func:`_translation`, a finite float?"""
+    try:
+        return math.isfinite(math.exp(tau / 2.0))
+    except OverflowError:
+        return False
+
+
 def _edge_matrix(phi: float, tau: float) -> Matrix:
     """Relative transform parent-frame → child-frame: R(phi) · T(tau)."""
     return _mul(_rotation(phi), _translation(tau))
@@ -380,10 +388,13 @@ def embed_tree(
     When ``certify`` is set (default), the greedy property is verified
     exhaustively and τ is doubled until it holds, so the returned
     embedding carries a per-instance delivery guarantee.  ``tau``, when
-    given, must be finite and positive, and ``max_doublings`` at least 1.
+    given, must be finite and positive with exp(tau / 2) finite (below
+    about 1419), and ``max_doublings`` at least 1.
     """
     if tau is not None and not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if tau is not None and not _translation_finite(tau):
+        raise ValueError(f"tau {tau!r} is too large: exp(tau / 2) overflows")
     if max_doublings < 1:
         raise ValueError(f"max_doublings must be at least 1, got {max_doublings!r}")
     if graph.num_nodes == 0:
@@ -397,6 +408,11 @@ def embed_tree(
     step = tau if tau is not None else 2.0 * math.log(max_degree + 2.0)
     parent, angle = _assign_angles(graph, root)
     for _ in range(max_doublings):
+        if not _translation_finite(step):
+            raise AlgorithmError(
+                f"could not certify a greedy embedding before tau {step!r} "
+                "overflows exp(tau / 2)"
+            )
         embedding = HyperbolicEmbedding(
             root=root, tree_parent=parent, edge_angle=angle, tau=step
         )

@@ -257,12 +257,12 @@ class EvolvingGraph:
             self._contacts_cache_generation = self._generation
         return self._contacts_cache
 
-    def contacts_from(self, node: Node, not_before: int = 0) -> List[Tuple[int, Node]]:
-        """(time, neighbor) pairs with time >= not_before, sorted by time.
+    def contact_index(self, node: Node) -> Tuple[List[int], List[Tuple[int, Node]]]:
+        """The cached (times, (time, neighbor) pairs) of ``node``, sorted by time.
 
-        The sorted list is cached per node (invalidated by the mutation
-        generation counter), so repeated queries bisect instead of
-        re-scanning and re-sorting the label sets.
+        The lists are the cache itself (invalidated by the mutation
+        generation counter): callers bisect ``times`` and must not
+        mutate either list.  :meth:`contacts_from` returns copies.
         """
         if node not in self._nodes:
             raise NodeNotFoundError(node)
@@ -276,7 +276,16 @@ class EvolvingGraph:
             pairs.sort(key=lambda pair: (pair[0], repr(pair[1])))
             cached = ([pair[0] for pair in pairs], pairs)
             cache[node] = cached
-        times, pairs = cached
+        return cached
+
+    def contacts_from(self, node: Node, not_before: int = 0) -> List[Tuple[int, Node]]:
+        """(time, neighbor) pairs with time >= not_before, sorted by time.
+
+        The sorted list is cached per node (see :meth:`contact_index`),
+        so repeated queries bisect instead of re-scanning and re-sorting
+        the label sets.
+        """
+        times, pairs = self.contact_index(node)
         if not_before <= 0:
             return list(pairs)
         return pairs[bisect_left(times, not_before):]
@@ -346,11 +355,28 @@ class EvolvingGraph:
         if missing:
             raise NodeNotFoundError(next(iter(missing)))
         sub = EvolvingGraph(horizon=self.horizon, nodes=keep)
-        for (u, v), times in self._labels.items():
+        # Copy the kept label sets, adjacency and weights directly, in
+        # the order a loop of add_contact calls would insert them
+        # (set(iter(...)) adds one label at a time, as add_contact does,
+        # so each copied set also iterates in that order).
+        adj = sub._adj
+        labels = sub._labels
+        for key, times in self._labels.items():
+            u, v = key
             if u in keep and v in keep:
-                for time in times:
-                    weight = self._weights.get((_edge_key(u, v), time))
-                    sub.add_contact(u, v, time, weight)
+                labels[key] = set(iter(times))
+                adj[u].add(v)
+                adj[v].add(u)
+        weights = self._weights
+        if weights:
+            sub._weights = {
+                (key, time): weights[key, time]
+                for key in labels
+                for time in self._labels[key]
+                if (key, time) in weights
+            }
+        if labels:
+            sub._generation += 1
         return sub
 
     def copy(self) -> "EvolvingGraph":

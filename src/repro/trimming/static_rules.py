@@ -26,10 +26,36 @@ Refinements implemented, as the paper lists them:
 * **link replacement rule** — remove a single link (or a single label
   of a link) instead of a whole node;
 * "A can ignore neighbor D" — the per-node link-ignoring predicate.
+
+How the rules are decided.  Taken literally, the node rule asks one
+journey question per quadruple (w, v, i, j).  Two facts collapse that
+to one search per (w, i):
+
+* a replacement that arrives by j also serves every larger j, so for
+  each other neighbor v only jmin(v, i) — the smallest label of (u, v)
+  that is >= i — matters, and a v with no such label constrains
+  nothing;
+* one time-ordered (foremost-journey) search from w, leaving at time
+  >= i, answers all the v at once.  It pops states in order of
+  (arrival, intermediates), so it returns False as soon as a popped
+  arrival passes the deadline of a target not yet reached, and True
+  once every target is met.  Each node keeps the fewest intermediates
+  it was expanded with; intermediates are counted only under
+  ``max_intermediates``, so without a bound each node is expanded once,
+  at its earliest arrival.
+
+The avoid rules are the reference's: u (for the link rule, the link
+{u, d}) and w are never intermediates, an intermediate must outrank
+p(u) (p(d)), and a target counts as reached before that filter.
+``node_trimmable_reference`` and ``link_ignorable_reference`` keep the
+one-search-per-quadruple loops as the test oracle; verdicts are equal.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import NodeNotFoundError
@@ -138,7 +164,7 @@ def _replacement_exists(
     return False
 
 
-def node_trimmable(
+def node_trimmable_reference(
     eg: EvolvingGraph,
     u: Node,
     priorities: Optional[Dict[Node, float]] = None,
@@ -182,7 +208,7 @@ def node_trimmable(
     return True
 
 
-def link_ignorable(
+def link_ignorable_reference(
     eg: EvolvingGraph,
     u: Node,
     d: Node,
@@ -228,6 +254,169 @@ def link_ignorable(
                     max_intermediates=max_intermediates,
                 ):
                     return False
+    return True
+
+
+def _first_labels_at_or_after(
+    labels: Dict[Node, List[int]], i: int, skip: Node
+) -> Dict[Node, int]:
+    """jmin(v, i): each v's smallest label >= i (v without one is absent)."""
+    deadlines: Dict[Node, int] = {}
+    for v, times in labels.items():
+        if v != skip:
+            k = bisect_left(times, i)
+            if k < len(times):
+                deadlines[v] = times[k]
+    return deadlines
+
+
+def _deadlines_met(
+    eg: EvolvingGraph,
+    start: Node,
+    depart: int,
+    deadlines: Dict[Node, int],
+    eligible: Set[Node],
+    first_hop_avoid: Node,
+    max_intermediates: Optional[int],
+) -> bool:
+    """Does one journey from ``start`` (first label >= ``depart``) reach
+    every target in ``deadlines`` by its deadline?
+
+    Intermediates are drawn from ``eligible``; ``start`` may not contact
+    ``first_hop_avoid`` directly (the link rule's ignored link; the node
+    rule passes the trimmed node, which is not eligible anyway).  The
+    search pops states in (arrival, intermediates) order, so a popped
+    arrival later than an unmet deadline proves that target unreachable
+    in time.  A node is expanded only with fewer intermediates than any
+    earlier (hence no later) expansion of it; without a hop bound every
+    node counts 0 and is expanded once, at its earliest arrival.
+    """
+    pending = dict(deadlines)
+    by_deadline = sorted(pending.items(), key=itemgetter(1))
+    lo, hi = 0, len(by_deadline) - 1
+    bounded = max_intermediates is not None
+    settled: Dict[Node, int] = {}
+    pushed: Dict[Hashable, int] = {} if bounded else {start: depart}
+    heap: List[Tuple[int, int, int, Node]] = [(depart, 0, 0, start)]
+    sequence = 1
+    while heap:
+        time, hops, _, node = heappop(heap)
+        while by_deadline[lo][0] not in pending:
+            lo += 1
+        if time > by_deadline[lo][1]:
+            return False
+        if settled.get(node, hops + 1) <= hops:
+            continue
+        settled[node] = hops
+        while by_deadline[hi][0] not in pending:
+            hi -= 1
+        cap = by_deadline[hi][1]
+        times, pairs = eg.contact_index(node)
+        for index in range(bisect_left(times, time), len(times)):
+            arrival, other = pairs[index]
+            if arrival > cap:
+                break
+            deadline = pending.get(other)
+            if deadline is not None and arrival <= deadline:
+                del pending[other]
+                if not pending:
+                    return True
+            if other not in eligible or (other == first_hop_avoid and node == start):
+                continue
+            if bounded:
+                next_hops = hops + 1
+                if next_hops > max_intermediates:
+                    continue
+                if settled.get(other, next_hops + 1) <= next_hops:
+                    continue
+                key: Hashable = (other, next_hops)
+            else:
+                next_hops, key = 0, other
+            if arrival >= pushed.get(key, arrival + 1):
+                continue
+            pushed[key] = arrival
+            heappush(heap, (arrival, next_hops, sequence, other))
+            sequence += 1
+    return False
+
+
+def _intermediates(
+    eg: EvolvingGraph, priorities: Optional[Dict[Node, float]], floor_node: Node
+) -> Set[Node]:
+    """Nodes that outrank ``floor_node`` (every node without priorities)."""
+    if priorities is None:
+        return set(eg.nodes())
+    floor = priorities[floor_node]
+    return {node for node in eg.nodes() if priorities[node] > floor}
+
+
+def node_trimmable(
+    eg: EvolvingGraph,
+    u: Node,
+    priorities: Optional[Dict[Node, float]] = None,
+    max_intermediates: Optional[int] = None,
+) -> bool:
+    """The paper's node replacement rule.
+
+    ``u`` is trimmable iff for *every* 2-hop path w --i--> u --j--> v
+    (w ≠ v neighbors of u, i <= j) a replacement journey exists from w
+    to v avoiding u, with first label >= i, last label <= j, and all
+    intermediate nodes of priority > p(u) (when priorities are given).
+    ``max_intermediates=1`` yields the hop-preserving refinement.
+
+    One :func:`_deadlines_met` search per (w, i) decides every v and j
+    at once (see the module docstring); :func:`node_trimmable_reference`
+    keeps the one-search-per-(w, v, i, j) loop as the test oracle.
+    """
+    if not eg.has_node(u):
+        raise NodeNotFoundError(u)
+    labels = {v: sorted(eg.labels(u, v)) for v in sorted(eg.neighbors(u), key=repr)}
+    eligible = _intermediates(eg, priorities, u)
+    eligible.discard(u)
+    for w, labels_in in labels.items():
+        for i in labels_in:
+            deadlines = _first_labels_at_or_after(labels, i, skip=w)
+            if deadlines and not _deadlines_met(
+                eg, w, i, deadlines, eligible, u, max_intermediates
+            ):
+                return False
+    return True
+
+
+def link_ignorable(
+    eg: EvolvingGraph,
+    u: Node,
+    d: Node,
+    priorities: Optional[Dict[Node, float]] = None,
+    max_intermediates: Optional[int] = None,
+) -> bool:
+    """Can node ``u`` ignore its neighbor ``d`` (the link u–d)?
+
+    The link replacement rule, refined from the node rule: for every
+    2-hop path u --i--> d --j--> v (i <= j, v ≠ u), a replacement
+    journey u →* v must exist that avoids the link (u, d), with first
+    label >= i and last label <= j.  Priorities compare against p(d):
+    intermediates must outrank the ignored neighbor.
+
+    In the paper's Fig. 2, A can ignore neighbor D because every
+    A → D → C path (e.g. A --3--> D --6--> C) is replaced by an
+    A → B → C path (e.g. A --4--> B --5--> C).
+
+    One :func:`_deadlines_met` search per label i of (u, d);
+    :func:`link_ignorable_reference` is the per-quadruple oracle.
+    """
+    if not eg.has_node(u):
+        raise NodeNotFoundError(u)
+    if not eg.has_node(d):
+        raise NodeNotFoundError(d)
+    labels = {v: sorted(eg.labels(d, v)) for v in sorted(eg.neighbors(d), key=repr)}
+    eligible = _intermediates(eg, priorities, d)
+    for i in sorted(eg.labels(u, d)):
+        deadlines = _first_labels_at_or_after(labels, i, skip=u)
+        if deadlines and not _deadlines_met(
+            eg, u, i, deadlines, eligible, d, max_intermediates
+        ):
+            return False
     return True
 
 

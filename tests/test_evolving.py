@@ -1,5 +1,6 @@
 """Time-evolving graph container (Sec. II-B, Fig. 2)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
@@ -155,6 +156,55 @@ class TestViews:
         clone = eg.copy()
         clone.add_contact("a", "b", 2)
         assert eg.labels("a", "b") == frozenset({1})
+
+    @pytest.mark.parametrize("keep", [None, range(0, 12, 2)], ids=["copy", "subgraph"])
+    def test_bulk_copy_matches_contact_by_contact_copy(self, keep):
+        rng = np.random.default_rng(7)
+        eg = EvolvingGraph(horizon=150, nodes=range(12))
+        for _ in range(400):
+            u, v = (int(x) for x in rng.choice(12, size=2, replace=False))
+            weight = float(rng.random()) if rng.random() < 0.3 else None
+            eg.add_contact(u, v, int(rng.integers(150)), weight)
+        nodes = set(eg.nodes()) if keep is None else set(keep)
+        expected = contact_by_contact_subgraph(eg, nodes)
+        got = eg.copy() if keep is None else eg.subgraph(nodes)
+        assert set(got.nodes()) == set(expected.nodes())
+        assert list(got._labels) == list(expected._labels)
+        for key, times in expected._labels.items():
+            assert list(got._labels[key]) == list(times)
+        assert {n: list(s) for n, s in got._adj.items()} == {
+            n: list(s) for n, s in expected._adj.items()
+        }
+        assert list(got._weights.items()) == list(expected._weights.items())
+        assert got.all_contacts() == expected.all_contacts()
+        # The copy owns its sets, and a later mutation still invalidates.
+        before = got.frozen().num_contacts
+        generation = got._generation
+        a, b = next(iter(got.edges()))
+        fresh = min(set(range(150)) - got.labels(a, b))
+        got.add_contact(a, b, fresh)
+        assert got._generation > generation
+        assert got.frozen().num_contacts == before + 1
+        assert not eg.has_contact(a, b, fresh)
+
+    def test_contact_index_backs_contacts_from(self):
+        eg = paper_fig2_evolving_graph()
+        times, pairs = eg.contact_index("B")
+        assert pairs == eg.contacts_from("B")
+        assert times == [time for time, _ in pairs]
+        assert eg.contacts_from("B", not_before=3) == [
+            pair for pair in pairs if pair[0] >= 3
+        ]
+
+
+def contact_by_contact_subgraph(eg, keep):
+    """The add_contact loop that ``EvolvingGraph.subgraph`` replaces."""
+    sub = EvolvingGraph(horizon=eg.horizon, nodes=keep)
+    for (u, v), times in eg._labels.items():
+        if u in keep and v in keep:
+            for time in times:
+                sub.add_contact(u, v, time, eg._weights.get(((u, v), time)))
+    return sub
 
 
 class TestConversions:

@@ -171,12 +171,28 @@ class TestHyperbolicRemap:
             dict(tau=float("nan")),
             dict(tau=-2.0),
             dict(tau=float("inf")),
+            dict(tau=1500.0, certify=False),
         ],
-        ids=["no-doublings", "tau-zero", "tau-nan", "tau-negative", "tau-inf"],
+        ids=[
+            "no-doublings", "tau-zero", "tau-nan", "tau-negative", "tau-inf",
+            "tau-overflows",
+        ],
     )
     def test_invalid_arguments_rejected_up_front(self, kwargs):
         with pytest.raises(ValueError):
             embed_tree(path_graph(5), **kwargs)
+
+    def test_largest_representable_tau_still_embeds(self):
+        # exp(1400 / 2) is finite: only τ past about 1419 is rejected.
+        embedding = embed_tree(path_graph(4), tau=1400.0, certify=False)
+        assert embedding.tau == 1400.0
+
+    def test_certification_stops_before_tau_overflows(self, monkeypatch):
+        # Doubling from τ = 1 reaches 2048, whose exp(τ / 2) overflows,
+        # well before 20 doublings run out.
+        monkeypatch.setattr(hyperbolic, "_greedy_property_holds", lambda g, e: False)
+        with pytest.raises(AlgorithmError, match="could not certify"):
+            embed_tree(path_graph(4), tau=1.0, max_doublings=20)
 
 
 # ----------------------------------------------------------------------

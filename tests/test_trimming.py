@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.properties import (
     preserves_completion_times,
     preserves_time_i_connectivity,
 )
+from repro.datasets.human_contacts import rate_model_trace
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.traversal import is_connected
 from repro.graphs.unit_disk import random_unit_disk_graph
@@ -21,13 +24,16 @@ from repro.trimming.forwarding_set import (
     simulate_single_copy,
 )
 from repro.trimming.spanners import greedy_spanner, spanner_stretch
+from repro.trimming import static_rules
 from repro.trimming.static_rules import (
     betweenness_priority,
     degree_priority,
     id_priority,
     ignorable_links,
     link_ignorable,
+    link_ignorable_reference,
     node_trimmable,
+    node_trimmable_reference,
     trim_nodes,
 )
 from repro.trimming.topology_control import (
@@ -119,6 +125,22 @@ class TestReplacementRules:
         assert node_trimmable(eg, "u", priorities)
         assert not node_trimmable(eg, "u", priorities, max_intermediates=1)
 
+    def test_hop_bounded_search_revisits_with_fewer_intermediates(self):
+        # x is first reached at time 1 via p (2 intermediates), then at
+        # time 2 directly (1 intermediate); only the later, shorter
+        # arrival leaves room for y within the bound of 2.
+        eg = EvolvingGraph(horizon=5)
+        eg.add_contact("w", "u", 1)
+        eg.add_contact("u", "v", 3)
+        eg.add_contact("w", "p", 1)
+        eg.add_contact("p", "x", 1)
+        eg.add_contact("w", "x", 2)
+        eg.add_contact("x", "y", 3)
+        eg.add_contact("y", "v", 3)
+        assert node_trimmable_reference(eg, "u", max_intermediates=2)
+        assert node_trimmable(eg, "u", max_intermediates=2)
+        assert not node_trimmable(eg, "u", max_intermediates=1)
+
     def test_trim_preserves_completion_times(self, rng):
         for seed in range(3):
             local = np.random.default_rng(seed)
@@ -140,6 +162,78 @@ class TestReplacementRules:
         eg = paper_fig2_evolving_graph()
         trimmed, removed = trim_nodes(eg)
         assert set(removed) | set(trimmed.nodes()) == set(eg.nodes())
+
+
+# ----------------------------------------------------------------------
+# The shared journey search against the per-quadruple reference rules
+# ----------------------------------------------------------------------
+
+PRIORITY_RULES = {"id": id_priority, "degree": degree_priority, "none": None}
+
+
+@st.composite
+def small_evolving_graphs(draw):
+    """≤ 8 nodes, horizon ≤ 8, edges often carrying several labels."""
+    n = draw(st.integers(2, 8))
+    horizon = draw(st.integers(1, 8))
+    eg = EvolvingGraph(horizon=horizon, nodes=range(n))
+    node = st.integers(0, n - 1)
+    contacts = draw(
+        st.lists(st.tuples(node, node, st.integers(0, horizon - 1)), max_size=4 * n)
+    )
+    for u, v, time in contacts:
+        if u != v:
+            eg.add_contact(u, v, time)
+    return eg
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eg=small_evolving_graphs(),
+    rule=st.sampled_from(sorted(PRIORITY_RULES)),
+    max_intermediates=st.sampled_from([None, 0, 1, 2]),
+)
+def test_rules_match_reference_on_small_graphs(eg, rule, max_intermediates):
+    priority_fn = PRIORITY_RULES[rule]
+    priorities = priority_fn(eg) if priority_fn is not None else None
+    for u in eg.nodes():
+        assert node_trimmable(eg, u, priorities, max_intermediates) == (
+            node_trimmable_reference(eg, u, priorities, max_intermediates)
+        ), u
+        for d in eg.neighbors(u):
+            assert link_ignorable(eg, u, d, priorities, max_intermediates) == (
+                link_ignorable_reference(eg, u, d, priorities, max_intermediates)
+            ), (u, d)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_node_rule_matches_reference_on_contact_trace(k):
+    trace, _ = rate_model_trace(
+        32, (2, 2, 3), np.random.default_rng([1, k]),
+        rate0=0.2, decay=0.5, end_time=150.0,
+    )
+    eg = trace.to_evolving(1.0)
+    priorities = id_priority(eg)
+    for u in sorted(eg.nodes()):
+        assert node_trimmable(eg, u, priorities) == node_trimmable_reference(
+            eg, u, priorities
+        ), u
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_trim_nodes_removal_order_matches_reference(seed, monkeypatch):
+    local = np.random.default_rng(seed)
+    eg = EvolvingGraph(horizon=10, nodes=range(12))
+    for u in range(12):
+        for v in range(u + 1, 12):
+            if local.random() < 0.3:
+                for time in set(int(x) for x in local.integers(0, 10, size=2)):
+                    eg.add_contact(u, v, time)
+    _, removed = trim_nodes(eg)
+    monkeypatch.setattr(static_rules, "node_trimmable", node_trimmable_reference)
+    _, expected = trim_nodes(eg)
+    assert removed == expected
+    assert removed  # these graphs do trim nodes
 
 
 class TestTopologyControl:
