@@ -10,7 +10,11 @@ Drives the same interleaved stream of edge mutations and point queries
 * **serving** — :class:`~repro.serving.state.GraphService` behind the
   :class:`~repro.serving.gateway.ServingGateway`: O(degree) patch-
   buffer mutations, lazily merged snapshots, incrementally repaired
-  indexes, and distance queries coalesced onto shared BFS sweeps.
+  indexes, and distance queries answered by the service's hot-source
+  store (one BFS sweep of the merged snapshot per new source, shared
+  by every query from it; a held source is repaired, not re-swept,
+  after a write).  Each block here draws a fresh random source, so
+  every block sweeps once.
 
 The stream is one :class:`_util.Case`: every answer is asserted equal
 between the stacks before any timing is reported, and each stack
@@ -277,8 +281,8 @@ def run(
         rows,
         notes=(
             "Each block toggles one churn edge then issues "
-            f"{FANOUT} same-source distance queries (coalesced onto one "
-            "patch-aware BFS sweep by the gateway) plus one NSF-level and "
+            f"{FANOUT} same-source distance queries (answered from one "
+            "BFS sweep of the merged snapshot) plus one NSF-level and "
             "one landmark-label query (incremental repair).  Baseline pays "
             "a full refreeze + index rebuild per block "
             f"({baseline_refreezes} refreezes, recorded in its own scratch "

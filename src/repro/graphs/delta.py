@@ -14,11 +14,11 @@ index pairs) plus an aliveness mask over the base CSR entries:
   flipping two mask entries, or recording an index pair;
 * **point reads** (``has_edge`` / ``degree`` / ``neighbor_row``) merge
   the base row with the patch overlay on the fly;
-* **sweeps** go through :meth:`snapshot`, which *lazily* merges the
-  pending arrays into a fresh CSR via one vectorized
-  ``np.lexsort`` + :meth:`FrozenGraph.from_arrays` — never through the
-  dict-graph refreeze path, so ``repro.cache.frozen`` records zero
-  refreezes while a service is in steady state.  Above
+* **sweeps** (:meth:`bfs_levels` included) go through :meth:`snapshot`,
+  which *lazily* merges the pending arrays into a fresh CSR via one
+  vectorized ``np.lexsort`` + :meth:`FrozenGraph.from_arrays` — never
+  through the dict-graph refreeze path, so ``repro.cache.frozen``
+  records zero refreezes while a service is in steady state.  Above
   ``threshold`` pending patches the merged snapshot *rebases* (becomes
   the new base and the patch arrays clear); ``threshold=0`` rebases on
   every snapshot, forcing the merge path at every step.
@@ -54,8 +54,6 @@ from repro.graphs.csr import FrozenGraph
 from repro.observability.telemetry import record_dispatch, record_patch_event
 
 Node = Hashable
-
-_UNREACHABLE = -1
 
 #: Default pending-patch count above which :meth:`PatchedGraph.snapshot`
 #: rebases (folds the patches into a new base CSR and clears them).
@@ -513,62 +511,22 @@ class PatchedGraph:
         return {nodes[int(j)] for j in self.neighbor_row(self.index_of(node))}
 
     # ------------------------------------------------------------------
-    # patch-aware BFS (the point-query kernel below the gateway)
+    # BFS (the point-query kernel below the gateway)
     # ------------------------------------------------------------------
     def bfs_levels(
         self, sources: Union[int, Sequence[int], np.ndarray]
     ) -> np.ndarray:
-        """Multi-source BFS over base + patches, without merging.
+        """Multi-source BFS over the current topology.
 
         Same contract as :meth:`FrozenGraph.bfs_levels` (hop level per
-        node index, -1 unreachable) over the patched topology: frontier
-        expansion gathers the base CSR rows through the aliveness mask
-        and unions the add-overlay rows.  Bit-exact with running the
-        same BFS on :meth:`snapshot` (asserted differentially).
+        node index, -1 unreachable): the sweep runs on :meth:`snapshot`,
+        which merges the patches at most once per ``version`` and is
+        shared with every index repair at that version.  A plain CSR
+        sweep beats gathering the base rows through the aliveness mask
+        and the insert overlay level by level, even with the merge
+        counted in.
         """
-        base = self.base
-        # Patch-free (or already-merged) states delegate to the plain
-        # frozen kernel — same contract, lower constant factors.
-        if self.pending == 0 and self.n == base.n:
-            return base.bfs_levels(sources)
-        if self._merged is not None and self._merged_version == self.version:
-            return self._merged.bfs_levels(sources)
-        n = self.n
-        level = np.full(n, _UNREACHABLE, dtype=np.int64)
-        frontier = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        level[frontier] = 0
-        depth = 0
-        while frontier.size:
-            in_base = frontier[frontier < base.n]
-            parts: List[np.ndarray] = []
-            if in_base.size:
-                starts = base.indptr[in_base]
-                counts = base.indptr[in_base + 1] - starts
-                total = int(counts.sum())
-                if total:
-                    cum = np.cumsum(counts)
-                    bases = np.repeat(starts - (cum - counts), counts)
-                    positions = bases + np.arange(total, dtype=np.int64)
-                    if self._alive is not None:
-                        positions = positions[self._alive[positions]]
-                    parts.append(base.indices[positions])
-            if self._add_adj:
-                for i in frontier:
-                    extra = self._add_adj.get(int(i))
-                    if extra:
-                        parts.append(
-                            np.fromiter(extra, dtype=np.int64, count=len(extra))
-                        )
-            if not parts:
-                break
-            nbrs = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            fresh = nbrs[level[nbrs] < 0]
-            if fresh.size == 0:
-                break
-            depth += 1
-            frontier = np.unique(fresh)
-            level[frontier] = depth
-        return level
+        return self.snapshot().bfs_levels(sources)
 
     # ------------------------------------------------------------------
     # merge / snapshot
@@ -653,7 +611,7 @@ class PatchedGraph:
         ``version``; above ``threshold`` pending patches the merged
         snapshot *rebases* — it becomes the new base and the patch
         buffer clears, bounding both the overlay size point reads pay
-        and the dead-entry mass the masked gathers carry.
+        and the dead-entry mass each merge carries.
         """
         if self.pending == 0 and self.n == self.base.n:
             return self.base

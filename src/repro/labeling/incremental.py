@@ -1,13 +1,15 @@
 """Incremental index repair for the serving plane's labeling indexes.
 
-Four indexes live here, all behind the same contract — build from a
-snapshot, then ``update(fg_new, touched)`` repairs against the next
-snapshot given the touched edge pairs, bit-exact (or
-tolerance-equal, for PageRank) with a cold rebuild, and ``n`` is the
-node count of the snapshot last built or repaired for:
+Four indexes and one shared repair kernel live here.  The indexes
+are all behind the same contract — build from a snapshot, then
+``update(fg_new, touched)`` repairs against the next snapshot given
+the touched edge pairs, bit-exact (or tolerance-equal, for PageRank)
+with a cold rebuild, and ``n`` is the node count of the snapshot last
+built or repaired for:
 
 * :class:`IncrementalLandmarkLabels` — Ramalingam–Reps two-phase
-  (distance, gateway) label repair (details below);
+  (distance, gateway) label repair by :func:`repair_bfs_keys` (details
+  below);
 * :class:`IncrementalPageRank` — warm-start power iteration seeded
   from the previous score vector, so the iteration count tracks the
   changed probability mass rather than the graph size;
@@ -17,7 +19,7 @@ node count of the snapshot last built or repaired for:
 * :class:`IncrementalCDS` — Wu–Dai marking and Rule-k trimming
   replayed on the touched pairs' bounded-radius regions.
 
-Incremental landmark (distance, gateway) label repair.
+Incremental BFS key repair (:func:`repair_bfs_keys`).
 
 :func:`repro.labeling.landmarks.distance_gateway_labels` assigns every
 reachable node the lexicographically minimal key ``(hop distance to a
@@ -44,6 +46,13 @@ insertion needs only monotone decrease-only relaxation:
   every inserted (still-present) edge.  Keys only decrease, so the pass
   restores the unique fixpoint.
 
+The kernel holds each (distance, rank) key as one integer,
+``distance * stride + rank``, and takes its seeds as a set.  The
+landmark labels are its multi-seed client (one rank per landmark); the
+serving plane's hot-source store
+(:class:`repro.serving.state.HotSources`) is its single-seed client
+through :func:`repair_bfs_levels`, where a key is a plain BFS level.
+
 The full-rebuild path stays the ground truth:
 ``distance_gateway_labels_reference`` (per-landmark BFS in repr order)
 is asserted bit-exact against the repaired labels at every step of the
@@ -56,7 +65,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,12 +79,106 @@ Node = Hashable
 _INF = np.iinfo(np.int64).max
 
 
+def repair_bfs_keys(
+    fg: FrozenGraph,
+    key: np.ndarray,
+    seeds: Container[int],
+    touched: Iterable[Tuple[int, int]],
+    stride: int = 1,
+) -> None:
+    """Ramalingam–Reps two-phase repair of BFS keys, in place.
+
+    ``key[x]`` encodes the lexicographic (hop distance, seed rank) key
+    of node index ``x`` as ``stride * distance + rank`` with
+    ``0 <= rank < stride`` (``_INF`` if no seed reaches it), so an
+    edge adds exactly ``stride`` and lexicographic order is integer
+    order.  ``key`` must be the fixpoint for the graph before the
+    ``touched`` pairs changed, sized for ``fg``; on return it is the
+    fixpoint for ``fg``.  ``seeds`` are the self-supported indices
+    (keys ``0 * stride + rank``), never invalidated.  With one seed and
+    ``stride=1`` the keys are plain BFS levels; the landmark labels use
+    one rank per landmark.  A repair that raises leaves ``key`` partly
+    repaired, so a caller must then discard it.
+    """
+    pairs = [(int(u), int(v)) for u, v in touched]
+    nbrs = fg.neighbor_indices
+
+    # Phase 1: cascade unsupported nodes from the touched endpoints.  A
+    # node is supported by a valid neighbour exactly one edge closer.
+    invalid: set = set()
+    queue = deque(x for pair in pairs for x in pair)
+    while queue:
+        x = queue.popleft()
+        if x in invalid or x in seeds or key[x] == _INF:
+            continue
+        support = int(key[x]) - stride
+        row = nbrs(x).tolist()
+        if any(key[y] == support and y not in invalid for y in row):
+            continue
+        invalid.add(x)
+        queue.extend(y for y in row if y not in invalid)
+
+    # Phase 2: decrease-only relaxation.  Seeds: the best valid-boundary
+    # key of each invalidated node, plus both directions of every
+    # touched edge still present (insertions; stale pairs that no
+    # longer exist must not be relaxed across).
+    heap: List[Tuple[int, int]] = []
+    for x in invalid:
+        key[x] = _INF
+    for x in invalid:
+        best = min((int(key[y]) for y in nbrs(x).tolist()), default=_INF)
+        if best != _INF:
+            heapq.heappush(heap, (best + stride, x))
+
+    def present(u: int, v: int) -> bool:
+        row = nbrs(u)
+        pos = int(np.searchsorted(row, v))
+        return pos < row.shape[0] and int(row[pos]) == v
+
+    for u, v in {pair for pair in pairs if present(*pair)}:
+        for a, b in ((u, v), (v, u)):
+            if key[b] != _INF and key[b] + stride < key[a]:
+                heapq.heappush(heap, (int(key[b]) + stride, a))
+    while heap:
+        k, x = heapq.heappop(heap)
+        if k >= key[x]:
+            continue
+        key[x] = k
+        k += stride
+        for y in nbrs(x).tolist():
+            if k < key[y]:
+                heapq.heappush(heap, (k, y))
+
+
+def repair_bfs_levels(
+    fg: FrozenGraph,
+    levels: np.ndarray,
+    source: int,
+    touched: Iterable[Tuple[int, int]],
+) -> np.ndarray:
+    """A repaired copy of one source's BFS ``levels`` (-1 unreachable).
+
+    The single-seed case of :func:`repair_bfs_keys`: ``levels`` is the
+    sweep from node index ``source`` before the ``touched`` pairs
+    changed, possibly shorter than ``fg.n`` (new nodes start
+    unreachable); the result is the sweep over ``fg``.  ``levels``
+    itself is never written, even when the repair raises.
+    """
+    key = np.full(fg.n, _INF, dtype=np.int64)
+    key[: levels.shape[0]] = levels
+    key[key < 0] = _INF
+    repair_bfs_keys(fg, key, (source,), touched)
+    key[key == _INF] = -1
+    return key
+
+
 class IncrementalLandmarkLabels:
     """(distance, gateway) labels kept current across edge mutations.
 
     ``landmarks`` are node objects; their repr-sorted order defines the
     gateway ranks, matching the reference tie-break (nearest landmark,
-    ties to the repr-smallest one).
+    ties to the repr-smallest one).  Each node's label is held as one
+    :func:`repair_bfs_keys` key, ``distance * len(landmarks) + rank``.
     """
 
     def __init__(self, fg: FrozenGraph, landmarks: Sequence[Node]) -> None:
@@ -89,51 +192,40 @@ class IncrementalLandmarkLabels:
         self._lm_indices = np.array(
             [fg.index[lm] for lm in lms], dtype=np.int64
         )
+        self._seeds = frozenset(self._lm_indices.tolist())
         self.n = fg.n
-        self._dist = np.full(fg.n, _INF, dtype=np.int64)
-        self._rank = np.full(fg.n, _INF, dtype=np.int64)
-        self._full(fg)
-
-    def _full(self, fg: FrozenGraph) -> None:
-        """Rebuild both arrays with one multi-source sweep (batch path)."""
+        # One multi-source sweep (the batch path) builds the keys.
         level, landmark = fg.multi_source_labels(self._lm_indices)
-        nodes = fg.node_list
-        rank_of = {lm: r for r, lm in enumerate(self.landmarks)}
-        self._dist.fill(_INF)
-        self._rank.fill(_INF)
-        reach = np.flatnonzero(level >= 0)
-        self._dist[reach] = level[reach]
-        for i in reach:
-            self._rank[i] = rank_of[nodes[int(landmark[i])]]
+        rank_at = np.zeros(fg.n, dtype=np.int64)
+        rank_at[self._lm_indices] = np.arange(len(lms), dtype=np.int64)
+        self._key = np.full(fg.n, _INF, dtype=np.int64)
+        reach = level >= 0
+        self._key[reach] = level[reach] * len(lms) + rank_at[landmark[reach]]
 
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
+    def _label(self, key: int) -> Tuple[int, Node]:
+        distance, rank = divmod(key, len(self.landmarks))
+        return distance, self.landmarks[rank]
+
     def label_of(self, i: int) -> Optional[Tuple[int, Node]]:
         """(distance, gateway landmark) of node index ``i``; None if
         no landmark reaches it."""
-        if self._dist[i] == _INF:
-            return None
-        return int(self._dist[i]), self.landmarks[int(self._rank[i])]
+        key = int(self._key[i])
+        return None if key == _INF else self._label(key)
 
     def labels_map(self, fg: FrozenGraph) -> Dict[Node, Tuple[int, Node]]:
         """Node-facing view, comparable with the reference labels."""
         nodes = fg.node_list
         return {
-            nodes[i]: (int(self._dist[i]), self.landmarks[int(self._rank[i])])
-            for i in np.flatnonzero(self._dist != _INF)
+            nodes[i]: self._label(int(self._key[i]))
+            for i in np.flatnonzero(self._key != _INF)
         }
 
     # ------------------------------------------------------------------
     # repair
     # ------------------------------------------------------------------
-    def _grow(self, n: int) -> None:
-        if n > self.n:
-            pad = np.full(n - self.n, _INF, dtype=np.int64)
-            self._dist = np.concatenate([self._dist, pad])
-            self._rank = np.concatenate([self._rank, pad])
-            self.n = n
-
     def update(
         self,
         fg_new: FrozenGraph,
@@ -144,94 +236,20 @@ class IncrementalLandmarkLabels:
         ``touched`` must cover (as index pairs valid in ``fg_new``)
         every edge inserted or deleted since the last repair; pairs that
         were touched but ended up unchanged are harmless.  New nodes
-        (indices beyond the previous ``n``) extend the arrays as
+        (indices beyond the previous ``n``) extend the keys as
         unreachable and are picked up by the insert relaxation.
         """
-        pairs = [(int(u), int(v)) for u, v in touched]
-        self._grow(fg_new.n)
+        pairs = list(touched)
+        if fg_new.n > self.n:
+            pad = np.full(fg_new.n - self.n, _INF, dtype=np.int64)
+            self._key = np.concatenate([self._key, pad])
+            self.n = fg_new.n
         if not pairs:
             record_repair("labels", "noop")
             return "noop"
-        dist = self._dist
-        rank = self._rank
-        is_lm = np.zeros(self.n, dtype=bool)
-        is_lm[self._lm_indices] = True
-        nbrs = fg_new.neighbor_indices
-
-        # Phase 1: cascade unsupported nodes from the touched endpoints.
-        invalid: set = set()
-        queue = deque()
-        for u, v in pairs:
-            queue.append(u)
-            queue.append(v)
-        while queue:
-            x = queue.popleft()
-            if x in invalid or is_lm[x] or dist[x] == _INF:
-                continue
-            dx = int(dist[x])
-            rx = int(rank[x])
-            supported = False
-            for y in nbrs(x):
-                y = int(y)
-                if (
-                    y not in invalid
-                    and dist[y] != _INF
-                    and int(dist[y]) + 1 == dx
-                    and rank[y] == rx
-                ):
-                    supported = True
-                    break
-            if supported:
-                continue
-            invalid.add(x)
-            for y in nbrs(x):
-                y = int(y)
-                if y not in invalid:
-                    queue.append(y)
-
-        # Phase 2: lex-ordered decrease-only relaxation.  Seeds: the
-        # best valid-boundary key of each invalidated node, plus both
-        # directions of every touched edge still present (insertions;
-        # stale pairs that no longer exist must not be relaxed across).
-        heap: List[Tuple[int, int, int]] = []
-        for x in invalid:
-            dist[x] = _INF
-            rank[x] = _INF
-        for x in invalid:
-            best_d = _INF
-            best_r = _INF
-            for y in nbrs(x):
-                y = int(y)
-                if dist[y] != _INF and (
-                    dist[y] + 1 < best_d
-                    or (dist[y] + 1 == best_d and rank[y] < best_r)
-                ):
-                    best_d = int(dist[y]) + 1
-                    best_r = int(rank[y])
-            if best_d != _INF:
-                heapq.heappush(heap, (best_d, best_r, x))
-        def present(u: int, v: int) -> bool:
-            row = nbrs(u)
-            pos = int(np.searchsorted(row, v))
-            return pos < row.shape[0] and int(row[pos]) == v
-
-        for u, v in {pair for pair in pairs if present(*pair)}:
-            for a, b in ((u, v), (v, u)):
-                if dist[b] != _INF:
-                    cand = (int(dist[b]) + 1, int(rank[b]))
-                    if cand < (int(dist[a]), int(rank[a])):
-                        heapq.heappush(heap, (cand[0], cand[1], a))
-        while heap:
-            d, r, x = heapq.heappop(heap)
-            if (d, r) >= (int(dist[x]), int(rank[x])):
-                continue
-            dist[x] = d
-            rank[x] = r
-            nd = d + 1
-            for y in nbrs(x):
-                y = int(y)
-                if (nd, r) < (int(dist[y]), int(rank[y])):
-                    heapq.heappush(heap, (nd, r, y))
+        repair_bfs_keys(
+            fg_new, self._key, self._seeds, pairs, stride=len(self.landmarks)
+        )
         record_repair("labels", "relax")
         return "relax"
 

@@ -25,11 +25,13 @@ Counter families on the global metrics registry:
     ``repro.serving.patch{event=insert|delete|cancel|merge|rebase}``
     counts patch-buffer mutations and lazy CSR merges
     (:mod:`repro.graphs.delta`);
-    ``repro.serving.repairs{index=nsf|labels|pagerank|mis|cds,mode=...}``
-    counts incremental index repairs vs full rebuilds;
+    ``repro.serving.repairs{index=nsf|labels|pagerank|mis|cds|distances,mode=...}``
+    counts incremental index repairs vs full rebuilds (``distances``:
+    the hot-source store's level-array repairs);
     ``repro.serving.queries{kind=...}`` / ``repro.serving.batches`` /
     ``repro.serving.sweeps`` / ``repro.serving.retries`` count gateway
-    traffic (coalesce ratio = queries / sweeps), with
+    traffic and the BFS sweeps distance queries actually ran
+    (coalesce ratio = queries / sweeps), with
     ``repro.serving.batch_size`` (histogram) and
     ``repro.serving.queue_depth`` (gauge) recording flush shape.
 
@@ -135,7 +137,7 @@ def record_serving_batch(size: int, depth: int) -> None:
 
 
 def record_serving_sweep(count: int = 1) -> None:
-    """Count batched kernel sweeps run on behalf of coalesced queries."""
+    """Count BFS sweeps run to answer distance queries (store misses)."""
     get_registry().counter(SERVING_SWEEP_METRIC).inc(int(count))
 
 

@@ -148,7 +148,9 @@ class HyperbolicEmbedding:
     """A certified greedy tree embedding (Möbius form).
 
     Each non-root node stores the direction angle ``phi`` its edge
-    leaves its parent at; all edges have hyperbolic length ``tau``.
+    leaves its parent at; all edges have hyperbolic length ``tau``,
+    which must be finite and positive with exp(tau / 2) finite (below
+    about 1419), or construction raises ``ValueError``.
     """
 
     root: Node
@@ -167,6 +169,10 @@ class HyperbolicEmbedding:
     _up: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        if not _translation_finite(self.tau):
+            raise ValueError(f"tau {self.tau!r} is too large: exp(tau / 2) overflows")
         if not self._children:
             self._children = {node: [] for node in self.tree_parent}
             for node, parent in self.tree_parent.items():
@@ -388,13 +394,9 @@ def embed_tree(
     When ``certify`` is set (default), the greedy property is verified
     exhaustively and τ is doubled until it holds, so the returned
     embedding carries a per-instance delivery guarantee.  ``tau``, when
-    given, must be finite and positive with exp(tau / 2) finite (below
-    about 1419), and ``max_doublings`` at least 1.
+    given, must be valid for :class:`HyperbolicEmbedding` (``ValueError``
+    otherwise), and ``max_doublings`` at least 1.
     """
-    if tau is not None and not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    if tau is not None and not _translation_finite(tau):
-        raise ValueError(f"tau {tau!r} is too large: exp(tau / 2) overflows")
     if max_doublings < 1:
         raise ValueError(f"max_doublings must be at least 1, got {max_doublings!r}")
     if graph.num_nodes == 0:
@@ -407,15 +409,18 @@ def embed_tree(
     # Sarkar: tau grows with the log of the fan-out (minimum angle).
     step = tau if tau is not None else 2.0 * math.log(max_degree + 2.0)
     parent, angle = _assign_angles(graph, root)
-    for _ in range(max_doublings):
-        if not _translation_finite(step):
+    for doubling in range(max_doublings):
+        try:
+            embedding = HyperbolicEmbedding(
+                root=root, tree_parent=parent, edge_angle=angle, tau=step
+            )
+        except ValueError as error:
+            if not doubling:
+                raise
             raise AlgorithmError(
                 f"could not certify a greedy embedding before tau {step!r} "
                 "overflows exp(tau / 2)"
-            )
-        embedding = HyperbolicEmbedding(
-            root=root, tree_parent=parent, edge_angle=angle, tau=step
-        )
+            ) from error
         if not certify or _greedy_property_holds(graph, embedding):
             return embedding
         step *= 2.0

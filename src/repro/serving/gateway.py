@@ -6,9 +6,10 @@ futures that land in a queue of :data:`QUEUE_SIZE` slots; a single
 dispatcher task flushes whenever it holds ``max_batch`` requests, the
 oldest request has waited ``max_delay`` seconds, or the event loop
 went idle for two turns with nothing new to add, whichever comes
-first.  A flush is where the batching pays off: every distance query
-sharing a source rides one patch-aware BFS sweep, and every index
-query in the batch shares one incremental repair.
+first.  A flush is where the batching pays off: the write barrier
+runs once, every index query in the batch shares one incremental
+repair, and distance queries sharing a source share one level array
+from the service's hot-source store (swept once, then repaired).
 
 Mutations are queued too — the **write fast path**.  ``insert_edge`` /
 ``delete_edge`` / ``apply_batch`` take their sequence number and enter
@@ -58,7 +59,8 @@ crash error.
 
 Emitted metrics (see :mod:`repro.observability.telemetry`):
 ``repro.serving.batches`` / ``batch_size`` / ``queue_depth`` per
-flush, ``repro.serving.sweeps`` per coalesced BFS,
+flush, ``repro.serving.sweeps`` per BFS sweep (counted by the
+service's hot-source store),
 ``repro.serving.queries{kind}`` / ``mutations{kind}`` per accepted
 request, and per write barrier ``repro.serving.batch.writes`` and the
 ``write_size`` (edge operations) and ``batch.writers`` (distinct
@@ -81,7 +83,6 @@ from repro.observability.telemetry import (
     record_serving_mutation,
     record_serving_query,
     record_serving_retry,
-    record_serving_sweep,
     record_write_batch,
 )
 from repro.serving.state import GraphService
@@ -555,7 +556,6 @@ class ServingGateway:
             )
             if perm is not None:
                 batch = [batch[i] for i in perm]
-        levels: Dict[Node, Tuple[int, np.ndarray]] = {}
         drop = np.zeros(len(batch), dtype=bool)
         delay = np.zeros(len(batch), dtype=np.int64)
         if chaos:
@@ -573,7 +573,7 @@ class ServingGateway:
                 record_serving_retry()
                 continue
             try:
-                result = self._answer(request, levels)
+                result = self._answer(request)
             except Exception as error:  # noqa: BLE001 — delivered to caller
                 if not request.future.done():
                     request.future.set_exception(error)
@@ -585,9 +585,7 @@ class ServingGateway:
                 if request.kind not in _MUTATION_KINDS:
                     self.queries_answered += 1
 
-    def _answer(
-        self, request: _Request, levels: Dict[Node, Tuple[int, np.ndarray]]
-    ) -> Any:
+    def _answer(self, request: _Request) -> Any:
         """Compute one answer against the *current* service state."""
         service = self.service
         if request.kind in _MUTATION_KINDS:
@@ -598,19 +596,12 @@ class ServingGateway:
                 raise request.error
             return request.result
         if request.kind == "distance":
+            # Every distance query asks the service, whose hot-source
+            # store holds (and repairs) the swept arrays: same-source
+            # queries share one sweep across the batch and beyond.
             u, v = request.args
             target = service.patched.index_of(v)
-            cached = levels.get(u)
-            # A delay fate yields the event loop mid-batch, so a
-            # concurrent task can mutate the service between answers.
-            # A sweep is only reusable at the version it was taken —
-            # a current index into a pre-mutation array would read a
-            # stale level, or past the end for a node added mid-batch.
-            if cached is None or cached[0] != service.version:
-                cached = (service.version, service.distances_from(u))
-                levels[u] = cached
-                record_serving_sweep()
-            level = int(cached[1][target])
+            level = int(service.distances_from(u)[target])
             return None if level < 0 else level
         # Looked up per call, so a wrapped service method is honoured.
         return getattr(service, request.kind)(*request.args)

@@ -15,10 +15,17 @@ per index and each index repairs on its first query after a mutation —
 so a pure distance/PageRank workload never pays for label repair.  A
 build or repair that raises discards its index (a half-applied repair
 is not trusted), and the next query rebuilds it from the current
-snapshot.  Distance queries never force a merge at all — they run the
-patch-aware multi-source BFS (:meth:`PatchedGraph.bfs_levels`)
-directly against the overlay, with a version-keyed single-entry cache
-so repeated same-source queries between mutations reuse one sweep.
+snapshot.
+
+Distance queries go to :class:`HotSources`, which holds the level
+arrays of up to :data:`HOT_SOURCES` most-queried sources.  A held
+array is repaired by the same two-phase kernel as the landmark labels,
+on that source's next query, from the pairs touched since; any other
+source costs one BFS sweep over the merged snapshot (merged at most
+once per version, shared with the index repairs).  The store is not an
+:data:`INDEXES` entry: that table repairs a whole index on its first
+query after a write, which here would repair every held source once
+per version, most of them never asked about again.
 
 Nothing in the steady state goes through the dict-graph refreeze path:
 the constructor freezes the seed topology once via the plain
@@ -48,6 +55,7 @@ from repro.labeling.incremental import (
     IncrementalLandmarkLabels,
     IncrementalMIS,
     IncrementalPageRank,
+    repair_bfs_levels,
 )
 from repro.labeling.landmarks import (
     distance_gateway_labels_reference,
@@ -56,6 +64,7 @@ from repro.labeling.landmarks import (
 from repro.labeling.mis import compute_mis
 from repro.layering.incremental import IncrementalNSF
 from repro.layering.nsf import nsf_levels_reference
+from repro.observability.telemetry import record_repair, record_serving_sweep
 
 Node = Hashable
 
@@ -130,6 +139,79 @@ INDEXES: Dict[str, IndexSpec] = {
 }
 
 
+#: How many sources :class:`HotSources` holds level arrays for.
+HOT_SOURCES = 64
+
+
+class HotSources:
+    """BFS level arrays of the most-queried sources, repaired on demand.
+
+    Holds one read-only level array for each of up to
+    :data:`HOT_SOURCES` sources, plus one set per held source of the
+    edge pairs touched since that array was swept or repaired.  A
+    query for a held source repairs its array with
+    :func:`~repro.labeling.incremental.repair_bfs_levels` if its set is
+    non-empty, into a fresh read-only copy; a query for any other
+    source runs one :meth:`PatchedGraph.bfs_levels` sweep and admits
+    the result, evicting the held source with the fewest queries.
+    Repairs are per source and on demand: a write costs one set update
+    per held source, and a source nobody asks about again is never
+    repaired.  A repair that raises drops its source, so the next query
+    for it sweeps afresh.
+    """
+
+    def __init__(self) -> None:
+        #: Held level arrays (read-only), by source index.
+        self._levels: Dict[int, np.ndarray] = {}
+        #: Pairs touched since each held array was swept or repaired.
+        self._pending: Dict[int, Set[Tuple[int, int]]] = {}
+        #: Queries per source index, held or not (the eviction order).
+        self._queries: Dict[int, int] = {}
+
+    def __contains__(self, source: int) -> bool:
+        return source in self._levels
+
+    def __len__(self) -> int:
+        return len(self._levels)
+
+    def touch(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Record touched canonical index pairs against every held source."""
+        for pending in self._pending.values():
+            pending.update(pairs)
+
+    def levels(self, patched: PatchedGraph, source: int) -> np.ndarray:
+        """Current hop levels from node index ``source`` (read-only)."""
+        self._queries[source] = self._queries.get(source, 0) + 1
+        levels = self._levels.get(source)
+        if levels is None:
+            levels = patched.bfs_levels(source)
+            record_serving_sweep()
+            levels.flags.writeable = False
+            if len(self._levels) >= HOT_SOURCES:
+                self._drop(min(self._levels, key=self._queries.__getitem__))
+            self._levels[source] = levels
+            self._pending[source] = set()
+            return levels
+        pending = self._pending[source]
+        if pending:
+            try:
+                levels = repair_bfs_levels(
+                    patched.snapshot(), levels, source, pending
+                )
+            except BaseException:
+                self._drop(source)
+                raise
+            levels.flags.writeable = False
+            record_repair("distances", "relax")
+            self._levels[source] = levels
+            pending.clear()
+        return levels
+
+    def _drop(self, source: int) -> None:
+        del self._levels[source]
+        del self._pending[source]
+
+
 class GraphService:
     """Delta-aware graph state behind point-query methods.
 
@@ -169,8 +251,8 @@ class GraphService:
         }
         #: The built indexes, by :data:`INDEXES` name.
         self._indexes: Dict[str, Any] = {}
-        #: Single-entry BFS sweep cache: (version, n, source index, levels).
-        self._dist_cache: Optional[Tuple[int, int, int, np.ndarray]] = None
+        #: Level arrays of the hot distance-query sources.
+        self._hot = HotSources()
 
     # ------------------------------------------------------------------
     # state views
@@ -201,6 +283,7 @@ class GraphService:
         key = (iu, iv) if iu < iv else (iv, iu)
         for dirty in self._dirty.values():
             dirty.add(key)
+        self._hot.touch((key,))
 
     def insert_edge(self, u: Node, v: Node) -> bool:
         """Add undirected edge (u, v); True if the topology changed."""
@@ -231,6 +314,7 @@ class GraphService:
         if result.touched:
             for dirty in self._dirty.values():
                 dirty.update(result.touched)
+            self._hot.touch(result.touched)
         return result
 
     def has_edge(self, u: Node, v: Node) -> bool:
@@ -267,24 +351,15 @@ class GraphService:
     # point queries
     # ------------------------------------------------------------------
     def distances_from(self, source: Node) -> np.ndarray:
-        """Hop levels from ``source`` over the patched topology.
+        """Hop levels from ``source`` over the current topology.
 
-        One patch-aware BFS sweep; the gateway coalesces every distance
-        query sharing a source onto a single call, and a version-keyed
-        single-entry cache reuses the sweep across repeated same-source
-        queries between mutations (any mutation bumps ``version`` and
-        so invalidates it).  Indexed by node position (-1 unreachable),
-        aligned with :attr:`node_list`.
+        Answered by the :class:`HotSources` store: a held source's
+        array, repaired first if an edge changed since, or one
+        :meth:`PatchedGraph.bfs_levels` sweep for any other source.
+        Indexed by node position (-1 unreachable), aligned with
+        :attr:`node_list`; the array is read-only.
         """
-        i = self._patched.index_of(source)
-        version = self._patched.version
-        n = self._patched.n
-        cache = self._dist_cache
-        if cache is not None and cache[:3] == (version, n, i):
-            return cache[3]
-        levels = self._patched.bfs_levels(i)
-        self._dist_cache = (version, n, i, levels)
-        return levels
+        return self._hot.levels(self._patched, self._patched.index_of(source))
 
     def distance(self, u: Node, v: Node) -> Optional[int]:
         """Hop distance between ``u`` and ``v``; None if disconnected."""

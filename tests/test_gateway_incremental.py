@@ -569,23 +569,20 @@ class TestServingGatewayResilience:
 
     def test_mid_batch_mutation_invalidates_sweep_cache(self):
         """A same-source distance answered after a mid-batch mutation
-        must recompute the sweep: a current index into the stale
-        pre-mutation array reads a wrong level, or past the end for a
-        node added mid-batch (regression: IndexError)."""
+        must not read the pre-mutation array: a current index into it
+        reads a wrong level, or past the end for a node added mid-batch
+        (regression: IndexError from the old per-batch sweep cache)."""
         from repro.serving.gateway import _Request
 
         service = GraphService(serving_graph(seed=6), landmark_count=2)
         gateway = ServingGateway(service)
-        levels = {}
-        first = gateway._answer(
-            _Request(1, "distance", (0, 1), future=None), levels
-        )
+        first = gateway._answer(_Request(1, "distance", (0, 1), future=None))
         assert first is not None
         # A concurrent task mutates the service while the dispatcher
-        # is parked on a delay fate: the cached sweep predates "late".
+        # is parked on a delay fate: the held array predates "late".
         service.insert_edge("late", 0)
         second = gateway._answer(
-            _Request(2, "distance", (0, "late"), future=None), levels
+            _Request(2, "distance", (0, "late"), future=None)
         )
         assert second == 1
 

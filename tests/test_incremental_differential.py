@@ -13,7 +13,9 @@ full-rebuild references at every step:
   ``compute_mis``, the CDS vs ``wu_dai_cds`` (marked and trimmed set),
   all bit-exact, and the warm-started PageRank vs the cold-start
   ``pagerank_scores`` kernel (within fixed-point tolerance);
-* the patch-aware BFS vs the same BFS on the merged snapshot.
+* ``distances_from`` — the hot-source store, its held arrays repaired
+  across writes — vs a cold BFS of the mirror, and the store's repair
+  kernel vs a cold BFS on small random graphs (Hypothesis).
 
 Traces run both per-edge (``insert_edge`` / ``delete_edge``) and in
 batch form (``apply_batch``), so the vectorized write path is held to
@@ -31,17 +33,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
 from repro.graphs.csr import FrozenGraph
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
+from repro.labeling.incremental import repair_bfs_levels
 from repro.labeling.landmarks import select_landmarks
 from repro.layering.nsf import nsf_levels_reference
 from repro.observability.metrics import MetricsRegistry, set_registry
 from repro.observability.telemetry import cache_counts, serving_counts
-from repro.serving import GraphService
+from repro.serving import GraphService, state
 from repro.serving.state import INDEXES
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -153,21 +158,6 @@ class TestDifferentialTrace:
             assert_state_bit_exact(
                 service, mirror, landmarks, (seed, threshold, step)
             )
-
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_patched_bfs_matches_merged_bfs(self, seed):
-        edges = seed_edges(seed)
-        mirror = build_graph(edges)
-        service = GraphService(
-            build_graph(edges), landmark_count=2, threshold=1_000_000
-        )
-        rng = random.Random(seed)
-        for step in drive_trace(service, mirror, rng, steps=30):
-            source = rng.choice(service.node_list)
-            via_patches = service.distances_from(source)
-            merged = service.snapshot()
-            via_merge = merged.bfs_levels(merged.index_of(source))
-            assert np.array_equal(via_patches, via_merge), (seed, step)
 
     def test_point_queries_match_bulk_views(self):
         edges = seed_edges(7)
@@ -308,6 +298,120 @@ class TestFreshNodeCancel:
         assert service.distance("a", "x") is None
 
 
+def fresh_levels(mirror, source):
+    """The oracle: a cold BFS on a fresh freeze of the mirror graph."""
+    reference = FrozenGraph(mirror)
+    return reference.bfs_levels(reference.index_of(source))
+
+
+class TestHotSources:
+    """The hot-source store behind ``distances_from`` against a cold
+    BFS of the mirror at every step.  The store is shrunk to a few
+    slots and queried from a slightly larger hot set, so sources are
+    admitted, repaired, evicted and re-admitted throughout."""
+
+    SLOTS = 3
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["edges", "batches"])
+    @pytest.mark.parametrize("threshold", [8, 1_000_000])
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_distances_match_cold_bfs_at_every_step(
+        self, registry, monkeypatch, seed, threshold, batched
+    ):
+        monkeypatch.setattr(state, "HOT_SOURCES", self.SLOTS)
+        edges = seed_edges(seed)
+        mirror = build_graph(edges)
+        service = GraphService(
+            build_graph(edges), landmark_count=2, threshold=threshold
+        )
+        rng = random.Random(seed * 31 + threshold)
+        hot = rng.sample(sorted(mirror.nodes()), self.SLOTS + 2)
+        drive = drive_batch_trace if batched else drive_trace
+        for step in drive(service, mirror, rng, steps=30):
+            for source in rng.choices(hot, k=3):
+                levels = service.distances_from(source)
+                assert np.array_equal(
+                    levels, fresh_levels(mirror, source)
+                ), (seed, threshold, step, source)
+                assert len(service._hot) <= self.SLOTS
+        counts = serving_counts(registry)
+        assert counts["repairs"]["distances"]["relax"] > 0
+        assert counts["sweeps"] > self.SLOTS  # evicted sources came back
+        assert counts["queries"] == {}  # no gateway involved
+        assert cache_counts(registry) == {}
+
+    def test_held_arrays_are_read_only(self):
+        service = GraphService(build_graph(CYCLE), landmarks=[0])
+        levels = service.distances_from(0)
+        assert service.distances_from(0) is levels
+        with pytest.raises(ValueError):
+            levels[1] = 0
+        service.delete_edge(0, 1)
+        repaired = service.distances_from(0)
+        assert not repaired.flags.writeable
+        assert levels[1] == 1 and repaired[1] == 19
+
+    def test_evicts_the_held_source_with_fewest_queries(self, monkeypatch):
+        monkeypatch.setattr(state, "HOT_SOURCES", 2)
+        service = GraphService(build_graph(CYCLE), landmarks=[0])
+        hot = service._hot
+        for source in (0, 0, 0, 5, 7):
+            service.distances_from(source)
+        assert 0 in hot and 7 in hot and 5 not in hot
+        # Counts outlive eviction: 7 overtakes 0, so 5 replaces 0.
+        for source in (7, 7, 7, 5):
+            service.distance(source, 0)
+        assert 7 in hot and 5 in hot and 0 not in hot
+
+
+@st.composite
+def toggled_graphs(draw):
+    """A small graph, a source, and edge toggles (some growing nodes)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    grown = n + draw(st.integers(min_value=0, max_value=2))
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    )
+    edges = {(min(u, v), max(u, v)) for u, v in draw(st.lists(pair)) if u != v}
+    toggle = st.tuples(
+        st.integers(min_value=0, max_value=grown - 1),
+        st.integers(min_value=0, max_value=grown - 1),
+    )
+    toggles = {
+        (min(u, v), max(u, v))
+        for u, v in draw(st.lists(toggle, min_size=1, max_size=6))
+        if u != v
+    }
+    source = draw(st.integers(min_value=0, max_value=n - 1))
+    return n, grown, edges, toggles, source
+
+
+def indexed_snapshot(n, edges):
+    graph = Graph()
+    for node in range(n):
+        graph.add_node(node)
+    for u, v in edges:
+        graph.add_edge(u, v)
+    return FrozenGraph(graph)
+
+
+@given(toggled_graphs())
+@settings(max_examples=200, deadline=None)
+def test_single_seed_repair_matches_cold_bfs(case):
+    """``repair_bfs_levels`` (``repair_bfs_keys`` with one seed) is a
+    BFS repair: after any set of edge toggles (endpoints possibly new
+    nodes) the repaired copy equals a cold sweep of the new graph."""
+    n, grown, edges, toggles, source = case
+    before = indexed_snapshot(n, edges)
+    after = indexed_snapshot(grown, edges ^ toggles)
+    levels = before.bfs_levels(source)
+    kept = levels.copy()
+    repaired = repair_bfs_levels(after, levels, source, sorted(toggles))
+    assert np.array_equal(repaired, after.bfs_levels(source))
+    assert np.array_equal(levels, kept)
+
+
 class InjectedFault(RuntimeError):
     """The failure injected into an index repair."""
 
@@ -378,6 +482,41 @@ class TestFailedRepair:
             else:
                 break  # the repair makes fewer calls than fail_at
         assert fail_at > 1
+
+    def test_failed_store_repair_drops_the_source(self, registry):
+        """The hot-source store under the same injected failures: a
+        repair that raises must not leave a half-repaired array.  The
+        error reaches the caller, the source is dropped, and the next
+        query answers from a fresh sweep."""
+        mirror = build_graph(CYCLE)
+        mirror.remove_edge(0, 1)
+        mirror.add_edge(10, 20)
+        expected = fresh_levels(mirror, 0)
+        fail_at = 1
+        while True:
+            service = GraphService(build_graph(CYCLE), landmarks=[0])
+            service.distances_from(0)
+            service.apply_batch(inserts=[(10, 20)], deletes=[(0, 1)])
+            patched = service.patched
+            snapshot = patched.snapshot
+
+            def failing_once():
+                del patched.snapshot  # later snapshots run unpatched
+                return FailingSnapshot(snapshot(), fail_at)
+
+            patched.snapshot = failing_once
+            try:
+                service.distances_from(0)
+            except InjectedFault:
+                assert 0 not in service._hot, fail_at
+                sweeps = serving_counts(registry)["sweeps"]
+                assert np.array_equal(service.distances_from(0), expected)
+                assert serving_counts(registry)["sweeps"] == sweeps + 1
+                fail_at += 1
+            else:
+                break  # the repair makes fewer calls than fail_at
+        assert fail_at > 1
+        assert np.array_equal(service.distances_from(0), expected)
 
 
 class TestThresholdSemantics:

@@ -25,6 +25,7 @@ from repro.remapping.geo_routing import (
 )
 from repro.remapping import hyperbolic
 from repro.remapping.hyperbolic import (
+    HyperbolicEmbedding,
     _greedy_property_holds,
     embed_tree,
     greedy_route_hyperbolic,
@@ -181,6 +182,18 @@ class TestHyperbolicRemap:
     def test_invalid_arguments_rejected_up_front(self, kwargs):
         with pytest.raises(ValueError):
             embed_tree(path_graph(5), **kwargs)
+
+    @pytest.mark.parametrize(
+        "tau", [1500.0, 0.0, -1.0, float("nan"), float("inf")],
+        ids=["overflows", "zero", "negative", "nan", "inf"],
+    )
+    def test_direct_construction_validates_tau(self, tau):
+        # Regression: built directly, an overflowing τ escaped as a bare
+        # OverflowError from _translation, and nan or negative τ passed.
+        with pytest.raises(ValueError, match="tau"):
+            HyperbolicEmbedding(
+                root=0, tree_parent={0: None, 1: 0}, edge_angle={1: 0.0}, tau=tau
+            )
 
     def test_largest_representable_tau_still_embeds(self):
         # exp(1400 / 2) is finite: only τ past about 1419 is rejected.
