@@ -44,7 +44,7 @@ from repro.faults.injectors import (
     RetryPolicy,
 )
 from repro.faults.ledger import FaultLedger
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Counter, MetricsRegistry
 
 Node = Hashable
 Injector = Any  # one of the dataclasses in repro.faults.injectors
@@ -114,6 +114,8 @@ class FaultSession:
             i for i in plan.injectors if isinstance(i, NodeCrashFaults)
         ]
         self._churn_faults = [i for i in plan.injectors if isinstance(i, LinkChurn)]
+        #: Per-inbox reorder probability (0 when no injector reorders).
+        self.reorder = max((f.reorder for f in self._message_faults), default=0.0)
         # Merged deterministic schedules, consumed in time order.
         self._crash_schedule: List[Tuple[int, int, CrashEvent]] = sorted(
             ((event.at, index, event) for fault in self._crash_faults
@@ -130,11 +132,19 @@ class FaultSession:
         self.down_links: Set[FrozenSet[Node]] = set()
         # (restart_at, node) for pending restarts (scheduled or random).
         self._pending_restarts: List[Tuple[int, Node]] = []
+        self._counters: Dict[str, Counter] = {}
+        # The last edge tuple begin_round indexed, and its positions.
+        self._indexed_edges: Optional[Tuple[Tuple[Node, Node], ...]] = None
+        self._edge_position: Dict[FrozenSet[Node], int] = {}
 
     # -- recording ------------------------------------------------------
     def record(self, kind: str, time: int, **detail: Any) -> None:
         self.ledger.record(time, kind, **detail)
-        self.registry.counter(f"repro.faults.{kind}").inc()
+        counter = self._counters.get(kind)
+        if counter is None:
+            counter = self.registry.counter(f"repro.faults.{kind}")
+            self._counters[kind] = counter
+        counter.inc()
 
     def summary(self) -> Dict[str, int]:
         return self.ledger.counts()
@@ -237,10 +247,7 @@ class FaultSession:
         self, time: int, receiver: Node, size: int
     ) -> Optional[Sequence[int]]:
         """Permutation for one multi-message inbox, or None to keep order."""
-        if size < 2:
-            return None
-        reorder = max((f.reorder for f in self._message_faults), default=0.0)
-        if not reorder or self.rng.random() >= reorder:
+        if size < 2 or not self.reorder or self.rng.random() >= self.reorder:
             return None
         permutation = [int(i) for i in self.rng.permutation(size)]
         self.record("reorder", time, receiver=receiver, size=size)
@@ -254,7 +261,8 @@ class FaultSession:
 
         Returns ``(crashes, restarts)`` as lists of ``(node,
         lose_state)``, already recorded in the ledger.  ``nodes`` and
-        ``edges`` must be deterministically ordered by the caller.
+        ``edges`` must be deterministically ordered by the caller; an
+        ``edges`` tuple passed again is not re-indexed.
         """
         crashes: List[Tuple[Node, bool]] = []
         restarts: List[Tuple[Node, bool]] = []
@@ -296,16 +304,36 @@ class FaultSession:
             self._set_link(event.u, event.v, event.action, time)
         # Random link churn over the current topology.
         for fault in self._churn_faults:
-            if not fault.down and not fault.up:
-                continue
-            for u, v in edges:
-                key = _link_key(u, v)
-                if key in self.down_links:
-                    if fault.up and self.rng.random() < fault.up:
-                        self._set_link(u, v, "up", time)
-                elif fault.down and self.rng.random() < fault.down:
-                    self._set_link(u, v, "down", time)
+            if fault.down:
+                for u, v in edges:
+                    key = _link_key(u, v)
+                    if key in self.down_links:
+                        if fault.up and self.rng.random() < fault.up:
+                            self._set_link(u, v, "up", time)
+                    elif self.rng.random() < fault.down:
+                        self._set_link(u, v, "down", time)
+            elif fault.up and self.down_links:
+                # No link can go down, so only the links down now draw:
+                # visit just those, in their edge order.
+                position = self._edge_positions(edges)
+                for i in sorted(
+                    position[key] for key in self.down_links if key in position
+                ):
+                    if self.rng.random() < fault.up:
+                        self._set_link(*edges[i], "up", time)
         return crashes, restarts
+
+    def _edge_positions(
+        self, edges: Sequence[Tuple[Node, Node]]
+    ) -> Dict[FrozenSet[Node], int]:
+        """Each edge's position in ``edges``, keyed by link; a tuple
+        (immutable, so its identity pins its contents) is indexed once."""
+        if edges is not self._indexed_edges:
+            self._edge_position = {
+                _link_key(u, v): i for i, (u, v) in enumerate(edges)
+            }
+            self._indexed_edges = edges if isinstance(edges, tuple) else None
+        return self._edge_position
 
     def _crash(
         self, node: Node, time: int, lose_state: bool, out: List[Tuple[Node, bool]]

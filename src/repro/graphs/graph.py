@@ -242,11 +242,24 @@ class Graph:
         return generation_cached(self, FrozenGraph)
 
     def copy(self) -> "Graph":
+        """An independent clone with fresh attribute dicts and no snapshot.
+
+        Built directly rather than by replaying ``add_node``/``add_edge``,
+        but in the replay's order: nodes in insertion order, then each
+        edge's endpoints added to each other's neighbor sets in edge
+        order, so every set iterates exactly as a replayed one would.
+        """
         clone = Graph()
-        for node in self._adj:
-            clone.add_node(node, **self._node_attrs[node])
-        for (u, v), attrs in self._edge_attrs.items():
-            clone.add_edge(u, v, **attrs)
+        adj: Dict[Node, Set[Node]] = {node: set() for node in self._adj}
+        for u, v in self._edge_attrs:
+            adj[u].add(v)
+            adj[v].add(u)
+        clone._adj = adj
+        clone._node_attrs = {node: dict(self._node_attrs[node]) for node in self._adj}
+        clone._edge_attrs = {
+            key: dict(attrs) for key, attrs in self._edge_attrs.items()
+        }
+        clone._generation = len(adj) + len(self._edge_attrs)
         return clone
 
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":

@@ -203,7 +203,7 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
 
     ``{"patch": {event: count}, "repairs": {index: {mode: count}},
     "queries": {kind: count}, "batches": n, "sweeps": n, "retries": n,
-    "coalesce_ratio": queries/sweeps, "mutations": {kind: count},
+    "coalesce_ratio": distance queries/sweeps, "mutations": {kind: count},
     "write_batches": n, "write_coalesced": 0, "write_coalesce_ratio":
     mutations/write_batches}`` — the shape the serving benchmarks and
     ``benchmarks/e2e/layers.py`` read.  ``write_coalesced`` always
@@ -230,7 +230,6 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
     sweeps = int(snapshot.get(SERVING_SWEEP_METRIC, 0))
     retries = int(snapshot.get(SERVING_RETRY_METRIC, 0))
     write_batches = int(snapshot.get(SERVING_WRITE_BATCH_METRIC, 0))
-    total_queries = sum(queries.values())
     total_mutations = sum(mutations.values())
     return {
         "patch": patch,
@@ -239,7 +238,10 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
         "batches": batches,
         "sweeps": sweeps,
         "retries": retries,
-        "coalesce_ratio": (total_queries / sweeps) if sweeps else 0.0,
+        # Only distance queries ride BFS sweeps; index probes do not.
+        "coalesce_ratio": (
+            (queries.get("distance", 0) / sweeps) if sweeps else 0.0
+        ),
         "mutations": mutations,
         "write_batches": write_batches,
         "write_coalesced": 0,

@@ -38,6 +38,7 @@ from repro.runtime.engine import (
     NodeAlgorithm,
     NodeContext,
     RunStats,
+    Schedule,
     route_faults,
 )
 
@@ -78,6 +79,7 @@ class AsyncNetwork:
             fault_plan.start(registry=self.metrics) if fault_plan is not None else None
         )
         self._crashed: set = set()
+        self._schedule = Schedule()
         for node in self.graph.nodes():
             self._algorithms[node] = algorithm_factory(node)
             self._state[node] = {}
@@ -124,7 +126,7 @@ class AsyncNetwork:
         outbox: List[Message] = []
         ctx = NodeContext(
             node=node,
-            neighbors=tuple(sorted(self.graph.neighbors(node), key=repr)),
+            neighbors=self._schedule.of(self.graph).neighbors(node),
             state=self._state[node],
             inbox=inbox,
             outbox=outbox,
@@ -140,7 +142,7 @@ class AsyncNetwork:
     def initialize(self) -> None:
         if self._initialized:
             return
-        order = sorted(self.graph.nodes(), key=repr)
+        order = list(self._schedule.of(self.graph).nodes)
         self._rng.shuffle(order)
         for node in order:
             self._run_node(node, [], "init")
@@ -182,7 +184,7 @@ class AsyncNetwork:
         # Also activate non-halted nodes with empty inboxes, so
         # algorithms that poll can progress.
         idle = [
-            node for node in sorted(self.graph.nodes(), key=repr)
+            node for node in self._schedule.of(self.graph).nodes
             if node not in due
             and not self._halted[node]
             and node not in self._crashed
@@ -198,10 +200,9 @@ class AsyncNetwork:
 
     def _apply_fault_events(self) -> None:
         """Fire crash/restart/churn events scheduled for this tick."""
+        schedule = self._schedule.of(self.graph)
         crashes, restarts = self.faults.begin_round(
-            self._tick,
-            nodes=sorted(self.graph.nodes(), key=repr),
-            edges=sorted(self.graph.edges(), key=repr),
+            self._tick, nodes=schedule.nodes, edges=schedule.edges
         )
         for node, lose_state in crashes:
             if node not in self._algorithms:

@@ -129,6 +129,51 @@ class NodeContext:
         return self._halted
 
 
+class Schedule:
+    """The repr-sorted orderings of one topology generation.
+
+    The scalar engines visit nodes, neighborhoods and links in repr
+    order, the order fault draws replay in, and those orderings change
+    only with the topology.  :meth:`of` returns the schedule for the
+    graph's current ``_generation``, rebuilding it after any topology
+    mutation (through an engine or on ``engine.graph`` directly): the
+    node order is sorted once, the edge order on first use, and each
+    neighborhood tuple on its node's first activation.
+    """
+
+    __slots__ = ("_graph", "_generation", "nodes", "_edges", "_neighbors")
+
+    def __init__(self) -> None:
+        self._graph: Optional[Graph] = None
+        self._generation = -1
+        self.nodes: Tuple[Node, ...] = ()
+        self._edges: Optional[Tuple[Tuple[Node, Node], ...]] = None
+        self._neighbors: Dict[Node, Tuple[Node, ...]] = {}
+
+    def of(self, graph: Graph) -> "Schedule":
+        """This schedule, brought up to ``graph``'s current generation."""
+        if graph is not self._graph or graph._generation != self._generation:
+            self._graph = graph
+            self._generation = graph._generation
+            self.nodes = tuple(sorted(graph.nodes(), key=repr))
+            self._edges = None
+            self._neighbors = {}
+        return self
+
+    @property
+    def edges(self) -> Tuple[Tuple[Node, Node], ...]:
+        if self._edges is None:
+            self._edges = tuple(sorted(self._graph.edges(), key=repr))
+        return self._edges
+
+    def neighbors(self, node: Node) -> Tuple[Node, ...]:
+        hood = self._neighbors.get(node)
+        if hood is None:
+            hood = tuple(sorted(self._graph.neighbors(node), key=repr))
+            self._neighbors[node] = hood
+        return hood
+
+
 class NodeAlgorithm:
     """Base class for per-node distributed algorithms.
 
@@ -328,6 +373,7 @@ class Network:
         # Messages awaiting redelivery, in deferral order:
         # (due_round, message, attempt).
         self._transit: List[Tuple[int, Message, int]] = []
+        self._schedule = Schedule()
         for node in self.graph.nodes():
             self._install(node)
 
@@ -387,7 +433,7 @@ class Network:
         outbox: List[Message] = []
         ctx = NodeContext(
             node=node,
-            neighbors=tuple(sorted(self.graph.neighbors(node), key=repr)),
+            neighbors=self._schedule.of(self.graph).neighbors(node),
             state=self._state[node],
             inbox=self._inboxes[node],
             outbox=outbox,
@@ -445,11 +491,14 @@ class Network:
             count += copies
             if measure:
                 size += copies * _payload_size(message.payload)
-        for node in sorted(self._inboxes, key=repr):
-            inbox = self._inboxes[node]
-            permutation = faults.reorder_permutation(self._round, node, len(inbox))
-            if permutation is not None:
-                inbox[:] = [inbox[i] for i in permutation]
+        if faults.reorder:
+            # Only an inbox of two or more messages draws a permutation.
+            crowded = [node for node, inbox in self._inboxes.items() if len(inbox) > 1]
+            for node in sorted(crowded, key=repr):
+                inbox = self._inboxes[node]
+                permutation = faults.reorder_permutation(self._round, node, len(inbox))
+                if permutation is not None:
+                    inbox[:] = [inbox[i] for i in permutation]
         return count, size
 
     def initialize(self) -> None:
@@ -457,7 +506,7 @@ class Network:
         if self._initialized:
             return
         outgoing: List[Message] = []
-        for node in sorted(self.graph.nodes(), key=repr):
+        for node in self._schedule.of(self.graph).nodes:
             outgoing.extend(self._run_node(node, "init"))
         self._deliver(outgoing)
         self._initialized = True
@@ -477,7 +526,7 @@ class Network:
             if self.faults is not None:
                 outgoing.extend(self._apply_fault_events())
             active = 0
-            for node in sorted(self.graph.nodes(), key=repr):
+            for node in self._schedule.of(self.graph).nodes:
                 if node in self._crashed:
                     continue
                 if self._halted[node] and not self._inboxes[node]:
@@ -495,10 +544,9 @@ class Network:
     def _apply_fault_events(self) -> List[Message]:
         """Fire this round's crash/restart/churn events; returns the
         re-initialisation sends of nodes restarting with state loss."""
+        schedule = self._schedule.of(self.graph)
         crashes, restarts = self.faults.begin_round(
-            self._round,
-            nodes=sorted(self.graph.nodes(), key=repr),
-            edges=sorted(self.graph.edges(), key=repr),
+            self._round, nodes=schedule.nodes, edges=schedule.edges
         )
         outgoing: List[Message] = []
         for node, lose_state in crashes:

@@ -189,7 +189,6 @@ class VectorEngine:
                         f"scalar Network"
                     )
             self.faults = fault_plan.start(registry=self.metrics)
-            self._reorders = any(f.reorder for f in fault_plan.injectors)
             # Repr rank of each row: the scalar engine's stream order,
             # which the fault draws must follow to replay exactly.
             self._rank = fg._repr_ranks()
@@ -301,7 +300,7 @@ class VectorEngine:
             attempts[deferred] + drop[deferred],
         )
         keep = copies > 0
-        if self._reorders:
+        if faults.reorder:
             # Merges commute, so the permutations are drawn (to keep the
             # scalar engine's stream) and discarded.
             sizes = np.bincount(receivers[keep], weights=copies[keep], minlength=self.n)

@@ -17,6 +17,8 @@ Three contracts, in order of importance:
   :class:`~repro.errors.ConvergenceError`.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -368,3 +370,103 @@ class TestMessageFates:
         )
         assert recorded > 0
         assert recorded == extra
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
+
+
+def _golden_plan(name, edges):
+    """One of the four replay-pinned chaos plans over ``edges``."""
+    retry = RetryPolicy(max_retries=16)
+    messages = MessageFaults(drop=0.1, duplicate=0.05, delay=0.1)
+    if name == "scheduled-churn":
+        # Overlapping down intervals, so several links are down at once
+        # while the default ``up=0.5`` draws their early recoveries.
+        events = []
+        for k, (u, v) in enumerate(edges[::4]):
+            events.append(LinkChurnEvent(1 + k % 4, "down", u, v))
+            events.append(LinkChurnEvent(6 + k % 5, "up", u, v))
+        return FaultPlan(21, [messages, LinkChurn(schedule=tuple(events))], retry)
+    if name == "random-churn":
+        return FaultPlan(22, [messages, LinkChurn(down=0.05, up=0.3)], retry)
+    if name == "reorder":
+        return FaultPlan(
+            23, [MessageFaults(drop=0.1, duplicate=0.2, reorder=0.5)], retry
+        )
+    crash = NodeCrashFaults(
+        schedule=tuple(
+            CrashEvent(node=u, at=1 + k, restart_at=4 + 2 * k, lose_state=True)
+            for k, (u, _) in enumerate(edges[3::11])
+        )
+    )
+    return FaultPlan(24, [messages, crash], retry)
+
+
+def _golden_run(engine, name):
+    """(ledger digest, rounds, messages, per-round digest, states digest)
+    of one pinned chaos run: stale-sink link reversal on a small Gnutella
+    SCC, or (the crash plan, whose amnesiac restarts full reversal does
+    not survive) flooding from its lowest node."""
+    from repro.datasets.gnutella import gnutella_largest_scc
+
+    graph = gnutella_largest_scc(40, np.random.default_rng(3))
+    nodes = sorted(graph.nodes())
+    edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+    plan = _golden_plan(name, edges)
+    if name == "crash-restart":
+        factory = lambda node: Flood(nodes[0])  # noqa: E731
+    else:
+        heights = initial_heights(graph, nodes[0])
+        for node in nodes[5::7]:
+            heights[node] = (-1, heights[node][-1])
+        factory = lambda node: LinkReversalAlgorithm(  # noqa: E731
+            node == nodes[0], heights[node]
+        )
+    if engine == "Network":
+        network = Network(graph, factory, fault_plan=plan)
+    else:
+        network = AsyncNetwork(
+            graph, factory, rng=np.random.default_rng(5), fault_plan=plan
+        )
+    stats = network.run()
+    states = sorted(
+        (node, sorted(state.items())) for node, state in network._state.items()
+    )
+    return (
+        network.faults.ledger.digest()[:16],
+        stats.rounds,
+        stats.messages_sent,
+        _digest(stats.messages_per_round),
+        _digest(states),
+    )
+
+
+# Recorded before the scalar engines cached their schedules; any change
+# in the order of fault draws (or of node activations) changes a digest.
+GOLDEN_REPLAY = {
+    ("Network", "scheduled-churn"):
+        ("ce5a3788cb67ebbe", 10, 250, "ede88e212ca0e3a1", "ae658e38e7e0721c"),
+    ("Network", "random-churn"):
+        ("f799b54d8ddf9a98", 19, 260, "fc28603560f68797", "1153b72a6007d42c"),
+    ("Network", "reorder"):
+        ("ec0ba728a55eeb59", 5, 278, "10d09537dfd3b2ca", "f90bbbd99f2730c0"),
+    ("Network", "crash-restart"):
+        ("c1d53a94f621ed6f", 30, 312, "8e3fb167640038da", "55c450b70bcf5d93"),
+    ("AsyncNetwork", "scheduled-churn"):
+        ("8aef6c9071e5765f", 11, 258, "51269cc7d5b79141", "ae945f51865554fc"),
+    ("AsyncNetwork", "random-churn"):
+        ("029b3e5ae579687a", 26, 255, "bd779f72a683462b", "e1b5c2f405c70447"),
+    ("AsyncNetwork", "reorder"):
+        ("40aab174fcd6c917", 9, 281, "97893f363ee383ef", "f39f219dc747856d"),
+    ("AsyncNetwork", "crash-restart"):
+        ("ea036a8c684606fb", 30, 305, "a3a35c7a82607c11", "e1485ff5b9021267"),
+}
+
+
+class TestGoldenReplay:
+    """Pinned ledgers, run statistics and final states per engine and plan."""
+
+    @pytest.mark.parametrize("engine, name", sorted(GOLDEN_REPLAY))
+    def test_replay_matches_recorded_run(self, engine, name):
+        assert _golden_run(engine, name) == GOLDEN_REPLAY[engine, name]

@@ -210,7 +210,25 @@ class TestServingGatewayBasics:
         # Twelve point queries sharing one source ride far fewer sweeps.
         assert 0 < counts["sweeps"] < 12
         assert counts["coalesce_ratio"] > 1.0
+        assert counts["coalesce_ratio"] == 12 / counts["sweeps"]
         assert counts["batches"] >= 1
+
+    def test_coalesce_ratio_counts_distance_queries_only(self, registry):
+        service = GraphService(serving_graph(), landmark_count=2)
+
+        async def main():
+            async with ServingGateway(service, max_batch=16) as gateway:
+                await asyncio.gather(
+                    *[gateway.distance(0, target) for target in range(1, 9)],
+                    *[gateway.nsf_level(node) for node in range(1, 5)],
+                )
+
+        asyncio.run(main())
+        counts = serving_counts(registry)
+        assert counts["queries"] == {"distance": 8, "nsf_level": 4}
+        # Index probes ride no sweep, so they stay out of the ratio.
+        assert counts["sweeps"] >= 1
+        assert counts["coalesce_ratio"] == 8 / counts["sweeps"]
 
     def test_mutations_never_yield_stale_answers(self):
         """A query enqueued after a mutation must observe it — the

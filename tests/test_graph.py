@@ -1,9 +1,82 @@
 """Unit tests for the adjacency-set graph containers."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
 from repro.graphs.graph import DiGraph, Graph
+
+
+def replay_copy(graph):
+    """A clone built by replaying every node and edge through the public
+    mutators: the order ``Graph.copy`` must reproduce."""
+    clone = Graph()
+    for node in graph._adj:
+        clone.add_node(node, **graph._node_attrs[node])
+    for (u, v), attrs in graph._edge_attrs.items():
+        clone.add_edge(u, v, **attrs)
+    return clone
+
+
+def assert_copy_matches_replay(graph):
+    clone, replayed = graph.copy(), replay_copy(graph)
+    assert list(clone._adj) == list(replayed._adj)
+    for node in replayed._adj:
+        assert list(clone._adj[node]) == list(replayed._adj[node])
+    assert list(clone._node_attrs.items()) == list(replayed._node_attrs.items())
+    assert list(clone._edge_attrs.items()) == list(replayed._edge_attrs.items())
+    assert clone._generation == replayed._generation
+    # Fresh attribute dicts: writes to the clone never reach the source.
+    for node in graph._adj:
+        assert clone._node_attrs[node] is not graph._node_attrs[node]
+        clone.set_node_attr(node, "clone-only", True)
+        assert graph.node_attr(node, "clone-only") is None
+    for (u, v) in graph._edge_attrs:
+        assert clone._edge_attrs[u, v] is not graph._edge_attrs[u, v]
+        clone.set_edge_attr(u, v, "clone-only", True)
+        assert graph.edge_attr(u, v, "clone-only") is None
+    # No shared snapshot; a later mutation of the clone refreezes it
+    # and leaves the source's snapshot current.
+    source_frozen = graph.frozen()
+    assert clone._frozen is None
+    clone_frozen = clone.frozen()
+    assert clone_frozen is not source_frozen
+    fresh = ("fresh", 0), ("fresh", 1)
+    clone.add_edge(*fresh)
+    refrozen = clone.frozen()
+    assert refrozen is not clone_frozen
+    assert refrozen.generation == clone._generation
+    assert refrozen.num_edges == clone.num_edges
+    assert refrozen.degree(fresh[0]) == 1
+    assert graph.frozen() is source_frozen
+    assert not graph.has_node(fresh[0])
+
+
+@st.composite
+def mutated_graphs(draw):
+    """Graphs with attributes and removals behind them: removals leave
+    deleted slots in the neighbor sets, where a set copy could iterate
+    differently from a replay."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    pairs = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)
+    ).filter(lambda pair: pair[0] != pair[1])
+    graph = Graph()
+    for u, v in draw(st.lists(pairs, max_size=120)):
+        graph.add_edge(u, v, weight=u * n + v)
+    for node in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+        graph.add_node(node, color=node % 3)
+    for u, v in draw(st.lists(pairs, max_size=60)):
+        if graph.has_edge(u, v):
+            graph.remove_edge(u, v)
+    for node in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        if graph.has_node(node):
+            graph.remove_node(node)
+    for u, v in draw(st.lists(pairs, max_size=20)):
+        graph.add_edge(u, v)
+    return graph
 
 
 class TestGraphNodes:
@@ -154,6 +227,17 @@ class TestGraphWholeOps:
         clone.add_edge("b", "c")
         assert not g.has_node("c")
         assert clone.edge_attr("a", "b", "weight") == 1
+
+    @pytest.mark.parametrize("n", [320, 4000])
+    def test_copy_matches_replay_on_gnutella(self, n):
+        from repro.datasets.gnutella import gnutella_largest_scc
+
+        assert_copy_matches_replay(gnutella_largest_scc(n, np.random.default_rng(1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_graphs())
+    def test_copy_matches_replay_after_removals(self, graph):
+        assert_copy_matches_replay(graph)
 
     def test_subgraph_induced(self):
         g = Graph()

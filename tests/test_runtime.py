@@ -282,3 +282,146 @@ class TestMessageSizeAccounting:
         assert _payload_size("hey") == 3
         # A tuple is not wire-sized by its arity — repr length instead.
         assert _payload_size(("height", (3, 1))) == len(repr(("height", (3, 1))))
+
+
+class NeighborProbe(NodeAlgorithm):
+    """Records, at every activation, ``ctx.neighbors`` next to the
+    repr-sorted neighborhood of the engine's graph at that moment."""
+
+    def __init__(self, engine, seen, rounds=3):
+        self.engine = engine  # holder: engine["net"] is set after construction
+        self.seen = seen
+        self.rounds = rounds
+
+    def _record(self, ctx):
+        graph = self.engine["net"].graph
+        expected = tuple(sorted(graph.neighbors(ctx.node), key=repr))
+        self.seen.append((ctx.node, ctx.neighbors, expected))
+
+    def init(self, ctx):
+        self._record(ctx)
+        ctx.broadcast("hello")
+
+    def step(self, ctx):
+        self._record(ctx)
+        if ctx.round_number >= self.rounds:
+            ctx.halt()
+
+    def on_topology_change(self, ctx):
+        self._record(ctx)
+
+
+class Chatter(NodeAlgorithm):
+    """Broadcasts every round until ``rounds``, then halts."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def init(self, ctx):
+        ctx.broadcast("chat")
+
+    def step(self, ctx):
+        if ctx.round_number < self.rounds:
+            ctx.broadcast("chat")
+        else:
+            ctx.halt()
+
+
+class TestScheduleCache:
+    """Neighborhoods and orders are cached per topology generation."""
+
+    def _probe_network(self, seen, graph=None):
+        engine = {}
+        net = Network(graph or grid_2d(3, 3), lambda n: NeighborProbe(engine, seen))
+        engine["net"] = net
+        return net
+
+    def test_neighbors_follow_every_topology_change(self):
+        seen = []
+        net = self._probe_network(seen)
+        net.run()
+        net.add_edge((0, 0), (2, 2))
+        net.run()
+        net.remove_edge((0, 0), (0, 1))
+        net.run()
+        net.add_node("x")
+        net.add_edge("x", (1, 1))
+        net.run()
+        net.remove_node((2, 1))
+        net.run()
+        assert seen and all(got == expected for _, got, expected in seen)
+        # The removal's notifications, then one step each.
+        assert [node for node, _, _ in seen[-6:]] == [(1, 1), (2, 0), (2, 2)] * 2
+        assert ("x", ((1, 1),), ((1, 1),)) in seen
+
+    @pytest.mark.parametrize("engine", ["Network", "AsyncNetwork"])
+    def test_direct_graph_mutation_invalidates(self, engine):
+        import numpy as np
+
+        from repro.runtime.async_engine import AsyncNetwork
+
+        seen = []
+        holder = {}
+        factory = lambda n: NeighborProbe(holder, seen, rounds=4)  # noqa: E731
+        if engine == "Network":
+            net = Network(grid_2d(3, 3), factory)
+            advance = net.step_round
+        else:
+            net = AsyncNetwork(grid_2d(3, 3), factory, rng=np.random.default_rng(0))
+            advance = net.step_tick
+        holder["net"] = net
+        net.initialize()
+        advance()
+        net.graph.add_edge((0, 0), (2, 2))
+        net.graph.remove_edge((1, 1), (1, 2))
+        advance()
+        net.run()
+        assert all(got == expected for _, got, expected in seen)
+        assert any(
+            node == (0, 0) and (2, 2) in got for node, got, _ in seen
+        )
+
+    def test_faulted_run_builds_each_ordering_once(self):
+        from collections import Counter
+
+        from repro.faults import (
+            FaultPlan,
+            LinkChurn,
+            LinkChurnEvent,
+            MessageFaults,
+            RetryPolicy,
+        )
+
+        graph = grid_2d(4, 4)
+        churn = LinkChurn(
+            schedule=(
+                LinkChurnEvent(1, "down", (0, 0), (0, 1)),
+                LinkChurnEvent(6, "up", (0, 0), (0, 1)),
+            )
+        )
+        plan = FaultPlan(
+            4,
+            [MessageFaults(drop=0.2, delay=0.2, reorder=0.5), churn],
+            retry=RetryPolicy(max_retries=16),
+        )
+        net = Network(graph, lambda n: Chatter(rounds=5), fault_plan=plan)
+        calls = Counter()
+        for name in ("neighbors", "nodes", "edges"):
+            method = getattr(net.graph, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls[_name, args] += 1
+                return _method(*args)
+
+            setattr(net.graph, name, counted)
+        stats = net.run()
+        assert stats.rounds > 5
+        assert net.faults.summary()["link_down"] == 1
+        # One neighborhood tuple per node, one node and one edge order,
+        # however many rounds and activations the run took.
+        neighbor_calls = {
+            args[0]: n for (name, args), n in calls.items() if name == "neighbors"
+        }
+        assert neighbor_calls == {node: 1 for node in graph.nodes()}
+        assert calls["nodes", ()] == 1
+        assert calls["edges", ()] == 1
