@@ -128,6 +128,21 @@ def shard_sources(
     )
 
 
+def _distinct(idx: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The distinct values of ``idx``, each once, unsorted, in O(len(idx)).
+
+    ``owner`` is caller-owned int64 scratch from ``np.empty`` with room
+    for every value of ``idx``; it needs no fill, because only the slots
+    written here are read back.  The repeated-index store leaves one
+    winning position per value, whichever order numpy stores in, and
+    only that position passes the equality test.  Use it where an
+    ``np.unique`` result would only serve as a set of indices.
+    """
+    pos = np.arange(idx.shape[0], dtype=np.int64)
+    owner[idx] = pos
+    return idx[owner[idx] == pos]
+
+
 def generation_cached(owner, factory):
     """Return ``owner._frozen``, rebuilding through ``factory`` when stale.
 
@@ -366,6 +381,7 @@ class FrozenGraph:
     def bfs_levels(self, sources: Union[int, Sequence[int], np.ndarray]) -> np.ndarray:
         """Multi-source BFS: hop level per node index, -1 if unreachable."""
         level = np.full(self.n, _UNREACHABLE, dtype=np.int64)
+        owner = np.empty(self.n, dtype=np.int64)
         frontier = np.atleast_1d(np.asarray(sources, dtype=np.int64))
         level[frontier] = 0
         depth = 0
@@ -377,7 +393,7 @@ class FrozenGraph:
             if fresh.size == 0:
                 break
             depth += 1
-            frontier = np.unique(fresh)
+            frontier = _distinct(fresh, owner)
             level[frontier] = depth
         return level
 
@@ -390,6 +406,7 @@ class FrozenGraph:
     def k_hop_indices(self, source: int, k: int) -> np.ndarray:
         """Indices of all nodes within ``k`` hops of ``source`` (excluded)."""
         level = np.full(self.n, _UNREACHABLE, dtype=np.int64)
+        owner = np.empty(self.n, dtype=np.int64)
         frontier = np.atleast_1d(np.asarray(source, dtype=np.int64))
         level[frontier] = 0
         for depth in range(1, k + 1):
@@ -399,7 +416,7 @@ class FrozenGraph:
             fresh = nbrs[level[nbrs] < 0]
             if fresh.size == 0:
                 break
-            frontier = np.unique(fresh)
+            frontier = _distinct(fresh, owner)
             level[frontier] = depth
         reached = np.flatnonzero(level > 0)
         return reached
@@ -1026,6 +1043,7 @@ class FrozenGraph:
         rank = self._repr_ranks()
         level = np.full(n, _UNREACHABLE, dtype=np.int64)
         lab_rank = np.full(n, _INT64_MAX, dtype=np.int64)
+        owner = np.empty(n, dtype=np.int64)
         level[srcs] = 0
         lab_rank[srcs] = rank[srcs]
         frontier = srcs
@@ -1048,7 +1066,7 @@ class FrozenGraph:
             # Frontier labels are final, so the min over incoming
             # frontier labels is the nearest-landmark label at depth d.
             np.minimum.at(lab_rank, nd, lab_rank[flat_src[new]])
-            frontier = np.unique(nd)
+            frontier = _distinct(nd, owner)
             level[frontier] = depth
         return level, lab_rank
 

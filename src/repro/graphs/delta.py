@@ -18,7 +18,10 @@ index pairs) plus an aliveness mask over the base CSR entries:
   which *lazily* merges the pending arrays into a fresh CSR via one
   vectorized ``np.lexsort`` + :meth:`FrozenGraph.from_arrays` — never
   through the dict-graph refreeze path, so ``repro.cache.frozen``
-  records zero refreezes while a service is in steady state.  Above
+  records zero refreezes while a service is in steady state.  The
+  sweep itself is the plain CSR BFS, whose cost is the edges it
+  gathers: each level's frontier is deduplicated with a claim array in
+  O(frontier), not sorted or hashed.  Above
   ``threshold`` pending patches the merged snapshot *rebases* (becomes
   the new base and the patch arrays clear); ``threshold=0`` rebases on
   every snapshot, forcing the merge path at every step.
@@ -524,7 +527,10 @@ class PatchedGraph:
         shared with every index repair at that version.  A plain CSR
         sweep beats gathering the base rows through the aliveness mask
         and the insert overlay level by level, even with the merge
-        counted in.
+        counted in.  The sweep costs O(edges gathered): each frontier
+        is deduplicated in O(frontier) by a claim array, so no level
+        pays a sort.  Repeated sources are allowed; an empty source
+        list leaves every level at -1.
         """
         return self.snapshot().bfs_levels(sources)
 

@@ -61,7 +61,7 @@ import numpy as np
 from repro.errors import AlgorithmError, ConvergenceError
 from repro.faults.injectors import MessageFaults
 from repro.faults.plan import FaultPlan, FaultSession
-from repro.graphs.csr import FrozenGraph
+from repro.graphs.csr import FrozenGraph, _distinct
 from repro.observability import tracing
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.telemetry import record_dispatch
@@ -105,6 +105,7 @@ class ArrayKernel:
         self.halted = np.zeros(engine.n, dtype=bool)
         self._known = np.zeros(engine.indices.shape[0], dtype=bool)
         self._known_count = np.zeros(engine.n, dtype=np.int64)
+        self._owner = np.empty(engine.indices.shape[0], dtype=np.int64)
         self._bind()
 
     def _bind(self) -> None:  # pragma: no cover - default
@@ -123,8 +124,7 @@ class ArrayKernel:
         raise NotImplementedError
 
     def _note_known(self, slots: np.ndarray) -> None:
-        uniq = np.unique(slots)
-        fresh = uniq[~self._known[uniq]]
+        fresh = _distinct(slots[~self._known[slots]], self._owner)
         if fresh.size:
             self._known[fresh] = True
             np.add.at(self._known_count, self.engine.src[fresh], 1)

@@ -32,6 +32,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import NodeNotFoundError
+from repro.graphs.csr import _distinct
 from repro.observability.tracing import traced
 
 Node = Hashable
@@ -263,6 +264,7 @@ class FrozenContacts:
         arrival[source_idx] = start
         informed = np.zeros(n, dtype=bool)
         informed[source_idx] = True
+        owner = np.empty(n, dtype=np.int64)
         remaining = n - 1
         for g in self._group_range(start):
             if remaining == 0:
@@ -273,7 +275,7 @@ class FrozenContacts:
                 sel = informed[src] & ~informed[dst]
                 if not sel.any():
                     break
-                fresh = np.unique(dst[sel])
+                fresh = _distinct(dst[sel], owner)
                 informed[fresh] = True
                 arrival[fresh] = t
                 remaining -= int(fresh.shape[0])
@@ -414,6 +416,7 @@ class FrozenContacts:
         departure[target_idx] = deadline
         informed = np.zeros(n, dtype=bool)
         informed[target_idx] = True
+        owner = np.empty(n, dtype=np.int64)
         last = int(
             np.searchsorted(self.group_times, deadline, side="left")
         )
@@ -424,7 +427,7 @@ class FrozenContacts:
                 sel = informed[src] & ~informed[dst]
                 if not sel.any():
                     break
-                fresh = np.unique(dst[sel])
+                fresh = _distinct(dst[sel], owner)
                 informed[fresh] = True
                 departure[fresh] = t
         return np.where(informed, departure, _NO_ARRIVAL), informed

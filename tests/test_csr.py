@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph
+from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph, _distinct
 from repro.graphs.generators import barabasi_albert, erdos_renyi
 from repro.graphs.graph import DiGraph, Graph
 from repro.graphs.metrics import (
@@ -71,6 +71,65 @@ def test_bfs_distances_matches_reference(graph):
         assert bfs_distances(graph, source) == bfs_distances_reference(
             graph, source
         )
+
+
+def _reference_levels(graph, fg, sources):
+    """Per-index min over ``bfs_distances_reference`` from each source."""
+    level = np.full(fg.n, -1, dtype=np.int64)
+    for s in sources:
+        for node, d in bfs_distances_reference(graph, fg.node_list[s]).items():
+            i = fg.index_of(node)
+            if level[i] < 0 or d < level[i]:
+                level[i] = d
+    return level
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_graphs(), st.data())
+def test_bfs_levels_matches_reference_bfs(graph, data):
+    fg = graph.frozen()
+    node = st.integers(min_value=0, max_value=fg.n - 1)
+    single = data.draw(node)
+    assert np.array_equal(
+        fg.bfs_levels(single), _reference_levels(graph, fg, [single])
+    )
+    sources = data.draw(st.lists(node, max_size=8))
+    sources += sources[: len(sources) // 2]  # repeated sources
+    assert np.array_equal(
+        fg.bfs_levels(np.array(sources, dtype=np.int64)),
+        _reference_levels(graph, fg, sources),
+    )
+    assert np.array_equal(fg.bfs_levels([]), np.full(fg.n, -1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_graphs(), st.data())
+def test_k_hop_indices_matches_reference(graph, data):
+    fg = graph.frozen()
+    source = data.draw(st.integers(min_value=0, max_value=fg.n - 1))
+    k = data.draw(st.integers(min_value=0, max_value=6))
+    distances = bfs_distances_reference(graph, fg.node_list[source])
+    expected = sorted(fg.index_of(v) for v, d in distances.items() if 0 < d <= k)
+    assert fg.k_hop_indices(source, k).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.data())
+def test_distinct_returns_each_value_once(n, data):
+    values = data.draw(
+        st.lists(st.integers(min_value=0, max_value=n - 1), max_size=120)
+    )
+    # Heavy duplicates, the largest value included.
+    idx = np.array(values * 3 + [n - 1] * 5, dtype=np.int64)
+    rng = np.random.default_rng(n)
+    for order in (idx, idx[::-1], rng.permutation(idx)):
+        # Stale scratch contents must not matter: only written slots are read.
+        for owner in (np.empty(n, dtype=np.int64), np.zeros(n, dtype=np.int64)):
+            out = _distinct(order, owner)
+            assert out.shape[0] == len(set(values) | {n - 1})
+            assert set(out.tolist()) == set(values) | {n - 1}
+    empty = np.empty(0, dtype=np.int64)
+    assert _distinct(empty, np.empty(n, dtype=np.int64)).size == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -136,6 +136,25 @@ def test_frozen_duplicate_contact_times_chain_within_unit():
     assert all(arrival[node] == 1 for node in range(1, 50))
 
 
+def test_frozen_fronts_reach_one_node_along_several_edges():
+    # At time 2 node 3 is reached from both 1 and 2 (and, reversed, node
+    # 0 is left towards both), so a front holds a repeated node.  Counted
+    # twice, it would end the arrival scan before node 4 is reached.
+    eg = EvolvingGraph(horizon=4, nodes=range(5))
+    for hub in (1, 2):
+        eg.add_contact(0, hub, 1)
+        eg.add_contact(hub, 3, 2)
+    eg.add_contact(3, 4, 3)
+    fc = eg.frozen()
+    arrival = fc.earliest_arrival(0)
+    assert arrival == jour.earliest_arrival_reference(eg, 0)
+    assert arrival == {0: 0, 1: 1, 2: 1, 3: 2, 4: 3}
+    for target, deadline in ((4, 4), (3, 3), (0, 2)):
+        assert fc.latest_departure(target, deadline) == \
+            jour.latest_departure_reference(eg, target, deadline)
+    assert fc.latest_departure(4, 4)[0] == 1
+
+
 def test_frozen_cache_invalidation_on_mutation():
     eg = random_evolving(12)
     first = eg.frozen()

@@ -391,6 +391,13 @@ class TestChaosOnVectorEngine:
             engine = VectorEngine(fg, kernel(), fault_plan=fault_plan)
             vector = run_to_quiescence(engine)
             assert scalar == vector
+            # Each known belief slot is counted once for its row, however
+            # many copies of a message reached it in one round.
+            known = engine.kernel._known
+            assert np.array_equal(
+                engine.kernel._known_count,
+                np.bincount(engine.src[known], minlength=engine.n),
+            )
             s_state = {node: scalar_state(network, node) for node in graph.nodes()}
             v_state = {
                 node: vector_state(engine.kernel, i)
