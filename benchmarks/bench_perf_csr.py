@@ -11,7 +11,11 @@ Times each whole-graph kernel on Gnutella-like largest-SCC workloads
 Each kernel is a :class:`_util.Case` whose timed outputs must be
 *exactly* equal — a speedup that changes answers is a bug, not an
 optimization.  The full run checks :data:`FLOORS`: >= 5x median speedup
-on the NSF peel and the all-pairs BFS at the largest size.
+on the NSF peel and the all-pairs BFS at the largest size.  The
+``point-distance`` case (:data:`POINT_PAIRS` seeded pairs, one
+reference BFS per pair against one bidirectional
+:meth:`~repro.graphs.csr.FrozenGraph.hop_distance` search) is reported
+without a floor.
 
     PYTHONPATH=src python benchmarks/bench_perf_csr.py
 
@@ -41,6 +45,9 @@ FLOORS = {"all-pairs-bfs": 5.0, "nsf-levels": 5.0}
 
 #: (reference, CSR) timing-key templates.
 KEYS = ("{case}_n{n}_ref", "{case}_n{n}_csr")
+
+#: Seeded node pairs of the ``point-distance`` case.
+POINT_PAIRS = 200
 
 #: Requested sizes of the full run.
 DEFAULT_SIZES: Tuple[int, ...] = (600, 2000, 5000)
@@ -79,8 +86,23 @@ def cases(size: int, graph) -> List[Case]:
         sums = fg.all_pairs_distance_sums()
         return {node: int(sums[i]) for i, node in enumerate(fg.node_list)}
 
+    pairs = np.random.default_rng(size).integers(0, fg.n, size=(POINT_PAIRS, 2))
+    pairs = pairs.tolist()
+    nodes = fg.node_list
+
+    def ref_point_distances():
+        return [
+            bfs_distances_reference(graph, nodes[u]).get(nodes[v])
+            for u, v in pairs
+        ]
+
+    def csr_point_distances():
+        hops = (fg.hop_distance(u, v) for u, v in pairs)
+        return [d if d >= 0 else None for d in hops]
+
     return [
         Case("all-pairs-bfs", size, ref_all_pairs, csr_all_pairs),
+        Case("point-distance", size, ref_point_distances, csr_point_distances),
         Case("nsf-levels", size, lambda: nsf_levels_reference(graph), fg.nsf_levels),
         Case("closeness", size, lambda: closeness_centrality_reference(graph),
              fg.closeness_centrality),

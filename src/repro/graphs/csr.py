@@ -403,28 +403,48 @@ class FrozenGraph:
         nodes = self.node_list
         return {nodes[i]: int(level[i]) for i in np.flatnonzero(level >= 0)}
 
-    def k_hop_indices(self, source: int, k: int) -> np.ndarray:
-        """Indices of all nodes within ``k`` hops of ``source`` (excluded)."""
-        level = np.full(self.n, _UNREACHABLE, dtype=np.int64)
-        owner = np.empty(self.n, dtype=np.int64)
-        frontier = np.atleast_1d(np.asarray(source, dtype=np.int64))
-        level[frontier] = 0
-        for depth in range(1, k + 1):
-            nbrs = self._neighbors_flat(frontier)
-            if nbrs.size == 0:
-                break
-            fresh = nbrs[level[nbrs] < 0]
-            if fresh.size == 0:
-                break
-            frontier = _distinct(fresh, owner)
-            level[frontier] = depth
-        reached = np.flatnonzero(level > 0)
-        return reached
+    def hop_distance(self, u: int, v: int) -> int:
+        """Hop distance between node indices ``u`` and ``v`` (-1: no path).
 
-    def k_hop_neighbors(self, source: Node, k: int) -> Set[Node]:
-        """Node-facing wrapper over :meth:`k_hop_indices`."""
-        nodes = self.node_list
-        return {nodes[i] for i in self.k_hop_indices(self.index_of(source), k)}
+        Exact bidirectional BFS (undirected only): each step expands the
+        side whose frontier has the smaller degree sum by one whole
+        level, and the first level whose neighbours reach the other
+        side's visited set closes the shortest path.  The two visited
+        sets stay disjoint until then, so every met node lies on a
+        shortest path.  Costs the two balls around the endpoints, not a
+        sweep of the whole graph — the single-pair counterpart of
+        :meth:`bfs_levels`.
+        """
+        if self.directed:
+            raise TypeError("hop_distance expects an undirected snapshot")
+        if u == v:
+            return 0
+        owner = np.empty(self.n, dtype=np.int64)
+        levels = (
+            np.full(self.n, _UNREACHABLE, dtype=np.int64),
+            np.full(self.n, _UNREACHABLE, dtype=np.int64),
+        )
+        levels[0][u] = 0
+        levels[1][v] = 0
+        frontiers = [np.array([u], dtype=np.int64), np.array([v], dtype=np.int64)]
+        depths = [0, 0]
+        costs = [int(self.degrees[u]), int(self.degrees[v])]
+        while True:
+            side = 0 if costs[0] <= costs[1] else 1
+            mine, other = levels[side], levels[1 - side]
+            nbrs = self._neighbors_flat(frontiers[side])
+            met = other[nbrs]
+            met = met[met >= 0]
+            if met.size:
+                return depths[side] + 1 + int(met.min())
+            fresh = nbrs[mine[nbrs] < 0]
+            if fresh.size == 0:
+                return _UNREACHABLE
+            depths[side] += 1
+            frontier = _distinct(fresh, owner)
+            mine[frontier] = depths[side]
+            frontiers[side] = frontier
+            costs[side] = int(self.degrees[frontier].sum())
 
     def eccentricity_of(self, i: int) -> int:
         """Max hop distance from node index ``i`` to any reachable node."""

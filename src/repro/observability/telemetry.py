@@ -31,7 +31,9 @@ Counter families on the global metrics registry:
     ``repro.serving.queries{kind=...}`` / ``repro.serving.batches`` /
     ``repro.serving.sweeps`` / ``repro.serving.retries`` count gateway
     traffic and the BFS sweeps distance queries actually ran
-    (coalesce ratio = queries / sweeps), with
+    (coalesce ratio = queries / sweeps), and
+    ``repro.serving.point_searches`` the distance queries answered by a
+    bidirectional point search instead of a level array, with
     ``repro.serving.batch_size`` (histogram) and
     ``repro.serving.queue_depth`` (gauge) recording flush shape.
 
@@ -70,6 +72,7 @@ SERVING_BATCH_METRIC = "repro.serving.batches"
 SERVING_BATCH_SIZE_METRIC = "repro.serving.batch_size"
 SERVING_QUEUE_DEPTH_METRIC = "repro.serving.queue_depth"
 SERVING_SWEEP_METRIC = "repro.serving.sweeps"
+SERVING_POINT_SEARCH_METRIC = "repro.serving.point_searches"
 SERVING_RETRY_METRIC = "repro.serving.retries"
 SERVING_MUTATION_METRIC = "repro.serving.mutations"
 SERVING_WRITE_BATCH_METRIC = "repro.serving.batch.writes"
@@ -141,6 +144,11 @@ def record_serving_sweep(count: int = 1) -> None:
     get_registry().counter(SERVING_SWEEP_METRIC).inc(int(count))
 
 
+def record_serving_point_search(count: int = 1) -> None:
+    """Count distance queries answered by a point search (no sweep)."""
+    get_registry().counter(SERVING_POINT_SEARCH_METRIC).inc(int(count))
+
+
 def record_serving_retry(count: int = 1) -> None:
     """Count queries re-queued after a mid-batch crash (never lost)."""
     get_registry().counter(SERVING_RETRY_METRIC).inc(int(count))
@@ -202,14 +210,18 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
     """Serving-plane counters in one nested view.
 
     ``{"patch": {event: count}, "repairs": {index: {mode: count}},
-    "queries": {kind: count}, "batches": n, "sweeps": n, "retries": n,
-    "coalesce_ratio": distance queries/sweeps, "mutations": {kind: count},
+    "queries": {kind: count}, "batches": n, "sweeps": n,
+    "point_searches": n, "retries": n, "coalesce_ratio": distance
+    queries/sweeps, "mutations": {kind: count},
     "write_batches": n, "write_coalesced": 0, "write_coalesce_ratio":
     mutations/write_batches}`` — the shape the serving benchmarks and
     ``benchmarks/e2e/layers.py`` read.  ``write_coalesced`` always
     reads 0: the sequence barrier applies every mutation through its own
     service call and nets nothing away, and the key stays only because
-    the end-to-end benchmark's layer table reads it.
+    the end-to-end benchmark's layer table reads it.  ``point_searches``
+    counts the distance queries of sources the hot-source store does not
+    admit, each answered by one bidirectional point search.  They are not
+    sweeps, so they count in ``coalesce_ratio``'s numerator only.
     """
     registry = registry if registry is not None else get_registry()
     patch: Dict[str, int] = {}
@@ -228,6 +240,7 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
     snapshot = registry.snapshot()
     batches = int(snapshot.get(SERVING_BATCH_METRIC, 0))
     sweeps = int(snapshot.get(SERVING_SWEEP_METRIC, 0))
+    point_searches = int(snapshot.get(SERVING_POINT_SEARCH_METRIC, 0))
     retries = int(snapshot.get(SERVING_RETRY_METRIC, 0))
     write_batches = int(snapshot.get(SERVING_WRITE_BATCH_METRIC, 0))
     total_mutations = sum(mutations.values())
@@ -237,6 +250,7 @@ def serving_counts(registry: MetricsRegistry = None) -> Dict[str, Any]:
         "queries": queries,
         "batches": batches,
         "sweeps": sweeps,
+        "point_searches": point_searches,
         "retries": retries,
         # Only distance queries ride BFS sweeps; index probes do not.
         "coalesce_ratio": (

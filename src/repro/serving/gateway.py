@@ -8,8 +8,9 @@ oldest request has waited ``max_delay`` seconds, or the event loop
 went idle for two turns with nothing new to add, whichever comes
 first.  A flush is where the batching pays off: the write barrier
 runs once, every index query in the batch shares one incremental
-repair, and distance queries sharing a source share one level array
-from the service's hot-source store (swept once, then repaired).
+repair, and distance queries sharing a held source share one level
+array from the service's hot-source store (swept once, then repaired);
+a source the store does not admit is answered by a point search.
 
 Mutations are queued too — the **write fast path**.  ``insert_edge`` /
 ``delete_edge`` / ``apply_batch`` take their sequence number and enter
@@ -59,8 +60,9 @@ crash error.
 
 Emitted metrics (see :mod:`repro.observability.telemetry`):
 ``repro.serving.batches`` / ``batch_size`` / ``queue_depth`` per
-flush, ``repro.serving.sweeps`` per BFS sweep (counted by the
-service's hot-source store),
+flush, ``repro.serving.sweeps`` per BFS sweep and
+``repro.serving.point_searches`` per point search (both counted by the
+service),
 ``repro.serving.queries{kind}`` / ``mutations{kind}`` per accepted
 request, and per write barrier ``repro.serving.batch.writes`` and the
 ``write_size`` (edge operations) and ``batch.writers`` (distinct
@@ -595,14 +597,6 @@ class ServingGateway:
             if request.error is not None:
                 raise request.error
             return request.result
-        if request.kind == "distance":
-            # Every distance query asks the service, whose hot-source
-            # store holds (and repairs) the swept arrays: same-source
-            # queries share one sweep across the batch and beyond.
-            u, v = request.args
-            target = service.patched.index_of(v)
-            level = int(service.distances_from(u)[target])
-            return None if level < 0 else level
         # Looked up per call, so a wrapped service method is honoured.
         return getattr(service, request.kind)(*request.args)
 

@@ -20,12 +20,16 @@ snapshot.
 Distance queries go to :class:`HotSources`, which holds the level
 arrays of up to :data:`HOT_SOURCES` most-queried sources.  A held
 array is repaired by the same two-phase kernel as the landmark labels,
-on that source's next query, from the pairs touched since; any other
-source costs one BFS sweep over the merged snapshot (merged at most
-once per version, shared with the index repairs).  The store is not an
-:data:`INDEXES` entry: that table repairs a whole index on its first
-query after a write, which here would repair every held source once
-per version, most of them never asked about again.
+on that source's next query, from the pairs touched since.  A source
+is admitted only while a slot is free or once its query count passes
+the fewest among held sources; until then :meth:`GraphService.distance`
+answers it with one :meth:`FrozenGraph.hop_distance` point search over
+the merged snapshot (merged at most once per version, shared with the
+index repairs), which costs the balls around the two endpoints instead
+of a whole-graph sweep.  The store is not an :data:`INDEXES` entry:
+that table repairs a whole index on its first query after a write,
+which here would repair every held source once per version, most of
+them never asked about again.
 
 Nothing in the steady state goes through the dict-graph refreeze path:
 the constructor freezes the seed topology once via the plain
@@ -64,7 +68,11 @@ from repro.labeling.landmarks import (
 from repro.labeling.mis import compute_mis
 from repro.layering.incremental import IncrementalNSF
 from repro.layering.nsf import nsf_levels_reference
-from repro.observability.telemetry import record_repair, record_serving_sweep
+from repro.observability.telemetry import (
+    record_repair,
+    record_serving_point_search,
+    record_serving_sweep,
+)
 
 Node = Hashable
 
@@ -148,16 +156,19 @@ class HotSources:
 
     Holds one read-only level array for each of up to
     :data:`HOT_SOURCES` sources, plus one set per held source of the
-    edge pairs touched since that array was swept or repaired.  A
-    query for a held source repairs its array with
+    edge pairs touched since that array was swept or repaired, and a
+    query count per source, held or not.  A query for a held source
+    repairs its array with
     :func:`~repro.labeling.incremental.repair_bfs_levels` if its set is
-    non-empty, into a fresh read-only copy; a query for any other
-    source runs one :meth:`PatchedGraph.bfs_levels` sweep and admits
-    the result, evicting the held source with the fewest queries.
-    Repairs are per source and on demand: a write costs one set update
-    per held source, and a source nobody asks about again is never
-    repaired.  A repair that raises drops its source, so the next query
-    for it sweeps afresh.
+    non-empty, into a fresh read-only copy.  Any other source is
+    :meth:`admits`-checked: while a slot is free, or once its query
+    count passes the fewest among held sources, its sweep is held and
+    evicts that least-queried source; otherwise the sweep is returned
+    without being held.  So a source asked about once never displaces
+    a source asked about twice.  Repairs are per source and on demand:
+    a write costs one set update per held source, and a source nobody
+    asks about again is never repaired.  A repair that raises drops its
+    source, so the next query for it sweeps afresh.
     """
 
     def __init__(self) -> None:
@@ -165,7 +176,7 @@ class HotSources:
         self._levels: Dict[int, np.ndarray] = {}
         #: Pairs touched since each held array was swept or repaired.
         self._pending: Dict[int, Set[Tuple[int, int]]] = {}
-        #: Queries per source index, held or not (the eviction order).
+        #: Queries per source index, held or not (the admission order).
         self._queries: Dict[int, int] = {}
 
     def __contains__(self, source: int) -> bool:
@@ -179,18 +190,36 @@ class HotSources:
         for pending in self._pending.values():
             pending.update(pairs)
 
+    def admits(self, source: int) -> bool:
+        """Whether the next query for ``source`` leaves its array held.
+
+        True for a held source, while a slot is free, or when the
+        source's query count, that next query included, is greater
+        than the fewest queries among held sources.
+        """
+        if source in self._levels or len(self._levels) < HOT_SOURCES:
+            return True
+        fewest = min(self._queries[held] for held in self._levels)
+        return self._queries.get(source, 0) + 1 > fewest
+
+    def count(self, source: int) -> None:
+        """Count one query for ``source``."""
+        self._queries[source] = self._queries.get(source, 0) + 1
+
     def levels(self, patched: PatchedGraph, source: int) -> np.ndarray:
         """Current hop levels from node index ``source`` (read-only)."""
-        self._queries[source] = self._queries.get(source, 0) + 1
+        admit = self.admits(source)
+        self.count(source)
         levels = self._levels.get(source)
         if levels is None:
             levels = patched.bfs_levels(source)
             record_serving_sweep()
             levels.flags.writeable = False
-            if len(self._levels) >= HOT_SOURCES:
-                self._drop(min(self._levels, key=self._queries.__getitem__))
-            self._levels[source] = levels
-            self._pending[source] = set()
+            if admit:
+                if len(self._levels) >= HOT_SOURCES:
+                    self._drop(min(self._levels, key=self._queries.__getitem__))
+                self._levels[source] = levels
+                self._pending[source] = set()
             return levels
         pending = self._pending[source]
         if pending:
@@ -355,15 +384,30 @@ class GraphService:
 
         Answered by the :class:`HotSources` store: a held source's
         array, repaired first if an edge changed since, or one
-        :meth:`PatchedGraph.bfs_levels` sweep for any other source.
-        Indexed by node position (-1 unreachable), aligned with
-        :attr:`node_list`; the array is read-only.
+        :meth:`PatchedGraph.bfs_levels` sweep for any other source,
+        held only if the store admits it.  Indexed by node position
+        (-1 unreachable), aligned with :attr:`node_list`; the array is
+        read-only.
         """
         return self._hot.levels(self._patched, self._patched.index_of(source))
 
     def distance(self, u: Node, v: Node) -> Optional[int]:
-        """Hop distance between ``u`` and ``v``; None if disconnected."""
-        level = int(self.distances_from(u)[self._patched.index_of(v)])
+        """Hop distance between ``u`` and ``v``; None if disconnected.
+
+        A source the hot-source store holds, or would admit on this
+        query, is answered from its level array via
+        :meth:`distances_from`.  Any other source is counted and
+        answered by one :meth:`FrozenGraph.hop_distance` point search,
+        with no sweep and no admission.
+        """
+        iu = self._patched.index_of(u)
+        iv = self._patched.index_of(v)
+        if self._hot.admits(iu):
+            level = int(self.distances_from(u)[iv])
+        else:
+            self._hot.count(iu)
+            level = self.snapshot().hop_distance(iu, iv)
+            record_serving_point_search()
         return None if level < 0 else level
 
     def nsf_level(self, node: Node) -> int:

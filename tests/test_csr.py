@@ -104,13 +104,24 @@ def test_bfs_levels_matches_reference_bfs(graph, data):
 
 @settings(max_examples=30, deadline=None)
 @given(random_graphs(), st.data())
-def test_k_hop_indices_matches_reference(graph, data):
+def test_hop_distance_matches_bfs_levels(graph, data):
+    # Isolated nodes make unreachable pairs even on a connected draw.
+    isolated = data.draw(st.integers(min_value=0, max_value=3))
+    for i in range(isolated):
+        graph.add_node(("isolated", i))
     fg = graph.frozen()
-    source = data.draw(st.integers(min_value=0, max_value=fg.n - 1))
-    k = data.draw(st.integers(min_value=0, max_value=6))
-    distances = bfs_distances_reference(graph, fg.node_list[source])
-    expected = sorted(fg.index_of(v) for v, d in distances.items() if 0 < d <= k)
-    assert fg.k_hop_indices(source, k).tolist() == expected
+    node = st.integers(min_value=0, max_value=fg.n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=12))
+    pairs += [(u, u) for u, _ in pairs[:2]]
+    pairs += [(fg.n - 1, v) for _, v in pairs[:2]]
+    for u, v in pairs:
+        assert fg.hop_distance(u, v) == fg.bfs_levels(u)[v], (u, v)
+
+
+def test_hop_distance_rejects_directed_snapshots():
+    graph = DiGraph([(0, 1), (1, 2)])
+    with pytest.raises(TypeError):
+        graph.frozen().hop_distance(0, 2)
 
 
 @settings(max_examples=60, deadline=None)

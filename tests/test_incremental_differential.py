@@ -14,8 +14,10 @@ full-rebuild references at every step:
   all bit-exact, and the warm-started PageRank vs the cold-start
   ``pagerank_scores`` kernel (within fixed-point tolerance);
 * ``distances_from`` — the hot-source store, its held arrays repaired
-  across writes — vs a cold BFS of the mirror, and the store's repair
-  kernel vs a cold BFS on small random graphs (Hypothesis).
+  across writes — and ``distance``, whose unadmitted sources take the
+  bidirectional point search, vs a cold BFS of the mirror, and the
+  store's repair kernel vs a cold BFS on small random graphs
+  (Hypothesis).
 
 Traces run both per-edge (``insert_edge`` / ``delete_edge``) and in
 batch form (``apply_batch``), so the vectorized write path is held to
@@ -351,17 +353,62 @@ class TestHotSources:
         assert not repaired.flags.writeable
         assert levels[1] == 1 and repaired[1] == 19
 
-    def test_evicts_the_held_source_with_fewest_queries(self, monkeypatch):
+    @pytest.mark.parametrize("batched", [False, True], ids=["edges", "batches"])
+    @pytest.mark.parametrize("threshold", [8, 1_000_000])
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_point_distances_match_cold_bfs_at_every_step(
+        self, registry, monkeypatch, seed, threshold, batched
+    ):
+        """``distance`` from a cold set four times the store's size:
+        unadmitted sources take the point search, the rest the store."""
+        monkeypatch.setattr(state, "HOT_SOURCES", self.SLOTS)
+        edges = seed_edges(seed)
+        mirror = build_graph(edges)
+        service = GraphService(
+            build_graph(edges), landmark_count=2, threshold=threshold
+        )
+        rng = random.Random(seed * 37 + threshold)
+        cold = rng.sample(sorted(mirror.nodes()), 4 * self.SLOTS)
+        drive = drive_batch_trace if batched else drive_trace
+        for step in drive(service, mirror, rng, steps=30):
+            reference = FrozenGraph(mirror)
+            for source in rng.choices(cold, k=3):
+                target = rng.choice(reference.node_list)
+                assert service.distance(source, target) == (
+                    reference.bfs_distances(source).get(target)
+                ), (seed, threshold, step, source, target)
+                assert len(service._hot) <= self.SLOTS
+        counts = serving_counts(registry)
+        assert counts["point_searches"] > 0
+        assert counts["sweeps"] > 0
+        assert cache_counts(registry) == {}
+
+    def test_evicts_the_held_source_with_fewest_queries(
+        self, registry, monkeypatch
+    ):
         monkeypatch.setattr(state, "HOT_SOURCES", 2)
         service = GraphService(build_graph(CYCLE), landmarks=[0])
         hot = service._hot
         for source in (0, 0, 0, 5, 7):
             service.distances_from(source)
+        # Free slots admit 0 and 5; 7's one query ties 5's, so it is
+        # swept but not held.
+        assert 0 in hot and 5 in hot and 7 not in hot
+        # Counts outlive a miss: 7's second query passes 5's one, so 7
+        # replaces 5, the least-queried held source.
+        service.distances_from(7)
         assert 0 in hot and 7 in hot and 5 not in hot
-        # Counts outlive eviction: 7 overtakes 0, so 5 replaces 0.
-        for source in (7, 7, 7, 5):
-            service.distance(source, 0)
-        assert 7 in hot and 5 in hot and 0 not in hot
+        assert serving_counts(registry)["sweeps"] == 4
+        # Through ``distance`` a tie takes the point search instead:
+        # 5's second query ties 7's two, its third passes them.
+        assert service.distance(5, 0) == 5
+        assert 5 not in hot
+        counts = serving_counts(registry)
+        assert (counts["sweeps"], counts["point_searches"]) == (4, 1)
+        assert service.distance(5, 0) == 5
+        assert 0 in hot and 5 in hot and 7 not in hot
+        counts = serving_counts(registry)
+        assert (counts["sweeps"], counts["point_searches"]) == (5, 1)
 
 
 @st.composite
