@@ -319,45 +319,6 @@ def smoke_perf_runtime() -> Dict[str, Any]:
     }
 
 
-@smoke("scale")
-def smoke_scale() -> Dict[str, Any]:
-    """Toy instance of the million-node tier: sharded kernels proven
-    bit-exact, then timed under a tiny budget with the memory-ceiling
-    assertion included, so a working-set blowout fails tier-1 before
-    the full bench ever runs."""
-    import bench_perf_scale
-    from repro.graphs.generators import degree_ordered_graph
-    from repro.observability.tracing import memory_capture
-
-    budget = 1_000_000
-    ceiling_mib = 256.0
-    rows: list = []
-    timings: Dict[str, float] = {}
-    bench_perf_scale._verify(400, budget, rows)
-    fg = degree_ordered_graph(1200, rng=np.random.default_rng(3))
-    with memory_capture():
-        sample = np.arange(0, fg.n, 5, dtype=np.int64)
-        bench_perf_scale._run_scale_kernel(
-            "distance-sums",
-            lambda: fg.all_pairs_distance_sums(sources=sample, memory_budget=budget),
-            fg,
-            sample.size,
-            budget,
-            ceiling_mib,
-            rows,
-            timings,
-        )
-    return {
-        "title": "million-node tier mechanics (smoke)",
-        "header": bench_perf_scale.HEADER,
-        "rows": rows,
-        "notes": (
-            "Toy instance of benchmarks/bench_perf_scale.py: sharded "
-            "kernels proven bit-exact, memory ceiling asserted per span."
-        ),
-    }
-
-
 @smoke("serving")
 def smoke_serving() -> Dict[str, Any]:
     """Toy instance of benchmarks/bench_serving.py: answer equality and

@@ -28,18 +28,13 @@ repr-order tie-break, which assumes distinct nodes have distinct
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.errors import AlgorithmError, ConvergenceError, NodeNotFoundError
-from repro.observability.tracing import get_tracer, traced
-from repro.observability.telemetry import (
-    record_cache_event,
-    record_dispatch,
-    record_shard,
-)
+from repro.observability.tracing import traced
+from repro.observability.telemetry import record_cache_event, record_dispatch
 
 Node = Hashable
 
@@ -54,78 +49,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: Sources per bit-parallel BFS batch (multiples of 64 pack evenly into
 #: uint64 frontier words).
 _BITSET_BATCH = 256
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A bounded-memory streaming plan for one source-sharded sweep.
-
-    Planned by :func:`shard_sources` for the bit-parallel sum,
-    eccentricity, closeness and label kernels and for batched routing.
-    ``batch`` sources advance together per shard; ``est_shard_bytes``
-    is the planner's estimate of one shard's transient working set
-    (frontier/visited/next bit planes, the flat edge gather, and the
-    per-level unpack).  ``feasible`` is False when even the smallest
-    shard exceeds ``budget_bytes`` — the sweep still runs (clamped to
-    the minimum batch), it just cannot honor the budget, and callers
-    that must hard-bound memory should treat that as an error.
-    """
-
-    n_sources: int
-    batch: int
-    shards: int
-    est_shard_bytes: int
-    budget_bytes: Optional[int]
-    feasible: bool = True
-
-    def batches(self, sources: np.ndarray):
-        """Yield ``sources`` in consecutive ``batch``-sized shards."""
-        for start in range(0, sources.shape[0], self.batch):
-            yield sources[start : start + self.batch]
-
-
-def shard_sources(
-    n_sources: int,
-    memory_budget: Optional[int] = None,
-    n: int = 0,
-    edges: int = 0,
-    max_batch: int = _BITSET_BATCH,
-    align: int = 64,
-) -> ShardPlan:
-    """Plan source shards whose sweep working set fits ``memory_budget``.
-
-    The bit-parallel kernels materialize, per shard of ``b`` sources
-    over a graph with ``n`` nodes and ``edges`` CSR entries, roughly
-    ``ceil(b / 64) * 8 * (4n + edges)`` bytes of uint64 bit planes and
-    edge gathers plus ``n * b`` bytes of per-level unpack.  The planner
-    returns the largest batch (a multiple of ``align``, at most
-    ``max_batch``) whose estimate fits the budget; with no budget the
-    historical :data:`_BITSET_BATCH` default stands.
-    """
-    if align < 1:
-        raise ValueError(f"align must be >= 1, got {align}")
-    if memory_budget is not None and memory_budget <= 0:
-        raise ValueError(f"memory_budget must be positive, got {memory_budget}")
-
-    def estimate(b: int) -> int:
-        words = (b + 63) // 64
-        return words * 8 * (4 * n + edges) + n * b
-
-    batch = max(align, (max_batch // align) * align)
-    feasible = True
-    if memory_budget is not None:
-        while batch > align and estimate(batch) > memory_budget:
-            batch -= align
-        feasible = estimate(batch) <= memory_budget
-    shards = -(-n_sources // batch) if n_sources else 0
-    return ShardPlan(
-        n_sources=int(n_sources),
-        batch=int(batch),
-        shards=int(shards),
-        est_shard_bytes=int(estimate(batch)),
-        budget_bytes=memory_budget,
-        feasible=feasible,
-    )
 
 
 def _distinct(idx: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -502,19 +425,6 @@ class FrozenGraph:
             frontier = nxt
         return sums, reached, ecc
 
-    def _sweep_plan(
-        self,
-        n_sources: int,
-        memory_budget: Optional[int],
-    ) -> ShardPlan:
-        """The shard plan for a bitset sweep over this snapshot."""
-        return shard_sources(
-            n_sources,
-            memory_budget=memory_budget,
-            n=self.n,
-            edges=int(self.indices.shape[0]),
-        )
-
     def _source_array(
         self, sources: Optional[Union[Sequence[int], np.ndarray]]
     ) -> np.ndarray:
@@ -523,45 +433,27 @@ class FrozenGraph:
             return np.arange(self.n, dtype=np.int64)
         return np.atleast_1d(np.asarray(sources, dtype=np.int64))
 
-    def _streamed_sweep(
-        self,
-        kernel: str,
-        sources: Optional[Union[Sequence[int], np.ndarray]],
-        memory_budget: Optional[int],
-    ):
-        """Yield ``(slice, sums, reached, ecc)`` per shard of sources.
+    def _streamed_sweep(self, srcs: np.ndarray):
+        """Yield ``(slice, sums, reached, ecc)`` per batch of sources.
 
         The one streaming loop under the sum/eccentricity/closeness
-        family: shards are planned by :func:`shard_sources`, each shard
-        is traced (``repro.graphs.csr.shard`` spans carry the memory
-        peaks into the ledger) and counted into the shard telemetry, and
-        per-shard results are folded by the caller as they arrive — the
-        full O(sources x n) intermediate never exists.
+        family: sources advance :data:`_BITSET_BATCH` at a time and the
+        caller folds each batch's results as they arrive, so the full
+        O(sources x n) intermediate never exists.
         """
-        srcs = self._source_array(sources)
-        plan = self._sweep_plan(srcs.shape[0], memory_budget)
-        offset = 0
-        for shard in plan.batches(srcs):
-            with get_tracer().span(
-                "repro.graphs.csr.shard", kernel=kernel, sources=int(shard.shape[0])
-            ):
-                sums, reached, ecc = self._bitset_sweep(shard)
-            record_shard(kernel)
-            yield slice(offset, offset + shard.shape[0]), sums, reached, ecc
-            offset += shard.shape[0]
+        for start in range(0, srcs.shape[0], _BITSET_BATCH):
+            batch = srcs[start : start + _BITSET_BATCH]
+            sums, reached, ecc = self._bitset_sweep(batch)
+            yield slice(start, start + batch.shape[0]), sums, reached, ecc
 
     @traced("repro.graphs.csr.eccentricities")
     def eccentricities(
-        self,
-        sources: Optional[Union[Sequence[int], np.ndarray]] = None,
-        memory_budget: Optional[int] = None,
+        self, sources: Optional[Union[Sequence[int], np.ndarray]] = None
     ) -> np.ndarray:
         """Eccentricity over the reachable set, per requested source.
 
         Default: every node, index order.  ``sources`` restricts the
-        sweep (the result aligns with the given order);
-        ``memory_budget`` bounds the per-shard working set via
-        :func:`shard_sources`.
+        sweep (the result aligns with the given order).
         """
         srcs = self._source_array(sources)
         ecc = np.empty(srcs.shape[0], dtype=np.int64)
@@ -569,24 +461,20 @@ class FrozenGraph:
             for j, i in enumerate(srcs):
                 ecc[j] = self.bfs_levels(int(i)).max()
             return ecc
-        for out, _sums, _reached, shard_ecc in self._streamed_sweep(
-            "eccentricities", srcs, memory_budget
-        ):
-            ecc[out] = shard_ecc
+        for out, _sums, _reached, batch_ecc in self._streamed_sweep(srcs):
+            ecc[out] = batch_ecc
         return ecc
 
     @traced("repro.graphs.csr.all_pairs_distance_sums")
     def all_pairs_distance_sums(
-        self,
-        sources: Optional[Union[Sequence[int], np.ndarray]] = None,
-        memory_budget: Optional[int] = None,
+        self, sources: Optional[Union[Sequence[int], np.ndarray]] = None
     ) -> np.ndarray:
         """Sum of hop distances from each source to its reachable set.
 
         The all-pairs BFS sweep behind closeness and the Wiener index;
-        undirected snapshots stream the bit-parallel shards (bounded by
-        ``memory_budget`` when given), one vectorized BFS per source
-        otherwise.  ``sources=None`` sweeps every node in index order.
+        undirected snapshots stream the bit-parallel batches, one
+        vectorized BFS per source otherwise.  ``sources=None`` sweeps
+        every node in index order.
         """
         srcs = self._source_array(sources)
         sums = np.zeros(srcs.shape[0], dtype=np.int64)
@@ -595,10 +483,8 @@ class FrozenGraph:
                 level = self.bfs_levels(int(i))
                 sums[j] = level[level > 0].sum()
             return sums
-        for out, shard_sums, _reached, _ecc in self._streamed_sweep(
-            "all_pairs_distance_sums", srcs, memory_budget
-        ):
-            sums[out] = shard_sums
+        for out, batch_sums, _reached, _ecc in self._streamed_sweep(srcs):
+            sums[out] = batch_sums
         return sums
 
     # ------------------------------------------------------------------
@@ -671,24 +557,18 @@ class FrozenGraph:
     # centralities and clustering
     # ------------------------------------------------------------------
     @traced("repro.graphs.csr.closeness_centrality")
-    def closeness_centrality(
-        self, memory_budget: Optional[int] = None
-    ) -> Dict[Node, float]:
+    def closeness_centrality(self) -> Dict[Node, float]:
         """Wasserman–Faust closeness, identical to the reference formula.
 
-        ``memory_budget`` bounds the per-shard working set of the
-        underlying bit-parallel sweep (see :func:`shard_sources`); the
-        per-node fold happens shard by shard, so the result dict is the
-        only O(n) output ever held.
+        The per-node fold happens batch by batch of the bit-parallel
+        sweep, so the result dict is the only O(n) output ever held.
         """
         n = self.n
         result: Dict[Node, float] = {}
         nodes = self.node_list
         if not self.directed:
             srcs = np.arange(n, dtype=np.int64)
-            for out, sums, reached, _ecc in self._streamed_sweep(
-                "closeness_centrality", srcs, memory_budget
-            ):
+            for out, sums, reached, _ecc in self._streamed_sweep(srcs):
                 for j, i in enumerate(srcs[out]):
                     result[nodes[i]] = self._closeness_value(
                         int(reached[j]) - 1, int(sums[j])
@@ -1055,8 +935,8 @@ class FrozenGraph:
         """One multi-source BFS over (sorted, distinct) source indices.
 
         Returns per-node ``(hop level, repr rank of the nearest
-        source)`` — the raw (distance, rank) key the public label
-        kernels fold and convert.  Unreachable nodes get
+        source)`` — the raw (distance, rank) key that
+        :meth:`multi_source_labels` converts.  Unreachable nodes get
         ``(-1, _INT64_MAX)``.
         """
         n = self.n
@@ -1091,9 +971,7 @@ class FrozenGraph:
         return level, lab_rank
 
     def multi_source_labels(
-        self,
-        sources: Union[Sequence[int], np.ndarray],
-        memory_budget: Optional[int] = None,
+        self, sources: Union[Sequence[int], np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Hop distance to, and index of, the nearest source per node.
 
@@ -1102,37 +980,11 @@ class FrozenGraph:
         it, ties resolved toward the smallest repr rank — exactly the
         per-landmark-BFS-in-repr-order reference (which keeps only
         strictly smaller distances).  Unreachable nodes get (-1, -1).
-
-        With ``memory_budget`` the sources are streamed in
-        :func:`shard_sources` shards and the per-shard (distance, rank)
-        keys folded by lexicographic minimum — associativity makes the
-        fold bit-identical to the single whole-set sweep while the
-        working set stays at one shard's frontier.
         """
         n = self.n
         rank = self._repr_ranks()
         srcs = np.unique(np.atleast_1d(np.asarray(sources, dtype=np.int64)))
-        plan = self._sweep_plan(srcs.shape[0], memory_budget)
-        if memory_budget is None or plan.shards <= 1:
-            level, lab_rank = self._label_sweep(srcs)
-        else:
-            level = np.full(n, _UNREACHABLE, dtype=np.int64)
-            lab_rank = np.full(n, _INT64_MAX, dtype=np.int64)
-            for shard in plan.batches(srcs):
-                with get_tracer().span(
-                    "repro.graphs.csr.shard",
-                    kernel="multi_source_labels",
-                    sources=int(shard.shape[0]),
-                ):
-                    s_level, s_rank = self._label_sweep(shard)
-                record_shard("multi_source_labels")
-                better = (s_level >= 0) & (
-                    (level < 0)
-                    | (s_level < level)
-                    | ((s_level == level) & (s_rank < lab_rank))
-                )
-                level[better] = s_level[better]
-                lab_rank[better] = s_rank[better]
+        level, lab_rank = self._label_sweep(srcs)
         landmark = np.full(n, -1, dtype=np.int64)
         reach = level >= 0
         if reach.any():

@@ -229,15 +229,14 @@ def degree_ordered_edges(
     Expected degrees follow the power law ``w_i ∝ (i+1)^(-1/(γ-1))``
     (γ = ``exponent``), so node 0 is the top hub and degrees decay
     monotonically with the node index — the "degree-ordered" layout
-    the million-node tier freezes directly into CSR, no relabeling
-    pass needed.  Endpoints are sampled proportionally to the weights,
-    then self-loops and duplicates are dropped, so the realized edge
-    count is slightly below ``n * avg_degree / 2``.
+    :func:`degree_ordered_graph` freezes directly into CSR, no
+    relabeling pass needed.  Endpoints are sampled proportionally to
+    the weights, then self-loops and duplicates are dropped, so the
+    realized edge count is slightly below ``n * avg_degree / 2``.
 
     Fully vectorized (two weighted draws, one ``np.unique`` over
-    ``u * n + v`` pair keys): generating 10^6 nodes / ~4·10^6 edges
-    takes seconds, where the dict-of-sets builders take minutes.
-    Returns the deduplicated ``(u, v)`` arrays with ``u < v``.
+    ``u * n + v`` pair keys), with no Python call per edge.  Returns
+    the deduplicated ``(u, v)`` arrays with ``u < v``.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -271,10 +270,11 @@ def degree_ordered_graph(
     Builds the symmetric CSR arrays directly (bincount degrees →
     cumsum ``indptr``; lexsorted ``(src, dst)`` → sorted rows) and
     freezes via :meth:`FrozenGraph.from_arrays` without ever touching
-    the dict-of-sets representation — the only path that reaches
-    n = 10^6 in reasonable time.  For differential testing at small n,
+    the dict-of-sets representation, so the build costs a few array
+    passes instead of one Python call per edge.
     :func:`degree_ordered_reference` replays the same edge list
-    through the mutable :class:`Graph` builder.
+    through the mutable :class:`Graph` builder; the two must freeze to
+    identical arrays.
     """
     from repro.graphs.csr import FrozenGraph
 

@@ -24,7 +24,7 @@ never occurs, and the differential tests assert full equality.)
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
@@ -47,18 +47,13 @@ def select_landmarks(graph, count: int) -> List[Node]:
 
 
 @traced("repro.labeling.distance_gateway_labels")
-def distance_gateway_labels(
-    graph, landmarks: Iterable[Node], memory_budget: Optional[int] = None
-) -> Dict[Node, HopLabel]:
+def distance_gateway_labels(graph, landmarks: Iterable[Node]) -> Dict[Node, HopLabel]:
     """(hop distance, nearest landmark) per reachable node.
 
     Ties between equally near landmarks resolve to the repr-smallest
     one.  Routes to one multi-source BFS on the frozen
     snapshot above the freeze threshold; exact equality with
     :func:`distance_gateway_labels_reference` either way.
-    ``memory_budget`` streams the landmark sweep in bounded shards
-    (see :func:`repro.graphs.csr.shard_sources`) without changing a
-    single label.
     """
     lms = list(landmarks)
     if not lms:
@@ -67,9 +62,7 @@ def distance_gateway_labels(
         record_dispatch("labeling.distance_gateway_labels", fast=True)
         fg = graph.frozen()
         sources = np.array([fg.index_of(lm) for lm in lms], dtype=np.int64)
-        level, landmark = fg.multi_source_labels(
-            sources, memory_budget=memory_budget
-        )
+        level, landmark = fg.multi_source_labels(sources)
         nodes = fg.node_list
         return {
             nodes[i]: (int(level[i]), nodes[int(landmark[i])])

@@ -52,7 +52,6 @@ from repro.observability.telemetry import (
     dispatch_counts,
     record_cache_event,
     record_dispatch,
-    record_shard,
 )
 from repro.observability.export import (
     BENCH_SCHEMA,
@@ -101,7 +100,6 @@ __all__ = [
     "read_jsonl",
     "record_cache_event",
     "record_dispatch",
-    "record_shard",
     "set_registry",
     "to_jsonl",
     "to_prometheus",

@@ -1,4 +1,4 @@
-"""Cache, dispatch, and shard telemetry for the frozen fast paths.
+"""Cache, dispatch, and serving telemetry for the frozen fast paths.
 
 Counter families on the global metrics registry:
 
@@ -16,9 +16,6 @@ Counter families on the global metrics registry:
     ``kernel=graphs.freeze`` with ``path=build|arrays|patch-merge``,
     so "how often was the graph rebuilt?" is answerable from a
     snapshot.
-
-``repro.shard.sweeps{kernel=...}``
-    One count per streamed source shard a kernel processed.
 
 ``repro.serving.*``
     The incremental serving plane (:mod:`repro.serving`):
@@ -48,7 +45,7 @@ Counter families on the global metrics registry:
     ``kernel=graphs.apply_batch, path=patch-batch``.
 
 All helpers are one registry lookup plus an integer add, and they are
-called at entry-point / per-shard granularity (never per node / per
+called at entry-point / per-batch granularity (never per node / per
 contact), so they stay within the disabled-mode overhead budget.
 Import the module from kernel code — not individual counters — so
 tests can swap the registry via
@@ -64,7 +61,6 @@ from repro.observability.metrics import MetricsRegistry, get_registry
 
 CACHE_METRIC = "repro.cache.frozen"
 DISPATCH_METRIC = "repro.dispatch.calls"
-SHARD_METRIC = "repro.shard.sweeps"
 SERVING_PATCH_METRIC = "repro.serving.patch"
 SERVING_REPAIR_METRIC = "repro.serving.repairs"
 SERVING_QUERY_METRIC = "repro.serving.queries"
@@ -101,11 +97,6 @@ def record_dispatch(kernel: str, fast: bool = True, path: str = None) -> None:
     get_registry().counter(
         DISPATCH_METRIC, {"kernel": kernel, "path": path}
     ).inc()
-
-
-def record_shard(kernel: str, count: int = 1) -> None:
-    """Count ``count`` streamed source shards processed by ``kernel``."""
-    get_registry().counter(SHARD_METRIC, {"kernel": kernel}).inc(int(count))
 
 
 def record_patch_event(event: str, count: int = 1) -> None:

@@ -40,12 +40,11 @@ before, during and after its children.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import threading
 import time
 import tracemalloc
-from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.observability.metrics import get_registry
 
@@ -311,24 +310,6 @@ def disable() -> None:
 
 def enabled() -> bool:
     return _global_tracer.enabled
-
-
-@contextlib.contextmanager
-def memory_capture() -> Iterator[Tracer]:
-    """Run a block with the global tracer on and memory capture on.
-
-    The tracer's prior enabled/memory state is restored afterwards, so
-    a caller that already traces keeps tracing once the block ends.
-    """
-    was_enabled, was_memory = _global_tracer.enabled, _global_tracer.memory
-    _global_tracer.enable(memory=True)
-    try:
-        yield _global_tracer
-    finally:
-        if was_enabled:
-            _global_tracer.enable(memory=was_memory)
-        else:
-            _global_tracer.disable()
 
 
 def traced(name: str) -> Callable[[F], F]:

@@ -34,9 +34,9 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph, shard_sources
-from repro.observability.tracing import get_tracer, traced
-from repro.observability.telemetry import record_dispatch, record_shard
+from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph
+from repro.observability.tracing import traced
+from repro.observability.telemetry import record_dispatch
 from repro.graphs.unit_disk import positions_of
 from repro.labeling.kleinberg_routing import greedy_grid_route
 from repro.remapping.feature_space import FeatureSpace, greedy_profile_route
@@ -132,6 +132,10 @@ def _scan_neighbors(fg: FrozenGraph, scan: str) -> np.ndarray:
 #: per-pair walk (same fold, same scan order — purely a constant-factor
 #: choice, never a semantic one).
 _TAIL_MAX_ACTIVE = 96
+
+#: Targets per :func:`_optimal_for_pairs` chunk: the bits of one int64
+#: mask, sign bit excluded.
+_TARGET_CHUNK = 63
 
 
 def _finish_tail(
@@ -275,10 +279,7 @@ def _pair_indices(
 
 
 def _optimal_for_pairs(
-    fg: FrozenGraph,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    memory_budget: Optional[int] = None,
+    fg: FrozenGraph, sources: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """Shortest-path hops source → target per pair (-1 if unreachable).
 
@@ -288,50 +289,37 @@ def _optimal_for_pairs(
     a node reaches a target in d+1 hops iff some out-neighbor (forward
     arcs; plain neighbor when undirected) reaches it in d.  A pair is
     resolved the round its source first holds its target's bit, so no
-    full level matrix is ever built.  Target chunks come from the
-    :func:`~repro.graphs.csr.shard_sources` planner (63 bits per int64
-    word at most); ``memory_budget`` shrinks the chunk width.
+    full level matrix is ever built.  Targets go in chunks of
+    :data:`_TARGET_CHUNK`, the bits one int64 mask holds.
     """
     distinct, slot = np.unique(targets, return_inverse=True)
     optimal = np.full(sources.shape[0], -1, dtype=np.int64)
     if distinct.size == 0:
         return optimal
     rows, seg_starts = fg._row_segments()
-    plan = shard_sources(
-        int(distinct.size),
-        memory_budget=memory_budget,
-        n=fg.n,
-        edges=int(fg.indices.shape[0]),
-        max_batch=63,
-        align=1,
-    )
-    for base in range(0, int(distinct.size), plan.batch):
-        chunk = distinct[base : base + plan.batch]
+    for base in range(0, int(distinct.size), _TARGET_CHUNK):
+        chunk = distinct[base : base + _TARGET_CHUNK]
         k = chunk.size
-        with get_tracer().span(
-            "repro.remapping.shard", kernel="_optimal_for_pairs", targets=int(k)
-        ):
-            record_shard("_optimal_for_pairs")
-            state = np.zeros(fg.n, dtype=np.int64)
-            state[chunk] |= np.int64(1) << np.arange(k, dtype=np.int64)
-            pending = np.flatnonzero((slot >= base) & (slot < base + k))
-            bit = np.int64(1) << (slot[pending] - base)
-            done = (state[sources[pending]] & bit) != 0
-            optimal[pending[done]] = 0
-            pending, bit = pending[~done], bit[~done]
-            depth = 0
-            while pending.size and depth <= fg.n:
-                depth += 1
-                merged = state[rows] | np.bitwise_or.reduceat(
-                    state[fg.indices], seg_starts
-                )
-                if np.array_equal(merged, state[rows]):
-                    break  # masks stable: the rest is unreachable
-                state[rows] = merged
-                hit = (state[sources[pending]] & bit) != 0
-                if hit.any():
-                    optimal[pending[hit]] = depth
-                    pending, bit = pending[~hit], bit[~hit]
+        state = np.zeros(fg.n, dtype=np.int64)
+        state[chunk] |= np.int64(1) << np.arange(k, dtype=np.int64)
+        pending = np.flatnonzero((slot >= base) & (slot < base + k))
+        bit = np.int64(1) << (slot[pending] - base)
+        done = (state[sources[pending]] & bit) != 0
+        optimal[pending[done]] = 0
+        pending, bit = pending[~done], bit[~done]
+        depth = 0
+        while pending.size and depth <= fg.n:
+            depth += 1
+            merged = state[rows] | np.bitwise_or.reduceat(
+                state[fg.indices], seg_starts
+            )
+            if np.array_equal(merged, state[rows]):
+                break  # masks stable: the rest is unreachable
+            state[rows] = merged
+            hit = (state[sources[pending]] & bit) != 0
+            if hit.any():
+                optimal[pending[hit]] = depth
+                pending, bit = pending[~hit], bit[~hit]
     return optimal
 
 

@@ -3,8 +3,8 @@
 The scalar :class:`~repro.runtime.engine.Network` realises the LOCAL
 round model faithfully but pays Python-object prices per node and per
 message, which is why the protocol benchmarks historically stopped at
-n ≈ 64 while the graph plane handles n = 10⁶.  This module runs the
-same round model as dense numpy operations over a
+n ≈ 64 while the graph kernels sweep whole snapshots.  This module
+runs the same round model as dense numpy operations over a
 :class:`~repro.graphs.csr.FrozenGraph` snapshot:
 
 * node state lives in index-aligned **state vectors** (one array per

@@ -37,7 +37,6 @@ if BENCH_DIR not in sys.path:
 import bench_perf_csr  # noqa: E402  (benchmarks/bench_perf_csr.py)
 import bench_perf_labeling  # noqa: E402
 import bench_perf_runtime  # noqa: E402
-import bench_perf_scale  # noqa: E402
 import bench_perf_temporal  # noqa: E402
 import bench_serving  # noqa: E402
 import bench_serving_write  # noqa: E402
@@ -252,48 +251,6 @@ def test_committed_feed_is_valid_and_meets_floors(bench):
     assert validate_bench_report(document) == []
     assert document["header"] == bench.HEADER
     check_floors(speedups(document["header"], document["rows"]), bench.FLOORS)
-
-
-def test_perf_scale_toy_run_validates_schema_and_tiers(tmp_path):
-    result = bench_perf_scale.run(
-        scale_n=3000,
-        verify_n=500,
-        memory_budget=4 * 1024 * 1024,
-        ceiling_mib=512.0,
-        out_dir=str(tmp_path),
-        top_dir=str(tmp_path),
-    )
-    assert result.experiment == "perf-scale"
-    document = json.loads(Path(result.json_path).read_text())
-    assert document["schema"] == BENCH_SCHEMA
-    assert validate_bench_report(document) == []
-    assert Path(result.bench_path).read_text() == Path(result.json_path).read_text()
-    tiers = {row[0] for row in result.rows}
-    assert {"verify", "scale"} <= tiers
-    # every scale row stayed under the asserted ceiling
-    header = document["header"]
-    peak_col = header.index("peak MiB")
-    ceiling_col = header.index("ceiling MiB")
-    for row in document["rows"]:
-        if row[0] == "scale":
-            assert float(row[peak_col]) <= float(row[ceiling_col])
-
-
-def test_committed_perf_scale_feed_has_million_node_rows():
-    path = os.path.join(TOP, "BENCH_perf-scale.json")
-    document = json.loads(Path(path).read_text())
-    assert validate_bench_report(document) == []
-    header = document["header"]
-    n_col = header.index("n")
-    peak_col = header.index("peak MiB")
-    ceiling_col = header.index("ceiling MiB")
-    scale_rows = [row for row in document["rows"] if row[0] == "scale"]
-    assert scale_rows, "committed feed must carry the scale tier"
-    assert max(int(row[n_col]) for row in scale_rows) >= 1_000_000
-    for row in scale_rows:
-        assert float(row[peak_col]) <= float(row[ceiling_col]), row
-    # the bit-exactness tier ran before any timing
-    assert any(row[0] == "verify" for row in document["rows"])
 
 
 def test_serving_toy_run_validates_schema_and_equivalence(tmp_path):

@@ -28,20 +28,14 @@ def test_smoke_runs_every_figure_and_validates(tmp_path):
     results = smoke.run_all(out_dir=str(tmp_path), top_dir=str(tmp_path))
     assert set(results) == set(smoke.SMOKE_RUNNERS)
     # Every figure of the paper, the DTN application table, the chaos
-    # degradation sweep, and the million-node tier mechanics are covered.
+    # degradation sweep and the serving plane are covered.
     assert {f"fig{i}" for i in range(1, 10)} | {
         "dtn",
         "faults",
         "perf-runtime",
-        "scale",
         "serving",
         "serving-write",
     } <= set(results)
-    # The scale smoke must have exercised the sharded tier with its
-    # memory ceiling intact (the runner raises past the ceiling).
-    scale_rows = results["scale"].rows
-    assert any(row[0] == "scale" for row in scale_rows)
-    assert any(row[0] == "verify" for row in scale_rows)
     for name, result in results.items():
         assert os.path.dirname(result.json_path) == str(tmp_path)
         document = json.loads(open(result.json_path).read())
@@ -95,24 +89,8 @@ def test_each_runner_records_into_its_own_registry(tmp_path, monkeypatch):
     assert [record["experiment"] for record in ledger] == [
         f"smoke-{name}" for name in sorted(smoke.SMOKE_RUNNERS)
     ]
-    assert own_spans["scale"]  # the scale runner traces memory
     for record in ledger:
         name = record["experiment"][len("smoke-"):]
         foreign = set(record.get("memory") or {}) - own_spans[name]
         assert foreign == set(), record["experiment"]
 
-
-def test_scale_runner_keeps_an_enabled_tracer_on():
-    """The scale runner's memory capture must hand the tracer back in
-    the state it found it: still on for the runners that sort after
-    ``scale``, with memory capture off again."""
-    tracer = get_tracer()
-    was_enabled = tracer.enabled
-    tracer.enable()
-    try:
-        smoke.SMOKE_RUNNERS["scale"]()
-        assert tracer.enabled
-        assert not tracer.memory
-    finally:
-        tracer.disable()
-        tracer.enabled = was_enabled

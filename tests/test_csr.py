@@ -16,8 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph, _distinct
-from repro.graphs.generators import barabasi_albert, erdos_renyi
+from repro.graphs.csr import _BITSET_BATCH, FROZEN_MIN_NODES, FrozenGraph, _distinct
+from repro.graphs.generators import (
+    barabasi_albert,
+    degree_ordered_graph,
+    degree_ordered_reference,
+    erdos_renyi,
+)
 from repro.graphs.graph import DiGraph, Graph
 from repro.graphs.metrics import (
     average_clustering,
@@ -32,6 +37,10 @@ from repro.graphs.traversal import (
     connected_components,
     connected_components_reference,
 )
+from repro.labeling.landmarks import (
+    distance_gateway_labels,
+    distance_gateway_labels_reference,
+)
 from repro.layering.nsf import (
     local_lowest_degree_nodes_reference,
     nested_subgraphs,
@@ -39,6 +48,7 @@ from repro.layering.nsf import (
     nsf_levels_reference,
     peel_to_fraction,
 )
+from repro.remapping.batch_routing import _TARGET_CHUNK, _optimal_for_pairs
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +266,111 @@ def test_isolated_nodes_and_disconnection():
     assert fg.connected_components() == connected_components_reference(graph)
     sums = fg.all_pairs_distance_sums()
     assert int(sums[fg.index_of(39)]) == 0
+
+
+# ----------------------------------------------------------------------
+# multi-batch sweeps: more sources than one bitset batch, more targets
+# than one int64 mask
+# ----------------------------------------------------------------------
+
+def _multi_batch_graph(n, seed):
+    graph = degree_ordered_reference(n, avg_degree=6.0, rng=np.random.default_rng(seed))
+    assert graph.num_nodes > _BITSET_BATCH
+    return graph
+
+
+def test_bitset_sweeps_fold_every_batch_exactly():
+    graph = _multi_batch_graph(500, 11)
+    fg = graph.frozen()
+    levels = [fg.bfs_levels(i) for i in range(fg.n)]
+    sums = np.array([lv[lv > 0].sum() for lv in levels], dtype=np.int64)
+    ecc = np.array([lv.max() for lv in levels], dtype=np.int64)
+    assert np.array_equal(fg.all_pairs_distance_sums(), sums)
+    assert np.array_equal(fg.eccentricities(), ecc)
+    assert fg.closeness_centrality() == closeness_centrality_reference(graph)
+    # a permuted source subset spanning two batches keeps its own order
+    order = np.random.default_rng(12).permutation(fg.n)[: _BITSET_BATCH + 44]
+    assert np.array_equal(fg.all_pairs_distance_sums(sources=order), sums[order])
+    assert np.array_equal(fg.eccentricities(sources=order), ecc[order])
+
+
+def test_multi_source_labels_past_one_batch_match_reference():
+    graph = _multi_batch_graph(600, 13)
+    fg = graph.frozen()
+    landmarks = list(range(0, 600, 2))
+    assert len(landmarks) > _BITSET_BATCH
+    expected = distance_gateway_labels_reference(graph, landmarks)
+    level, landmark = fg.multi_source_labels([fg.index_of(lm) for lm in landmarks])
+    nodes = fg.node_list
+    got = {
+        nodes[i]: (int(level[i]), nodes[int(landmark[i])])
+        for i in np.flatnonzero(level >= 0)
+    }
+    assert got == expected
+    assert distance_gateway_labels(graph, landmarks) == expected
+
+
+def test_optimal_for_pairs_past_one_target_chunk_matches_bfs():
+    fg = _multi_batch_graph(300, 16).frozen()
+    rng = np.random.default_rng(17)
+    sources = rng.integers(0, fg.n, size=240)
+    targets = rng.integers(0, fg.n, size=240)
+    targets[:5] = sources[:5]  # zero-hop pairs
+    assert np.unique(targets).size > 2 * _TARGET_CHUNK
+    expected = np.array(
+        [fg.bfs_levels(int(s))[int(t)] for s, t in zip(sources, targets)],
+        dtype=np.int64,
+    )
+    assert np.array_equal(_optimal_for_pairs(fg, sources, targets), expected)
+
+
+def _sparse_graph(n, seed):
+    """G(n, p) at mean degree ~2.4: several components and isolated nodes."""
+    return erdos_renyi(n, 2.4 / n, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 512, 513])
+def test_bitset_sweeps_at_batch_boundaries(count):
+    # sources sliced one short of, exactly at and one past a batch edge,
+    # with repeats and unreachable pairs spread over the batches
+    fg = _sparse_graph(600, 21).frozen()
+    order = np.random.default_rng(count).integers(0, fg.n, size=count)
+    levels = [fg.bfs_levels(int(i)) for i in order]
+    sums = np.array([lv[lv > 0].sum() for lv in levels], dtype=np.int64)
+    ecc = np.array([lv.max() for lv in levels], dtype=np.int64)
+    assert np.array_equal(fg.all_pairs_distance_sums(sources=order), sums)
+    assert np.array_equal(fg.eccentricities(sources=order), ecc)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 513])
+def test_closeness_at_batch_boundaries(n):
+    graph = _sparse_graph(n, n)
+    assert graph.frozen().closeness_centrality() == closeness_centrality_reference(graph)
+
+
+@pytest.mark.parametrize("k", [1, 62, 63, 64, 126, 127])
+def test_optimal_for_pairs_at_target_chunk_boundaries(k):
+    # k distinct targets: one short of, exactly at and one past a chunk edge
+    fg = _sparse_graph(300, 22).frozen()
+    rng = np.random.default_rng(k)
+    distinct = rng.choice(fg.n, size=k, replace=False)
+    targets = np.concatenate([distinct, rng.choice(distinct, size=40)])
+    sources = rng.integers(0, fg.n, size=targets.size)
+    assert np.unique(targets).size == k
+    expected = np.array(
+        [fg.bfs_levels(int(s))[int(t)] for s, t in zip(sources, targets)],
+        dtype=np.int64,
+    )
+    assert np.array_equal(_optimal_for_pairs(fg, sources, targets), expected)
+
+
+def test_degree_ordered_graph_freezes_like_its_dict_twin():
+    for n, seed in ((300, 7), (2500, 8)):
+        fg = degree_ordered_graph(n, rng=np.random.default_rng(seed))
+        twin = FrozenGraph(degree_ordered_reference(n, rng=np.random.default_rng(seed)))
+        assert np.array_equal(fg.indptr, twin.indptr)
+        assert np.array_equal(fg.indices, twin.indices)
+        assert fg.node_list == twin.node_list
 
 
 @pytest.mark.parametrize(

@@ -285,16 +285,6 @@ class TestTracing:
         assert not tracemalloc.is_tracing()
         assert not tracer.enabled and not tracer.memory
 
-    @pytest.mark.parametrize("was_enabled", [False, True])
-    def test_memory_capture_restores_prior_state(self, was_enabled, global_tracer):
-        if was_enabled:
-            global_tracer.enable()
-        with tracing.memory_capture() as tracer:
-            assert tracer is global_tracer
-            assert tracer.enabled and tracer.memory
-        assert global_tracer.enabled is was_enabled
-        assert not global_tracer.memory
-
     def test_summary_aggregates_per_name_slowest_first(self, fresh_registry):
         tracer = Tracer(enabled=True)
         with tracer.span("slow"):
@@ -309,7 +299,7 @@ class TestTracing:
         assert by_name["slow"]["total_s"] >= by_name["slow"]["max_s"] > 0
         assert tracer.summary(top=1) == summary[:1]
 
-    def test_memory_summary_empty_without_memory_capture(self, fresh_registry):
+    def test_memory_summary_empty_without_memory_tracing(self, fresh_registry):
         tracer = Tracer(enabled=True)
         with tracer.span("work"):
             blob = bytearray(64 * 1024)
@@ -388,7 +378,7 @@ class TestTracing:
         assert record["attrs"]["error"] == "ValueError"
         assert fresh_registry.get("repro.test.fails.duration_s").count == 1
 
-    def test_traced_observes_peak_under_memory_capture(
+    def test_traced_observes_peak_with_memory_tracing(
         self, global_tracer, fresh_registry
     ):
         @traced("repro.test.alloc")
@@ -396,8 +386,10 @@ class TestTracing:
             blob = bytearray(512 * 1024)
             del blob
 
-        with tracing.memory_capture():
-            workload()
+        global_tracer.enable(memory=True)
+        workload()
+        global_tracer.disable()
+        assert not global_tracer.memory
         (record,) = global_tracer.spans("repro.test.alloc")
         assert record["peak_kib"] > 256
         snapshot = fresh_registry.snapshot()
