@@ -131,6 +131,7 @@ class FrozenGraph:
         self.degrees = np.diff(indptr)
         self.generation = getattr(graph, "_generation", -1)
         self._edge_src: Optional[np.ndarray] = None
+        self._halves: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._repr_rank: Optional[np.ndarray] = None
         self._segments: Optional[Tuple[np.ndarray, np.ndarray]] = None
         record_dispatch("graphs.freeze", path="build")
@@ -194,6 +195,7 @@ class FrozenGraph:
         fg.degrees = np.diff(indptr)
         fg.generation = int(generation)
         fg._edge_src = None
+        fg._halves = None
         fg._repr_rank = None
         fg._segments = None
         record_dispatch("graphs.freeze", path=dispatch_path)
@@ -264,6 +266,20 @@ class FrozenGraph:
                 np.arange(self.n, dtype=np.int64), self.degrees
             )
         return self._edge_src
+
+    def _half_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(a, b, loops)``: each undirected edge once, ``a < b``, cached.
+
+        ``loops`` holds the nodes whose row contains their own index
+        (only ``from_arrays`` admits such rows).  The peel and MIS
+        round kernels scatter one loser per half edge.
+        """
+        if self._halves is None:
+            src = self._edge_sources()
+            dst = self.indices
+            upper = src < dst
+            self._halves = (src[upper], dst[upper], src[src == dst])
+        return self._halves
 
     def _repr_ranks(self) -> np.ndarray:
         """Dense rank of each node in repr order (the peel tie-break)."""
@@ -724,97 +740,62 @@ class FrozenGraph:
     # ------------------------------------------------------------------
     # batched local-lowest-degree peel (the NSF hot loop, Sec. III-B)
     # ------------------------------------------------------------------
-    def alive_degrees(self, alive: np.ndarray) -> np.ndarray:
-        """Degree of each node within the ``alive``-induced subgraph."""
-        src = self._edge_sources()
-        live = alive[src] & alive[self.indices]
-        return np.bincount(src[live], minlength=self.n)
-
-    def local_minimum_mask(
-        self,
-        alive: Optional[np.ndarray] = None,
-        degrees: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Boolean mask of alive nodes that are local lowest-degree.
-
-        A node is chosen iff for every alive neighbor its (degree,
-        repr-rank) key is strictly smaller — exactly the reference rule
-        of :func:`repro.layering.nsf.local_lowest_degree_nodes` applied
-        to the alive-induced subgraph.  Isolated alive nodes are always
-        chosen.
-        """
-        if alive is None:
-            alive = np.ones(self.n, dtype=bool)
-        if degrees is None:
-            degrees = self.alive_degrees(alive)
-        rank = self._repr_ranks()
-        # Lexicographic (degree, rank) packed into one int64 key; ranks
-        # are distinct so keys are distinct and ties resolve by repr.
-        key = degrees.astype(np.int64) * np.int64(self.n + 1) + rank
-        neighbor_min = np.full(self.n, _INT64_MAX, dtype=np.int64)
-        src = self._edge_sources()
-        live = alive[src] & alive[self.indices]
-        live_src = src[live]
-        if live_src.size:
-            live_keys = key[self.indices[live]]
-            # live_src is sorted (CSR row order): segment-min per source.
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(live_src)) + 1)
-            )
-            neighbor_min[live_src[starts]] = np.minimum.reduceat(live_keys, starts)
-        return alive & (key < neighbor_min)
-
     def local_lowest_degree_nodes(self) -> Set[Node]:
         """Node-facing wrapper over one whole-graph peel round."""
-        chosen = self.local_minimum_mask()
         nodes = self.node_list
-        return {nodes[i] for i in np.flatnonzero(chosen)}
+        for chosen in self.peel_round_masks(fallback=False):
+            return {nodes[i] for i in np.flatnonzero(chosen)}
+        return set()
 
     def peel_round_masks(self, fallback: bool = True):
         """Yield the boolean chosen-mask of each successive peel round.
 
-        The flat (source, target) edge arrays are compacted as nodes
-        die, so round r costs O(edges still alive at round r) instead
-        of O(m) — across a whole peel the total work tracks the
-        (shrinking) alive edge counts.  With ``fallback`` a stalled
-        round (unreachable with distinct repr ranks) peels the single
+        A node is chosen iff its (alive degree, repr-rank) key is
+        strictly below every alive neighbour's — the reference rule of
+        :func:`repro.layering.nsf.local_lowest_degree_nodes` on the
+        alive-induced subgraph; isolated alive nodes are always chosen.
+        Keys are distinct, so each live half edge beats exactly one
+        endpoint: one loser scatter per edge finds the non-minima.  A
+        self-loop counts once in its node's degree and keeps the node
+        from ever being a strict minimum.  The half-edge arrays are
+        compacted as nodes die, so round r costs O(edges still alive at
+        round r).  With ``fallback`` a stalled round peels the single
         smallest-rank alive node, mirroring the reference guard;
         without it the generator simply stops, matching the
         ``peel_once``-based loops that break when nothing is removed.
         """
+        if self.directed:
+            raise TypeError("the NSF peel expects an undirected snapshot")
         n = self.n
         rank = self._repr_ranks()
-        src = self._edge_sources()
-        dst = self.indices
+        a, b, loops = self._half_edges()
         alive = np.ones(n, dtype=bool)
         span = np.int64(n + 1)
         alive_count = n
         while alive_count:
-            live = alive[src]
-            live &= alive[dst]
-            src = src[live]
-            dst = dst[live]
-            degrees = np.bincount(src, minlength=n)
+            degrees = np.bincount(a, minlength=n)
+            degrees += np.bincount(b, minlength=n)
+            degrees[loops] += 1
             key = degrees * span + rank
-            neighbor_min = np.full(n, _INT64_MAX, dtype=np.int64)
-            if src.size:
-                # src stays sorted under compaction: segment-min per row.
-                starts = np.concatenate(
-                    ([0], np.flatnonzero(np.diff(src)) + 1)
-                )
-                neighbor_min[src[starts]] = np.minimum.reduceat(key[dst], starts)
-            chosen = alive & (key < neighbor_min)
-            removed = int(chosen.sum())
+            beaten = ~alive
+            beaten[np.where(key.take(a) < key.take(b), b, a)] = True
+            beaten[loops] = True
+            chosen = ~beaten
+            removed = int(np.count_nonzero(chosen))
             if not removed:
                 if not fallback:
                     return
                 stalled = np.flatnonzero(alive)
-                chosen = np.zeros(n, dtype=bool)
                 chosen[stalled[np.argmin(rank[stalled])]] = True
                 removed = 1
             yield chosen
             alive &= ~chosen
             alive_count -= removed
+            live = alive.take(a)
+            live &= alive.take(b)
+            a = a[live]
+            b = b[live]
+            loops = loops[alive.take(loops)]
 
     def peel_rounds(self) -> List[np.ndarray]:
         """Index arrays of the nodes removed in each peel round.
@@ -879,41 +860,43 @@ class FrozenGraph:
         The three-color process round by round: white local priority
         maxima (strictly greater than every white neighbor; isolated
         whites vacuously) turn black, their white neighbors turn gray,
-        and the flat edge arrays are compacted to the surviving
-        white–white edges.  Each round is a deterministic function of
-        (current white set, white–white edges, priorities) — the
-        property the incremental MIS repair's round replay with early
-        exit relies on.  Requires distinct priorities: a stalled round
-        (where the reference would spin forever on a priority tie)
-        raises :class:`~repro.errors.AlgorithmError`.
+        and the half-edge arrays are compacted to the surviving
+        white–white edges.  Each live half edge knocks out its lower
+        endpoint (both on a tie, and a self-loop its node), so the
+        white nodes left standing are the strict maxima.  Requires
+        distinct priorities: a stalled round (where the reference would
+        spin forever on a priority tie) raises
+        :class:`~repro.errors.AlgorithmError`.
         """
         if self.directed:
             raise TypeError("MIS expects an undirected snapshot")
         n = self.n
         prio = np.asarray(priorities, dtype=np.float64)
-        src = self._edge_sources()
-        dst = self.indices
+        a, b, loops = self._half_edges()
         white = np.ones(n, dtype=bool)
         while white.any():
-            live = white[src] & white[dst]
-            src = src[live]
-            dst = dst[live]
-            nbr_max = np.full(n, -np.inf)
-            if src.size:
-                # src stays sorted under compaction: segment-max per row.
-                starts = np.concatenate(([0], np.flatnonzero(np.diff(src)) + 1))
-                nbr_max[src[starts]] = np.maximum.reduceat(prio[dst], starts)
-            new_black = white & (prio > nbr_max)
+            pa = prio.take(a)
+            pb = prio.take(b)
+            new_black = white.copy()
+            new_black[np.where(pa < pb, a, b)] = False
+            tied = pa == pb
+            if tied.any():
+                new_black[a[tied]] = False
+            new_black[loops] = False
             if not new_black.any():
                 raise AlgorithmError(
                     "MIS round stalled: priorities must be distinct"
                 )
             gray = np.zeros(n, dtype=bool)
-            if src.size:
-                touched = new_black[dst]
-                gray[src[touched]] = True
+            gray[b[new_black.take(a)]] = True
+            gray[a[new_black.take(b)]] = True
             white &= ~(new_black | gray)
             yield new_black, gray
+            live = white.take(a)
+            live &= white.take(b)
+            a = a[live]
+            b = b[live]
+            loops = loops[white.take(loops)]
 
     def mis_rounds(self, priorities: np.ndarray) -> Tuple[np.ndarray, int]:
         """The three-color MIS process over edge-compacted rounds.

@@ -593,6 +593,8 @@ class PatchedGraph:
         # every merged snapshot doesn't re-sort 2000 reprs.  With lazy
         # repairs the first peel often runs on a *merged* snapshot, so
         # the previous merged instance (not the base) holds the cache.
+        # Edge-derived caches (``_edge_src``, the half edges) are never
+        # carried: they must come from the merged CSR itself.
         previous = self._merged
         for donor in (base, previous):
             if donor is None or donor.n != self.n:

@@ -13,9 +13,9 @@ built or repaired for:
 * :class:`IncrementalPageRank` — warm-start power iteration seeded
   from the previous score vector, so the iteration count tracks the
   changed probability mass rather than the graph size;
-* :class:`IncrementalMIS` — three-color round replay over
-  :meth:`~repro.graphs.csr.FrozenGraph.mis_round_masks` with early
-  exit onto the previous run's recorded trajectory;
+* :class:`IncrementalMIS` — the three-color process of
+  :meth:`~repro.graphs.csr.FrozenGraph.mis_round_masks`, rerun on the
+  new snapshot;
 * :class:`IncrementalCDS` — Wu–Dai marking and Rule-k trimming
   replayed on the touched pairs' bounded-radius regions.
 
@@ -301,19 +301,14 @@ class IncrementalPageRank:
 
 
 class IncrementalMIS:
-    """Three-color MIS membership repaired by round replay.
+    """Three-color MIS membership, rebuilt on every dirty repair.
 
-    Every round of :meth:`FrozenGraph.mis_round_masks` is a
-    deterministic function of (current white set, white–white edges,
-    priorities).  The builder records, per node, the round at which it
-    left white (``_settled``); a repair replays rounds on the new
-    snapshot and exits early as soon as (a) the surviving white set
-    matches the previous run's trajectory and (b) no touched pair is
-    white–white — from there the remaining rounds are identical, so the
-    previous membership is carried over for the still-white region.
-    Node growth changes the repr-rank priorities, so it rebuilds.
-    Bit-exact with ``mis_rounds`` at every step (asserted
-    differentially).
+    A repair reruns :meth:`FrozenGraph.mis_round_masks` on the new
+    snapshot with the id priorities of its node list (mode ``"full"``).
+    Replaying rounds with an early exit onto the previous trajectory
+    re-ran most rounds on the serve-write stream and cost more than
+    this rebuild.  Bit-exact with ``mis_rounds`` at every step
+    (asserted differentially).
     """
 
     def __init__(self, fg: FrozenGraph) -> None:
@@ -321,17 +316,7 @@ class IncrementalMIS:
 
     def _build(self, fg: FrozenGraph) -> None:
         self.n = fg.n
-        self._prio = frozen_id_priorities(fg)
-        black = np.zeros(fg.n, dtype=bool)
-        settled = np.zeros(fg.n, dtype=np.int64)
-        rounds = 0
-        for new_black, new_gray in fg.mis_round_masks(self._prio):
-            rounds += 1
-            black |= new_black
-            settled[new_black | new_gray] = rounds
-        self._black = black
-        self._settled = settled
-        self.rounds = rounds
+        self._black = fg.mis_rounds(frozen_id_priorities(fg))[0]
 
     # ------------------------------------------------------------------
     # views
@@ -351,46 +336,13 @@ class IncrementalMIS:
         fg_new: FrozenGraph,
         touched: Iterable[Tuple[int, int]],
     ) -> str:
-        """Repair the membership for ``fg_new``; returns the mode."""
-        pairs = [(int(u), int(v)) for u, v in touched]
-        if fg_new.n != self.n:
-            self._build(fg_new)
-            record_repair("mis", "full")
-            return "full"
-        if not pairs:
+        """Rebuild the membership for ``fg_new``; returns the mode."""
+        if fg_new.n == self.n and not list(touched):
             record_repair("mis", "noop")
             return "noop"
-        n = self.n
-        prio = self._prio
-        pu = np.asarray([p[0] for p in pairs], dtype=np.int64)
-        pv = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        black = np.zeros(n, dtype=bool)
-        settled = np.zeros(n, dtype=np.int64)
-        white = np.ones(n, dtype=bool)
-        r = 0
-        rounds_gen = fg_new.mis_round_masks(prio)
-        for new_black, new_gray in rounds_gen:
-            r += 1
-            black |= new_black
-            moved = new_black | new_gray
-            settled[moved] = r
-            white &= ~moved
-            if np.array_equal(white, self._settled > r) and not (
-                white[pu] & white[pv]
-            ).any():
-                # Identical white set, identical surviving white–white
-                # edges: the remaining rounds replay the old run.
-                rounds_gen.close()
-                if white.any():
-                    black |= self._black & white
-                    settled[white] = self._settled[white]
-                    r = self.rounds
-                break
-        self._black = black
-        self._settled = settled
-        self.rounds = r
-        record_repair("mis", "replay")
-        return "replay"
+        self._build(fg_new)
+        record_repair("mis", "full")
+        return "full"
 
 
 class IncrementalCDS:

@@ -109,8 +109,10 @@ def record_repair(index: str, mode: str) -> None:
 
     ``index`` names the maintained structure (a
     :data:`repro.serving.state.INDEXES` name);
-    ``mode`` is ``replay`` / ``relax`` for a true incremental repair,
-    ``full`` for a fall-back rebuild, ``noop`` when nothing was dirty.
+    ``mode`` is ``relax`` (labels, distances), ``warm`` (PageRank) or
+    ``replay`` (CDS) for a true incremental repair, ``full`` for a
+    rebuild (every dirty NSF and MIS repair, and CDS on node growth),
+    ``noop`` when nothing was dirty.
     """
     get_registry().counter(
         SERVING_REPAIR_METRIC, {"index": index, "mode": mode}

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import AlgorithmError
 from repro.graphs.csr import _BITSET_BATCH, FROZEN_MIN_NODES, FrozenGraph, _distinct
 from repro.graphs.generators import (
     barabasi_albert,
@@ -41,6 +42,7 @@ from repro.labeling.landmarks import (
     distance_gateway_labels,
     distance_gateway_labels_reference,
 )
+from repro.labeling.mis import compute_mis_reference
 from repro.layering.nsf import (
     local_lowest_degree_nodes_reference,
     nested_subgraphs,
@@ -49,6 +51,7 @@ from repro.layering.nsf import (
     peel_to_fraction,
 )
 from repro.remapping.batch_routing import _TARGET_CHUNK, _optimal_for_pairs
+from repro.serving.state import GraphService
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +269,91 @@ def test_isolated_nodes_and_disconnection():
     assert fg.connected_components() == connected_components_reference(graph)
     sums = fg.all_pairs_distance_sums()
     assert int(sums[fg.index_of(39)]) == 0
+
+
+# ----------------------------------------------------------------------
+# round kernels: the half-edge form at its edge cases
+# ----------------------------------------------------------------------
+
+def _masks_as_sets(masks):
+    return [set(np.flatnonzero(mask).tolist()) for mask in masks]
+
+
+def test_round_kernels_on_a_self_loop_and_an_isolated_node():
+    # Triangle 0-1-2, path 2-3-4, a loop at 3, node 5 isolated.  The loop
+    # counts once in 3's degree and keeps 3 from ever being a strict
+    # minimum or maximum, so only the fallback peels it.
+    indptr = [0, 2, 4, 7, 10, 11, 11]
+    indices = [1, 2, 0, 2, 0, 1, 3, 2, 3, 4, 3]
+    fg = FrozenGraph.from_arrays(indptr, indices)
+    assert _masks_as_sets(fg.peel_round_masks()) == [{0, 4, 5}, {1}, {2}, {3}]
+    assert _masks_as_sets(fg.peel_round_masks(fallback=False)) == [
+        {0, 4, 5}, {1}, {2},
+    ]
+    assert fg.local_lowest_degree_nodes() == {0, 4, 5}
+    rounds = list(fg.mis_round_masks(np.arange(6, dtype=np.float64)))
+    assert [_masks_as_sets(pair) for pair in rounds] == [
+        [{4, 5}, {3}],
+        [{2}, {0, 1}],
+    ]
+    lone_loop = FrozenGraph.from_arrays([0, 1], [0])
+    assert _masks_as_sets(lone_loop.peel_round_masks()) == [{0}]
+    with pytest.raises(AlgorithmError):
+        lone_loop.mis_rounds(np.zeros(1))
+
+
+def test_mis_rounds_keep_tied_neighbours_white():
+    # 0 and 1 tie: neither is a strict maximum, 2 beats 1 and grays it,
+    # then 0 is a white local maximum on its own.
+    fg = Graph([(0, 1), (1, 2)]).frozen()
+    rounds = list(fg.mis_round_masks(np.array([1.0, 1.0, 2.0])))
+    assert [_masks_as_sets(pair) for pair in rounds] == [
+        [{2}, {1}],
+        [{0}, set()],
+    ]
+
+
+def test_peel_rejects_directed_snapshots():
+    fg = DiGraph([(0, 1), (1, 2)]).frozen()
+    with pytest.raises(TypeError):
+        next(fg.peel_round_masks())
+    with pytest.raises(TypeError):
+        fg.nsf_levels()
+
+
+def test_merged_snapshot_half_edges_come_from_its_own_csr():
+    graph = erdos_renyi(40, 0.1, np.random.default_rng(3))
+    service = GraphService(graph, landmark_count=2)
+    nodes = service.node_list
+
+    def toggle(u, v):
+        if service.has_edge(u, v):
+            service.delete_edge(u, v)
+        else:
+            service.insert_edge(u, v)
+
+    toggle(nodes[0], nodes[1])
+    donor = service.snapshot()
+    service.nsf_level(nodes[0])  # peels the donor, caching its half edges
+    toggle(nodes[2], nodes[3])
+    toggle(nodes[0], nodes[1])
+    merged = service.snapshot()
+    assert merged is not donor
+    assert merged._repr_rank is donor._repr_rank
+    src = np.repeat(np.arange(merged.n), merged.degrees)
+    upper = src < merged.indices
+    a, b, loops = merged._half_edges()
+    assert a.tolist() == src[upper].tolist()
+    assert b.tolist() == merged.indices[upper].tolist()
+    assert loops.size == 0
+    assert a.size != donor._half_edges()[0].size
+    reference = Graph()
+    for node in merged.node_list:
+        reference.add_node(node)
+    for i, j in zip(a.tolist(), b.tolist()):
+        reference.add_edge(merged.node_list[i], merged.node_list[j])
+    assert service.nsf_levels_map() == nsf_levels_reference(reference)
+    assert service.mis_set() == compute_mis_reference(reference)[0]
 
 
 # ----------------------------------------------------------------------

@@ -608,7 +608,7 @@ class TestSteadyStateEconomics:
         assert cache_counts(registry) == {}
         counts = serving_counts(registry)
         assert counts["patch"].get("merge", 0) > 0
-        assert counts["repairs"].get("nsf", {}).get("replay", 0) > 0
+        assert counts["repairs"].get("nsf", {}).get("full", 0) > 0
         assert counts["repairs"].get("labels", {}).get("relax", 0) > 0
 
 
