@@ -1,18 +1,15 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one figure/claim of the paper (see the
-per-experiment index in DESIGN.md) and emits one experiment table in
-three forms:
+per-experiment index in DESIGN.md) and emits one experiment table:
+it prints the plain-text table, writes the one committed copy of it,
+the top-level ``BENCH_<experiment>.json`` feed (``repro.bench/v1``:
+experiment, header, raw rows, metrics snapshot, timings; quoted by
+EXPERIMENTS.md and rendered by ``python -m repro.observability.report``),
+and appends one record to the ``benchmarks/out/history.jsonl`` ledger.
 
-* the plain-text table, to stdout and ``benchmarks/out/<experiment>.txt``
-  (quoted by EXPERIMENTS.md);
-* a machine-readable sibling ``benchmarks/out/<experiment>.json``
-  following the ``repro.bench/v1`` schema (experiment, header, raw
-  rows, metrics snapshot, timings);
-* the top-level ``BENCH_<experiment>.json`` perf-trajectory feed.
-
-All writes are atomic (temp file + rename), so an interrupted run never
-leaves truncated artifacts.  :func:`emit_table` returns a
+The feed write is atomic (temp file + rename), so an interrupted run
+never leaves a truncated artifact.  :func:`emit_table` returns a
 :class:`TableResult` carrying the *structured* rows, not just the
 formatted string — downstream checks should consume ``result.rows``.
 
@@ -43,7 +40,6 @@ from repro.observability import (
     get_registry,
     get_tracer,
     load_history,
-    write_atomic,
 )
 from repro.observability import append_history as _append_history
 from repro.observability.metrics import MetricsRegistry, set_registry
@@ -339,10 +335,8 @@ class TableResult:
     formatted_rows: List[Tuple[str, ...]]
     notes: str
     text: str
-    txt_path: str
-    json_path: str
     bench_path: str
-    history_path: str = ""
+    history_path: str
 
     def __str__(self) -> str:
         return self.text
@@ -356,10 +350,12 @@ def emit_table(
     notes: str = "",
     timings: Optional[Mapping[str, float]] = None,
     metrics: Optional[Mapping[str, Any]] = None,
-    out_dir: Optional[str] = None,
-    top_dir: Optional[str] = TOP_DIR,
+    out_dir: str = OUT_DIR,
+    top_dir: str = TOP_DIR,
 ) -> TableResult:
-    """Format, print, and persist one experiment table (txt + JSON).
+    """Format and print one experiment table, write its feed
+    ``<top_dir>/BENCH_<experiment>.json``, and append its ledger record
+    to ``<out_dir>/history.jsonl``.
 
     ``metrics`` defaults to a snapshot of the global metrics registry
     at emission time; pass an explicit mapping (e.g. a per-run
@@ -367,12 +363,11 @@ def emit_table(
     caller-measured wall times in seconds; the emission cost is always
     added as ``emit_s``.
 
-    Every call also appends one ``repro.perf/v1`` record (timings,
-    cache/dispatch counters, tracer memory summary) to the
-    append-only ``<destination>/history.jsonl`` ledger and runs the
-    regression gate against the experiment's prior records there
-    (``REPRO_PERF_GATE``: warn by default, fail under CI, off to
-    silence; see :mod:`repro.observability.regression`).
+    The ``repro.perf/v1`` ledger record carries the timings and the
+    cache/dispatch counters; the call then runs the regression gate
+    against the experiment's prior records there (``REPRO_PERF_GATE``:
+    warn by default, fail under CI, off to silence; see
+    :mod:`repro.observability.regression`).
     """
     t0 = time.perf_counter()
     raw_rows = [tuple(row) for row in rows]
@@ -400,9 +395,6 @@ def emit_table(
     text = "\n".join(lines)
     print("\n" + text)
 
-    destination = out_dir if out_dir is not None else OUT_DIR
-    txt_path = write_atomic(os.path.join(destination, f"{experiment}.txt"), text + "\n")
-
     all_timings = dict(timings or {})
     all_timings["emit_s"] = time.perf_counter() - t0
     report = BenchReport(
@@ -414,17 +406,11 @@ def emit_table(
         metrics=dict(metrics) if metrics is not None else get_registry().snapshot(),
         timings=all_timings,
     )
-    paths = report.write(destination, top_dir=top_dir)
-    json_path = paths[0]
-    bench_path = paths[1] if len(paths) > 1 else ""
+    bench_path = report.write(top_dir)
 
-    history_path = os.path.join(destination, HISTORY_NAME)
+    history_path = os.path.join(out_dir, HISTORY_NAME)
     record = build_perf_record(
-        experiment,
-        timings=all_timings,
-        cache=cache_counts(),
-        dispatch=dispatch_counts(),
-        memory=get_tracer().memory_summary(),
+        experiment, timings=all_timings, cache=cache_counts(), dispatch=dispatch_counts()
     )
     prior = load_history(history_path, experiment=experiment)
     _append_history(history_path, record)
@@ -438,8 +424,6 @@ def emit_table(
         formatted_rows=formatted,
         notes=notes,
         text=text,
-        txt_path=txt_path,
-        json_path=json_path,
         bench_path=bench_path,
         history_path=history_path,
     )

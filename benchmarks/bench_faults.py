@@ -147,15 +147,13 @@ NOTES = (
 )
 
 
-def emit(out_dir=None, top_dir=None, rows=None):
+def emit(rows=None):
     return emit_table(
         "faults",
         "delivery and convergence degradation vs message drop rate",
         HEADER,
         rows if rows is not None else fault_rows(),
         notes=NOTES,
-        out_dir=out_dir,
-        **({} if top_dir is None else {"top_dir": top_dir}),
     )
 
 

@@ -19,9 +19,9 @@ without a floor.
 
     PYTHONPATH=src python benchmarks/bench_perf_csr.py
 
-writes ``benchmarks/out/perf-csr.{txt,json}`` plus the top-level
-``BENCH_perf-csr.json`` feed; ``tests/test_bench_perf.py`` runs the
-same harness at toy scale inside tier-1.
+writes the top-level ``BENCH_perf-csr.json`` feed;
+``tests/test_bench_perf.py`` runs the same harness at toy scale inside
+tier-1.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def cases(size: int, graph) -> List[Case]:
 def run(
     sizes: Sequence[int] = DEFAULT_SIZES,
     repeats: int = 3,
-    out_dir: Optional[str] = None,
-    top_dir: Optional[str] = TOP_DIR,
+    out_dir: str = OUT_DIR,
+    top_dir: str = TOP_DIR,
     floors: Optional[Mapping[str, float]] = None,
 ) -> TableResult:
     """Benchmark every kernel at every size; assert exact equivalence.
@@ -170,5 +170,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(out_dir=OUT_DIR, top_dir=TOP_DIR, floors=FLOORS)
+    result = run(floors=FLOORS)
     print(f"\nperf-csr: emitted {result.bench_path}")

@@ -21,11 +21,11 @@ full run checks :data:`FLOORS`, each protocol at its own largest n:
 
     PYTHONPATH=src python benchmarks/bench_perf_runtime.py [--jobs N]
 
-writes ``benchmarks/out/perf-runtime.{txt,json}`` plus the top-level
-``BENCH_perf-runtime.json`` feed; ``tests/test_bench_perf.py`` runs the
-same harness at toy scale inside tier-1.  ``--jobs N`` fans the
-per-size measurements out over worker processes (for quick iteration
-only — wall-clock timings are trustworthy only from serial runs).
+writes the top-level ``BENCH_perf-runtime.json`` feed;
+``tests/test_bench_perf.py`` runs the same harness at toy scale inside
+tier-1.  ``--jobs N`` fans the per-size measurements out over worker
+processes (for quick iteration only — wall-clock timings are
+trustworthy only from serial runs).
 """
 
 from __future__ import annotations
@@ -298,8 +298,8 @@ def _measure_size(
 def run(
     sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES,
     repeats: int = 3,
-    out_dir: Optional[str] = None,
-    top_dir: Optional[str] = TOP_DIR,
+    out_dir: str = OUT_DIR,
+    top_dir: str = TOP_DIR,
     floors: Optional[Mapping[str, float]] = None,
     jobs: Optional[int] = None,
 ) -> TableResult:
@@ -343,10 +343,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(
-        out_dir=OUT_DIR,
-        top_dir=TOP_DIR,
-        floors=FLOORS,
-        jobs=bench_jobs(sys.argv[1:]),
-    )
+    result = run(floors=FLOORS, jobs=bench_jobs(sys.argv[1:]))
     print(f"\nperf-runtime: emitted {result.bench_path}")

@@ -17,11 +17,11 @@ dynamic diameter and the DTN epidemic sweep at the largest size
 
     PYTHONPATH=src python benchmarks/bench_perf_temporal.py [--jobs N]
 
-writes ``benchmarks/out/perf-temporal.{txt,json}`` plus the top-level
-``BENCH_perf-temporal.json`` feed; ``tests/test_bench_perf.py`` runs
-the same harness at toy scale inside tier-1.  ``--jobs N`` fans the
-per-size measurements out over worker processes (for quick iteration
-only — wall-clock timings are trustworthy only from serial runs).
+writes the top-level ``BENCH_perf-temporal.json`` feed;
+``tests/test_bench_perf.py`` runs the same harness at toy scale inside
+tier-1.  ``--jobs N`` fans the per-size measurements out over worker
+processes (for quick iteration only — wall-clock timings are
+trustworthy only from serial runs).
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def _measure_size(
 def run(
     sizes: Sequence[Tuple[int, int, int, int]] = DEFAULT_SIZES,
     repeats: int = 3,
-    out_dir: Optional[str] = None,
-    top_dir: Optional[str] = TOP_DIR,
+    out_dir: str = OUT_DIR,
+    top_dir: str = TOP_DIR,
     floors: Optional[Mapping[str, float]] = None,
     jobs: Optional[int] = None,
 ) -> TableResult:
@@ -232,10 +232,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(
-        out_dir=OUT_DIR,
-        top_dir=TOP_DIR,
-        floors=FLOORS,
-        jobs=bench_jobs(sys.argv[1:]),
-    )
+    result = run(floors=FLOORS, jobs=bench_jobs(sys.argv[1:]))
     print(f"\nperf-temporal: emitted {result.bench_path}")

@@ -25,9 +25,9 @@ vectorized patch-merge path).  The full run checks :data:`FLOORS`:
 
     PYTHONPATH=src python benchmarks/bench_serving.py
 
-writes ``benchmarks/out/serving.{txt,json}`` plus the top-level
-``BENCH_serving.json`` feed; ``tests/test_bench_perf.py`` runs the
-same harness at toy scale inside tier-1.
+writes the top-level ``BENCH_serving.json`` feed;
+``tests/test_bench_perf.py`` runs the same harness at toy scale inside
+tier-1.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ def run(
     mutations: int = 4,
     repeats: int = 3,
     threshold: int = 64,
-    out_dir: Optional[str] = None,
-    top_dir: Optional[str] = TOP_DIR,
+    out_dir: str = OUT_DIR,
+    top_dir: str = TOP_DIR,
     floors: Optional[Mapping[str, float]] = None,
 ) -> TableResult:
     """Benchmark the mixed stream at every size.
@@ -299,5 +299,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(out_dir=OUT_DIR, top_dir=TOP_DIR, floors=FLOORS)
+    result = run(floors=FLOORS)
     print(f"\nserving: emitted {result.bench_path}")

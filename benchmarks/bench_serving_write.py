@@ -30,9 +30,9 @@ largest size.
 
     PYTHONPATH=src python benchmarks/bench_serving_write.py
 
-writes ``benchmarks/out/serving-write.{txt,json}`` plus the top-level
-``BENCH_serving-write.json`` feed; ``tests/test_bench_perf.py`` runs
-the same harness at toy scale inside tier-1.
+writes the top-level ``BENCH_serving-write.json`` feed;
+``tests/test_bench_perf.py`` runs the same harness at toy scale inside
+tier-1.
 """
 
 from __future__ import annotations
@@ -347,8 +347,8 @@ def run(
     bursts: int = 16,
     repeats: int = 3,
     threshold: int = 64,
-    out_dir: Optional[str] = None,
-    top_dir: Optional[str] = TOP_DIR,
+    out_dir: str = OUT_DIR,
+    top_dir: str = TOP_DIR,
     floors: Optional[Mapping[str, float]] = None,
 ) -> TableResult:
     """Benchmark the mutation-heavy stream at every size.
@@ -395,5 +395,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(out_dir=OUT_DIR, top_dir=TOP_DIR, floors=FLOORS)
+    result = run(floors=FLOORS)
     print(f"\nserving-write: emitted {result.bench_path}")

@@ -12,8 +12,8 @@ against a temp directory), and runnable standalone::
 
     PYTHONPATH=src python benchmarks/smoke.py
 
-which writes ``benchmarks/out/smoke-*.{txt,json}`` plus top-level
-``BENCH_smoke-*.json`` files.
+which writes the top-level ``BENCH_smoke-*.json`` feeds and appends
+to the ``benchmarks/out/history.jsonl`` ledger.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -383,15 +383,13 @@ def smoke_faults() -> Dict[str, Any]:
     }
 
 
-def run_all(
-    out_dir: Optional[str] = None, top_dir: Optional[str] = None
-) -> Dict[str, TableResult]:
+def run_all(out_dir: str = OUT_DIR, top_dir: str = TOP_DIR) -> Dict[str, TableResult]:
     """Run every smoke instance with tracing on, each under its own
-    metrics registry and span list; validate emitted JSON.
+    metrics registry and span list; validate each emitted feed.
 
-    ``out_dir`` defaults to ``benchmarks/out``; ``top_dir`` (where the
-    ``BENCH_*.json`` feed lands) is skipped when None.  Raises
-    ``AssertionError`` on any schema violation or missing trace.
+    ``top_dir`` receives the ``BENCH_smoke-*.json`` feeds and
+    ``out_dir`` the ledger.  Raises ``AssertionError`` on any schema
+    violation or missing trace.
     """
     tracer = get_tracer()
     was_enabled = tracer.enabled
@@ -413,7 +411,7 @@ def run_all(
                     out_dir=out_dir,
                     top_dir=top_dir,
                 )
-            with open(result.json_path) as handle:
+            with open(result.bench_path) as handle:
                 document = json.load(handle)
             problems = validate_bench_report(document)
             if problems:
@@ -422,8 +420,6 @@ def run_all(
                 )
             if document["rows"] == []:
                 raise AssertionError(f"smoke-{name}: emitted no rows")
-            if top_dir is not None and not os.path.exists(result.bench_path):
-                raise AssertionError(f"smoke-{name}: missing {result.bench_path}")
             if not spans and name in ("fig4", "dtn"):
                 # instrumented paths must have traced something
                 raise AssertionError(f"smoke-{name}: no trace records emitted")
@@ -434,5 +430,5 @@ def run_all(
 
 
 if __name__ == "__main__":
-    outcomes = run_all(out_dir=OUT_DIR, top_dir=TOP_DIR)
+    outcomes = run_all()
     print(f"\nsmoke: {len(outcomes)} experiments emitted and validated")

@@ -797,24 +797,18 @@ class FrozenGraph:
             b = b[live]
             loops = loops[alive.take(loops)]
 
-    def peel_rounds(self) -> List[np.ndarray]:
-        """Index arrays of the nodes removed in each peel round.
-
-        Round r removes the local minima of the adjusted (alive-induced)
-        degree; runs until every node is assigned, so the concatenation
-        is a partition of all node indices — the NSF level structure.
-        """
-        return [np.flatnonzero(chosen) for chosen in self.peel_round_masks()]
+    def nsf_level_array(self) -> np.ndarray:
+        """NSF level of every node index (int64): the 1-based round of
+        :meth:`peel_round_masks` that removes it."""
+        levels = np.zeros(self.n, dtype=np.int64)
+        for round_index, chosen in enumerate(self.peel_round_masks(), start=1):
+            levels[chosen] = round_index
+        return levels
 
     @traced("repro.graphs.csr.nsf_levels")
     def nsf_levels(self) -> Dict[Node, int]:
         """NSF level labeling (Fig. 7(b)), batched round by round."""
-        nodes = self.node_list
-        level: Dict[Node, int] = {}
-        for round_index, chosen in enumerate(self.peel_rounds(), start=1):
-            for i in chosen:
-                level[nodes[i]] = round_index
-        return level
+        return dict(zip(self.node_list, self.nsf_level_array().tolist()))
 
     # ------------------------------------------------------------------
     # static labels: marking / dominating sets / MIS (Sec. IV-A)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Tuple
 
-import numpy as np
-
 from repro.graphs.csr import FrozenGraph
 from repro.observability.telemetry import record_repair
 
@@ -36,18 +34,14 @@ class IncrementalNSF:
 
     def _build(self, fg: FrozenGraph) -> None:
         self.n = fg.n
-        levels = np.zeros(fg.n, dtype=np.int64)
-        for round_index, chosen in enumerate(fg.peel_round_masks(), start=1):
-            levels[chosen] = round_index
-        self._levels = levels
+        self._levels = fg.nsf_level_array()
 
     def level_of(self, i: int) -> int:
         return int(self._levels[i])
 
     def levels_map(self, fg: FrozenGraph) -> Dict[Node, int]:
         """Node-facing view, comparable with ``nsf_levels_reference``."""
-        nodes = fg.node_list
-        return {nodes[i]: int(self._levels[i]) for i in range(self.n)}
+        return dict(zip(fg.node_list, self._levels.tolist()))
 
     def update(
         self,

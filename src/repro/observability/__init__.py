@@ -9,13 +9,12 @@ here rather than per-module ad-hoc counters:
   summaries.  Metric names follow ``repro.<module>.<name>``.
 * :mod:`repro.observability.tracing` — the one span type: nested
   spans (``trace.span("engine.round", ...)`` or the ``@traced(name)``
-  decorator on kernel entry points) recording wall time, attributes,
-  parent links and — after ``trace.enable(memory=True)`` — tracemalloc
-  peaks, with a near-zero-overhead no-op mode while disabled (the
-  default).
+  decorator on kernel entry points) recording wall time, attributes
+  and parent links, with a near-zero-overhead no-op mode while
+  disabled (the default).
 * :mod:`repro.observability.export` — JSONL event logs, Prometheus
   text exposition, and the :class:`BenchReport` writer behind every
-  ``benchmarks/out/<experiment>.json`` / ``BENCH_<experiment>.json``.
+  ``BENCH_<experiment>.json`` feed.
 * :mod:`repro.observability.telemetry` — the frozen-cache
   (hit/miss/refreeze) and fast-path-vs-reference dispatch counters.
 * :mod:`repro.observability.regression` — the ``repro.perf/v1``

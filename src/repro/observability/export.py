@@ -7,12 +7,11 @@ Three consumers, three formats:
 * **Prometheus text** (:func:`to_prometheus`) — the registry snapshot
   in the exposition format scrapers expect (dots become underscores,
   histograms render as summaries with quantile labels);
-* **benchmark reports** (:class:`BenchReport`) — the machine-readable
-  sibling of every ``benchmarks/out/<experiment>.txt`` table, plus the
-  top-level ``BENCH_<experiment>.json`` perf-trajectory feed the
-  ROADMAP expects.  :func:`validate_bench_report` checks a document
-  against the ``repro.bench/v1`` schema and returns the list of
-  violations (empty = valid).
+* **benchmark reports** (:class:`BenchReport`) — the one committed
+  copy of every experiment table, the top-level
+  ``BENCH_<experiment>.json`` feed.  :func:`validate_bench_report`
+  checks a document against the ``repro.bench/v1`` schema and returns
+  the list of violations (empty = valid).
 
 All writes are atomic (temp file in the destination directory, then
 ``os.replace``) so an interrupted benchmark run never leaves a
@@ -194,8 +193,7 @@ class BenchReport:
     Collects what the plain-text table shows (header + rows) together
     with what it cannot show: the metrics snapshot at emission time,
     wall-clock timings, and trace statistics.  ``write`` produces the
-    per-experiment JSON next to the ``.txt`` table and the top-level
-    ``BENCH_<experiment>.json`` feed.
+    top-level ``BENCH_<experiment>.json`` feed.
     """
 
     def __init__(
@@ -232,17 +230,10 @@ class BenchReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), default=_jsonl_default, indent=2, sort_keys=True)
 
-    def write(self, out_dir: str, top_dir: Optional[str] = None) -> List[str]:
-        """Write ``<out_dir>/<experiment>.json`` (and, when ``top_dir``
-        is given, ``<top_dir>/BENCH_<experiment>.json``); returns the
-        written paths."""
-        text = self.to_json() + "\n"
-        paths = [write_atomic(os.path.join(out_dir, f"{self.experiment}.json"), text)]
-        if top_dir is not None:
-            paths.append(
-                write_atomic(os.path.join(top_dir, f"BENCH_{self.experiment}.json"), text)
-            )
-        return paths
+    def write(self, top_dir: str) -> str:
+        """Write ``<top_dir>/BENCH_<experiment>.json``; returns its path."""
+        path = os.path.join(top_dir, f"BENCH_{self.experiment}.json")
+        return write_atomic(path, self.to_json() + "\n")
 
 
 def validate_bench_report(document: Mapping[str, Any]) -> List[str]:

@@ -2,11 +2,11 @@
 
 Every :func:`repro.benchmarks` ``emit_table`` call appends one record
 to an append-only JSONL ledger (``benchmarks/out/history.jsonl`` for
-real runs): the experiment name, its per-case timings, the cache and
-dispatch counters observed during the run, and any tracer memory
-summary.  Older records may carry fields no longer written (such as
-``shm``); readers ignore them.  The ledger is the raw material for two
-consumers:
+real runs): the experiment name, its per-case timings, and the cache
+and dispatch counters observed during the run.  Older records may
+carry fields no longer written (such as ``shm`` or the tracer's
+``memory`` peaks); readers ignore them.  The ledger is the raw
+material for two consumers:
 
 * :func:`detect_regressions` — compares the current run's ``*_median_s``
   timings against a **median-of-last-k** baseline built from the prior
@@ -62,14 +62,8 @@ def build_perf_record(
     timings: Optional[Mapping[str, float]] = None,
     cache: Optional[Mapping[str, Any]] = None,
     dispatch: Optional[Mapping[str, Any]] = None,
-    memory: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One ``repro.perf/v1`` ledger record for an experiment run.
-
-    ``memory`` is the tracer's per-span summary
-    (``{span: {"peak_kib": ..., "alloc_kib": ...}}``) — its peaks are
-    gated like timings (see :func:`detect_regressions`).
-    """
+    """One ``repro.perf/v1`` ledger record for an experiment run."""
     return {
         "schema": PERF_SCHEMA,
         "experiment": experiment,
@@ -77,7 +71,6 @@ def build_perf_record(
         "timings": dict(timings or {}),
         "cache": {k: dict(v) for k, v in (cache or {}).items()},
         "dispatch": {k: dict(v) for k, v in (dispatch or {}).items()},
-        "memory": {k: dict(v) for k, v in (memory or {}).items()},
     }
 
 
@@ -97,7 +90,7 @@ def validate_perf_record(record: Mapping[str, Any]) -> List[str]:
         for key, value in timings.items():
             if not isinstance(value, (int, float)):
                 problems.append(f"timings[{key!r}] must be a number")
-    for field in ("cache", "dispatch", "memory"):
+    for field in ("cache", "dispatch"):
         if not isinstance(record.get(field, {}), Mapping):
             problems.append(f"{field} must be an object")
     return problems
@@ -147,34 +140,22 @@ def load_history(
 # ----------------------------------------------------------------------
 @dataclass
 class Regression:
-    """One gated metric that grew past the threshold.
-
-    Timing keys carry ``unit="s"`` (the historical shape — the
-    ``*_s``-suffixed fields keep their names for ledger compatibility);
-    memory-ceiling keys (``memory:<span>.peak_kib``) carry
-    ``unit="KiB"``.
-    """
+    """One gated ``*_median_s`` timing that grew past the threshold."""
 
     experiment: str
     key: str
     baseline_s: float
     current_s: float
     threshold: float
-    unit: str = "s"
 
     @property
     def slowdown(self) -> float:
         return self.current_s / self.baseline_s if self.baseline_s > 0 else float("inf")
 
     def describe(self) -> str:
-        if self.unit == "s":
-            current, baseline = f"{self.current_s:.6f}s", f"{self.baseline_s:.6f}s"
-        else:
-            current = f"{self.current_s:.1f}{self.unit}"
-            baseline = f"{self.baseline_s:.1f}{self.unit}"
         return (
             f"perf regression [{self.experiment}] {self.key}: "
-            f"{current} vs baseline median {baseline} "
+            f"{self.current_s:.6f}s vs baseline median {self.baseline_s:.6f}s "
             f"({self.slowdown:.2f}x > {self.threshold:g}x)"
         )
 
@@ -197,14 +178,9 @@ def detect_regressions(
 
     ``history`` is a list of prior ledger records for the *same*
     experiment (oldest first; ``current`` must not be among them).
-    Two families of keys are gated, each against a median-of-last-``k``
-    baseline and each needing at least one prior observation:
-
-    * ``*_median_s`` timing keys — the stable per-case statistics
-      the benchmarks emit (``unit="s"``);
-    * tracer memory peaks — each ``memory[span]["peak_kib"]`` is
-      gated as ``memory:<span>.peak_kib`` (``unit="KiB"``), so a
-      memory-ceiling blowout fails CI exactly like a slowdown.
+    Each ``*_median_s`` timing key — the stable per-case statistics the
+    benchmarks emit — is gated against the median of its last ``k``
+    prior values, and needs at least one of them.
 
     Returns the offending keys as :class:`Regression` entries, worst
     growth first.
@@ -213,23 +189,6 @@ def detect_regressions(
         threshold = gate_threshold()
     experiment = str(current.get("experiment", "?"))
     regressions: List[Regression] = []
-
-    def gate(key: str, value: float, prior: List[float], unit: str) -> None:
-        if not prior:
-            return
-        baseline = _median(prior)
-        if baseline > 0 and value > threshold * baseline:
-            regressions.append(
-                Regression(
-                    experiment=experiment,
-                    key=key,
-                    baseline_s=baseline,
-                    current_s=float(value),
-                    threshold=threshold,
-                    unit=unit,
-                )
-            )
-
     current_timings = current.get("timings", {})
     if isinstance(current_timings, Mapping):
         for key, value in current_timings.items():
@@ -241,27 +200,13 @@ def detect_regressions(
                 if isinstance(record.get("timings"), Mapping)
                 and isinstance(record["timings"].get(key), (int, float))
             ]
-            gate(key, float(value), prior, "s")
-
-    current_memory = current.get("memory", {})
-    if isinstance(current_memory, Mapping):
-        for span, summary in current_memory.items():
-            if not isinstance(summary, Mapping):
+            if not prior:
                 continue
-            peak = summary.get("peak_kib")
-            if not isinstance(peak, (int, float)):
-                continue
-            prior = []
-            for record in history[-k:]:
-                spans = record.get("memory")
-                if not isinstance(spans, Mapping):
-                    continue
-                prior_summary = spans.get(span)
-                if isinstance(prior_summary, Mapping) and isinstance(
-                    prior_summary.get("peak_kib"), (int, float)
-                ):
-                    prior.append(float(prior_summary["peak_kib"]))
-            gate(f"memory:{span}.peak_kib", float(peak), prior, "KiB")
+            baseline = _median(prior)
+            if baseline > 0 and value > threshold * baseline:
+                regressions.append(
+                    Regression(experiment, key, baseline, float(value), threshold)
+                )
 
     regressions.sort(key=lambda r: -r.slowdown)
     return regressions

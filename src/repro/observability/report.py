@@ -7,7 +7,7 @@ harnesses emit at the repo top level) plus the append-only
 dashboard — markdown by default, JSON with ``--json``.
 
 The dashboard is a list of sections, each a ``{title, header, rows}``
-table.  Four sections read across feeds and the ledger:
+table.  Three sections read across feeds and the ledger:
 
 * **speedup floors** — for every perf feed whose table carries
   ``kernel`` and ``speedup`` columns, the minimum speedup at the
@@ -16,9 +16,7 @@ table.  Four sections read across feeds and the ledger:
   run's ``*_median_s`` timings against the median of the prior
   last-k records, worst delta first;
 * **slowest cases** — the :data:`SLOWEST_CASES` slowest
-  ``*_median_s`` cases across all feed timing maps;
-* **memory ceilings** — the per-span tracemalloc peaks in each
-  experiment's latest ledger record.
+  ``*_median_s`` cases across all feed timing maps.
 
 Every feed then gets the same panel, built from the feed alone: its
 table verbatim, its scalar metrics and its histogram summaries.  A
@@ -180,32 +178,6 @@ def trajectory_summary(
     return out
 
 
-def memory_summary(ledger: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, float]]:
-    """Per-span tracer peaks from each experiment's latest ledger record.
-
-    Older records stay in the append-only ledger but not here, so a
-    span whose code is gone leaves with the next run of its
-    experiment.  A span two experiments share shows the larger peak.
-    """
-    latest: Dict[Any, Mapping[str, Any]] = {}
-    for record in ledger:
-        latest[record.get("experiment")] = record
-    out: Dict[str, Dict[str, float]] = {}
-    for record in latest.values():
-        memory = record.get("memory")
-        if not isinstance(memory, Mapping):
-            continue
-        for span, stats in memory.items():
-            if not isinstance(stats, Mapping):
-                continue
-            entry = out.setdefault(str(span), {"peak_kib": 0.0, "alloc_kib": 0.0})
-            for field in ("peak_kib", "alloc_kib"):
-                value = stats.get(field)
-                if isinstance(value, (int, float)):
-                    entry[field] = max(entry[field], float(value))
-    return dict(sorted(out.items(), key=lambda kv: -kv[1]["peak_kib"]))
-
-
 # ----------------------------------------------------------------------
 # sections
 # ----------------------------------------------------------------------
@@ -222,7 +194,7 @@ def cross_feed_sections(
     feeds: Mapping[str, Mapping[str, Any]],
     ledger: Sequence[Mapping[str, Any]],
 ) -> List[Dict[str, Any]]:
-    """Speedup floors, trajectory, slowest cases and memory ceilings."""
+    """Speedup floors, trajectory and slowest cases."""
     speedups = [
         [
             entry["experiment"], entry["largest_size"], f"{entry['floor']:.1f}x",
@@ -243,10 +215,6 @@ def cross_feed_sections(
         [case["experiment"], case["case"], f"{case['median_s']:.4f}s"]
         for case in slowest_spans(feeds)
     ]
-    memory = [
-        [span, f"{stats['peak_kib']:.0f} KiB", f"{stats['alloc_kib']:.0f} KiB"]
-        for span, stats in memory_summary(ledger).items()
-    ]
     return [
         _section(
             "Speedup floors (largest size per feed)",
@@ -261,12 +229,6 @@ def cross_feed_sections(
         _section(
             f"Top {len(slowest)} slowest cases",
             ("experiment", "case", "median"), slowest, "(no timings found)",
-        ),
-        _section(
-            "Memory ceilings (tracer peaks, latest ledger record per experiment)",
-            ("span", "peak", "net alloc"), memory,
-            "(no memory peaks in the ledger — run a benchmark with "
-            "`trace.enable(memory=True)`)",
         ),
     ]
 

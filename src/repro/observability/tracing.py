@@ -1,4 +1,4 @@
-"""Tracing spans: wall time, memory, and a near-zero-overhead disabled mode.
+"""Tracing spans: wall time and a near-zero-overhead disabled mode.
 
 A span measures one region of execution — an engine round, a DTN run,
 a frozen-kernel sweep, a batched routing fold — with a wall-clock
@@ -9,33 +9,21 @@ attribute check and returns a shared no-op context manager, so the
 engine's per-round hook and the ``@traced`` kernel entry points stay
 within the <5 % overhead budget.
 
-Memory capture is a second opt-in (``enable(memory=True)``) because
-tracemalloc itself slows allocation-heavy code by an order of
-magnitude.  With it on, each span also records its tracemalloc peak
-above entry (``peak_kib``) and net allocation delta (``alloc_kib``).
-
 Usage::
 
     from repro.observability import trace
 
-    trace.enable(memory=True)
+    trace.enable()
     with trace.span("labeling.pagerank", n=5000) as sp:
         pagerank_centrality(graph)
         sp.set_attribute("iterations", 17)
     trace.get_tracer().summary(top=5)   # slowest span names
     trace.disable()
 
-Every finished span also observes ``<name>.duration_s`` (and, with
-memory on, ``<name>.peak_kib``) into the global metrics registry, so
-span data flows into benchmark reports and the perf ledger without
-extra wiring.  Records are plain dicts, ready for the JSONL exporter
-(:func:`repro.observability.export.write_jsonl`).
-
-Nested-span memory accounting: opening a child folds the parent's peak
-so far into the parent and resets the tracemalloc peak; closing the
-child folds its own peak back into the parent.  A parent's
-``peak_kib`` is therefore the true maximum over its whole extent,
-before, during and after its children.
+Every finished span also observes ``<name>.duration_s`` into the
+global metrics registry, so span data flows into benchmark reports
+without extra wiring.  Records are plain dicts, ready for the JSONL
+exporter (:func:`repro.observability.export.write_jsonl`).
 """
 
 from __future__ import annotations
@@ -43,14 +31,11 @@ from __future__ import annotations
 import functools
 import threading
 import time
-import tracemalloc
 from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.observability.metrics import get_registry
 
 F = TypeVar("F", bound=Callable[..., Any])
-
-_KIB = 1024.0
 
 
 class _NoopSpan:
@@ -75,7 +60,7 @@ class Span:
     """One live region; becomes a record dict when it closes."""
 
     __slots__ = ("tracer", "name", "attrs", "span_id", "parent_id", "depth",
-                 "started_at", "_t0", "_mem0", "_peak")
+                 "started_at", "_t0")
 
     def __init__(
         self,
@@ -85,7 +70,6 @@ class Span:
         span_id: int,
         parent_id: Optional[int],
         depth: int,
-        mem0: Optional[int],
     ) -> None:
         self.tracer = tracer
         self.name = name
@@ -94,8 +78,6 @@ class Span:
         self.parent_id = parent_id
         self.depth = depth
         self.started_at = time.time()
-        self._mem0 = mem0  # traced bytes at entry; None = memory off
-        self._peak = 0  # max traced bytes folded in from before/inside children
         self._t0 = time.perf_counter()
 
     def set_attribute(self, key: str, value: Any) -> None:
@@ -116,33 +98,18 @@ class Tracer:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.memory = False
         self.records: List[Dict[str, Any]] = []
         self._next_id = 0
         self._local = threading.local()
-        self._started_tracemalloc = False
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self, memory: bool = False) -> None:
-        """Turn tracing on; ``memory=True`` also starts tracemalloc."""
+    def enable(self) -> None:
+        """Turn tracing on."""
         self.enabled = True
-        self.memory = memory
-        if memory and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
-        elif not memory:
-            self._stop_tracemalloc()
 
     def disable(self) -> None:
         """Turn tracing off (records are kept until cleared)."""
         self.enabled = False
-        self.memory = False
-        self._stop_tracemalloc()
-
-    def _stop_tracemalloc(self) -> None:
-        if self._started_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        self._started_tracemalloc = False
 
     def clear(self) -> None:
         self.records = []
@@ -162,12 +129,6 @@ class Tracer:
             return _NOOP_SPAN
         stack = self._stack()
         parent = stack[-1] if stack else None
-        mem0: Optional[int] = None
-        if self.memory and tracemalloc.is_tracing():
-            mem0, peak = tracemalloc.get_traced_memory()
-            if parent is not None:  # keep the parent's peak so far
-                parent._peak = max(parent._peak, peak)
-            tracemalloc.reset_peak()
         self._next_id += 1
         span = Span(
             tracer=self,
@@ -176,7 +137,6 @@ class Tracer:
             span_id=self._next_id,
             parent_id=parent.span_id if parent else None,
             depth=len(stack),
-            mem0=mem0,
         )
         stack.append(span)
         return span
@@ -199,18 +159,7 @@ class Tracer:
             "duration_s": duration,
             "attrs": span.attrs,
         }
-        registry = get_registry()
-        registry.histogram(f"{span.name}.duration_s").observe(duration)
-        if span._mem0 is not None and tracemalloc.is_tracing():
-            current, peak = tracemalloc.get_traced_memory()
-            peak = max(peak, span._peak)
-            peak_kib = max(0.0, (peak - span._mem0) / _KIB)
-            record["peak_kib"] = peak_kib
-            record["alloc_kib"] = (current - span._mem0) / _KIB
-            registry.histogram(f"{span.name}.peak_kib").observe(peak_kib)
-            if stack:  # fold our peak into the parent, then resume its window
-                stack[-1]._peak = max(stack[-1]._peak, peak)
-                tracemalloc.reset_peak()
+        get_registry().histogram(f"{span.name}.duration_s").observe(duration)
         self.records.append(record)
 
     def event(self, name: str, **attrs: Any) -> None:
@@ -247,8 +196,7 @@ class Tracer:
     def summary(self, top: Optional[int] = None) -> List[Dict[str, Any]]:
         """Per-name span aggregates, slowest (by total time) first.
 
-        Each entry carries ``name``, ``count``, ``total_s``, ``max_s``
-        and — when memory capture produced them — ``max_peak_kib``.
+        Each entry carries ``name``, ``count``, ``total_s`` and ``max_s``.
         """
         by_name: Dict[str, Dict[str, Any]] = {}
         for record in self.spans():
@@ -259,25 +207,8 @@ class Tracer:
             entry["count"] += 1
             entry["total_s"] += record["duration_s"]
             entry["max_s"] = max(entry["max_s"], record["duration_s"])
-            if "peak_kib" in record:
-                entry["max_peak_kib"] = max(
-                    entry.get("max_peak_kib", 0.0), record["peak_kib"]
-                )
         ordered = sorted(by_name.values(), key=lambda e: -e["total_s"])
         return ordered[:top] if top is not None else ordered
-
-    def memory_summary(self) -> Dict[str, Dict[str, float]]:
-        """``name -> {peak_kib, alloc_kib}`` maxima (memory spans only)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for record in self.spans():
-            if "peak_kib" not in record:
-                continue
-            entry = out.setdefault(
-                record["name"], {"peak_kib": 0.0, "alloc_kib": 0.0}
-            )
-            entry["peak_kib"] = max(entry["peak_kib"], record["peak_kib"])
-            entry["alloc_kib"] = max(entry["alloc_kib"], record["alloc_kib"])
-        return out
 
 
 _global_tracer = Tracer(enabled=False)
@@ -298,9 +229,9 @@ def event(name: str, **attrs: Any) -> None:
     _global_tracer.event(name, **attrs)
 
 
-def enable(memory: bool = False) -> None:
-    """Turn on the global tracer; ``memory=True`` adds tracemalloc."""
-    _global_tracer.enable(memory=memory)
+def enable() -> None:
+    """Turn on the global tracer."""
+    _global_tracer.enable()
 
 
 def disable() -> None:
@@ -317,8 +248,7 @@ def traced(name: str) -> Callable[[F], F]:
 
     While tracing is disabled the wrapper is one attribute check plus
     the call, cheap enough for every routed kernel entry point.  When
-    enabled, each call records a span named ``name`` (wall time, and
-    memory when memory capture is on).
+    enabled, each call records a span named ``name``.
     """
 
     def decorator(fn: F) -> F:

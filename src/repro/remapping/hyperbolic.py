@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.errors import AlgorithmError, NodeNotFoundError
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_tree
 from repro.remapping.geo_routing import RouteResult
 from repro.observability.tracing import traced
 
@@ -327,15 +326,22 @@ class HyperbolicEmbedding:
 def _assign_angles(
     graph: Graph, root: Node
 ) -> Tuple[Dict[Node, Optional[Node]], Dict[Node, float]]:
-    parent = bfs_tree(graph, root)
+    # A BFS tree that visits each node's neighbours in repr order, so it
+    # depends only on the node and edge sets, not on the order the
+    # adjacency sets were built in; children come out in repr order.
+    rank = {node: i for i, node in enumerate(sorted(graph.nodes(), key=repr))}
+    parent: Dict[Node, Optional[Node]] = {root: None}
+    children: Dict[Node, List[Node]] = {root: []}
+    order = [root]
+    for node in order:  # grows while it is walked: a BFS queue
+        for neighbor in sorted(graph.neighbors(node), key=rank.__getitem__):
+            if neighbor not in parent:
+                parent[neighbor] = node
+                children[node].append(neighbor)
+                children[neighbor] = []
+                order.append(neighbor)
     if len(parent) != graph.num_nodes:
         raise AlgorithmError("hyperbolic embedding requires a connected graph")
-    children: Dict[Node, List[Node]] = {node: [] for node in parent}
-    for node, par in parent.items():
-        if par is not None:
-            children[par].append(node)
-    for node in children:
-        children[node].sort(key=repr)
 
     angle: Dict[Node, float] = {}
     for node, kids in children.items():

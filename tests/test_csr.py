@@ -206,8 +206,8 @@ def test_nsf_peel_sequence_matches_reference(graph):
     # Round-by-round: the batched peel removes exactly the reference's
     # local lowest-degree set of each successive induced subgraph.
     current = graph
-    for chosen in fg.peel_rounds():
-        removed = {fg.node_list[i] for i in chosen}
+    for chosen in fg.peel_round_masks():
+        removed = {fg.node_list[i] for i in np.flatnonzero(chosen)}
         assert removed == local_lowest_degree_nodes_reference(current)
         current = current.subgraph(set(current.nodes()) - removed)
 

@@ -2,17 +2,16 @@
 
 Covers the contracts the rest of the library now leans on: get-or-create
 registry semantics (one name, one kind), exact histogram percentiles,
-span nesting and attributes, tracemalloc peaks across nested spans, the
-``@traced`` decorator, the disabled-mode overhead bound, JSONL and
-Prometheus round-trips, and the engine/DTN integration (legacy stats
-views must agree with the registry snapshot exactly).
+span nesting and attributes, the ``@traced`` decorator, the
+disabled-mode overhead bound, JSONL and Prometheus round-trips, and the
+engine/DTN integration (legacy stats views must agree with the registry
+snapshot exactly).
 """
 
 import json
 import math
 import os
 import time
-import tracemalloc
 
 import pytest
 
@@ -153,18 +152,6 @@ def global_tracer():
     tracer.clear()
 
 
-@pytest.fixture
-def memory_tracer():
-    """A private tracer with memory capture on."""
-    tracer = Tracer()
-    tracer.enable(memory=True)
-    yield tracer
-    tracer.disable()
-
-
-_MIB = 1024 * 1024
-
-
 class TestTracing:
     def test_span_nesting_parent_child(self, fresh_registry):
         tracer = Tracer(enabled=True)
@@ -180,7 +167,6 @@ class TestTracing:
         assert inner["depth"] == 1 and outer["depth"] == 0
         assert outer["attrs"] == {"a": 1, "extra": "yes"}
         assert inner["duration_s"] >= 0.0
-        assert "peak_kib" not in outer  # memory capture is off
 
     def test_set_attribute_and_exception_marking(self, fresh_registry):
         tracer = Tracer(enabled=True)
@@ -231,7 +217,6 @@ class TestTracing:
             pass
         snapshot = fresh_registry.snapshot()
         assert snapshot["work.duration_s"]["count"] == 1
-        assert "work.peak_kib" not in snapshot
 
     def test_clear_drops_records(self, fresh_registry):
         tracer = Tracer(enabled=True)
@@ -239,51 +224,6 @@ class TestTracing:
             tracer.event("ping")
         tracer.clear()
         assert tracer.records == []
-
-    def test_memory_span_reports_peak_and_alloc(self, memory_tracer, fresh_registry):
-        with memory_tracer.span("alloc"):
-            blob = bytearray(512 * 1024)
-            del blob
-        (record,) = memory_tracer.records
-        # 512 KiB was live inside the span, above the entry watermark ...
-        assert record["peak_kib"] > 256
-        # ... and freed again, so net allocation is far below the peak.
-        assert record["alloc_kib"] < record["peak_kib"]
-        assert fresh_registry.snapshot()["alloc.peak_kib"]["count"] == 1
-
-    @pytest.mark.parametrize("where", ["flat", "inside_child", "before_child"])
-    def test_parent_peak_covers_its_whole_extent(
-        self, where, memory_tracer, fresh_registry
-    ):
-        """A 4 MiB transient shows in the parent's peak wherever it
-        happened: with no child, inside a child, or before a child
-        opened (the child's entry must not reset it away)."""
-        with memory_tracer.span("parent"):
-            if where != "inside_child":
-                blob = bytearray(4 * _MIB)
-                del blob
-            if where != "flat":
-                with memory_tracer.span("child"):
-                    if where == "inside_child":
-                        blob = bytearray(4 * _MIB)
-                        del blob
-        by_name = {r["name"]: r for r in memory_tracer.records}
-        assert by_name["parent"]["peak_kib"] > 3 * 1024
-        if where == "inside_child":
-            assert by_name["child"]["peak_kib"] > 3 * 1024
-            assert by_name["parent"]["peak_kib"] >= by_name["child"]["peak_kib"]
-        if where == "before_child":
-            assert by_name["child"]["peak_kib"] < 1024
-
-    def test_disable_stops_tracemalloc_it_started(self):
-        if tracemalloc.is_tracing():
-            pytest.skip("tracemalloc already on outside the tracer")
-        tracer = Tracer()
-        tracer.enable(memory=True)
-        assert tracemalloc.is_tracing()
-        tracer.disable()
-        assert not tracemalloc.is_tracing()
-        assert not tracer.enabled and not tracer.memory
 
     def test_summary_aggregates_per_name_slowest_first(self, fresh_registry):
         tracer = Tracer(enabled=True)
@@ -298,23 +238,6 @@ class TestTracing:
         assert by_name["quick"]["count"] == 2
         assert by_name["slow"]["total_s"] >= by_name["slow"]["max_s"] > 0
         assert tracer.summary(top=1) == summary[:1]
-
-    def test_memory_summary_empty_without_memory_tracing(self, fresh_registry):
-        tracer = Tracer(enabled=True)
-        with tracer.span("work"):
-            blob = bytearray(64 * 1024)
-            del blob
-        assert tracer.memory_summary() == {}
-        assert "max_peak_kib" not in tracer.summary()[0]
-
-    def test_memory_summary_keeps_maxima(self, memory_tracer, fresh_registry):
-        for size in (128, 512):
-            with memory_tracer.span("sized"):
-                blob = bytearray(size * 1024)
-                del blob
-        summary = memory_tracer.memory_summary()
-        assert summary["sized"]["peak_kib"] > 256  # the larger pass wins
-        assert memory_tracer.summary()[0]["max_peak_kib"] > 256
 
     def test_disabled_traced_call_records_nothing(self, global_tracer, fresh_registry):
         calls = []
@@ -378,25 +301,6 @@ class TestTracing:
         assert record["attrs"]["error"] == "ValueError"
         assert fresh_registry.get("repro.test.fails.duration_s").count == 1
 
-    def test_traced_observes_peak_with_memory_tracing(
-        self, global_tracer, fresh_registry
-    ):
-        @traced("repro.test.alloc")
-        def workload():
-            blob = bytearray(512 * 1024)
-            del blob
-
-        global_tracer.enable(memory=True)
-        workload()
-        global_tracer.disable()
-        assert not global_tracer.memory
-        (record,) = global_tracer.spans("repro.test.alloc")
-        assert record["peak_kib"] > 256
-        snapshot = fresh_registry.snapshot()
-        assert snapshot["repro.test.alloc.duration_s"]["count"] == 1
-        assert snapshot["repro.test.alloc.peak_kib"]["count"] == 1
-
-
 class TestExporters:
     def test_jsonl_round_trip(self, tmp_path):
         tracer = Tracer(enabled=True)
@@ -436,11 +340,10 @@ class TestExporters:
             metrics={"repro.test.x": 1},
             timings={"wall_s": 0.5},
         )
-        out_dir = str(tmp_path / "out")
-        paths = report.write(out_dir, top_dir=str(tmp_path))
-        assert os.path.basename(paths[0]) == "unit.json"
-        assert os.path.basename(paths[1]) == "BENCH_unit.json"
-        document = json.loads(open(paths[1]).read())
+        path = report.write(str(tmp_path))
+        assert path == str(tmp_path / "BENCH_unit.json")
+        assert os.listdir(tmp_path) == ["BENCH_unit.json"]
+        document = json.loads(open(path).read())
         assert validate_bench_report(document) == []
 
     def test_validate_rejects_malformed_documents(self):

@@ -125,6 +125,26 @@ class TestHyperbolicRemap:
                 t = nodes[int(rng.integers(n))]
                 assert greedy_route_hyperbolic(tree, embedding, s, t).delivered
 
+    def test_spanning_tree_ignores_build_order(self):
+        """Equal node and edge sets give equal trees.  8 and 16 share a
+        hash slot in 0's small adjacency set, so the set's iteration
+        order follows insertion and would pick 24's parent."""
+        edges = [(0, 8), (0, 16), (8, 24), (16, 24)]
+        built = [Graph(), Graph()]
+        for u, v in edges:
+            built[0].add_edge(u, v)
+        for u, v in reversed(edges):
+            built[1].add_edge(v, u)
+        first, second = (embed_tree(g).tree_parent for g in built)
+        assert first == second
+        assert first[24] == 16  # the repr-first of its candidate parents
+
+        scc = gnutella_largest_scc(300, np.random.default_rng(7))
+        rebuilt = Graph()
+        for u, v in sorted(scc.edges(), reverse=True):
+            rebuilt.add_edge(v, u)
+        assert embed_tree(rebuilt).tree_parent == embed_tree(scc).tree_parent
+
     def test_star_embedding(self):
         star = star_graph(8)
         embedding = embed_tree(star)

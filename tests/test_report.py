@@ -6,9 +6,13 @@ the CLI entry point, and a live pass over this repo's committed BENCH
 feeds.
 """
 
+import glob
 import json
 import os
 
+import pytest
+
+from repro.observability import validate_bench_report
 from repro.observability.regression import (
     append_history,
     build_perf_record,
@@ -20,7 +24,6 @@ from repro.observability.report import (
     REPORT_SCHEMA,
     build_dashboard,
     main,
-    memory_summary,
     render_markdown,
     scan_bench_feeds,
     slowest_spans,
@@ -47,7 +50,8 @@ def fake_feed(experiment, header, rows, metrics=None, timings=None):
 
 def write_fixture_top_dir(tmp_path):
     """A miniature repo top dir: two perf feeds, one non-perf feed,
-    one corrupt feed, and a three-run ledger with a 2x drift."""
+    one corrupt feed, and a three-run ledger with a 2x drift whose
+    records also carry the tracer memory peaks older runs wrote."""
     perf = fake_feed(
         "perf-demo",
         ["n", "kernel", "speedup"],
@@ -65,16 +69,13 @@ def write_fixture_top_dir(tmp_path):
 
     ledger = tmp_path / "benchmarks" / "out" / "history.jsonl"
     for median in (0.10, 0.10, 0.20):
-        append_history(
-            str(ledger),
-            build_perf_record(
-                "perf-demo",
-                timings={"bfs_n100_median_s": median},
-                cache={"Graph": {"hit": 1, "miss": 1}},
-                memory={"repro.dtn.run": {"peak_kib": 64.0 * median * 10,
-                                          "alloc_kib": 1.0}},
-            ),
+        record = build_perf_record(
+            "perf-demo",
+            timings={"bfs_n100_median_s": median},
+            cache={"Graph": {"hit": 1, "miss": 1}},
         )
+        record["memory"] = {"repro.dtn.run": {"peak_kib": 64.0, "alloc_kib": 1.0}}
+        append_history(str(ledger), record)
     return str(tmp_path)
 
 
@@ -124,67 +125,6 @@ class TestSections:
         assert entry["experiment"] == "perf-demo" and entry["runs"] == 3
         assert entry["worst_slowdown"] == 2.0
         assert entry["regressions"][0]["key"] == "bfs_n100_median_s"
-
-    def test_memory_summary_keeps_maxima(self, tmp_path):
-        top = write_fixture_top_dir(tmp_path)
-        ledger = load_history(os.path.join(top, "benchmarks", "out", "history.jsonl"))
-        summary = memory_summary(ledger)
-        assert summary["repro.dtn.run"]["peak_kib"] == 128.0  # the latest run
-
-    def test_memory_summary_shows_only_the_latest_record(self, tmp_path):
-        """A span the older record of an experiment carries and its
-        latest record lacks leaves the memory section; a span two
-        experiments share shows the larger of their latest peaks."""
-        records = [
-            build_perf_record(
-                "perf-scale",
-                timings={"x_median_s": 1.0},
-                memory={
-                    "repro.bench.scale.distance-table": {"peak_kib": 9000.0,
-                                                         "alloc_kib": 9.0},
-                    "repro.graphs.csr.shard": {"peak_kib": 512.0,
-                                               "alloc_kib": 8.0},
-                },
-            ),
-            build_perf_record(
-                "perf-scale",
-                timings={"x_median_s": 1.0},
-                memory={"repro.graphs.csr.shard": {"peak_kib": 256.0,
-                                                   "alloc_kib": 4.0}},
-            ),
-            build_perf_record(
-                "smoke-scale",
-                timings={"x_median_s": 1.0},
-                memory={"repro.graphs.csr.shard": {"peak_kib": 300.0,
-                                                   "alloc_kib": 2.0}},
-            ),
-        ]
-        assert memory_summary(records) == {
-            "repro.graphs.csr.shard": {"peak_kib": 300.0, "alloc_kib": 4.0}
-        }
-        ledger = tmp_path / "benchmarks" / "out" / "history.jsonl"
-        for record in records:
-            append_history(str(ledger), record)
-        markdown = render_markdown(build_dashboard(str(tmp_path)))
-        assert "| repro.graphs.csr.shard | 300 KiB | 4 KiB |" in markdown
-        assert "distance-table" not in markdown
-
-    def test_memory_summary_empty_inputs(self, tmp_path):
-        """No ledger, or a latest record without memory peaks, gives no
-        rows, and the memory section shows its placeholder."""
-        assert memory_summary([]) == {}
-        traced = build_perf_record(
-            "perf-demo", timings={"x_median_s": 1.0},
-            memory={"repro.dtn.run": {"peak_kib": 64.0, "alloc_kib": 1.0}},
-        )
-        untraced = build_perf_record("perf-demo", timings={"x_median_s": 1.0})
-        assert memory_summary([traced, untraced]) == {}
-        ledger = tmp_path / "benchmarks" / "out" / "history.jsonl"
-        for record in (traced, untraced):
-            append_history(str(ledger), record)
-        markdown = render_markdown(build_dashboard(str(tmp_path)))
-        assert "(no memory peaks in the ledger" in markdown
-        assert "repro.dtn.run" not in markdown
 
 
 def markdown_row(cells):
@@ -358,7 +298,6 @@ class TestDashboard:
             "## Speedup floors",
             "## Trajectory",
             "slowest cases",
-            "## Memory ceilings",
             "## fig-demo: fig-demo",
             "## perf-demo: perf-demo",
             "## perf-demo metrics",
@@ -370,17 +309,19 @@ class TestDashboard:
 
     def test_legacy_shm_ledger_records_still_render(self, tmp_path):
         """Ledger records written while the shared-memory plane existed
-        carry an ``shm`` object; they must still validate and render,
-        and the dashboard must show no shared-memory section."""
+        carry an ``shm`` object, and those written while the tracer
+        captured memory a ``memory`` object; they must still validate
+        and render, and the dashboard must show neither section."""
         (tmp_path / "BENCH_perf-scale.json").write_text(
             json.dumps(perf_scale_feed())
         )
         legacy = build_perf_record(
             "perf-scale",
             timings={"distance-sums_median_s": 18.0, "sweep_shm_s": 0.04},
-            memory={"repro.graphs.csr.shard": {"peak_kib": 512.0,
-                                               "alloc_kib": 8.0}},
         )
+        legacy["memory"] = {
+            "repro.graphs.csr.shard": {"peak_kib": 512.0, "alloc_kib": 8.0}
+        }
         legacy["shm"] = {
             "events": {"graph": {"publish": 1, "attach": 2, "unlink": 1}},
             "bytes": {"graph": 71_834_192},
@@ -399,6 +340,8 @@ class TestDashboard:
         assert dashboard["ledger_records"] == 2
         markdown = render_markdown(dashboard)
         assert "shared memory" not in markdown.lower()
+        assert "memory ceilings" not in markdown.lower()
+        assert "repro.graphs.csr.shard" not in markdown
         assert "spill" not in markdown.lower()
         assert "| publish | attach |" not in markdown
         # the perf-scale rows render in that feed's panel
@@ -433,6 +376,20 @@ class TestDashboard:
             "perf-csr", "perf-temporal", "perf-labeling", "perf-runtime",
         } <= perf_sections
         render_markdown(dashboard)  # renders without raising
+
+
+COMMITTED_FEEDS = sorted(glob.glob(os.path.join(TOP, "BENCH_*.json")))
+
+
+@pytest.mark.parametrize("path", COMMITTED_FEEDS, ids=os.path.basename)
+def test_committed_feed_parses_validates_and_has_rows(path):
+    """``scan_bench_feeds`` skips a feed it cannot read, so a broken
+    committed feed would silently drop out of the dashboard; each feed
+    is the one copy of its table, so check every one directly."""
+    with open(path) as handle:
+        document = json.load(handle)
+    assert validate_bench_report(document) == []
+    assert document["rows"]
 
 
 class TestCli:
