@@ -38,7 +38,6 @@ from repro.observability import (
     detect_regressions,
     dispatch_counts,
     get_registry,
-    get_tracer,
     load_history,
 )
 from repro.observability import append_history as _append_history
@@ -143,19 +142,6 @@ def scratch_registry(name: str) -> Iterator[MetricsRegistry]:
         yield registry
     finally:
         set_registry(previous)
-
-
-@contextmanager
-def scratch_spans() -> Iterator[List[Dict[str, Any]]]:
-    """Give the global tracer a fresh span record list for the body,
-    yield it, and restore the previous list on exit."""
-    tracer = get_tracer()
-    previous = tracer.records
-    tracer.records = []
-    try:
-        yield tracer.records
-    finally:
-        tracer.records = previous
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,9 @@ def test_fig2_three_path_problems_tradeoff(once):
         ["trial", "earliest completion", "minimum hop", "fastest"],
         rows,
         notes=(
-            "The three optimization targets genuinely diverge: the "
-            "earliest journey often uses more hops; the fastest departs "
+            "The three optimization targets genuinely diverge: in every "
+            "trial the earliest journey uses more hops than the "
+            "minimum-hop one, which completes later; the fastest departs "
             "later to compress its span — the paper's Dijkstra-variant "
             "family."
         ),

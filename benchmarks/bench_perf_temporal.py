@@ -124,18 +124,11 @@ def cases(size: Tuple[int, int, int, int], w) -> List[Case]:
         latest_departure_reference,
     )
 
-    from repro.observability import tracing
-
     eg, specs = w
 
     def sim_runner(router_cls, fast: bool) -> Callable[[], object]:
         def run_sim():
-            # A private disabled tracer: the measured pair must stay
-            # comparable (and fast-path-eligible) even when the caller
-            # — e.g. the smoke harness — enabled the global tracer.
-            sim = DTNSimulation(
-                eg, router_cls(), tracer=tracing.Tracer(), fast_path=fast
-            )
+            sim = DTNSimulation(eg, router_cls(), fast_path=fast)
             for spec in specs:
                 sim.add_message(spec)
             return sim.run()

@@ -1,4 +1,5 @@
-"""Benchmark-suite configuration: local helpers + the `once` fixture."""
+"""Benchmark-suite configuration: local helpers, a metrics registry
+per test, and the `once` fixture."""
 
 import os
 import sys
@@ -6,6 +7,19 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+from _util import scratch_registry  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def bench_registry(request):
+    """Run each bench test against its own empty global registry.
+
+    ``emit_table`` snapshots the global registry into the feed, so a
+    shared one would carry every earlier test's series into each table.
+    """
+    with scratch_registry(f"bench-{request.node.name}") as registry:
+        yield registry
 
 
 @pytest.fixture

@@ -167,7 +167,6 @@ class DTNSimulation:
         router: Router,
         buffer_size: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[tracing.Tracer] = None,
         fault_plan: Optional[FaultPlan] = None,
         fast_path: Optional[bool] = None,
     ) -> None:
@@ -184,7 +183,6 @@ class DTNSimulation:
         # Per-node FIFO buffers: message identifiers in arrival order.
         self._buffers: Dict[Node, List[str]] = {node: [] for node in eg.nodes()}
         self.metrics = registry if registry is not None else MetricsRegistry("dtn")
-        self.tracer = tracer if tracer is not None else tracing.get_tracer()
         self.faults: Optional[FaultSession] = (
             fault_plan.start(registry=self.metrics) if fault_plan is not None else None
         )
@@ -231,7 +229,6 @@ class DTNSimulation:
             evicted = buffer.pop(0)
             self.messages[evicted].holders.discard(node)
             self._drops.inc()
-            self.tracer.event("dtn.drop", node=node, message=evicted)
         self._buffer_gauge(node)
 
     def _buffer_remove(self, node: Node, identifier: str) -> None:
@@ -256,30 +253,25 @@ class DTNSimulation:
         per-message loop; outcomes are identical (see
         ``tests/test_frozen_temporal.py``).
         """
-        with self.tracer.span(
-            "dtn.run", router=self.router.name, messages=len(self.messages)
-        ) as span:
+        with tracing.span("dtn.run"):
             fast = self._use_fast_path()
             record_dispatch("dtn.run", fast=fast)
             contacts = self._run_fast() if fast else self._run_general()
             self._contacts.inc(contacts)
-            span.set_attribute("contacts", contacts)
         return self.stats()
 
     def _fast_path_rejections(self) -> List[str]:
         """Why the bitset front cannot model this run (empty = eligible).
 
-        The front only reproduces fault-free, unbounded, untraced runs
-        of routers whose policy it implements exactly; each violated
-        precondition contributes one labeled reason.
+        The front only reproduces fault-free, unbounded runs of routers
+        whose policy it implements exactly; each violated precondition
+        contributes one labeled reason.
         """
         reasons: List[str] = []
         if self.faults is not None:
             reasons.append("fault_session")
         if self.buffer_size is not None:
             reasons.append("bounded_buffer")
-        if self.tracer.enabled:
-            reasons.append("tracer_enabled")
         if type(self.router).__dict__.get("fast_path_mode") not in (
             "epidemic",
             "direct",
@@ -305,8 +297,8 @@ class DTNSimulation:
             if reasons:
                 self._record_rejections(reasons)
                 raise ValueError(
-                    "fast_path=True requires a fault-free, unbounded-buffer, "
-                    "untraced run under an epidemic or direct-delivery router"
+                    "fast_path=True requires a fault-free, unbounded-buffer "
+                    "run under an epidemic or direct-delivery router"
                 )
             return True
         if not reasons and self.eg.num_contacts < FROZEN_MIN_CONTACTS:
@@ -347,8 +339,6 @@ class DTNSimulation:
                         heapq.heappush(heap, (time + delay, seq, u, v, True))
                         seq += 1
                         continue
-            if self.tracer.enabled:
-                self.tracer.event("dtn.contact", u=u, v=v, t=time)
             self.router.on_contact(u, v, time)
             self._exchange(u, v, time)
             self._exchange(v, u, time)
@@ -506,10 +496,6 @@ class DTNSimulation:
                 message.delivered_at = time
                 message.hops += 1
                 self._record_delivery(message)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "dtn.delivered", message=identifier, at=peer, t=time
-                    )
                 continue
             decision = self.router.decide(message, holder, peer, time)
             if decision is Decision.CARRY:
@@ -529,15 +515,6 @@ class DTNSimulation:
                 self._replications.inc()
             else:
                 self._handovers.inc()
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "dtn.exchange",
-                    message=identifier,
-                    holder=holder,
-                    peer=peer,
-                    t=time,
-                    decision=decision.value,
-                )
             self._buffer_add(peer, identifier)
             if decision is Decision.HANDOVER:
                 message.holders.discard(holder)

@@ -189,15 +189,11 @@ def _run_reversal(
 ) -> ReversalResult:
     """Drive sinks one at a time (deterministic ID order) until done."""
     result = ReversalResult(orientation=orientation, heights=heights)
-    with tracing.get_tracer().span(
-        "layering.link_reversal", algorithm=algorithm, nodes=graph.num_nodes
-    ) as span:
+    with tracing.span("layering.link_reversal"):
         for _ in range(max_steps):
             sinks = orientation.sinks(excluding={destination})
             if not sinks:
                 _record_reversal_metrics(algorithm, result)
-                span.set_attribute("steps", result.steps)
-                span.set_attribute("link_reversals", result.link_reversals)
                 return result
             sink = min(sinks, key=repr)
             before = orientation.out_neighbors(sink)

@@ -108,9 +108,7 @@ def distributed_full_reversal(
         ),
         fault_plan=fault_plan,
     )
-    with tracing.get_tracer().span(
-        "layering.distributed_reversal", nodes=graph.num_nodes
-    ):
+    with tracing.span("layering.distributed_reversal"):
         stats = network.run(max_rounds=max_rounds)
     final_heights: Dict[Node, Height] = {
         node: tuple(network.state_of(node)["height"]) for node in graph.nodes()
@@ -218,9 +216,7 @@ def distributed_partial_reversal(
         ),
         fault_plan=fault_plan,
     )
-    with tracing.get_tracer().span(
-        "layering.distributed_reversal", nodes=graph.num_nodes
-    ):
+    with tracing.span("layering.distributed_reversal"):
         stats = network.run(max_rounds=max_rounds)
     final_heights: Dict[Node, Height] = {
         node: tuple(network.state_of(node)["height"]) for node in graph.nodes()

@@ -1,4 +1,4 @@
-"""Observability: metrics, tracing spans, and exporters (dependency-free).
+"""Observability: metrics, tracing spans, and benchmark reports (dependency-free).
 
 The paper's claims are measured quantities — rounds, messages,
 reversals, delivery ratios — so measurement is a first-class facility
@@ -7,14 +7,14 @@ here rather than per-module ad-hoc counters:
 * :mod:`repro.observability.metrics` — :class:`MetricsRegistry` of
   counters / gauges / histograms with labeled series and percentile
   summaries.  Metric names follow ``repro.<module>.<name>``.
-* :mod:`repro.observability.tracing` — the one span type: nested
-  spans (``trace.span("engine.round", ...)`` or the ``@traced(name)``
-  decorator on kernel entry points) recording wall time, attributes
-  and parent links, with a near-zero-overhead no-op mode while
-  disabled (the default).
-* :mod:`repro.observability.export` — JSONL event logs, Prometheus
-  text exposition, and the :class:`BenchReport` writer behind every
-  ``BENCH_<experiment>.json`` feed.
+* :mod:`repro.observability.tracing` — spans
+  (``trace.span("engine.round")`` or the ``@traced(name)`` decorator on
+  kernel entry points); each finished span observes its wall time into
+  the registry's ``<name>.duration_s`` histogram.  Off by default, and
+  then a near-zero-overhead no-op.
+* :mod:`repro.observability.export` — the :class:`BenchReport` writer
+  behind every ``BENCH_<experiment>.json`` feed, and
+  :func:`write_atomic`.
 * :mod:`repro.observability.telemetry` — the frozen-cache
   (hit/miss/refreeze) and fast-path-vs-reference dispatch counters.
 * :mod:`repro.observability.regression` — the ``repro.perf/v1``
@@ -26,10 +26,11 @@ here rather than per-module ad-hoc counters:
 
 Import the tracing module as ``trace`` for the idiomatic spelling::
 
-    from repro.observability import trace
+    from repro.observability import get_registry, trace
     trace.enable()
-    with trace.span("my.workload", n=100):
+    with trace.span("my.workload"):
         ...
+    get_registry().snapshot()["my.workload.duration_s"]
 """
 
 from repro.observability import tracing as trace
@@ -55,13 +56,8 @@ from repro.observability.telemetry import (
 from repro.observability.export import (
     BENCH_SCHEMA,
     BenchReport,
-    parse_prometheus,
-    read_jsonl,
-    to_jsonl,
-    to_prometheus,
     validate_bench_report,
     write_atomic,
-    write_jsonl,
 )
 from repro.observability.metrics import (
     Counter,
@@ -71,7 +67,7 @@ from repro.observability.metrics import (
     get_registry,
     set_registry,
 )
-from repro.observability.tracing import Tracer, get_tracer, traced
+from repro.observability.tracing import traced
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -83,7 +79,6 @@ __all__ = [
     "PERF_SCHEMA",
     "PerfRegressionError",
     "Regression",
-    "Tracer",
     "append_history",
     "apply_gate",
     "build_perf_record",
@@ -93,19 +88,13 @@ __all__ = [
     "gate_mode",
     "gate_threshold",
     "get_registry",
-    "get_tracer",
     "load_history",
-    "parse_prometheus",
-    "read_jsonl",
     "record_cache_event",
     "record_dispatch",
     "set_registry",
-    "to_jsonl",
-    "to_prometheus",
     "trace",
     "traced",
     "validate_bench_report",
     "validate_perf_record",
     "write_atomic",
-    "write_jsonl",
 ]

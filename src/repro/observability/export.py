@@ -1,17 +1,11 @@
-"""Exporters: JSONL event logs, Prometheus text, benchmark reports.
+"""Benchmark reports: the one committed copy of every experiment table.
 
-Three consumers, three formats:
-
-* **JSONL** (:func:`write_jsonl`) — the tracer's span/event records,
-  one JSON object per line, for replay and offline analysis;
-* **Prometheus text** (:func:`to_prometheus`) — the registry snapshot
-  in the exposition format scrapers expect (dots become underscores,
-  histograms render as summaries with quantile labels);
-* **benchmark reports** (:class:`BenchReport`) — the one committed
-  copy of every experiment table, the top-level
-  ``BENCH_<experiment>.json`` feed.  :func:`validate_bench_report`
-  checks a document against the ``repro.bench/v1`` schema and returns
-  the list of violations (empty = valid).
+:class:`BenchReport` writes the top-level ``BENCH_<experiment>.json``
+feed: the table, the metrics registry snapshot at emission time (span
+``<name>.duration_s`` histograms included) and wall-clock timings.
+:func:`validate_bench_report` checks a document against the
+``repro.bench/v1`` schema and returns the list of violations (empty =
+valid).
 
 All writes are atomic (temp file in the destination directory, then
 ``os.replace``) so an interrupted benchmark run never leaves a
@@ -24,9 +18,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
-
-from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 BENCH_SCHEMA = "repro.bench/v1"
 
@@ -58,10 +50,10 @@ def write_atomic(path: str, text: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# JSONL
+# benchmark reports
 # ----------------------------------------------------------------------
-def _jsonl_default(value: Any) -> Any:
-    """Best-effort encoder for attribute payloads (nodes may be tuples,
+def _json_default(value: Any) -> Any:
+    """Best-effort encoder for report cells (nodes may be tuples,
     frozensets, numpy scalars...)."""
     if isinstance(value, (set, frozenset)):
         return sorted(value, key=repr)
@@ -73,126 +65,12 @@ def _jsonl_default(value: Any) -> Any:
     return repr(value)
 
 
-def to_jsonl(records: Iterable[Mapping[str, Any]]) -> str:
-    """Render records (tracer output, metric snapshots...) as JSONL."""
-    return "\n".join(
-        json.dumps(record, default=_jsonl_default, sort_keys=True)
-        for record in records
-    )
-
-
-def write_jsonl(path: str, records: Iterable[Mapping[str, Any]]) -> str:
-    """Atomically write one JSON object per line; returns the path."""
-    text = to_jsonl(records)
-    return write_atomic(path, text + ("\n" if text else ""))
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL file back into a list of dicts (round-trip test aid)."""
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-def _prom_name(name: str) -> str:
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    sanitized = "".join(out)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def _prom_escape(value: str) -> str:
-    """Escape a label value per the exposition format: backslash,
-    double-quote and newline must be backslash-escaped."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _prom_labels(labels: Mapping[str, Any], extra: Optional[Mapping[str, Any]] = None) -> str:
-    merged: Dict[str, Any] = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    rendered = ",".join(
-        f'{_prom_name(str(key))}="{_prom_escape(str(value))}"'
-        for key, value in sorted(merged.items())
-    )
-    return "{" + rendered + "}"
-
-
-def to_prometheus(
-    registry: MetricsRegistry, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
-) -> str:
-    """Render the registry in the Prometheus text exposition format.
-
-    Counters and gauges map directly; histograms render as summaries
-    (``quantile`` labels plus ``_count`` / ``_sum`` series).
-    """
-    lines: List[str] = []
-    typed: set = set()
-    for metric in registry.metrics():
-        name = _prom_name(metric.name)
-        if isinstance(metric, Counter):
-            if name not in typed:
-                lines.append(f"# TYPE {name} counter")
-                typed.add(name)
-            lines.append(f"{name}{_prom_labels(metric.label_dict)} {metric.value}")
-        elif isinstance(metric, Gauge):
-            if name not in typed:
-                lines.append(f"# TYPE {name} gauge")
-                typed.add(name)
-            lines.append(f"{name}{_prom_labels(metric.label_dict)} {metric.value}")
-        elif isinstance(metric, Histogram):
-            if name not in typed:
-                lines.append(f"# TYPE {name} summary")
-                typed.add(name)
-            for q in quantiles:
-                if metric.count:
-                    value: Any = metric.percentile(q)
-                    lines.append(
-                        f"{name}{_prom_labels(metric.label_dict, {'quantile': q})} {value}"
-                    )
-            lines.append(f"{name}_count{_prom_labels(metric.label_dict)} {metric.count}")
-            lines.append(f"{name}_sum{_prom_labels(metric.label_dict)} {metric.sum}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus(text: str) -> Dict[str, float]:
-    """Minimal parser for the exposition format (round-trip test aid).
-
-    Returns ``rendered-series-name -> value`` for every sample line.
-    """
-    samples: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        series, _, value = line.rpartition(" ")
-        samples[series] = float(value)
-    return samples
-
-
-# ----------------------------------------------------------------------
-# benchmark reports
-# ----------------------------------------------------------------------
 class BenchReport:
     """Machine-readable record of one benchmark experiment.
 
     Collects what the plain-text table shows (header + rows) together
-    with what it cannot show: the metrics snapshot at emission time,
-    wall-clock timings, and trace statistics.  ``write`` produces the
+    with what it cannot show: the metrics snapshot at emission time
+    and wall-clock timings.  ``write`` produces the
     top-level ``BENCH_<experiment>.json`` feed.
     """
 
@@ -228,7 +106,7 @@ class BenchReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), default=_jsonl_default, indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), default=_json_default, indent=2, sort_keys=True)
 
     def write(self, top_dir: str) -> str:
         """Write ``<top_dir>/BENCH_<experiment>.json``; returns its path."""

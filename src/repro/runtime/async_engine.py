@@ -55,7 +55,6 @@ class AsyncNetwork:
         rng: np.random.Generator,
         max_delay: int = 3,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[tracing.Tracer] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if max_delay < 1:
@@ -71,7 +70,6 @@ class AsyncNetwork:
         self._in_flight: List[Tuple[int, Message, int, bool]] = []
         self._tick = 0
         self.metrics = registry if registry is not None else MetricsRegistry("async-network")
-        self.tracer = tracer if tracer is not None else tracing.get_tracer()
         self.stats = RunStats(registry=self.metrics)
         self._initialized = False
         self._factory = algorithm_factory
@@ -222,9 +220,7 @@ class AsyncNetwork:
 
     def run(self, max_ticks: int = 50_000) -> RunStats:
         """Run until quiescent: everyone halted and nothing in flight."""
-        with self.tracer.span(
-            "engine.async_run", nodes=self.graph.num_nodes, max_ticks=max_ticks
-        ) as span:
+        with tracing.span("engine.async_run"):
             self.initialize()
             for _ in range(max_ticks):
                 if self._quiescent():
@@ -242,8 +238,6 @@ class AsyncNetwork:
                         ),
                     )
             self.metrics.gauge("repro.runtime.in_flight").set(len(self._in_flight))
-            span.set_attribute("ticks", self.stats.rounds)
-            span.set_attribute("messages_sent", self.stats.messages_sent)
         return self.stats
 
     def _quiescent(self) -> bool:

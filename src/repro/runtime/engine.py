@@ -52,21 +52,6 @@ from repro.observability.telemetry import record_dispatch
 Node = Hashable
 
 
-def _payload_size(payload: Any) -> int:
-    """Approximate wire size of a payload, in bytes.
-
-    Only called when ``measure_message_sizes=True`` — the counting hot
-    path must never pay a ``repr`` (or any per-payload call) just to
-    tally message totals; ``tests/test_runtime.py`` pins that.  Sized
-    byte/str payloads report their actual length; everything else
-    (tuples, dataclasses, ...) falls back to repr length, rather than
-    ``len()``, which would report a tuple's *arity* as its wire size.
-    """
-    if isinstance(payload, (bytes, bytearray, memoryview, str)):
-        return len(payload)
-    return len(repr(payload))
-
-
 @dataclass
 class Message:
     """A message in flight: sender, receiver and an arbitrary payload."""
@@ -335,12 +320,10 @@ class Network:
     :class:`~repro.observability.metrics.MetricsRegistry` (exposed as
     :attr:`metrics`) backing :attr:`stats`, so two networks never mix
     their accounting; pass a shared ``registry`` to aggregate runs
-    deliberately.  ``tracer`` defaults to the process-global tracer,
-    which is disabled (no-op spans) unless the caller enables it.
-    Per-round observer callbacks can be attached with
-    :meth:`add_round_hook`; ``measure_message_sizes=True`` adds a
-    ``repro.runtime.message_bytes`` counter (approximate payload
-    bytes), at the cost of one ``repr`` per delivered message.
+    deliberately.  While tracing is enabled
+    (:func:`repro.observability.tracing.enable`), each run and each
+    round observe the ``engine.run.duration_s`` and
+    ``engine.round.duration_s`` histograms of the global registry.
     """
 
     def __init__(
@@ -348,8 +331,6 @@ class Network:
         graph: Graph,
         algorithm_factory: Callable[[Node], NodeAlgorithm],
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[tracing.Tracer] = None,
-        measure_message_sizes: bool = False,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.graph = graph.copy()
@@ -359,10 +340,7 @@ class Network:
         self._inboxes: Dict[Node, List[Message]] = {}
         self._pending: List[Message] = []
         self.metrics = registry if registry is not None else MetricsRegistry("network")
-        self.tracer = tracer if tracer is not None else tracing.get_tracer()
-        self.measure_message_sizes = measure_message_sizes
         self.stats = RunStats(registry=self.metrics)
-        self._round_hooks: List[Callable[[int, int], None]] = []
         self._round = 0
         self._initialized = False
         self._factory = algorithm_factory
@@ -376,12 +354,6 @@ class Network:
         self._schedule = Schedule()
         for node in self.graph.nodes():
             self._install(node)
-
-    def add_round_hook(self, hook: Callable[[int, int], None]) -> None:
-        """Register ``hook(round_number, messages_delivered)``, called
-        after every synchronous round (observer only — it must not
-        mutate the network)."""
-        self._round_hooks.append(hook)
 
     def _install(self, node: Node) -> None:
         self._algorithms[node] = self._factory(node)
@@ -453,28 +425,20 @@ class Network:
         for inbox in self._inboxes.values():
             inbox.clear()
         count = 0
-        size = 0
-        measure = self.measure_message_sizes
         if self.faults is None:
             for message in messages:
                 if message.receiver in self._inboxes:
                     self._inboxes[message.receiver].append(message)
                     count += 1
-                    if measure:
-                        size += _payload_size(message.payload)
         else:
-            count, size = self._deliver_with_faults(messages, measure)
+            count = self._deliver_with_faults(messages)
         self.stats.messages_sent += count
         self.stats.messages_per_round.append(count)
-        if measure:
-            self.metrics.counter("repro.runtime.message_bytes").inc(size)
         return count
 
-    def _deliver_with_faults(
-        self, messages: Iterable[Message], measure: bool
-    ) -> Tuple[int, int]:
+    def _deliver_with_faults(self, messages: Iterable[Message]) -> int:
         """Route fresh sends plus due retried/delayed messages through
-        the fault session; returns (delivered, payload bytes)."""
+        the fault session; returns the number delivered."""
         faults = self.faults
         stream: List[Tuple[Message, int, bool]] = [(m, 0, True) for m in messages]
         if self._transit:
@@ -485,12 +449,9 @@ class Network:
         deliveries, deferrals = route_faults(faults, self._round, stream, self._crashed)
         self._transit.extend(deferrals)
         count = 0
-        size = 0
         for message, copies in deliveries:
             self._inboxes[message.receiver].extend([message] * copies)
             count += copies
-            if measure:
-                size += copies * _payload_size(message.payload)
         if faults.reorder:
             # Only an inbox of two or more messages draws a permutation.
             crowded = [node for node, inbox in self._inboxes.items() if len(inbox) > 1]
@@ -499,7 +460,7 @@ class Network:
                 permutation = faults.reorder_permutation(self._round, node, len(inbox))
                 if permutation is not None:
                     inbox[:] = [inbox[i] for i in permutation]
-        return count, size
+        return count
 
     def initialize(self) -> None:
         """Run every node's :meth:`NodeAlgorithm.init` (round 0)."""
@@ -521,25 +482,18 @@ class Network:
             self.initialize()
         self._round += 1
         self.stats.rounds = self._round
-        with self.tracer.span("engine.round", round=self._round) as span:
+        with tracing.span("engine.round"):
             outgoing: List[Message] = []
             if self.faults is not None:
                 outgoing.extend(self._apply_fault_events())
-            active = 0
             for node in self._schedule.of(self.graph).nodes:
                 if node in self._crashed:
                     continue
                 if self._halted[node] and not self._inboxes[node]:
                     continue
-                active += 1
                 outgoing.extend(self._run_node(node, "step"))
-            delivered = self._deliver(outgoing)
-            span.set_attribute("active_nodes", active)
-            span.set_attribute("messages", delivered)
+            self._deliver(outgoing)
         self.metrics.gauge("repro.runtime.in_flight").set(len(self._transit))
-        if self._round_hooks:
-            for hook in self._round_hooks:
-                hook(self._round, delivered)
 
     def _apply_fault_events(self) -> List[Message]:
         """Fire this round's crash/restart/churn events; returns the
@@ -570,9 +524,7 @@ class Network:
     def run(self, max_rounds: int = 10_000) -> RunStats:
         """Run until every node halts and no message is in flight."""
         record_dispatch("runtime.engine", path="scalar")
-        with self.tracer.span(
-            "engine.run", nodes=self.graph.num_nodes, max_rounds=max_rounds
-        ) as span:
+        with tracing.span("engine.run"):
             self.initialize()
             for _ in range(max_rounds):
                 if self._quiescent():
@@ -590,8 +542,6 @@ class Network:
                         ),
                     )
             self.metrics.gauge("repro.runtime.in_flight").set(len(self._transit))
-            span.set_attribute("rounds", self.stats.rounds)
-            span.set_attribute("messages_sent", self.stats.messages_sent)
         return self.stats
 
     # ------------------------------------------------------------------

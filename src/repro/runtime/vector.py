@@ -148,7 +148,6 @@ class VectorEngine:
         kernel: ArrayKernel,
         fault_plan: Optional[FaultPlan] = None,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[tracing.Tracer] = None,
     ) -> None:
         fg = frozen if isinstance(frozen, FrozenGraph) else frozen.frozen()
         if fg.directed:
@@ -173,7 +172,6 @@ class VectorEngine:
         self.kernel = kernel
         kernel.bind(self)
         self.metrics = registry if registry is not None else MetricsRegistry("vector-network")
-        self.tracer = tracer if tracer is not None else tracing.get_tracer()
         self.stats = RunStats(registry=self.metrics)
         self._round = 0
         self._initialized = False
@@ -357,18 +355,14 @@ class VectorEngine:
             self.initialize()
         self._round += 1
         self.stats.rounds = self._round
-        with self.tracer.span("engine.round", round=self._round) as span:
+        with tracing.span("engine.round"):
             active = np.flatnonzero(~self.kernel.halted | self._woken)
             slots, values = self._pending
             self._pending = (_EMPTY, ())
             broadcasters, columns = self.kernel.step(
                 self._round, active, slots, values
             )
-            delivered = self._deliver(
-                np.asarray(broadcasters, dtype=np.int64), columns
-            )
-            span.set_attribute("active_nodes", int(active.size))
-            span.set_attribute("messages", delivered)
+            self._deliver(np.asarray(broadcasters, dtype=np.int64), columns)
         self.metrics.gauge("repro.runtime.in_flight").set(
             sum(entry[1].size for entry in self._transit)
         )
@@ -376,12 +370,7 @@ class VectorEngine:
     def run(self, max_rounds: int = 10_000) -> RunStats:
         """Run until every row halts and no delivery is in flight."""
         record_dispatch("runtime.engine", path="vector")
-        with self.tracer.span(
-            "engine.run",
-            kernel=self.kernel.name,
-            nodes=self.n,
-            max_rounds=max_rounds,
-        ) as span:
+        with tracing.span("engine.run"):
             self.initialize()
             for _ in range(max_rounds):
                 if self._quiescent():
@@ -398,8 +387,6 @@ class VectorEngine:
                             self.faults.summary() if self.faults is not None else None
                         ),
                     )
-            span.set_attribute("rounds", self.stats.rounds)
-            span.set_attribute("messages_sent", self.stats.messages_sent)
         return self.stats
 
 
@@ -754,9 +741,7 @@ def vector_full_reversal(
     ties = np.array([heights[node][-1] for node in nodes], dtype=np.int64)
     kernel = FullReversalKernel(fg.index_of(destination), levels, ties)
     engine = VectorEngine(fg, kernel, fault_plan=fault_plan)
-    with tracing.get_tracer().span(
-        "layering.distributed_reversal", nodes=fg.n
-    ):
+    with tracing.span("layering.distributed_reversal"):
         stats = engine.run(max_rounds=max_rounds)
     final_heights = {
         nodes[i]: (int(kernel.level[i]), int(kernel.tie[i]))
@@ -794,9 +779,7 @@ def vector_partial_reversal(
     ids = np.array([heights[node][2] for node in nodes], dtype=np.int64)
     kernel = PartialReversalKernel(fg.index_of(destination), a, b, ids)
     engine = VectorEngine(fg, kernel, fault_plan=fault_plan)
-    with tracing.get_tracer().span(
-        "layering.distributed_reversal", nodes=fg.n
-    ):
+    with tracing.span("layering.distributed_reversal"):
         stats = engine.run(max_rounds=max_rounds)
     final_heights = {
         nodes[i]: (int(kernel.a[i]), int(kernel.b[i]), int(kernel.ids[i]))

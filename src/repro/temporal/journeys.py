@@ -223,6 +223,11 @@ def minimum_hop_journey(
     *minimum achievable arrival time* using exactly ≤ h hops; a smaller
     arrival time can never hurt later hops, so the per-level minimum is
     a sufficient state and the DP is exact.  At most n levels.
+
+    Each level keeps its own parents: a node that improves at level h
+    must not overwrite the hop it got at level h − 1, which an earlier
+    level's frontier still extends.  The journey is rebuilt from the
+    level where the target first appears, one level per hop.
     """
     if not eg.has_node(source):
         raise NodeNotFoundError(source)
@@ -232,10 +237,12 @@ def minimum_hop_journey(
         return Journey(source=source, hops=())
 
     best_arrival: Dict[Node, int] = {source: start}
-    parent: Dict[Node, Hop] = {}
+    # levels[h - 1][v]: the hop that brought v into frontier h.
+    levels: List[Dict[Node, Hop]] = []
     frontier: Dict[Node, int] = {source: start}
     for _ in range(eg.num_nodes):
         next_frontier: Dict[Node, int] = {}
+        parent: Dict[Node, Hop] = {}
         for u, ready_time in frontier.items():
             for time, v in eg.contacts_from(u, not_before=ready_time):
                 known = best_arrival.get(v)
@@ -248,6 +255,7 @@ def minimum_hop_journey(
                 parent[v] = (u, v, time)
         if not next_frontier:
             return None
+        levels.append(parent)
         for node, time in next_frontier.items():
             previous = best_arrival.get(node)
             if previous is None or time < previous:
@@ -255,7 +263,7 @@ def minimum_hop_journey(
         if target in next_frontier:
             hops: List[Hop] = []
             node = target
-            while node != source:
+            for parent in reversed(levels):
                 hop = parent[node]
                 hops.append(hop)
                 node = hop[0]

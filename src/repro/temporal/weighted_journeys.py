@@ -24,7 +24,9 @@ Above :data:`~repro.temporal.frozen.FROZEN_MIN_CONTACTS` contacts the
 entry points relax over the pre-sorted arrays of the frozen contact
 index (``eg.frozen()``); the ``*_reference`` bodies are the pure-Python
 ground truth and the small-graph path.  Outputs are identical either
-way — hop-for-hop, enforced by ``tests/test_frozen_temporal.py``.
+way — hop-for-hop, enforced by ``tests/test_frozen_temporal.py`` —
+except that :func:`most_reliable_journey_reference` is a different
+algorithm, which agrees on the value and may break ties differently.
 """
 
 from __future__ import annotations
@@ -178,6 +180,42 @@ def journey_delay(eg: EvolvingGraph, journey: Journey, start: int = 0) -> float:
     return ready
 
 
+def _check_reliability(weight: float) -> None:
+    if not 0.0 < weight <= 1.0:
+        raise ValueError(f"reliability weights must be in (0, 1], got {weight}")
+
+
+def _note_hop(hops_of: Dict[Node, List[Hop]], hop: Hop) -> None:
+    """Record ``hop`` as the latest improvement of its receiver; within
+    one time unit only the last improvement is kept."""
+    history = hops_of.setdefault(hop[1], [])
+    if history and history[-1][2] == hop[2]:
+        history[-1] = hop
+    else:
+        history.append(hop)
+
+
+def _rebuild_through_time(
+    hops_of: Dict[Node, List[Hop]], source: Node, target: Node
+) -> Journey:
+    """Walk back from ``target``, each step taking the predecessor's
+    last hop at or before the current hop's label.
+
+    ``hops_of[node]`` lists the hop of each time unit in which the node
+    improved, in time order.  Reading the predecessor as of the hop's
+    label is what keeps the rebuilt labels non-decreasing: a later
+    improvement of an upstream node is not the state the hop used.
+    """
+    hops: List[Hop] = []
+    node, bound = target, math.inf
+    while node != source:
+        hop = next(h for h in reversed(hops_of[node]) if h[2] <= bound)
+        hops.append(hop)
+        node, bound = hop[0], hop[2]
+    hops.reverse()
+    return Journey(source=source, hops=tuple(hops))
+
+
 def _most_reliable_over(
     contacts: List[Tuple[int, Node, Node, float]],
     source: Node,
@@ -186,13 +224,13 @@ def _most_reliable_over(
 ) -> Optional[Tuple[Journey, float]]:
     """The reliability DP over an explicit (time, u, v, w) contact list.
 
-    Shared by the routed entry point (frozen cached list) and the
-    reference (freshly built list); the relaxation itself is unchanged
-    from the original pure-Python body.
+    One pass over the time groups; within a group the values close
+    under same-unit chaining by a fixpoint sweep (max is idempotent).
+    Each node keeps the hop of every time unit in which it improved, so
+    the journey is rebuilt through the states the DP actually chained.
     """
     best: Dict[Node, float] = {source: 1.0}
-    # Best value at the moment each node first attains it, and the hop used.
-    parent: Dict[Node, Hop] = {}
+    hops_of: Dict[Node, List[Hop]] = {}
     index = 0
     n = len(contacts)
     while index < n:
@@ -207,32 +245,18 @@ def _most_reliable_over(
         while changed:
             changed = False
             for _, u, v, weight in group:
-                if not 0.0 < weight <= 1.0:
-                    raise ValueError(
-                        f"reliability weights must be in (0, 1], got {weight}"
-                    )
+                _check_reliability(weight)
                 for a, b in ((u, v), (v, u)):
                     candidate = best.get(a, 0.0) * weight
                     if candidate > best.get(b, 0.0) + 1e-15:
                         best[b] = candidate
-                        parent[b] = (a, b, time)
+                        _note_hop(hops_of, (a, b, time))
                         changed = True
-    if target not in best:
-        return None
     if source == target:
         return Journey(source=source, hops=()), 1.0
-    if target not in parent:
+    if target not in hops_of:
         return None
-    hops: List[Hop] = []
-    node = target
-    seen_guard = 0
-    while node != source and seen_guard <= len(parent) + 1:
-        hop = parent[node]
-        hops.append(hop)
-        node = hop[0]
-        seen_guard += 1
-    hops.reverse()
-    return Journey(source=source, hops=tuple(hops)), best[target]
+    return _rebuild_through_time(hops_of, source, target), best[target]
 
 
 def most_reliable_journey(
@@ -256,15 +280,47 @@ def most_reliable_journey(
 def most_reliable_journey_reference(
     eg: EvolvingGraph, source: Node, target: Node, start: int = 0
 ) -> Optional[Tuple[Journey, float]]:
-    """The DP over a freshly built contact list: ground truth."""
+    """Ground truth by a different method: per time unit, a max-product
+    Dijkstra over that unit's contacts, seeded with every node's value
+    so far (weights ≤ 1, so a product never grows along a path).
+
+    Agrees with :func:`most_reliable_journey` on the value; on ties the
+    two may return different journeys of that value.
+    """
     for node in (source, target):
         if not eg.has_node(node):
             raise NodeNotFoundError(node)
-    contacts = [
-        (time, u, v, eg.weight(u, v, time))
-        for time, u, v in eg.all_contacts()
-    ]
-    return _most_reliable_over(contacts, source, target, start)
+    by_time: Dict[int, List[Tuple[Node, Node, float]]] = {}
+    for time, u, v in eg.all_contacts():
+        if time >= start:
+            by_time.setdefault(time, []).append((u, v, eg.weight(u, v, time)))
+    value: Dict[Node, float] = {source: 1.0}
+    hops_of: Dict[Node, List[Hop]] = {}
+    for time in sorted(by_time):
+        adjacency: Dict[Node, List[Tuple[Node, float]]] = {}
+        for u, v, weight in by_time[time]:
+            _check_reliability(weight)
+            adjacency.setdefault(u, []).append((v, weight))
+            adjacency.setdefault(v, []).append((u, weight))
+        heap = [(-value[node], repr(node), node) for node in adjacency if node in value]
+        heapq.heapify(heap)
+        done: Set[Node] = set()
+        while heap:
+            negative, _, a = heapq.heappop(heap)
+            if a in done or -negative < value[a]:
+                continue
+            done.add(a)
+            for b, weight in adjacency[a]:
+                candidate = value[a] * weight
+                if b not in done and candidate > value.get(b, 0.0):
+                    value[b] = candidate
+                    _note_hop(hops_of, (a, b, time))
+                    heapq.heappush(heap, (-candidate, repr(b), b))
+    if source == target:
+        return Journey(source=source, hops=()), 1.0
+    if target not in hops_of:
+        return None
+    return _rebuild_through_time(hops_of, source, target), value[target]
 
 
 def max_bandwidth_journey(

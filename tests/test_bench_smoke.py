@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+pytest_plugins = ["pytester"]
+
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
@@ -71,3 +73,24 @@ def test_each_runner_records_into_its_own_registry(tmp_path):
     assert [record["experiment"] for record in ledger] == [
         f"smoke-{name}" for name in sorted(smoke.SMOKE_RUNNERS)
     ]
+
+
+def test_each_bench_test_records_into_its_own_registry(pytester):
+    """``emit_table`` snapshots the global registry into the feed, so
+    the bench suite's conftest must give every test its own: a series
+    recorded by one bench test is absent from the next one's."""
+    with open(os.path.join(BENCH_DIR, "conftest.py")) as handle:
+        pytester.makeconftest(handle.read())
+    pytester.makepyfile(
+        test_pair="""
+        from repro.observability import get_registry
+
+        def test_first():
+            get_registry().counter("repro.test.first").inc()
+
+        def test_second():
+            assert "repro.test.first" not in get_registry().snapshot()
+        """
+    )
+    result = pytester.runpytest_inprocess("-p", "no:cacheprovider", "test_pair.py")
+    result.assert_outcomes(passed=2)

@@ -16,7 +16,8 @@ import pytest
 
 from repro.dtn.routers import DirectDelivery, EpidemicRouter
 from repro.dtn.simulator import DTNSimulation, MessageSpec
-from repro.observability import tracing
+from repro.observability import dispatch_counts, tracing
+from repro.observability.metrics import MetricsRegistry, set_registry
 from repro.temporal import connectivity as conn
 from repro.temporal import journeys as jour
 from repro.temporal import weighted_journeys as wjour
@@ -80,8 +81,14 @@ def test_weighted_journeys_match_reference(seed):
         s, t = int(s), int(t)
         assert wjour.min_delay_journey(eg, s, t) == \
             wjour.min_delay_journey_reference(eg, s, t)
-        assert wjour.most_reliable_journey(eg, s, t) == \
-            wjour.most_reliable_journey_reference(eg, s, t)
+        fast = wjour.most_reliable_journey(eg, s, t)
+        reference = wjour.most_reliable_journey_reference(eg, s, t)
+        assert (fast is None) == (reference is None)
+        if fast is not None:
+            # Independent algorithms: equal values, ties may differ.
+            assert fast[1] == pytest.approx(reference[1], rel=1e-12)
+            assert jour.is_valid_journey(eg, fast[0])
+            assert jour.is_valid_journey(eg, reference[0])
         assert wjour.max_bandwidth_journey(eg, s, t) == \
             wjour.max_bandwidth_journey_reference(eg, s, t)
 
@@ -277,12 +284,9 @@ def test_dtn_fast_path_eligibility_gate():
 
     assert DTNSimulation(eg, EpidemicRouter())._fast_path_eligible()
     assert DTNSimulation(eg, DirectDelivery())._fast_path_eligible()
-    # Bounded buffers, tracing, and policy-changing subclasses fall back.
+    # Bounded buffers and policy-changing subclasses fall back.
     assert not DTNSimulation(
         eg, EpidemicRouter(), buffer_size=4
-    )._fast_path_eligible()
-    assert not DTNSimulation(
-        eg, EpidemicRouter(), tracer=tracing.Tracer(enabled=True)
     )._fast_path_eligible()
 
     class CautiousEpidemic(EpidemicRouter):
@@ -296,6 +300,39 @@ def test_dtn_fast_path_eligibility_gate():
     sim = DTNSimulation(eg, EpidemicRouter(), buffer_size=4, fast_path=True)
     with pytest.raises(ValueError):
         sim.run()
+
+
+def test_traced_dtn_run_takes_the_fast_path():
+    # Tracing adds a ``dtn.run`` span and nothing else: the traced run
+    # routes through the bitset front and matches an untraced run.
+    eg = random_evolving(24, weighted=False)
+    assert eg.num_contacts >= FROZEN_MIN_CONTACTS
+    specs = _random_specs(eg, 324)
+
+    def run(traced):
+        registry = MetricsRegistry("traced-dtn")
+        previous = set_registry(registry)
+        if traced:
+            tracing.enable()
+        try:
+            sim = DTNSimulation(eg, EpidemicRouter())
+            for spec in specs:
+                sim.add_message(
+                    MessageSpec(
+                        spec.identifier, spec.source, spec.destination,
+                        spec.created, spec.ttl,
+                    )
+                )
+            return sim.run(), registry
+        finally:
+            tracing.disable()
+            set_registry(previous)
+
+    traced_stats, traced_registry = run(True)
+    plain_stats, _ = run(False)
+    assert traced_stats == plain_stats
+    assert dispatch_counts(traced_registry)["dtn.run"] == {"fast": 1}
+    assert traced_registry.get("dtn.run.duration_s").count == 1
 
 
 def test_dtn_fast_path_auto_threshold():

@@ -1,9 +1,9 @@
-"""The observability layer: registry, histograms, spans, exporters.
+"""The observability layer: registry, histograms, spans, bench reports.
 
 Covers the contracts the rest of the library now leans on: get-or-create
 registry semantics (one name, one kind), exact histogram percentiles,
-span nesting and attributes, the ``@traced`` decorator, the
-disabled-mode overhead bound, JSONL and Prometheus round-trips, and the
+spans as ``<name>.duration_s`` histograms, the ``@traced`` decorator,
+the disabled-mode overhead bound, the bench report schema, and the
 engine/DTN integration (legacy stats views must agree with the registry
 snapshot exactly).
 """
@@ -13,25 +13,28 @@ import math
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.dtn.routers import EpidemicRouter
 from repro.dtn.simulator import DTNSimulation, MessageSpec
 from repro.graphs.generators import path_graph
-from repro.observability import (
-    BenchReport,
-    MetricsRegistry,
-    Tracer,
-    parse_prometheus,
-    read_jsonl,
-    to_prometheus,
-    validate_bench_report,
-    write_jsonl,
+from repro.layering.link_reversal import (
+    full_link_reversal,
+    paper_fig4_graph,
+    partial_link_reversal,
 )
+from repro.layering.link_reversal_distributed import (
+    distributed_full_reversal,
+    distributed_partial_reversal,
+)
+from repro.observability import BenchReport, MetricsRegistry, validate_bench_report
 from repro.observability import tracing
-from repro.observability.metrics import set_registry
+from repro.observability.metrics import get_registry, set_registry
 from repro.observability.tracing import traced
+from repro.runtime.async_engine import AsyncNetwork
 from repro.runtime.engine import Network, NodeAlgorithm, RunStats
+from repro.runtime.vector import vector_full_reversal, vector_partial_reversal
 from repro.temporal.evolving import EvolvingGraph
 
 
@@ -144,102 +147,84 @@ def fresh_registry():
 
 
 @pytest.fixture
-def global_tracer():
-    """The process-global tracer, disabled and emptied afterwards."""
-    tracer = tracing.get_tracer()
-    yield tracer
-    tracer.disable()
-    tracer.clear()
+def tracing_on():
+    """Global tracing enabled for the test, disabled afterwards."""
+    tracing.enable()
+    yield
+    tracing.disable()
 
 
 class TestTracing:
-    def test_span_nesting_parent_child(self, fresh_registry):
-        tracer = Tracer(enabled=True)
-        with tracer.span("outer", a=1) as span:
-            span.set_attribute("extra", "yes")
-            with tracer.span("inner"):
-                pass
-        inner, outer = tracer.records  # inner closes first
-        assert inner["type"] == outer["type"] == "span"
-        assert inner["name"] == "inner" and outer["name"] == "outer"
-        assert inner["parent_id"] == outer["span_id"]
-        assert outer["parent_id"] is None
-        assert inner["depth"] == 1 and outer["depth"] == 0
-        assert outer["attrs"] == {"a": 1, "extra": "yes"}
-        assert inner["duration_s"] >= 0.0
+    def test_span_observes_duration_histogram(self, fresh_registry, tracing_on):
+        with tracing.span("work"):
+            pass
+        snapshot = fresh_registry.snapshot()
+        assert snapshot["work.duration_s"]["count"] == 1
+        assert snapshot["work.duration_s"]["min"] >= 0.0
 
-    def test_set_attribute_and_exception_marking(self, fresh_registry):
-        tracer = Tracer(enabled=True)
-        with pytest.raises(RuntimeError):
-            with tracer.span("work") as span:
-                span.set_attribute("k", "v")
+    def test_span_nesting_parent_child(self, fresh_registry, tracing_on):
+        # A parent's one duration covers both of its children's.
+        with tracing.span("outer"):
+            for _ in range(2):
+                with tracing.span("inner"):
+                    time.sleep(0.001)
+        outer = fresh_registry.get("outer.duration_s")
+        inner = fresh_registry.get("inner.duration_s")
+        assert outer.count == 1 and inner.count == 2
+        assert outer.sum >= inner.sum > 0
+
+    def test_span_observes_when_body_raises(self, fresh_registry, tracing_on):
+        with pytest.raises(RuntimeError, match="boom"):
+            with tracing.span("work"):
                 raise RuntimeError("boom")
-        (record,) = tracer.records
-        assert record["attrs"]["k"] == "v"
-        assert record["attrs"]["error"] == "RuntimeError"
-
-    def test_events_attach_to_current_span(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("parent"):
-            tracer.event("ping", x=1)
-        event = tracer.events("ping")[0]
-        span = tracer.spans("parent")[0]
-        assert event["parent_id"] == span["span_id"]
-        assert event["attrs"] == {"x": 1}
+        assert fresh_registry.get("work.duration_s").count == 1
 
     @pytest.mark.parametrize("which", ["private", "global"])
-    def test_disabled_tracer_records_nothing(self, which, fresh_registry):
-        tracer = Tracer() if which == "private" else tracing.get_tracer()
-        assert not tracer.enabled  # both are off by default
-        span = tracer.span("invisible", n=5)
-        assert span is tracing._NOOP_SPAN  # shared: no per-call allocation
-        with span as live:
-            live.set_attribute("ignored", True)
-        tracer.event("also-invisible")
-        assert tracer.spans("invisible") == []
-        assert tracer.events("also-invisible") == []
-        assert fresh_registry.snapshot() == {}
+    def test_disabled_tracer_records_nothing(self, which):
+        # "private": a registry swapped in for the test; "global": the
+        # process's own registry, whose snapshot must not change.
+        if which == "private":
+            registry = MetricsRegistry("test-disabled")
+            previous = set_registry(registry)
+        else:
+            registry = get_registry()
+        before = registry.snapshot()
+        try:
+            assert not tracing.enabled()  # off by default
+            span = tracing.span("invisible")
+            assert span is tracing._NOOP_SPAN  # shared: no per-call allocation
+            with span:
+                pass
+            assert "invisible.duration_s" not in registry
+            assert registry.snapshot() == before
+        finally:
+            if which == "private":
+                set_registry(previous)
+
+    def test_disable_keeps_observed_histograms(self, fresh_registry):
+        tracing.enable()
+        try:
+            assert tracing.enabled()
+            with tracing.span("once"):
+                pass
+        finally:
+            tracing.disable()
+        assert not tracing.enabled()
+        with tracing.span("once"):
+            pass
+        assert fresh_registry.get("once.duration_s").count == 1
 
     def test_noop_overhead_smoke(self):
         # The disabled span must be cheap enough to sit on the engine's
         # per-round path: 100k no-op spans well under a second.
-        tracer = Tracer(enabled=False)
         start = time.perf_counter()
         for _ in range(100_000):
-            with tracer.span("hot"):
+            with tracing.span("hot"):
                 pass
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"no-op span too slow: {elapsed:.3f}s per 100k"
 
-    def test_span_observes_duration_histogram(self, fresh_registry):
-        tracer = Tracer(enabled=True)
-        with tracer.span("work"):
-            pass
-        snapshot = fresh_registry.snapshot()
-        assert snapshot["work.duration_s"]["count"] == 1
-
-    def test_clear_drops_records(self, fresh_registry):
-        tracer = Tracer(enabled=True)
-        with tracer.span("once"):
-            tracer.event("ping")
-        tracer.clear()
-        assert tracer.records == []
-
-    def test_summary_aggregates_per_name_slowest_first(self, fresh_registry):
-        tracer = Tracer(enabled=True)
-        with tracer.span("slow"):
-            time.sleep(0.002)
-        for _ in range(2):
-            with tracer.span("quick"):
-                tracer.event("ping")  # events are not spans
-        summary = tracer.summary()
-        assert [entry["name"] for entry in summary] == ["slow", "quick"]
-        by_name = {e["name"]: e for e in summary}
-        assert by_name["quick"]["count"] == 2
-        assert by_name["slow"]["total_s"] >= by_name["slow"]["max_s"] > 0
-        assert tracer.summary(top=1) == summary[:1]
-
-    def test_disabled_traced_call_records_nothing(self, global_tracer, fresh_registry):
+    def test_disabled_traced_call_records_nothing(self, fresh_registry):
         calls = []
 
         @traced("repro.test.quiet")
@@ -249,10 +234,9 @@ class TestTracing:
 
         assert workload(3) == 6
         assert calls == [3]
-        assert global_tracer.spans("repro.test.quiet") == []
         assert fresh_registry.snapshot() == {}
 
-    def test_disabled_traced_overhead_smoke(self, global_tracer):
+    def test_disabled_traced_overhead_smoke(self):
         # Same budget as the no-op span: a disabled wrapper sits on
         # routed kernel entry points, 100k calls well under a second.
         @traced("repro.test.hot")
@@ -265,15 +249,12 @@ class TestTracing:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"disabled @traced too slow: {elapsed:.3f}s per 100k"
 
-    def test_timed_decorator_records_duration(self, global_tracer, fresh_registry):
+    def test_timed_decorator_records_duration(self, fresh_registry, tracing_on):
         @traced("repro.test.timed_fn")
         def workload(x):
-            """docstring survives"""
             return x * 2
 
-        global_tracer.enable()
         assert workload(21) == 42
-        assert len(global_tracer.spans("repro.test.timed_fn")) == 1
         hist = fresh_registry.get("repro.test.timed_fn.duration_s")
         assert hist is not None and hist.count == 1
 
@@ -288,49 +269,19 @@ class TestTracing:
         assert workload.__wrapped__(7) == 7
 
     def test_traced_marks_exception_and_propagates(
-        self, global_tracer, fresh_registry
+        self, fresh_registry, tracing_on
     ):
+        # A failed call is still observed: its duration is the mark.
         @traced("repro.test.fails")
         def workload():
             raise ValueError("bad input")
 
-        global_tracer.enable()
         with pytest.raises(ValueError, match="bad input"):
             workload()
-        (record,) = global_tracer.spans("repro.test.fails")
-        assert record["attrs"]["error"] == "ValueError"
         assert fresh_registry.get("repro.test.fails.duration_s").count == 1
 
+
 class TestExporters:
-    def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer(enabled=True)
-        with tracer.span("engine.run", nodes=3):
-            tracer.event("dtn.contact", u=0, v=frozenset({1}))
-        path = str(tmp_path / "trace.jsonl")
-        write_jsonl(path, tracer.records)
-        loaded = read_jsonl(path)
-        assert len(loaded) == len(tracer.records) == 2
-        names = {record["name"] for record in loaded}
-        assert names == {"engine.run", "dtn.contact"}
-        span = [r for r in loaded if r["type"] == "span"][0]
-        assert span["attrs"]["nodes"] == 3
-
-    def test_prometheus_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("repro.runtime.rounds").inc(7)
-        registry.gauge("repro.dtn.buffer_occupancy", {"node": 2}).set(4)
-        for value in (1, 2, 3, 4):
-            registry.histogram("repro.dtn.latency").observe(value)
-        text = to_prometheus(registry)
-        assert "# TYPE repro_runtime_rounds counter" in text
-        assert "# TYPE repro_dtn_latency summary" in text
-        samples = parse_prometheus(text)
-        assert samples["repro_runtime_rounds"] == 7
-        assert samples['repro_dtn_buffer_occupancy{node="2"}'] == 4
-        assert samples["repro_dtn_latency_count"] == 4
-        assert samples["repro_dtn_latency_sum"] == 10
-        assert samples['repro_dtn_latency{quantile="0.5"}'] == 3
-
     def test_bench_report_write_and_validate(self, tmp_path):
         report = BenchReport(
             experiment="unit",
@@ -402,40 +353,111 @@ class TestEngineIntegration:
         assert stats == RunStats(rounds=2, messages_sent=9, messages_per_round=[3, 2, 4])
         assert "rounds=2" in repr(stats)
 
-    def test_engine_run_produces_jsonl_trace(self, tmp_path):
-        tracer = Tracer(enabled=True)
-        net = Network(path_graph(5), lambda n: Flood(0), tracer=tracer)
+    def test_traced_run_observes_run_and_round_spans(
+        self, fresh_registry, tracing_on
+    ):
+        net = Network(path_graph(5), lambda n: Flood(0))
         stats = net.run()
-        run_spans = [r for r in tracer.spans("engine.run")]
-        round_spans = [r for r in tracer.spans("engine.round")]
-        assert len(run_spans) == 1
-        assert run_spans[0]["attrs"]["rounds"] == stats.rounds
-        assert run_spans[0]["attrs"]["messages_sent"] == stats.messages_sent
-        assert len(round_spans) == stats.rounds
-        assert all(r["parent_id"] == run_spans[0]["span_id"] for r in round_spans)
-        path = str(tmp_path / "run.jsonl")
-        write_jsonl(path, tracer.records)
-        assert len(read_jsonl(path)) == len(tracer.records)
+        snapshot = fresh_registry.snapshot()
+        assert snapshot["engine.run.duration_s"]["count"] == 1
+        assert snapshot["engine.round.duration_s"]["count"] == stats.rounds
 
-    def test_round_hooks_fire_per_round(self):
-        net = Network(path_graph(4), lambda n: Flood(0))
-        seen = []
-        net.add_round_hook(lambda rnd, delivered: seen.append((rnd, delivered)))
-        stats = net.run()
-        assert [rnd for rnd, _ in seen] == list(range(1, stats.rounds + 1))
-        assert sum(d for _, d in seen) + stats.messages_per_round[0] == (
-            stats.messages_sent
-        )
 
-    def test_message_size_accounting_opt_in(self):
-        net = Network(path_graph(3), lambda n: Flood(0), measure_message_sizes=True)
-        net.run()
-        counter = net.metrics.get("repro.runtime.message_bytes")
-        assert counter is not None and counter.value > 0
-        # Off by default: no series registered.
-        net2 = Network(path_graph(3), lambda n: Flood(0))
-        net2.run()
-        assert net2.metrics.get("repro.runtime.message_bytes") is None
+def _flood_sync():
+    net = Network(path_graph(5), lambda n: Flood(0))
+    return net.run(), {n: net.state_of(n) for n in range(5)}
+
+
+def _flood_async():
+    net = AsyncNetwork(path_graph(5), lambda n: Flood(0), np.random.default_rng(0))
+    return net.run(), {n: net.state_of(n) for n in range(5)}
+
+
+def _dtn_epidemic():
+    sim = TestDTNIntegration._simulation()
+    sim.add_message(MessageSpec("m0", 0, 2, created=0))
+    return sim.run()
+
+
+def _centralized(reversal):
+    def run():
+        graph, destination, heights = paper_fig4_graph()
+        result = reversal(graph, destination, heights=heights)
+        return result.heights, result.node_reversals, result.link_reversals, result.steps
+
+    return run
+
+
+def _distributed(reversal):
+    def run():
+        graph, destination, heights = paper_fig4_graph()
+        _, final_heights, reversals, rounds = reversal(graph, destination, heights)
+        return final_heights, reversals, rounds
+
+    return run
+
+
+_ENGINE_SPANS = {"engine.run", "engine.round"}
+_REVERSAL_SPANS = _ENGINE_SPANS | {"layering.distributed_reversal"}
+
+# Each library call site that opens a span, with the spans one run opens.
+TRACED_CALL_SITES = {
+    "Network": (_flood_sync, _ENGINE_SPANS),
+    "AsyncNetwork": (_flood_async, {"engine.async_run"}),
+    "DTNSimulation": (_dtn_epidemic, {"dtn.run"}),
+    "full_link_reversal": (
+        _centralized(full_link_reversal), {"layering.link_reversal"}
+    ),
+    "partial_link_reversal": (
+        _centralized(partial_link_reversal), {"layering.link_reversal"}
+    ),
+    "distributed_full_reversal": (
+        _distributed(distributed_full_reversal), _REVERSAL_SPANS
+    ),
+    "distributed_partial_reversal": (
+        _distributed(distributed_partial_reversal), _REVERSAL_SPANS
+    ),
+    "vector_full_reversal": (_distributed(vector_full_reversal), _REVERSAL_SPANS),
+    "vector_partial_reversal": (
+        _distributed(vector_partial_reversal), _REVERSAL_SPANS
+    ),
+}
+
+
+class TestTracedCallSites:
+    @pytest.mark.parametrize("site", sorted(TRACED_CALL_SITES))
+    def test_traced_run_matches_untraced_and_observes_its_spans(self, site):
+        """Tracing adds the site's ``*.duration_s`` histograms and nothing
+        else: outputs and every other series equal an untraced run's."""
+        run, expected_spans = TRACED_CALL_SITES[site]
+        untraced_registry = MetricsRegistry("untraced")
+        traced_registry = MetricsRegistry("traced")
+        previous = set_registry(untraced_registry)
+        try:
+            untraced = run()
+            set_registry(traced_registry)
+            tracing.enable()
+            try:
+                traced_output = run()
+            finally:
+                tracing.disable()
+        finally:
+            set_registry(previous)
+        assert traced_output == untraced
+        snapshot = traced_registry.snapshot()
+        spans = {
+            name[: -len(".duration_s")]
+            for name in snapshot
+            if name.endswith(".duration_s")
+        }
+        assert spans == expected_spans
+        assert all(snapshot[f"{name}.duration_s"]["count"] >= 1 for name in spans)
+        others = {
+            name: value
+            for name, value in snapshot.items()
+            if not name.endswith(".duration_s")
+        }
+        assert others == untraced_registry.snapshot()
 
 
 class TestDTNIntegration:
@@ -466,14 +488,12 @@ class TestDTNIntegration:
         sim.stats()
         assert sim.metrics.snapshot()["repro.dtn.copies"] == first
 
-    def test_contact_and_exchange_events_traced(self):
-        tracer = Tracer(enabled=True)
-        sim = self._simulation(tracer=tracer)
+    def test_traced_run_observes_dtn_run_span(self, fresh_registry, tracing_on):
+        sim = self._simulation()
         sim.add_message(MessageSpec("m0", 0, 2, created=0))
-        sim.run()
-        assert len(tracer.events("dtn.contact")) == 2
-        assert len(tracer.events("dtn.delivered")) == 1
-        assert len(tracer.spans("dtn.run")) == 1
+        stats = sim.run()
+        assert stats.delivered == 1
+        assert fresh_registry.snapshot()["dtn.run.duration_s"]["count"] == 1
 
     def test_buffer_drop_counter_and_gauge(self):
         eg = EvolvingGraph(horizon=4, nodes=range(4))

@@ -240,9 +240,8 @@ class PayloadFlood(Flood):
 
 
 class TestMessageSizeAccounting:
-    """Size measurement is strictly opt-in: the counting hot path must
-    never pay a per-payload ``repr`` (regression pin for the
-    message-size accounting fix)."""
+    """Message counting never pays a per-payload ``repr`` (regression
+    pin for the message-size accounting fix)."""
 
     def test_default_run_never_reprs_payloads(self):
         ReprCountingPayload.calls = 0
@@ -263,25 +262,6 @@ class TestMessageSizeAccounting:
         net.run()
         assert all(net.states("informed").values())
         assert ReprCountingPayload.calls == 0
-
-    def test_opt_in_measurement_reprs_unsized_payloads(self):
-        ReprCountingPayload.calls = 0
-        net = Network(
-            path_graph(4),
-            lambda n: PayloadFlood(0),
-            measure_message_sizes=True,
-        )
-        net.run()
-        assert ReprCountingPayload.calls > 0
-        assert net.metrics.snapshot()["repro.runtime.message_bytes"] > 0
-
-    def test_sized_payloads_report_bytes_not_arity(self):
-        from repro.runtime.engine import _payload_size
-
-        assert _payload_size(b"abcd") == 4
-        assert _payload_size("hey") == 3
-        # A tuple is not wire-sized by its arity — repr length instead.
-        assert _payload_size(("height", (3, 1))) == len(repr(("height", (3, 1))))
 
 
 class NeighborProbe(NodeAlgorithm):
