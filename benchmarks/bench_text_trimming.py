@@ -2,7 +2,8 @@
 
 Regenerates: (1) verification that the node replacement rule preserves
 earliest completion times and time-i-connectivity on random evolving
-graphs; (2) the DESIGN.md ablation: how the priority order (ID vs
+graphs, and that its hop-bounded refinement also preserves minimum hop
+counts; (2) the DESIGN.md ablation: how the priority order (ID vs
 degree vs betweenness) changes how many nodes are trimmable; (3) the
 static topology-control family (Gabriel / RNG / XTC / spanner) edge
 reduction vs stretch trade-off.
@@ -14,6 +15,7 @@ import pytest
 from _util import emit_table
 from repro.core.properties import (
     preserves_completion_times,
+    preserves_hop_counts,
     preserves_time_i_connectivity,
 )
 from repro.graphs.traversal import connected_components
@@ -57,6 +59,28 @@ def assert_node_rule_matches_reference(eg, priorities):
         ), node
 
 
+def hop_bounded_sweep(graphs=195, n=8, p=0.4):
+    """The first ``graphs`` random ``n``-node evolving graphs on which
+    ``trim_nodes(max_intermediates=1)`` removes a node: (seeds swept,
+    nodes trimmed, completion times kept, time-0-connectivity kept,
+    minimum hop counts kept), each check over every graph.  At this
+    density the unbounded rule breaks hop counts on some of them."""
+    seed = trimmed_total = 0
+    checks = [True, True, True]
+    while graphs:
+        eg = random_eg(seed, n=n, p=p)
+        seed += 1
+        trimmed, removed = trim_nodes(eg, max_intermediates=1)
+        if not removed:
+            continue
+        graphs -= 1
+        trimmed_total += len(removed)
+        checks[0] &= preserves_completion_times(eg, trimmed)
+        checks[1] &= preserves_time_i_connectivity(eg, trimmed, 0)
+        checks[2] &= preserves_hop_counts(eg, trimmed)
+    return (f"0-{seed - 1}", n, trimmed_total, *checks)
+
+
 def test_text1_guarantees_hold(once):
     def experiment():
         rows = []
@@ -67,23 +91,31 @@ def test_text1_guarantees_hold(once):
             ok_completion = preserves_completion_times(eg, trimmed)
             ok_connectivity = preserves_time_i_connectivity(eg, trimmed, 0)
             rows.append(
-                (seed, eg.num_nodes, len(removed), ok_completion, ok_connectivity)
+                ("replacement", seed, eg.num_nodes, len(removed),
+                 ok_completion, ok_connectivity, "-")
             )
+        rows.append(("hop-bounded (195 graphs)", *hop_bounded_sweep()))
         return rows
 
     rows = once(experiment)
     emit_table(
         "text1",
         "node replacement rule: preserved properties",
-        ["seed", "nodes", "trimmed", "completion times kept", "time-0-connectivity kept"],
+        ["rule", "seed", "nodes", "trimmed", "completion times kept",
+         "time-0-connectivity kept", "minimum hop counts kept"],
         rows,
         notes=(
             "'In the current rule, the minimum completion time is "
-            "preserved' — both columns must read True on every instance."
+            "preserved' — the completion and connectivity columns must "
+            "read True on every row. The hop-bounded row runs "
+            "trim_nodes(max_intermediates=1) on the first 195 random "
+            "8-node graphs it trims; 'preserving minimum hop counts too' "
+            "must hold on all of them."
         ),
     )
-    for _, _, _, ok_completion, ok_connectivity in rows:
+    for _, _, _, _, ok_completion, ok_connectivity, _ in rows:
         assert ok_completion and ok_connectivity
+    assert rows[-1][-1] is True
 
 
 def test_text1_priority_ablation(once):

@@ -2,22 +2,31 @@
 
 Every fault decision a :class:`~repro.faults.plan.FaultSession` makes —
 a dropped message, a duplicated delivery, a crash, a link flap, a
-scheduled retry — is appended here as one :class:`FaultEvent`.  The
-ledger is the *replay contract*: two sessions started from the same
-:class:`~repro.faults.plan.FaultPlan` (same seed, same injectors) and
-driven through the same engine run must produce byte-identical ledgers.
-:meth:`FaultLedger.lines` renders events canonically and
-:meth:`FaultLedger.digest` hashes that rendering, so the contract is a
-one-line assertion in tests.
+scheduled retry — is appended here as one plain ``(time, kind,
+detail)`` row; a fate call appends all of its rows at once.
+:class:`FaultEvent` objects are built only when :attr:`FaultLedger.events`
+is read.  The ledger is the *replay contract*: two sessions started
+from the same :class:`~repro.faults.plan.FaultPlan` (same seed, same
+injectors) and driven through the same engine run must produce
+byte-identical ledgers.  :meth:`FaultLedger.lines` renders rows
+canonically and :meth:`FaultLedger.digest` hashes that rendering, so
+the contract is a one-line assertion in tests.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 Detail = Tuple[Tuple[str, Any], ...]
+Row = Tuple[int, str, Detail]
+
+
+def _render(seq: int, time: int, kind: str, detail: Detail) -> str:
+    rendered = " ".join(f"{key}={value!r}" for key, value in detail)
+    return f"{seq} t={time} {kind} {rendered}".rstrip()
 
 
 @dataclass(frozen=True)
@@ -43,31 +52,29 @@ class FaultEvent:
 
     def line(self) -> str:
         """Canonical one-line rendering (the unit of byte-equality)."""
-        rendered = " ".join(f"{key}={value!r}" for key, value in self.detail)
-        return f"{self.seq} t={self.time} {self.kind} {rendered}".rstrip()
+        return _render(self.seq, self.time, self.kind, self.detail)
 
 
 class FaultLedger:
-    """The ordered record of every injected fault in one session."""
+    """The ordered record of every injected fault in one session: plain
+    ``(time, kind, detail)`` rows, ``detail`` sorted by key, a row's
+    position being its ``seq``."""
 
     def __init__(self) -> None:
-        self.events: List[FaultEvent] = []
+        self._rows: List[Row] = []
 
-    def record(self, time: int, kind: str, **detail: Any) -> FaultEvent:
-        event = FaultEvent(
-            seq=len(self.events),
-            time=int(time),
-            kind=kind,
-            detail=tuple(sorted(detail.items())),
-        )
-        self.events.append(event)
-        return event
+    def extend(self, rows: Iterable[Row]) -> None:
+        self._rows.extend(rows)
+
+    @property
+    def events(self) -> List[FaultEvent]:
+        return [FaultEvent(seq, *row) for seq, row in enumerate(self._rows)]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._rows)
 
     def lines(self) -> List[str]:
-        return [event.line() for event in self.events]
+        return [_render(seq, *row) for seq, row in enumerate(self._rows)]
 
     def digest(self) -> str:
         """SHA-256 over the canonical rendering; equal digests mean the
@@ -77,7 +84,4 @@ class FaultLedger:
 
     def counts(self) -> Dict[str, int]:
         """Event totals by kind (the ``ConvergenceError`` fault summary)."""
-        out: Dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
+        return dict(Counter(kind for _, kind, _ in self._rows))

@@ -5,9 +5,12 @@ A :class:`FaultPlan` is a *value*: one RNG seed, a tuple of injectors
 :class:`~repro.faults.injectors.RetryPolicy`.  Engines never consume
 the plan directly — they call :meth:`FaultPlan.start` to obtain a
 fresh :class:`FaultSession`, which owns the RNG stream, the event
-:class:`~repro.faults.ledger.FaultLedger`, and mirrors every event
-into ``repro.faults.*`` counters on the engine's
-:class:`~repro.observability.metrics.MetricsRegistry`.
+:class:`~repro.faults.ledger.FaultLedger`, and mirrors the ledger into
+``repro.faults.<kind>`` counters on the engine's
+:class:`~repro.observability.metrics.MetricsRegistry`.  A fate call
+(:meth:`FaultSession.message_fates`, :meth:`FaultSession.retry_due`)
+appends all of its rows with one ``extend`` and bumps each kind's
+counter once, by that call's count.
 
 Replay contract: the session draws randomness *only* inside its hook
 methods, and the engines call those hooks in a deterministic order
@@ -20,18 +23,7 @@ is the whole assertion.
 from __future__ import annotations
 
 import heapq
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,7 +35,7 @@ from repro.faults.injectors import (
     NodeCrashFaults,
     RetryPolicy,
 )
-from repro.faults.ledger import FaultLedger
+from repro.faults.ledger import FaultLedger, Row
 from repro.observability.metrics import Counter, MetricsRegistry
 
 Node = Hashable
@@ -87,17 +79,21 @@ class FaultPlan:
         )
 
 
-def _link_key(u: Node, v: Node) -> FrozenSet[Node]:
-    return frozenset((u, v))
+def _labels(column: Sequence[Any], positions: np.ndarray, nodes) -> List[Any]:
+    """``column`` at ``positions``; with ``nodes``, the column holds
+    indices into it and the labels are looked up in the same pass."""
+    if nodes is None:
+        return [column[i] for i in positions.tolist()]
+    return [nodes[i] for i in np.asarray(column)[positions].tolist()]
 
 
 class FaultSession:
     """One run's interpretation of a :class:`FaultPlan`.
 
     All hook methods are deterministic functions of (seed, call order):
-    engines must invoke them in sorted node/message order.  Events are
-    recorded twice — in :attr:`ledger` (ordered, hashable) and as
-    ``repro.faults.<kind>`` counters on :attr:`registry`.
+    engines must invoke them in sorted node/message order.  Every
+    ledger row is also counted in ``repro.faults.<kind>`` on
+    :attr:`registry`, once per kind per recording call.
     """
 
     def __init__(
@@ -129,22 +125,30 @@ class FaultSession:
         )
         self.crashed: Set[Node] = set()
         self._lose_state: Dict[Node, bool] = {}
-        self.down_links: Set[FrozenSet[Node]] = set()
+        #: Both orientations of every link that is down now.
+        self.down_links: Set[Tuple[Node, Node]] = set()
         # (restart_at, node) for pending restarts (scheduled or random).
         self._pending_restarts: List[Tuple[int, Node]] = []
         self._counters: Dict[str, Counter] = {}
         # The last edge tuple begin_round indexed, and its positions.
         self._indexed_edges: Optional[Tuple[Tuple[Node, Node], ...]] = None
-        self._edge_position: Dict[FrozenSet[Node], int] = {}
+        self._edge_position: Dict[Tuple[Node, Node], int] = {}
 
     # -- recording ------------------------------------------------------
     def record(self, kind: str, time: int, **detail: Any) -> None:
-        self.ledger.record(time, kind, **detail)
-        counter = self._counters.get(kind)
-        if counter is None:
-            counter = self.registry.counter(f"repro.faults.{kind}")
-            self._counters[kind] = counter
-        counter.inc()
+        self._extend([(int(time), kind, tuple(sorted(detail.items())))], {kind: 1})
+
+    def _extend(self, rows: List[Row], counts: Dict[str, int]) -> None:
+        """Append ``rows`` and bump each kind's counter by its count."""
+        self.ledger.extend(rows)
+        for kind, count in counts.items():
+            if count:
+                counter = self._counters.get(kind)
+                if counter is None:
+                    counter = self._counters[kind] = self.registry.counter(
+                        f"repro.faults.{kind}"
+                    )
+                counter.inc(count)
 
     def summary(self) -> Dict[str, int]:
         return self.ledger.counts()
@@ -190,22 +194,28 @@ class FaultSession:
             delay[drop] = 0
         held = drop | (delay > 0)
         extra[held] = 0
-        for i in np.flatnonzero(held | (extra > 0)).tolist():
-            sender, receiver = senders[i], receivers[i]
-            if nodes is not None:
-                sender, receiver = nodes[sender], nodes[receiver]
-            if drop[i]:
-                self.record("drop", time, sender=sender, receiver=receiver)
-            elif delay[i]:
-                self.record(
-                    "delay", time, sender=sender, receiver=receiver,
-                    rounds=int(delay[i]),
-                )
-            else:
-                self.record(
-                    "duplicate", time, sender=sender, receiver=receiver,
-                    copies=int(extra[i]),
-                )
+        hits = np.flatnonzero(held | (extra > 0))
+        if hits.size:
+            # 0 = drop, 1 = delay, 2 = duplicate; amount is rounds or copies.
+            code = np.where(drop[hits], 0, np.where(delay[hits] > 0, 1, 2))
+            amount = np.where(code == 1, delay[hits], extra[hits])
+            t, rows = int(time), []
+            for c, n, sender, receiver in zip(
+                code.tolist(), amount.tolist(),
+                _labels(senders, hits, nodes), _labels(receivers, hits, nodes),
+            ):
+                if c == 0:
+                    rows.append((t, "drop", (("receiver", receiver), ("sender", sender))))
+                elif c == 1:
+                    rows.append((t, "delay", (
+                        ("receiver", receiver), ("rounds", n), ("sender", sender),
+                    )))
+                else:
+                    rows.append((t, "duplicate", (
+                        ("copies", n), ("receiver", receiver), ("sender", sender),
+                    )))
+            drops, delays, dups = np.bincount(code, minlength=3).tolist()
+            self._extend(rows, {"drop": drops, "delay": delays, "duplicate": dups})
         return drop, np.where(held, 0, 1 + extra), delay
 
     def retry_due(
@@ -226,21 +236,25 @@ class FaultSession:
         """
         due = np.full(len(attempts), -1, dtype=np.int64)
         policy = self.plan.retry
-        if policy is None:
+        if policy is None or not len(attempts):
             return due
-        for i, attempt in enumerate(np.asarray(attempts, dtype=np.int64).tolist()):
-            sender, receiver = senders[i], receivers[i]
-            if nodes is not None:
-                sender, receiver = nodes[sender], nodes[receiver]
+        every = np.arange(len(attempts))
+        t, rows, exhausted = int(time), [], 0
+        for i, (attempt, sender, receiver) in enumerate(zip(
+            np.asarray(attempts, dtype=np.int64).tolist(),
+            _labels(senders, every, nodes), _labels(receivers, every, nodes),
+        )):
             if attempt >= policy.max_retries:
-                self.record(
-                    "retry_exhausted", time, sender=sender, receiver=receiver
-                )
+                exhausted += 1
+                rows.append((t, "retry_exhausted", (
+                    ("receiver", receiver), ("sender", sender),
+                )))
                 continue
             due[i] = time + policy.delay(attempt)
-            self.record(
-                "retry", time, sender=sender, receiver=receiver, attempt=attempt + 1
-            )
+            rows.append((t, "retry", (
+                ("attempt", attempt + 1), ("receiver", receiver), ("sender", sender),
+            )))
+        self._extend(rows, {"retry": len(rows) - exhausted, "retry_exhausted": exhausted})
         return due
 
     def reorder_permutation(
@@ -306,8 +320,7 @@ class FaultSession:
         for fault in self._churn_faults:
             if fault.down:
                 for u, v in edges:
-                    key = _link_key(u, v)
-                    if key in self.down_links:
+                    if (u, v) in self.down_links:
                         if fault.up and self.rng.random() < fault.up:
                             self._set_link(u, v, "up", time)
                     elif self.rng.random() < fault.down:
@@ -325,13 +338,12 @@ class FaultSession:
 
     def _edge_positions(
         self, edges: Sequence[Tuple[Node, Node]]
-    ) -> Dict[FrozenSet[Node], int]:
-        """Each edge's position in ``edges``, keyed by link; a tuple
-        (immutable, so its identity pins its contents) is indexed once."""
+    ) -> Dict[Tuple[Node, Node], int]:
+        """Each edge's position in ``edges``, keyed by ``(u, v)`` as
+        listed; a tuple (immutable, so its identity pins its contents)
+        is indexed once."""
         if edges is not self._indexed_edges:
-            self._edge_position = {
-                _link_key(u, v): i for i, (u, v) in enumerate(edges)
-            }
+            self._edge_position = {edge: i for i, edge in enumerate(edges)}
             self._indexed_edges = edges if isinstance(edges, tuple) else None
         return self._edge_position
 
@@ -344,16 +356,16 @@ class FaultSession:
         self.record("crash", time, node=node, lose_state=lose_state)
 
     def _set_link(self, u: Node, v: Node, action: str, time: int) -> None:
-        key = _link_key(u, v)
-        if action == "down" and key not in self.down_links:
-            self.down_links.add(key)
-            self.record("link_down", time, link=tuple(sorted((u, v), key=repr)))
-        elif action == "up" and key in self.down_links:
-            self.down_links.discard(key)
-            self.record("link_up", time, link=tuple(sorted((u, v), key=repr)))
+        if (action == "down") == ((u, v) in self.down_links):
+            return  # already in that state
+        if action == "down":
+            self.down_links.update(((u, v), (v, u)))
+        else:
+            self.down_links.difference_update(((u, v), (v, u)))
+        self.record(f"link_{action}", time, link=tuple(sorted((u, v), key=repr)))
 
     def link_is_down(self, u: Node, v: Node) -> bool:
-        return bool(self.down_links) and _link_key(u, v) in self.down_links
+        return (u, v) in self.down_links
 
     def is_crashed(self, node: Node) -> bool:
         return node in self.crashed

@@ -189,7 +189,8 @@ def route_faults(
     ``stream`` holds ``(message, attempt, needs_fate)`` in the caller's
     deterministic order, ``attempt`` counting retransmissions so far.
     With ``crashed``, an attempt into a crashed receiver or across a
-    down link is lost first (``crash_drop``/``link_drop``).  The rest
+    down link is lost first (``crash_drop``/``link_drop``); that walk
+    is skipped while no node is crashed and no link is down.  The rest
     that need a fate share one :meth:`FaultSession.message_fates` call,
     and every lost attempt one :meth:`FaultSession.retry_due` call.
     Returns ``(deliveries, deferrals)``, both in stream order:
@@ -198,7 +199,7 @@ def route_faults(
     """
     k = len(stream)
     lost = np.zeros(k, dtype=bool)
-    if crashed is not None:
+    if crashed is not None and (crashed or faults.down_links):
         for i, (message, _, _) in enumerate(stream):
             if message.receiver in crashed:
                 kind = "crash_drop"

@@ -470,3 +470,159 @@ class TestGoldenReplay:
     @pytest.mark.parametrize("engine, name", sorted(GOLDEN_REPLAY))
     def test_replay_matches_recorded_run(self, engine, name):
         assert _golden_run(engine, name) == GOLDEN_REPLAY[engine, name]
+
+
+class _KeptPlan(FaultPlan):
+    """A plan that keeps the session its engine started."""
+
+    def start(self, registry=None):
+        self.session = super().start(registry)
+        return self.session
+
+
+def _static_shape_ledgers():
+    """(len, digest) per (reversal, fault seed) at the static-structures
+    workload's plan shape: message faults, four scheduled churn pairs and
+    ``RetryPolicy(16)`` for the scalar reversal, the message faults and
+    the retry policy for the vector one."""
+    from repro.datasets.gnutella import gnutella_largest_scc
+    from repro.runtime.vector import vector_full_reversal
+
+    graph = gnutella_largest_scc(60, np.random.default_rng(1))
+    rng = np.random.default_rng([1, 1])
+    nodes = sorted(graph.nodes())
+    destination = nodes[0]
+    stale = initial_heights(graph, destination)
+    for node in nodes[5::7]:
+        stale[node] = (-1, stale[node][-1])
+    edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+    messages = MessageFaults(drop=0.1, duplicate=0.05, delay=0.1)
+    retry = RetryPolicy(max_retries=16)
+    out = {}
+    for fault_seed in range(2):
+        events = []
+        for k in rng.choice(len(edges), size=4, replace=False):
+            u, v = edges[int(k)]
+            down = int(rng.integers(1, 6))
+            events.append(LinkChurnEvent(down, "down", u, v))
+            events.append(LinkChurnEvent(down + int(rng.integers(1, 4)), "up", u, v))
+        for reversal, plan in (
+            (
+                distributed_full_reversal,
+                _KeptPlan(fault_seed, [messages, LinkChurn(schedule=tuple(events))], retry),
+            ),
+            (vector_full_reversal, _KeptPlan(fault_seed, [messages], retry)),
+        ):
+            reversal(graph, destination, stale, fault_plan=plan)
+            ledger = plan.session.ledger
+            out[reversal.__name__, fault_seed] = (len(ledger), ledger.digest()[:16])
+    return out
+
+
+# Recorded before the ledger stored plain rows and the fate calls
+# recorded their events in bulk.
+STATIC_SHAPE_LEDGERS = {
+    ("distributed_full_reversal", 0): (168, "33c9fb214f41320b"),
+    ("vector_full_reversal", 0): (159, "dd0e0d3bde98395e"),
+    ("distributed_full_reversal", 1): (144, "507c29f8d10fcb2e"),
+    ("vector_full_reversal", 1): (126, "8d00fa2526821900"),
+}
+
+
+def test_static_shape_ledgers_replay_byte_identical():
+    assert _static_shape_ledgers() == STATIC_SHAPE_LEDGERS
+
+
+def _mixed_plan(links):
+    """Message faults, scheduled churn over ``links`` and retries."""
+    events = []
+    for k, (u, v) in enumerate(links):
+        events.append(LinkChurnEvent(1 + k % 3, "down", u, v))
+        events.append(LinkChurnEvent(5 + k % 4, "up", u, v))
+    return _KeptPlan(
+        9,
+        [
+            MessageFaults(drop=0.15, duplicate=0.1, delay=0.1, reorder=0.3),
+            LinkChurn(schedule=tuple(events)),
+        ],
+        RetryPolicy(16),
+    )
+
+
+def _mixed_session(engine):
+    """The fault session of one mixed-plan run on ``engine``."""
+    if engine in ("Network", "AsyncNetwork"):
+        from repro.datasets.gnutella import gnutella_largest_scc
+
+        graph = gnutella_largest_scc(40, np.random.default_rng(3))
+        nodes = sorted(graph.nodes())
+        edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+        plan = _mixed_plan(edges[::5])
+        heights = initial_heights(graph, nodes[0])
+        for node in nodes[5::7]:
+            heights[node] = (-1, heights[node][-1])
+        factory = lambda node: LinkReversalAlgorithm(  # noqa: E731
+            node == nodes[0], heights[node]
+        )
+        if engine == "Network":
+            Network(graph, factory, fault_plan=plan).run()
+        else:
+            AsyncNetwork(
+                graph, factory, rng=np.random.default_rng(5), fault_plan=plan
+            ).run()
+    elif engine == "DTNSimulation":
+        from tests.test_dtn_faults import run_epidemic, sparse_scenario
+
+        eg, n = sparse_scenario()
+        plan = _mixed_plan([(u, u + 1) for u in range(0, n - 1, 2)])
+        run_epidemic(eg, n, plan)
+    else:
+        import asyncio
+
+        from repro.serving import GraphService, ServingGateway
+        from tests.test_gateway_incremental import serving_graph
+
+        plan = _mixed_plan([(0, 1)])
+        service = GraphService(serving_graph(seed=4), landmark_count=2)
+
+        async def main():
+            async with ServingGateway(
+                service, max_batch=6, max_delay=0.002, faults=plan
+            ) as gateway:
+                await asyncio.gather(
+                    *[gateway.distance(0, target % 30) for target in range(1, 49)]
+                )
+
+        asyncio.run(main())
+    return plan.session
+
+
+MIXED_ENGINES = ["Network", "AsyncNetwork", "DTNSimulation", "ServingGateway"]
+
+
+class TestLedgerMirror:
+    """Bulk-recorded fate calls keep the counters and the ledger equal,
+    and the lazily built events honour the ledger's contract."""
+
+    @pytest.mark.parametrize("engine", MIXED_ENGINES)
+    def test_counters_mirror_ledger(self, engine):
+        session = _mixed_session(engine)
+        counts = session.ledger.counts()
+        assert sum(counts.values()) == len(session.ledger) > 0
+        counters = {
+            name[len("repro.faults."):]: value
+            for name, value in session.registry.snapshot().items()
+            if name.startswith("repro.faults.")
+        }
+        assert counters == counts
+
+    @pytest.mark.parametrize("engine", MIXED_ENGINES)
+    def test_events_contract(self, engine):
+        ledger = _mixed_session(engine).ledger
+        events = ledger.events
+        assert [event.seq for event in events] == list(range(len(ledger)))
+        for event in events:
+            keys = [key for key, _ in event.detail]
+            assert keys == sorted(keys)
+        assert ledger.lines() == [event.line() for event in events]
+        assert ledger.events == events
