@@ -26,7 +26,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from repro.observability import (
@@ -48,88 +48,6 @@ TOP_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The append-only ``repro.perf/v1`` ledger every emit_table call feeds.
 HISTORY_NAME = "history.jsonl"
-
-_Item = TypeVar("_Item")
-_Result = TypeVar("_Result")
-
-
-def bench_jobs(
-    argv: Optional[Sequence[str]] = None, default: Optional[int] = None
-) -> Optional[int]:
-    """Worker count for :func:`run_sweep`: ``--jobs N`` or env.
-
-    Precedence: an explicit ``--jobs N`` in ``argv``, then the
-    ``REPRO_BENCH_JOBS`` environment variable, then ``default``.
-    ``None``/``1`` mean serial.
-    """
-    if argv is not None:
-        args = list(argv)
-        for i, arg in enumerate(args):
-            if arg == "--jobs" and i + 1 < len(args):
-                return int(args[i + 1])
-            if arg.startswith("--jobs="):
-                return int(arg.split("=", 1)[1])
-    env = os.environ.get("REPRO_BENCH_JOBS")
-    if env:
-        return int(env)
-    return default
-
-
-def run_sweep(
-    items: Iterable[_Item],
-    fn: Callable[[_Item], _Result],
-    jobs: Optional[int] = None,
-) -> List[_Result]:
-    """Map ``fn`` over independent sweep points, optionally in parallel.
-
-    With ``jobs`` in (None, 0, 1) the sweep runs serially in-process.
-    Otherwise the points are fanned out over a fork-context
-    ``ProcessPoolExecutor`` with ``jobs`` workers; ``executor.map``
-    preserves submission order, so the returned rows are in the same
-    deterministic order either way.  ``fn`` must be a module-level
-    callable (picklable) for the parallel path.
-
-    Parallel runs share the machine's cores, so use ``jobs > 1`` for
-    throughput sweeps (e.g. per-TTL DTN simulations), not for
-    wall-clock timing measurements.
-
-    Worker-side metrics are not lost: each worker runs its point
-    against a fresh global registry, ships the registry state back with
-    the result, and the parent folds every state into its own global
-    registry (counter totals add, histogram samples extend) — so
-    cache/dispatch telemetry is complete regardless of fan-out.
-    """
-    item_list = list(items)
-    if not jobs or jobs <= 1 or len(item_list) <= 1:
-        return [fn(item) for item in item_list]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-
-    context = multiprocessing.get_context("fork")
-    workers = min(jobs, len(item_list))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        outcomes = list(pool.map(partial(_run_sweep_worker, fn), item_list))
-    registry = get_registry()
-    results: List[_Result] = []
-    for result, state in outcomes:
-        registry.merge_state(state)
-        results.append(result)
-    return results
-
-
-def _run_sweep_worker(fn: Callable[[_Item], _Result], item: _Item):
-    """Run one sweep point against a fresh global registry and return
-    ``(result, registry state)``.
-
-    Forked workers inherit the parent's registry contents; swapping in
-    an empty registry first means the shipped state holds only what
-    *this* point recorded, so the parent-side merge never double-counts
-    pre-fork series.
-    """
-    with scratch_registry("sweep-worker") as worker_registry:
-        result = fn(item)
-    return result, worker_registry.dump_state()
 
 
 @contextmanager

@@ -12,7 +12,7 @@ hops), placing the paper's two routers — the forwarding-set router of
 import numpy as np
 import pytest
 
-from _util import bench_jobs, emit_table, run_sweep
+from _util import emit_table
 from repro.datasets.human_contacts import rate_model_trace
 from repro.dtn.routers import (
     DirectDelivery,
@@ -136,9 +136,8 @@ def test_dtn_buffer_pressure(once):
 def _ttl_point(ttl):
     """One independent sweep point: delivery ratios at one TTL.
 
-    Module-level (picklable) so :func:`_util.run_sweep` can fan points
-    out over worker processes; the deterministic scenario seed makes
-    each worker rebuild the identical trace.
+    The deterministic scenario seed rebuilds the identical trace for
+    every point.
     """
     eg, profiles, rates = scenario(seed=10)
     destination = 35
@@ -158,7 +157,7 @@ def _ttl_point(ttl):
 
 def test_dtn_ttl_sweep(once):
     def experiment():
-        return run_sweep((5, 15, 40, 120), _ttl_point, jobs=bench_jobs())
+        return [_ttl_point(ttl) for ttl in (5, 15, 40, 120)]
 
     rows = once(experiment)
     emit_table(

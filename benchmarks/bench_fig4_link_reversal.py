@@ -8,7 +8,7 @@ full/partial/binary comparison on random graphs after a link break.
 import numpy as np
 import pytest
 
-from _util import bench_jobs, emit_table, run_sweep
+from _util import emit_table
 from repro.graphs.generators import path_graph, random_connected_graph
 from repro.layering.link_reversal import (
     binary_label_reversal,
@@ -46,8 +46,7 @@ def test_fig4_fixture_process(once):
 
 
 def _fig4_quadratic_point(n):
-    """One adversarial-chain worst-case point (module-level: picklable
-    for the ``run_sweep`` fan-out)."""
+    """One adversarial-chain worst-case point."""
     graph, destination, heights = anti_oriented_path(n)
     result = full_link_reversal(graph, destination, heights=heights)
     k = n - 2
@@ -55,9 +54,7 @@ def _fig4_quadratic_point(n):
 
 
 def test_fig4_quadratic_worst_case(once):
-    rows = once(
-        lambda: run_sweep((8, 16, 32, 64), _fig4_quadratic_point, jobs=bench_jobs())
-    )
+    rows = once(lambda: [_fig4_quadratic_point(n) for n in (8, 16, 32, 64)])
     emit_table(
         "fig4-quadratic",
         "full reversal worst case on adversarial chains",
@@ -114,7 +111,7 @@ def test_fig4_variant_comparison(once):
     rows = once(
         lambda: [
             row
-            for row in run_sweep(range(6), _fig4_variant_trial, jobs=bench_jobs())
+            for row in map(_fig4_variant_trial, range(6))
             if row is not None
         ]
     )
@@ -179,9 +176,7 @@ def test_fig4_vector_scale_axis(once):
     """The Fig. 4 process at three orders of magnitude beyond the
     per-node engine's comfortable range, on the vector plane."""
     rows = once(
-        lambda: run_sweep(
-            (64, 1024, 4096, 20480), _fig4_vector_scale_point, jobs=bench_jobs()
-        )
+        lambda: [_fig4_vector_scale_point(n) for n in (64, 1024, 4096, 20480)]
     )
     emit_table(
         "fig4-vector-scale",

@@ -9,7 +9,7 @@ application.
 import numpy as np
 import pytest
 
-from _util import bench_jobs, emit_table, run_sweep
+from _util import emit_table
 from repro.graphs.hypercube import (
     binary_addresses,
     format_address,
@@ -85,9 +85,7 @@ def _fig9_routing_point(fault_count):
 
 
 def test_fig9_routing_success_vs_fault_density(once):
-    rows = once(
-        lambda: run_sweep((2, 6, 12, 20), _fig9_routing_point, jobs=bench_jobs())
-    )
+    rows = once(lambda: [_fig9_routing_point(k) for k in (2, 6, 12, 20)])
     emit_table(
         "fig9-routing",
         "guided optimal routing success when the label certifies the distance",
@@ -120,9 +118,7 @@ def _fig9_broadcast_point(fault_count):
 
 
 def test_fig9_broadcast(once):
-    rows = once(
-        lambda: run_sweep((0, 2, 5), _fig9_broadcast_point, jobs=bench_jobs())
-    )
+    rows = once(lambda: [_fig9_broadcast_point(k) for k in (0, 2, 5)])
     emit_table(
         "fig9-broadcast",
         "safety-guided broadcast coverage and time (5-D cube)",
@@ -172,11 +168,7 @@ def _fig9_vector_scale_point(dimension):
 def test_fig9_vector_scale_axis(once):
     """Safety-level labeling far beyond the 8-D per-node ceiling, on
     the vector plane (the cube CSR is built arithmetically)."""
-    rows = once(
-        lambda: run_sweep(
-            (8, 10, 12, 14), _fig9_vector_scale_point, jobs=bench_jobs()
-        )
-    )
+    rows = once(lambda: [_fig9_vector_scale_point(d) for d in (8, 10, 12, 14)])
     emit_table(
         "fig9-vector-scale",
         "safety levels in faulty cubes at scale through the vector plane",

@@ -18,13 +18,11 @@ float-normalized power iterations.  The full run checks :data:`FLOORS`
 at the largest size (n=5000): >= 10x on PageRank and the multi-source
 distance labels, >= 5x on every batched routing evaluator.
 
-    PYTHONPATH=src python benchmarks/bench_perf_labeling.py [--jobs N]
+    PYTHONPATH=src python benchmarks/bench_perf_labeling.py
 
 writes the top-level ``BENCH_perf-labeling.json`` feed;
 ``tests/test_bench_perf.py`` runs the same harness at toy scale inside
-tier-1.  ``--jobs N`` fans the per-size measurements out over worker
-processes (for quick iteration only — wall-clock timings are
-trustworthy only from serial runs).
+tier-1.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import numpy as np
 
 from _util import (
-    OUT_DIR, TOP_DIR, Case, TableResult, bench_jobs, check_floors, emit_table, measure,
-    run_sweep, speedups,
+    OUT_DIR, TOP_DIR, Case, TableResult, check_floors, emit_table, measure, speedups,
 )
 
 EXPERIMENT = "perf-labeling"
@@ -282,12 +279,10 @@ def _measure_size(
 ) -> Tuple[List[Tuple[object, ...]], Dict[str, float]]:
     """Measure every kernel at one size; asserts equivalence per kernel.
 
-    Module-level (picklable) so :func:`_util.run_sweep` can distribute
-    sizes across workers.  All workload graphs are frozen up front (the
-    one-off snapshot cost the fast paths amortize, recorded as
-    ``freeze_n*_s``) so neither side pays it inside a measurement —
-    the reference evaluators also use the frozen BFS for their stretch
-    denominators.  References at large sizes are timed once.
+    All workload graphs are frozen up front (the one-off snapshot cost
+    the fast paths amortize, recorded as ``freeze_n*_s``) so neither
+    side pays it inside a measurement — the reference evaluators also
+    use the frozen BFS for their stretch denominators.  References at large sizes are timed once.
     """
     size, repeats = task
     n = size[0]
@@ -314,18 +309,14 @@ def run(
     out_dir: str = OUT_DIR,
     top_dir: str = TOP_DIR,
     floors: Optional[Mapping[str, float]] = None,
-    jobs: Optional[int] = None,
 ) -> TableResult:
     """Benchmark every labeling/routing kernel at every size.
 
     ``floors`` (the full run passes :data:`FLOORS`) asserts per-kernel
     floors at the largest size.  Raises ``AssertionError`` on any
-    frozen/reference output mismatch regardless.  ``jobs > 1``
-    distributes sizes over worker processes (row order stays
-    deterministic) — use only for iteration, not for committed timing
-    feeds.
+    frozen/reference output mismatch regardless.
     """
-    measured = run_sweep([(size, repeats) for size in sizes], _measure_size, jobs=jobs)
+    measured = [_measure_size((size, repeats)) for size in sizes]
     rows = [row for size_rows, _ in measured for row in size_rows]
     timings = {k: v for _, size_timings in measured for k, v in size_timings.items()}
     if floors:
@@ -361,5 +352,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(floors=FLOORS, jobs=bench_jobs(sys.argv[1:]))
+    result = run(floors=FLOORS)
     print(f"\nperf-labeling: emitted {result.bench_path}")

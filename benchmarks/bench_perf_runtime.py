@@ -19,13 +19,11 @@ accounting: ``RunStats`` equality) before returning any timing.  The
 full run checks :data:`FLOORS`, each protocol at its own largest n:
 >= 10x on link reversal and on safety levels.
 
-    PYTHONPATH=src python benchmarks/bench_perf_runtime.py [--jobs N]
+    PYTHONPATH=src python benchmarks/bench_perf_runtime.py
 
 writes the top-level ``BENCH_perf-runtime.json`` feed;
 ``tests/test_bench_perf.py`` runs the same harness at toy scale inside
-tier-1.  ``--jobs N`` fans the per-size measurements out over worker
-processes (for quick iteration only — wall-clock timings are
-trustworthy only from serial runs).
+tier-1.
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import numpy as np
 
 from _util import (
-    OUT_DIR, TOP_DIR, Case, TableResult, bench_jobs, check_floors, emit_table, measure,
-    run_sweep, speedups,
+    OUT_DIR, TOP_DIR, Case, TableResult, check_floors, emit_table, measure, speedups,
 )
 
 EXPERIMENT = "perf-runtime"
@@ -274,11 +271,9 @@ def _measure_size(
 ) -> Tuple[List[Tuple[object, ...]], Dict[str, float]]:
     """Measure every protocol at one tier; asserts parity per protocol.
 
-    Module-level (picklable) so :func:`_util.run_sweep` can distribute
-    tiers across workers.  The graph and its CSR snapshot are built up
-    front (recorded as ``freeze_n*_s``); each runner then rebuilds its
-    own engine per pass, so a timing covers one full build-and-run on
-    one plane.  Scalar references at large tiers are timed once.
+    The graph and its CSR snapshot are built up front (recorded as
+    ``freeze_n*_s``); each runner then rebuilds its own engine per
+    pass, so a timing covers one full build-and-run on one plane.  Scalar references at large tiers are timed once.
     """
     size, repeats = task
     rows: List[Tuple[object, ...]] = []
@@ -301,18 +296,15 @@ def run(
     out_dir: str = OUT_DIR,
     top_dir: str = TOP_DIR,
     floors: Optional[Mapping[str, float]] = None,
-    jobs: Optional[int] = None,
 ) -> TableResult:
     """Benchmark every round protocol on both planes at every tier.
 
     ``floors`` (the full run passes :data:`FLOORS`) asserts
     per-protocol floors, each at its own largest n.  Raises
     ``AssertionError`` on any scalar/vector state, round, or message
-    divergence regardless.  ``jobs > 1`` distributes tiers over worker
-    processes (row order stays deterministic) — use only for
-    iteration, not for committed timing feeds.
+    divergence regardless.
     """
-    measured = run_sweep([(size, repeats) for size in sizes], _measure_size, jobs=jobs)
+    measured = [_measure_size((size, repeats)) for size in sizes]
     rows = [row for size_rows, _ in measured for row in size_rows]
     timings = {k: v for _, size_timings in measured for k, v in size_timings.items()}
     if floors:
@@ -343,5 +335,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(floors=FLOORS, jobs=bench_jobs(sys.argv[1:]))
+    result = run(floors=FLOORS)
     print(f"\nperf-runtime: emitted {result.bench_path}")

@@ -15,13 +15,11 @@ run checks :data:`FLOORS`: >= 10x median speedup on the multi-source
 dynamic diameter and the DTN epidemic sweep at the largest size
 (n=2000, horizon=5000).
 
-    PYTHONPATH=src python benchmarks/bench_perf_temporal.py [--jobs N]
+    PYTHONPATH=src python benchmarks/bench_perf_temporal.py
 
 writes the top-level ``BENCH_perf-temporal.json`` feed;
 ``tests/test_bench_perf.py`` runs the same harness at toy scale inside
-tier-1.  ``--jobs N`` fans the per-size measurements out over worker
-processes (for quick iteration only — wall-clock timings are
-trustworthy only from serial runs).
+tier-1.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import numpy as np
 
 from _util import (
-    OUT_DIR, TOP_DIR, Case, TableResult, bench_jobs, check_floors, emit_table, measure,
-    run_sweep, speedups,
+    OUT_DIR, TOP_DIR, Case, TableResult, check_floors, emit_table, measure, speedups,
 )
 
 EXPERIMENT = "perf-temporal"
@@ -157,11 +154,10 @@ def _measure_size(
 ) -> Tuple[List[Tuple[object, ...]], Dict[str, float]]:
     """Measure every kernel at one size; asserts exact equivalence.
 
-    Module-level (picklable) so :func:`_util.run_sweep` can distribute
-    sizes across workers.  References for the expensive whole-graph
-    kernels run once at large sizes (the reference dynamic diameter is
-    one full per-source scan each); the frozen side always uses the
-    requested repeat count with one warmup (which also pays the freeze).
+    References for the expensive whole-graph kernels run once at large
+    sizes (the reference dynamic diameter is one full per-source scan
+    each); the frozen side always uses the requested repeat count with
+    one warmup (which also pays the freeze).
     """
     size, repeats = task
     n, horizon = size[0], size[1]
@@ -186,18 +182,14 @@ def run(
     out_dir: str = OUT_DIR,
     top_dir: str = TOP_DIR,
     floors: Optional[Mapping[str, float]] = None,
-    jobs: Optional[int] = None,
 ) -> TableResult:
     """Benchmark every temporal kernel at every size.
 
     ``floors`` (the full run passes :data:`FLOORS`) additionally
     asserts each floor at the largest size.  Raises ``AssertionError``
-    on any frozen/reference output mismatch regardless.  ``jobs > 1``
-    distributes sizes over worker processes (row order stays
-    deterministic) — use only for iteration, not for committed timing
-    feeds.
+    on any frozen/reference output mismatch regardless.
     """
-    measured = run_sweep([(size, repeats) for size in sizes], _measure_size, jobs=jobs)
+    measured = [_measure_size((size, repeats)) for size in sizes]
     rows = [row for size_rows, _ in measured for row in size_rows]
     timings = {k: v for _, size_timings in measured for k, v in size_timings.items()}
     if floors:
@@ -225,5 +217,5 @@ def run(
 
 
 if __name__ == "__main__":
-    result = run(floors=FLOORS, jobs=bench_jobs(sys.argv[1:]))
+    result = run(floors=FLOORS)
     print(f"\nperf-temporal: emitted {result.bench_path}")

@@ -1,12 +1,16 @@
-"""Benchmark-suite configuration: local helpers, a metrics registry
-per test, and the `once` fixture."""
+"""Benchmark-suite configuration: import paths, a metrics registry per
+test, and the `once` fixture."""
 
 import os
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.dirname(__file__))
+# The local helpers (``_util``) and the checkout's own ``src``, so the
+# suite, ``benchmarks/e2e`` included, runs without ``PYTHONPATH=src``.
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+sys.path.insert(1, os.path.join(os.path.dirname(HERE), "src"))
 
 from _util import scratch_registry  # noqa: E402
 

@@ -123,6 +123,8 @@ class FaultSession:
              for index, event in enumerate(fault.schedule)),
             key=lambda item: (item[0], item[1]),
         )
+        #: The nodes down now; the round engines skip them and drop
+        #: every message sent to them.
         self.crashed: Set[Node] = set()
         self._lose_state: Dict[Node, bool] = {}
         #: Both orientations of every link that is down now.
@@ -366,9 +368,6 @@ class FaultSession:
 
     def link_is_down(self, u: Node, v: Node) -> bool:
         return (u, v) in self.down_links
-
-    def is_crashed(self, node: Node) -> bool:
-        return node in self.crashed
 
     def pending_schedule_after(self, time: int) -> bool:
         """True while deterministic future events remain — engines must

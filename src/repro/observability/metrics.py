@@ -55,13 +55,8 @@ class Metric:
     def snapshot_value(self) -> Any:
         raise NotImplementedError
 
-    def dump_value(self) -> Any:
-        """Picklable raw state for cross-process transfer (see
-        :meth:`MetricsRegistry.dump_state`)."""
-        raise NotImplementedError
-
-    def merge_value(self, value: Any) -> None:
-        """Fold another metric's :meth:`dump_value` into this one."""
+    def absorb(self, other: "Metric") -> None:
+        """Fold ``other``, a metric of the same kind, into this one."""
         raise NotImplementedError
 
 
@@ -97,11 +92,8 @@ class Counter(Metric):
     def snapshot_value(self) -> int:
         return self._value
 
-    def dump_value(self) -> int:
-        return self._value
-
-    def merge_value(self, value: Any) -> None:
-        self.inc(int(value))
+    def absorb(self, other: Metric) -> None:
+        self.inc(other._value)
 
 
 class Gauge(Metric):
@@ -129,12 +121,9 @@ class Gauge(Metric):
     def snapshot_value(self) -> float:
         return self._value
 
-    def dump_value(self) -> float:
-        return self._value
-
-    def merge_value(self, value: Any) -> None:
+    def absorb(self, other: Metric) -> None:
         # Gauges are point-in-time: the merged (later) observation wins.
-        self.set(float(value))
+        self.set(float(other._value))
 
 
 class Histogram(Metric):
@@ -205,11 +194,8 @@ class Histogram(Metric):
     def snapshot_value(self) -> Dict[str, Any]:
         return self.summary()
 
-    def dump_value(self) -> List[float]:
-        return list(self._values)
-
-    def merge_value(self, value: Any) -> None:
-        self._values.extend(value)
+    def absorb(self, other: Metric) -> None:
+        self._values.extend(other._values)
 
 
 class MetricsRegistry:
@@ -305,50 +291,15 @@ class MetricsRegistry:
             self._metrics.clear()
             self._kinds.clear()
 
-    # -- cross-process transfer ----------------------------------------
-    _KIND_CLASSES: Dict[str, type] = {}  # filled in below the class body
-
-    def dump_state(self) -> List[Dict[str, Any]]:
-        """Picklable plain-data form of every metric, for shipping a
-        worker registry back to the parent of a ``run_sweep`` fan-out.
-
-        Counters dump their total, gauges their value, histograms their
-        raw sample list — everything :meth:`merge_state` needs to fold
-        the series into another registry losslessly.
-        """
-        return [
-            {
-                "name": metric.name,
-                "labels": list(metric.labels),
-                "kind": metric.kind,
-                "value": metric.dump_value(),
-            }
-            for metric in self.metrics()
-        ]
-
-    def merge_state(self, state: Iterable[Mapping[str, Any]]) -> None:
-        """Fold a :meth:`dump_state` payload into this registry.
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold every series of ``other`` into this registry.
 
         Counter totals add, histogram samples extend, gauges take the
         incoming value; series missing here are created.  Raises on a
         kind conflict, same as the get-or-create accessors.
         """
-        for entry in state:
-            cls = self._KIND_CLASSES[entry["kind"]]
-            labels = {key: value for key, value in entry["labels"]}
-            metric = self._get(cls, entry["name"], labels)
-            metric.merge_value(entry["value"])
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold every series of ``other`` into this registry."""
-        self.merge_state(other.dump_state())
-
-
-MetricsRegistry._KIND_CLASSES = {
-    Counter.kind: Counter,
-    Gauge.kind: Gauge,
-    Histogram.kind: Histogram,
-}
+        for metric in other.metrics():
+            self._get(type(metric), metric.name, metric.label_dict).absorb(metric)
 
 
 _global_registry = MetricsRegistry("global")

@@ -1,8 +1,17 @@
 """Distributed execution substrate (Sec. IV of the paper).
 
-A synchronous message-passing round engine with per-node locality
-enforcement and round/message accounting, plus explicit models of view
-inconsistency under mobility (delayed and multi-view oracles).
+Three engines run the paper's per-node algorithms with the same
+round/message accounting (:class:`RunStats`) and the same fault plans:
+
+* :class:`Network` — synchronous rounds with per-node locality
+  enforcement and topology changes mid-run;
+* :class:`AsyncNetwork` — the same :class:`NodeAlgorithm` objects
+  under randomised bounded delays (view-inconsistency stress);
+* :class:`VectorEngine` — the synchronous round model as numpy
+  kernels over a CSR snapshot, state-for-state equal to ``Network``.
+
+Plus explicit models of view inconsistency under mobility (delayed and
+multi-view oracles).
 """
 
 from repro.runtime.engine import (

@@ -24,28 +24,27 @@ self-stabilising.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConvergenceError
-from repro.faults.plan import FaultPlan, FaultSession
+from repro.faults.plan import FaultPlan
 from repro.graphs.graph import Graph
 from repro.observability import tracing
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.engine import (
+    EngineCore,
     Message,
     NodeAlgorithm,
-    NodeContext,
     RunStats,
-    Schedule,
     route_faults,
+    run_until_quiescent,
 )
 
 Node = Hashable
 
 
-class AsyncNetwork:
+class AsyncNetwork(EngineCore):
     """Randomised-delay executor for :class:`NodeAlgorithm` instances."""
 
     def __init__(
@@ -59,40 +58,16 @@ class AsyncNetwork:
     ) -> None:
         if max_delay < 1:
             raise ValueError(f"max_delay must be >= 1, got {max_delay}")
-        self.graph = graph.copy()
         self.max_delay = int(max_delay)
         self._rng = rng
-        self._algorithms: Dict[Node, NodeAlgorithm] = {}
-        self._state: Dict[Node, Dict[str, Any]] = {}
-        self._halted: Dict[Node, bool] = {}
         # (deliver_at_tick, message, retry attempt, fate drawn), in
         # enqueue order.
         self._in_flight: List[Tuple[int, Message, int, bool]] = []
-        self._tick = 0
-        self.metrics = registry if registry is not None else MetricsRegistry("async-network")
-        self.stats = RunStats(registry=self.metrics)
-        self._initialized = False
-        self._factory = algorithm_factory
-        self.faults: Optional[FaultSession] = (
-            fault_plan.start(registry=self.metrics) if fault_plan is not None else None
-        )
-        self._crashed: set = set()
-        self._schedule = Schedule()
-        for node in self.graph.nodes():
-            self._algorithms[node] = algorithm_factory(node)
-            self._state[node] = {}
-            self._halted[node] = False
-
-    # ------------------------------------------------------------------
-    def state_of(self, node: Node) -> Dict[str, Any]:
-        return self._state[node]
-
-    def states(self, key: str, default: Any = None) -> Dict[Node, Any]:
-        return {node: state.get(key, default) for node, state in self._state.items()}
+        super().__init__(graph, algorithm_factory, registry, fault_plan, "async-network")
 
     @property
     def tick(self) -> int:
-        return self._tick
+        return self._round
 
     # ------------------------------------------------------------------
     def _enqueue(
@@ -106,36 +81,19 @@ class AsyncNetwork:
         unfated and draws a fresh fate when it comes due."""
         if self.faults is None:
             for message in outbox:
-                self._enqueue(self._tick + self._transport_delay(), message)
+                self._enqueue(self._round + self._transport_delay(), message)
             return
         deliveries, deferrals = route_faults(
-            self.faults, self._tick, [(m, 0, True) for m in outbox]
+            self.faults, self._round, [(m, 0, True) for m in outbox]
         )
         for message, copies in deliveries:
             for _ in range(copies):
-                self._enqueue(self._tick + self._transport_delay(), message)
+                self._enqueue(self._round + self._transport_delay(), message)
         for due, message, attempt in deferrals:
             self._enqueue(due, message, attempt, fated=False)
 
     def _transport_delay(self) -> int:
         return int(self._rng.integers(1, self.max_delay + 1))
-
-    def _run_node(self, node: Node, inbox: List[Message], phase: str) -> None:
-        outbox: List[Message] = []
-        ctx = NodeContext(
-            node=node,
-            neighbors=self._schedule.of(self.graph).neighbors(node),
-            state=self._state[node],
-            inbox=inbox,
-            outbox=outbox,
-            round_number=self._tick,
-        )
-        if phase == "init":
-            self._algorithms[node].init(ctx)
-        else:
-            self._algorithms[node].step(ctx)
-        self._halted[node] = ctx.halted
-        self._dispatch(outbox)
 
     def initialize(self) -> None:
         if self._initialized:
@@ -143,25 +101,25 @@ class AsyncNetwork:
         order = list(self._schedule.of(self.graph).nodes)
         self._rng.shuffle(order)
         for node in order:
-            self._run_node(node, [], "init")
+            self._dispatch(self._activate(node, [], "init"))
         self._initialized = True
 
     def step_tick(self) -> None:
         """Advance one tick: deliver due messages, activate recipients."""
         if not self._initialized:
             self.initialize()
-        self._tick += 1
-        self.stats.rounds = self._tick
+        self._round += 1
+        self.stats.rounds = self._round
         self.metrics.gauge("repro.runtime.in_flight").set(len(self._in_flight))
         if self.faults is not None:
-            self._apply_fault_events()
+            self._apply_fault_events(self._round)
         arrived: List[Tuple[Message, int, bool]] = []
         remaining: List[Tuple[int, Message, int, bool]] = []
         for entry in self._in_flight:
             deliver_at, message, attempt, fated = entry
             if message.receiver not in self._state:
                 continue
-            if deliver_at > self._tick:
+            if deliver_at > self._round:
                 remaining.append(entry)
             else:
                 arrived.append((message, attempt, not fated))
@@ -170,7 +128,7 @@ class AsyncNetwork:
             deliveries = [(message, 1) for message, _, _ in arrived]
         else:
             deliveries, deferrals = route_faults(
-                self.faults, self._tick, arrived, self._crashed
+                self.faults, self._round, arrived, self.faults.crashed
             )
             for at, message, attempt in deferrals:
                 self._enqueue(at, message, attempt, fated=False)
@@ -181,73 +139,33 @@ class AsyncNetwork:
         self._rng.shuffle(recipients)
         # Also activate non-halted nodes with empty inboxes, so
         # algorithms that poll can progress.
+        crashed = self._crashed_nodes()
         idle = [
             node for node in self._schedule.of(self.graph).nodes
             if node not in due
             and not self._halted[node]
-            and node not in self._crashed
+            and node not in crashed
         ]
         self._rng.shuffle(idle)
         for node in recipients:
-            self._run_node(node, due[node], "step")
+            self._dispatch(self._activate(node, due[node], "step"))
         for node in idle:
-            self._run_node(node, [], "step")
+            self._dispatch(self._activate(node, [], "step"))
         delivered = sum(len(inbox) for inbox in due.values())
         self.stats.messages_sent += delivered
         self.stats.messages_per_round.append(delivered)
 
-    def _apply_fault_events(self) -> None:
-        """Fire crash/restart/churn events scheduled for this tick."""
-        schedule = self._schedule.of(self.graph)
-        crashes, restarts = self.faults.begin_round(
-            self._tick, nodes=schedule.nodes, edges=schedule.edges
-        )
-        for node, lose_state in crashes:
-            if node not in self._algorithms:
-                continue
-            self._crashed.add(node)
-            if lose_state:
-                self._state[node].clear()
-        for node, lose_state in restarts:
-            if node not in self._algorithms:
-                continue
-            self._crashed.discard(node)
-            self._halted[node] = False
-            if lose_state:
-                self._state[node].clear()
-                self._algorithms[node] = self._factory(node)
-                self._run_node(node, [], "init")
+    def _on_restart(self, node: Node) -> List[Message]:
+        # Sent at once, so the caller has nothing left to deliver.
+        self._dispatch(self._activate(node, [], "init"))
+        return []
 
     def run(self, max_ticks: int = 50_000) -> RunStats:
         """Run until quiescent: everyone halted and nothing in flight."""
         with tracing.span("engine.async_run"):
-            self.initialize()
-            for _ in range(max_ticks):
-                if self._quiescent():
-                    break
-                self.step_tick()
-            else:
-                if not self._quiescent():
-                    raise ConvergenceError(
-                        "asynchronous execution",
-                        max_ticks,
-                        rounds_completed=self.stats.rounds,
-                        messages_sent=self.stats.messages_sent,
-                        fault_events=(
-                            self.faults.summary() if self.faults is not None else None
-                        ),
-                    )
-            self.metrics.gauge("repro.runtime.in_flight").set(len(self._in_flight))
-        return self.stats
+            return run_until_quiescent(
+                self, self.step_tick, max_ticks, "asynchronous execution"
+            )
 
-    def _quiescent(self) -> bool:
-        if not all(
-            halted or node in self._crashed
-            for node, halted in self._halted.items()
-        ):
-            return False
-        if self._in_flight:
-            return False
-        if self.faults is not None and self.faults.pending_schedule_after(self._tick):
-            return False
-        return True
+    def _messages_pending(self) -> bool:
+        return bool(self._in_flight)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -314,7 +315,176 @@ class RunStats:
         )
 
 
-class Network:
+_NOBODY: frozenset = frozenset()
+
+
+def run_until_quiescent(
+    engine: Any, step: Callable[[], None], max_rounds: int, what: str
+) -> RunStats:
+    """The run loop of every engine: initialize, then ``step`` until
+    ``engine._quiescent()``.
+
+    A run still busy after ``max_rounds`` steps raises
+    :class:`~repro.errors.ConvergenceError` labelled ``what``, carrying
+    the rounds and messages so far and, under a fault plan, the
+    ledger's per-kind event totals.
+    """
+    engine.initialize()
+    for _ in range(max_rounds):
+        if engine._quiescent():
+            break
+        step()
+    else:
+        if not engine._quiescent():
+            raise ConvergenceError(
+                what,
+                max_rounds,
+                rounds_completed=engine.stats.rounds,
+                messages_sent=engine.stats.messages_sent,
+                fault_events=(
+                    engine.faults.summary() if engine.faults is not None else None
+                ),
+            )
+    # A quiescent engine has nothing in flight.
+    engine.metrics.gauge("repro.runtime.in_flight").set(0)
+    return engine.stats
+
+
+class EngineCore:
+    """What the per-node engines share: a copy of the topology, the node
+    table, the fault session and its crash/restart handler.
+
+    Each node has an algorithm instance, a state dict and a halted
+    flag.  Time is counted in ``_round`` (a round of :class:`Network`,
+    a tick of :class:`~repro.runtime.async_engine.AsyncNetwork`).  The
+    crashed nodes are the fault session's own
+    :attr:`~repro.faults.plan.FaultSession.crashed` set.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        algorithm_factory: Callable[[Node], NodeAlgorithm],
+        registry: Optional[MetricsRegistry],
+        fault_plan: Optional[FaultPlan],
+        name: str,
+    ) -> None:
+        self.graph = graph.copy()
+        self._factory = algorithm_factory
+        self._algorithms: Dict[Node, NodeAlgorithm] = {}
+        self._state: Dict[Node, Dict[str, Any]] = {}
+        self._halted: Dict[Node, bool] = {}
+        self.metrics = registry if registry is not None else MetricsRegistry(name)
+        self.stats = RunStats(registry=self.metrics)
+        self._round = 0
+        self._initialized = False
+        self.faults: Optional[FaultSession] = (
+            fault_plan.start(registry=self.metrics) if fault_plan is not None else None
+        )
+        self._schedule = Schedule()
+        for node in self.graph.nodes():
+            self._install(node)
+
+    def _install(self, node: Node) -> None:
+        self._algorithms[node] = self._factory(node)
+        self._state[node] = {}
+        self._halted[node] = False
+
+    # ------------------------------------------------------------------
+    # state access (for the "external observer", i.e. tests/benchmarks)
+    # ------------------------------------------------------------------
+    def state_of(self, node: Node) -> Dict[str, Any]:
+        if node not in self._state:
+            raise NodeNotFoundError(node)
+        return self._state[node]
+
+    def states(self, key: str, default: Any = None) -> Dict[Node, Any]:
+        """Snapshot of one state variable across all nodes."""
+        return {node: state.get(key, default) for node, state in self._state.items()}
+
+    def _crashed_nodes(self) -> AbstractSet[Node]:
+        return self.faults.crashed if self.faults is not None else _NOBODY
+
+    def all_halted(self) -> bool:
+        crashed = self._crashed_nodes()
+        return all(halted or node in crashed for node, halted in self._halted.items())
+
+    def _quiescent(self) -> bool:
+        """Nothing left to do: every live node halted, no message
+        pending, no scheduled fault event ahead."""
+        return (
+            self.all_halted()
+            and not self._messages_pending()
+            and (self.faults is None or not self.faults.pending_schedule_after(self._round))
+        )
+
+    def _messages_pending(self) -> bool:
+        """Whether a message still waits for delivery or a step."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # execution
+    # ------------------------------------------------------------------
+    def _activate(self, node: Node, inbox: List[Message], phase: str) -> List[Message]:
+        """Run one node's ``init``, ``step`` or ``on_topology_change``
+        over ``inbox``; returns its sends."""
+        outbox: List[Message] = []
+        ctx = NodeContext(
+            node=node,
+            neighbors=self._schedule.of(self.graph).neighbors(node),
+            state=self._state[node],
+            inbox=inbox,
+            outbox=outbox,
+            round_number=self._round,
+        )
+        algorithm = self._algorithms[node]
+        if phase == "init":
+            algorithm.init(ctx)
+        elif phase == "step":
+            algorithm.step(ctx)
+        else:
+            algorithm.on_topology_change(ctx)
+        self._halted[node] = ctx.halted
+        return outbox
+
+    def _apply_fault_events(self, time: int) -> List[Message]:
+        """Fire the crash/restart/churn events scheduled for ``time``.
+
+        A crash calls :meth:`_on_crash`; a node restarting with state
+        loss gets a fresh algorithm whose ``init`` runs through
+        :meth:`_on_restart`.  Returns the restart sends that hook hands
+        back, for the caller to deliver.
+        """
+        schedule = self._schedule.of(self.graph)
+        crashes, restarts = self.faults.begin_round(
+            time, nodes=schedule.nodes, edges=schedule.edges
+        )
+        for node, lose_state in crashes:
+            if node in self._algorithms:
+                self._on_crash(node)
+                if lose_state:
+                    self._state[node].clear()
+        outgoing: List[Message] = []
+        for node, lose_state in restarts:
+            if node not in self._algorithms:
+                continue
+            self._halted[node] = False
+            if lose_state:
+                self._state[node].clear()
+                self._algorithms[node] = self._factory(node)
+                outgoing.extend(self._on_restart(node))
+        return outgoing
+
+    def _on_crash(self, node: Node) -> None:
+        """Drop what a crashed node holds besides its state."""
+
+    def _on_restart(self, node: Node) -> List[Message]:
+        """Run a restarted node's ``init``; returns the sends left for
+        the caller of :meth:`_apply_fault_events`."""
+        raise NotImplementedError
+
+
+class Network(EngineCore):
     """A topology plus per-node algorithm instances and state.
 
     Observability: each network owns a
@@ -334,94 +504,29 @@ class Network:
         registry: Optional[MetricsRegistry] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        self.graph = graph.copy()
-        self._algorithms: Dict[Node, NodeAlgorithm] = {}
-        self._state: Dict[Node, Dict[str, Any]] = {}
-        self._halted: Dict[Node, bool] = {}
         self._inboxes: Dict[Node, List[Message]] = {}
-        self._pending: List[Message] = []
-        self.metrics = registry if registry is not None else MetricsRegistry("network")
-        self.stats = RunStats(registry=self.metrics)
-        self._round = 0
-        self._initialized = False
-        self._factory = algorithm_factory
-        self.faults: Optional[FaultSession] = (
-            fault_plan.start(registry=self.metrics) if fault_plan is not None else None
-        )
-        self._crashed: Set[Node] = set()
         # Messages awaiting redelivery, in deferral order:
         # (due_round, message, attempt).
         self._transit: List[Tuple[int, Message, int]] = []
-        self._schedule = Schedule()
-        for node in self.graph.nodes():
-            self._install(node)
+        super().__init__(graph, algorithm_factory, registry, fault_plan, "network")
 
     def _install(self, node: Node) -> None:
-        self._algorithms[node] = self._factory(node)
-        self._state[node] = {}
-        self._halted[node] = False
+        super()._install(node)
         self._inboxes[node] = []
-
-    # ------------------------------------------------------------------
-    # state access (for the "external observer", i.e. tests/benchmarks)
-    # ------------------------------------------------------------------
-    def state_of(self, node: Node) -> Dict[str, Any]:
-        if node not in self._state:
-            raise NodeNotFoundError(node)
-        return self._state[node]
-
-    def states(self, key: str, default: Any = None) -> Dict[Node, Any]:
-        """Snapshot of one state variable across all nodes."""
-        return {node: state.get(key, default) for node, state in self._state.items()}
 
     @property
     def round_number(self) -> int:
         return self._round
 
-    def all_halted(self) -> bool:
-        return all(
-            halted or node in self._crashed for node, halted in self._halted.items()
+    def _messages_pending(self) -> bool:
+        crashed = self._crashed_nodes()
+        return bool(self._transit) or any(
+            inbox for node, inbox in self._inboxes.items() if node not in crashed
         )
-
-    def _quiescent(self) -> bool:
-        """Nothing left to do: every live node halted, no inbox or
-        in-transit message pending, no scheduled fault event ahead."""
-        if not self.all_halted():
-            return False
-        if any(
-            self._inboxes[node] for node in self._inboxes
-            if node not in self._crashed
-        ):
-            return False
-        if self._transit:
-            return False
-        if self.faults is not None and self.faults.pending_schedule_after(self._round):
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _run_node(self, node: Node, phase: str) -> List[Message]:
-        outbox: List[Message] = []
-        ctx = NodeContext(
-            node=node,
-            neighbors=self._schedule.of(self.graph).neighbors(node),
-            state=self._state[node],
-            inbox=self._inboxes[node],
-            outbox=outbox,
-            round_number=self._round,
-        )
-        algorithm = self._algorithms[node]
-        if phase == "init":
-            algorithm.init(ctx)
-        elif phase == "step":
-            algorithm.step(ctx)
-        else:
-            algorithm.on_topology_change(ctx)
-        self._halted[node] = ctx.halted
-        return outbox
-
     def _deliver(self, messages: Iterable[Message]) -> int:
         for inbox in self._inboxes.values():
             inbox.clear()
@@ -447,7 +552,7 @@ class Network:
             self._transit = [entry for entry in self._transit if entry[0] > self._round]
             stream.extend((message, attempt, True) for _, message, attempt in due)
         stream = [entry for entry in stream if entry[0].receiver in self._inboxes]
-        deliveries, deferrals = route_faults(faults, self._round, stream, self._crashed)
+        deliveries, deferrals = route_faults(faults, self._round, stream, faults.crashed)
         self._transit.extend(deferrals)
         count = 0
         for message, copies in deliveries:
@@ -469,7 +574,7 @@ class Network:
             return
         outgoing: List[Message] = []
         for node in self._schedule.of(self.graph).nodes:
-            outgoing.extend(self._run_node(node, "init"))
+            outgoing.extend(self._activate(node, self._inboxes[node], "init"))
         self._deliver(outgoing)
         self._initialized = True
 
@@ -486,64 +591,34 @@ class Network:
         with tracing.span("engine.round"):
             outgoing: List[Message] = []
             if self.faults is not None:
-                outgoing.extend(self._apply_fault_events())
+                outgoing.extend(self._apply_fault_events(self._round))
+            crashed = self._crashed_nodes()
             for node in self._schedule.of(self.graph).nodes:
-                if node in self._crashed:
+                if node in crashed:
                     continue
-                if self._halted[node] and not self._inboxes[node]:
+                inbox = self._inboxes[node]
+                if self._halted[node] and not inbox:
                     continue
-                outgoing.extend(self._run_node(node, "step"))
+                outgoing.extend(self._activate(node, inbox, "step"))
             self._deliver(outgoing)
         self.metrics.gauge("repro.runtime.in_flight").set(len(self._transit))
 
-    def _apply_fault_events(self) -> List[Message]:
-        """Fire this round's crash/restart/churn events; returns the
-        re-initialisation sends of nodes restarting with state loss."""
-        schedule = self._schedule.of(self.graph)
-        crashes, restarts = self.faults.begin_round(
-            self._round, nodes=schedule.nodes, edges=schedule.edges
-        )
-        outgoing: List[Message] = []
-        for node, lose_state in crashes:
-            if node not in self._algorithms:
-                continue
-            self._crashed.add(node)
-            self._inboxes[node].clear()
-            if lose_state:
-                self._state[node].clear()
-        for node, lose_state in restarts:
-            if node not in self._algorithms:
-                continue
-            self._crashed.discard(node)
-            self._halted[node] = False
-            if lose_state:
-                self._state[node].clear()
-                self._algorithms[node] = self._factory(node)
-                outgoing.extend(self._run_node(node, "init"))
-        return outgoing
+    def _on_crash(self, node: Node) -> None:
+        self._inboxes[node].clear()
 
+    def _on_restart(self, node: Node) -> List[Message]:
+        # Delivered with this round's sends.
+        return self._activate(node, self._inboxes[node], "init")
+
+    # Defined here, not inherited: the end-to-end tracer wraps
+    # ``Network.run`` through the class's own ``__dict__``.
     def run(self, max_rounds: int = 10_000) -> RunStats:
         """Run until every node halts and no message is in flight."""
         record_dispatch("runtime.engine", path="scalar")
         with tracing.span("engine.run"):
-            self.initialize()
-            for _ in range(max_rounds):
-                if self._quiescent():
-                    break
-                self.step_round()
-            else:
-                if not self._quiescent():
-                    raise ConvergenceError(
-                        "distributed execution",
-                        max_rounds,
-                        rounds_completed=self.stats.rounds,
-                        messages_sent=self.stats.messages_sent,
-                        fault_events=(
-                            self.faults.summary() if self.faults is not None else None
-                        ),
-                    )
-            self.metrics.gauge("repro.runtime.in_flight").set(len(self._transit))
-        return self.stats
+            return run_until_quiescent(
+                self, self.step_round, max_rounds, "distributed execution"
+            )
 
     # ------------------------------------------------------------------
     # dynamics (Sec. IV-C: integrating structure with topology change)
@@ -552,7 +627,7 @@ class Network:
         outgoing: List[Message] = []
         for node in sorted(set(nodes), key=repr):
             if node in self._algorithms:
-                outgoing.extend(self._run_node(node, "topology"))
+                outgoing.extend(self._activate(node, self._inboxes[node], "topology"))
         for message in outgoing:
             if message.receiver in self._inboxes:
                 self._inboxes[message.receiver].append(message)
@@ -563,7 +638,7 @@ class Network:
         if node not in self._algorithms:
             self._install(node)
             if self._initialized:
-                self._run_node(node, "init")
+                self._activate(node, self._inboxes[node], "init")
 
     def add_edge(self, u: Node, v: Node) -> None:
         for endpoint in (u, v):

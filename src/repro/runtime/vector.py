@@ -58,14 +58,14 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import AlgorithmError, ConvergenceError
+from repro.errors import AlgorithmError
 from repro.faults.injectors import MessageFaults
 from repro.faults.plan import FaultPlan, FaultSession
 from repro.graphs.csr import FrozenGraph, _distinct
 from repro.observability import tracing
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.telemetry import record_dispatch
-from repro.runtime.engine import RunStats
+from repro.runtime.engine import RunStats, run_until_quiescent
 
 Node = Hashable
 
@@ -122,6 +122,16 @@ class ArrayKernel:
         values: Tuple[np.ndarray, ...],
     ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
         raise NotImplementedError
+
+    def _ready_rows(self, active: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+        """Halt the ``terminal`` rows of ``active``, keep the rows still
+        waiting for a first exchange with every neighbor active, and
+        return the rest: the rows ready to act this round."""
+        self.halted[active[terminal]] = True
+        rest = active[~terminal]
+        waiting = self._known_count[rest] < self.engine.degrees[rest]
+        self.halted[rest[waiting]] = False
+        return rest[~waiting]
 
     def _note_known(self, slots: np.ndarray) -> None:
         fresh = _distinct(slots[~self._known[slots]], self._owner)
@@ -367,27 +377,15 @@ class VectorEngine:
             sum(entry[1].size for entry in self._transit)
         )
 
+    # Defined here, not inherited: the end-to-end tracer wraps
+    # ``VectorEngine.run`` through the class's own ``__dict__``.
     def run(self, max_rounds: int = 10_000) -> RunStats:
         """Run until every row halts and no delivery is in flight."""
         record_dispatch("runtime.engine", path="vector")
         with tracing.span("engine.run"):
-            self.initialize()
-            for _ in range(max_rounds):
-                if self._quiescent():
-                    break
-                self.step_round()
-            else:
-                if not self._quiescent():
-                    raise ConvergenceError(
-                        "distributed execution",
-                        max_rounds,
-                        rounds_completed=self.stats.rounds,
-                        messages_sent=self.stats.messages_sent,
-                        fault_events=(
-                            self.faults.summary() if self.faults is not None else None
-                        ),
-                    )
-        return self.stats
+            return run_until_quiescent(
+                self, self.step_round, max_rounds, "distributed execution"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -422,6 +420,10 @@ class FullReversalKernel(ArrayKernel):
     def init(self):
         return np.arange(self.engine.n, dtype=np.int64), (self.level,)
 
+    def heights(self) -> Tuple[np.ndarray, ...]:
+        """The height columns, in height-tuple order."""
+        return self.level, self.tie
+
     def _merge(self, slots, values) -> None:
         if slots.size:
             np.maximum.at(self.b_level, slots, values[0])
@@ -430,12 +432,9 @@ class FullReversalKernel(ArrayKernel):
     def step(self, round_number, active, slots, values):
         self._merge(slots, values)
         engine = self.engine
-        terminal = (active == self.destination) | (engine.degrees[active] == 0)
-        self.halted[active[terminal]] = True
-        rest = active[~terminal]
-        waiting = self._known_count[rest] < engine.degrees[rest]
-        self.halted[rest[waiting]] = False
-        ready = rest[~waiting]
+        ready = self._ready_rows(
+            active, (active == self.destination) | (engine.degrees[active] == 0)
+        )
         if ready.size == 0:
             return _EMPTY, (self.level,)
         row_slots, seg = engine.row_slots(ready)
@@ -500,6 +499,10 @@ class PartialReversalKernel(ArrayKernel):
     def init(self):
         return np.arange(self.engine.n, dtype=np.int64), (self.a, self.b)
 
+    def heights(self) -> Tuple[np.ndarray, ...]:
+        """The height columns, in height-tuple order."""
+        return self.a, self.b, self.ids
+
     def _merge(self, slots, values) -> None:
         if not slots.size:
             return
@@ -527,12 +530,9 @@ class PartialReversalKernel(ArrayKernel):
     def step(self, round_number, active, slots, values):
         self._merge(slots, values)
         engine = self.engine
-        terminal = (active == self.destination) | (engine.degrees[active] == 0)
-        self.halted[active[terminal]] = True
-        rest = active[~terminal]
-        waiting = self._known_count[rest] < engine.degrees[rest]
-        self.halted[rest[waiting]] = False
-        ready = rest[~waiting]
+        ready = self._ready_rows(
+            active, (active == self.destination) | (engine.degrees[active] == 0)
+        )
         if ready.size == 0:
             return _EMPTY, (self.a, self.b)
         row_slots, seg = engine.row_slots(ready)
@@ -601,12 +601,7 @@ class SafetyLevelKernel(ArrayKernel):
     def step(self, round_number, active, slots, values):
         self._merge(slots, values)
         engine = self.engine
-        is_faulty = self.faulty[active]
-        self.halted[active[is_faulty]] = True
-        rest = active[~is_faulty]
-        waiting = self._known_count[rest] < engine.degrees[rest]
-        self.halted[rest[waiting]] = False
-        ready = rest[~waiting]
+        ready = self._ready_rows(active, self.faulty[active])
         if ready.size == 0:
             return _EMPTY, (self.level,)
         lens = engine.degrees[ready]
@@ -698,22 +693,46 @@ class MISKernel(ArrayKernel):
 # ----------------------------------------------------------------------
 # protocol entry points (drop-in parity with the scalar wrappers)
 # ----------------------------------------------------------------------
-def _reversal_outputs(graph, fg, engine, heights):
-    """(orientation, heights, reversals, rounds) in the scalar shape."""
+def _vector_reversal(
+    graph,
+    destination: Node,
+    heights: Dict[Node, Tuple],
+    kernel_type,
+    columns: Tuple[int, ...],
+    algorithm: str,
+    max_rounds: int,
+    fault_plan: Optional[FaultPlan],
+):
+    """Run a reversal kernel seeded with the height-tuple ``columns``
+    and return the scalar wrappers' shape (see
+    :func:`vector_full_reversal`)."""
+    from repro.graphs.graph import Graph
     from repro.layering.link_reversal import Orientation
 
+    dict_graph = graph if isinstance(graph, Graph) else None
+    fg = graph.frozen() if dict_graph is not None else graph
     nodes = fg.node_list
-    reversals = {
-        nodes[i]: int(engine.kernel.reversals[i]) for i in range(fg.n)
-    }
+    seeds = [np.array([heights[node][c] for node in nodes], dtype=np.int64) for c in columns]
+    kernel = kernel_type(fg.index_of(destination), *seeds)
+    engine = VectorEngine(fg, kernel, fault_plan=fault_plan)
+    with tracing.span("layering.distributed_reversal"):
+        stats = engine.run(max_rounds=max_rounds)
+    final_heights = dict(zip(nodes, zip(*(column.tolist() for column in kernel.heights()))))
+    reversals = dict(zip(nodes, kernel.reversals.tolist()))
     orientation = None
-    if graph is not None:
-        orientation = Orientation(graph)
-        for u, v in graph.edges():
+    if dict_graph is not None:
+        orientation = Orientation(dict_graph)
+        for u, v in dict_graph.edges():
             orientation.orient(
-                u, v, toward=v if heights[u] > heights[v] else u
+                u, v, toward=v if final_heights[u] > final_heights[v] else u
             )
-    return orientation, heights, reversals
+    labels = {"algorithm": algorithm}
+    registry = get_registry()
+    registry.counter("repro.layering.node_reversals", labels).inc(
+        sum(reversals.values())
+    )
+    registry.histogram("repro.layering.steps", labels).observe(stats.rounds)
+    return orientation, final_heights, reversals, stats.rounds
 
 
 def vector_full_reversal(
@@ -732,31 +751,10 @@ def vector_full_reversal(
     passed without a dict graph backing, returning ``None`` in its
     place).
     """
-    from repro.graphs.graph import Graph
-
-    dict_graph = graph if isinstance(graph, Graph) else None
-    fg = graph.frozen() if isinstance(graph, Graph) else graph
-    nodes = fg.node_list
-    levels = np.array([heights[node][0] for node in nodes], dtype=np.int64)
-    ties = np.array([heights[node][-1] for node in nodes], dtype=np.int64)
-    kernel = FullReversalKernel(fg.index_of(destination), levels, ties)
-    engine = VectorEngine(fg, kernel, fault_plan=fault_plan)
-    with tracing.span("layering.distributed_reversal"):
-        stats = engine.run(max_rounds=max_rounds)
-    final_heights = {
-        nodes[i]: (int(kernel.level[i]), int(kernel.tie[i]))
-        for i in range(fg.n)
-    }
-    orientation, final_heights, reversals = _reversal_outputs(
-        dict_graph, fg, engine, final_heights
+    return _vector_reversal(
+        graph, destination, heights, FullReversalKernel, (0, -1),
+        "vector-full", max_rounds, fault_plan,
     )
-    labels = {"algorithm": "vector-full"}
-    registry = get_registry()
-    registry.counter("repro.layering.node_reversals", labels).inc(
-        sum(reversals.values())
-    )
-    registry.histogram("repro.layering.steps", labels).observe(stats.rounds)
-    return orientation, final_heights, reversals, stats.rounds
 
 
 def vector_partial_reversal(
@@ -767,34 +765,12 @@ def vector_partial_reversal(
     fault_plan: Optional[FaultPlan] = None,
 ):
     """Array-plane :func:`~repro.layering.link_reversal_distributed.distributed_partial_reversal`."""
-    from repro.graphs.graph import Graph
     from repro.layering.link_reversal_distributed import lift_partial_heights
 
-    dict_graph = graph if isinstance(graph, Graph) else None
-    fg = graph.frozen() if isinstance(graph, Graph) else graph
-    nodes = fg.node_list
-    heights = lift_partial_heights(heights)
-    a = np.array([heights[node][0] for node in nodes], dtype=np.int64)
-    b = np.array([heights[node][1] for node in nodes], dtype=np.int64)
-    ids = np.array([heights[node][2] for node in nodes], dtype=np.int64)
-    kernel = PartialReversalKernel(fg.index_of(destination), a, b, ids)
-    engine = VectorEngine(fg, kernel, fault_plan=fault_plan)
-    with tracing.span("layering.distributed_reversal"):
-        stats = engine.run(max_rounds=max_rounds)
-    final_heights = {
-        nodes[i]: (int(kernel.a[i]), int(kernel.b[i]), int(kernel.ids[i]))
-        for i in range(fg.n)
-    }
-    orientation, final_heights, reversals = _reversal_outputs(
-        dict_graph, fg, engine, final_heights
+    return _vector_reversal(
+        graph, destination, lift_partial_heights(heights), PartialReversalKernel,
+        (0, 1, 2), "vector-partial", max_rounds, fault_plan,
     )
-    labels = {"algorithm": "vector-partial"}
-    registry = get_registry()
-    registry.counter("repro.layering.node_reversals", labels).inc(
-        sum(reversals.values())
-    )
-    registry.histogram("repro.layering.steps", labels).observe(stats.rounds)
-    return orientation, final_heights, reversals, stats.rounds
 
 
 def vector_safety_levels(

@@ -214,6 +214,63 @@ class TestEngineParity:
         assert sync_keys == async_keys
 
 
+    def test_async_state_of_missing_node(self):
+        import numpy as np
+
+        from repro.runtime.async_engine import AsyncNetwork
+
+        net = AsyncNetwork(path_graph(2), lambda n: Flood(0), rng=np.random.default_rng(0))
+        with pytest.raises(NodeNotFoundError):
+            net.state_of("ghost")
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+    @pytest.mark.parametrize("engine", ["sync", "async", "vector"])
+    def test_cut_off_run_carries_its_context(self, engine, faulty):
+        """Every engine's run loop reports how far a run got when
+        ``max_rounds`` cuts it off, and the ledger totals under a plan."""
+        import numpy as np
+
+        from repro.faults import FaultPlan, MessageFaults, RetryPolicy
+        from repro.runtime.async_engine import AsyncNetwork
+        from repro.runtime.vector import ArrayKernel, VectorEngine
+
+        class Chatterbox(ArrayKernel):
+            """Every row re-broadcasts each round and never halts."""
+
+            def init(self):
+                return np.arange(self.engine.n), (np.zeros(self.engine.n, dtype=np.int64),)
+
+            def step(self, round_number, active, slots, values):
+                self.halted[active] = False
+                return active, (np.zeros(self.engine.n, dtype=np.int64),)
+
+        plan = (
+            FaultPlan(3, [MessageFaults(drop=0.3)], retry=RetryPolicy())
+            if faulty else None
+        )
+        graph = path_graph(4)
+        if engine == "sync":
+            network = Network(graph, lambda n: Spinner(), fault_plan=plan)
+        elif engine == "async":
+            network = AsyncNetwork(
+                graph, lambda n: Spinner(), rng=np.random.default_rng(0), fault_plan=plan
+            )
+        else:
+            network = VectorEngine(graph.frozen(), Chatterbox(), fault_plan=plan)
+        with pytest.raises(ConvergenceError) as excinfo:
+            network.run(5)
+        error = excinfo.value
+        assert error.rounds == 5
+        assert error.rounds_completed == network.stats.rounds == 5
+        assert error.messages_sent == network.stats.messages_sent > 0
+        if faulty:
+            assert error.fault_events == network.faults.summary()
+            assert error.fault_events.get("drop", 0) >= 1
+            assert "fault events" in str(error)
+        else:
+            assert error.fault_events is None
+
+
 class ReprCountingPayload:
     """Payload that records every ``repr`` call against it."""
 
