@@ -3,9 +3,8 @@
 Times each whole-graph kernel on Gnutella-like largest-SCC workloads
 (the paper's Fig. 3 substrate) at increasing sizes, on both substrates:
 
-* the dict-of-sets reference path (``*_reference`` functions — the
-  ground truth the library falls back to below
-  :data:`~repro.graphs.csr.FROZEN_MIN_NODES`), and
+* the dict-of-sets reference path (``*_reference`` functions, the
+  ground truth the tests check the public kernels against), and
 * the frozen CSR snapshot (:class:`~repro.graphs.csr.FrozenGraph`).
 
 Each kernel is a :class:`_util.Case` whose timed outputs must be

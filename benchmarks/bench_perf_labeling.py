@@ -3,9 +3,8 @@
 Times the Sec. III/IV labeling and remapping kernels on synthetic
 workloads at increasing scale, on both substrates:
 
-* the pure-Python reference path (``*_reference`` functions — the
-  ground truth the library falls back to below
-  :data:`~repro.graphs.csr.FROZEN_MIN_NODES`), and
+* the pure-Python reference path (``*_reference`` functions, the
+  ground truth the tests check the public kernels against), and
 * the frozen CSR fast path: PageRank/HITS as sparse power iterations,
   landmark (distance, gateway) labels as single multi-source sweeps,
   MIS/DS/marking as vectorized rounds, and the batched greedy-routing

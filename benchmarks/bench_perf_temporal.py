@@ -3,9 +3,8 @@
 Times the temporal kernels of the paper's Sec. II-B machinery on
 synthetic contact workloads at increasing scale, on both substrates:
 
-* the dict-of-sets reference path (``*_reference`` functions — the
-  ground truth the library falls back to below
-  :data:`~repro.temporal.frozen.FROZEN_MIN_CONTACTS`), and
+* the dict-of-sets reference path (``*_reference`` functions, the
+  ground truth the tests check the public kernels against), and
 * the frozen contact index (:class:`~repro.temporal.frozen.FrozenContacts`)
   plus the DTN simulator's bitset infection front.
 

@@ -44,7 +44,7 @@ def discretised_rate_model(
     """A rate-model trace discretised and pre-frozen in one call.
 
     Convenience for the DTN/temporal benchmarks: generates
-    :func:`rate_model_trace`, discretises via the bulk fast path of
+    :func:`rate_model_trace`, discretises via the bulk insert of
     :meth:`~repro.temporal.contacts.ContactTrace.to_evolving`, and
     warms the frozen contact index so the first journey query does not
     pay the freeze cost.  Extra keyword arguments pass through to
@@ -52,14 +52,7 @@ def discretised_rate_model(
     """
     trace, profiles = rate_model_trace(n, radices, rng, **kwargs)
     eg = trace.to_evolving(slot=slot)
-    from repro.observability.telemetry import record_dispatch
-    from repro.temporal.frozen import FROZEN_MIN_CONTACTS
-
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("datasets.prefrozen_rate_model", fast=True)
-        eg.frozen()
-    else:
-        record_dispatch("datasets.prefrozen_rate_model", fast=False)
+    eg.frozen()
     return eg, profiles
 
 

@@ -36,7 +36,6 @@ from repro.observability import tracing
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.telemetry import record_dispatch
 from repro.temporal.evolving import EvolvingGraph
-from repro.temporal.frozen import FROZEN_MIN_CONTACTS
 
 Node = Hashable
 
@@ -175,9 +174,9 @@ class DTNSimulation:
         self.eg = eg
         self.router = router
         self.buffer_size = buffer_size
-        # None = auto (use the bitset fast path when eligible and the
-        # trace is large enough); False = always the general loop;
-        # True = require the fast path (raises when ineligible).
+        # None = auto (use the bitset fast path when eligible); False =
+        # always the general loop; True = require the fast path (raises
+        # when ineligible).
         self.fast_path = fast_path
         self.messages: Dict[str, MessageState] = {}
         # Per-node FIFO buffers: message identifiers in arrival order.
@@ -255,7 +254,7 @@ class DTNSimulation:
         """
         with tracing.span("dtn.run"):
             fast = self._use_fast_path()
-            record_dispatch("dtn.run", fast=fast)
+            record_dispatch("dtn.run", "fast" if fast else "reference")
             contacts = self._run_fast() if fast else self._run_general()
             self._contacts.inc(contacts)
         return self.stats()
@@ -301,8 +300,6 @@ class DTNSimulation:
                     "run under an epidemic or direct-delivery router"
                 )
             return True
-        if not reasons and self.eg.num_contacts < FROZEN_MIN_CONTACTS:
-            reasons = ["too_few_contacts"]
         self._record_rejections(reasons)
         return not reasons
 

@@ -8,7 +8,7 @@ generators, and structural metrics (degree distributions, power-law
 fits, centralities).
 """
 
-from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph
+from repro.graphs.csr import FrozenGraph
 from repro.graphs.delta import DEFAULT_PATCH_THRESHOLD, PatchedGraph
 from repro.graphs.graph import DiGraph, Graph
 from repro.graphs.intersection import (
@@ -96,7 +96,6 @@ from repro.graphs.traversal import (
 __all__ = [
     "DEFAULT_PATCH_THRESHOLD",
     "DiGraph",
-    "FROZEN_MIN_NODES",
     "FrozenGraph",
     "Graph",
     "PatchedGraph",

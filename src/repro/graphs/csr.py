@@ -38,11 +38,6 @@ from repro.observability.telemetry import record_cache_event, record_dispatch
 
 Node = Hashable
 
-#: Below this node count the constant costs of freezing outweigh the
-#: vectorization win; routed entry points fall back to the dict-of-sets
-#: reference path.
-FROZEN_MIN_NODES = 32
-
 _UNREACHABLE = -1
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -761,8 +756,8 @@ class FrozenGraph:
         compacted as nodes die, so round r costs O(edges still alive at
         round r).  With ``fallback`` a stalled round peels the single
         smallest-rank alive node, mirroring the reference guard;
-        without it the generator simply stops, matching the
-        ``peel_once``-based loops that break when nothing is removed.
+        without it the generator simply stops, which is where
+        ``nested_subgraphs`` and ``peel_to_fraction`` end their peel.
         """
         if self.directed:
             raise TypeError("the NSF peel expects an undirected snapshot")

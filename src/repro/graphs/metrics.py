@@ -22,8 +22,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.csr import FROZEN_MIN_NODES
-from repro.observability.telemetry import record_dispatch
 from repro.graphs.graph import DiGraph, Graph
 from repro.graphs.traversal import bfs_distances_reference
 
@@ -177,11 +175,7 @@ def closeness_centrality(graph: Graph) -> Dict[Node, float]:
     of the shortest path between a node and all other nodes" inverted so
     larger = more central.
     """
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("graphs.closeness_centrality", fast=True)
-        return graph.frozen().closeness_centrality()
-    record_dispatch("graphs.closeness_centrality", fast=False)
-    return closeness_centrality_reference(graph)
+    return graph.frozen().closeness_centrality()
 
 
 def closeness_centrality_reference(graph: Graph) -> Dict[Node, float]:
@@ -204,10 +198,13 @@ def closeness_centrality_reference(graph: Graph) -> Dict[Node, float]:
 
 def betweenness_centrality(graph: Graph, normalized: bool = True) -> Dict[Node, float]:
     """Brandes' exact betweenness for unweighted undirected graphs."""
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("graphs.betweenness_centrality", fast=True)
-        return graph.frozen().betweenness_centrality(normalized=normalized)
-    record_dispatch("graphs.betweenness_centrality", fast=False)
+    return graph.frozen().betweenness_centrality(normalized=normalized)
+
+
+def betweenness_centrality_reference(
+    graph: Graph, normalized: bool = True
+) -> Dict[Node, float]:
+    """Brandes over dict-of-sets adjacency: ground truth for the CSR path."""
     betweenness: Dict[Node, float] = {node: 0.0 for node in graph.nodes()}
     for source in graph.nodes():
         stack: List[Node] = []
@@ -273,11 +270,7 @@ def eigenvector_centrality(
 
 def clustering_coefficient(graph: Graph, node: Node) -> float:
     """Fraction of a node's neighbor pairs that are themselves adjacent."""
-    if graph.num_nodes >= FROZEN_MIN_NODES and graph.has_node(node):
-        record_dispatch("graphs.clustering_coefficient", fast=True)
-        return graph.frozen().clustering_coefficient(node)
-    record_dispatch("graphs.clustering_coefficient", fast=False)
-    return clustering_coefficient_reference(graph, node)
+    return graph.frozen().clustering_coefficient(node)
 
 
 def clustering_coefficient_reference(graph: Graph, node: Node) -> float:
@@ -296,13 +289,7 @@ def clustering_coefficient_reference(graph: Graph, node: Node) -> float:
 
 def average_clustering(graph: Graph) -> float:
     """Mean local clustering coefficient over all nodes."""
-    if graph.num_nodes == 0:
-        return 0.0
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("graphs.average_clustering", fast=True)
-        return graph.frozen().average_clustering()
-    record_dispatch("graphs.average_clustering", fast=False)
-    return average_clustering_reference(graph)
+    return graph.frozen().average_clustering()
 
 
 def average_clustering_reference(graph: Graph) -> float:

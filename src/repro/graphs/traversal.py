@@ -7,10 +7,10 @@ strongly-connected components, and diameter.  The temporal analogues
 :mod:`repro.temporal.journeys`.
 
 Whole-graph sweeps (``bfs_distances``, ``connected_components``,
-``eccentricity``, ``diameter``) route through the frozen CSR snapshot
-(:mod:`repro.graphs.csr`) above :data:`~repro.graphs.csr.FROZEN_MIN_NODES`
-nodes; the dict-of-sets path below remains the ground-truth reference
-and is output-equivalent (tests/test_csr.py).
+``is_connected``, ``eccentricity``, ``diameter``) run on the frozen CSR
+snapshot (:mod:`repro.graphs.csr`) at every size; the dict-of-sets
+``*_reference`` functions below remain the ground truth and are
+output-equivalent (tests/test_csr.py).
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from collections import deque
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import AlgorithmError, NodeNotFoundError
-from repro.graphs.csr import FROZEN_MIN_NODES
 from repro.graphs.graph import DiGraph, Graph
-from repro.observability.telemetry import record_dispatch
 
 Node = Hashable
 AnyGraph = Union[Graph, DiGraph]
@@ -58,11 +56,7 @@ def bfs_distances(graph: AnyGraph, source: Node) -> Dict[Node, int]:
     """Hop distance from ``source`` to every reachable node."""
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("graphs.bfs_distances", fast=True)
-        return graph.frozen().bfs_distances(source)
-    record_dispatch("graphs.bfs_distances", fast=False)
-    return bfs_distances_reference(graph, source)
+    return graph.frozen().bfs_distances(source)
 
 
 def bfs_distances_reference(graph: AnyGraph, source: Node) -> Dict[Node, int]:
@@ -195,11 +189,7 @@ def connected_components(graph: Graph) -> List[Set[Node]]:
     """Connected components of an undirected graph, largest first."""
     if isinstance(graph, DiGraph):
         raise TypeError("connected_components expects an undirected Graph")
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("graphs.connected_components", fast=True)
-        return graph.frozen().connected_components()
-    record_dispatch("graphs.connected_components", fast=False)
-    return connected_components_reference(graph)
+    return graph.frozen().connected_components()
 
 
 def connected_components_reference(graph: Graph) -> List[Set[Node]]:
@@ -220,13 +210,7 @@ def connected_components_reference(graph: Graph) -> List[Set[Node]]:
 
 def is_connected(graph: Graph) -> bool:
     """True iff the undirected graph is connected (empty graph counts)."""
-    if graph.num_nodes == 0:
-        return True
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("graphs.is_connected", fast=True)
-        return graph.frozen().is_connected()
-    record_dispatch("graphs.is_connected", fast=False)
-    return len(bfs_distances(graph, next(iter(graph.nodes())))) == graph.num_nodes
+    return graph.frozen().is_connected()
 
 
 def strongly_connected_components(graph: DiGraph) -> List[Set[Node]]:
@@ -292,13 +276,8 @@ def largest_strongly_connected_component(graph: DiGraph) -> DiGraph:
 
 def eccentricity(graph: AnyGraph, node: Node) -> int:
     """Max hop distance from ``node`` to any reachable node."""
-    if graph.num_nodes >= FROZEN_MIN_NODES and graph.has_node(node):
-        record_dispatch("graphs.eccentricity", fast=True)
-        fg = graph.frozen()
-        return fg.eccentricity_of(fg.index_of(node))
-    record_dispatch("graphs.eccentricity", fast=False)
-    dist = bfs_distances(graph, node)
-    return max(dist.values()) if dist else 0
+    fg = graph.frozen()
+    return fg.eccentricity_of(fg.index_of(node))
 
 
 def diameter(graph: Graph) -> int:
@@ -307,15 +286,7 @@ def diameter(graph: Graph) -> int:
     Raises :class:`AlgorithmError` on a disconnected graph, because the
     diameter is then undefined (conventionally infinite).
     """
-    if graph.num_nodes == 0:
-        return 0
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("graphs.diameter", fast=True)
-        return graph.frozen().diameter()
-    record_dispatch("graphs.diameter", fast=False)
-    if not is_connected(graph):
-        raise AlgorithmError("diameter is undefined on a disconnected graph")
-    return max(eccentricity(graph, node) for node in graph.nodes())
+    return graph.frozen().diameter()
 
 
 def minimum_spanning_tree(graph: Graph, weight: str = "weight") -> Graph:

@@ -22,7 +22,6 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tupl
 
 import numpy as np
 
-from repro.graphs.csr import FROZEN_MIN_NODES
 from repro.observability.telemetry import record_dispatch
 from repro.graphs.graph import Graph
 from repro.runtime.engine import Network, NodeAlgorithm, NodeContext
@@ -58,12 +57,12 @@ def marking_process(graph: Graph) -> Set[Node]:
     :func:`marking_process_reference` below.
     """
     n = graph.num_nodes
-    if n >= FROZEN_MIN_NODES and n * n <= 512 * graph.num_edges:
-        record_dispatch("labeling.marking_process", fast=True)
+    if n * n <= 512 * graph.num_edges:
+        record_dispatch("labeling.marking_process", "fast")
         fg = graph.frozen()
         nodes = fg.node_list
         return {nodes[i] for i in np.flatnonzero(fg.marking_mask())}
-    record_dispatch("labeling.marking_process", fast=False)
+    record_dispatch("labeling.marking_process", "reference")
     return marking_process_reference(graph)
 
 

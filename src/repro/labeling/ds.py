@@ -17,8 +17,6 @@ from typing import Dict, Hashable, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.graphs.csr import FROZEN_MIN_NODES
-from repro.observability.telemetry import record_dispatch
 from repro.graphs.graph import Graph
 from repro.runtime.engine import Network, NodeAlgorithm, NodeContext
 
@@ -39,27 +37,19 @@ def neighbor_designated_ds(
 
     Returns (black set, who-selected-whom).  Priorities default to
     ID-based distinct values (earlier IDs higher), matching the paper's
-    convention p(A) > p(B) > ...  Above the freeze threshold the
-    designation runs as one segmented argmax over the CSR rows
-    (:meth:`FrozenGraph.neighbor_designated_winners`, exact equality);
-    :func:`neighbor_designated_ds_reference` below.
+    convention p(A) > p(B) > ...  The designation runs as one
+    segmented argmax over the CSR rows
+    (:meth:`FrozenGraph.neighbor_designated_winners`), exactly equal to
+    :func:`neighbor_designated_ds_reference`.
     """
     if priorities is None:
         priorities = _default_priorities(graph)
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("labeling.neighbor_designated_ds", fast=True)
-        fg = graph.frozen()
-        prio = np.array(
-            [priorities[node] for node in fg.node_list], dtype=np.float64
-        )
-        winners = fg.neighbor_designated_winners(prio)
-        nodes = fg.node_list
-        selected_by = {
-            nodes[i]: nodes[int(winners[i])] for i in range(fg.n)
-        }
-        return set(selected_by.values()), selected_by
-    record_dispatch("labeling.neighbor_designated_ds", fast=False)
-    return neighbor_designated_ds_reference(graph, priorities)
+    fg = graph.frozen()
+    prio = np.array([priorities[node] for node in fg.node_list], dtype=np.float64)
+    winners = fg.neighbor_designated_winners(prio)
+    nodes = fg.node_list
+    selected_by = {nodes[i]: nodes[int(winners[i])] for i in range(fg.n)}
+    return set(selected_by.values()), selected_by
 
 
 def neighbor_designated_ds_reference(

@@ -9,9 +9,8 @@ non-negative edge weights.
 
 The reference bodies run one BFS / Dijkstra per landmark in repr order,
 keeping strictly smaller distances — so ties go to the repr-smallest
-landmark.  Above :data:`~repro.graphs.csr.FROZEN_MIN_NODES` both label
-maps route to single multi-source sweeps on the frozen CSR snapshot
-(:meth:`FrozenGraph.multi_source_labels` /
+landmark.  Both public label maps run as single multi-source sweeps
+on the frozen CSR snapshot (:meth:`FrozenGraph.multi_source_labels` /
 :meth:`FrozenGraph.weighted_multi_source_labels`), which reproduce the
 reference output exactly: hop distances are integers, and the weighted
 Bellman–Ford fixpoint reaches the same left-fold float sums as
@@ -29,8 +28,6 @@ from typing import Dict, Hashable, Iterable, List, Tuple
 import numpy as np
 
 from repro.errors import AlgorithmError, NodeNotFoundError
-from repro.graphs.csr import FROZEN_MIN_NODES
-from repro.observability.telemetry import record_dispatch
 from repro.observability.tracing import traced
 
 Node = Hashable
@@ -51,25 +48,20 @@ def distance_gateway_labels(graph, landmarks: Iterable[Node]) -> Dict[Node, HopL
     """(hop distance, nearest landmark) per reachable node.
 
     Ties between equally near landmarks resolve to the repr-smallest
-    one.  Routes to one multi-source BFS on the frozen
-    snapshot above the freeze threshold; exact equality with
-    :func:`distance_gateway_labels_reference` either way.
+    one.  Runs one multi-source BFS on the frozen snapshot, exactly
+    equal to :func:`distance_gateway_labels_reference`.
     """
     lms = list(landmarks)
     if not lms:
         raise ValueError("need at least one landmark")
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("labeling.distance_gateway_labels", fast=True)
-        fg = graph.frozen()
-        sources = np.array([fg.index_of(lm) for lm in lms], dtype=np.int64)
-        level, landmark = fg.multi_source_labels(sources)
-        nodes = fg.node_list
-        return {
-            nodes[i]: (int(level[i]), nodes[int(landmark[i])])
-            for i in np.flatnonzero(level >= 0)
-        }
-    record_dispatch("labeling.distance_gateway_labels", fast=False)
-    return distance_gateway_labels_reference(graph, lms)
+    fg = graph.frozen()
+    sources = np.array([fg.index_of(lm) for lm in lms], dtype=np.int64)
+    level, landmark = fg.multi_source_labels(sources)
+    nodes = fg.node_list
+    return {
+        nodes[i]: (int(level[i]), nodes[int(landmark[i])])
+        for i in np.flatnonzero(level >= 0)
+    }
 
 
 def distance_gateway_labels_reference(
@@ -110,27 +102,23 @@ def weighted_distance_gateway_labels(
 ) -> Dict[Node, WeightedLabel]:
     """(weighted distance, nearest landmark) under non-negative weights.
 
-    Same tie rule as the hop variant.  Routes to one multi-source
-    Bellman–Ford sweep above the freeze threshold (bit-identical
-    distances, see the module docstring).
+    Same tie rule as the hop variant.  Runs one multi-source
+    Bellman–Ford sweep (bit-identical distances, see the module
+    docstring).
     """
     lms = list(landmarks)
     if not lms:
         raise ValueError("need at least one landmark")
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("labeling.weighted_distance_gateway_labels", fast=True)
-        fg = graph.frozen()
-        sources = np.array([fg.index_of(lm) for lm in lms], dtype=np.int64)
-        weights = fg.edge_weights(graph, weight, default)
-        dist, landmark = fg.weighted_multi_source_labels(sources, weights)
-        nodes = fg.node_list
-        reach = np.isfinite(dist)
-        return {
-            nodes[i]: (float(dist[i]), nodes[int(landmark[i])])
-            for i in np.flatnonzero(reach)
-        }
-    record_dispatch("labeling.weighted_distance_gateway_labels", fast=False)
-    return weighted_distance_gateway_labels_reference(graph, lms, weight, default)
+    fg = graph.frozen()
+    sources = np.array([fg.index_of(lm) for lm in lms], dtype=np.int64)
+    weights = fg.edge_weights(graph, weight, default)
+    dist, landmark = fg.weighted_multi_source_labels(sources, weights)
+    nodes = fg.node_list
+    reach = np.isfinite(dist)
+    return {
+        nodes[i]: (float(dist[i]), nodes[int(landmark[i])])
+        for i in np.flatnonzero(reach)
+    }
 
 
 def weighted_distance_gateway_labels_reference(

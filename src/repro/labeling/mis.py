@@ -25,8 +25,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.errors import NodeNotFoundError
-from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph
-from repro.observability.telemetry import record_dispatch
+from repro.graphs.csr import FrozenGraph
 from repro.graphs.graph import Graph
 from repro.runtime.engine import Network, NodeAlgorithm, NodeContext
 
@@ -62,25 +61,19 @@ def compute_mis(
 ) -> Tuple[Set[Node], int]:
     """The three-color MIS process; returns (MIS, rounds used).
 
-    One round = one synchronous wave of local-maximum tests.  Above
-    :data:`~repro.graphs.csr.FROZEN_MIN_NODES` the rounds run as
-    edge-compacted numpy waves (:meth:`FrozenGraph.mis_rounds`, exact
-    same black set and round count, given the distinct priorities both
-    paths assume); :func:`compute_mis_reference` below.
+    One round = one synchronous wave of local-maximum tests.  The rounds
+    run as edge-compacted numpy waves (:meth:`FrozenGraph.mis_rounds`),
+    with the same black set and round count as
+    :func:`compute_mis_reference`, given the distinct priorities both
+    assume.
     """
     if priorities is None:
         priorities = id_priorities(graph)
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("labeling.compute_mis", fast=True)
-        fg = graph.frozen()
-        prio = np.array(
-            [priorities[node] for node in fg.node_list], dtype=np.float64
-        )
-        mask, rounds = fg.mis_rounds(prio)
-        nodes = fg.node_list
-        return {nodes[i] for i in np.flatnonzero(mask)}, rounds
-    record_dispatch("labeling.compute_mis", fast=False)
-    return compute_mis_reference(graph, priorities)
+    fg = graph.frozen()
+    prio = np.array([priorities[node] for node in fg.node_list], dtype=np.float64)
+    mask, rounds = fg.mis_rounds(prio)
+    nodes = fg.node_list
+    return {nodes[i] for i in np.flatnonzero(mask)}, rounds
 
 
 def compute_mis_reference(

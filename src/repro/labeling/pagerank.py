@@ -10,13 +10,12 @@ Implemented centally (power iteration) with iteration counting, so the
 convergence-speed benchmarks can contrast them with the one-shot static
 labels of Sec. IV-A.
 
-Above :data:`~repro.graphs.csr.FROZEN_MIN_NODES` both rankings route to
-the frozen CSR power iterations (one ``bincount`` per round instead of
-a per-node predecessor scan); the dict bodies below stay the ground
-truth as ``pagerank_reference`` / ``hits_reference``.  Scores agree to
-float-sum reordering only, so the equality asserted by tests and the
-``perf-labeling`` bench is tolerance-bounded and iteration counts may
-differ by one.
+Both rankings run as frozen CSR power iterations (one ``bincount`` per
+round instead of a per-node predecessor scan); the dict bodies below
+stay the ground truth as ``pagerank_reference`` / ``hits_reference``.
+Scores agree to float-sum reordering only, so the equality asserted by
+tests and the ``perf-labeling`` bench is tolerance-bounded and
+iteration counts may differ by one.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import math
 from typing import Dict, Hashable, Tuple
 
 from repro.errors import ConvergenceError
-from repro.graphs.csr import FROZEN_MIN_NODES
-from repro.observability.telemetry import record_dispatch
 from repro.graphs.graph import DiGraph
 from repro.observability.tracing import traced
 
@@ -43,21 +40,17 @@ def pagerank(
     """PageRank by power iteration; returns (scores, iterations).
 
     Dangling nodes redistribute their mass uniformly.  Scores sum to 1.
-    Routes to :meth:`FrozenGraph.pagerank_scores` above the freeze
-    threshold; :func:`pagerank_reference` below.
+    Runs :meth:`FrozenGraph.pagerank_scores`; :func:`pagerank_reference`
+    is the ground truth.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("labeling.pagerank", fast=True)
-        fg = graph.frozen()
-        score, iterations = fg.pagerank_scores(damping, tolerance, max_iterations)
-        return (
-            {node: float(score[i]) for i, node in enumerate(fg.node_list)},
-            iterations,
-        )
-    record_dispatch("labeling.pagerank", fast=False)
-    return pagerank_reference(graph, damping, tolerance, max_iterations)
+    fg = graph.frozen()
+    score, iterations = fg.pagerank_scores(damping, tolerance, max_iterations)
+    return (
+        {node: float(score[i]) for i, node in enumerate(fg.node_list)},
+        iterations,
+    )
 
 
 def pagerank_reference(
@@ -104,21 +97,18 @@ def hits(
     """Kleinberg's HITS; returns (hub scores, authority scores, iterations).
 
     Authority(v) = Σ hub(u) over in-neighbors; hub(u) = Σ authority(v)
-    over out-neighbors; both L2-normalised each round.  Routes to
-    :meth:`FrozenGraph.hits_scores` above the freeze threshold.
+    over out-neighbors; both L2-normalised each round.  Runs
+    :meth:`FrozenGraph.hits_scores`; :func:`hits_reference` is the
+    ground truth.
     """
-    if graph.num_nodes >= FROZEN_MIN_NODES:
-        record_dispatch("labeling.hits", fast=True)
-        fg = graph.frozen()
-        hub, authority, iterations = fg.hits_scores(tolerance, max_iterations)
-        nodes_list = fg.node_list
-        return (
-            {node: float(hub[i]) for i, node in enumerate(nodes_list)},
-            {node: float(authority[i]) for i, node in enumerate(nodes_list)},
-            iterations,
-        )
-    record_dispatch("labeling.hits", fast=False)
-    return hits_reference(graph, tolerance, max_iterations)
+    fg = graph.frozen()
+    hub, authority, iterations = fg.hits_scores(tolerance, max_iterations)
+    nodes_list = fg.node_list
+    return (
+        {node: float(hub[i]) for i, node in enumerate(nodes_list)},
+        {node: float(authority[i]) for i, node in enumerate(nodes_list)},
+        iterations,
+    )
 
 
 def hits_reference(

@@ -10,12 +10,16 @@ Counter families on the global metrics registry:
     class name (``Graph``, ``DiGraph``, ``EvolvingGraph``).
 
 ``repro.dispatch.calls{kernel=...,path=fast|reference|...}``
-    Emitted at every ``FROZEN_MIN_*`` gate: one count per public call,
-    labeled with which implementation actually ran.  Beyond the two
-    gate paths, snapshot constructions are labeled
+    Emitted only where a call really chooses between implementations:
+    one count per call, labeled with the path that ran.  ``dtn.run``
+    (``fast`` bitset front or ``reference`` per-message loop),
+    ``labeling.marking_process`` (``fast`` when the graph is dense
+    enough) and ``trimming.spanner_stretch`` (``fast`` hop stretch for
+    unit weights) use ``path=fast|reference``; ``runtime.engine`` is
+    labeled ``scalar|vector``.  Snapshot constructions are labeled
     ``kernel=graphs.freeze`` with ``path=build|arrays|patch-merge``,
     so "how often was the graph rebuilt?" is answerable from a
-    snapshot.
+    snapshot.  Kernels with a single implementation emit nothing.
 
 ``repro.serving.*``
     The incremental serving plane (:mod:`repro.serving`):
@@ -85,15 +89,8 @@ def record_cache_event(owner: Any, event: str) -> None:
     ).inc()
 
 
-def record_dispatch(kernel: str, fast: bool = True, path: str = None) -> None:
-    """Count one kernel call routed to the fast or reference path.
-
-    ``path`` overrides the fast/reference label for routes outside the
-    two-way gates — e.g. ``"build"`` / ``"arrays"`` for snapshot
-    constructions.
-    """
-    if path is None:
-        path = "fast" if fast else "reference"
+def record_dispatch(kernel: str, path: str) -> None:
+    """Count one ``kernel`` call that took implementation ``path``."""
     get_registry().counter(
         DISPATCH_METRIC, {"kernel": kernel, "path": path}
     ).inc()

@@ -34,9 +34,8 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.csr import FROZEN_MIN_NODES, FrozenGraph
+from repro.graphs.csr import FrozenGraph
 from repro.observability.tracing import traced
-from repro.observability.telemetry import record_dispatch
 from repro.graphs.unit_disk import positions_of
 from repro.labeling.kleinberg_routing import greedy_grid_route
 from repro.remapping.feature_space import FeatureSpace, greedy_profile_route
@@ -351,13 +350,9 @@ def evaluate_geo_routing(
 ) -> RoutingBatchResult:
     """Score many greedy geographic routes in one vectorized sweep.
 
-    Batched above :data:`FROZEN_MIN_NODES`, per-pair loop below; exact
-    equality with :func:`evaluate_geo_routing_reference` either way.
+    Exactly equal to the per-pair loop
+    :func:`evaluate_geo_routing_reference`.
     """
-    if graph.num_nodes < FROZEN_MIN_NODES:
-        record_dispatch("remapping.evaluate_geo_routing", fast=False)
-        return evaluate_geo_routing_reference(graph, pairs, positions, max_hops)
-    record_dispatch("remapping.evaluate_geo_routing", fast=True)
     pos = positions if positions is not None else positions_of(graph)
     fg = graph.frozen()
     sources, targets = _pair_indices(fg, pairs)
@@ -405,12 +400,6 @@ def evaluate_hyperbolic_routing(
     (the reference pays one per pair), then runs the batched fold with
     the reference's 1e-12 strict-progress threshold.
     """
-    if graph.num_nodes < FROZEN_MIN_NODES:
-        record_dispatch("remapping.evaluate_hyperbolic_routing", fast=False)
-        return evaluate_hyperbolic_routing_reference(
-            graph, embedding, pairs, max_hops
-        )
-    record_dispatch("remapping.evaluate_hyperbolic_routing", fast=True)
     fg = graph.frozen()
     sources, targets = _pair_indices(fg, pairs)
     distinct, slot = np.unique(targets, return_inverse=True)
@@ -456,10 +445,6 @@ def evaluate_kleinberg_routing(
     reference's ``sorted(successors)`` scan order (tuple order, not
     repr); optimal hops via BFS over the reversed arcs.
     """
-    if graph.num_nodes < FROZEN_MIN_NODES:
-        record_dispatch("remapping.evaluate_kleinberg_routing", fast=False)
-        return evaluate_kleinberg_routing_reference(graph, pairs, max_hops)
-    record_dispatch("remapping.evaluate_kleinberg_routing", fast=True)
     fg = graph.frozen()
     sources, targets = _pair_indices(fg, pairs)
     distinct, slot = np.unique(targets, return_inverse=True)
@@ -508,10 +493,6 @@ def evaluate_fspace_routing(
         (tuple(int(x) for x in s), tuple(int(x) for x in t)) for s, t in pairs
     ]
     graph = space.strong_link_graph()
-    if graph.num_nodes < FROZEN_MIN_NODES:
-        record_dispatch("remapping.evaluate_fspace_routing", fast=False)
-        return evaluate_fspace_routing_reference(space, normalized, max_hops)
-    record_dispatch("remapping.evaluate_fspace_routing", fast=True)
     fg = graph.frozen()
     sources, targets = _pair_indices(fg, normalized)
     distinct, slot = np.unique(targets, return_inverse=True)

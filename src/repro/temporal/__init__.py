@@ -19,7 +19,7 @@ from repro.temporal.connectivity import (
     temporal_eccentricities,
     temporal_eccentricity,
 )
-from repro.temporal.frozen import FROZEN_MIN_CONTACTS, FrozenContacts
+from repro.temporal.frozen import FrozenContacts
 from repro.temporal.contacts import (
     ContactRecord,
     ContactTrace,
@@ -64,7 +64,6 @@ from repro.temporal.journeys import (
 )
 
 __all__ = [
-    "FROZEN_MIN_CONTACTS",
     "ContactRecord",
     "ContactTrace",
     "FrozenContacts",

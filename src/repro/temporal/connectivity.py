@@ -17,8 +17,6 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import NodeNotFoundError
 from repro.temporal.evolving import EvolvingGraph
-from repro.temporal.frozen import FROZEN_MIN_CONTACTS
-from repro.observability.telemetry import record_dispatch
 from repro.temporal.journeys import earliest_arrival, earliest_arrival_reference
 
 Node = Hashable
@@ -56,15 +54,11 @@ def is_time_i_connected(eg: EvolvingGraph, start: int) -> bool:
 
     This is the property the Sec. III-A trimming rule preserves: "if the
     network is time-i-connected, it remains connected after using the
-    trimming rule".  Above the frozen threshold every source floods in
-    one bit-parallel batched scan instead of one scan per source.
+    trimming rule".  Every source floods in one bit-parallel batched
+    scan of the frozen contact index instead of one scan per source.
     """
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.is_time_i_connected", fast=True)
-        _, reached = eg.frozen().flooding_stats(start)
-        return bool((reached == eg.num_nodes).all())
-    record_dispatch("temporal.is_time_i_connected", fast=False)
-    return is_time_i_connected_reference(eg, start)
+    _, reached = eg.frozen().flooding_stats(start)
+    return bool((reached == eg.num_nodes).all())
 
 
 def is_time_i_connected_reference(eg: EvolvingGraph, start: int) -> bool:
@@ -110,8 +104,8 @@ def flooding_time(eg: EvolvingGraph, source: Node, start: int = 0) -> Optional[i
 
     Returns ``latest earliest-arrival - start`` when all nodes are
     reached, else ``None``.  This is the per-source component of the
-    dynamic diameter.  (``earliest_arrival`` routes through the frozen
-    single-scan kernel above the threshold.)
+    dynamic diameter.  (``earliest_arrival`` runs the frozen
+    single-scan kernel.)
     """
     arrival = earliest_arrival(eg, source, start)
     if len(arrival) != eg.num_nodes:
@@ -137,22 +131,16 @@ def temporal_eccentricities(
     """Temporal eccentricity (flooding time) of *every* node at once.
 
     One bit-parallel batched scan of the contact index covers all
-    sources together above the frozen threshold — the multi-source
-    kernel behind :func:`dynamic_diameter` — instead of one full
-    per-source scan each.  ``None`` where a flood never completes.
+    sources together — the multi-source kernel behind
+    :func:`dynamic_diameter` — instead of one full per-source scan
+    each.  ``None`` where a flood never completes.
     """
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.temporal_eccentricities", fast=True)
-        fc = eg.frozen()
-        latest, reached = fc.flooding_stats(start)
-        n = eg.num_nodes
-        return {
-            node: int(latest[i]) - start if int(reached[i]) == n else None
-            for i, node in enumerate(fc.node_list)
-        }
-    record_dispatch("temporal.temporal_eccentricities", fast=False)
+    fc = eg.frozen()
+    latest, reached = fc.flooding_stats(start)
+    n = eg.num_nodes
     return {
-        node: flooding_time_reference(eg, node, start) for node in eg.nodes()
+        node: int(latest[i]) - start if int(reached[i]) == n else None
+        for i, node in enumerate(fc.node_list)
     }
 
 
@@ -162,16 +150,12 @@ def dynamic_diameter(eg: EvolvingGraph, start: int = 0) -> Optional[int]:
     The paper: "diameter [extends] to dynamic diameter (which is
     flooding time)".  ``None`` when some flood never completes.
     """
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.dynamic_diameter", fast=True)
-        worst = 0
-        for time in temporal_eccentricities(eg, start).values():
-            if time is None:
-                return None
-            worst = max(worst, time)
-        return worst
-    record_dispatch("temporal.dynamic_diameter", fast=False)
-    return dynamic_diameter_reference(eg, start)
+    worst = 0
+    for time in temporal_eccentricities(eg, start).values():
+        if time is None:
+            return None
+        worst = max(worst, time)
+    return worst
 
 
 def dynamic_diameter_reference(eg: EvolvingGraph, start: int = 0) -> Optional[int]:

@@ -119,47 +119,26 @@ class ContactTrace:
         """Discretise into time units of length ``slot``.
 
         Edge (u, v) gets label i when the contact overlaps time window
-        [i * slot, (i+1) * slot).  Above
-        :data:`~repro.temporal.frozen.FROZEN_MIN_CONTACTS` records the
-        per-record unit windows are computed vectorized and inserted in
-        bulk (same first-touch edge order, same label sets); the
-        per-record loop below that is the reference path.
+        [i * slot, (i+1) * slot).  The per-record unit windows are
+        computed vectorized and inserted in bulk, in record order (first
+        touch decides the edge order).
         """
-        from repro.temporal.frozen import FROZEN_MIN_CONTACTS
-
         if slot <= 0:
             raise ValueError(f"slot must be positive, got {slot}")
         if horizon is None:
             horizon = max(1, int(math.ceil(self.end_time / slot)))
-        from repro.observability.telemetry import record_dispatch
-
         eg = EvolvingGraph(horizon=horizon, nodes=self.nodes)
-        if len(self.records) >= FROZEN_MIN_CONTACTS:
-            record_dispatch("temporal.to_evolving", fast=True)
-            starts = np.fromiter(
-                (r.start for r in self.records), dtype=np.float64
+        starts = np.fromiter((r.start for r in self.records), dtype=np.float64)
+        ends = np.fromiter((r.end for r in self.records), dtype=np.float64)
+        firsts = np.maximum(np.floor(starts / slot).astype(np.int64), 0)
+        lasts = np.minimum(np.ceil(ends / slot).astype(np.int64) - 1, horizon - 1)
+        eg._bulk_add_contacts(
+            (record.u, record.v, unit)
+            for record, first, last in zip(
+                self.records, firsts.tolist(), lasts.tolist()
             )
-            ends = np.fromiter((r.end for r in self.records), dtype=np.float64)
-            firsts = np.maximum(
-                np.floor(starts / slot).astype(np.int64), 0
-            )
-            lasts = np.minimum(
-                np.ceil(ends / slot).astype(np.int64) - 1, horizon - 1
-            )
-            eg._bulk_add_contacts(
-                (record.u, record.v, unit)
-                for record, first, last in zip(
-                    self.records, firsts.tolist(), lasts.tolist()
-                )
-                for unit in range(first, last + 1)
-            )
-            return eg
-        record_dispatch("temporal.to_evolving", fast=False)
-        for record in self.records:
-            first = int(math.floor(record.start / slot))
-            last = int(math.ceil(record.end / slot)) - 1
-            for unit in range(max(0, first), min(horizon - 1, last) + 1):
-                eg.add_contact(record.u, record.v, unit)
+            for unit in range(first, last + 1)
+        )
         return eg
 
 

@@ -112,17 +112,23 @@ class EvolvingGraph:
 
         Used by the trace-discretisation fast path
         (:meth:`repro.temporal.contacts.ContactTrace.to_evolving`):
-        times must already be validated against the horizon, and nodes
-        must already exist.  Produces exactly the state a loop of
-        :meth:`add_contact` calls would (label sets and first-touch
-        edge-key order included) at a fraction of the interpreter cost.
+        times must already be validated against the horizon.  Produces
+        exactly the state a loop of :meth:`add_contact` calls would
+        (label sets, first-touch edge-key order and endpoints the graph
+        did not hold yet included) at a fraction of the interpreter cost.
         """
         adj = self._adj
         labels = self._labels
         changed = False
         for u, v, time in items:
-            adj[u].add(v)
-            adj[v].add(u)
+            try:
+                adj[u].add(v)
+                adj[v].add(u)
+            except KeyError:  # an endpoint the graph does not hold yet
+                self.add_node(u)
+                self.add_node(v)
+                adj[u].add(v)
+                adj[v].add(u)
             key = _edge_key(u, v)
             times = labels.get(key)
             if times is None:

@@ -38,11 +38,6 @@ from repro.observability.tracing import traced
 Node = Hashable
 Hop = Tuple[Node, Node, int]
 
-#: Below this contact count the constant costs of freezing outweigh the
-#: vectorization win; routed entry points fall back to the dict-of-sets
-#: reference path.
-FROZEN_MIN_CONTACTS = 64
-
 _NO_ARRIVAL = -1
 _INT64_MAX = np.iinfo(np.int64).max
 

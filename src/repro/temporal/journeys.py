@@ -22,8 +22,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import NodeNotFoundError
 from repro.temporal.evolving import EvolvingGraph
-from repro.temporal.frozen import FROZEN_MIN_CONTACTS
-from repro.observability.telemetry import record_dispatch
 
 Node = Hashable
 Hop = Tuple[Node, Node, int]  # (from, to, contact time)
@@ -105,18 +103,13 @@ def foremost_tree(
     """Parent hops of an earliest-arrival (foremost) tree from ``source``.
 
     Maps each reachable node to the hop that first delivered to it
-    (``None`` for the source).  Routes through the frozen contact index
-    above :data:`~repro.temporal.frozen.FROZEN_MIN_CONTACTS` contacts
+    (``None`` for the source).  Runs on the frozen contact index
     (parent tie-breaks reproduced exactly); the reference below is the
-    ground truth and the small-graph path.
+    ground truth.
     """
     if not eg.has_node(source):
         raise NodeNotFoundError(source)
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.foremost_tree", fast=True)
-        return eg.frozen().foremost_tree(source, start)
-    record_dispatch("temporal.foremost_tree", fast=False)
-    return foremost_tree_reference(eg, source, start)
+    return eg.frozen().foremost_tree(source, start)
 
 
 def foremost_tree_reference(
@@ -169,11 +162,7 @@ def earliest_arrival(
     """
     if not eg.has_node(source):
         raise NodeNotFoundError(source)
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.earliest_arrival", fast=True)
-        return eg.frozen().earliest_arrival(source, start)
-    record_dispatch("temporal.earliest_arrival", fast=False)
-    return earliest_arrival_reference(eg, source, start)
+    return eg.frozen().earliest_arrival(source, start)
 
 
 def earliest_arrival_reference(
@@ -318,11 +307,7 @@ def latest_departure(
         raise NodeNotFoundError(target)
     if deadline is None:
         deadline = eg.horizon
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.latest_departure", fast=True)
-        return eg.frozen().latest_departure(target, deadline)
-    record_dispatch("temporal.latest_departure", fast=False)
-    return latest_departure_reference(eg, target, deadline)
+    return eg.frozen().latest_departure(target, deadline)
 
 
 def latest_departure_reference(

@@ -20,12 +20,10 @@ One path problem per interpretation:
   bandwidth is the minimum weight along it; maximise that bottleneck
   (binary search over thresholds + temporal reachability).
 
-Above :data:`~repro.temporal.frozen.FROZEN_MIN_CONTACTS` contacts the
-entry points relax over the pre-sorted arrays of the frozen contact
+The entry points relax over the pre-sorted arrays of the frozen contact
 index (``eg.frozen()``); the ``*_reference`` bodies are the pure-Python
-ground truth and the small-graph path.  Outputs are identical either
-way — hop-for-hop, enforced by ``tests/test_frozen_temporal.py`` —
-except that :func:`most_reliable_journey_reference` is a different
+ground truth.  Outputs are identical — hop-for-hop, enforced by
+``tests/test_frozen_temporal.py`` — except that :func:`most_reliable_journey_reference` is a different
 algorithm, which agrees on the value and may break ties differently.
 """
 
@@ -37,28 +35,9 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import NodeNotFoundError
 from repro.temporal.evolving import EvolvingGraph
-from repro.temporal.frozen import FROZEN_MIN_CONTACTS
-from repro.observability.telemetry import record_dispatch
 from repro.temporal.journeys import Hop, Journey
 
 Node = Hashable
-
-
-def _weighted_contacts(eg: EvolvingGraph) -> List[Tuple[int, Node, Node, float]]:
-    """All (time, u, v, weight) rows in ``all_contacts`` order.
-
-    Above the frozen threshold the list is materialised once on the
-    frozen snapshot and reused until the graph mutates (generation
-    bump); callers must not mutate the returned list.
-    """
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.weighted_contacts", fast=True)
-        return eg.frozen().weighted_contacts()
-    record_dispatch("temporal.weighted_contacts", fast=False)
-    return [
-        (time, u, v, eg.weight(u, v, time))
-        for time, u, v in eg.all_contacts()
-    ]
 
 
 def min_delay_journey(
@@ -68,21 +47,51 @@ def min_delay_journey(
 
     A contact (u, v, t, w) is usable if the holder is ready by t
     (ready time ≤ t) and delivers at t + w; the receiver is ready at
-    t + w.  Dijkstra over (ready time, node) states.  Above the frozen
-    threshold the relaxation reads each node's cached pre-sorted
-    (time, neighbor, weight) rows instead of re-sorting and resolving
-    weights per pop; heap order and parents are identical.
+    t + w.  Dijkstra over (ready time, node) states.  The relaxation
+    reads each node's cached pre-sorted (time, neighbor, weight) rows
+    of the frozen contact index instead of re-sorting and resolving
+    weights per pop; heap order and parents equal the reference's.
     """
     for node in (source, target):
         if not eg.has_node(node):
             raise NodeNotFoundError(node)
     if source == target:
         return Journey(source=source, hops=())
-    if eg.num_contacts >= FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.min_delay_journey", fast=True)
-        return _min_delay_journey_frozen(eg, source, target, start)
-    record_dispatch("temporal.min_delay_journey", fast=False)
-    return min_delay_journey_reference(eg, source, target, start)
+    fc = eg.frozen()
+    weighted_from = fc.weighted_contacts_from
+    index_of = fc.index_of
+
+    ready: Dict[Node, float] = {source: float(start)}
+    parent: Dict[Node, Hop] = {}
+    heap: List[Tuple[float, int, Node]] = [(float(start), 0, source)]
+    counter = 1
+    done: Set[Node] = set()
+    while heap:
+        time_ready, _, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        if node == target:
+            break
+        for contact_time, neighbor, weight in weighted_from(index_of(node)):
+            if contact_time < time_ready:
+                continue
+            arrival = contact_time + weight
+            if arrival < ready.get(neighbor, math.inf):
+                ready[neighbor] = arrival
+                parent[neighbor] = (node, neighbor, contact_time)
+                heapq.heappush(heap, (arrival, counter, neighbor))
+                counter += 1
+    if target not in parent:
+        return None
+    hops: List[Hop] = []
+    node = target
+    while node != source:
+        hop = parent[node]
+        hops.append(hop)
+        node = hop[0]
+    hops.reverse()
+    return Journey(source=source, hops=tuple(hops))
 
 
 def min_delay_journey_reference(
@@ -111,47 +120,6 @@ def min_delay_journey_reference(
             if contact_time < time_ready:
                 continue
             weight = eg.weight(node, neighbor, contact_time)
-            arrival = contact_time + weight
-            if arrival < ready.get(neighbor, math.inf):
-                ready[neighbor] = arrival
-                parent[neighbor] = (node, neighbor, contact_time)
-                heapq.heappush(heap, (arrival, counter, neighbor))
-                counter += 1
-    if target not in parent:
-        return None
-    hops: List[Hop] = []
-    node = target
-    while node != source:
-        hop = parent[node]
-        hops.append(hop)
-        node = hop[0]
-    hops.reverse()
-    return Journey(source=source, hops=tuple(hops))
-
-
-def _min_delay_journey_frozen(
-    eg: EvolvingGraph, source: Node, target: Node, start: int = 0
-) -> Optional[Journey]:
-    """Same Dijkstra, relaxing over the frozen per-node contact rows."""
-    fc = eg.frozen()
-    weighted_from = fc.weighted_contacts_from
-    index_of = fc.index_of
-
-    ready: Dict[Node, float] = {source: float(start)}
-    parent: Dict[Node, Hop] = {}
-    heap: List[Tuple[float, int, Node]] = [(float(start), 0, source)]
-    counter = 1
-    done: Set[Node] = set()
-    while heap:
-        time_ready, _, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        if node == target:
-            break
-        for contact_time, neighbor, weight in weighted_from(index_of(node)):
-            if contact_time < time_ready:
-                continue
             arrival = contact_time + weight
             if arrival < ready.get(neighbor, math.inf):
                 ready[neighbor] = arrival
@@ -268,13 +236,15 @@ def most_reliable_journey(
     ``None`` when unreachable.  DP over time: best[node] = highest
     success probability of holding the message by the current label,
     with same-unit chaining handled by per-unit fixpoint (max is
-    idempotent).  Above the frozen threshold the DP reads the cached
-    pre-sorted weighted contact list instead of rebuilding it per call.
+    idempotent).  The DP reads the frozen index's cached pre-sorted
+    weighted contact list instead of rebuilding it per call.
     """
     for node in (source, target):
         if not eg.has_node(node):
             raise NodeNotFoundError(node)
-    return _most_reliable_over(_weighted_contacts(eg), source, target, start)
+    return _most_reliable_over(
+        eg.frozen().weighted_contacts(), source, target, start
+    )
 
 
 def most_reliable_journey_reference(
@@ -330,10 +300,10 @@ def max_bandwidth_journey(
 
     Search over the distinct weight values: the best bottleneck is the
     largest threshold for which the subgraph of contacts with weight ≥
-    threshold still temporally connects source to target.  Above the
-    frozen threshold each candidate is tested by one masked vectorized
-    reachability scan; the filtered graph (and its journey) is built
-    only once, for the winning threshold.
+    threshold still temporally connects source to target.  Each
+    candidate is tested by one masked vectorized reachability scan of
+    the frozen contact index; the filtered graph (and its journey) is
+    built only once, for the winning threshold.
     """
     from repro.temporal.journeys import earliest_completion_journey
 
@@ -342,11 +312,6 @@ def max_bandwidth_journey(
             raise NodeNotFoundError(node)
     if source == target:
         return Journey(source=source, hops=()), math.inf
-    if eg.num_contacts < FROZEN_MIN_CONTACTS:
-        record_dispatch("temporal.max_bandwidth_journey", fast=False)
-        return max_bandwidth_journey_reference(eg, source, target, start)
-
-    record_dispatch("temporal.max_bandwidth_journey", fast=True)
     fc = eg.frozen()
     source_idx = fc.index_of(source)
     target_idx = fc.index_of(target)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Optional, Set, Tuple
 
-from repro.graphs.csr import FROZEN_MIN_NODES
 from repro.observability.telemetry import record_dispatch
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import dijkstra
@@ -147,14 +146,13 @@ def spanner_stretch(
     disconnects a connected pair.
     """
     if (
-        graph.num_nodes >= FROZEN_MIN_NODES
-        and _is_unit_weighted(graph, weight, default_weight)
+        _is_unit_weighted(graph, weight, default_weight)
         and _is_unit_weighted(spanner, weight, default_weight)
         and all(spanner.has_node(node) for node in graph.nodes())
     ):
-        record_dispatch("trimming.spanner_stretch", fast=True)
+        record_dispatch("trimming.spanner_stretch", "fast")
         return _hop_stretch(graph, spanner)
-    record_dispatch("trimming.spanner_stretch", fast=False)
+    record_dispatch("trimming.spanner_stretch", "reference")
 
     def graph_weight(u: Node, v: Node) -> float:
         return float(graph.edge_attr(u, v, weight, default_weight))

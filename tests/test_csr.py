@@ -3,21 +3,23 @@
 The fast path is only allowed to change *cost*, never *output*: every
 kernel must be exactly equal — including float results, which the CSR
 side computes with the same python-int divisions as the references —
-on random Erdős–Rényi and preferential-attachment graphs sized above
-``FROZEN_MIN_NODES`` (so the routed entry points actually take the CSR
-path).  Plus the snapshot-caching contract: one snapshot per topology
-generation, invalidated by structural mutation only.
+on random Erdős–Rényi and preferential-attachment graphs of 2 to 72
+nodes, plus the empty graph, a single node and an edgeless DiGraph.
+Betweenness is the one kernel compared within a tolerance: its
+accumulation divides in a different order.  Plus the snapshot-caching
+contract: one snapshot per topology generation, invalidated by
+structural mutation only.
 """
 
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AlgorithmError
-from repro.graphs.csr import _BITSET_BATCH, FROZEN_MIN_NODES, FrozenGraph, _distinct
+from repro.graphs.csr import _BITSET_BATCH, FrozenGraph, _distinct
 from repro.graphs.generators import (
     barabasi_albert,
     degree_ordered_graph,
@@ -28,6 +30,8 @@ from repro.graphs.graph import DiGraph, Graph
 from repro.graphs.metrics import (
     average_clustering,
     average_clustering_reference,
+    betweenness_centrality,
+    betweenness_centrality_reference,
     closeness_centrality,
     closeness_centrality_reference,
     clustering_coefficient_reference,
@@ -55,19 +59,31 @@ from repro.serving.state import GraphService
 
 
 # ----------------------------------------------------------------------
-# strategies: random graphs big enough to engage the CSR routing
+# strategies: random graphs, and the degenerate inputs added as examples
 # ----------------------------------------------------------------------
 
 @st.composite
 def random_graphs(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    n = draw(st.integers(min_value=FROZEN_MIN_NODES, max_value=72))
+    n = draw(st.integers(min_value=2, max_value=72))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
         p = draw(st.floats(min_value=0.02, max_value=0.15))
         return erdos_renyi(n, p, rng)
-    m = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=min(4, n - 1)))
     return barabasi_albert(n, m, rng)
+
+
+def _edgeless(kind, n):
+    graph = kind()
+    for i in range(n):
+        graph.add_node(i)
+    return graph
+
+
+EMPTY = _edgeless(Graph, 0)
+SINGLE = _edgeless(Graph, 1)
+EDGELESS_DIGRAPH = _edgeless(DiGraph, 3)
 
 
 # ----------------------------------------------------------------------
@@ -76,11 +92,13 @@ def random_graphs(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(random_graphs())
+@example(EMPTY)
+@example(SINGLE)
+@example(EDGELESS_DIGRAPH)
 def test_bfs_distances_matches_reference(graph):
     fg = graph.frozen()
     for source in list(graph.nodes())[:5]:
         assert fg.bfs_distances(source) == bfs_distances_reference(graph, source)
-        # The routed public entry point takes the CSR path here.
         assert bfs_distances(graph, source) == bfs_distances_reference(
             graph, source
         )
@@ -158,6 +176,8 @@ def test_distinct_returns_each_value_once(n, data):
 
 @settings(max_examples=30, deadline=None)
 @given(random_graphs())
+@example(EMPTY)
+@example(SINGLE)
 def test_components_and_degrees_match_reference(graph):
     fg = graph.frozen()
     assert fg.connected_components() == connected_components_reference(graph)
@@ -169,6 +189,8 @@ def test_components_and_degrees_match_reference(graph):
 
 @settings(max_examples=30, deadline=None)
 @given(random_graphs())
+@example(EMPTY)
+@example(SINGLE)
 def test_clustering_matches_reference_exactly(graph):
     fg = graph.frozen()
     values = fg.clustering_array()
@@ -180,6 +202,9 @@ def test_clustering_matches_reference_exactly(graph):
 
 @settings(max_examples=20, deadline=None)
 @given(random_graphs())
+@example(EMPTY)
+@example(SINGLE)
+@example(EDGELESS_DIGRAPH)
 def test_closeness_matches_reference_exactly(graph):
     fg = graph.frozen()
     assert fg.closeness_centrality() == closeness_centrality_reference(graph)
@@ -187,7 +212,25 @@ def test_closeness_matches_reference_exactly(graph):
 
 
 @settings(max_examples=20, deadline=None)
+@given(random_graphs(), st.booleans())
+@example(EMPTY, True)
+@example(SINGLE, False)
+def test_betweenness_matches_reference(graph, normalized):
+    # The CSR accumulation multiplies by a per-node (1 + delta) / sigma
+    # where the reference divides per predecessor: values agree to
+    # rounding, not bit for bit.
+    fast = betweenness_centrality(graph, normalized=normalized)
+    reference = betweenness_centrality_reference(graph, normalized=normalized)
+    assert fast.keys() == reference.keys()
+    for node, value in reference.items():
+        assert fast[node] == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
 @given(random_graphs())
+@example(EMPTY)
+@example(SINGLE)
+@example(EDGELESS_DIGRAPH)
 def test_all_pairs_sums_match_reference(graph):
     fg = graph.frozen()
     sums = fg.all_pairs_distance_sums()
@@ -199,6 +242,8 @@ def test_all_pairs_sums_match_reference(graph):
 
 @settings(max_examples=25, deadline=None)
 @given(random_graphs())
+@example(EMPTY)
+@example(SINGLE)
 def test_nsf_peel_sequence_matches_reference(graph):
     fg = graph.frozen()
     assert fg.nsf_levels() == nsf_levels_reference(graph)
@@ -214,6 +259,8 @@ def test_nsf_peel_sequence_matches_reference(graph):
 
 @settings(max_examples=15, deadline=None)
 @given(random_graphs())
+@example(EMPTY)
+@example(SINGLE)
 def test_nested_subgraphs_and_peel_fraction_match_reference(graph):
     # Reference family: repeated reference peel of Graph objects.
     def reference_family(g, min_nodes=2):
@@ -249,11 +296,11 @@ def test_nested_subgraphs_and_peel_fraction_match_reference(graph):
 
 def test_directed_bfs_uses_out_edges():
     graph = DiGraph()
-    for i in range(FROZEN_MIN_NODES):
+    for i in range(32):
         graph.add_edge(i, i + 1)
     fg = graph.frozen()
-    assert fg.bfs_distances(0)[FROZEN_MIN_NODES] == FROZEN_MIN_NODES
-    assert fg.bfs_distances(FROZEN_MIN_NODES) == {FROZEN_MIN_NODES: 0}
+    assert fg.bfs_distances(0)[32] == 32
+    assert fg.bfs_distances(32) == {32: 0}
     assert bfs_distances(graph, 3) == bfs_distances_reference(graph, 3)
 
 
@@ -541,7 +588,7 @@ def test_from_arrays_counts_its_dispatch_path():
 
 def test_snapshot_pickle_round_trip_keeps_labels_and_kernels():
     graph = Graph()
-    sites = [f"site-{i}" for i in range(FROZEN_MIN_NODES)]
+    sites = [f"site-{i}" for i in range(32)]
     for a, b in zip(sites, sites[1:]):
         graph.add_edge(a, b)
     graph.add_edge(sites[0], sites[-1])
@@ -611,11 +658,11 @@ def test_removals_invalidate():
 
 def test_snapshot_reflects_state_at_freeze_time():
     graph = Graph()
-    for i in range(FROZEN_MIN_NODES + 1):
+    for i in range(33):
         graph.add_edge(i, i + 1)
     old = graph.frozen()
-    graph.add_edge(0, FROZEN_MIN_NODES + 1)  # shortcut edge
+    graph.add_edge(0, 33)  # shortcut edge
     new = graph.frozen()
     # The stale handle keeps its pre-mutation distances.
-    assert old.bfs_distances(0)[FROZEN_MIN_NODES + 1] == FROZEN_MIN_NODES + 1
-    assert new.bfs_distances(0)[FROZEN_MIN_NODES + 1] == 1
+    assert old.bfs_distances(0)[33] == 33
+    assert new.bfs_distances(0)[33] == 1

@@ -22,11 +22,11 @@ from repro.temporal import connectivity as conn
 from repro.temporal import journeys as jour
 from repro.temporal import weighted_journeys as wjour
 from repro.temporal.evolving import EvolvingGraph
-from repro.temporal.frozen import FROZEN_MIN_CONTACTS, FrozenContacts
+from repro.temporal.frozen import FrozenContacts
 
 
 def random_evolving(seed, n=None, horizon=None, contacts=None, weighted=True):
-    """A random weighted EvolvingGraph above the frozen threshold."""
+    """A random weighted EvolvingGraph with 80-300 contacts by default."""
     rng = np.random.default_rng(seed)
     n = n if n is not None else int(rng.integers(5, 25))
     horizon = horizon if horizon is not None else int(rng.integers(3, 40))
@@ -42,7 +42,6 @@ def random_evolving(seed, n=None, horizon=None, contacts=None, weighted=True):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_journey_kernels_match_reference(seed):
     eg = random_evolving(seed)
-    assert eg.num_contacts >= FROZEN_MIN_CONTACTS
     rng = np.random.default_rng(seed + 100)
     for _ in range(4):
         source = int(rng.integers(0, eg.num_nodes))
@@ -136,7 +135,6 @@ def test_frozen_duplicate_contact_times_chain_within_unit():
         eg.add_contact(i, i + 1, 1)
     for i in range(0, 48, 2):
         eg.add_contact(i, i + 2, 1)
-    assert eg.num_contacts >= FROZEN_MIN_CONTACTS
     assert jour.foremost_tree(eg, 0) == jour.foremost_tree_reference(eg, 0)
     arrival = jour.earliest_arrival(eg, 0)
     assert arrival == jour.earliest_arrival_reference(eg, 0)
@@ -219,16 +217,6 @@ def test_contacts_from_cache_tracks_mutations():
         [pair for pair in after if pair[0] >= cutoff]
 
 
-def test_small_graphs_do_not_freeze():
-    eg = EvolvingGraph(horizon=4, nodes=["a", "b", "c"])
-    eg.add_contact("a", "b", 1)
-    eg.add_contact("b", "c", 2)
-    assert eg.num_contacts < FROZEN_MIN_CONTACTS
-    jour.foremost_tree(eg, "a")
-    conn.dynamic_diameter(eg)
-    assert eg._frozen is None  # routed entry points stayed on the reference
-
-
 # ----------------------------------------------------------------------
 # DTN bitset fast path
 # ----------------------------------------------------------------------
@@ -247,10 +235,17 @@ def _random_specs(eg, seed, count=10):
     return specs
 
 
-@pytest.mark.parametrize("seed", [21, 22, 23])
+@pytest.mark.parametrize(
+    "seed,n,contacts",
+    [pytest.param(seed, None, None, id=str(seed)) for seed in (21, 22, 23)]
+    + [
+        pytest.param(contacts, 3, contacts, id=f"tiny-{contacts}")
+        for contacts in (0, 1, 3)
+    ],
+)
 @pytest.mark.parametrize("router_cls", [EpidemicRouter, DirectDelivery])
-def test_dtn_fast_path_matches_general_loop(seed, router_cls):
-    eg = random_evolving(seed, weighted=False)
+def test_dtn_fast_path_matches_general_loop(seed, n, contacts, router_cls):
+    eg = random_evolving(seed, n=n, contacts=contacts, weighted=False)
     specs = _random_specs(eg, seed + 300)
     sims = {}
     for fast in (True, False):
@@ -297,6 +292,13 @@ def test_dtn_fast_path_eligibility_gate():
 
     assert not DTNSimulation(eg, CautiousEpidemic())._fast_path_eligible()
 
+    # Auto mode takes the front whenever it is eligible, however short
+    # the trace; fast_path=False always keeps the general loop.
+    tiny = EvolvingGraph(horizon=4, nodes=["a", "b"])
+    tiny.add_contact("a", "b", 1)
+    assert DTNSimulation(tiny, EpidemicRouter())._use_fast_path()
+    assert not DTNSimulation(eg, EpidemicRouter(), fast_path=False)._use_fast_path()
+
     sim = DTNSimulation(eg, EpidemicRouter(), buffer_size=4, fast_path=True)
     with pytest.raises(ValueError):
         sim.run()
@@ -306,7 +308,6 @@ def test_traced_dtn_run_takes_the_fast_path():
     # Tracing adds a ``dtn.run`` span and nothing else: the traced run
     # routes through the bitset front and matches an untraced run.
     eg = random_evolving(24, weighted=False)
-    assert eg.num_contacts >= FROZEN_MIN_CONTACTS
     specs = _random_specs(eg, 324)
 
     def run(traced):
@@ -335,15 +336,6 @@ def test_traced_dtn_run_takes_the_fast_path():
     assert traced_registry.get("dtn.run.duration_s").count == 1
 
 
-def test_dtn_fast_path_auto_threshold():
-    small = EvolvingGraph(horizon=4, nodes=["a", "b"])
-    small.add_contact("a", "b", 1)
-    assert not DTNSimulation(small, EpidemicRouter())._use_fast_path()
-    big = random_evolving(25, weighted=False)
-    assert DTNSimulation(big, EpidemicRouter())._use_fast_path()
-    assert not DTNSimulation(big, EpidemicRouter(), fast_path=False)._use_fast_path()
-
-
 # ----------------------------------------------------------------------
 # discretisation bulk path
 # ----------------------------------------------------------------------
@@ -358,10 +350,9 @@ def test_bulk_discretisation_matches_reference_loop():
         u, v = rng.choice(15, size=2, replace=False)
         start = float(rng.uniform(0, 30))
         trace.add_contact(int(u), int(v), start, start + float(rng.uniform(0.1, 4)))
-    assert trace.num_contacts >= FROZEN_MIN_CONTACTS  # takes the bulk path
     bulk = trace.to_evolving(slot=1.0)
 
-    # Replay the sub-threshold reference loop by hand on the same records.
+    # Replay the per-record add_contact loop by hand on the same records.
     loop = EvolvingGraph(horizon=bulk.horizon, nodes=trace.nodes)
     for record in trace.records:
         first = int(math.floor(record.start / 1.0))
@@ -370,3 +361,12 @@ def test_bulk_discretisation_matches_reference_loop():
             loop.add_contact(record.u, record.v, unit)
     assert loop.all_contacts() == bulk.all_contacts()
     assert set(loop.nodes()) == set(bulk.nodes())
+
+
+def test_discretisation_adds_endpoints_missing_from_the_node_set():
+    from repro.temporal.contacts import ContactRecord, ContactTrace
+
+    records = [ContactRecord(i, i + 1, float(i), i + 1.5) for i in range(80)]
+    eg = ContactTrace(records=records).to_evolving(slot=1.0)
+    assert set(eg.nodes()) == set(range(81))
+    assert eg.labels(0, 1) == {0, 1}

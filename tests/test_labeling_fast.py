@@ -5,9 +5,9 @@ multi-source distance/gateway labels, greedy MIS/DS/marking rounds, and
 the four batched greedy-routing evaluators) is exact — or, for the
 eigenvector scores, tolerance-bounded — equivalence with their
 ``*_reference`` ground truths.  These tests enforce that on randomized
-graphs at sizes straddling :data:`~repro.graphs.csr.FROZEN_MIN_NODES`,
-plus structural edge cases: disconnected graphs, unreachable routing
-targets, source == target pairs, and empty pair batches.
+graphs from a few dozen nodes up, plus structural edge cases: the empty
+graph, a single node, edgeless graphs, disconnected graphs, unreachable
+routing targets, source == target pairs, and empty pair batches.
 
 ``_optimal_for_pairs`` (the shared stretch denominator) gets its own
 independent check against a per-pair Python BFS: both the fast and the
@@ -20,7 +20,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.graphs.csr import FROZEN_MIN_NODES
 from repro.graphs.generators import (
     complete_graph,
     erdos_renyi,
@@ -28,7 +27,7 @@ from repro.graphs.generators import (
     random_connected_graph,
     star_graph,
 )
-from repro.graphs.graph import Graph
+from repro.graphs.graph import DiGraph, Graph
 from repro.datasets.gnutella import gnutella_largest_scc, gnutella_like_snapshot
 from repro.labeling.cds import marking_process, marking_process_reference
 from repro.labeling.ds import (
@@ -64,9 +63,19 @@ from repro.remapping.feature_space import FeatureSpace
 from repro.remapping.hyperbolic import embed_tree
 from repro.graphs.generators import kleinberg_grid
 
-#: One size below the freeze threshold (reference fallback) and several
-#: above it (frozen kernels), so both routing arms are exercised.
-STRADDLE_SIZES = (FROZEN_MIN_NODES - 8, FROZEN_MIN_NODES + 8, 120)
+#: Random-graph sizes: two small graphs and one of a hundred-odd nodes.
+SIZES = (24, 40, 120)
+
+
+def _edgeless(kind, n):
+    graph = kind()
+    for i in range(n):
+        graph.add_node(i)
+    return graph
+
+
+#: The empty graph, a single node and an edgeless three-node graph.
+TINY_SIZES = (0, 1, 3)
 
 
 def _random_graph(n, seed):
@@ -92,14 +101,14 @@ def _scores_close(fast, ref, tol=1e-9):
         assert math.isclose(fast_scores[node], value, rel_tol=tol, abs_tol=tol)
 
 
-@pytest.mark.parametrize("n", STRADDLE_SIZES)
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_pagerank_matches_reference(n, seed):
     graph = gnutella_like_snapshot(n, np.random.default_rng(seed))
     _scores_close(pagerank(graph), pagerank_reference(graph))
 
 
-@pytest.mark.parametrize("n", STRADDLE_SIZES)
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", [3, 4])
 def test_hits_matches_reference(n, seed):
     graph = gnutella_like_snapshot(n, np.random.default_rng(seed))
@@ -109,7 +118,19 @@ def test_hits_matches_reference(n, seed):
     _scores_close((fast_auth, fast_iters), (ref_auth, ref_iters))
 
 
-@pytest.mark.parametrize("n", STRADDLE_SIZES)
+@pytest.mark.parametrize("n", TINY_SIZES)
+def test_scores_on_tiny_digraphs_match_reference(n):
+    # Edgeless HITS scores are 0.0 on one side and int 0 on the other,
+    # so compare by value.
+    graph = _edgeless(DiGraph, n)
+    _scores_close(pagerank(graph), pagerank_reference(graph))
+    fast_hub, fast_auth, fast_iters = hits(graph)
+    ref_hub, ref_auth, ref_iters = hits_reference(graph)
+    _scores_close((fast_hub, fast_iters), (ref_hub, ref_iters))
+    _scores_close((fast_auth, fast_iters), (ref_auth, ref_iters))
+
+
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", [5, 6])
 def test_distance_labels_match_reference(n, seed):
     graph = _random_graph(n, seed)
@@ -118,7 +139,7 @@ def test_distance_labels_match_reference(n, seed):
         distance_gateway_labels_reference(graph, landmarks)
 
 
-@pytest.mark.parametrize("n", STRADDLE_SIZES)
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", [7, 8])
 def test_weighted_labels_match_reference(n, seed):
     rng = np.random.default_rng(seed)
@@ -130,7 +151,7 @@ def test_weighted_labels_match_reference(n, seed):
         weighted_distance_gateway_labels_reference(graph, landmarks)
 
 
-@pytest.mark.parametrize("n", STRADDLE_SIZES)
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", [9, 10])
 def test_mis_and_ds_and_marking_match_reference(n, seed):
     graph = _random_graph(n, seed)
@@ -141,6 +162,20 @@ def test_mis_and_ds_and_marking_match_reference(n, seed):
     assert is_maximal_independent_set(graph, fast_set)
     assert neighbor_designated_ds(graph) == neighbor_designated_ds_reference(graph)
     assert marking_process(graph) == marking_process_reference(graph)
+
+
+@pytest.mark.parametrize("n", TINY_SIZES)
+def test_labels_on_tiny_graphs_match_reference(n):
+    graph = _edgeless(Graph, n)
+    assert compute_mis(graph) == compute_mis_reference(graph)
+    assert neighbor_designated_ds(graph) == neighbor_designated_ds_reference(graph)
+    assert marking_process(graph) == marking_process_reference(graph)
+    if n:
+        landmarks = select_landmarks(graph, 2)
+        assert distance_gateway_labels(graph, landmarks) == \
+            distance_gateway_labels_reference(graph, landmarks)
+        assert weighted_distance_gateway_labels(graph, landmarks) == \
+            weighted_distance_gateway_labels_reference(graph, landmarks)
 
 
 def test_labels_on_disconnected_graph():

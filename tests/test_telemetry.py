@@ -1,9 +1,9 @@
 """Cache and dispatch telemetry (repro.observability.telemetry).
 
 Exact frozen-cache hit/miss/refreeze accounting, fast-vs-reference
-dispatch counters for at least one kernel per instrumented module
-(graphs, temporal, labeling, batch routing, DTN), and the labeled
-DTN fast-path rejection reasons.
+dispatch counters for each kernel that really chooses a path (DTN run,
+marking process, spanner stretch), silence from the single-path
+kernels, and the labeled DTN fast-path rejection reasons.
 """
 
 import pytest
@@ -75,53 +75,56 @@ class TestCacheTelemetry:
 
 
 class TestDispatchTelemetry:
-    def test_graphs_kernel_fast_and_reference(self, registry):
-        from repro.graphs.csr import FROZEN_MIN_NODES
+    def test_single_path_kernels_record_no_dispatch(self, registry):
+        from repro.graphs.graph import DiGraph
         from repro.graphs.traversal import bfs_distances
-
-        small = path_graph(5)
-        large = path_graph(FROZEN_MIN_NODES + 1)
-        assert bfs_distances(small, 0)[4] == 4
-        assert bfs_distances(large, 0)[FROZEN_MIN_NODES] == FROZEN_MIN_NODES
-        counts = dispatch_counts(registry)
-        assert counts["graphs.bfs_distances"] == {"reference": 1, "fast": 1}
-
-    def test_temporal_kernel_fast_and_reference(self, registry):
-        from repro.temporal.frozen import FROZEN_MIN_CONTACTS
+        from repro.labeling.pagerank import pagerank
+        from repro.remapping.batch_routing import evaluate_geo_routing
         from repro.temporal.journeys import earliest_arrival
 
+        assert bfs_distances(path_graph(5), 0)[4] == 4
         earliest_arrival(dense_eg(8), 0)
-        earliest_arrival(dense_eg(FROZEN_MIN_CONTACTS + 8), 0)
-        counts = dispatch_counts(registry)
-        assert counts["temporal.earliest_arrival"] == {"reference": 1, "fast": 1}
-
-    def test_labeling_kernel_reference_below_threshold(self, registry):
-        from repro.graphs.graph import DiGraph
-        from repro.labeling.pagerank import pagerank
-
         digraph = DiGraph()
         for i in range(4):
             digraph.add_edge(i, (i + 1) % 5)
-        scores, _ = pagerank(digraph)
-        assert scores
-        assert dispatch_counts(registry)["labeling.pagerank"] == {"reference": 1}
-
-    def test_batch_routing_kernel_reference_below_threshold(self, registry):
-        from repro.remapping.batch_routing import evaluate_geo_routing
-
-        graph = path_graph(4)
+        assert pagerank(digraph)[0]
         positions = {i: (float(i), 0.0) for i in range(4)}
-        result = evaluate_geo_routing(graph, [(0, 3)], positions)
+        result = evaluate_geo_routing(path_graph(4), [(0, 3)], positions)
         assert result.success_rate == 1.0
+        # Only the snapshot builds they triggered are labeled.
+        assert set(dispatch_counts(registry)) == {"graphs.freeze"}
+
+    def test_marking_process_dispatch_follows_density(self, registry):
+        from repro.labeling.cds import marking_process
+
+        dense = Graph()
+        for u in range(6):
+            for v in range(u + 1, 6):
+                dense.add_edge(u, v)
+        dense.remove_edge(0, 1)
+        assert marking_process(dense) == {2, 3, 4, 5}
+        sparse = path_graph(600)  # 600 ** 2 > 512 * 599 edges
+        assert len(marking_process(sparse)) == 598
         counts = dispatch_counts(registry)
-        assert counts["remapping.evaluate_geo_routing"] == {"reference": 1}
+        assert counts["labeling.marking_process"] == {"fast": 1, "reference": 1}
+
+    def test_spanner_stretch_dispatch_follows_weights(self, registry):
+        from repro.trimming.spanners import spanner_stretch
+
+        graph = path_graph(5)
+        graph.add_edge(0, 4)
+        spanner = path_graph(5)
+        assert spanner_stretch(graph, spanner) == 4.0
+        graph.set_edge_attr(0, 4, "weight", 4.0)
+        assert spanner_stretch(graph, spanner) == 1.0
+        counts = dispatch_counts(registry)
+        assert counts["trimming.spanner_stretch"] == {"fast": 1, "reference": 1}
 
     def test_dtn_run_dispatch_both_paths(self, registry):
         from repro.dtn.routers import EpidemicRouter
         from repro.dtn.simulator import DTNSimulation, MessageSpec
-        from repro.temporal.frozen import FROZEN_MIN_CONTACTS
 
-        eg = dense_eg(FROZEN_MIN_CONTACTS + 8)
+        eg = dense_eg(10)
         for fast_path in (None, False):
             sim = DTNSimulation(eg, EpidemicRouter(), fast_path=fast_path)
             sim.add_message(MessageSpec("m", 0, 5, created=0, ttl=100))
@@ -130,9 +133,9 @@ class TestDispatchTelemetry:
         assert counts["dtn.run"] == {"fast": 1, "reference": 1}
 
     def test_record_dispatch_series_key(self, registry):
-        record_dispatch("example.kernel", fast=True)
-        record_dispatch("example.kernel", fast=False)
-        record_dispatch("example.kernel", fast=False)
+        record_dispatch("example.kernel", "fast")
+        record_dispatch("example.kernel", "reference")
+        record_dispatch("example.kernel", "reference")
         key = DISPATCH_METRIC + "{kernel=example.kernel,path=reference}"
         assert registry.snapshot()[key] == 2
         assert dispatch_counts(registry)["example.kernel"] == {
@@ -163,10 +166,10 @@ class TestDTNRejectionReasons:
                 out[reason] = value
         return out
 
-    def test_too_few_contacts(self, registry):
-        sim = self._sim()  # 10 contacts < FROZEN_MIN_CONTACTS
+    def test_eligible_run_records_no_reason(self, registry):
+        sim = self._sim()  # 10 contacts: short traces take the front too
         sim.run()
-        assert self._rejections(sim) == {"too_few_contacts": 1}
+        assert self._rejections(sim) == {}
 
     def test_disabled_explicitly(self, registry):
         sim = self._sim(fast_path=False)

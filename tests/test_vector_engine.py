@@ -8,8 +8,8 @@ final state, round count, total messages, and per-round message counts
 :class:`~repro.faults.FaultPlan` replays the scalar run exactly: equal
 ``RunStats``, equal final state and the same fault-ledger digest, at
 the fault-free fixpoint whenever no retry was exhausted.  Topologies
-deliberately straddle the ``FROZEN_MIN_NODES`` dispatch gate so both
-the reference and fast sides of every consumer kernel get exercised.
+run from 7 to 48 nodes, so the consumer kernels (one frozen path each)
+are checked on small and mid-size graphs alike.
 """
 
 import numpy as np
@@ -74,7 +74,7 @@ def registry():
 
 
 def topologies(seed):
-    """Named graphs straddling the FROZEN_MIN_NODES=32 dispatch gate."""
+    """Named graphs from 7 to 48 nodes."""
     rng = np.random.default_rng(seed)
     return [
         ("path-small", path_graph(9)),
