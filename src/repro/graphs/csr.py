@@ -655,6 +655,8 @@ class FrozenGraph:
         return result
 
     def clustering_coefficient(self, node: Node) -> float:
+        if self.directed:
+            raise TypeError("clustering expects an undirected snapshot")
         i = self.index_of(node)
         k = int(self.degrees[i])
         if k < 2:
@@ -693,6 +695,8 @@ class FrozenGraph:
         over dense int indices and flat lists instead of dicts keyed by
         arbitrary node objects.
         """
+        if self.directed:
+            raise TypeError("betweenness expects an undirected snapshot")
         n = self.n
         betweenness = np.zeros(n, dtype=np.float64)
         adjacency = [self.neighbor_indices(i).tolist() for i in range(n)]

@@ -197,7 +197,10 @@ def closeness_centrality_reference(graph: Graph) -> Dict[Node, float]:
 
 
 def betweenness_centrality(graph: Graph, normalized: bool = True) -> Dict[Node, float]:
-    """Brandes' exact betweenness for unweighted undirected graphs."""
+    """Brandes' exact betweenness for unweighted undirected graphs.
+
+    Undirected only: raises ``TypeError`` on a ``DiGraph``.
+    """
     return graph.frozen().betweenness_centrality(normalized=normalized)
 
 
@@ -269,7 +272,10 @@ def eigenvector_centrality(
 
 
 def clustering_coefficient(graph: Graph, node: Node) -> float:
-    """Fraction of a node's neighbor pairs that are themselves adjacent."""
+    """Fraction of a node's neighbor pairs that are themselves adjacent.
+
+    Undirected only: raises ``TypeError`` on a ``DiGraph``.
+    """
     return graph.frozen().clustering_coefficient(node)
 
 

@@ -33,18 +33,28 @@ increases the key, this is a shortest-path semiring and the classical
 Ramalingam–Reps two-phase repair applies on edge deletion, while edge
 insertion needs only monotone decrease-only relaxation:
 
-* **Phase 1 (invalidate):** starting from the endpoints of every
-  touched edge, cascade nodes whose current key has no remaining
-  *valid* supporting neighbor (a non-invalidated ``y`` with
-  ``dist[y] + 1 == dist[x]`` and the same gateway rank).  Support
-  chains strictly decrease the distance, so they terminate at a
-  landmark (self-supported, never invalidated) — a surviving label is
+Each touched pair is looked at once.  Its keys say which endpoint
+``u`` is the far one; only when ``key[u] - key[v] >= stride`` can the
+pair matter, and only then is its presence in the new snapshot read,
+from ``u``'s row.  The work thus follows what a change can reach, not
+the degrees of the nodes it touches:
+
+* **Phase 1 (invalidate):** seeded only by the far endpoint ``u`` of
+  each deleted pair with ``key[u] == key[v] + stride`` — the only node
+  that edge can have supported, since support needs the same gateway
+  rank and one edge closer.  A present pair seeds nothing here.  A
+  queued node whose key has no remaining *valid* supporting neighbor
+  (a non-invalidated ``y`` with ``key[y] + stride == key[x]``) is
+  invalidated and queues only its neighbors with ``key[x] + stride``,
+  the only nodes it can have supported.  Support chains strictly
+  decrease the distance, so they terminate at a landmark
+  (self-supported, never invalidated) — a surviving label is
   therefore genuinely achievable in the new graph, and support cycles
   of stale labels are impossible.
 * **Phase 2 (re-relax):** a lex-ordered Dijkstra seeded from (a) the
-  best boundary key of each invalidated node, and (b) both endpoints of
-  every inserted (still-present) edge.  Keys only decrease, so the pass
-  restores the unique fixpoint.
+  best boundary key of each invalidated node, and (b) each present
+  pair whose near endpoint now shortens the far one (an insertion).
+  Keys only decrease, so the pass restores the unique fixpoint.
 
 The kernel holds each (distance, rank) key as one integer,
 ``distance * stride + rank``, and takes its seeds as a set.  The
@@ -100,52 +110,70 @@ def repair_bfs_keys(
     one rank per landmark.  A repair that raises leaves ``key`` partly
     repaired, so a caller must then discard it.
     """
-    pairs = [(int(u), int(v)) for u, v in touched]
     nbrs = fg.neighbor_indices
 
-    # Phase 1: cascade unsupported nodes from the touched endpoints.  A
-    # node is supported by a valid neighbour exactly one edge closer.
-    invalid: set = set()
-    queue = deque(x for pair in pairs for x in pair)
+    # Read each touched pair's presence once.  Only a pair whose far
+    # endpoint ``u`` sits at least one edge beyond ``v`` can have
+    # supported ``u`` (deleted, keys exactly one edge apart) or now
+    # shorten it (present), so only those rows are read.  A deleted
+    # edge supported nothing else: support needs the same rank and one
+    # edge closer.
+    present: List[Tuple[int, int]] = []
+    queue: deque = deque()
+    for u, v in touched:
+        ku, kv = int(key[u]), int(key[v])
+        if ku < kv:
+            u, v, ku, kv = v, u, kv, ku
+        if ku - kv < stride:
+            continue
+        row = nbrs(u)
+        pos = row.searchsorted(v)
+        if pos < row.shape[0] and row[pos] == v:
+            present.append((u, v))
+        elif ku == kv + stride:
+            queue.append(u)
+
+    # Phase 1: cascade unsupported nodes from the deleted supports.  A
+    # node is supported by a valid neighbour exactly one edge closer, so
+    # an invalidated node can only have supported the neighbours exactly
+    # one edge farther.  Each invalidated node keeps its row for phase 2.
+    invalid: Dict[int, List[int]] = {}
     while queue:
         x = queue.popleft()
-        if x in invalid or x in seeds or key[x] == _INF:
+        if x in invalid or x in seeds:
             continue
-        support = int(key[x]) - stride
         row = nbrs(x).tolist()
-        if any(key[y] == support and y not in invalid for y in row):
+        kx = int(key[x])
+        closer = kx - stride
+        if any(key[y] == closer and y not in invalid for y in row):
             continue
-        invalid.add(x)
-        queue.extend(y for y in row if y not in invalid)
+        invalid[x] = row
+        farther = kx + stride
+        queue.extend(y for y in row if key[y] == farther)
 
-    # Phase 2: decrease-only relaxation.  Seeds: the best valid-boundary
-    # key of each invalidated node, plus both directions of every
-    # touched edge still present (insertions; stale pairs that no
-    # longer exist must not be relaxed across).
-    heap: List[Tuple[int, int]] = []
+    # Phase 2: decrease-only relaxation, seeded by the best boundary key
+    # of each invalidated node and by every present pair whose near
+    # endpoint now shortens the far one (an insertion).
     for x in invalid:
         key[x] = _INF
-    for x in invalid:
-        best = min((int(key[y]) for y in nbrs(x).tolist()), default=_INF)
+    heap: List[Tuple[int, int]] = []
+    for x, row in invalid.items():
+        best = min((int(key[y]) for y in row), default=_INF)
         if best != _INF:
-            heapq.heappush(heap, (best + stride, x))
-
-    def present(u: int, v: int) -> bool:
-        row = nbrs(u)
-        pos = int(np.searchsorted(row, v))
-        return pos < row.shape[0] and int(row[pos]) == v
-
-    for u, v in {pair for pair in pairs if present(*pair)}:
-        for a, b in ((u, v), (v, u)):
-            if key[b] != _INF and key[b] + stride < key[a]:
-                heapq.heappush(heap, (int(key[b]) + stride, a))
+            heap.append((best + stride, x))
+    for u, v in present:
+        k = int(key[v]) + stride
+        if k < int(key[u]):
+            heap.append((k, u))
+    heapq.heapify(heap)
     while heap:
         k, x = heapq.heappop(heap)
         if k >= key[x]:
             continue
         key[x] = k
         k += stride
-        for y in nbrs(x).tolist():
+        row = invalid.get(x)
+        for y in nbrs(x).tolist() if row is None else row:
             if k < key[y]:
                 heapq.heappush(heap, (k, y))
 

@@ -189,3 +189,15 @@ class TestMetrics:
         g.add_edge(1, 2)
         g.add_edge(1, 3)
         assert degree_sequence(g) == [2, 1, 1]
+
+    def test_undirected_metrics_reject_directed_graphs(self):
+        """Betweenness and clustering count undirected pairs; on the
+        directed path 0→1→2 they used to return 0.5 and 0.0."""
+        d = DiGraph([(0, 1), (1, 2)])
+        for metric in (
+            lambda: betweenness_centrality(d, normalized=False),
+            lambda: clustering_coefficient(d, 1),
+            lambda: average_clustering(d),
+        ):
+            with pytest.raises(TypeError, match="undirected snapshot"):
+                metric()

@@ -17,7 +17,9 @@ full-rebuild references at every step:
   across writes — and ``distance``, whose unadmitted sources take the
   bidirectional point search, vs a cold BFS of the mirror, and the
   store's repair kernel vs a cold BFS on small random graphs
-  (Hypothesis).
+  (Hypothesis);
+* the repair kernel with one rank per landmark vs a cold multi-source
+  sweep (Hypothesis), and the rows it reads on two fixed deletions.
 
 Traces run both per-edge (``insert_edge`` / ``delete_edge``) and in
 batch form (``apply_batch``), so the vectorized write path is held to
@@ -35,7 +37,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
@@ -43,7 +45,7 @@ from repro.graphs.csr import FrozenGraph
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
-from repro.labeling.incremental import repair_bfs_levels
+from repro.labeling.incremental import repair_bfs_keys, repair_bfs_levels
 from repro.labeling.landmarks import select_landmarks
 from repro.layering.nsf import nsf_levels_reference
 from repro.observability.metrics import MetricsRegistry, set_registry
@@ -457,6 +459,117 @@ def test_single_seed_repair_matches_cold_bfs(case):
     repaired = repair_bfs_levels(after, levels, source, sorted(toggles))
     assert np.array_equal(repaired, after.bfs_levels(source))
     assert np.array_equal(levels, kept)
+
+
+@st.composite
+def toggled_landmark_graphs(draw):
+    """A small graph, two or more landmarks, and edge toggles: some
+    pairs toggled twice, in either orientation, some at new nodes."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    grown = n + draw(st.integers(min_value=0, max_value=2))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = {
+        (min(u, v), max(u, v))
+        for u, v in draw(st.lists(st.tuples(node, node))) if u != v
+    }
+    landmarks = draw(st.lists(node, min_size=2, max_size=4, unique=True))
+    grown_node = st.integers(min_value=0, max_value=grown - 1)
+    pairs = st.lists(st.tuples(grown_node, grown_node), min_size=1, max_size=8)
+    toggles = [(u, v) for u, v in draw(pairs) if u != v]
+    if toggles:
+        toggles += draw(st.lists(st.sampled_from(toggles), max_size=3))
+    return n, grown, edges, landmarks, toggles
+
+
+def cold_keys(fg, landmarks):
+    """The landmark keys (distance * stride + repr rank) of ``fg``, from
+    one cold multi-source sweep, and the landmark indices."""
+    lms = sorted(landmarks, key=repr)
+    seeds = np.array([fg.index[lm] for lm in lms], dtype=np.int64)
+    level, nearest = fg.multi_source_labels(seeds)
+    rank = np.zeros(fg.n, dtype=np.int64)
+    rank[seeds] = np.arange(len(lms))
+    key = np.full(fg.n, np.iinfo(np.int64).max, dtype=np.int64)
+    reach = level >= 0
+    key[reach] = level[reach] * len(lms) + rank[nearest[reach]]
+    return key, frozenset(seeds.tolist())
+
+
+# Landmarks 0 (rank 0) and 5 (rank 1): node 2 is (2, rank 0) through 1
+# and node 3 is (1, rank 1), so (2, 3) is one hop apart across ranks
+# and supports nothing.  Deleting (1, 2) moves 2 to rank 1 through 3,
+# whatever (2, 3) did in between.
+ACROSS_RANKS = [(0, 1), (1, 2), (2, 3), (3, 5), (3, 4)]
+
+
+@given(toggled_landmark_graphs())
+@example((6, 6, set(ACROSS_RANKS), [0, 5], [(2, 3)]))
+@example((6, 7, set(ACROSS_RANKS), [0, 5], [(1, 2), (6, 4), (2, 3), (3, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_multi_seed_repair_matches_cold_labels(case):
+    """``repair_bfs_keys`` with one rank per landmark (``stride > 1``)
+    equals a cold multi-source sweep after any toggles, including pairs
+    toggled twice, endpoints that are new nodes, and deleted edges
+    between nodes one hop apart at different gateway ranks."""
+    n, grown, edges, landmarks, toggles = case
+    after_edges = set(edges)
+    for u, v in toggles:
+        after_edges ^= {(min(u, v), max(u, v))}
+    before = indexed_snapshot(n, edges)
+    after = indexed_snapshot(grown, after_edges)
+    key, seeds = cold_keys(before, landmarks)
+    key = np.concatenate(
+        [key, np.full(grown - n, np.iinfo(np.int64).max, dtype=np.int64)]
+    )
+    repair_bfs_keys(after, key, seeds, toggles, stride=len(landmarks))
+    assert np.array_equal(key, cold_keys(after, landmarks)[0])
+
+
+class RowCounter:
+    """Snapshot proxy that records the node of every row read."""
+
+    def __init__(self, snapshot):
+        self._wrapped = snapshot
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(self._wrapped, name)
+
+    def neighbor_indices(self, i):
+        self.rows.append(i)
+        return self._wrapped.neighbor_indices(i)
+
+
+class TestRepairWork:
+    """The repair reads only the rows a change can reach."""
+
+    def test_edge_between_equal_levels_reads_no_row(self):
+        """On the 21-cycle from 0, nodes 10 and 11 are both at level 10:
+        the deleted edge (10, 11) supported neither, and the keys alone
+        show it, so no row is read.  Deleting (9, 10) reads only node
+        10's row: its presence check and its support check."""
+        cycle = [(i, (i + 1) % 21) for i in range(21)]
+        levels = indexed_snapshot(21, cycle).bfs_levels(0)
+        for pair, rows in (((10, 11), []), ((9, 10), [10, 10])):
+            after = RowCounter(indexed_snapshot(21, set(cycle) - {pair}))
+            repaired = repair_bfs_levels(after, levels, 0, [pair])
+            assert after.rows == rows, pair
+            assert np.array_equal(repaired, after.bfs_levels(0))
+
+    def test_deleted_support_reads_only_the_invalidated_subtree(self):
+        """Source 0; 1 and 5 at level 1, 2 and 6 at level 2, 3, 4 and 8
+        at level 3.  Deleting (1, 2) cuts 2's only support and so 3's
+        and 4's; 6 (beside 2) and 8 (beside 3) keep theirs.  Only the
+        rows of 2, 3 and 4 are read, none at or above their levels."""
+        edges = [(0, 1), (0, 5), (1, 2), (5, 6), (2, 6), (2, 3), (2, 4),
+                 (6, 8), (3, 8)]
+        before = indexed_snapshot(9, edges)
+        levels = before.bfs_levels(0)
+        after = RowCounter(indexed_snapshot(9, set(edges) - {(1, 2)}))
+        repaired = repair_bfs_levels(after, levels, 0, [(1, 2)])
+        assert np.array_equal(repaired, after.bfs_levels(0))
+        assert set(after.rows) == {2, 3, 4}
+        assert repaired[[2, 3, 4]].tolist() == [3, 4, 4]
 
 
 class InjectedFault(RuntimeError):
