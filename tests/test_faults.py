@@ -472,6 +472,164 @@ class TestGoldenReplay:
         assert _golden_run(engine, name) == GOLDEN_REPLAY[engine, name]
 
 
+def _protocol_factory(protocol, graph):
+    """The per-node algorithm factory of one pinned protocol on
+    ``graph``."""
+    from repro.labeling.mis import MISAlgorithm, id_priorities
+    from repro.labeling.nsf_labels import NSFLevelAlgorithm
+    from repro.labeling.safety_distributed import SafetyLevelAlgorithm
+    from repro.layering.link_reversal_distributed import (
+        PartialReversalAlgorithm,
+        lift_partial_heights,
+    )
+
+    nodes = sorted(graph.nodes())
+    if protocol == "partial-reversal":
+        heights = initial_heights(graph, nodes[0])
+        for node in nodes[5::7]:
+            heights[node] = (-1, heights[node][-1])
+        heights = lift_partial_heights(heights)
+        return lambda node: PartialReversalAlgorithm(  # noqa: E731
+            node == nodes[0], heights[node]
+        )
+    if protocol == "mis":
+        priorities = id_priorities(graph)
+        return lambda node: MISAlgorithm(priorities[node])  # noqa: E731
+    if protocol == "nsf-labels":
+        return lambda node: NSFLevelAlgorithm()  # noqa: E731
+    faulty = set(nodes[3::9])
+    return lambda node: SafetyLevelAlgorithm(5, node in faulty)  # noqa: E731
+
+
+def _protocol_run(engine, protocol, name):
+    """The :func:`_golden_run` tuple of one protocol under one chaos
+    plan, or, for a run that exhausts its 400-round budget,
+    ``("ConvergenceError", ledger digest, rounds completed, messages
+    sent, fault-summary digest)``.  Partial reversal, MIS and NSF
+    labels run on the 40-node Gnutella SCC of :func:`_golden_run`,
+    safety levels on Q_5."""
+    from repro.datasets.gnutella import gnutella_largest_scc
+    from repro.graphs.hypercube import binary_hypercube
+
+    if protocol == "safety-levels":
+        graph = binary_hypercube(5)
+    else:
+        graph = gnutella_largest_scc(40, np.random.default_rng(3))
+    edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+    plan = _golden_plan(name, edges)
+    factory = _protocol_factory(protocol, graph)
+    if engine == "Network":
+        network = Network(graph, factory, fault_plan=plan)
+    else:
+        network = AsyncNetwork(
+            graph, factory, rng=np.random.default_rng(5), fault_plan=plan
+        )
+    try:
+        stats = network.run(400)
+    except ConvergenceError as error:
+        return (
+            "ConvergenceError",
+            network.faults.ledger.digest()[:16],
+            error.rounds_completed,
+            error.messages_sent,
+            _digest(sorted(error.fault_events.items())),
+        )
+    states = sorted(
+        (node, sorted(state.items(), key=repr))
+        for node, state in network._state.items()
+    )
+    return (
+        network.faults.ledger.digest()[:16],
+        stats.rounds,
+        stats.messages_sent,
+        _digest(stats.messages_per_round),
+        _digest(states),
+    )
+
+
+# Recorded with the engines as they stood before a round's work followed
+# the awake nodes and the filled inboxes instead of every node: a change
+# in the order of activations, fault draws or deliveries changes a digest.
+# Partial reversal and safety levels do not survive the crash plan's
+# amnesiac restarts within 400 rounds; those cells pin the failure.
+PROTOCOL_REPLAY = {
+    ("Network", "partial-reversal", "reorder"):
+        ("f7d2cab0168b8b32", 8, 291, "2a823110e52e547a", "83de2aa944b11cd0"),
+    ("Network", "partial-reversal", "scheduled-churn"):
+        ("0e03f5f8fb577c39", 13, 262, "91b0720f0511ac33", "b341807eb49305e8"),
+    ("Network", "partial-reversal", "random-churn"):
+        ("041d45f05d71bb6f", 33, 274, "985b1d6dff45bc64", "e4b725d302f38b8e"),
+    ("Network", "partial-reversal", "crash-restart"):
+        ("ConvergenceError", "5fffe344343a16ca", 400, 347, "031a47060ea4b0e4"),
+    ("Network", "mis", "reorder"):
+        ("41fe10e8bca18fdc", 7, 804, "b13578f43e8841d8", "28b3e58e204c980a"),
+    ("Network", "mis", "scheduled-churn"):
+        ("0786a4ad15164066", 19, 760, "b44bde611b23c1ac", "e6c078d49e7336af"),
+    ("Network", "mis", "random-churn"):
+        ("5a7f8cd7f5c844d3", 30, 728, "a6f87d78f707e3ff", "3280dc16f9c43dfa"),
+    ("Network", "mis", "crash-restart"):
+        ("7e38a1cb30390618", 32, 856, "a0d82181d61c0047", "be2833417af34990"),
+    ("Network", "safety-levels", "reorder"):
+        ("315df784d0559877", 4, 196, "f076629059875fd2", "c2fa559a13d548e7"),
+    ("Network", "safety-levels", "scheduled-churn"):
+        ("dbde53abc971eb55", 10, 182, "d554eac618c65133", "495c449b6294dd53"),
+    ("Network", "safety-levels", "random-churn"):
+        ("818222aa035dcf7e", 8, 181, "3e0dbb6ff20b5c4f", "f989ee6a81957b83"),
+    ("Network", "safety-levels", "crash-restart"):
+        ("ConvergenceError", "1c972c5cb52ca894", 400, 217, "e9c03efd7ef9bddd"),
+    ("Network", "nsf-labels", "reorder"):
+        ("f823f59b37615c36", 20, 1124, "50e4785346248ddc", "5d741d0c420bbd9c"),
+    ("Network", "nsf-labels", "scheduled-churn"):
+        ("a5052a3c45feb248", 19, 1006, "8f676c5f3a55e994", "fb49e8f11c44704b"),
+    ("Network", "nsf-labels", "random-churn"):
+        ("dd9acaa1eeed9542", 56, 925, "fc3c265ba3f7297b", "ef610daf9684e7e8"),
+    ("Network", "nsf-labels", "crash-restart"):
+        ("f5a66c421f91f527", 38, 1096, "c46029b8f2375da4", "ba3204b821fd16f9"),
+    ("AsyncNetwork", "partial-reversal", "reorder"):
+        ("863575f815f311ea", 13, 297, "b3de43cb95f2c944", "7bcdddf4391bec80"),
+    ("AsyncNetwork", "partial-reversal", "scheduled-churn"):
+        ("ca1134fbdd399ac8", 12, 270, "55b0bddd6fee2f07", "9d1f271d33f2652f"),
+    ("AsyncNetwork", "partial-reversal", "random-churn"):
+        ("7d01e54ac043155a", 29, 267, "82162e9c798c24b0", "1b212825a6378068"),
+    ("AsyncNetwork", "partial-reversal", "crash-restart"):
+        ("ConvergenceError", "3037c63ed90fa06a", 400, 332, "627fcc236ff42208"),
+    ("AsyncNetwork", "mis", "reorder"):
+        ("897c538ab9ec4a32", 7, 770, "36d9386b2a2ba5f9", "b1bbdd871097a6f7"),
+    ("AsyncNetwork", "mis", "scheduled-churn"):
+        ("1e18a2b52b4a37f9", 19, 621, "8cbb3fc04683d77a", "74ded8f8032545b5"),
+    ("AsyncNetwork", "mis", "random-churn"):
+        ("44336496bdd3567d", 40, 676, "fcd686ec9bba8be0", "9eb20adafbec45c9"),
+    ("AsyncNetwork", "mis", "crash-restart"):
+        ("026a0333c9315435", 26, 732, "4ce8550ee33a090d", "cf9546d59722e94d"),
+    ("AsyncNetwork", "safety-levels", "reorder"):
+        ("f930fe79434b5e38", 7, 198, "e7aac9b1d4a947a7", "ab542a4862b1fd9e"),
+    ("AsyncNetwork", "safety-levels", "scheduled-churn"):
+        ("d6ed0fcedd614924", 10, 182, "3f4d39378cea4ba3", "93c18dfbaa0630b1"),
+    ("AsyncNetwork", "safety-levels", "random-churn"):
+        ("1754aec0a48cba6f", 21, 183, "227d829f941993b2", "ad185700b680e86a"),
+    ("AsyncNetwork", "safety-levels", "crash-restart"):
+        ("ConvergenceError", "85b1398a54365fd5", 400, 220, "d7f0c7467b4ad5ed"),
+    ("AsyncNetwork", "nsf-labels", "reorder"):
+        ("8128aba9246e763c", 14, 999, "249dd698126a3a59", "d2407c20e67290ed"),
+    ("AsyncNetwork", "nsf-labels", "scheduled-churn"):
+        ("05d313a7231bb45c", 24, 795, "b13db73d543b4a2c", "b08c0191fc5d78a5"),
+    ("AsyncNetwork", "nsf-labels", "random-churn"):
+        ("43c818abef28488a", 29, 871, "d25cd0e9fa7bf0f9", "440067d23705579f"),
+    ("AsyncNetwork", "nsf-labels", "crash-restart"):
+        ("ae97a8a748cf6b91", 37, 1026, "e6a8052f0c365f80", "23d86d6390031158"),
+}
+
+
+class TestProtocolReplay:
+    """Pinned chaos runs of the other scalar protocols on both engines."""
+
+    @pytest.mark.parametrize("engine, protocol, name", sorted(PROTOCOL_REPLAY))
+    def test_replay_matches_recorded_run(self, engine, protocol, name):
+        assert _protocol_run(engine, protocol, name) == PROTOCOL_REPLAY[
+            engine, protocol, name
+        ]
+
+
 class _KeptPlan(FaultPlan):
     """A plan that keeps the session its engine started."""
 
