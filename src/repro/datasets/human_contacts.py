@@ -29,31 +29,8 @@ from repro.mobility.base import Arena
 from repro.mobility.community import CommunityMobility, feature_distance, random_profiles
 from repro.mobility.trace import collect_contact_trace
 from repro.temporal.contacts import ContactTrace, generate_exponential_trace
-from repro.temporal.evolving import EvolvingGraph
 
 Profile = Tuple[int, ...]
-
-
-def discretised_rate_model(
-    n: int,
-    radices: Sequence[int],
-    rng: np.random.Generator,
-    slot: float = 1.0,
-    **kwargs,
-) -> Tuple[EvolvingGraph, Dict[int, Profile]]:
-    """A rate-model trace discretised and pre-frozen in one call.
-
-    Convenience for the DTN/temporal benchmarks: generates
-    :func:`rate_model_trace`, discretises via the bulk insert of
-    :meth:`~repro.temporal.contacts.ContactTrace.to_evolving`, and
-    warms the frozen contact index so the first journey query does not
-    pay the freeze cost.  Extra keyword arguments pass through to
-    :func:`rate_model_trace`.
-    """
-    trace, profiles = rate_model_trace(n, radices, rng, **kwargs)
-    eg = trace.to_evolving(slot=slot)
-    eg.frozen()
-    return eg, profiles
 
 
 def rate_model_trace(

@@ -156,14 +156,3 @@ def edge_density_profile(
         active_pairs = online * (online - 1) / 2
         profile[t] = active_pairs / total_pairs if total_pairs else 0.0
     return profile
-
-
-def cooccurrence_counts(
-    intervals: Mapping[Node, Iterable[Interval]],
-) -> Dict[FrozenSet[Node], int]:
-    """How many distinct maximal windows each co-online group shares."""
-    hypergraph = interval_hypergraph(intervals)
-    counts: Dict[FrozenSet[Node], int] = Counter()
-    for edge in hypergraph.hyperedges:
-        counts[edge.members] += 1
-    return dict(counts)

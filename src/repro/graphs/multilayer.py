@@ -93,10 +93,6 @@ class MultilayerNetwork:
     def num_nodes(self) -> int:
         return len(self._nodes)
 
-    @property
-    def num_layers(self) -> int:
-        return len(self._layers)
-
     def nodes(self) -> Set[Node]:
         return set(self._nodes)
 

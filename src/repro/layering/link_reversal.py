@@ -130,8 +130,11 @@ class Orientation:
 def orientation_from_heights(graph: Graph, heights: Dict[Node, Height]) -> Orientation:
     """Each link points from the higher to the lower endpoint."""
     orientation = Orientation(graph)
-    for u, v in graph.edges():
-        orientation.orient(u, v, toward=v if heights[u] > heights[v] else u)
+    # One fold over the graph's own links, which ``orient`` would only
+    # re-validate one by one.
+    orientation._points_to = {
+        frozenset((u, v)): v if heights[u] > heights[v] else u for u, v in graph.edges()
+    }
     return orientation
 
 

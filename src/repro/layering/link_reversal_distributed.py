@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.graphs.graph import Graph
-from repro.layering.link_reversal import Orientation
+from repro.layering.link_reversal import Orientation, orientation_from_heights
 from repro.observability import tracing
 from repro.observability.metrics import get_registry
 from repro.runtime.engine import Network, NodeAlgorithm, NodeContext
@@ -71,12 +71,13 @@ class LinkReversalAlgorithm(NodeAlgorithm):
         if self.is_destination or not ctx.neighbors:
             ctx.halt()
             return
-        known = [beliefs.get(neighbor) for neighbor in ctx.neighbors]
-        if any(height is None for height in known):
+        known = list(map(beliefs.get, ctx.neighbors))
+        if None in known:
             return  # still waiting for first exchange
         own: Height = ctx.state["height"]
-        if all(height > own for height in known):  # I am a sink
-            top_level = max(height[0] for height in known)
+        # Heights are totally ordered, so the lowest neighbor decides.
+        if min(known) > own:  # I am a sink
+            top_level = max(known)[0]
             own = (top_level + 1, own[-1])
             ctx.state["height"] = own
             ctx.state["reversals"] += 1
@@ -101,27 +102,40 @@ def distributed_full_reversal(
     :class:`repro.faults.RetryPolicy` so every height announcement is
     still eventually delivered.
     """
+    return _run_reversal(
+        graph, LinkReversalAlgorithm, destination, heights,
+        "distributed-full", max_rounds, fault_plan,
+    )
+
+
+def _run_reversal(
+    graph: Graph,
+    algorithm_type,
+    destination: Node,
+    heights: Dict[Node, Height],
+    algorithm: str,
+    max_rounds: int,
+    fault_plan,
+) -> Tuple[Orientation, Dict[Node, Height], Dict[Node, int], int]:
+    """Run one reversal protocol on :class:`Network` and fold the
+    distributed wrappers' result."""
     network = Network(
         graph,
-        lambda node: LinkReversalAlgorithm(
+        lambda node: algorithm_type(
             is_destination=node == destination, height=heights[node]
         ),
         fault_plan=fault_plan,
     )
     with tracing.span("layering.distributed_reversal"):
         stats = network.run(max_rounds=max_rounds)
+    heights_now = network.states("height")
+    reversals_now = network.states("reversals", 0)
     final_heights: Dict[Node, Height] = {
-        node: tuple(network.state_of(node)["height"]) for node in graph.nodes()
+        node: tuple(heights_now[node]) for node in graph.nodes()
     }
-    orientation = Orientation(graph)
-    for u, v in graph.edges():
-        orientation.orient(
-            u, v, toward=v if final_heights[u] > final_heights[v] else u
-        )
-    reversals = {
-        node: network.state_of(node).get("reversals", 0) for node in graph.nodes()
-    }
-    labels = {"algorithm": "distributed-full"}
+    orientation = orientation_from_heights(graph, final_heights)
+    reversals = {node: reversals_now[node] for node in graph.nodes()}
+    labels = {"algorithm": algorithm}
     registry = get_registry()
     registry.counter("repro.layering.node_reversals", labels).inc(
         sum(reversals.values())
@@ -164,12 +178,13 @@ class PartialReversalAlgorithm(NodeAlgorithm):
         if self.is_destination or not ctx.neighbors:
             ctx.halt()
             return
-        known = [beliefs.get(neighbor) for neighbor in ctx.neighbors]
-        if any(height is None for height in known):
+        known = list(map(beliefs.get, ctx.neighbors))
+        if None in known:
             return  # still waiting for first exchange
         own: Height = ctx.state["height"]
-        if all(height > own for height in known):  # I am a sink
-            new_a = min(height[0] for height in known) + 1
+        lowest = min(known)
+        if lowest > own:  # I am a sink
+            new_a = lowest[0] + 1
             same_a = [height[1] for height in known if height[0] == new_a]
             new_b = (min(same_a) - 1) if same_a else own[1]
             own = (new_a, new_b, own[-1])
@@ -208,31 +223,7 @@ def distributed_partial_reversal(
     Same contract as :func:`distributed_full_reversal`; ``heights``
     may be pairs ``(h, id)`` (lifted to ``(h, 0, id)``) or triples.
     """
-    heights = lift_partial_heights(heights)
-    network = Network(
-        graph,
-        lambda node: PartialReversalAlgorithm(
-            is_destination=node == destination, height=heights[node]
-        ),
-        fault_plan=fault_plan,
+    return _run_reversal(
+        graph, PartialReversalAlgorithm, destination, lift_partial_heights(heights),
+        "distributed-partial", max_rounds, fault_plan,
     )
-    with tracing.span("layering.distributed_reversal"):
-        stats = network.run(max_rounds=max_rounds)
-    final_heights: Dict[Node, Height] = {
-        node: tuple(network.state_of(node)["height"]) for node in graph.nodes()
-    }
-    orientation = Orientation(graph)
-    for u, v in graph.edges():
-        orientation.orient(
-            u, v, toward=v if final_heights[u] > final_heights[v] else u
-        )
-    reversals = {
-        node: network.state_of(node).get("reversals", 0) for node in graph.nodes()
-    }
-    labels = {"algorithm": "distributed-partial"}
-    registry = get_registry()
-    registry.counter("repro.layering.node_reversals", labels).inc(
-        sum(reversals.values())
-    )
-    registry.histogram("repro.layering.steps", labels).observe(stats.rounds)
-    return orientation, final_heights, reversals, stats.rounds

@@ -37,6 +37,7 @@ from repro.runtime.engine import (
     Message,
     NodeAlgorithm,
     RunStats,
+    Schedule,
     route_faults,
     run_until_quiescent,
 )
@@ -83,12 +84,9 @@ class AsyncNetwork(EngineCore):
             for message in outbox:
                 self._enqueue(self._round + self._transport_delay(), message)
             return
-        deliveries, deferrals = route_faults(
-            self.faults, self._round, [(m, 0, True) for m in outbox]
-        )
-        for message, copies in deliveries:
-            for _ in range(copies):
-                self._enqueue(self._round + self._transport_delay(), message)
+        delivered, deferrals = route_faults(self.faults, self._round, outbox)
+        for message in delivered:
+            self._enqueue(self._round + self._transport_delay(), message)
         for due, message, attempt in deferrals:
             self._enqueue(due, message, attempt, fated=False)
 
@@ -98,11 +96,19 @@ class AsyncNetwork(EngineCore):
     def initialize(self) -> None:
         if self._initialized:
             return
-        order = list(self._schedule.of(self.graph).nodes)
+        schedule = self._schedule.of(self.graph)
+        order = list(schedule.nodes)
         self._rng.shuffle(order)
         for node in order:
-            self._dispatch(self._activate(node, [], "init"))
+            self._dispatch_activation(schedule, node, [], "init")
         self._initialized = True
+
+    def _dispatch_activation(
+        self, schedule: Schedule, node: Node, inbox: List[Message], phase: str
+    ) -> None:
+        outbox: List[Message] = []
+        self._activate(schedule, node, inbox, phase, outbox)
+        self._dispatch(outbox)
 
     def step_tick(self) -> None:
         """Advance one tick: deliver due messages, activate recipients."""
@@ -111,9 +117,12 @@ class AsyncNetwork(EngineCore):
         self._round += 1
         self.stats.rounds = self._round
         self.metrics.gauge("repro.runtime.in_flight").set(len(self._in_flight))
+        schedule = self._schedule.of(self.graph)
         if self.faults is not None:
-            self._apply_fault_events(self._round)
-        arrived: List[Tuple[Message, int, bool]] = []
+            self._apply_fault_events(schedule, self._round, [])
+        arrived: List[Message] = []
+        attempts: List[int] = []
+        needs_fate: List[bool] = []
         remaining: List[Tuple[int, Message, int, bool]] = []
         for entry in self._in_flight:
             deliver_at, message, attempt, fated = entry
@@ -122,43 +131,41 @@ class AsyncNetwork(EngineCore):
             if deliver_at > self._round:
                 remaining.append(entry)
             else:
-                arrived.append((message, attempt, not fated))
+                arrived.append(message)
+                attempts.append(attempt)
+                needs_fate.append(not fated)
         self._in_flight = remaining
         if self.faults is None:
-            deliveries = [(message, 1) for message, _, _ in arrived]
+            delivered = arrived
         else:
-            deliveries, deferrals = route_faults(
-                self.faults, self._round, arrived, self.faults.crashed
+            delivered, deferrals = route_faults(
+                self.faults, self._round, arrived, attempts, needs_fate,
+                self.faults.crashed,
             )
             for at, message, attempt in deferrals:
                 self._enqueue(at, message, attempt, fated=False)
         due: Dict[Node, List[Message]] = {}
-        for message, copies in deliveries:
-            due.setdefault(message.receiver, []).extend([message] * copies)
+        for message in delivered:
+            due.setdefault(message.receiver, []).append(message)
         recipients = sorted(due, key=repr)
         self._rng.shuffle(recipients)
-        # Also activate non-halted nodes with empty inboxes, so
-        # algorithms that poll can progress.
-        crashed = self._crashed_nodes()
-        idle = [
-            node for node in self._schedule.of(self.graph).nodes
-            if node not in due
-            and not self._halted[node]
-            and node not in crashed
-        ]
+        # Also activate running nodes with empty inboxes, so algorithms
+        # that poll can progress.
+        idle = sorted(
+            self._running.difference(due, self._crashed_nodes()),
+            key=schedule.rank.__getitem__,
+        )
         self._rng.shuffle(idle)
         for node in recipients:
-            self._dispatch(self._activate(node, due[node], "step"))
+            self._dispatch_activation(schedule, node, due[node], "step")
         for node in idle:
-            self._dispatch(self._activate(node, [], "step"))
-        delivered = sum(len(inbox) for inbox in due.values())
-        self.stats.messages_sent += delivered
-        self.stats.messages_per_round.append(delivered)
+            self._dispatch_activation(schedule, node, [], "step")
+        self.stats.messages_sent += len(delivered)
+        self.stats.messages_per_round.append(len(delivered))
 
-    def _on_restart(self, node: Node) -> List[Message]:
+    def _on_restart(self, schedule: Schedule, node: Node, outgoing: List[Message]) -> None:
         # Sent at once, so the caller has nothing left to deliver.
-        self._dispatch(self._activate(node, [], "init"))
-        return []
+        self._dispatch_activation(schedule, node, [], "init")
 
     def run(self, max_ticks: int = 50_000) -> RunStats:
         """Run until quiescent: everyone halted and nothing in flight."""

@@ -26,7 +26,6 @@ re-activated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Any,
@@ -53,13 +52,36 @@ from repro.observability.telemetry import record_dispatch
 Node = Hashable
 
 
-@dataclass
 class Message:
-    """A message in flight: sender, receiver and an arbitrary payload."""
+    """A message in flight: sender, receiver and an arbitrary payload.
 
-    sender: Node
-    receiver: Node
-    payload: Any
+    A plain class with ``__slots__``, since the engines build one per
+    send, that keeps the dataclass contract it replaced: positional or
+    keyword construction, field-wise ``==``, no hash, and the same
+    ``repr``.
+    """
+
+    __slots__ = ("sender", "receiver", "payload")
+
+    def __init__(self, sender: Node, receiver: Node, payload: Any) -> None:
+        self.sender = sender
+        self.receiver = receiver
+        self.payload = payload
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sender, self.receiver, self.payload) == (
+            other.sender, other.receiver, other.payload  # type: ignore[attr-defined]
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(sender={self.sender!r}, "
+            f"receiver={self.receiver!r}, payload={self.payload!r})"
+        )
 
 
 class NodeContext:
@@ -69,6 +91,8 @@ class NodeContext:
     context, not the network, so they can only read their own state,
     their neighbor IDs, and this round's inbox.
     """
+
+    __slots__ = ("node", "neighbors", "state", "inbox", "_outbox", "round_number", "_halted")
 
     def __init__(
         self,
@@ -93,14 +117,12 @@ class NodeContext:
             raise ValueError(
                 f"{self.node!r} tried to message non-neighbor {neighbor!r}"
             )
-        self._outbox.append(Message(sender=self.node, receiver=neighbor, payload=payload))
+        self._outbox.append(Message(self.node, neighbor, payload))
 
     def broadcast(self, payload: Any) -> None:
         """Queue the same payload to every neighbor."""
-        for neighbor in self.neighbors:
-            self._outbox.append(
-                Message(sender=self.node, receiver=neighbor, payload=payload)
-            )
+        node = self.node
+        self._outbox.extend([Message(node, neighbor, payload) for neighbor in self.neighbors])
 
     def halt(self) -> None:
         """Declare this node locally terminated (idempotent).
@@ -123,16 +145,18 @@ class Schedule:
     only with the topology.  :meth:`of` returns the schedule for the
     graph's current ``_generation``, rebuilding it after any topology
     mutation (through an engine or on ``engine.graph`` directly): the
-    node order is sorted once, the edge order on first use, and each
-    neighborhood tuple on its node's first activation.
+    node order and its ``rank`` (node → position) are built once, the
+    edge order on first use, and each neighborhood tuple on its node's
+    first activation.
     """
 
-    __slots__ = ("_graph", "_generation", "nodes", "_edges", "_neighbors")
+    __slots__ = ("_graph", "_generation", "nodes", "rank", "_edges", "_neighbors")
 
     def __init__(self) -> None:
         self._graph: Optional[Graph] = None
         self._generation = -1
         self.nodes: Tuple[Node, ...] = ()
+        self.rank: Dict[Node, int] = {}
         self._edges: Optional[Tuple[Tuple[Node, Node], ...]] = None
         self._neighbors: Dict[Node, Tuple[Node, ...]] = {}
 
@@ -142,6 +166,7 @@ class Schedule:
             self._graph = graph
             self._generation = graph._generation
             self.nodes = tuple(sorted(graph.nodes(), key=repr))
+            self.rank = {node: position for position, node in enumerate(self.nodes)}
             self._edges = None
             self._neighbors = {}
         return self
@@ -182,63 +207,77 @@ class NodeAlgorithm:
 def route_faults(
     faults: FaultSession,
     time: int,
-    stream: Sequence[Tuple[Message, int, bool]],
+    messages: Sequence[Message],
+    attempts: Optional[Sequence[int]] = None,
+    needs_fate: Optional[Sequence[bool]] = None,
     crashed: Optional[Set[Node]] = None,
-) -> Tuple[List[Tuple[Message, int]], List[Tuple[int, Message, int]]]:
+) -> Tuple[List[Message], List[Tuple[int, Message, int]]]:
     """Route one batch of delivery attempts through a fault session.
 
-    ``stream`` holds ``(message, attempt, needs_fate)`` in the caller's
-    deterministic order, ``attempt`` counting retransmissions so far.
+    ``messages`` is in the caller's deterministic order; ``attempts``
+    counts each one's retransmissions so far (all 0 when omitted), and
+    ``needs_fate`` marks the ones that draw a fate (all when omitted).
     With ``crashed``, an attempt into a crashed receiver or across a
     down link is lost first (``crash_drop``/``link_drop``); that walk
     is skipped while no node is crashed and no link is down.  The rest
     that need a fate share one :meth:`FaultSession.message_fates` call,
     and every lost attempt one :meth:`FaultSession.retry_due` call.
-    Returns ``(deliveries, deferrals)``, both in stream order:
-    ``(message, copies)`` to hand over now, and ``(due, message,
-    attempt)`` to retransmit or redeliver later.
+    Returns ``(delivered, deferrals)``, both in message order: the
+    messages to hand over now, one entry per copy, and ``(due,
+    message, attempt)`` to retransmit or redeliver later.
     """
-    k = len(stream)
+    k = len(messages)
+    if attempts is None:
+        attempts = [0] * k
+    senders = [message.sender for message in messages]
+    receivers = [message.receiver for message in messages]
     lost = np.zeros(k, dtype=bool)
     if crashed is not None and (crashed or faults.down_links):
-        for i, (message, _, _) in enumerate(stream):
-            if message.receiver in crashed:
+        down = faults.down_links
+        for i, link in enumerate(zip(senders, receivers)):
+            if link[1] in crashed:
                 kind = "crash_drop"
-            elif faults.link_is_down(message.sender, message.receiver):
+            elif link in down:
                 kind = "link_drop"
             else:
                 continue
-            faults.record(kind, time, sender=message.sender, receiver=message.receiver)
+            faults.record(kind, time, sender=link[0], receiver=link[1])
             lost[i] = True
-    needs_fate = np.fromiter((entry[2] for entry in stream), dtype=bool, count=k)
-    fated = np.flatnonzero(~lost & needs_fate)
-    drop, fated_copies, fated_delay = faults.message_fates(
-        time,
-        [stream[i][0].sender for i in fated],
-        [stream[i][0].receiver for i in fated],
-    )
+    fresh = ~lost
+    if needs_fate is not None:
+        fresh &= np.asarray(needs_fate, dtype=bool)
+    fated = np.flatnonzero(fresh)
+    if fated.size == k:
+        drop, fated_copies, fated_delay = faults.message_fates(time, senders, receivers)
+    else:
+        positions = fated.tolist()
+        drop, fated_copies, fated_delay = faults.message_fates(
+            time, [senders[i] for i in positions], [receivers[i] for i in positions]
+        )
     copies = np.where(lost, 0, 1)
     copies[fated] = fated_copies
     lost[fated] = drop
     due = np.full(k, -1, dtype=np.int64)
     due[fated] = np.where(fated_delay > 0, time + fated_delay, -1)
     retried = np.flatnonzero(lost)
-    due[retried] = faults.retry_due(
-        time,
-        [stream[i][0].sender for i in retried],
-        [stream[i][0].receiver for i in retried],
-        [stream[i][1] for i in retried],
-    )
-    deliveries: List[Tuple[Message, int]] = []
-    deferrals: List[Tuple[int, Message, int]] = []
-    for (message, attempt, _), n, at, retry in zip(
-        stream, copies.tolist(), due.tolist(), lost.tolist()
-    ):
-        if n:
-            deliveries.append((message, n))
-        elif at >= 0:
-            deferrals.append((at, message, attempt + retry))
-    return deliveries, deferrals
+    if retried.size:
+        positions = retried.tolist()
+        due[retried] = faults.retry_due(
+            time,
+            [senders[i] for i in positions],
+            [receivers[i] for i in positions],
+            [attempts[i] for i in positions],
+        )
+    if (copies == 1).all():
+        delivered = list(messages)
+    else:
+        delivered = [messages[i] for i in np.repeat(np.arange(k), copies).tolist()]
+    deferred = np.flatnonzero((copies == 0) & (due >= 0)).tolist()
+    deferrals = [
+        (at, messages[i], attempts[i] + retry)
+        for i, at, retry in zip(deferred, due[deferred].tolist(), lost[deferred].tolist())
+    ]
+    return delivered, deferrals
 
 
 class RunStats:
@@ -354,10 +393,12 @@ class EngineCore:
     """What the per-node engines share: a copy of the topology, the node
     table, the fault session and its crash/restart handler.
 
-    Each node has an algorithm instance, a state dict and a halted
-    flag.  Time is counted in ``_round`` (a round of :class:`Network`,
-    a tick of :class:`~repro.runtime.async_engine.AsyncNetwork`).  The
-    crashed nodes are the fault session's own
+    Each node has an algorithm instance and a state dict; the live
+    nodes that have not halted form the ``_running`` set, so a round
+    finds its work without scanning every node.  Time is counted in
+    ``_round`` (a round of :class:`Network`, a tick of
+    :class:`~repro.runtime.async_engine.AsyncNetwork`).  The crashed
+    nodes are the fault session's own
     :attr:`~repro.faults.plan.FaultSession.crashed` set.
     """
 
@@ -373,7 +414,7 @@ class EngineCore:
         self._factory = algorithm_factory
         self._algorithms: Dict[Node, NodeAlgorithm] = {}
         self._state: Dict[Node, Dict[str, Any]] = {}
-        self._halted: Dict[Node, bool] = {}
+        self._running: Set[Node] = set()
         self.metrics = registry if registry is not None else MetricsRegistry(name)
         self.stats = RunStats(registry=self.metrics)
         self._round = 0
@@ -388,7 +429,7 @@ class EngineCore:
     def _install(self, node: Node) -> None:
         self._algorithms[node] = self._factory(node)
         self._state[node] = {}
-        self._halted[node] = False
+        self._running.add(node)
 
     # ------------------------------------------------------------------
     # state access (for the "external observer", i.e. tests/benchmarks)
@@ -406,8 +447,7 @@ class EngineCore:
         return self.faults.crashed if self.faults is not None else _NOBODY
 
     def all_halted(self) -> bool:
-        crashed = self._crashed_nodes()
-        return all(halted or node in crashed for node, halted in self._halted.items())
+        return self._running <= self._crashed_nodes()
 
     def _quiescent(self) -> bool:
         """Nothing left to do: every live node halted, no message
@@ -425,37 +465,36 @@ class EngineCore:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _activate(self, node: Node, inbox: List[Message], phase: str) -> List[Message]:
-        """Run one node's ``init``, ``step`` or ``on_topology_change``
-        over ``inbox``; returns its sends."""
-        outbox: List[Message] = []
+    def _activate(
+        self,
+        schedule: Schedule,
+        node: Node,
+        inbox: List[Message],
+        phase: str,
+        outbox: List[Message],
+    ) -> None:
+        """Run one node's ``phase`` (``init``, ``step`` or
+        ``on_topology_change``) over ``inbox``, appending its sends to
+        ``outbox``."""
         ctx = NodeContext(
-            node=node,
-            neighbors=self._schedule.of(self.graph).neighbors(node),
-            state=self._state[node],
-            inbox=inbox,
-            outbox=outbox,
-            round_number=self._round,
+            node, schedule.neighbors(node), self._state[node], inbox, outbox, self._round
         )
-        algorithm = self._algorithms[node]
-        if phase == "init":
-            algorithm.init(ctx)
-        elif phase == "step":
-            algorithm.step(ctx)
+        getattr(self._algorithms[node], phase)(ctx)
+        if ctx._halted:
+            self._running.discard(node)
         else:
-            algorithm.on_topology_change(ctx)
-        self._halted[node] = ctx.halted
-        return outbox
+            self._running.add(node)
 
-    def _apply_fault_events(self, time: int) -> List[Message]:
+    def _apply_fault_events(
+        self, schedule: Schedule, time: int, outgoing: List[Message]
+    ) -> None:
         """Fire the crash/restart/churn events scheduled for ``time``.
 
         A crash calls :meth:`_on_crash`; a node restarting with state
         loss gets a fresh algorithm whose ``init`` runs through
-        :meth:`_on_restart`.  Returns the restart sends that hook hands
-        back, for the caller to deliver.
+        :meth:`_on_restart`, which may leave its sends in ``outgoing``
+        for the caller to deliver.
         """
-        schedule = self._schedule.of(self.graph)
         crashes, restarts = self.faults.begin_round(
             time, nodes=schedule.nodes, edges=schedule.edges
         )
@@ -464,28 +503,29 @@ class EngineCore:
                 self._on_crash(node)
                 if lose_state:
                     self._state[node].clear()
-        outgoing: List[Message] = []
         for node, lose_state in restarts:
             if node not in self._algorithms:
                 continue
-            self._halted[node] = False
+            self._running.add(node)
             if lose_state:
                 self._state[node].clear()
                 self._algorithms[node] = self._factory(node)
-                outgoing.extend(self._on_restart(node))
-        return outgoing
+                self._on_restart(schedule, node, outgoing)
 
     def _on_crash(self, node: Node) -> None:
         """Drop what a crashed node holds besides its state."""
 
-    def _on_restart(self, node: Node) -> List[Message]:
-        """Run a restarted node's ``init``; returns the sends left for
-        the caller of :meth:`_apply_fault_events`."""
+    def _on_restart(self, schedule: Schedule, node: Node, outgoing: List[Message]) -> None:
+        """Run a restarted node's ``init``."""
         raise NotImplementedError
 
 
 class Network(EngineCore):
     """A topology plus per-node algorithm instances and state.
+
+    A round activates only the running nodes and the nodes whose inbox
+    was filled, in schedule order, so its cost follows the awake nodes
+    and the messages in flight, not the size of the network.
 
     Observability: each network owns a
     :class:`~repro.observability.metrics.MetricsRegistry` (exposed as
@@ -505,6 +545,9 @@ class Network(EngineCore):
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self._inboxes: Dict[Node, List[Message]] = {}
+        # The nodes whose inbox may be non-empty: every node a message
+        # was put in for since the last delivery cleared them.
+        self._filled: Set[Node] = set()
         # Messages awaiting redelivery, in deferral order:
         # (due_round, message, attempt).
         self._transit: List[Tuple[int, Message, int]] = []
@@ -521,94 +564,107 @@ class Network(EngineCore):
     def _messages_pending(self) -> bool:
         crashed = self._crashed_nodes()
         return bool(self._transit) or any(
-            inbox for node, inbox in self._inboxes.items() if node not in crashed
+            self._inboxes[node] for node in self._filled if node not in crashed
         )
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _deliver(self, messages: Iterable[Message]) -> int:
-        for inbox in self._inboxes.values():
-            inbox.clear()
-        count = 0
+    def _deliver(self, schedule: Schedule, messages: List[Message]) -> int:
+        inboxes, filled = self._inboxes, self._filled
+        for node in filled:
+            inboxes[node].clear()
+        filled.clear()
         if self.faults is None:
+            count = 0
             for message in messages:
-                if message.receiver in self._inboxes:
-                    self._inboxes[message.receiver].append(message)
+                inbox = inboxes.get(message.receiver)
+                if inbox is not None:
+                    inbox.append(message)
+                    filled.add(message.receiver)
                     count += 1
         else:
-            count = self._deliver_with_faults(messages)
+            count = self._deliver_with_faults(schedule, messages)
         self.stats.messages_sent += count
         self.stats.messages_per_round.append(count)
         return count
 
-    def _deliver_with_faults(self, messages: Iterable[Message]) -> int:
+    def _deliver_with_faults(self, schedule: Schedule, messages: List[Message]) -> int:
         """Route fresh sends plus due retried/delayed messages through
         the fault session; returns the number delivered."""
         faults = self.faults
-        stream: List[Tuple[Message, int, bool]] = [(m, 0, True) for m in messages]
+        inboxes, filled, now = self._inboxes, self._filled, self._round
+        stream = [message for message in messages if message.receiver in inboxes]
+        attempts = [0] * len(stream)
         if self._transit:
-            due = [entry for entry in self._transit if entry[0] <= self._round]
-            self._transit = [entry for entry in self._transit if entry[0] > self._round]
-            stream.extend((message, attempt, True) for _, message, attempt in due)
-        stream = [entry for entry in stream if entry[0].receiver in self._inboxes]
-        deliveries, deferrals = route_faults(faults, self._round, stream, faults.crashed)
+            waiting: List[Tuple[int, Message, int]] = []
+            for entry in self._transit:
+                if entry[0] > now:
+                    waiting.append(entry)
+                elif entry[1].receiver in inboxes:
+                    stream.append(entry[1])
+                    attempts.append(entry[2])
+            self._transit = waiting
+        delivered, deferrals = route_faults(
+            faults, now, stream, attempts, crashed=faults.crashed
+        )
         self._transit.extend(deferrals)
-        count = 0
-        for message, copies in deliveries:
-            self._inboxes[message.receiver].extend([message] * copies)
-            count += copies
+        for message in delivered:
+            inboxes[message.receiver].append(message)
+            filled.add(message.receiver)
         if faults.reorder:
             # Only an inbox of two or more messages draws a permutation.
-            crowded = [node for node, inbox in self._inboxes.items() if len(inbox) > 1]
-            for node in sorted(crowded, key=repr):
-                inbox = self._inboxes[node]
-                permutation = faults.reorder_permutation(self._round, node, len(inbox))
+            crowded = [node for node in filled if len(inboxes[node]) > 1]
+            for node in sorted(crowded, key=schedule.rank.__getitem__):
+                inbox = inboxes[node]
+                permutation = faults.reorder_permutation(now, node, len(inbox))
                 if permutation is not None:
                     inbox[:] = [inbox[i] for i in permutation]
-        return count
+        return len(delivered)
 
     def initialize(self) -> None:
         """Run every node's :meth:`NodeAlgorithm.init` (round 0)."""
         if self._initialized:
             return
+        schedule = self._schedule.of(self.graph)
         outgoing: List[Message] = []
-        for node in self._schedule.of(self.graph).nodes:
-            outgoing.extend(self._activate(node, self._inboxes[node], "init"))
-        self._deliver(outgoing)
+        for node in schedule.nodes:
+            self._activate(schedule, node, self._inboxes[node], "init", outgoing)
+        self._deliver(schedule, outgoing)
         self._initialized = True
 
     def step_round(self) -> None:
         """Execute one synchronous round on all non-halted nodes.
 
         Halted nodes with a non-empty inbox are woken: messages must
-        not be silently dropped.
+        not be silently dropped.  Only the running nodes and the filled
+        inboxes are visited.
         """
         if not self._initialized:
             self.initialize()
         self._round += 1
         self.stats.rounds = self._round
         with tracing.span("engine.round"):
+            schedule = self._schedule.of(self.graph)
             outgoing: List[Message] = []
             if self.faults is not None:
-                outgoing.extend(self._apply_fault_events(self._round))
+                self._apply_fault_events(schedule, self._round, outgoing)
             crashed = self._crashed_nodes()
-            for node in self._schedule.of(self.graph).nodes:
-                if node in crashed:
+            running, inboxes = self._running, self._inboxes
+            for node in sorted(running | self._filled, key=schedule.rank.__getitem__):
+                inbox = inboxes[node]
+                if node in crashed or not (inbox or node in running):
                     continue
-                inbox = self._inboxes[node]
-                if self._halted[node] and not inbox:
-                    continue
-                outgoing.extend(self._activate(node, inbox, "step"))
-            self._deliver(outgoing)
+                self._activate(schedule, node, inbox, "step", outgoing)
+            self._deliver(schedule, outgoing)
         self.metrics.gauge("repro.runtime.in_flight").set(len(self._transit))
 
     def _on_crash(self, node: Node) -> None:
         self._inboxes[node].clear()
 
-    def _on_restart(self, node: Node) -> List[Message]:
+    def _on_restart(self, schedule: Schedule, node: Node, outgoing: List[Message]) -> None:
         # Delivered with this round's sends.
-        return self._activate(node, self._inboxes[node], "init")
+        self._activate(schedule, node, self._inboxes[node], "init", outgoing)
 
     # Defined here, not inherited: the end-to-end tracer wraps
     # ``Network.run`` through the class's own ``__dict__``.
@@ -624,13 +680,18 @@ class Network(EngineCore):
     # dynamics (Sec. IV-C: integrating structure with topology change)
     # ------------------------------------------------------------------
     def _notify_topology(self, nodes: Iterable[Node]) -> None:
+        schedule = self._schedule.of(self.graph)
         outgoing: List[Message] = []
         for node in sorted(set(nodes), key=repr):
             if node in self._algorithms:
-                outgoing.extend(self._activate(node, self._inboxes[node], "topology"))
+                self._activate(
+                    schedule, node, self._inboxes[node], "on_topology_change", outgoing
+                )
         for message in outgoing:
-            if message.receiver in self._inboxes:
-                self._inboxes[message.receiver].append(message)
+            inbox = self._inboxes.get(message.receiver)
+            if inbox is not None:
+                inbox.append(message)
+                self._filled.add(message.receiver)
                 self.stats.messages_sent += 1
 
     def add_node(self, node: Node) -> None:
@@ -638,7 +699,9 @@ class Network(EngineCore):
         if node not in self._algorithms:
             self._install(node)
             if self._initialized:
-                self._activate(node, self._inboxes[node], "init")
+                self._activate(
+                    self._schedule.of(self.graph), node, self._inboxes[node], "init", []
+                )
 
     def add_edge(self, u: Node, v: Node) -> None:
         for endpoint in (u, v):
@@ -656,6 +719,7 @@ class Network(EngineCore):
         self.graph.remove_node(node)
         del self._algorithms[node]
         del self._state[node]
-        del self._halted[node]
         del self._inboxes[node]
+        self._running.discard(node)
+        self._filled.discard(node)
         self._notify_topology(neighbors)

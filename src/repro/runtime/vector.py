@@ -707,7 +707,7 @@ def _vector_reversal(
     and return the scalar wrappers' shape (see
     :func:`vector_full_reversal`)."""
     from repro.graphs.graph import Graph
-    from repro.layering.link_reversal import Orientation
+    from repro.layering.link_reversal import orientation_from_heights
 
     dict_graph = graph if isinstance(graph, Graph) else None
     fg = graph.frozen() if dict_graph is not None else graph
@@ -719,13 +719,9 @@ def _vector_reversal(
         stats = engine.run(max_rounds=max_rounds)
     final_heights = dict(zip(nodes, zip(*(column.tolist() for column in kernel.heights()))))
     reversals = dict(zip(nodes, kernel.reversals.tolist()))
-    orientation = None
-    if dict_graph is not None:
-        orientation = Orientation(dict_graph)
-        for u, v in dict_graph.edges():
-            orientation.orient(
-                u, v, toward=v if final_heights[u] > final_heights[v] else u
-            )
+    orientation = (
+        orientation_from_heights(dict_graph, final_heights) if dict_graph is not None else None
+    )
     labels = {"algorithm": algorithm}
     registry = get_registry()
     registry.counter("repro.layering.node_reversals", labels).inc(

@@ -52,10 +52,6 @@ class DelayedViewOracle:
         """Record the current topology snapshot."""
         self._history.append(snapshot.copy())
 
-    @property
-    def snapshots_seen(self) -> int:
-        return len(self._history)
-
     def view(self, node: Node) -> Set[Node]:
         """The (possibly stale) k-hop view of ``node``."""
         if not self._history:

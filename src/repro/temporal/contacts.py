@@ -69,9 +69,6 @@ class ContactTrace:
     def add_contact(self, u: Node, v: Node, start: float, end: float) -> None:
         self.add(ContactRecord(u=u, v=v, start=start, end=end))
 
-    def sorted_records(self) -> List[ContactRecord]:
-        return sorted(self.records, key=lambda r: (r.start, r.end, repr(r.pair)))
-
     @property
     def num_contacts(self) -> int:
         return len(self.records)

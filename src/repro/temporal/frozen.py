@@ -151,7 +151,6 @@ class FrozenContacts:
             ([0], np.cumsum(counts))
         ).astype(np.int64)
 
-        self._contacts_from_cache: Dict[int, Tuple[List[int], List[Tuple[int, Node]]]] = {}
         self._weighted_from_cache: Dict[int, List[Tuple[int, Node, float]]] = {}
         self._weighted_list: Optional[List[Tuple[int, Node, Node, float]]] = None
 
@@ -178,30 +177,6 @@ class FrozenContacts:
     def _group_edges(self, g: int) -> Tuple[np.ndarray, np.ndarray]:
         a, b = int(self.g_ptr[g]), int(self.g_ptr[g + 1])
         return self.g_src[a:b], self.g_dst[a:b]
-
-    # ------------------------------------------------------------------
-    # contact list views (the cached-sort satellite)
-    # ------------------------------------------------------------------
-    def contacts_from_lists(
-        self, node_idx: int
-    ) -> Tuple[List[int], List[Tuple[int, Node]]]:
-        """(times, (time, neighbor) pairs) of a node, contacts_from order.
-
-        Materialised lazily per node and cached on the snapshot, so
-        repeated ``contacts_from`` queries bisect instead of re-sorting.
-        """
-        cached = self._contacts_from_cache.get(node_idx)
-        if cached is None:
-            a = int(self.nbr_indptr[node_idx])
-            b = int(self.nbr_indptr[node_idx + 1])
-            times = self.nbr_time[a:b].tolist()
-            nodes = self.node_list
-            pairs = [
-                (t, nodes[j]) for t, j in zip(times, self.nbr_idx[a:b].tolist())
-            ]
-            cached = (times, pairs)
-            self._contacts_from_cache[node_idx] = cached
-        return cached
 
     def weighted_contacts_from(
         self, node_idx: int

@@ -141,12 +141,6 @@ class TemporalSmallWorldReport:
             return math.inf if self.path_length > 0 else 1.0
         return self.path_length / self.null_path_length
 
-    @property
-    def is_temporally_small_world(self) -> bool:
-        """High temporal clustering, near-null temporal distances."""
-        return self.correlation_ratio > 1.5 and self.path_ratio < 2.0
-
-
 def temporal_small_world_report(
     eg: EvolvingGraph,
     rng: np.random.Generator,

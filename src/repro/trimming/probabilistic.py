@@ -74,9 +74,6 @@ class ProbabilisticEvolvingGraph:
         else:
             self._prob[key] = float(probability)
 
-    def contact_probability(self, u: Node, v: Node, time: int) -> float:
-        return self._prob.get((frozenset((u, v)), time), 0.0)
-
     def nodes(self) -> Set[Node]:
         return set(self._nodes)
 

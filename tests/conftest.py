@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graphs.generators import erdos_renyi, grid_2d, random_connected_graph
 from repro.graphs.unit_disk import random_unit_disk_graph
 from repro.graphs.traversal import connected_components
+
+# Hypothesis explores unseeded and its example database is not kept, so a
+# failing property must print its ``@reproduce_failure`` line for the
+# counterexample to survive the run.  Only the reporting changes.
+settings.register_profile("tier1", print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

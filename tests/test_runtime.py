@@ -462,3 +462,110 @@ class TestScheduleCache:
         assert neighbor_calls == {node: 1 for node in graph.nodes()}
         assert calls["nodes", ()] == 1
         assert calls["edges", ()] == 1
+
+
+class CountingInboxes(dict):
+    """Inbox-table proxy that counts node visits: one per keyed access,
+    and one per node for a scan of the whole table."""
+
+    def __init__(self, inboxes):
+        super().__init__(inboxes)
+        self.visits = 0
+
+    def __getitem__(self, node):
+        self.visits += 1
+        return super().__getitem__(node)
+
+    def get(self, node, default=None):
+        self.visits += 1
+        return super().get(node, default)
+
+    def __contains__(self, node):
+        self.visits += 1
+        return super().__contains__(node)
+
+    def __iter__(self):
+        self.visits += len(self)
+        return super().__iter__()
+
+    def keys(self):
+        self.visits += len(self)
+        return super().keys()
+
+    def values(self):
+        self.visits += len(self)
+        return super().values()
+
+    def items(self):
+        self.visits += len(self)
+        return super().items()
+
+
+class TestRoundWork:
+    """A round costs in proportion to its awake and inboxed nodes."""
+
+    def test_round_visits_follow_activity_not_size(self):
+        """On a 1,000-node path every node halts in ``init`` but one,
+        which chats with its two neighbors for 50 rounds.  Each round
+        (its quiescence check included) visits at most four inbox
+        entries per node it activates: the running talker and the two
+        neighbors its messages wake."""
+        from collections import Counter
+
+        n, talker, rounds = 1000, 500, 50
+        activations = Counter()
+
+        class Quiet(NodeAlgorithm):
+            def init(self, ctx):
+                ctx.halt()
+
+            def step(self, ctx):
+                activations[ctx.round_number] += 1
+                ctx.halt()
+
+        class Talker(Chatter):
+            def step(self, ctx):
+                activations[ctx.round_number] += 1
+                super().step(ctx)
+
+        net = Network(
+            path_graph(n), lambda node: Talker(rounds) if node == talker else Quiet()
+        )
+        net.initialize()
+        net._inboxes = inboxes = CountingInboxes(net._inboxes)
+        visits = {}
+        for round_number in range(1, 2 * rounds):
+            inboxes.visits = 0
+            if net._quiescent():
+                break
+            net.step_round()
+            visits[round_number] = inboxes.visits
+        assert net._quiescent()
+        assert sorted(visits) == list(range(1, rounds + 1))
+        assert net.stats.messages_sent == 2 * rounds
+        for round_number, count in visits.items():
+            assert 0 < count <= 4 * activations[round_number], round_number
+        assert sum(visits.values()) < n
+
+
+class TestMessage:
+    """``Message`` keeps the contract of the dataclass it replaced."""
+
+    def test_dataclass_contract(self):
+        from repro.runtime import Message as Exported
+        from repro.runtime.engine import Message
+
+        assert Exported is Message
+        payload = ("height", (3, 1))
+        message = Message(1, 2, payload)
+        assert message == Message(1, 2, ("height", (3, 1)))
+        assert message == Message(sender=1, receiver=2, payload=payload)
+        assert message != Message(0, 2, payload)
+        assert message != Message(1, 0, payload)
+        assert message != Message(1, 2, ("height", (4, 1)))
+        assert message != (1, 2, payload)
+        assert (message.sender, message.receiver, message.payload) == (1, 2, payload)
+        assert repr(message) == "Message(sender=1, receiver=2, payload=('height', (3, 1)))"
+        with pytest.raises(TypeError):
+            hash(message)
+        assert not hasattr(message, "__dict__")
