@@ -23,7 +23,7 @@ Six routers spanning the paper's design space:
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dtn.simulator import Decision, MessageState, Router
 from repro.graphs.hypercube import hamming_distance
@@ -31,6 +31,9 @@ from repro.remapping.feature_space import FeatureSpace
 from repro.trimming.forwarding_set import ForwardingPolicy
 
 Node = Hashable
+
+# PRoPHET tables ``gamma ** e`` for the integer aging gaps ``0 <= e <`` this.
+_DECAY_TABLE_SIZE = 1024
 
 
 class DirectDelivery(Router):
@@ -93,8 +96,15 @@ class ProphetRouter(Router):
     peer whose predictability for the destination is higher by at least
     ``margin``.
 
-    State is keyed by row, ``_rows[u][v] = (P(u, v), time last aged)``,
-    so a contact with ``b`` scans only ``b``'s known destinations.
+    State is keyed by row, ``_rows[u][v] = [P(u, v), time last aged]``,
+    so a contact with ``b`` scans only ``b``'s known destinations.  Each
+    entry is a two-slot list that aging and updates rewrite in place, so
+    a contact allocates nothing per stored entry.  Aging over an integer
+    gap ``e`` below :data:`_DECAY_TABLE_SIZE` reads ``gamma ** e`` from
+    a table built with that same expression; any other gap computes it.
+    The table serves only while every time seen is a Python ``int``: a
+    numpy integer gap makes ``gamma ** e`` a numpy power, which differs
+    from ``float.__pow__`` in the last bit for some exponents.
     """
 
     name = "prophet"
@@ -118,44 +128,78 @@ class ProphetRouter(Router):
         self.beta = beta
         self.gamma = gamma
         self.margin = margin
-        self._rows: Dict[Node, Dict[Node, Tuple[float, int]]] = {}
+        self._rows: Dict[Node, Dict[Node, List]] = {}
+        self._decay: Sequence[float] = [gamma ** e for e in range(_DECAY_TABLE_SIZE)]
 
-    def _aged(self, row: Dict[Node, Tuple[float, int]], v: Node, time: int) -> float:
-        """P(u, v) from u's row, aged to ``time`` and written back."""
-        entry = row.get(v)
-        if entry is None:
-            return 0.0
-        value, last_aged = entry
+    def _guard_decay_table(self, time: int) -> None:
+        """Drop the decay table at the first time that is not an ``int``."""
+        if time.__class__ is not int:
+            self._decay = ()
+
+    def _aged(self, entry: List, time: int) -> float:
+        """P(u, v) from its row entry, aged to ``time`` in place."""
+        value = entry[0]
         if value == 0.0:
             return 0.0
-        elapsed = time - last_aged
+        elapsed = time - entry[1]
         if elapsed > 0:
-            value *= self.gamma ** elapsed
-            row[v] = (value, time)
+            try:
+                value *= self._decay[elapsed]
+            except (IndexError, TypeError):
+                value *= self.gamma ** elapsed
+            entry[0] = value
+            entry[1] = time
         return value
 
     def predictability(self, u: Node, v: Node, time: int) -> float:
+        self._guard_decay_table(time)
         row = self._rows.get(u)
-        return 0.0 if row is None else self._aged(row, v, time)
+        entry = None if row is None else row.get(v)
+        return 0.0 if entry is None else self._aged(entry, time)
 
     def on_contact(self, u: Node, v: Node, time: int) -> None:
+        self._guard_decay_table(time)
         rows = self._rows
         for a, b in ((u, v), (v, u)):
             row = rows.setdefault(a, {})
-            aged = self._aged(row, b, time)
-            row[b] = (aged + (1.0 - aged) * self.p_encounter, time)
+            entry = row.get(b)
+            if entry is None:
+                entry = row[b] = [0.0, time]
+            aged = self._aged(entry, time)
+            entry[0] = aged + (1.0 - aged) * self.p_encounter
+            entry[1] = time
         # Transitivity: meeting v teaches u about v's acquaintances.
-        # Only row a is written while row b is read, and P(a, b) was
-        # just set at ``time``, so it needs no aging inside the loop.
+        # Only row a is written while row b is read (a != b), so row b
+        # is iterated as it stands.  P(a, b) was just set at ``time`` and
+        # needs no aging; each P(a, target) is aged inline.
+        beta = self.beta
+        gamma = self.gamma
+        decay = self._decay
         for a, b in ((u, v), (v, u)):
             row_a = rows[a]
             p_ab = row_a[b][0]
-            for target, (p_bt, _) in list(rows[b].items()):
+            for target, (p_bt, _) in rows[b].items():
                 if target == a or target == b:
                     continue
-                via = p_ab * p_bt * self.beta
-                if via > self._aged(row_a, target, time):
-                    row_a[target] = (via, time)
+                via = p_ab * p_bt * beta
+                entry = row_a.get(target)
+                if entry is None:
+                    if via > 0.0:
+                        row_a[target] = [via, time]
+                    continue
+                value = entry[0]
+                if value != 0.0:
+                    elapsed = time - entry[1]
+                    if elapsed > 0:
+                        try:
+                            value *= decay[elapsed]
+                        except (IndexError, TypeError):
+                            value *= gamma ** elapsed
+                        entry[0] = value
+                        entry[1] = time
+                if via > value:
+                    entry[0] = via
+                    entry[1] = time
 
     def decide(self, message: MessageState, holder: Node, peer: Node, time: int) -> Decision:
         destination = message.spec.destination

@@ -17,6 +17,7 @@ shortest-path routing as well as node-disjoint multiple-path routing").
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import NodeNotFoundError
@@ -31,11 +32,14 @@ Profile = Tuple[int, ...]
 # ----------------------------------------------------------------------
 
 def binary_addresses(dimension: int) -> Iterator[BinaryAddress]:
-    """All 2^dimension addresses as bit tuples, MSB first."""
+    """All 2^dimension addresses as bit tuples, MSB first.
+
+    A negative dimension raises ``ValueError`` at the call, not at the
+    first ``next()``.
+    """
     if dimension < 0:
         raise ValueError(f"dimension must be >= 0, got {dimension}")
-    for value in range(1 << dimension):
-        yield tuple((value >> (dimension - 1 - i)) & 1 for i in range(dimension))
+    return itertools.product((0, 1), repeat=dimension)
 
 
 def binary_hypercube(dimension: int) -> Graph:

@@ -62,6 +62,7 @@ from repro.errors import AlgorithmError
 from repro.faults.injectors import MessageFaults
 from repro.faults.plan import FaultPlan, FaultSession
 from repro.graphs.csr import FrozenGraph, _distinct
+from repro.graphs.hypercube import binary_addresses
 from repro.observability import tracing
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.telemetry import record_dispatch
@@ -832,9 +833,8 @@ def hypercube_frozen(dimension: int) -> FrozenGraph:
     results key identically to
     :func:`repro.graphs.hypercube.binary_hypercube`.
     """
-    if dimension < 0:
-        raise ValueError(f"dimension must be >= 0, got {dimension}")
-    n = 1 << dimension
+    node_list = list(binary_addresses(dimension))  # validates dimension
+    n = len(node_list)
     base = np.arange(n, dtype=np.int64)
     if dimension:
         neighbors = base[:, None] ^ (
@@ -845,10 +845,6 @@ def hypercube_frozen(dimension: int) -> FrozenGraph:
     else:
         indices = _EMPTY
     indptr = np.arange(n + 1, dtype=np.int64) * dimension
-    addresses = [
-        tuple((i >> (dimension - 1 - bit)) & 1 for bit in range(dimension))
-        for i in range(n)
-    ]
     return FrozenGraph.from_arrays(
-        indptr, indices, node_list=addresses, copy=False, validate=False
+        indptr, indices, node_list=node_list, copy=False, validate=False
     )

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.human_contacts import rate_model_trace
 from repro.dtn.routers import (
+    _DECAY_TABLE_SIZE,
     DirectDelivery,
     EpidemicRouter,
     FeatureGreedyRouter,
@@ -206,13 +207,13 @@ class TestProphet:
 
 
 @st.composite
-def prophet_runs(draw):
+def prophet_runs(draw, times=st.integers(0, 40)):
     """Contacts over <= 6 nodes (repeats, non-monotone times) and parameters."""
     n = draw(st.integers(2, 6))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda pair: pair[0] != pair[1]
     )
-    contacts = draw(st.lists(st.tuples(pairs, st.integers(0, 40)), max_size=30))
+    contacts = draw(st.lists(st.tuples(pairs, times), max_size=30))
     params = {
         "p_encounter": draw(st.floats(0.0, 1.0, exclude_min=True)),
         "beta": draw(st.floats(0.0, 1.0)),
@@ -221,22 +222,69 @@ def prophet_runs(draw):
     return n, contacts, params
 
 
+# Gaps past the decay table.  Each run draws its times from one kind:
+# Python ints, numpy ints (whose powers differ from float.__pow__ in
+# the last bit), floats, or a mix of ints and floats.
+_LONG_INTS = st.integers(0, 3000)
+_LONG_FLOATS = st.floats(0.0, 3000.0)
+_LONG_RUNS = st.sampled_from(
+    [_LONG_INTS, _LONG_INTS.map(np.int64), _LONG_FLOATS, st.one_of(_LONG_INTS, _LONG_FLOATS)]
+).flatmap(prophet_runs)
+_DEFAULTS = {"p_encounter": 0.75, "beta": 0.25, "gamma": 0.98}
+
+
+def assert_prophet_parity(n, contacts, params):
+    fast = ProphetRouter(**params)
+    reference = ProphetRouterReference(**params)
+    for (u, v), time in contacts:
+        fast.on_contact(u, v, time)
+        reference.on_contact(u, v, time)
+        # Reads age the state, so both routers are queried in one order.
+        for a in range(n):
+            for b in range(n):
+                assert fast.predictability(a, b, time) == reference.predictability(
+                    a, b, time
+                )
+
+
+def prophet_table(router):
+    """{(u, v): (P(u, v), last aged)} of either router."""
+    if isinstance(router, ProphetRouterReference):
+        return {key: (p, router._last_aged[key]) for key, p in router._p.items()}
+    return {(u, v): tuple(entry) for u, row in router._rows.items() for v, entry in row.items()}
+
+
 class TestProphetMatchesReference:
     @given(prophet_runs())
     @settings(max_examples=150, deadline=None)
     def test_predictabilities_identical_after_every_contact(self, run):
-        n, contacts, params = run
-        fast = ProphetRouter(**params)
-        reference = ProphetRouterReference(**params)
-        for (u, v), time in contacts:
-            fast.on_contact(u, v, time)
-            reference.on_contact(u, v, time)
-            # Reads age the state, so both routers are queried in one order.
-            for a in range(n):
-                for b in range(n):
-                    assert fast.predictability(a, b, time) == reference.predictability(
-                        a, b, time
-                    )
+        assert_prophet_parity(*run)
+
+    @given(_LONG_RUNS)
+    @settings(max_examples=150, deadline=None)
+    @example(
+        # Backwards, then forwards across and past the table's edge.
+        (
+            3,
+            [
+                ((0, 1), 2500),
+                ((1, 2), 10),
+                ((0, 2), 4),
+                ((0, 1), _DECAY_TABLE_SIZE - 1),
+                ((1, 2), _DECAY_TABLE_SIZE + 9),
+                ((0, 2), 2 * _DECAY_TABLE_SIZE + 4),
+                ((0, 1), 2999),
+            ],
+            _DEFAULTS,
+        )
+    )
+    # numpy int times: 0.98 ** np.int64(11) is a numpy power, one bit
+    # off 0.98 ** 11, so the table must not serve them.
+    @example((2, [((0, 1), np.int64(0)), ((0, 1), np.int64(11))], _DEFAULTS))
+    # Float times, one running backwards, then Python ints.
+    @example((3, [((0, 1), 0.5), ((1, 2), 1500.25), ((0, 2), 3.0), ((0, 1), 1800)], _DEFAULTS))
+    def test_predictabilities_identical_beyond_decay_table(self, run):
+        assert_prophet_parity(*run)
 
     @pytest.mark.parametrize("setting", ["clean", "buffer", "faults"])
     def test_simulation_stats_identical(self, setting):
@@ -268,6 +316,41 @@ class TestProphetMatchesReference:
         fast, reference = outcomes
         assert fast.delivered > 0
         assert fast == reference
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_long_horizon_simulation_identical(self, faulty):
+        # Sparse contacts over a long horizon: some node goes longer
+        # between contacts than the decay table reaches.
+        rng = np.random.default_rng(3)
+        eg = EvolvingGraph(horizon=12000, nodes=list(range(10)))
+        for _ in range(200):
+            u, v = rng.choice(10, size=2, replace=False).tolist()
+            eg.add_contact(u, v, int(rng.integers(12000)))
+        last_met = {}
+        longest_gap = 0
+        for time, u, v in eg.all_contacts():
+            for node in (u, v):
+                longest_gap = max(longest_gap, time - last_met.get(node, time))
+                last_met[node] = time
+        assert longest_gap > _DECAY_TABLE_SIZE
+        routers = (ProphetRouter(), ProphetRouterReference())
+        outcomes = []
+        for router in routers:
+            kwargs = {}
+            if faulty:
+                kwargs["fault_plan"] = FaultPlan(
+                    11, [MessageFaults(drop=0.1, delay=0.2, max_delay=1500)]
+                )
+            sim = DTNSimulation(eg, router, **kwargs)
+            for i in range(8):
+                sim.add_message(MessageSpec(f"m{i}", i, 9, created=800 * i))
+            outcomes.append(sim.run())
+        if faulty:
+            assert sim.faults.summary()["contact_delay"] >= 1
+        fast, reference = outcomes
+        assert fast.delivered > 0
+        assert fast == reference
+        assert prophet_table(routers[0]) == prophet_table(routers[1])
 
 
 class TestPaperRouters:

@@ -7,6 +7,7 @@ from repro.graphs.hypercube import (
     GeneralizedHypercube,
     address_from_int,
     address_to_int,
+    binary_addresses,
     binary_hypercube,
     differing_dimensions,
     flip_bit,
@@ -16,6 +17,15 @@ from repro.graphs.hypercube import (
     paths_are_node_disjoint,
 )
 from repro.graphs.traversal import diameter, is_connected
+from repro.runtime.vector import hypercube_frozen
+
+
+def shifted_addresses(dimension):
+    """MSB-first bit tuples by the bit-shift formula."""
+    return [
+        tuple((value >> (dimension - 1 - i)) & 1 for i in range(dimension))
+        for value in range(1 << dimension)
+    ]
 
 
 class TestBinaryHypercube:
@@ -58,6 +68,19 @@ class TestBinaryHypercube:
     def test_parse_format(self):
         assert parse_address("1101") == (1, 1, 0, 1)
         assert format_address((1, 1, 0, 1)) == "1101"
+
+    @pytest.mark.parametrize("dimension", range(13))
+    def test_addresses_match_bit_shift_formula(self, dimension):
+        expected = shifted_addresses(dimension)
+        assert list(binary_addresses(dimension)) == expected
+        assert hypercube_frozen(dimension).node_list == expected
+
+    def test_negative_dimension_raises_at_the_call(self):
+        # Raised before any address is drawn, not at the first next().
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            binary_addresses(-1)
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            hypercube_frozen(-1)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
